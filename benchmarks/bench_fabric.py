@@ -15,8 +15,11 @@ Reported per fabric size (2/4/8 edge switches):
 * ``pps`` — aggregate frames delivered per wall-clock second (median
   across ``MEASURE_REPEATS`` passes; gated by ``check_regression.py``
   against ``baselines/fabric.json``);
-* ``hit_rate`` — aggregate SS_2 microflow hit rate across all hops
-  (machine-independent, gated absolutely);
+* ``ss1_specialized_share`` / ``ss2_specialized_share`` — the share of
+  the measured frames each datapath kind served from its compiled tier
+  (``specialized_frames`` over ``specialized_frames + fallback_frames``
+  from ``SoftSwitch.stats()["specialization"]``, summed over all hops;
+  machine-independent, gated absolutely);
 * ``packet_ins_migration`` / ``packet_ins_steady`` — controller load
   while the fleet migrates + primes vs during the measured run (the
   steady number should stay ~0: reactive installs happen once).
@@ -150,14 +153,25 @@ def pod_bursts(stations, flows, packets: int, start_s: float):
     return all_bursts
 
 
-def aggregate_cache_stats(fleet) -> "tuple[int, int]":
-    """(hits, lookups) summed over every migrated SS_2 datapath."""
-    hits = lookups = 0
+def served_tiers(fleet) -> "dict[str, tuple[int, int]]":
+    """``{"ss1": (specialized, fallback), "ss2": ...}`` frame counts,
+    summed over every migrated datapath of that kind."""
+    totals = {"ss1": (0, 0), "ss2": (0, 0)}
     for deployment in fleet.deployments.values():
-        stats = deployment.s4.ss2.stats()["cache"]
-        hits += stats["hits"]
-        lookups += stats["hits"] + stats["misses"]
-    return hits, lookups
+        for kind in totals:
+            stats = getattr(deployment.s4, kind).stats()["specialization"]
+            specialized, fallback = totals[kind]
+            totals[kind] = (
+                specialized + stats["specialized_frames"],
+                fallback + stats["fallback_frames"],
+            )
+    return totals
+
+
+def specialized_share(before: "tuple[int, int]", after: "tuple[int, int]") -> float:
+    specialized = after[0] - before[0]
+    served = specialized + after[1] - before[1]
+    return specialized / served if served else 0.0
 
 
 def run_one(edges: int, packets: int) -> dict:
@@ -173,7 +187,7 @@ def run_one(edges: int, packets: int) -> dict:
         len(frames) for bursts in bursts_per_pod for _, frames in bursts
     )
     rx_before = sum(station.rx_count for station in stations)
-    hits_before, lookups_before = aggregate_cache_stats(fleet)
+    tiers_before = served_tiers(fleet)
 
     start = time.perf_counter()
     for station, bursts in zip(stations, bursts_per_pod):
@@ -183,7 +197,7 @@ def run_one(edges: int, packets: int) -> dict:
 
     delivered = sum(station.rx_count for station in stations) - rx_before
     assert delivered == injected, f"edges={edges}: {delivered}/{injected}"
-    hits, lookups = aggregate_cache_stats(fleet)
+    tiers = served_tiers(fleet)
     return {
         "config": "leaf-spine",
         "edges": edges,
@@ -191,11 +205,8 @@ def run_one(edges: int, packets: int) -> dict:
         "packets": injected,
         "pps": injected / elapsed,
         "elapsed_s": elapsed,
-        "hit_rate": (
-            (hits - hits_before) / (lookups - lookups_before)
-            if lookups > lookups_before
-            else 0.0
-        ),
+        "ss1_specialized_share": specialized_share(tiers_before["ss1"], tiers["ss1"]),
+        "ss2_specialized_share": specialized_share(tiers_before["ss2"], tiers["ss2"]),
         "packet_ins_migration": packet_ins_migration,
         "packet_ins_steady": app.packet_ins_handled - packet_ins_migration,
     }
@@ -223,13 +234,14 @@ def render(rows: list, mode: str) -> str:
         f"mode: {mode}; burst {BURST_SIZE}, {FLOWS_PER_PAIR} flows/pod-pair, "
         "3 migrated hops per frame",
         "",
-        f"{'edges':>6} {'pkts':>7} {'pps':>12} {'ss2 hit rate':>13} "
-        f"{'pkt-ins (mig)':>14} {'pkt-ins (steady)':>17}",
+        f"{'edges':>6} {'pkts':>7} {'pps':>12} {'ss1 compiled':>13} "
+        f"{'ss2 compiled':>13} {'pkt-ins (mig)':>14} {'pkt-ins (steady)':>17}",
     ]
     for row in rows:
         lines.append(
             f"{row['edges']:>6} {row['packets']:>7} {row['pps']:>12.0f} "
-            f"{row['hit_rate']:>12.1%} {row['packet_ins_migration']:>14} "
+            f"{row['ss1_specialized_share']:>12.1%} "
+            f"{row['ss2_specialized_share']:>12.1%} {row['packet_ins_migration']:>14} "
             f"{row['packet_ins_steady']:>17}"
         )
     return "\n".join(lines)

@@ -13,8 +13,9 @@ Comparison rules:
   median cancels the machine-speed factor, a genuine regression shows
   up as one row falling away from the pack.  A normalised ratio below
   ``1 - threshold`` (default: 25% regression) fails the gate.
-* **hit_rate metrics** are machine-independent fractions and are
-  compared absolutely: current below baseline by more than 0.10 fails.
+* **hit_rate and specialized_share metrics** are machine-independent
+  fractions and are compared absolutely: current below baseline by
+  more than 0.10 fails.
 * **speedup metrics** (ratios of two pps numbers measured on the same
   machine) are compared directly against ``1 - threshold``.
 * **convergence_s / frames_lost metrics** (bench_resilience) are pure
@@ -42,6 +43,9 @@ Refresh the baselines after an intentional perf change with::
 
     PYTHONPATH=src python benchmarks/bench_fastpath.py --fast
     PYTHONPATH=src python benchmarks/bench_churn.py --fast
+    PYTHONPATH=src python benchmarks/bench_batch.py --fast
+    PYTHONPATH=src python benchmarks/bench_specialized.py --fast
+    PYTHONPATH=src python benchmarks/bench_fabric.py --fast
     PYTHONPATH=src python benchmarks/bench_fabric.py --fast --shards 2
     PYTHONPATH=src python benchmarks/bench_resilience.py --fast
     PYTHONPATH=src python benchmarks/bench_storm.py --fast
@@ -72,7 +76,7 @@ IDENTITY_KEYS = (
 #: Sync-protocol counters from sharded-fabric rows: bit-deterministic
 #: for a given workload, gated by exact equality.
 DETERMINISTIC_KEYS = ("sync_rounds", "rounds_skipped", "records_exported")
-#: Absolute tolerance for hit-rate metrics (fractions in [0, 1]).
+#: Absolute tolerance for hit-rate and share metrics (fractions in [0, 1]).
 HIT_RATE_TOLERANCE = 0.10
 #: Slack added to convergence comparisons: one reachability-sweep
 #: window, so a row that converges one sweep later than a tiny baseline
@@ -87,9 +91,10 @@ def extract_metrics(node, label="", out=None):
 
     Labels are built from the identity keys found along the path, so
     the same workload row gets the same label in baseline and current
-    artefacts regardless of dict ordering.  Only pps, hit_rate and
-    speedup_* leaves are metrics; everything else (packet counts,
-    raw counters, timings) is workload description or redundant.
+    artefacts regardless of dict ordering.  Only pps, hit_rate,
+    *specialized_share and speedup_* leaves are metrics; everything
+    else (packet counts, raw counters, timings) is workload
+    description or redundant.
     """
     if out is None:
         out = {}
@@ -106,6 +111,7 @@ def extract_metrics(node, label="", out=None):
             elif isinstance(value, (int, float)) and (
                 key in ("pps", "hit_rate", "convergence_s", "frames_lost")
                 or key.startswith("speedup")
+                or key.endswith("specialized_share")
             ):
                 out[f"{prefix}:{key}"] = float(value)
             elif isinstance(value, (int, float)) and key in DETERMINISTIC_KEYS:
@@ -197,7 +203,7 @@ def compare(name, baseline, current, threshold):
                 f"   {verdict:>10} {label} "
                 f"{base[label]:.0f} -> {cur[label]:.0f}"
             )
-        elif label.endswith(":hit_rate"):
+        elif label.endswith((":hit_rate", "specialized_share")):
             delta = cur[label] - base[label]
             verdict = "ok"
             if delta < -HIT_RATE_TOLERANCE:

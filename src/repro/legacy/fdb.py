@@ -105,6 +105,25 @@ class ForwardingDatabase:
             return None
         return entry.port
 
+    def peek(self, vlan_id: int, mac: MACAddress) -> Optional[FdbEntry]:
+        """The entry for (vlan, mac) as stored — no aging, no side effect."""
+        return self._entries.get((vlan_id, mac))
+
+    def mutation_stamp(self) -> "tuple[int, int, int, int]":
+        """Moves whenever a binding is added, removed or re-pointed.
+
+        Every such change bumps a monotone counter (learn, move, evict)
+        or the size (aging, flush); a refresh only rewrites
+        ``learned_at`` and leaves the stamp alone.  :meth:`add_static`
+        is configuration and not covered.
+        """
+        return (
+            self.learn_events,
+            self.move_events,
+            self.evictions,
+            len(self._entries),
+        )
+
     def expire(self, now: float) -> int:
         """Remove all dynamic entries older than the aging time."""
         stale = [

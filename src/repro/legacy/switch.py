@@ -138,33 +138,138 @@ class LegacySwitch(Node):
     ) -> None:
         """Bridge a coalesced burst, re-coalescing the egress per port.
 
-        Frames are classified, learned and forwarded strictly in wire
-        order through the exact per-frame :meth:`receive` logic, so
-        counters, FDB state and the frame sequence on every egress link
-        are identical to *len(arrivals)* sequential deliveries.  The
-        only difference is event shape: all frames a burst sends to one
-        egress port leave as **one** :meth:`Port.send_burst` call (one
-        link event), which keeps fabric-scale burst traffic coalesced
-        across chains of legacy and migrated hops.  A non-zero
+        Counters, FDB state and the frame sequence on every egress link
+        are identical to *len(arrivals)* sequential :meth:`receive`
+        calls.  The first frame of each ``(outer VLAN id, src, dst)``
+        goes through :meth:`receive` itself; if :meth:`_burst_plan` then
+        finds it was plain known-unicast bridging, later frames of that
+        key replay the decision — counters, tag ops, egress — without
+        classifying or touching the FDB again.  Any :meth:`receive` that
+        moves the FDB's bindings drops every plan.  Everything else
+        (floods, filtered frames, STP-managed ports) stays on
+        :meth:`receive`.
+
+        The other difference is event shape: all frames a burst sends
+        to one egress port leave as **one** :meth:`Port.send_burst` call
+        (one link event), which keeps fabric-scale burst traffic
+        coalesced across chains of legacy and migrated hops.  A non-zero
         ``processing_delay_s`` schedules each forward individually, so
         the burst path only engages on delay-free switches.
         """
         if self.processing_delay_s > 0 or len(arrivals) < 2:
             super().receive_burst(port, arrivals)
             return
-        self._egress_buffer = {}
+        number = port.number
+        counters = self.counters
+        per_port_rx = counters.per_port_rx
+        per_port_tx = counters.per_port_tx
+        stamp_of = self.fdb.mutation_stamp
+        stamp = stamp_of()
+        #: (outer vid, id(src), id(dst)) -> plan, or False for "not the
+        #: plain case".  The MAC objects outlive the call (the frames in
+        #: *arrivals* hold them), so their ids cannot be reused.
+        plans: dict = {}
+        buffered = self._egress_buffer = {}
         try:
             receive = self.receive
             for _, frame in arrivals:
+                tags = frame.tags
+                key = (tags[0].vlan_id if tags else None, id(frame.src), id(frame.dst))
+                plan = plans.get(key)
+                if plan:
+                    pop, push_vid, out_port = plan
+                    counters.rx_frames += 1
+                    per_port_rx[number] += 1
+                    if pop:
+                        frame = frame.pop_vlan()
+                    if push_vid is not None:
+                        frame = frame.push_vlan(push_vid)
+                    counters.tx_frames += 1
+                    per_port_tx[out_port] += 1
+                    buffered[out_port].append(frame)
+                    continue
                 receive(port, frame)
+                moved = stamp_of()
+                if moved != stamp:
+                    stamp = moved
+                    plans.clear()
+                    plan = None
+                if plan is None:
+                    plans[key] = self._burst_plan(number, frame) or False
         finally:
-            buffered, self._egress_buffer = self._egress_buffer, None
-        for number, frames in buffered.items():
-            out = self.port(number)
+            self._egress_buffer = None
+        for out_number, frames in buffered.items():
+            out = self.port(out_number)
             if len(frames) == 1:
                 out.send(frames[0])
             else:
                 out.send_burst(frames)
+
+    def _burst_plan(
+        self, port_number: int, frame: EthernetFrame
+    ) -> "tuple[bool, int | None, int] | None":
+        """``(pop, push_vid, out_port)`` if a frame like *frame*, arriving
+        on *port_number* now, is plain bridging; else None.
+
+        Plain means :meth:`receive` would change nothing but counters:
+        the ingress port is enabled and outside STP, the frame
+        classifies, its unicast source is already learned on this port
+        at this instant (so learning is a no-op) and its unicast
+        destination is a live entry on another port that emits the
+        VLAN.  A storm meter only ever sees floods, which are never
+        plain.  Reads only.
+        """
+        if not self.running:
+            return None
+        if self.stp is not None and self.stp.handles(port_number):
+            return None
+        if not self.config.port(port_number).enabled:
+            return None
+        classified = self._ingress_vlan(port_number, frame)
+        if classified is None or not (frame.src.is_unicast and frame.dst.is_unicast):
+            return None
+        vlan_id, tagged = classified
+        fdb = self.fdb
+        now = self.sim.now
+        source = fdb.peek(vlan_id, frame.src)
+        if (
+            source is None
+            or source.port != port_number
+            or not (source.static or source.learned_at == now)
+        ):
+            return None
+        target = fdb.peek(vlan_id, frame.dst)
+        if (
+            target is None
+            or target.port == port_number
+            or not (target.static or target.age(now) <= fdb.aging_s)
+        ):
+            return None
+        egress_tagged = self._egress_tagging(target.port, vlan_id)
+        if egress_tagged is None:
+            return None
+        return tagged, (vlan_id if egress_tagged else None), target.port
+
+    def _ingress_vlan(
+        self, port_number: int, frame: EthernetFrame
+    ) -> "tuple[int, bool] | None":
+        """The VLAN an arriving frame is classified into and whether its
+        outer tag carries it (and so comes off), or None to drop."""
+        port_config = self.config.port(port_number)
+        if port_config.mode is PortMode.ACCESS:
+            if frame.vlan is not None:
+                # 802.1Q access ports drop tagged frames (no VLAN leaking).
+                return None
+            return port_config.pvid, False
+        # Trunk port.
+        if frame.vlan is None:
+            if port_config.native_vlan is None:
+                return None
+            return port_config.native_vlan, False
+        vlan_id = frame.vlan_id
+        if vlan_id not in port_config.allowed_vlans:
+            return None
+        return vlan_id, True
 
     def _classify_ingress(
         self, port_number: int, frame: EthernetFrame
@@ -175,21 +280,11 @@ class LegacySwitch(Node):
         forwarding logic deals in canonical untagged frames plus a VLAN
         id — mirroring how switch ASICs carry VLAN metadata out of band.
         """
-        port_config = self.config.port(port_number)
-        if port_config.mode is PortMode.ACCESS:
-            if frame.vlan is not None:
-                # 802.1Q access ports drop tagged frames (no VLAN leaking).
-                return None
-            return port_config.pvid, frame
-        # Trunk port.
-        if frame.vlan is None:
-            if port_config.native_vlan is None:
-                return None
-            return port_config.native_vlan, frame
-        vlan_id = frame.vlan_id
-        if vlan_id not in port_config.allowed_vlans:
+        classified = self._ingress_vlan(port_number, frame)
+        if classified is None:
             return None
-        return vlan_id, frame.pop_vlan()
+        vlan_id, tagged = classified
+        return vlan_id, (frame.pop_vlan() if tagged else frame)
 
     # ----------------------------------------------------------- egress
 
@@ -221,18 +316,24 @@ class LegacySwitch(Node):
         for number in flooded_to:
             self._egress(number, vlan_id, frame)
 
-    def _egress(self, port_number: int, vlan_id: int, frame: EthernetFrame) -> None:
+    def _egress_tagging(self, port_number: int, vlan_id: int) -> "bool | None":
+        """Whether *vlan_id* leaves *port_number* tagged, or None if the
+        port does not emit that VLAN at the moment."""
         port_config = self.config.port(port_number)
         if not port_config.carries(vlan_id) or not port_config.enabled:
-            return
+            return None
         if self.stp is not None and not self.stp.forwarding_allowed(port_number):
-            return  # blocked / still listening: the loop stays broken
-        if port_config.mode is PortMode.ACCESS:
-            out_frame = frame  # access egress is always untagged
-        elif vlan_id == port_config.native_vlan:
-            out_frame = frame  # native VLAN leaves untagged
-        else:
-            out_frame = frame.push_vlan(vlan_id)
+            return None  # blocked / still listening: the loop stays broken
+        # Access egress is always untagged; so is a trunk's native VLAN.
+        return not (
+            port_config.mode is PortMode.ACCESS or vlan_id == port_config.native_vlan
+        )
+
+    def _egress(self, port_number: int, vlan_id: int, frame: EthernetFrame) -> None:
+        tagged = self._egress_tagging(port_number, vlan_id)
+        if tagged is None:
+            return
+        out_frame = frame.push_vlan(vlan_id) if tagged else frame
         self.counters.tx_frames += 1
         self.counters.per_port_tx[port_number] = (
             self.counters.per_port_tx.get(port_number, 0) + 1

@@ -11,7 +11,7 @@ one trunk.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.net.addresses import MACAddress
@@ -29,6 +29,7 @@ MIN_PAYLOAD = 46
 DEFAULT_MTU = 1500
 
 _TAG_STRUCT = struct.Struct("!HH")
+_new_frame = object.__new__
 
 
 @dataclass(frozen=True)
@@ -64,29 +65,75 @@ class Dot1QTag:
         return f"vlan {self.vlan_id} pcp {self.pcp}"
 
 
-@dataclass
 class EthernetFrame:
     """An Ethernet II frame with an explicit VLAN tag stack.
 
     ``tags[0]`` is the outermost tag.  ``ethertype`` is the *inner*
     ethertype (the payload's protocol), independent of tagging, which is
     how OpenFlow's OXM model exposes it too.
+
+    A frame is a value: everything is validated here, at construction
+    (and so at :meth:`from_bytes` and the :mod:`repro.net.build`
+    helpers), ``tags`` is a tuple, and :meth:`push_vlan`,
+    :meth:`pop_vlan`, :meth:`set_vlan` and :meth:`copy` return a new
+    frame that shares the already-validated addresses, payload and tags
+    with its source instead of validating them again.  Datapath code
+    derives frames and never assigns their fields.
     """
 
-    dst: MACAddress
-    src: MACAddress
-    ethertype: int
-    payload: bytes = b""
-    tags: list[Dot1QTag] = field(default_factory=list)
+    __slots__ = ("dst", "src", "ethertype", "payload", "tags")
 
-    def __post_init__(self) -> None:
-        self.dst = MACAddress(self.dst)
-        self.src = MACAddress(self.src)
-        if not 0 <= self.ethertype <= 0xFFFF:
-            raise ValueError(f"ethertype out of range: {self.ethertype:#x}")
-        if not isinstance(self.payload, (bytes, bytearray)):
+    def __init__(
+        self,
+        dst: "MACAddress | int | str | bytes",
+        src: "MACAddress | int | str | bytes",
+        ethertype: int,
+        payload: bytes = b"",
+        tags: "tuple[Dot1QTag, ...] | list[Dot1QTag]" = (),
+    ) -> None:
+        self.dst = dst if type(dst) is MACAddress else MACAddress(dst)
+        self.src = src if type(src) is MACAddress else MACAddress(src)
+        if not 0 <= ethertype <= 0xFFFF:
+            raise ValueError(f"ethertype out of range: {ethertype:#x}")
+        if not isinstance(payload, (bytes, bytearray)):
             raise TypeError("payload must be bytes")
-        self.payload = bytes(self.payload)
+        tags = tuple(tags)
+        for tag in tags:
+            if not isinstance(tag, Dot1QTag):
+                raise TypeError("tags must be Dot1QTag instances")
+        self.ethertype = ethertype
+        self.payload = bytes(payload)
+        self.tags = tags
+
+    def _derive(self, tags: "tuple[Dot1QTag, ...]") -> "EthernetFrame":
+        """A frame like this one with the tag stack *tags*: the one
+        validation-free constructor.  Every reference it copies was
+        validated when this frame was built."""
+        frame = _new_frame(EthernetFrame)
+        frame.dst = self.dst
+        frame.src = self.src
+        frame.ethertype = self.ethertype
+        frame.payload = self.payload
+        frame.tags = tags
+        return frame
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not EthernetFrame:
+            return NotImplemented
+        return (
+            self.dst == other.dst
+            and self.src == other.src
+            and self.ethertype == other.ethertype
+            and self.payload == other.payload
+            and self.tags == other.tags
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"EthernetFrame(dst={self.dst!r}, src={self.src!r}, "
+            f"ethertype={self.ethertype!r}, payload={self.payload!r}, "
+            f"tags={self.tags!r})"
+        )
 
     # -- VLAN tag manipulation (semantics match OpenFlow push/pop actions) --
 
@@ -102,28 +149,30 @@ class EthernetFrame:
 
     def push_vlan(self, vlan_id: int, pcp: int = 0) -> "EthernetFrame":
         """Return a copy with a new outermost tag (OpenFlow PUSH_VLAN + SET_FIELD)."""
-        tag = Dot1QTag(vlan_id=vlan_id, pcp=pcp)
-        return replace(
-            self,
-            tags=[tag, *self.tags],
-            payload=self.payload,
-        )
+        return self._derive((Dot1QTag(vlan_id, pcp), *self.tags))
 
     def pop_vlan(self) -> "EthernetFrame":
         """Return a copy with the outermost tag removed (OpenFlow POP_VLAN)."""
         if not self.tags:
             raise ValueError("cannot pop VLAN tag from untagged frame")
-        return replace(self, tags=list(self.tags[1:]), payload=self.payload)
+        return self._derive(self.tags[1:])
 
     def set_vlan(self, vlan_id: int) -> "EthernetFrame":
         """Return a copy with the outermost tag's VLAN id rewritten."""
         if not self.tags:
             raise ValueError("cannot set VLAN id on untagged frame")
-        head = replace(self.tags[0], vlan_id=vlan_id)
-        return replace(self, tags=[head, *self.tags[1:]], payload=self.payload)
+        head = self.tags[0]
+        return self._derive((Dot1QTag(vlan_id, head.pcp, head.dei), *self.tags[1:]))
 
     def copy(self) -> "EthernetFrame":
-        return replace(self, tags=list(self.tags), payload=self.payload)
+        return self._derive(self.tags)
+
+    def replaced(self, **fields) -> "EthernetFrame":
+        """Return a copy with *fields* replaced, validated by the
+        constructor (header rewrites and stamping; not the VLAN hot path)."""
+        current = {name: getattr(self, name) for name in self.__slots__}
+        current.update(fields)
+        return EthernetFrame(**current)
 
     # -- wire format --
 
@@ -168,8 +217,7 @@ class EthernetFrame:
     @property
     def wire_length(self) -> int:
         """Length on the wire in bytes (without preamble/FCS, with padding)."""
-        raw = 14 + 4 * len(self.tags) + len(self.payload)
-        return max(raw, 14 + 4 * len(self.tags) + MIN_PAYLOAD)
+        return 14 + 4 * len(self.tags) + max(len(self.payload), MIN_PAYLOAD)
 
     def __str__(self) -> str:
         tag_text = "".join(f" [{tag}]" for tag in self.tags)

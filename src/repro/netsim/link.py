@@ -112,9 +112,15 @@ class Link:
 
     def serialization_delay(self, frame: EthernetFrame) -> float:
         """Time to clock *frame* onto the wire at this link's bandwidth."""
+        return self._serialization(frame.wire_length)
+
+    def _serialization(self, length: int) -> float:
+        """Time to clock *length* wire bytes out.  The only place the
+        float formula lives: burst and single-frame timing must agree to
+        the last ulp."""
         if self.bandwidth_bps is None:
             return 0.0
-        return frame.wire_length * 8 / self.bandwidth_bps
+        return length * 8 / self.bandwidth_bps
 
     def _enqueue_frame(self, from_port: Port, frame: EthernetFrame) -> "float | None":
         """Serialise one frame onto the wire: drop-tail check, busy-time
@@ -130,13 +136,14 @@ class Link:
             direction.stats.drops += 1
             return None
 
-        serialization = self.serialization_delay(frame)
+        length = frame.wire_length
+        serialization = self._serialization(length)
         start = max(now, direction.busy_until)
         finish = start + serialization
         direction.busy_until = finish
         direction.queued += 1
         direction.stats.frames += 1
-        direction.stats.bytes += frame.wire_length
+        direction.stats.bytes += length
         direction.stats.busy_time += serialization
         if direction.queued > direction.stats.queue_hwm:
             direction.stats.queue_hwm = direction.queued
@@ -160,20 +167,24 @@ class Link:
         direction.in_flight[id(event)] = (event, 1)
         return True
 
-    def transmit_burst(self, from_port: Port, frames: "list[EthernetFrame]") -> int:
+    def transmit_burst(
+        self, from_port: Port, frames: "list[EthernetFrame]", lengths: "list[int]"
+    ) -> int:
         """Queue a burst for the far end; returns how many frames fit.
 
-        Each frame is serialised individually — per-frame start/finish
-        times, byte accounting and tail-drop behave exactly like
-        *len(frames)* sequential :meth:`transmit` calls — but the whole
-        accepted burst rides **one** simulator event, scheduled at the
-        burst drain (the last frame's arrival).  The per-frame arrival
-        times are preserved in the delivered payload, so receivers that
-        care about wire timing still see it; the coalescing trade is
-        that earlier frames are *handed over* at drain time (and the
-        queue occupancy drains all at once) rather than one event each.
+        *lengths* are the frames' wire lengths, measured by the sending
+        port.  Each frame is serialised individually — per-frame
+        start/finish times, byte accounting and tail-drop behave exactly
+        like *len(frames)* sequential :meth:`transmit` calls — but the
+        whole accepted burst rides **one** simulator event, scheduled at
+        the burst drain (the last frame's arrival).  The per-frame
+        arrival times are preserved in the delivered payload, so
+        receivers that care about wire timing still see it; the
+        coalescing trade is that earlier frames are *handed over* at
+        drain time (and the queue occupancy drains all at once) rather
+        than one event each.
         """
-        accepted = self._enqueue_burst(from_port, frames)
+        accepted, wire_bytes = self._enqueue_burst(from_port, frames, lengths)
         if not accepted:
             return 0
         direction = self._directions[id(from_port)]
@@ -182,57 +193,64 @@ class Link:
         def deliver() -> None:
             direction.in_flight.pop(id(event), None)
             direction.queued -= len(accepted)
-            destination.deliver_burst(accepted)
+            destination.deliver_burst(accepted, wire_bytes)
 
         event = self.sim.schedule_at(accepted[-1][0], deliver)
         direction.in_flight[id(event)] = (event, len(accepted))
         return len(accepted)
 
     def _enqueue_burst(
-        self, from_port: Port, frames: "list[EthernetFrame]"
-    ) -> "list[tuple[float, EthernetFrame]]":
+        self, from_port: Port, frames: "list[EthernetFrame]", lengths: "list[int]"
+    ) -> "tuple[list[tuple[float, EthernetFrame]], int]":
         """Serialise a burst onto the wire; returns the accepted
-        ``(arrival, frame)`` pairs (dropped frames are absent).  Like
-        :meth:`_enqueue_frame` this carries all the timing/stat math so
-        the sharded boundary proxies stay bit-identical to local links.
+        ``(arrival, frame)`` pairs (dropped frames are absent) and their
+        total wire bytes.  Like :meth:`_enqueue_frame` this carries all
+        the timing/stat math so the sharded boundary proxies stay
+        bit-identical to local links.
         """
         direction = self._directions[id(from_port)]
-        now = self.sim.now
         stats = direction.stats
         if not self.up:
             stats.drops += len(frames)
-            return []
-        prop = self.propagation_delay_s
+            return [], 0
+        # Nothing drains while a burst is being queued (that takes a
+        # simulator event), so the queue takes the head of the burst
+        # that fits and tail-drops the rest.
+        fits = min(len(frames), max(self.queue_frames - direction.queued, 0))
+        if fits < len(frames):
+            stats.drops += len(frames) - fits
+            if not fits:
+                return [], 0
+            frames, lengths = frames[:fits], lengths[:fits]
+        now = self.sim.now
         busy = direction.busy_until
-        #: id(frame) -> (wire length, serialisation) — bursts repeat
-        #: per-flow template frames, so measure each object once.  The
-        #: serialisation must come from serialization_delay() itself: a
-        #: rearranged float formula can differ in the last ulp, and
-        #: burst timing must stay bit-identical to transmit().
-        measured: "dict[int, tuple[int, float]]" = {}
-        accepted: "list[tuple[float, EthernetFrame]]" = []
-        for frame in frames:
-            if direction.queued >= self.queue_frames:
-                stats.drops += 1
-                continue
-            entry = measured.get(id(frame))
-            if entry is None:
-                entry = measured[id(frame)] = (
-                    frame.wire_length,
-                    self.serialization_delay(frame),
-                )
-            length, serialization = entry
-            start = busy if busy > now else now
-            busy = start + serialization
-            direction.queued += 1
-            stats.frames += 1
-            stats.bytes += length
-            stats.busy_time += serialization
-            accepted.append((busy + prop, frame))
+        prop = self.propagation_delay_s
+        if self.bandwidth_bps is None:
+            # Ideal link: zero serialisation, so sequential transmits
+            # would start, finish and land every frame at one instant
+            # and add 0.0 to busy_time each — account them in one step.
+            busy = busy if busy > now else now
+            arrival = busy + prop
+            accepted = [(arrival, frame) for frame in frames]
+        else:
+            serialization_of = self._serialization
+            busy_time = stats.busy_time
+            accepted = []
+            for frame, length in zip(frames, lengths):
+                serialization = serialization_of(length)
+                start = busy if busy > now else now
+                busy = start + serialization
+                busy_time += serialization
+                accepted.append((busy + prop, frame))
+            stats.busy_time = busy_time
+        wire_bytes = sum(lengths)
         direction.busy_until = busy
+        direction.queued += fits
+        stats.frames += fits
+        stats.bytes += wire_bytes
         if direction.queued > stats.queue_hwm:
             stats.queue_hwm = direction.queued
-        return accepted
+        return accepted, wire_bytes
 
     def set_down(self) -> None:
         """Fail the link: everything queued or propagating is lost.

@@ -12,21 +12,6 @@ if TYPE_CHECKING:
     from repro.netsim.simulator import Simulator
 
 
-def _burst_bytes(frames: "list[EthernetFrame]") -> int:
-    """Total wire bytes of a burst, reading each distinct frame object's
-    ``wire_length`` once (bursts commonly repeat per-flow templates)."""
-    lengths: dict[int, int] = {}
-    get = lengths.get
-    total = 0
-    for frame in frames:
-        fid = id(frame)
-        length = get(fid)
-        if length is None:
-            length = lengths[fid] = frame.wire_length
-        total += length
-    return total
-
-
 class Port:
     """One network interface of a :class:`Node`.
 
@@ -87,9 +72,12 @@ class Port:
         if not self.up or self.link is None:
             self.tx_dropped += len(frames)
             return 0
+        # The one length pass of this hop: the link serialises from
+        # these lengths and reports the accepted bytes to the far port.
+        lengths = [frame.wire_length for frame in frames]
         self.tx_frames += len(frames)
-        self.tx_bytes += _burst_bytes(frames)
-        return self.link.transmit_burst(self, frames)
+        self.tx_bytes += sum(lengths)
+        return self.link.transmit_burst(self, frames, lengths)
 
     def deliver(self, frame: EthernetFrame) -> None:
         """Called by the link when a frame arrives at this port."""
@@ -101,12 +89,15 @@ class Port:
         self.rx_bytes += frame.wire_length
         self.node.receive(self, frame)
 
-    def deliver_burst(self, arrivals: "list[tuple[float, EthernetFrame]]") -> None:
+    def deliver_burst(
+        self, arrivals: "list[tuple[float, EthernetFrame]]", wire_bytes: int
+    ) -> None:
         """Called by the link when a coalesced burst drains at this port.
 
         *arrivals* holds ``(arrival_time, frame)`` pairs in wire order —
         the per-frame serialisation timestamps are preserved even though
-        the burst rides one simulator event.
+        the burst rides one simulator event — and *wire_bytes* their
+        total wire length, measured once when the burst was sent.
         """
         if self.captures:
             for capture in self.captures:
@@ -115,7 +106,7 @@ class Port:
         if not self.up:
             return
         self.rx_frames += len(arrivals)
-        self.rx_bytes += _burst_bytes([frame for _, frame in arrivals])
+        self.rx_bytes += wire_bytes
         self.node.receive_burst(self, arrivals)
 
     def attach_capture(self, capture: "Capture") -> None:

@@ -350,7 +350,9 @@ class ShardSimulator(Simulator):
                     boundary_id,
                     arrivals[-1][0],
                     len(arrivals),
-                    lambda p=port, a=arrivals: p.deliver_burst(a),
+                    lambda p=port, a=arrivals: p.deliver_burst(
+                        a, sum(frame.wire_length for _, frame in a)
+                    ),
                 )
 
     def _schedule_import(
@@ -612,12 +614,16 @@ class BoundaryLink:
         )
         return True
 
-    def transmit_burst(self, from_port: "Port", frames: "list[EthernetFrame]") -> int:
+    def transmit_burst(
+        self, from_port: "Port", frames: "list[EthernetFrame]", lengths: "list[int]"
+    ) -> int:
         if not self._exporting:
             self._sim.shadow_drops += len(frames)
             return 0
         link = self._link
-        accepted = link._enqueue_burst(from_port, frames)
+        # The byte total stays behind: the importing shard measures the
+        # records it lands (see ShardSimulator._inject).
+        accepted, _ = link._enqueue_burst(from_port, frames, lengths)
         if not accepted:
             return 0
         direction = link._directions[id(from_port)]

@@ -128,8 +128,9 @@ def measure_forwarding(
         spec = flows[index % len(flows)]
         frame = synth_frame(spec, payload_len=payload_len, vlan_id=vlan_id)
         # Stamp a unique trailer so the sink can match send times.
-        stamped = frame.copy()
-        stamped.payload = frame.payload[:-8] + index.to_bytes(8, "big")
+        stamped = frame.replaced(
+            payload=frame.payload[:-8] + index.to_bytes(8, "big")
+        )
         send_clock += interval_s
         offered += 1
 

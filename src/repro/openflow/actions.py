@@ -180,13 +180,9 @@ class SetFieldAction(Action):
                 return frame  # set-field on absent tag is a no-op
             return frame.set_vlan(self.value & 0xFFF)
         if self.field == "eth_dst":
-            copy = frame.copy()
-            copy.dst = MACAddress(self.value)
-            return copy
+            return frame.replaced(dst=MACAddress(self.value))
         if self.field == "eth_src":
-            copy = frame.copy()
-            copy.src = MACAddress(self.value)
-            return copy
+            return frame.replaced(src=MACAddress(self.value))
         if self.field in ("ipv4_src", "ipv4_dst"):
             return self._rewrite_ipv4(frame)
         raise NotImplementedError(f"set-field {self.field} not executable")
@@ -203,9 +199,7 @@ class SetFieldAction(Action):
         else:
             packet = replace(packet, dst=IPv4Address(self.value))
         packet = self._fix_l4_checksum(packet)
-        copy = frame.copy()
-        copy.payload = packet.to_bytes()
-        return copy
+        return frame.replaced(payload=packet.to_bytes())
 
     @staticmethod
     def _fix_l4_checksum(packet):

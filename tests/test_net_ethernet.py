@@ -107,8 +107,9 @@ class TestEthernetFrame:
 
     def test_push_does_not_mutate_original(self):
         frame = make_frame()
-        frame.push_vlan(10)
-        assert frame.tags == []
+        pushed = frame.push_vlan(10)
+        assert frame.tags == ()
+        assert isinstance(pushed.tags, tuple) and len(pushed.tags) == 1
 
     def test_vlan_property_none_when_untagged(self):
         assert make_frame().vlan is None
@@ -134,8 +135,38 @@ class TestEthernetFrame:
     def test_copy_is_independent(self):
         frame = make_frame(tags=[Dot1QTag(5)])
         clone = frame.copy()
-        clone.tags.append(Dot1QTag(6))
-        assert len(frame.tags) == 1
+        assert clone is not frame and clone == frame
+        assert isinstance(clone.tags, tuple)
+        clone.tags += (Dot1QTag(6),)
+        clone.payload = b"other"
+        assert frame.tags == (Dot1QTag(5),)
+        assert frame.payload == b"hello"
+
+    def test_constructor_does_not_alias_the_callers_tag_list(self):
+        stack = [Dot1QTag(5)]
+        frame = make_frame(tags=stack)
+        stack.append(Dot1QTag(6))
+        assert frame.tags == (Dot1QTag(5),)
+
+    def test_wire_length_follows_a_payload_replaced_after_copy(self):
+        # The benchmark's stamping idiom: copy a template, assign a payload.
+        template = make_frame(payload=b"x" * 100).push_vlan(7)
+        stamped = template.copy()
+        stamped.payload = b"y" * 300
+        assert stamped.wire_length == 14 + 4 + 300
+        assert template.wire_length == 14 + 4 + 100
+
+    def test_replaced_goes_through_the_validating_constructor(self):
+        frame = make_frame().push_vlan(9)
+        assert frame.replaced(payload=b"new") == make_frame(b"new").push_vlan(9)
+        with pytest.raises(TypeError):
+            frame.replaced(payload="str")
+        with pytest.raises(ValueError):
+            frame.replaced(dst="not-a-mac")
+
+    def test_unhashable_like_any_mutable_value(self):
+        with pytest.raises(TypeError):
+            hash(make_frame())
 
     def test_rejects_bad_ethertype(self):
         with pytest.raises(ValueError):
@@ -144,6 +175,46 @@ class TestEthernetFrame:
     def test_rejects_non_bytes_payload(self):
         with pytest.raises(TypeError):
             EthernetFrame(dst=MAC_A, src=MAC_B, ethertype=ETHERTYPE_ARP, payload="str")
+
+    @pytest.mark.parametrize(
+        "fields, error",
+        [
+            ({"ethertype": -1}, ValueError),
+            ({"ethertype": 0x10000}, ValueError),
+            ({"payload": 7}, TypeError),
+            ({"payload": None}, TypeError),
+            ({"dst": b"\x00" * 5}, ValueError),
+            ({"src": b"\x00" * 7}, ValueError),
+            ({"dst": "00:11:22:33:44"}, ValueError),
+            ({"src": "00:11:22:33:44:gg"}, ValueError),
+            ({"dst": 1 << 48}, ValueError),
+            ({"src": 1.5}, TypeError),
+            ({"tags": [101]}, TypeError),
+        ],
+    )
+    def test_constructor_rejects(self, fields, error):
+        good = {"dst": MAC_B, "src": MAC_A, "ethertype": ETHERTYPE_IPV4}
+        EthernetFrame(**good)
+        with pytest.raises(error):
+            EthernetFrame(**{**good, **fields})
+
+    @pytest.mark.parametrize("vlan_id, pcp", [(-1, 0), (4096, 0), (5, -1), (5, 8)])
+    def test_push_and_set_validate_the_new_tag(self, vlan_id, pcp):
+        frame = make_frame().push_vlan(1)
+        with pytest.raises(ValueError):
+            frame.push_vlan(vlan_id, pcp)
+        if pcp == 0:
+            with pytest.raises(ValueError):
+                frame.set_vlan(vlan_id)
+
+    def test_truncated_ethertype_after_tag_raises(self):
+        raw = MAC_B.packed + MAC_A.packed + b"\x81\x00\x00\x65\x08"
+        with pytest.raises(PacketDecodeError):
+            EthernetFrame.from_bytes(raw)
+
+    def test_accepts_bytearray_payload_as_bytes(self):
+        frame = EthernetFrame(MAC_B, MAC_A, ETHERTYPE_IPV4, bytearray(b"abc"))
+        assert type(frame.payload) is bytes
 
     def test_str_mentions_vlan(self):
         assert "vlan 42" in str(make_frame().push_vlan(42))
@@ -186,3 +257,62 @@ class TestEthernetProperties:
     def test_wire_length_lower_bound(self, frame):
         assert frame.wire_length >= len(frame.to_bytes())
         assert frame.wire_length >= 60
+
+
+#: A derivation step: (method name, arguments).
+vlan_ops = st.one_of(
+    st.tuples(st.just("push_vlan"), vlan_ids, st.integers(min_value=0, max_value=7)),
+    st.tuples(st.just("pop_vlan")),
+    st.tuples(st.just("set_vlan"), vlan_ids),
+    st.tuples(st.just("copy")),
+)
+
+
+def apply_to_fields(fields, op):
+    """What *op* means, spelled out on plain constructor arguments."""
+    stack = list(fields["tags"])
+    if op[0] == "push_vlan":
+        stack.insert(0, Dot1QTag(op[1], op[2]))
+    elif op[0] == "pop_vlan":
+        del stack[0]
+    elif op[0] == "set_vlan":
+        stack[0] = Dot1QTag(op[1], stack[0].pcp, stack[0].dei)
+    return {**fields, "tags": stack}
+
+
+class TestFrameValues:
+    """Derived frames skip validation; they must still be the frame the
+    validating constructor would have built."""
+
+    @given(frames, st.lists(vlan_ops, max_size=8))
+    def test_derivations_equal_constructor_built_frames(self, frame, ops):
+        fields = {
+            "dst": frame.dst,
+            "src": frame.src,
+            "ethertype": frame.ethertype,
+            "payload": frame.payload,
+            "tags": list(frame.tags),
+        }
+        for op in ops:
+            if op[0] in ("pop_vlan", "set_vlan") and not frame.tags:
+                with pytest.raises(ValueError):
+                    getattr(frame, op[0])(*op[1:])
+                continue
+            source = frame
+            before = source.to_bytes()
+            frame = getattr(source, op[0])(*op[1:])
+            fields = apply_to_fields(fields, op)
+            built = EthernetFrame(**fields)
+            assert frame == built and built == frame
+            assert frame is not source
+            assert type(frame.tags) is tuple and type(frame.payload) is bytes
+            assert frame.wire_length == built.wire_length
+            assert EthernetFrame.from_bytes(frame.to_bytes()) == frame
+            assert source.to_bytes() == before  # the source is untouched
+
+    @given(frames)
+    def test_equality_is_by_value_and_typed(self, frame):
+        assert frame == frame.copy()
+        assert frame != frame.push_vlan(1)
+        assert frame != frame.replaced(payload=frame.payload + b"x")
+        assert frame != object()

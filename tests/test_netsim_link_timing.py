@@ -13,6 +13,7 @@ import pytest
 from repro.net import EthernetFrame, MACAddress
 from repro.netsim import Node, Simulator
 from repro.netsim.link import wire
+from repro.netsim.sharded import KIND_BURST, ShardSimulator, sever_link
 
 
 class Sink(Node):
@@ -261,3 +262,131 @@ class TestBurstTransmit:
         assert len(b.received) == 32
         assert b.bursts == 1
         assert sim.events_processed - before == 1
+
+    # -- one length pass per hop: the burst path against N transmits --
+
+    @staticmethod
+    def _observe(sim, a, b, link):
+        sim.run()
+        return {
+            "arrivals": [(stamp, frame.to_bytes()) for _, stamp, frame in b.received],
+            "busy_until": link._directions[id(a.port(1))].busy_until,
+            "stats": link.stats(a.port(1)),
+            "tx": (a.port(1).tx_frames, a.port(1).tx_bytes, a.port(1).tx_dropped),
+            "rx": (b.port(1).rx_frames, b.port(1).rx_bytes),
+        }
+
+    def _both_ways(self, bursts, prepare=lambda a, link: None, **link_kwargs):
+        """Play *bursts* (all at t = 1.25 ms) frame by frame and burst by
+        burst on two fresh pairs; return what each pair saw."""
+        seen = []
+        for as_burst in (False, True):
+            sim, a, b, link = make_pair(**link_kwargs)
+
+            def play(a=a, link=link, as_burst=as_burst):
+                prepare(a, link)
+                for frames in bursts:
+                    if as_burst:
+                        a.port(1).send_burst(list(frames))
+                    else:
+                        for frame in frames:
+                            a.port(1).send(frame)
+
+            sim.schedule_at(1.25e-3, play)
+            seen.append(self._observe(sim, a, b, link))
+        return seen
+
+    @pytest.mark.parametrize("bandwidth", [None, BPS_1B_PER_US, 123_456_789])
+    def test_whole_burst_equals_sequential_transmits(self, bandwidth):
+        """Arrival stamps bit-equal, busy_until, LinkStats and the byte
+        counters of both ports — on the ideal link too, where the burst
+        is accounted in one step."""
+        bursts = [
+            [make_frame(payload=b"q" * (1 + 37 * k), tag=k) for k in range(7)],
+            [make_frame(payload=b"r" * 200, tag=9)] * 3,  # chains behind the first
+        ]
+        sequential, burst = self._both_ways(
+            bursts, bandwidth_bps=bandwidth, propagation_delay_s=3e-6
+        )
+        assert burst == sequential
+        assert burst["stats"].frames == 10
+        assert burst["rx"] == (10, burst["tx"][1])
+
+    @pytest.mark.parametrize("bandwidth", [None, BPS_1B_PER_US])
+    def test_partly_fitting_burst_equals_sequential_transmits(self, bandwidth):
+        """Two frames already queued, room for three more: the burst's
+        head is taken, its tail dropped, exactly where N transmits
+        would draw the line."""
+
+        def prepare(a, link):
+            a.port(1).send(make_frame(tag=20))
+            a.port(1).send(make_frame(tag=21))
+
+        frames = [make_frame(payload=b"p" * (60 + k), tag=k) for k in range(6)]
+        sequential, burst = self._both_ways(
+            [frames], prepare, bandwidth_bps=bandwidth, queue_frames=5
+        )
+        assert burst == sequential
+        assert burst["stats"].drops == 3 and burst["stats"].queue_hwm == 5
+        delivered = [EthernetFrame.from_bytes(raw) for _, raw in burst["arrivals"]]
+        assert [int(f.src) - 10 for f in delivered] == [20, 21, 0, 1, 2]
+
+    @pytest.mark.parametrize("bandwidth", [None, BPS_1B_PER_US])
+    def test_burst_into_full_queue_leaves_the_wire_alone(self, bandwidth):
+        def prepare(a, link):
+            a.port(1).send(make_frame(tag=20))
+
+        sequential, burst = self._both_ways(
+            [[make_frame(tag=0), make_frame(tag=1)]], prepare,
+            bandwidth_bps=bandwidth, queue_frames=1,
+        )
+        assert burst == sequential
+        assert burst["stats"].drops == 2 and burst["stats"].frames == 1
+
+    @pytest.mark.parametrize("bandwidth", [None, BPS_1B_PER_US])
+    def test_burst_into_downed_link_equals_sequential_transmits(self, bandwidth):
+        sequential, burst = self._both_ways(
+            [[make_frame(tag=t) for t in range(4)]],
+            lambda a, link: link.set_down(),
+            bandwidth_bps=bandwidth,
+        )
+        assert burst == sequential
+        assert burst["arrivals"] == []
+        assert burst["stats"].drops == 4 and burst["stats"].frames == 0
+        assert burst["tx"][0] == 4 and burst["rx"] == (0, 0)
+
+    def test_boundary_link_burst_takes_the_senders_lengths(self):
+        """A severed link's exporting end serialises from the lengths
+        ``Port.send_burst`` measured: the exported records carry the
+        arrival stamps a local link would have delivered, and the
+        importing shard lands them with the same byte count."""
+        frames = [make_frame(payload=b"q" * (50 + 9 * k), tag=k) for k in range(5)]
+        sim_ref, a_ref, b_ref, link_ref = make_pair(bandwidth_bps=BPS_1B_PER_US)
+        a_ref.port(1).send_burst(list(frames))
+        reference = self._observe(sim_ref, a_ref, b_ref, link_ref)
+
+        class Exporting(ShardSimulator):  # one shard: no mesh to flush into
+            def export(self, peer, boundary_id, kind, arrivals):
+                self.records = [(boundary_id, kind, arrivals)]
+
+        sim = Exporting()
+        a, b = Sink(sim, "a"), Sink(sim, "b")
+        link = wire(a, b, bandwidth_bps=BPS_1B_PER_US)
+        sever_link(link, sim, 0, peer_shard=1, owned_port=a.port(1))
+        assert a.port(1).send_burst(list(frames)) == 5
+        sim.run()
+        assert b.received == []  # exported, not delivered locally
+        assert link.stats(a.port(1)) == reference["stats"]
+        assert link._directions[id(a.port(1))].queued == 0  # drained on landing
+        ((_, kind, arrivals),) = sim.records
+        assert kind == KIND_BURST
+        assert [(t, f.to_bytes()) for t, f in arrivals] == reference["arrivals"]
+
+        importer = ShardSimulator()
+        landing = Sink(importer, "b")
+        importer.register_ingress(0, landing.add_port())
+        importer._inject(sim.records)
+        importer.run()
+        assert [(t, f.to_bytes()) for _, t, f in landing.received] == reference["arrivals"]
+        assert (landing.port(1).rx_frames, landing.port(1).rx_bytes) == reference["rx"]
+

@@ -202,6 +202,55 @@ class TestVlanActions:
         assert switch.packets_dropped == 1
 
 
+class TestSetFieldLeavesTheTemplateAlone:
+    """A per-flow template is shared by every frame of a burst: a
+    rewrite builds a new frame and never assigns into the one it got."""
+
+    @pytest.mark.parametrize(
+        "action, changed",
+        [
+            (SetFieldAction(field="eth_dst", value=0x02_00_00_00_00_99), "dst"),
+            (SetFieldAction(field="eth_src", value=0x02_00_00_00_00_98), "src"),
+            (SetFieldAction(field="ipv4_dst", value=int(IPv4Address("10.9.9.9"))), "payload"),
+            (SetFieldAction(field="ipv4_src", value=int(IPv4Address("10.8.8.8"))), "payload"),
+            (SetFieldAction.vlan_vid(300), "tags"),
+        ],
+    )
+    def test_apply_returns_a_new_frame(self, action, changed):
+        template = frame_ab(vlan_id=101)
+        before = template.to_bytes()
+        rewritten = action.apply(template)
+        assert rewritten is not template
+        assert template.to_bytes() == before
+        assert getattr(rewritten, changed) != getattr(template, changed)
+        assert EthernetFrame.from_bytes(rewritten.to_bytes()) == rewritten
+
+    def test_template_survives_a_burst_through_a_rewriting_pipeline(self):
+        sim, switch, sinks = build_switch()
+        install(
+            switch,
+            match=Match(in_port=1),
+            instructions=[
+                ApplyActions(
+                    actions=(
+                        SetFieldAction(field="eth_dst", value=0x02_00_00_00_00_99),
+                        SetFieldAction(field="ipv4_dst", value=int(IPv4Address("10.9.9.9"))),
+                        OutputAction(port=2),
+                    )
+                )
+            ],
+        )
+        template = frame_ab()
+        before = template.to_bytes()
+        switch.process_batch(1, [template] * 4)
+        sim.run()
+        assert template.to_bytes() == before
+        assert len(sinks[1].received) == 4
+        for _, received in sinks[1].received:
+            assert received.dst == MACAddress(0x02_00_00_00_00_99)
+            assert received.src == template.src
+
+
 class TestMultiTable:
     def test_goto_table(self):
         sim, switch, sinks = build_switch()

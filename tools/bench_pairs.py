@@ -1,0 +1,235 @@
+"""Alternating parent/change pairs of the end-to-end benchmark.
+
+Unpacks the parent revision into a temporary directory, then runs
+``--pairs`` pairs of
+
+    python3 benchmarks/e2e/run.py --workload W --seed S --seconds 20 --trace 0
+
+per workload — one run on the parent, one on this working tree, the
+side that goes first alternating from pair to pair, both sides of a
+pair on the same seed.  Workloads, metrics, their direction and their
+regression bound are read from ``BENCHMARK.json``.
+
+Printed per workload and metric: each side's median and quartiles, the
+ratio of medians, pairs won (ties count for neither side) and a verdict
+— ``gain`` when at least ten pairs ran, the change won at least nine
+tenths of them and the medians differ by more than the parent's
+interquartile distance (``better (<10 pairs)`` when only the pair count
+is short), ``REGRESSION`` when the change's median is worse than the
+parent's by more than the bound, else ``same``.  Per workload it also
+says whether ``sim_digest`` and the exact metrics agreed on every pair:
+a change that only speeds the simulator must not move them.
+
+``--record LABEL`` appends the rows to the repository's perf trajectory,
+``BENCH_e2e.json``.  Exit code 1 on a regression, a failed output
+check, a larger share of failed operations or a digest mismatch.
+
+    python tools/bench_pairs.py --parent HEAD~1 --record "PR 13"
+    python tools/bench_pairs.py --workloads fabric_steady --pairs 4 --seeds 19850601
+"""
+
+import argparse
+import json
+import pathlib
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+TRAJECTORY = REPO_ROOT / "BENCH_e2e.json"
+#: Pairs needed, and the share of them the change must win, before a
+#: gain is claimed.
+MIN_PAIRS = 10
+WIN_SHARE = 0.9
+
+
+def unpack(revision: str, target: pathlib.Path) -> str:
+    """Extract *revision* into *target*; returns its commit id."""
+    commit = subprocess.run(
+        ["git", "rev-parse", "--short", revision], cwd=REPO_ROOT,
+        check=True, capture_output=True, text=True,
+    ).stdout.strip()
+    archive = target / "parent.tar"
+    subprocess.run(
+        ["git", "archive", "-o", str(archive), revision], cwd=REPO_ROOT, check=True
+    )
+    with tarfile.open(archive) as tar:
+        tar.extractall(target, filter="data")
+    archive.unlink()
+    return commit
+
+
+def run_once(tree: pathlib.Path, command: list, workload: str, seed: int, seconds: float):
+    """One benchmark run in *tree*: (driver line, exact line), both parsed."""
+    done = subprocess.run(
+        [*command, "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, stdout=subprocess.PIPE, text=True,
+    )
+    lines = [line for line in done.stdout.splitlines() if line.startswith("{")]
+    if len(lines) < 2:
+        sys.exit(f"{tree}: {workload} printed no result (exit {done.returncode})\n{done.stdout}")
+    return json.loads(lines[-1]), json.loads(lines[-2])
+
+
+def quartiles(values: list) -> "tuple[float, float, float]":
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def worse_by(parent: float, change: float, better: str) -> float:
+    """How much worse the change is, as a fraction of the parent."""
+    if not parent:
+        return 0.0
+    delta = (change - parent) / parent
+    return delta if better == "lower" else -delta
+
+
+def summarise(metric: dict, parent: list, change: list) -> dict:
+    better = metric["better"]
+    won = sum(
+        (c < p) if better == "lower" else (c > p) for p, c in zip(parent, change)
+    )
+    lost = sum(
+        (c > p) if better == "lower" else (c < p) for p, c in zip(parent, change)
+    )
+    p_q1, p_median, p_q3 = quartiles(parent)
+    c_q1, c_median, c_q3 = quartiles(change)
+    regressed = worse_by(p_median, c_median, better) > metric["bound"]
+    better_everywhere = (
+        won >= WIN_SHARE * len(parent)
+        and abs(c_median - p_median) > p_q3 - p_q1
+        and worse_by(p_median, c_median, better) < 0
+    )
+    if regressed:
+        verdict = "REGRESSION"
+    elif not better_everywhere:
+        verdict = "same"
+    else:
+        verdict = "gain" if len(parent) >= MIN_PAIRS else f"better (<{MIN_PAIRS} pairs)"
+    p_q1, p_median, p_q3, c_q1, c_median, c_q3 = (
+        float(f"{value:.6g}") for value in (p_q1, p_median, p_q3, c_q1, c_median, c_q3)
+    )
+    return {
+        "metric": metric["name"],
+        "unit": metric["unit"],
+        "parent_median": p_median, "parent_q1": p_q1, "parent_q3": p_q3,
+        "change_median": c_median, "change_q1": c_q1, "change_q3": c_q3,
+        "ratio": round(c_median / p_median, 4) if p_median else None,
+        "pairs": len(parent), "won": won, "lost": lost,
+        "verdict": verdict,
+    }
+
+
+def dump(trajectory: list) -> str:
+    """The trajectory as JSON, one row per line so diffs stay readable."""
+    entries = []
+    for entry in trajectory:
+        head = json.dumps({k: v for k, v in entry.items() if k != "rows"})
+        rows = ",\n  ".join(json.dumps(row) for row in entry["rows"])
+        entries.append(f' {head[:-1]}, "rows": [\n  {rows}\n ]}}')
+    return "[\n" + ",\n".join(entries) + "\n]\n"
+
+
+def fmt(value: float) -> str:
+    if abs(value) >= 1000:
+        return f"{value:,.0f}"
+    return f"{value:.3f}" if abs(value) >= 1 else f"{value:.4g}"
+
+
+def cell(row: dict, side: str) -> str:
+    median, q1, q3 = (row[f"{side}_{part}"] for part in ("median", "q1", "q3"))
+    return f"{fmt(median)} ({fmt(q1)}-{fmt(q3)})"
+
+
+def main(argv=None) -> int:
+    spec = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+    names = [workload["name"] for workload in spec["workloads"]]
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", default="HEAD", help="revision to compare against")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--workloads", nargs="+", default=names, choices=names)
+    parser.add_argument("--seeds", nargs="+", type=int,
+                        help="cycled over the pairs (default: 1..pairs)")
+    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
+    parser.add_argument("--record", metavar="LABEL",
+                        help=f"append the rows to {TRAJECTORY.name} under this label")
+    args = parser.parse_args(argv)
+    seeds = args.seeds or list(range(1, args.pairs + 1))
+
+    failed = False
+    rows = []
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
+        parent_tree = pathlib.Path(scratch)
+        parent_commit = unpack(args.parent, parent_tree)
+        trees = {"parent": parent_tree, "change": REPO_ROOT}
+        for workload in args.workloads:
+            samples = {side: {m["name"]: [] for m in spec["end_to_end"]} for side in trees}
+            same_simulation = True
+            failed_share = dict.fromkeys(trees, 0.0)
+            for pair in range(args.pairs):
+                seed = seeds[pair % len(seeds)]
+                order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+                exact = {}
+                for side in order:
+                    driver, exact[side] = run_once(
+                        trees[side], spec["command"], workload, seed, args.seconds
+                    )
+                    if not driver["correct"]:
+                        print(f"{workload} seed {seed}: {side} failed its output checks")
+                        failed = True
+                    failed_share[side] += driver["failed"] / driver["attempted"]
+                    for name, entry in driver["metrics"].items():
+                        samples[side][name].append(entry["value"])
+                if exact["parent"] != exact["change"]:
+                    same_simulation = False
+                    print(f"{workload} seed {seed}: simulation differs\n"
+                          f"  parent {exact['parent']}\n  change {exact['change']}")
+                print(f"  {workload} pair {pair + 1}/{args.pairs} seed {seed} done",
+                      file=sys.stderr, flush=True)
+            failed |= not same_simulation
+            if failed_share["change"] > failed_share["parent"]:
+                failed = True
+                print(f"{workload}: share of failed operations rose "
+                      f"{failed_share['parent'] / args.pairs:.3g} -> "
+                      f"{failed_share['change'] / args.pairs:.3g}")
+            print(f"== {workload}: {args.pairs} pairs, parent {parent_commit}, "
+                  f"sim_digest and exact metrics "
+                  f"{'identical on every pair' if same_simulation else 'DIFFER'}")
+            print(f"{'metric':<14}{'parent median (q1-q3)':>34}"
+                  f"{'change median (q1-q3)':>34}{'ratio':>8}{'won':>7}  verdict")
+            for metric in spec["end_to_end"]:
+                row = summarise(
+                    metric, samples["parent"][metric["name"]],
+                    samples["change"][metric["name"]],
+                )
+                failed |= row["verdict"] == "REGRESSION"
+                rows.append({"workload": workload, "digests_equal": same_simulation, **row})
+                print(
+                    f"{row['metric']:<14}{cell(row, 'parent'):>34}{cell(row, 'change'):>34}"
+                    f"{row['ratio']:>8.3f}{row['won']:>4}/{row['pairs']:<2}  {row['verdict']}"
+                )
+
+    if args.record:
+        trajectory = json.loads(TRAJECTORY.read_text()) if TRAJECTORY.exists() else []
+        trajectory.append({
+            "label": args.record,
+            "date": time.strftime("%Y-%m-%d"),
+            "parent": parent_commit,
+            "pairs": args.pairs,
+            "seeds": seeds,
+            "seconds": args.seconds,
+            "rows": rows,
+        })
+        TRAJECTORY.write_text(dump(trajectory))
+        print(f"recorded under {args.record!r} in {TRAJECTORY.name}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
