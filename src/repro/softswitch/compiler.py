@@ -39,9 +39,9 @@ program: every decision carries the mortal entries it walked through,
 and both caches (key cache and frame memo) revalidate those entries'
 expiry before replaying — the same lazy validation
 ``CachedPath`` replay performs one tier down.  Expiry is monotonic
-(an expired entry can never revive, and installs mark the program
-stale), so a decision is valid exactly until one of its own entries
-expires.
+(an expired entry can never revive, and installs flush the cached
+decisions), so a decision is valid exactly until one of its own
+entries expires.
 
 **Per-entry fallback.**  Rules the generated code cannot reproduce
 bit-identically — packet-ins (controller output), flood/ALL/IN_PORT
@@ -54,19 +54,42 @@ all of its own counting; mixed pipelines (the learning-switch
 table-miss rule under proactive policy rules) therefore still run the
 hot rules compiled.  Whole-program compilation now fails only for a
 subclassed cost model (per-packet cost hooks must stay on the
-interpreted path); the first rule that forces a fallback is recorded
+interpreted path); the first rule that forces a fallback is reported
 as ``switch.compile_ineligible_reason`` and surfaced by
-``SoftSwitch.stats()``.
+``SoftSwitch.stats()`` — re-derived from the live tables after a
+patch, so it stays true of what is installed, not of the last compile.
 
-**Churn hysteresis.**  Recompilation is *not* per-mutation: a
-FlowMod/GroupMod/expiry/cost-model swap marks the program stale
-synchronously (the next frame falls back to the interpreted path),
-and the datapath recompiles only after ``recompile_after_mods`` (64)
-accumulated mods or a ``recompile_quiescent_s`` (50 ms) quiet
-interval — both knobs on ``SoftSwitch``.  Under sustained churn the
-switch therefore runs interpreted at ~1.0x rather than thrashing the
-compiler; ``SoftSwitch.stats()["specialization"]`` reports compiles,
-invalidations and the specialized/fallback frame split.
+**Shape and content.**  What a program bakes splits in two.  Its
+*shape* is everything the generated source depends on: the used-slot
+set, the table-0 probe list (one probe per exact field-set / masked
+mask-set, bound to that group's live bucket dict), each probe's
+max-priority bound, the mortal flag, the cost model and whether the
+select-hash slots are in the key.  Its *content* is which entries
+exist and what they do, and the program holds that only as derived
+state — the key cache, the per-entry plans and the frame memo — over
+the live tables and group table.  So a FlowMod ADD/DELETE/MODIFY, a
+GroupMod or an expiry sweep that leaves the shape intact does not cost
+a compile: the datapath asks :meth:`CompiledProgram.add_breaks_shape`
+/ :meth:`CompiledProgram.groups_break_shape`, and on "no" calls
+:meth:`CompiledProgram.flush` — the key cache and frame memo are
+cleared and the plans of the entries the mutation removed or rewrote
+are dropped, a cost independent of table size — and keeps running the
+same generated code (a *patch*).
+Deletes, modifies and expiry can never break the shape (bounds and
+slot sets only become conservative); an add breaks it when it brings a
+new field-set or mask-set to table 0, a priority above its probe's
+baked bound, the first timeout, or a slot outside the used set.
+
+**Churn hysteresis.**  Only shape changes (the above, a cost-model
+swap, ``reset_pipeline``) discard the program: the switch marks it
+stale synchronously (the next frame falls back to the interpreted
+path, which stays the oracle), records why as
+``stats()["specialization"]["last_regenerate_reason"]``, and
+recompiles only after ``recompile_after_mods`` (64) accumulated mods
+or a ``recompile_quiescent_s`` (50 ms) quiet interval — both knobs on
+``SoftSwitch``.  ``SoftSwitch.stats()["specialization"]`` reports
+compiles, invalidations, patches and the specialized/fallback frame
+split.
 
 On the burst path the compiled program processes
 ``process_batch``-shaped bursts directly: one shrunk-key extraction
@@ -74,16 +97,18 @@ and one decision per distinct frame *object* per burst, with outputs
 re-coalesced per egress port.  A FALLBACK frame mid-burst first
 flushes the coalesced egress and syncs the busy clock (mirroring the
 interpreted batch path's flush-before-async ordering, so a synchronous
-controller observes every prior frame), and if the interpreted walk
+controller observes every prior frame).  If the interpreted walk
 mutates the pipeline — a reactive controller answering the packet-in —
-the rest of the burst drains through the interpreter too, because the
-program the burst was running is stale.
+the burst looks at what the mutation did to the program: patched
+(content only) drops the burst-local decision memo and carries on
+compiled; discarded (shape change) drains the rest of the burst
+through the interpreter, because the generated code is stale.
 """
 
 from __future__ import annotations
 
 from random import Random
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.openflow import consts as c
 from repro.openflow.actions import (
@@ -97,6 +122,7 @@ from repro.openflow.instructions import ApplyActions, GotoTable
 from repro.openflow.packetview import (
     EXTRACTOR_GLOBALS,
     FIELD_INDEX,
+    FLOW_KEY_FIELDS,
     expand_key,
     partial_decode_source,
 )
@@ -143,36 +169,133 @@ _TRANSFORM_ACTIONS = (PushVlanAction, PopVlanAction, SetFieldAction)
 
 
 class CompiledProgram:
-    """One switch's specialized datapath (tier 0 of the fast path)."""
+    """One switch's specialized datapath (tier 0 of the fast path).
+
+    Holds the generated entry points, the *shape* they were generated
+    for (see the module docstring) and the derived *content* caches.
+    """
 
     __slots__ = (
         "run_one", "run_burst", "classify", "source", "used_slots",
-        "key_cache", "plans", "mortal", "fallback_reason", "probe_order",
+        "key_cache", "plans", "mortal", "probe_order",
+        "_switch", "_globals", "_frame_memo", "_probes", "_select_ready",
     )
 
-    def __init__(self, run_one, run_burst, classify, source, used_slots,
-                 key_cache, plans, mortal, fallback_reason, probe_order):
-        self.run_one = run_one
-        self.run_burst = run_burst
+    def __init__(self, switch, source, namespace, used_slots, mortal,
+                 probe_order, probes, select_ready):
+        self._switch = switch
+        self.run_one = namespace["run_one"]
+        self.run_burst = namespace["run_burst"]
         #: The generated classifier (frame, in_port, now) -> (plan, key);
         #: exposed for probe-order invariance tests.
-        self.classify = classify
+        self.classify = namespace["_classify"]
         #: The generated module source (debugging / tests).
         self.source = source
         #: Flow-key slots the shrunk extractor decodes.
         self.used_slots = used_slots
-        #: shrunk key -> decision; shared by both entry points.
-        self.key_cache = key_cache
-        #: id(entry) -> key-independent plan, populated lazily.
-        self.plans = plans
-        #: True when any installed entry carries a timeout — decisions
-        #: then revalidate their entries' expiry before every replay.
+        #: True when any installed entry carried a timeout at compile
+        #: time — decisions then revalidate their entries' expiry
+        #: before every replay.
         self.mortal = mortal
-        #: Why the first falling-back rule cannot be compiled (None when
-        #: the whole pipeline compiles clean).
-        self.fallback_reason = fallback_reason
         #: The probe ordering this program was compiled with.
         self.probe_order = probe_order
+        #: (tier, shape) -> (index, priority bound) of the table-0
+        #: probe block baked for that field-set / mask-set.
+        self._probes = {
+            (tier, shape): (index, max_priority)
+            for index, (_, max_priority, tier, shape, _, _) in enumerate(probes)
+        }
+        #: Whether the shrunk key carries every select-hash slot.
+        self._select_ready = select_ready
+        #: shrunk key -> decision; shared by both entry points.
+        self.key_cache = namespace["KC"]
+        #: id(entry) -> key-independent plan, populated lazily.
+        self.plans = namespace["PLANS"]
+        self._frame_memo = namespace["PMEMO"]
+        #: The generated module's globals (probe bindings live here).
+        self._globals = namespace
+
+    @property
+    def fallback_reason(self) -> Optional[str]:
+        """Why the first falling-back rule cannot be compiled (None when
+        the whole pipeline compiles clean) — of the tables as they are
+        now, patches included."""
+        return self._switch.compile_ineligible_reason
+
+    def flush(self, dead: "Iterable[FlowEntry]" = ()) -> None:
+        """Forget every derived decision; the generated code stays.
+
+        What a content-only mutation costs: the next frame of each flow
+        re-classifies against the live tables.  Independent of table
+        size (the caches only ever hold keys seen since the last flush).
+        The per-entry plans are key-independent and read nothing but
+        their own entry and the cost model, so they outlive the flush —
+        except those of the *dead* entries the mutation removed or
+        rewrote, whose ``id()`` the allocator may hand out again.
+        """
+        self.key_cache.clear()
+        self._frame_memo.clear()
+        plans = self.plans
+        for entry in dead:
+            plans.pop(id(entry), None)
+
+    def add_breaks_shape(self, table, entry: "FlowEntry") -> Optional[str]:
+        """Why *entry*, just installed in *table*, needs a regenerate —
+        or None when the generated code already covers it.
+
+        On None the entry's table-0 probe is (re)bound to the group's
+        live bucket dict and hit cell: a group that emptied and was
+        re-created since the compile is a new dict under a known shape.
+        """
+        if not self.mortal and (entry.idle_timeout or entry.hard_timeout):
+            return "first mortal entry"
+        if table.table_id:
+            # Later tables are classified live; only the key must
+            # carry every slot the new match reads.
+            extra = [s for s in entry.match.slots() if s not in self.used_slots]
+            if extra:
+                names = ", ".join(FLOW_KEY_FIELDS[slot] for slot in extra)
+                return f"table {table.table_id} reads slot outside used_slots ({names})"
+            return None
+        tier, shape, buckets, hit_cell = table.probe_group(entry.match)
+        index, bound = self._probes.get((tier, shape), (None, None))
+        if index is None:
+            return f"new {_describe_shape(tier, shape)}"
+        if entry.priority > bound:
+            return f"priority {entry.priority} above baked bound {bound}"
+        self._globals[f"P{index}_get"] = buckets.get
+        self._globals["HC"][index] = hit_cell
+        return None
+
+    def groups_break_shape(self, groups) -> Optional[str]:
+        """Why the group table, just modified, needs a regenerate, or
+        None: select-bucket choices are baked per key, so the first
+        select group needs its hash slots in the key."""
+        if not self._select_ready and groups.has_select_groups():
+            return "first select group (hash slots not in the key)"
+        return None
+
+
+def _describe_shape(tier: str, shape: tuple) -> str:
+    if tier == "exact":
+        return "field-set (" + ", ".join(FLOW_KEY_FIELDS[s] for s in shape) + ")"
+    return "mask-set (" + ", ".join(
+        f"{FLOW_KEY_FIELDS[slot]}/{mask:#x}" for slot, mask in shape
+    ) + ")"
+
+
+def first_fallback_reason(tables) -> Optional[str]:
+    """The first installed rule that compiles to a FALLBACK decision,
+    and why; None when every rule compiles."""
+    for table in tables:
+        for entry in table:
+            reason = entry_fallback_reason(entry, table.table_id)
+            if reason is not None:
+                return (
+                    f"table {table.table_id} priority {entry.priority} "
+                    f"[{entry.match}]: {reason}"
+                )
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -471,29 +594,21 @@ def compile_datapath(
         switch.compile_ineligible_reason = "switch has no tables"
         return None
 
-    # One O(n) scan: mortality, and the first rule that will fall back.
-    mortal = False
-    fallback_reason = None
-    for table in tables:
-        for entry in table:
-            if entry.idle_timeout or entry.hard_timeout:
-                mortal = True
-            if fallback_reason is None:
-                reason = entry_fallback_reason(entry, table.table_id)
-                if reason is not None:
-                    fallback_reason = (
-                        f"table {table.table_id} priority {entry.priority} "
-                        f"[{entry.match}]: {reason}"
-                    )
-    switch.compile_ineligible_reason = fallback_reason
+    mortal = any(
+        entry.idle_timeout or entry.hard_timeout
+        for table in tables
+        for entry in table
+    )
+    switch.compile_ineligible_reason = first_fallback_reason(tables)
 
     used = set()
     for table in tables:
         used.update(table.used_slots())
+    hash_slots = {FIELD_INDEX[name] for name in switch.select_hash_fields}
     if switch.groups.has_select_groups():
         # Select-bucket choices are baked per key, so the key must
         # carry every hash-field slot the choice reads.
-        used.update(FIELD_INDEX[name] for name in switch.select_hash_fields)
+        used.update(hash_slots)
     used_slots = tuple(sorted(used))
 
     #: id(entry) -> key-independent plan, built lazily as the
@@ -571,6 +686,8 @@ def compile_datapath(
         probes.sort(key=lambda item: -item[1])
     else:
         Random(probe_order).shuffle(probes)
+    # Probe bindings are module globals, not constants in the source:
+    # CompiledProgram.add_breaks_shape rebinds them in place.
     hit_cells = []
     for index, (_, max_priority, tier, shape, buckets, hit_cell) in enumerate(probes):
         namespace[f"P{index}_get"] = buckets.get
@@ -584,7 +701,7 @@ def compile_datapath(
             )
             none_guards = [f"v{slot} is not None" for slot, _ in shape]
         _probe_block(lines, max_priority, index, value_expr, none_guards, mortal)
-    namespace["HC"] = tuple(hit_cells)
+    namespace["HC"] = hit_cells
 
     lines.append("    if e is None:")
     lines.append("        plan = MISS")
@@ -632,16 +749,8 @@ def compile_datapath(
     source = "\n".join(lines)
     exec(compile(source, f"<specialized datapath {switch.name}>", "exec"), namespace)
     return CompiledProgram(
-        run_one=namespace["run_one"],
-        run_burst=namespace["run_burst"],
-        classify=namespace["_classify"],
-        source=source,
-        used_slots=used_slots,
-        key_cache=key_cache,
-        plans=plans,
-        mortal=mortal,
-        fallback_reason=fallback_reason,
-        probe_order=probe_order,
+        switch, source, namespace, used_slots, mortal, probe_order, probes,
+        select_ready=hash_slots <= used,
     )
 
 
@@ -859,18 +968,24 @@ def run_burst(in_port, frames, SIM=SIM, S=S, T0=T0, PORTS=PORTS,
                     per_port.clear()
                     forwarded = 0
                 S.busy_until = busy
+                running = S._program
+                epoch = S.program_patches
                 FALL(frame, in_port)
                 busy = S.busy_until
-                if S._program is None:
-                    # The interpreted walk mutated the pipeline (e.g. a
-                    # reactive controller installed a flow): this
-                    # program is stale, its baked structures may no
-                    # longer describe the tables.  Drain the rest of
-                    # the burst through the interpreter.
+                if S._program is not running:
+                    # The interpreted walk changed the pipeline's shape
+                    # (e.g. a reactive controller installed a flow on a
+                    # new field-set): this program is stale, its baked
+                    # structures may no longer describe the tables.
+                    # Drain the rest of the burst through the interpreter.
                     while index < count:
                         FALL(frames[index], in_port)
                         index += 1
                     busy = S.busy_until
+                elif S.program_patches != epoch:
+                    # Patched under us: the code still fits the tables,
+                    # the decisions this burst memoised may not.
+                    memo.clear()
                 continue
             specialized += 1
             _, touches, tail, cost, _mortals, length = dec

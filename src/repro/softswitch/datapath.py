@@ -54,7 +54,11 @@ from repro.openflow.messages import (
     parse_message,
 )
 from repro.openflow.packetview import PacketView
-from repro.softswitch.compiler import CompiledProgram, compile_datapath
+from repro.softswitch.compiler import (
+    CompiledProgram,
+    compile_datapath,
+    first_fallback_reason,
+)
 from repro.softswitch.costmodel import DatapathCostModel, ESWITCH_COST_MODEL
 from repro.softswitch.fastpath import CachedPath, DatapathFlowCache
 from repro.softswitch.flowtable import FlowEntry, FlowTable
@@ -63,8 +67,9 @@ from repro.softswitch.groups import SELECT_HASH_FIELDS, GroupTable
 #: How often expired flows are swept (also checked lazily on lookup).
 EXPIRY_SWEEP_INTERVAL_S = 1.0
 
-#: Churn hysteresis for the specialized tier 0.  A FlowMod/GroupMod
-#: marks the compiled program stale and the switch falls back to the
+#: Churn hysteresis for the specialized tier 0.  A mutation the
+#: compiled program's shape does not cover (see the compiler module
+#: docstring) marks it stale and the switch falls back to the
 #: interpreted fast path; a recompile is attempted on the next packet
 #: only once this many mods have accumulated...
 RECOMPILE_AFTER_MODS = 64
@@ -79,6 +84,21 @@ RECOMPILE_QUIESCENT_S = 0.05
 #: derived state and a cleared signature merely costs one extra
 #: packet-in — memory stays bounded even under a randomised MAC storm.
 MISS_CACHE_LIMIT = 4096
+
+
+def _is_zero_cost(model: DatapathCostModel) -> bool:
+    """True when every cost coefficient is zero (wall-clock benches):
+    lets the charge path skip the per-packet cost_s() call while
+    keeping busy_until bookkeeping bit-identical.  The exact-type check
+    keeps subclasses with overridden cost_s() off the shortcut."""
+    return type(model) is DatapathCostModel and not (
+        model.base_ns
+        or model.lookup_ns
+        or model.action_ns
+        or model.vlan_op_ns
+        or model.group_ns
+        or model.patch_ns
+    )
 
 
 @dataclass
@@ -137,18 +157,22 @@ class SoftSwitch(Node):
         self.program_compiles = 0
         self.program_compile_failures = 0
         self.program_invalidations = 0
+        #: Mutations the active program absorbed in place (content-only:
+        #: its derived decisions were flushed, its code kept).  Doubles
+        #: as the epoch a compiled burst compares across a fallback.
+        self.program_patches = 0
+        #: Why the last active program was discarded (None: never).
+        self.last_regenerate_reason: "Optional[str]" = None
         #: Frames served by the compiled tier 0 / by the interpreted
         #: fallback while specialization was enabled.
         self.specialized_frames = 0
         self.fallback_frames = 0
-        #: Why the last compile fell back (first failing rule) or was
-        #: rejected outright; None when the pipeline compiles clean.
-        #: Written by :func:`repro.softswitch.compiler.compile_datapath`.
-        self.compile_ineligible_reason: "Optional[str]" = None
-        self.cost_model = cost_model
-        # The construction-time model assignment is not a mutation; a
-        # fresh switch should not recompile until a FlowMod lands.
-        self._pending_mods = 0
+        self._ineligible_reason: "Optional[str]" = None
+        self._ineligible_reason_stale = False
+        # Not through the setter: construction is not a model swap, and
+        # a fresh switch should not recompile until a FlowMod lands.
+        self._cost_model = cost_model
+        self._cost_is_zero = _is_zero_cost(cost_model)
         #: Fields hashed for select-group bucket choice.  The OpenFlow
         #: spec leaves the selection algorithm to the implementation;
         #: like OVS's selection_method this is switch configuration.
@@ -200,32 +224,20 @@ class SoftSwitch(Node):
     @cost_model.setter
     def cost_model(self, model: DatapathCostModel) -> None:
         self._cost_model = model
+        self._cost_is_zero = _is_zero_cost(model)
         # Compiled programs bake per-plan cost constants; swapping the
         # model on a live switch must force a recompile.
-        self._mark_program_stale()
-        #: True when every cost coefficient is zero (wall-clock benches):
-        #: lets the charge path skip the per-packet cost_s() call while
-        #: keeping busy_until bookkeeping bit-identical.  The exact-type
-        #: check keeps subclasses with overridden cost_s() off the
-        #: shortcut, and the setter keeps the flag honest when a bench
-        #: swaps models on a live switch.
-        self._cost_is_zero = type(model) is DatapathCostModel and not (
-            model.base_ns
-            or model.lookup_ns
-            or model.action_ns
-            or model.vlan_op_ns
-            or model.group_ns
-            or model.patch_ns
-        )
+        self._mark_program_stale("cost model swapped")
 
     # ------------------------------------------------- datapath specialization
 
-    def _mark_program_stale(self) -> None:
-        """A control-plane mutation landed: fall back to the interpreter.
+    def _mark_program_stale(self, reason: "Optional[str]") -> None:
+        """A mutation the compiled program cannot absorb landed: fall
+        back to the interpreter.
 
-        The compiled program references the live classifier structures,
-        so it must be discarded before the next packet.  Recompiling is
-        deferred (churn hysteresis): the mod counter and timestamp feed
+        The generated code no longer describes the pipeline, so it must
+        be discarded before the next packet.  Recompiling is deferred
+        (churn hysteresis): the mod counter and timestamp feed
         :meth:`_active_program`'s trigger test.
         """
         self._pending_mods += 1
@@ -233,6 +245,51 @@ class SoftSwitch(Node):
         if self._program is not None:
             self._program = None
             self.program_invalidations += 1
+            self.last_regenerate_reason = reason
+
+    def _pipeline_mutated(
+        self,
+        dead: "list[FlowEntry] | tuple" = (),
+        breaks_shape: "Optional[Callable[[CompiledProgram], Optional[str]]]" = None,
+    ) -> None:
+        """A FlowMod, GroupMod or expiry sweep changed the pipeline.
+
+        *dead* are the entries it removed or rewrote.  *breaks_shape*
+        asks the active program for its verdict on the change
+        (``CompiledProgram.add_breaks_shape`` and friends; omitted for
+        deletes, modifies and expiry, which cannot outgrow generated
+        code).  An intact shape is patched synchronously — the derived
+        decisions are flushed, the code and its profile stay — and only
+        a broken one takes the discard + hysteresis path.
+        """
+        program = self._program
+        reason = None
+        if program is not None:
+            if breaks_shape is not None:
+                reason = breaks_shape(program)
+            if reason is None:
+                program.flush(dead)
+                self.program_patches += 1
+                self._ineligible_reason_stale = True
+                return
+        self._mark_program_stale(reason)
+
+    @property
+    def compile_ineligible_reason(self) -> "Optional[str]":
+        """Why the pipeline (first failing rule) falls back, or was
+        rejected outright; None when it compiles clean.  Written by
+        :func:`repro.softswitch.compiler.compile_datapath` and, once
+        patches have changed the tables under the program, re-derived
+        from them on read."""
+        if self._ineligible_reason_stale:
+            self._ineligible_reason_stale = False
+            self._ineligible_reason = first_fallback_reason(self.tables)
+        return self._ineligible_reason
+
+    @compile_ineligible_reason.setter
+    def compile_ineligible_reason(self, reason: "Optional[str]") -> None:
+        self._ineligible_reason = reason
+        self._ineligible_reason_stale = False
 
     def reset_pipeline(self) -> None:
         """Power-cycle the forwarding state (switch crash/restart).
@@ -251,7 +308,7 @@ class SoftSwitch(Node):
         if self.flow_cache is not None:
             self.flow_cache.invalidate()
         self._miss_seen.clear()
-        self._mark_program_stale()
+        self._mark_program_stale("pipeline reset")
 
     @property
     def program(self) -> "Optional[CompiledProgram]":
@@ -262,12 +319,14 @@ class SoftSwitch(Node):
         """The current compiled program, recompiling when hysteresis allows.
 
         Stale programs are never returned — ``_mark_program_stale``
-        drops them synchronously — so the only question here is whether
-        the accumulated mods justify paying for a recompile: either
-        ``recompile_after_mods`` mods have piled up, or the control
-        plane has been quiet for ``recompile_quiescent_s``.  A pipeline
-        the compiler rejects leaves the switch interpreted (and charges
-        nothing further) until the next mutation.
+        drops them synchronously, and a patched one is current by
+        construction — so the only question here is whether the mods
+        accumulated since a shape change justify paying for a
+        recompile: either ``recompile_after_mods`` of them have piled
+        up, or the control plane has been quiet for
+        ``recompile_quiescent_s``.  A pipeline the compiler rejects
+        leaves the switch interpreted (and charges nothing further)
+        until the next mutation.
         """
         program = self._program
         if program is not None:
@@ -302,6 +361,8 @@ class SoftSwitch(Node):
                 "compiles": self.program_compiles,
                 "compile_failures": self.program_compile_failures,
                 "invalidations": self.program_invalidations,
+                "patches": self.program_patches,
+                "last_regenerate_reason": self.last_regenerate_reason,
                 "pending_mods": self._pending_mods,
                 "specialized_frames": self.specialized_frames,
                 "fallback_frames": self.fallback_frames,
@@ -969,23 +1030,24 @@ class SoftSwitch(Node):
         if message.command == c.OFPFC_ADD:
             if message.idle_timeout or message.hard_timeout:
                 self._ensure_sweeper()
-            table.install(
-                FlowEntry(
-                    match=message.match,
-                    priority=message.priority,
-                    instructions=list(message.instructions),
-                    cookie=message.cookie,
-                    idle_timeout=float(message.idle_timeout),
-                    hard_timeout=float(message.hard_timeout),
-                    send_flow_removed=bool(message.flags & 1),
-                ),
-                now,
+            entry = FlowEntry(
+                match=message.match,
+                priority=message.priority,
+                instructions=list(message.instructions),
+                cookie=message.cookie,
+                idle_timeout=float(message.idle_timeout),
+                hard_timeout=float(message.hard_timeout),
+                send_flow_removed=bool(message.flags & 1),
             )
+            replaced = table.install(entry, now)
             if cache is not None:
                 cache.invalidate_for_add(
                     message.table_id, message.match, message.priority
                 )
-            self._mark_program_stale()
+            self._pipeline_mutated(
+                (replaced,) if replaced is not None else (),
+                lambda program: program.add_breaks_shape(table, entry),
+            )
             return None
         if message.command in (c.OFPFC_DELETE, c.OFPFC_DELETE_STRICT):
             removed = table.delete(
@@ -998,7 +1060,7 @@ class SoftSwitch(Node):
             if removed:
                 if cache is not None:
                     cache.invalidate_entries(removed)
-                self._mark_program_stale()
+                self._pipeline_mutated(removed)
             for entry in removed:
                 if entry.send_flow_removed:
                     self._send_async(
@@ -1029,7 +1091,7 @@ class SoftSwitch(Node):
             if modified:
                 if cache is not None:
                     cache.invalidate_entries(modified)
-                self._mark_program_stale()
+                self._pipeline_mutated(modified)
             return None
         return ErrorMsg(xid=message.xid, error_type=4, code=0)  # bad command
 
@@ -1051,7 +1113,9 @@ class SoftSwitch(Node):
         # reference this group; walks using other groups (or none) stay.
         if self.flow_cache is not None:
             self.flow_cache.invalidate_group(message.group_id)
-        self._mark_program_stale()
+        self._pipeline_mutated(
+            breaks_shape=lambda program: program.groups_break_shape(self.groups)
+        )
         return None
 
     def _handle_packet_out(self, message: PacketOut) -> None:
@@ -1120,7 +1184,7 @@ class SoftSwitch(Node):
             if expired:
                 if self.flow_cache is not None:
                     self.flow_cache.invalidate_entries(expired)
-                self._mark_program_stale()
+                self._pipeline_mutated(expired)
             for entry in expired:
                 if entry.send_flow_removed:
                     reason = (

@@ -199,8 +199,9 @@ class FlowTable:
 
     # ------------------------------------------------------------ mutation
 
-    def install(self, entry: FlowEntry, now: float) -> None:
-        """Add *entry*, replacing an existing identical (match, priority)."""
+    def install(self, entry: FlowEntry, now: float) -> Optional[FlowEntry]:
+        """Add *entry*, replacing an existing identical (match, priority);
+        returns the entry it replaced, if any."""
         entry.installed_at = now
         entry.last_used_at = now
         existing = self._find_identical(entry)
@@ -211,28 +212,30 @@ class FlowTable:
         entry.sort_key = (-entry.priority, entry.installed_at, entry.seq)
         bisect.insort(self._entries, entry, key=_SORT_KEY)
         self._index_add(entry)
+        return existing
 
     def _find_identical(self, entry: FlowEntry) -> Optional[FlowEntry]:
-        """The installed entry with the same (match, priority), if any.
-
-        Probes only the tier the entry would land in — an equal Match
-        has an equal exact_key, so an exact entry's duplicate can only
-        sit in its own value bucket and a masked entry's only on the
-        masked list.  Keeps bulk pushes O(log n) per FlowMod instead of
-        re-scanning the whole table.
-        """
-        exact = entry.match.exact_key()
-        if exact is None:
-            mask_set, values = entry.match.mask_key()
-            subtable = self._subtables.get(mask_set)
-            candidates = subtable.buckets.get(values, ()) if subtable else ()
-        else:
-            names, values = exact
-            candidates = self._exact.get(names, {}).get(values, ())
-        for existing in candidates:
+        """The installed entry with the same (match, priority), if any."""
+        for existing in self._same_values_chain(entry.match):
             if existing.priority == entry.priority and existing.match == entry.match:
                 return existing
         return None
+
+    def _same_values_chain(self, match: Match) -> "list[FlowEntry] | tuple":
+        """The one bucket chain an entry equal to *match* can sit in.
+
+        An equal Match has an equal exact_key / mask_key, so its
+        duplicate can only be in its own value bucket of its own
+        field-set (or mask-set).  Keeps bulk pushes and strict deletes
+        O(log n) per FlowMod instead of re-scanning the whole table.
+        """
+        exact = match.exact_key()
+        if exact is None:
+            mask_set, values = match.mask_key()
+            subtable = self._subtables.get(mask_set)
+            return subtable.buckets.get(values, ()) if subtable else ()
+        names, values = exact
+        return self._exact.get(names, {}).get(values, ())
 
     def _remove(self, entry: FlowEntry) -> None:
         index = bisect.bisect_left(self._entries, entry.sort_key, key=_SORT_KEY)
@@ -367,10 +370,12 @@ class FlowTable:
         """(probe slots, value buckets, max priority, hit cell) per exact field-set.
 
         The returned buckets are the live index structures — the
-        compiler bakes references to them into a specialized program and
-        relies on the datapath discarding that program before the next
-        packet whenever the table mutates.  The hit cell is the shared
-        profile counter both tiers bump when the field-set wins.
+        compiler binds a specialized program's probes to them, and the
+        program stays valid for as long as every install lands in a
+        group it probes (a re-created group is rebound through
+        :meth:`probe_group`); the datapath discards it otherwise.  The
+        hit cell is the shared profile counter both tiers bump when the
+        field-set wins.
         """
         groups = []
         for names, buckets in self._exact.items():
@@ -382,6 +387,22 @@ class FlowTable:
                  self._exact_hit_cells[names])
             )
         return groups
+
+    def probe_group(self, match: Match) -> tuple:
+        """(tier, shape, value buckets, hit cell) of the table-0 probe
+        group an installed entry with *match* is indexed under — the
+        same four things the compiler bakes per probe, so a kept
+        program can rebind a probe whose group emptied and was
+        re-created (new dict, new cell) since it was generated."""
+        exact = match.exact_key()
+        if exact is None:
+            subtable = self._subtables[match.mask_key()[0]]
+            return "masked", subtable.mask_set, subtable.buckets, subtable.hit_cell
+        names = exact[0]
+        return (
+            "exact", self._exact_slots[names], self._exact[names],
+            self._exact_hit_cells[names],
+        )
 
     def profile_hits(self) -> "dict[tuple, int]":
         """Observed win counts per probe shape (test/bench introspection).
@@ -426,28 +447,62 @@ class FlowTable:
 
         Strict: exact (match, priority).  Non-strict: every entry whose
         match is a subset of *match* (the behaviour switches implement).
+        Only the bucket groups that can hold such an entry are visited,
+        so a delete costs what it removes, not the size of the table.
+        Returned in arbitration order, like a scan of the table.
         """
-        removed = []
-        kept = []
-        for entry in self._entries:
-            if cookie_mask and (entry.cookie & cookie_mask) != (
-                (cookie or 0) & cookie_mask
-            ):
-                kept.append(entry)
-                continue
-            if strict:
-                doomed = entry.priority == priority and entry.match == match
-            else:
-                doomed = entry.match.is_subset_of(match)
-            if doomed:
-                removed.append(entry)
-            else:
-                kept.append(entry)
-        if removed:
-            self._entries = kept
-            for entry in removed:
-                self._index_remove(entry)
+        if strict:
+            removed = [
+                entry
+                for entry in self._same_values_chain(match)
+                if entry.priority == priority and entry.match == match
+            ]
+        else:
+            removed = [
+                entry
+                for entry in self._subset_candidates(match)
+                if entry.match.is_subset_of(match)
+            ]
+        if cookie_mask:
+            wanted = (cookie or 0) & cookie_mask
+            removed = [
+                entry for entry in removed if entry.cookie & cookie_mask == wanted
+            ]
+        removed.sort(key=_SORT_KEY)
+        for entry in reversed(removed):  # back to front: short list shifts
+            self._remove(entry)
         return removed
+
+    def _subset_candidates(self, pattern: Match) -> "list[FlowEntry]":
+        """Every entry whose match *could* be a subset of *pattern*.
+
+        A subset constrains at least the bits the pattern constrains,
+        so only groups whose field-set (mask-set) covers the pattern's
+        qualify: the group with exactly the pattern's shape is one
+        bucket probe, a group missing a pattern field or mask bit is
+        skipped, and a strictly wider group is scanned.
+        """
+        pattern_masks, pattern_values = pattern.mask_key()
+        pattern_exact = pattern.exact_key()
+        pattern_slots = {slot for slot, _ in pattern_masks}
+        found: list[FlowEntry] = []
+        for names, buckets in self._exact.items():
+            if pattern_exact is not None and names == pattern_exact[0]:
+                found.extend(buckets.get(pattern_exact[1], ()))
+            elif pattern_slots.issubset(self._exact_slots[names]):
+                for chain in buckets.values():
+                    found.extend(chain)
+        for mask_set, subtable in self._subtables.items():
+            if mask_set == pattern_masks:
+                found.extend(subtable.buckets.get(pattern_values, ()))
+                continue
+            masks = dict(mask_set)
+            if all(
+                masks.get(slot, 0) & mask == mask for slot, mask in pattern_masks
+            ):
+                for chain in subtable.buckets.values():
+                    found.extend(chain)
+        return found
 
     def expire(self, now: float) -> list[FlowEntry]:
         """Remove and return all timed-out entries."""

@@ -11,10 +11,13 @@ Covers the three contracts the specialized tier 0 lives by:
   FALLBACK decisions routed through the interpreter, and only a
   subclassed cost model (or an empty pipeline) rejects the whole
   program;
-* **churn hysteresis / invalidation** — FlowMod, GroupMod and
-  cost-model swaps mark the program stale *synchronously* (a stale
-  program is never executed), mods are counted towards the recompile
-  trigger, and recompiles pick up the new table shape.
+* **patching, churn hysteresis / invalidation** — a FlowMod, GroupMod
+  or expiry sweep that leaves the program's shape intact is patched in
+  place (derived decisions flushed, generated code kept); a shape
+  change or cost-model swap marks the program stale *synchronously* (a
+  stale program is never executed) with the reason recorded, mods are
+  counted towards the recompile trigger, and recompiles pick up the
+  new table shape.
 """
 
 import random
@@ -380,10 +383,14 @@ class TestHysteresisAndInvalidation:
         assert switch.program.used_slots == (1, 3, 13)  # shape recompiled
 
     def test_group_mod_marks_stale(self):
+        """Only the *first select group* does: its bucket choice is
+        baked per key, so the key must grow the hash slots.  Any other
+        group mod is content and patches the program in place."""
         _, switch, _ = self._specialized()
         install(switch, match=Match(in_port=1), instructions=output(2))
         switch.inject(frame_ab(), 1)
-        assert switch.program is not None
+        program = switch.program
+        assert program is not None
         switch.handle_message(
             GroupMod(
                 command=c.OFPGC_ADD,
@@ -392,8 +399,20 @@ class TestHysteresisAndInvalidation:
                 buckets=[Bucket(actions=[OutputAction(port=2)])],
             ).to_bytes()
         )
+        assert switch.program is program
+        assert switch.program_invalidations == 0
+        assert switch.program_patches == 1
+        switch.handle_message(
+            GroupMod(
+                command=c.OFPGC_ADD,
+                group_type=c.OFPGT_SELECT,
+                group_id=10,
+                buckets=[Bucket(actions=[OutputAction(port=2)])],
+            ).to_bytes()
+        )
         assert switch.program is None
         assert switch.program_invalidations == 1
+        assert "select group" in switch.last_regenerate_reason
 
     def test_cost_model_swap_marks_stale(self):
         _, switch, _ = self._specialized()
@@ -488,4 +507,160 @@ class TestHysteresisAndInvalidation:
         assert spec["enabled"] and spec["active"]
         assert spec["compiles"] == 1
         assert spec["specialized_frames"] == 1
+        assert spec["patches"] == 0
+        assert spec["last_regenerate_reason"] is None
         assert stats["cache"]["size"] == 0  # tier 0 never touched the cache
+
+
+def delete(switch, strict=False, **kwargs):
+    command = c.OFPFC_DELETE_STRICT if strict else c.OFPFC_DELETE
+    assert switch.handle_message(FlowMod(command=command, **kwargs).to_bytes()) == []
+
+
+class TestPatchingInPlace:
+    """Mutations inside the compiled shape keep the program (PR 14)."""
+
+    def _live(self):
+        sim, switch, sinks = build_switch()
+        switch.recompile_after_mods = 1
+        switch.recompile_quiescent_s = 0.0
+        install(switch, match=Match(in_port=1), priority=9, instructions=output(2))
+        install(switch, match=Match(), priority=0, instructions=[])
+        switch.inject(frame_ab(), 1)
+        assert switch.program is not None
+        return sim, switch, sinks
+
+    def test_add_delete_modify_inside_the_shape_patch(self):
+        sim, switch, sinks = self._live()
+        program = switch.program
+        # Replacement ADD: same match and priority, new instructions —
+        # the cached decision for in_port=1 must not survive it.
+        install(switch, match=Match(in_port=1), priority=9, instructions=output(3))
+        switch.inject(frame_ab(), 1)
+        # MODIFY rewrites the entry in place (same object, same id).
+        switch.handle_message(
+            FlowMod(
+                command=c.OFPFC_MODIFY, match=Match(in_port=1), instructions=output(1)
+            ).to_bytes()
+        )
+        switch.inject(frame_ab(), 1)
+        # DELETE of the cached winner: the frame now hits the drop rule.
+        delete(switch, match=Match(in_port=1))
+        switch.inject(frame_ab(), 1)
+        sim.run()
+        assert switch.program is program  # one program served all of it
+        spec = switch.stats()["specialization"]
+        assert spec["compiles"] == 1 and spec["invalidations"] == 0
+        assert spec["patches"] == 3 and spec["pending_mods"] == 0
+        assert spec["specialized_frames"] == 4 and spec["fallback_frames"] == 0
+        assert [len(sink.received) for sink in sinks] == [1, 1, 1]
+        assert switch.tables[0].matches == 4  # the last one by the drop rule
+
+    def test_noop_delete_is_not_a_patch(self):
+        _, switch, _ = self._live()
+        delete(switch, match=Match(in_port=7))
+        assert switch.program_patches == 0
+
+    def test_shape_breaks_take_the_hysteresis_path_and_say_why(self):
+        cases = [
+            (dict(match=Match(eth_type=0x0800, udp_dst=2000), instructions=output(3)),
+             "new field-set (eth_type, udp_dst)"),
+            (dict(match=Match(ipv4_dst=("10.0.1.0", "255.255.255.0")),
+                  instructions=output(3)),
+             "new mask-set (ipv4_dst/0xffffff00)"),
+            (dict(match=Match(in_port=2), priority=300, instructions=output(3)),
+             "priority 300 above baked bound 9"),
+            (dict(match=Match(in_port=2), priority=5, hard_timeout=3,
+                  instructions=output(3)),
+             "first mortal entry"),
+            (dict(table_id=1, match=Match(udp_dst=53), instructions=output(3)),
+             "table 1 reads slot outside used_slots (udp_dst)"),
+        ]
+        for flow_mod, reason in cases:
+            _, switch, _ = self._live()
+            install(switch, **flow_mod)
+            assert switch.program is None, reason
+            spec = switch.stats()["specialization"]
+            assert spec["last_regenerate_reason"] == reason
+            assert spec["invalidations"] == 1 and spec["pending_mods"] == 1
+            assert spec["patches"] == 0
+            switch.inject(frame_ab(), 1)  # tight hysteresis: regenerated
+            assert switch.program is not None and switch.program_compiles == 2
+        _, switch, _ = self._live()
+        switch.cost_model = DatapathCostModel()
+        assert switch.last_regenerate_reason == "cost model swapped"
+        _, switch, _ = self._live()
+        switch.reset_pipeline()
+        assert switch.last_regenerate_reason == "pipeline reset"
+
+    def test_later_table_add_within_used_slots_patches(self):
+        _, switch, _ = self._live()
+        program = switch.program
+        install(switch, table_id=1, match=Match(in_port=3), instructions=output(2))
+        assert switch.program is program and switch.program_patches == 1
+
+    def test_emptied_field_set_recreated_rebinds_probe_and_profile(self):
+        """The add/delete-strict churn `bench_specialized` runs: the
+        only entry of a field-set goes, the table drops the emptied
+        group, the next add builds a new one (new bucket dict, new hit
+        cell).  The kept program must probe the new dict and credit the
+        new cell."""
+        sim, switch, sinks = self._live()
+        program = switch.program
+        table = switch.tables[0]
+        delete(switch, strict=True, match=Match(in_port=1), priority=9)
+        assert ("exact", ("in_port",)) not in table.profile_hits()
+        switch.inject(frame_ab(), 1)  # probes the detached, empty dict: miss
+        install(switch, match=Match(in_port=1), priority=7, instructions=output(3))
+        assert switch.program is program
+        switch.inject(frame_ab(), 1)
+        sim.run()
+        assert len(sinks[2].received) == 1
+        assert table.profile_hits()[("exact", ("in_port",))] == 1
+        assert switch.specialized_frames == 3 and switch.program_compiles == 1
+
+    def test_ineligible_reason_follows_the_tables_through_patches(self):
+        _, switch, _ = self._live()
+        program = switch.program
+        assert program.fallback_reason is None
+        flood = [ApplyActions(actions=(OutputAction(port=c.OFPP_FLOOD),))]
+        switch.handle_message(
+            FlowMod(
+                command=c.OFPFC_MODIFY, match=Match(in_port=1), instructions=flood
+            ).to_bytes()
+        )
+        assert switch.program is program
+        assert "flood" in program.fallback_reason
+        assert "flood" in switch.stats()["specialization"]["ineligible_reason"]
+        delete(switch, match=Match(in_port=1))
+        assert switch.program is program
+        assert program.fallback_reason is None
+        assert switch.compile_ineligible_reason is None
+
+    def test_mid_burst_patch_keeps_the_burst_compiled(self):
+        """A synchronous controller answers a packet-in by revoking one
+        rule and granting another, both inside the shape: the program
+        is patched under the running burst, which drops its burst-local
+        memo and serves the remaining frames compiled — under the *new*
+        rules."""
+        sim, switch, sinks = build_switch()
+        switch.recompile_after_mods = 1
+        switch.recompile_quiescent_s = 0.0
+        packet_in = [ApplyActions(actions=(OutputAction(port=c.OFPP_CONTROLLER),))]
+        install(switch, match=Match(in_port=1), priority=9, instructions=output(2))
+        install(switch, match=Match(in_port=2), priority=9, instructions=packet_in)
+
+        def controller(raw):
+            delete(switch, strict=True, match=Match(in_port=2), priority=9)
+            install(switch, match=Match(in_port=2), priority=5, instructions=output(3))
+
+        switch.to_controller = controller
+        switch.inject(frame_ab(), 1)
+        program = switch.program
+        frame = frame_ab()
+        switch.process_batch(2, [frame] * 6)  # one object: memoised per burst
+        sim.run()
+        assert switch.program is program and switch.program_patches == 2
+        assert switch.fallback_frames == 1  # only the packet-in frame
+        assert switch.specialized_frames == 1 + 5
+        assert len(sinks[2].received) == 5

@@ -11,6 +11,9 @@ after removals, and entries moving between the exact and masked tiers.
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.net.addresses import IPv4Address, MACAddress
 from repro.net.build import udp_frame
 from repro.openflow import ApplyActions, FlowMod, Match, OutputAction
@@ -285,3 +288,120 @@ class TestRandomizedSubtableChurn:
             )
             lookup_both(table, frame, now=float(step), in_port=rng.randint(1, 2))
         assert table.subtable_count >= 1
+
+
+# ---------------------------------------------------------------------------
+# FlowTable.delete walks only the groups that can hold a subset of the
+# pattern; the full scan it replaced stays here as the reference.
+# ---------------------------------------------------------------------------
+
+
+def reference_delete(entries, match, priority, strict, cookie, cookie_mask):
+    """The pre-PR-14 FlowTable.delete: test every entry, in table order."""
+    doomed = []
+    for entry in entries:
+        if cookie_mask and (entry.cookie & cookie_mask) != ((cookie or 0) & cookie_mask):
+            continue
+        if strict:
+            hit = entry.priority == priority and entry.match == match
+        else:
+            hit = entry.match.is_subset_of(match)
+        if hit:
+            doomed.append(entry)
+    return doomed
+
+
+_IP_MASKS = (0xFF000000, 0xFFFF0000, 0xFFFFFF00, 0xFFFFFFFF, 0x00FF00FF)
+
+
+@st.composite
+def small_matches(draw):
+    """Matches over a deliberately tiny value space, so random patterns
+    hit equal, wider, narrower and disjoint field-sets and mask-sets."""
+    fields = {}
+    if draw(st.booleans()):
+        fields["in_port"] = draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        fields["eth_type"] = draw(st.sampled_from((0x0800, 0x0806)))
+    for name in ("ipv4_src", "ipv4_dst"):
+        kind = draw(st.integers(0, 3))
+        if kind:
+            value = draw(st.sampled_from((0x0A000001, 0x0A000101, 0x0A010001)))
+            if kind == 1:
+                fields[name] = value
+            else:
+                mask = draw(st.sampled_from(_IP_MASKS))
+                fields[name] = (value & mask, mask)
+    if draw(st.integers(0, 3)) == 0:
+        fields["udp_dst"] = draw(st.sampled_from((53, (0x0050, 0x00F0))))
+    return Match(**fields)
+
+
+class TestDeleteWalksOnlyCoveringGroups:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        installs=st.lists(
+            st.tuples(small_matches(), st.integers(0, 3), st.integers(0, 3)),
+            max_size=24,
+        ),
+        deletes=st.lists(
+            st.tuples(
+                small_matches(),
+                st.integers(0, 3),
+                st.booleans(),
+                st.integers(0, 3),
+                st.sampled_from((0, 0, 1, 3)),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_delete_equals_full_scan(self, installs, deletes):
+        table = FlowTable(table_id=0)
+        for step, (match, priority, cookie) in enumerate(installs):
+            table.install(
+                FlowEntry(match=match, priority=priority, cookie=cookie),
+                now=float(step // 3),
+            )
+        for match, priority, strict, cookie, cookie_mask in deletes:
+            before = list(table)
+            expected = reference_delete(
+                before, match, priority, strict, cookie, cookie_mask
+            )
+            removed = table.delete(
+                match, priority=priority, strict=strict,
+                cookie=cookie, cookie_mask=cookie_mask,
+            )
+            # Same entries, same (arbitration) order: flow-removed
+            # messages go out in the order delete returns them.
+            assert [id(e) for e in removed] == [id(e) for e in expected]
+            gone = {id(e) for e in expected}
+            assert [id(e) for e in table] == [id(e) for e in before if id(e) not in gone]
+            # The index structures dropped exactly the same entries.
+            frame = frame_to("10.0.1.1", src_ip="10.0.0.1", dst_port=53)
+            lookup_both(table, frame)
+
+    def test_equal_field_set_is_one_bucket_probe(self):
+        """The churn case: 480 exact rules, a pattern on their own
+        field-set — the walk touches one chain, not the table."""
+        table = FlowTable(table_id=0)
+        for index in range(480):
+            table.install(
+                FlowEntry(
+                    match=Match(
+                        eth_type=0x0800, ipv4_src=0x0A000000 + index,
+                        ipv4_dst=0x0A010000 + index,
+                    ),
+                    priority=200,
+                ),
+                0.0,
+            )
+        table.install(FlowEntry(match=Match(in_port=1, eth_type=0x0806)), 0.0)
+        pattern = Match(eth_type=0x0800, ipv4_src=0x0A000007, ipv4_dst=0x0A010007)
+        assert len(table._subset_candidates(pattern)) == 1
+        (removed,) = table.delete(pattern)
+        assert removed.match == pattern
+        assert len(table) == 480
+        # A narrower pattern scans the one covering group, skips the other.
+        assert len(table._subset_candidates(Match(ipv4_src=0x0A000001))) == 479
+        assert len(table._subset_candidates(Match(in_port=1))) == 1

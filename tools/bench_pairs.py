@@ -20,9 +20,19 @@ parent's by more than the bound, else ``same``.  Per workload it also
 says whether ``sim_digest`` and the exact metrics agreed on every pair:
 a change that only speeds the simulator must not move them.
 
+``sim_digest`` hashes ``SoftSwitch.stats()`` whole, so a change to
+*which tier served a frame* (compiles, patches, cache hits) moves it
+although every frame went where it went before.  Each workload and
+seed therefore also gets a **masked digest** from both trees — one
+extra pass with the ``specialization`` and ``cache`` sub-dicts of
+``SoftSwitch.stats()`` left out of the hash, everything else (clock,
+events, endpoints, forwarding/legacy/link counters) kept — and it is
+the masked digest, with the exact metrics, that must agree.
+
 ``--record LABEL`` appends the rows to the repository's perf trajectory,
 ``BENCH_e2e.json``.  Exit code 1 on a regression, a failed output
-check, a larger share of failed operations or a digest mismatch.
+check, a larger share of failed operations, or a masked-digest or
+exact-metric mismatch.
 
     python tools/bench_pairs.py --parent HEAD~1 --record "PR 13"
     python tools/bench_pairs.py --workloads fabric_steady --pairs 4 --seeds 19850601
@@ -44,6 +54,35 @@ TRAJECTORY = REPO_ROOT / "BENCH_e2e.json"
 #: gain is claimed.
 MIN_PAIRS = 10
 WIN_SHARE = 0.9
+
+#: Run inside a tree (parent or change): one pass of a workload with
+#: that tree's own ``sim_digest``, reading ``SoftSwitch.stats()``
+#: without its tier-bookkeeping sub-dicts.
+MASKED_DIGEST_SCRIPT = """
+import sys
+sys.path[:0] = ["benchmarks/e2e", "src"]
+from harmless_e2e import workloads
+from repro.softswitch import SoftSwitch
+
+full_stats, full_digest = SoftSwitch.stats, workloads.sim_digest
+
+def masked_stats(switch):
+    stats = full_stats(switch)
+    del stats["specialization"], stats["cache"]
+    return stats
+
+def masked_digest(rig):
+    SoftSwitch.stats = masked_stats
+    try:
+        return full_digest(rig)
+    finally:
+        SoftSwitch.stats = full_stats
+
+workloads.sim_digest = masked_digest
+workload = workloads.WORKLOADS[sys.argv[1]]
+result = workloads.run_pass(workload, int(sys.argv[2]), workload.default_frames)
+print("masked_digest", result.digest, "ok" if not result.problems else result.problems)
+"""
 
 
 def unpack(revision: str, target: pathlib.Path) -> str:
@@ -73,6 +112,19 @@ def run_once(tree: pathlib.Path, command: list, workload: str, seed: int, second
     if len(lines) < 2:
         sys.exit(f"{tree}: {workload} printed no result (exit {done.returncode})\n{done.stdout}")
     return json.loads(lines[-1]), json.loads(lines[-2])
+
+
+def masked_digest(tree: pathlib.Path, workload: str, seed: int) -> str:
+    """Digest of one pass in *tree* with the tier bookkeeping masked out."""
+    done = subprocess.run(
+        [sys.executable, "-c", MASKED_DIGEST_SCRIPT, workload, str(seed)],
+        cwd=tree, stdout=subprocess.PIPE, text=True,
+    )
+    lines = [line for line in done.stdout.splitlines() if line.startswith("masked_digest ")]
+    if not lines or not lines[-1].endswith(" ok"):
+        sys.exit(f"{tree}: masked digest of {workload} seed {seed} failed "
+                 f"(exit {done.returncode})\n{done.stdout}")
+    return lines[-1].split()[1]
 
 
 def quartiles(values: list) -> "tuple[float, float, float]":
@@ -170,7 +222,7 @@ def main(argv=None) -> int:
         trees = {"parent": parent_tree, "change": REPO_ROOT}
         for workload in args.workloads:
             samples = {side: {m["name"]: [] for m in spec["end_to_end"]} for side in trees}
-            same_simulation = True
+            same_simulation = same_exact = True
             failed_share = dict.fromkeys(trees, 0.0)
             for pair in range(args.pairs):
                 seed = seeds[pair % len(seeds)]
@@ -188,11 +240,19 @@ def main(argv=None) -> int:
                         samples[side][name].append(entry["value"])
                 if exact["parent"] != exact["change"]:
                     same_simulation = False
-                    print(f"{workload} seed {seed}: simulation differs\n"
+                    same_exact &= exact["parent"]["exact"] == exact["change"]["exact"]
+                    print(f"{workload} seed {seed}: sim_digest or exact metrics differ\n"
                           f"  parent {exact['parent']}\n  change {exact['change']}")
                 print(f"  {workload} pair {pair + 1}/{args.pairs} seed {seed} done",
                       file=sys.stderr, flush=True)
-            failed |= not same_simulation
+            same_forwarding = same_exact
+            for seed in sorted(set(seeds[:args.pairs])):
+                masked = {side: masked_digest(tree, workload, seed)
+                          for side, tree in trees.items()}
+                if masked["parent"] != masked["change"]:
+                    same_forwarding = False
+                    print(f"{workload} seed {seed}: masked digest differs {masked}")
+            failed |= not same_forwarding
             if failed_share["change"] > failed_share["parent"]:
                 failed = True
                 print(f"{workload}: share of failed operations rose "
@@ -200,7 +260,9 @@ def main(argv=None) -> int:
                       f"{failed_share['change'] / args.pairs:.3g}")
             print(f"== {workload}: {args.pairs} pairs, parent {parent_commit}, "
                   f"sim_digest and exact metrics "
-                  f"{'identical on every pair' if same_simulation else 'DIFFER'}")
+                  f"{'identical on every pair' if same_simulation else 'differ'}; "
+                  f"masked digest (no specialization/cache stats) and exact metrics "
+                  f"{'identical on every seed' if same_forwarding else 'DIFFER'}")
             print(f"{'metric':<14}{'parent median (q1-q3)':>34}"
                   f"{'change median (q1-q3)':>34}{'ratio':>8}{'won':>7}  verdict")
             for metric in spec["end_to_end"]:
@@ -209,7 +271,8 @@ def main(argv=None) -> int:
                     samples["change"][metric["name"]],
                 )
                 failed |= row["verdict"] == "REGRESSION"
-                rows.append({"workload": workload, "digests_equal": same_simulation, **row})
+                rows.append({"workload": workload, "digests_equal": same_simulation,
+                             "masked_digests_equal": same_forwarding, **row})
                 print(
                     f"{row['metric']:<14}{cell(row, 'parent'):>34}{cell(row, 'change'):>34}"
                     f"{row['ratio']:>8.3f}{row['won']:>4}/{row['pairs']:<2}  {row['verdict']}"
