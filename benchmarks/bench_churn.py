@@ -1,21 +1,11 @@
-"""CHURN — fast-path behaviour under sustained control-plane churn.
+"""CHURN — masked-table scaling of the staged classifier.
 
 HARMLESS keeps commodity software switches on the forwarding path
-while controllers continuously reprogram them, so the fast path must
-survive FlowMod streams, not just steady state.  Two experiments:
-
-* **churn** — N exact flows serve a steady working set while a
-  controller issues one FlowMod every few packets.  Two churn shapes
-  (adds/deletes against a table the traffic never visits, and
-  unrelated-mask adds into the hot table) × two invalidation policies:
-  ``scoped`` (the dependency index: only dependent walks drop) vs
-  ``flush`` (the pre-dependency-index behaviour: every mutation clears
-  the whole microflow cache, emulated by an explicit ``invalidate()``
-  after each mutation).  Measures wall-clock pps and cache hit rate.
-* **masked scaling** — M masked (prefix) entries spread over 8
-  distinct mask-sets, microflow cache disabled.  The staged-subtable
-  classifier costs O(#mask-sets) per lookup, so pps should stay ~flat
-  in M while the seed linear scan degrades.
+while controllers keep growing their tables, so a lookup must not cost
+O(table).  One experiment, **masked scaling**: M masked (prefix)
+entries spread over 8 distinct mask-sets, specialization off.  The
+staged-subtable classifier costs O(#mask-sets) per lookup, so pps
+should stay ~flat in M while the seed linear scan degrades.
 
 Results go to ``results/churn.txt`` (human) and ``results/churn.json``
 (machine; compared against ``baselines/churn.json`` by
@@ -25,14 +15,12 @@ Run standalone: ``PYTHONPATH=src python benchmarks/bench_churn.py
 [--fast]`` — ``--fast`` is the CI smoke mode (smaller sizes).
 """
 
-import json
 import time
 
 from repro.net.addresses import IPv4Address
 from repro.net.build import udp_frame
 from repro.netsim import Simulator
 from repro.openflow import ApplyActions, FlowMod, Match, OutputAction
-from repro.openflow import consts as c
 from repro.softswitch import SoftSwitch
 
 from common import (
@@ -40,135 +28,20 @@ from common import (
     BENCH_MAC_DST,
     BENCH_MAC_SRC,
     MEASURE_REPEATS,
-    RESULTS_DIR,
     ZERO_COST,
     keep_best,
+    save_json,
     save_result,
-    steady_traffic,
     wire_counting_sinks,
 )
-from bench_fastpath import install_exact_flows
-#: One control-plane mutation every CHURN_EVERY packets.
-CHURN_EVERY = 4
-#: Churn entries kept installed before the oldest is deleted again.
-CHURN_WINDOW = 64
 
-FULL_CHURN = {"flows": 1_000, "packets": 8_000}
-#: Smoke rows feed the CI regression gate: sized for hundreds of ms
-#: per run so scheduler bursts cannot halve a row.
-SMOKE_CHURN = {"flows": 200, "packets": 4_000}
-
-#: masked-tier size -> packets measured (cache disabled, so the seed
-#: linear baseline is the wall-clock limiter at large M).
+#: masked-tier size -> packets measured (the seed linear baseline is
+#: the wall-clock limiter at large M).
 FULL_SCALING = {250: 4_000, 1_000: 2_000, 4_000: 1_000}
 SMOKE_SCALING = {250: 2_000, 4_000: 2_000}
 
 #: Distinct prefix lengths = distinct mask-sets in the masked tier.
 PREFIX_LENGTHS = tuple(range(17, 25))
-
-
-def build_switch(packets):
-    sim = Simulator()
-    # Specialization off: this bench pins the interpreted fast path's
-    # churn behaviour (the compiled tier 0 has bench_specialized.py).
-    switch = SoftSwitch(
-        sim, "dut", datapath_id=1, cost_model=ZERO_COST,
-        enable_specialization=False,
-    )
-    sinks = wire_counting_sinks(sim, switch, packets)
-    return sim, switch, sinks
-
-
-# ----------------------------------------------------------------- churn
-
-
-def churn_messages(kind, sequence):
-    """The FlowMod(s) for churn step *sequence* (install + windowed delete).
-
-    ``unrelated_table``: adds land in table 3, which the traffic's
-    pipeline walk never visits.  ``unrelated_mask``: masked adds land in
-    the hot table 0, but under a 172.x prefix no traffic key matches.
-    Both are the incremental-reprogramming common case: control-plane
-    work that should not disturb the forwarding fast path.
-    """
-    if kind == "unrelated_table":
-
-        def make(seq):
-            return FlowMod(
-                table_id=3,
-                match=Match(eth_type=0x0800, udp_dst=(seq % 60_000) + 1),
-                priority=50,
-                instructions=[],
-            )
-
-    else:
-
-        def make(seq):
-            return FlowMod(
-                table_id=0,
-                match=Match(
-                    eth_type=0x0800,
-                    ipv4_dst=((172 << 24) | ((seq % 4096) << 8), 0xFFFFFF00),
-                ),
-                priority=200,
-                instructions=[],
-            )
-
-    messages = [make(sequence)]
-    if sequence >= CHURN_WINDOW:
-        expired = make(sequence - CHURN_WINDOW)
-        messages.append(
-            FlowMod(
-                table_id=expired.table_id,
-                command=c.OFPFC_DELETE_STRICT,
-                match=expired.match,
-                priority=expired.priority,
-            )
-        )
-    return messages
-
-
-def run_churn(num_flows, packets, kind, policy):
-    sim, switch, sinks = build_switch(packets)
-    install_exact_flows(switch, num_flows)
-    frames = steady_traffic(num_flows, packets, ACTIVE_FLOWS)
-    churn_raw = []
-    sequence = 0
-    for _ in range(packets // CHURN_EVERY):
-        churn_raw.append([m.to_bytes() for m in churn_messages(kind, sequence)])
-        sequence += 1
-    inject = switch.inject
-    handle = switch.handle_message
-    cache = switch.flow_cache
-    flush = policy == "flush"
-    churn_mods = 0
-    start = time.perf_counter()
-    for index, frame in enumerate(frames):
-        if index % CHURN_EVERY == 0 and index // CHURN_EVERY < len(churn_raw):
-            for raw in churn_raw[index // CHURN_EVERY]:
-                handle(raw)
-                churn_mods += 1
-            if flush:
-                cache.invalidate()  # the pre-dependency-index behaviour
-        inject(frame, 4)
-    sim.run()
-    elapsed = time.perf_counter() - start
-    delivered = sum(sink.count for sink in sinks)
-    assert delivered == packets, f"{kind}/{policy}: {delivered}/{packets} delivered"
-    return {
-        "kind": kind,
-        "policy": policy,
-        "flows": num_flows,
-        "packets": packets,
-        "churn_mods": churn_mods,
-        "pps": packets / elapsed,
-        "elapsed_s": elapsed,
-        "hit_rate": cache.hit_rate,
-        "cache": cache.stats(),
-    }
-
-
-# -------------------------------------------------------- masked scaling
 
 
 def scaling_network(index):
@@ -196,8 +69,6 @@ def build_masked_switch(num_entries, config, packets):
         enable_fast_path=(config != "linear"),
         enable_specialization=False,
     )
-    if config == "classifier":
-        switch.flow_cache = None  # measure the masked tier, not the cache
     sinks = wire_counting_sinks(sim, switch, packets)
     for index in range(num_entries):
         network, mask, bits = scaling_network(index)
@@ -262,19 +133,9 @@ def run_scaling(num_entries, packets, config):
 # ------------------------------------------------------------- reporting
 
 
-def run_suite(churn_params, scaling_sizes):
-    best_churn = {}
+def run_suite(scaling_sizes):
     best_scaling = {}
     for _ in range(MEASURE_REPEATS):
-        for kind in ("unrelated_table", "unrelated_mask"):
-            for policy in ("scoped", "flush"):
-                keep_best(
-                    best_churn,
-                    (kind, policy),
-                    run_churn(
-                        churn_params["flows"], churn_params["packets"], kind, policy
-                    ),
-                )
         for num_entries, packets in scaling_sizes.items():
             for config in ("linear", "classifier"):
                 keep_best(
@@ -282,29 +143,16 @@ def run_suite(churn_params, scaling_sizes):
                     (num_entries, config),
                     run_scaling(num_entries, packets, config),
                 )
-    return list(best_churn.values()), list(best_scaling.values())
+    return list(best_scaling.values())
 
 
-def render(churn_rows, scaling_rows, mode):
+def render(scaling_rows, mode):
     lines = [
         "=" * 76,
-        "CHURN: fast path under sustained control-plane reprogramming",
+        "MASKED SCALING: staged subtables vs seed linear scan",
         "=" * 76,
-        f"mode: {mode}; 1 FlowMod per {CHURN_EVERY} packets, "
-        f"working set {ACTIVE_FLOWS} flows",
+        f"mode: {mode}; working set {ACTIVE_FLOWS} flows",
         "",
-        f"{'churn kind':>16} {'policy':>7} {'flows':>6} {'mods':>6} "
-        f"{'pps':>12} {'hit rate':>9} {'dropped walks':>14}",
-    ]
-    for row in churn_rows:
-        lines.append(
-            f"{row['kind']:>16} {row['policy']:>7} {row['flows']:>6} "
-            f"{row['churn_mods']:>6} {row['pps']:>12.0f} {row['hit_rate']:>8.1%} "
-            f"{row['cache']['paths_dropped']:>14}"
-        )
-    lines += [
-        "",
-        "MASKED SCALING: staged subtables vs seed linear scan (no cache)",
         f"{'masked entries':>15} {'subtables':>10} {'linear pps':>12} "
         f"{'classifier pps':>15} {'ratio':>7}",
     ]
@@ -322,28 +170,8 @@ def render(churn_rows, scaling_rows, mode):
     return "\n".join(lines)
 
 
-def save_json(churn_rows, scaling_rows, mode):
-    RESULTS_DIR.mkdir(exist_ok=True)
-    payload = {
-        "bench": "churn",
-        "mode": mode,
-        "churn": churn_rows,
-        "masked_scaling": scaling_rows,
-    }
-    path = RESULTS_DIR / "churn.json"
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    return path
-
-
-def check_acceptance(churn_rows, scaling_rows):
-    """The ISSUE acceptance criteria, asserted on every run."""
-    by_case = {(row["kind"], row["policy"]): row for row in churn_rows}
-    for kind in ("unrelated_table", "unrelated_mask"):
-        scoped = by_case[(kind, "scoped")]
-        flush = by_case[(kind, "flush")]
-        assert scoped["hit_rate"] > 0.8, (kind, scoped["hit_rate"])
-        assert flush["hit_rate"] < 0.3, (kind, flush["hit_rate"])
-        assert scoped["cache"]["full_invalidations"] == 0
+def check_acceptance(scaling_rows):
+    """The acceptance criteria, asserted on every run."""
     sizes = sorted({row["masked_entries"] for row in scaling_rows})
     small, large = sizes[0], sizes[-1]
     pps = {
@@ -358,9 +186,8 @@ def check_acceptance(churn_rows, scaling_rows):
 
 
 def test_churn_acceptance():
-    """Acceptance: >80% hit rate under churn, bounded masked lookups."""
-    churn_rows, scaling_rows = run_suite(SMOKE_CHURN, SMOKE_SCALING)
-    check_acceptance(churn_rows, scaling_rows)
+    """Acceptance: bounded masked lookups."""
+    check_acceptance(run_suite(SMOKE_SCALING))
 
 
 def main(argv=None):
@@ -372,13 +199,10 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
     mode = "smoke" if args.fast else "full"
-    churn_rows, scaling_rows = run_suite(
-        SMOKE_CHURN if args.fast else FULL_CHURN,
-        SMOKE_SCALING if args.fast else FULL_SCALING,
-    )
-    check_acceptance(churn_rows, scaling_rows)
-    save_result("churn", render(churn_rows, scaling_rows, mode))
-    path = save_json(churn_rows, scaling_rows, mode)
+    scaling_rows = run_suite(SMOKE_SCALING if args.fast else FULL_SCALING)
+    check_acceptance(scaling_rows)
+    save_result("churn", render(scaling_rows, mode))
+    path = save_json("churn", scaling_rows, mode)
     print(f"JSON archived at {path}")
 
 

@@ -7,8 +7,8 @@ pod, and a zipf-weighted cross-pod burst mix is pushed through the
 fabric.  Every frame crosses three migrated hops (source edge S4 ->
 spine S4 -> destination edge S4), each hop re-coalescing the burst
 (legacy egress buffering -> trunk -> ``SoftSwitch.process_batch``), so
-the whole PR 1-4 stack — burst pipeline, microflow cache and the SS_1
-compiled tier — is exercised per hop.
+the whole stack — burst pipeline and the compiled SS_1/SS_2 programs —
+is exercised per hop.
 
 Reported per fabric size (2/4/8 edge switches):
 
@@ -386,7 +386,14 @@ def run_one_sharded(edges: int, packets: int, shards: int) -> dict:
         samples = []
         injected_total = 0
         for _ in range(MEASURE_REPEATS):
-            start_s = sharded.stats()["now"] + 1e-3
+            # Half a second of quiet first, as prime() ends with in the
+            # single-process suite: the learned rules bring new
+            # field-sets, so an SS_2 that saw fewer than
+            # recompile_after_mods of them recompiles only once its
+            # control plane has been quiet for recompile_quiescent_s —
+            # a run started inside that window measures the interpreter,
+            # not the steady state.
+            start_s = sharded.stats()["now"] + 0.5
             # pod_bursts only reads len() of its first argument.
             bursts_per_pod = pod_bursts(edge_names, flows, packets, start_s)
             injected = sum(

@@ -1,17 +1,16 @@
-"""SPECIALIZE — the compiled tier 0 vs the interpreted fast path.
+"""SPECIALIZE — the compiled program vs the reference interpreter.
 
 ESwitch's headline result [Molnar et al., SIGCOMM 2016] is that
 *specializing* the datapath to the installed flow tables beats
 interpreting a general-purpose pipeline.  This bench measures our
-reproduction of that idea (`softswitch/compiler.py`): the same
-zipf-weighted burst stream `bench_batch.py` uses is pushed through the
-same switch twice —
+reproduction of that idea (`softswitch/compiler.py`): one
+zipf-weighted burst stream (`common.make_stream`) is pushed through
+the same switch twice —
 
-* ``interpreted`` — the PR 3 burst-mode fast path (microflow cache +
-  staged classifier), specialization disabled;
-* ``specialized`` — the compiled program as tier 0: shrunk flow-key
-  extraction, unrolled probes, straight-line plans, persistent
-  key/frame memos.
+* ``interpreted`` — specialization disabled: every frame walks the
+  interpreter over the staged classifier;
+* ``specialized`` — the compiled program: shrunk flow-key extraction,
+  unrolled probes, straight-line plans, persistent key/frame memos.
 
 Two workload kinds per flow-table size:
 
@@ -35,7 +34,6 @@ Run standalone: ``PYTHONPATH=src python benchmarks/bench_specialized.py
 [--fast]`` — ``--fast`` is the CI smoke mode.
 """
 
-import json
 import statistics
 import time
 
@@ -45,13 +43,14 @@ from repro.openflow import ApplyActions, FlowMod, Match, OutputAction
 from repro.openflow import consts as c
 from repro.softswitch import SoftSwitch
 
-from bench_batch import chunk, make_stream
-from bench_fastpath import install_exact_flows
 from common import (
     ACTIVE_FLOWS,
     MEASURE_REPEATS,
-    RESULTS_DIR,
     ZERO_COST,
+    chunk,
+    install_exact_flows,
+    make_stream,
+    save_json,
     save_result,
     wire_counting_sinks,
 )
@@ -173,7 +172,7 @@ def run_suite(sizes: dict) -> list:
 def render(rows: list, mode: str) -> str:
     lines = [
         "=" * 76,
-        "SPECIALIZE: compiled tier 0 vs interpreted fast path (median wall-clock pps)",
+        "SPECIALIZE: compiled program vs interpreter (median wall-clock pps)",
         "=" * 76,
         f"mode: {mode}; zipf burst-{BURST_SIZE} stream over {ACTIVE_FLOWS} active "
         f"flows; churn = 1 FlowMod per {CHURN_BURSTS} bursts",
@@ -195,22 +194,14 @@ def render(rows: list, mode: str) -> str:
     return "\n".join(lines)
 
 
-def save_json(rows: list, mode: str):
-    RESULTS_DIR.mkdir(exist_ok=True)
-    payload = {"bench": "specialized", "mode": mode, "rows": rows}
-    path = RESULTS_DIR / "specialized.json"
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    return path
-
-
 def test_specialized_speedup():
-    """Acceptance: ≥1.5x median pps over the interpreted fast path on
+    """Acceptance: ≥1.5x median pps over the interpreter on
     the 10k-flow burst-32 workload, steady and under churn: mods
     inside the compiled shape patch the program instead of discarding
     it."""
     rows = run_suite(FULL_SIZES)
     save_result("specialized", render(rows, mode="full"))
-    save_json(rows, mode="full")
+    save_json("specialized", rows, mode="full")
     by_key = {(row["flows"], row["kind"], row["config"]): row for row in rows}
     assert by_key[(10_000, "steady", "specialized")]["speedup_vs_interpreted"] >= 1.5
     assert by_key[(1_000, "steady", "specialized")]["speedup_vs_interpreted"] >= 1.5
@@ -237,7 +228,7 @@ def main(argv=None):
     mode = "smoke" if args.fast else "full"
     rows = run_suite(SMOKE_SIZES if args.fast else FULL_SIZES)
     save_result("specialized", render(rows, mode=mode))
-    path = save_json(rows, mode=mode)
+    path = save_json("specialized", rows, mode=mode)
     print(f"JSON archived at {path}")
 
 

@@ -103,9 +103,8 @@ def make_datapath_rig(specialize: bool):
     pair-allow rules, with the L4 ports varied per packet: the policy
     matches L3 only, so the compiled tier's shrunk flow key coalesces
     every port combination onto one cached decision per pair, while
-    the interpreted microflow cache sees each port pair as a distinct
-    full key — the miniflow-shrinking effect the compiled tier exists
-    for."""
+    the interpreter classifies every packet — the miniflow-shrinking
+    effect the compiled tier exists for."""
     sim, hosts, deployment, dmz = build()
     switch = deployment.s4.ss2
     switch.specialize = specialize

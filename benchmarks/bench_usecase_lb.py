@@ -83,8 +83,8 @@ def make_datapath_rig(specialize: bool):
     VIP, spread over backends by the select group's source-IP hash.
     The VIP rule matches L3 only and the hash reads ``ipv4_src``, so
     the compiled tier bakes one bucket choice per client into its
-    shrunk-key cache while varying L4 source ports thrash the
-    interpreted full-key microflow cache."""
+    shrunk-key cache while the interpreter classifies and hashes every
+    packet."""
     sim, clients, backends, deployment = build()
     switch = deployment.s4.ss2
     switch.specialize = specialize

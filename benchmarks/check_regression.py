@@ -1,7 +1,6 @@
 """Bench-regression gate: fresh artefacts vs committed baselines.
 
-CI runs the fastpath and churn benches in smoke mode, then this script
-compares the fresh ``results/*.json`` against the committed
+CI runs the gated benches in smoke mode, then this script compares the fresh ``results/*.json`` against the committed
 ``baselines/*.json`` and fails the workflow on a regression.
 
 Comparison rules:
@@ -41,9 +40,7 @@ silently never cover it.
 
 Refresh the baselines after an intentional perf change with::
 
-    PYTHONPATH=src python benchmarks/bench_fastpath.py --fast
     PYTHONPATH=src python benchmarks/bench_churn.py --fast
-    PYTHONPATH=src python benchmarks/bench_batch.py --fast
     PYTHONPATH=src python benchmarks/bench_specialized.py --fast
     PYTHONPATH=src python benchmarks/bench_fabric.py --fast
     PYTHONPATH=src python benchmarks/bench_fabric.py --fast --shards 2

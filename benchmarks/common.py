@@ -18,12 +18,13 @@ from repro.core import HarmlessManager
 from repro.legacy import LegacySwitch
 from repro.mgmt import DeviceConnection, get_network_driver
 from repro.net import IPv4Address, MACAddress
-from repro.net.build import udp_frame
 from repro.netsim import Host, Link, Simulator
 from repro.netsim.link import wire
 from repro.netsim.node import Node
+from repro.openflow import ApplyActions, FlowMod, Match, OutputAction
 from repro.snmp import SnmpAgent, attach_bridge_mib
 from repro.softswitch import ESWITCH_COST_MODEL, DatapathCostModel, SoftSwitch
+from repro.traffic import FlowSpec, interleave_bursts, zipf_weights
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -33,9 +34,14 @@ ZERO_COST = DatapathCostModel.zero()
 #: Full measurement passes per bench suite (merged per-row by keep_best).
 MEASURE_REPEATS = 3
 
-#: Steady-state working set the wall-clock benches cycle through
-#: (microflow-cache hit rate ~= 1 - active/packets).
+#: Steady-state working set the wall-clock benches cycle through.
 ACTIVE_FLOWS = 64
+
+#: Zipf skew of the burst-stream traffic mix (flow popularity, NFPA-style).
+TRAFFIC_SKEW = 1.0
+#: Per-flow trains of up to this many back-to-back frames (TCP-window /
+#: GSO shape) — the within-burst locality a compiled burst amortises.
+TRAIN_LEN = 4
 
 BENCH_MAC_SRC = MACAddress("02:00:00:00:aa:01")
 BENCH_MAC_DST = MACAddress("02:00:00:00:bb:02")
@@ -84,18 +90,55 @@ def bench_flow_addresses(index: int):
     )
 
 
-def steady_traffic(num_flows: int, packets: int, active: int):
-    """Frames cycling a bounded working set spread across the table."""
-    active = min(num_flows, active)
-    stride = max(num_flows // active, 1)
-    frames = []
-    for slot in range(active):
-        index = (slot * stride) % num_flows
+def install_exact_flows(switch, num_flows):
+    """*num_flows* exact 5-tuple rules + a match-all drop."""
+    for index in range(num_flows):
         src, dst = bench_flow_addresses(index)
-        frames.append(
-            udp_frame(BENCH_MAC_SRC, BENCH_MAC_DST, src, dst, 1000, 2000, b"x" * 32)
+        message = FlowMod(
+            match=Match(eth_type=0x0800, ipv4_src=src, ipv4_dst=dst, udp_dst=2000),
+            priority=100,
+            instructions=[
+                ApplyActions(actions=(OutputAction(port=index % 3 + 1),))
+            ],
         )
-    return [frames[i % active] for i in range(packets)]
+        assert switch.handle_message(message.to_bytes()) == []
+    drop = FlowMod(match=Match(), priority=0, instructions=[])
+    assert switch.handle_message(drop.to_bytes()) == []
+
+
+def make_stream(num_flows: int, packets: int) -> list:
+    """One flat zipf-weighted frame stream (template frame per flow)
+    over ACTIVE_FLOWS flows spread across the table.
+
+    Generated once and *chunked* per burst, so every configuration
+    processes byte-for-byte the same frame sequence.
+    """
+    active = min(num_flows, ACTIVE_FLOWS)
+    stride = max(num_flows // active, 1)
+    specs = [
+        FlowSpec(
+            src_mac=BENCH_MAC_SRC,
+            dst_mac=BENCH_MAC_DST,
+            src_ip=src,
+            dst_ip=dst,
+            src_port=1000,
+            dst_port=2000,
+        )
+        for src, dst in (
+            bench_flow_addresses((slot * stride) % num_flows)
+            for slot in range(active)
+        )
+    ]
+    weights = zipf_weights(len(specs), skew=TRAFFIC_SKEW)
+    ((_, frames),) = interleave_bursts(
+        specs, [(0.0, packets)], seed=num_flows, weights=weights,
+        payload_len=32, train_len=TRAIN_LEN,
+    )
+    return frames
+
+
+def chunk(stream: list, size: int) -> "list[list]":
+    return [stream[i:i + size] for i in range(0, len(stream), size)]
 
 
 def keep_best(best: dict, key, row: dict) -> None:

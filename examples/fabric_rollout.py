@@ -93,14 +93,14 @@ def main() -> None:
     problems = fleet.verify_deployments()
     print(f"\nper-site config read-back: {'OK' if not problems else problems}")
 
-    print("\nmigrated datapaths (SS_2 microflow cache per hop):")
+    print("\nmigrated datapaths (frames compiled / interpreted per hop):")
     for name, deployment in fleet.deployments.items():
-        cache = deployment.s4.ss2.stats()["cache"]
         ss1 = deployment.s4.ss1.stats()["specialization"]
+        ss2 = deployment.s4.ss2.stats()["specialization"]
         print(
             f"  {name:<8s} dpid={deployment.datapath.dpid:#6x}  "
-            f"cache hits {cache['hits']:>5} ({cache['hit_rate']:.0%})  "
-            f"SS_1 compiled frames {ss1['specialized_frames']}"
+            f"SS_1 {ss1['specialized_frames']:>4} / {ss1['fallback_frames']:<4}  "
+            f"SS_2 {ss2['specialized_frames']:>4} / {ss2['fallback_frames']}"
         )
 
     if legacy_rtt is not None and sample_host.rtts():

@@ -2,8 +2,8 @@
 
 The switch pipeline matches fields many times per packet; PacketView
 decodes every supported OXM field once into a flat *flow key* tuple
-(the OVS-style "miniflow").  The key is what the two-tier fast path is
-built on: the exact-match microflow cache hashes it directly, and
+(the OVS-style "miniflow").  The key is what classification is built
+on: the bucketed classifier hashes its slots directly, and
 pre-compiled :class:`~repro.openflow.match.Match` objects test it with
 plain integer comparisons instead of per-field attribute dispatch.
 Field names follow the OXM naming.

@@ -15,7 +15,6 @@ benchmarks meaningful (see DESIGN.md substitutions).
 from repro.softswitch.compiler import CompiledProgram, compile_datapath
 from repro.softswitch.costmodel import DatapathCostModel, ESWITCH_COST_MODEL
 from repro.softswitch.datapath import SoftSwitch
-from repro.softswitch.fastpath import CachedPath, DatapathFlowCache
 from repro.softswitch.flowtable import FlowEntry, FlowTable
 from repro.softswitch.groups import GroupEntry, GroupTable
 
@@ -25,8 +24,6 @@ __all__ = [
     "FlowEntry",
     "GroupTable",
     "GroupEntry",
-    "DatapathFlowCache",
-    "CachedPath",
     "DatapathCostModel",
     "ESWITCH_COST_MODEL",
     "CompiledProgram",

@@ -6,8 +6,8 @@ currently installed flow tables instead of interpreting a
 general-purpose pipeline.  This module is that idea applied to the
 Python datapath: it inspects a switch's installed tables and generates
 — via textual codegen + ``exec`` — one specialized function pair
-(single frame + burst) per switch, which the datapath runs as **tier 0**
-above the microflow cache:
+(single frame + burst) per switch, which the datapath runs in place of
+the reference interpreter whenever a program is active:
 
 * **miniflow shrinking** — the flow-key extractor is inlined and
   restricted to the union of slots any installed match reads across
@@ -37,8 +37,8 @@ above the microflow cache:
 **Timeouts.**  Pipelines with idle/hard timeouts compile to a *mortal*
 program: every decision carries the mortal entries it walked through,
 and both caches (key cache and frame memo) revalidate those entries'
-expiry before replaying — the same lazy validation
-``CachedPath`` replay performs one tier down.  Expiry is monotonic
+expiry before replaying — the lazy check the interpreter's table
+lookup makes on every frame.  Expiry is monotonic
 (an expired entry can never revive, and installs flush the cached
 decisions), so a decision is valid exactly until one of its own
 entries expires.
@@ -46,8 +46,8 @@ entries expires.
 **Per-entry fallback.**  Rules the generated code cannot reproduce
 bit-identically — packet-ins (controller output), flood/ALL/IN_PORT
 outputs, write-actions/clear-actions, frame transforms before a goto,
-nested groups inside buckets, select-group hashing after a transform,
-non-increasing gotos — no longer reject the whole pipeline.  They
+nested groups inside buckets, select-group hashing after a transform
+— no longer reject the whole pipeline.  They
 compile to a FALLBACK decision that routes just those frames through
 the interpreted path (``SoftSwitch._interpret_one``), which performs
 all of its own counting; mixed pipelines (the learning-switch
@@ -95,9 +95,9 @@ On the burst path the compiled program processes
 ``process_batch``-shaped bursts directly: one shrunk-key extraction
 and one decision per distinct frame *object* per burst, with outputs
 re-coalesced per egress port.  A FALLBACK frame mid-burst first
-flushes the coalesced egress and syncs the busy clock (mirroring the
-interpreted batch path's flush-before-async ordering, so a synchronous
-controller observes every prior frame).  If the interpreted walk
+flushes the coalesced egress and syncs the busy clock, so a synchronous
+controller handed a packet-in observes every prior frame exactly as
+frame-by-frame processing would show it.  If the interpreted walk
 mutates the pipeline — a reactive controller answering the packet-in —
 the burst looks at what the mutation did to the program: patched
 (content only) drops the burst-local decision memo and carries on
@@ -169,7 +169,7 @@ _TRANSFORM_ACTIONS = (PushVlanAction, PopVlanAction, SetFieldAction)
 
 
 class CompiledProgram:
-    """One switch's specialized datapath (tier 0 of the fast path).
+    """One switch's specialized datapath.
 
     Holds the generated entry points, the *shape* they were generated
     for (see the module docstring) and the derived *content* caches.
@@ -342,11 +342,10 @@ def entry_fallback_reason(entry: "FlowEntry", table_id: int) -> Optional[str]:
     actions, next_table, reason = _shape_of(entry)
     if reason is not None:
         return reason
-    if next_table is not None:
-        if next_table <= table_id:
-            return "goto-table does not increase (interpreter raises)"
-        if any(type(a) in _TRANSFORM_ACTIONS for a in actions):
-            return "frame transform before goto-table"
+    if next_table is not None and any(
+        type(a) in _TRANSFORM_ACTIONS for a in actions
+    ):
+        return "frame transform before goto-table"
     return None
 
 
@@ -490,9 +489,8 @@ def _build_decision(entry, shrunk_key, now, tables, groups, hash_fields,
         if next_table is None or next_table >= len(tables):
             break  # end of pipeline: walk complete (goto past the last
             # table ends the loop without a miss, like the interpreter)
-        if next_table <= table_id or transformed:
-            # Non-increasing goto raises in the interpreter; a transform
-            # before a goto invalidates the baked key.  Both interpret.
+        if transformed:
+            # A transform before a goto invalidates the baked key.
             return _FALLBACK_PLAN
         table_id = next_table
         entry = tables[table_id]._classify(full_key, now)
@@ -723,7 +721,7 @@ def compile_datapath(
     # always guarded (they feed L3/L4 fields and wire_length); the
     # other guards shrink with the used-slot set, like the extractor.
     # Mortal programs additionally revalidate the decision's entries.
-    guards = ["m[3] is frame.payload", "m[4] == len(frame.tags)"]
+    guards = ["m[2] is frame.payload", "m[3] == len(frame.tags)"]
     extras: list[tuple[str, str]] = []  # (store expr, guard template)
     slot_set = set(used_slots)
     if 0 in slot_set:
@@ -737,10 +735,10 @@ def compile_datapath(
     if slot_set & {4, 5}:
         extras.append(("frame.vlan", "m[{i}] is frame.vlan"))
     for index, (_, template) in enumerate(extras):
-        guards.append(template.format(i=5 + index))
+        guards.append(template.format(i=4 + index))
     if mortal:
         guards.append("_live(m[0], now)")
-    store_parts = ["dec", "key", "frame", "frame.payload", "len(frame.tags)"]
+    store_parts = ["dec", "frame", "frame.payload", "len(frame.tags)"]
     store_parts.extend(expr for expr, _ in extras)
     executor = _EXECUTOR_SOURCE.replace("__GUARDS__", " and ".join(guards))
     executor = executor.replace("__MEMO_ENTRY__", "(" + ", ".join(store_parts) + ")")
@@ -839,20 +837,19 @@ def _lookup(frame, in_port, fid, now, PMEMO=PMEMO, PMEMO_get=PMEMO_get,
     """
     m = PMEMO_get(fid)
     if m is not None and __GUARDS__:
-        return m[0], m[1]
-    plan, key = classify(frame, in_port, now)
-    dec = plan + (frame.wire_length,)
+        return m[0]
+    dec = classify(frame, in_port, now)[0] + (frame.wire_length,)
     if len(PMEMO) >= PMEMO_LIMIT:
         PMEMO.clear()
     PMEMO[fid] = __MEMO_ENTRY__
-    return dec, key
+    return dec
 
 
 def run_one(frame, in_port, SIM=SIM, S=S, T0=T0, PORTS=PORTS,
             EMIT=EMIT, FALL=FALL, SCHED=SCHED, lookup=_lookup,
             chain_steps=_chain_steps):
     now = SIM.now
-    dec, _key = lookup(frame, in_port, id(frame), now)
+    dec = lookup(frame, in_port, id(frame), now)
     kind = dec[0]
     if kind >= 4:
         if kind == 5:
@@ -932,8 +929,6 @@ def run_burst(in_port, frames, SIM=SIM, S=S, T0=T0, PORTS=PORTS,
     now = SIM.now
     memo = {}
     memo_get = memo.get
-    uniq = set()
-    uniq_add = uniq.add
     per_port = {}
     per_port_get = per_port.get
     forwarded = 0
@@ -950,17 +945,14 @@ def run_burst(in_port, frames, SIM=SIM, S=S, T0=T0, PORTS=PORTS,
         fid = id(frame)
         dec = memo_get(fid)
         if dec is None:
-            dec, key = lookup(frame, in_port, fid, now)
-            uniq_add(key)
-            memo[fid] = dec
+            dec = memo[fid] = lookup(frame, in_port, fid, now)
         kind = dec[0]
         if kind >= 4:
             if kind == 5:
                 # Flush coalesced egress and sync the busy clock first:
                 # the interpreted walk may hand a packet-in to a
                 # synchronous controller, which must observe every
-                # prior frame on the wire (the interpreted batch path
-                # orders flushes the same way).
+                # prior frame on the wire.
                 if forwarded:
                     S.packets_forwarded += forwarded
                     for port_number, port_frames in per_port.items():
@@ -1084,11 +1076,6 @@ def run_burst(in_port, frames, SIM=SIM, S=S, T0=T0, PORTS=PORTS,
     if dropped:
         S.packets_dropped += dropped
     S.specialized_frames += specialized
-    S.batch_bursts += 1
-    S.batch_frames += count
-    # Grouping statistic over *shrunk* keys — the keys this tier
-    # actually distinguishes (the interpreted path counts full keys).
-    S.batch_unique_keys += len(uniq)
     if forwarded:
         S.packets_forwarded += forwarded
         for port_number, port_frames in per_port.items():

@@ -60,17 +60,16 @@ from repro.softswitch.compiler import (
     first_fallback_reason,
 )
 from repro.softswitch.costmodel import DatapathCostModel, ESWITCH_COST_MODEL
-from repro.softswitch.fastpath import CachedPath, DatapathFlowCache
 from repro.softswitch.flowtable import FlowEntry, FlowTable
 from repro.softswitch.groups import SELECT_HASH_FIELDS, GroupTable
 
 #: How often expired flows are swept (also checked lazily on lookup).
 EXPIRY_SWEEP_INTERVAL_S = 1.0
 
-#: Churn hysteresis for the specialized tier 0.  A mutation the
+#: Churn hysteresis for the compiled program.  A mutation the
 #: compiled program's shape does not cover (see the compiler module
 #: docstring) marks it stale and the switch falls back to the
-#: interpreted fast path; a recompile is attempted on the next packet
+#: interpreter; a recompile is attempted on the next packet
 #: only once this many mods have accumulated...
 RECOMPILE_AFTER_MODS = 64
 #: ...or once the control plane has been quiet for this long (simulated
@@ -121,6 +120,12 @@ class SoftSwitch(Node):
     configurable latency.
     """
 
+    #: There is no flow cache.  The frozen benchmark's tracer
+    #: (benchmarks/e2e/harmless_e2e/tracing.py, ``_wrap_tiered``) reads
+    #: this name and tolerates None; it goes when a ``benchmark`` PR
+    #: drops that read.
+    flow_cache = None
+
     def __init__(
         self,
         sim: Simulator,
@@ -135,15 +140,12 @@ class SoftSwitch(Node):
         self.datapath_id = datapath_id
         self.tables = [FlowTable(table_id) for table_id in range(num_tables)]
         self.groups = GroupTable()
-        #: Two-tier fast path: microflow cache over the bucketed
-        #: classifier.  Disabled (None cache + seed linear scans) only
-        #: for differential tests and the fastpath benchmark baseline.
+        #: Table lookups go through the bucketed classifier; False
+        #: selects the seed ``FlowTable.linear_lookup`` scan, the
+        #: reference the differential suites compare against.
         self.fast_path = enable_fast_path
-        self.flow_cache: "Optional[DatapathFlowCache]" = (
-            DatapathFlowCache() if enable_fast_path else None
-        )
-        #: Tier 0: the ESwitch-style specialized program compiled from
-        #: the installed pipeline (see repro.softswitch.compiler).
+        #: The ESwitch-style specialized program compiled from the
+        #: installed pipeline (see repro.softswitch.compiler).
         #: Defaults to following the fast-path switch so "interpreted
         #: seed" configurations stay fully interpreted.
         self.specialize = (
@@ -163,8 +165,8 @@ class SoftSwitch(Node):
         self.program_patches = 0
         #: Why the last active program was discarded (None: never).
         self.last_regenerate_reason: "Optional[str]" = None
-        #: Frames served by the compiled tier 0 / by the interpreted
-        #: fallback while specialization was enabled.
+        #: Frames served by the compiled program / by the interpreter
+        #: while specialization was enabled.
         self.specialized_frames = 0
         self.fallback_frames = 0
         self._ineligible_reason: "Optional[str]" = None
@@ -199,18 +201,6 @@ class SoftSwitch(Node):
         self.packets_forwarded = 0
         self.packets_dropped = 0
         self.packets_to_controller = 0
-        #: Burst-path grouping statistics: frames arriving in bursts,
-        #: bursts processed, and unique flow keys seen across bursts
-        #: (``batch_frames / batch_unique_keys`` is the per-burst
-        #: amortisation factor the BATCH bench reports).  Which key the
-        #: serving tier distinguishes: the interpreted path counts full
-        #: 14-slot flow keys, the compiled tier 0 counts its *shrunk*
-        #: keys (only the slots the installed pipeline reads), so the
-        #: statistic describes the grouping the active tier actually
-        #: exploited.
-        self.batch_bursts = 0
-        self.batch_frames = 0
-        self.batch_unique_keys = 0
         self.busy_until = 0.0
         self._xid = 0
         self._sweep_scheduled = False
@@ -297,16 +287,13 @@ class SoftSwitch(Node):
         Flow tables and groups are rebuilt empty — even the table-miss
         entry is gone until a controller reinstalls it, so every packet
         drops on miss, exactly like a rebooted switch before its
-        handshake completes.  Both fast-path tiers are invalidated: the
-        microflow cache is flushed and any compiled program discarded,
-        since both memoise walks of tables that no longer exist.
-        Forwarding counters survive (they model an external observer,
-        not switch RAM).
+        handshake completes.  Any compiled program is discarded, since
+        it memoises walks of tables that no longer exist.  Forwarding
+        counters survive (they model an external observer, not switch
+        RAM).
         """
         self.tables = [FlowTable(table_id) for table_id in range(len(self.tables))]
         self.groups = GroupTable()
-        if self.flow_cache is not None:
-            self.flow_cache.invalidate()
         self._miss_seen.clear()
         self._mark_program_stale("pipeline reset")
 
@@ -348,7 +335,7 @@ class SoftSwitch(Node):
         return program
 
     def stats(self) -> dict:
-        """Datapath counters: forwarding, specialization, microflow cache."""
+        """Datapath counters: forwarding and specialization."""
         return {
             "packets_forwarded": self.packets_forwarded,
             "packets_dropped": self.packets_dropped,
@@ -368,7 +355,6 @@ class SoftSwitch(Node):
                 "fallback_frames": self.fallback_frames,
                 "ineligible_reason": self.compile_ineligible_reason,
             },
-            "cache": self.flow_cache.stats() if self.flow_cache is not None else None,
         }
 
     # ---------------------------------------------------------- data plane
@@ -392,173 +378,23 @@ class SoftSwitch(Node):
     def process_batch(
         self, in_port: int, frames: "list[EthernetFrame]"
     ) -> None:
-        """Run a burst through the pipeline, amortising per-frame overhead.
+        """Run a burst through the pipeline.
 
         Semantically this is exactly ``for f in frames: inject(f,
         in_port)`` executed at one simulated instant — bit-identical
         emitted frames, order, packet-ins and counters (proven by the
-        randomized differential suite).  What the batch buys:
-
-        * each distinct frame *object* is decoded once per burst
-          (generators emit per-flow template frames, so a 32-frame
-          burst from 4 flows costs 4 decodes, not 32);
-        * the microflow cache validates entry expiry once per
-          (key, burst) instead of once per frame
-          (:meth:`DatapathFlowCache.get_for_burst`);
-        * outputs whose cost-model charge is already covered are
-          emitted as one egress burst per port
-          (:meth:`Port.send_burst` → one link event per burst) instead
-          of one simulator event per frame.
-
-        Frames whose processing cost pushes completion past ``now``
-        fall back to per-frame deferred emission, exactly like the
-        single-frame path, so the cost model stays authoritative.
-        Packet-ins are never batched: they reach ``to_controller`` at
-        the same per-frame points as sequential processing, so even a
-        synchronously wired controller that reprograms the pipeline
-        mid-burst sees identical behaviour.
+        randomized differential suite).  An active compiled program
+        amortises the burst (``CompiledProgram.run_burst``: one decision
+        per distinct frame object, one egress burst per port); without
+        one the burst *is* that loop.
         """
-        if not frames:
-            return
-        if len(frames) == 1:
-            self._walk_and_emit(frames[0], in_port)
-            return
-        if self.specialize:
+        if self.specialize and len(frames) > 1:
             program = self._active_program()
             if program is not None:
                 program.run_burst(in_port, frames)
                 return
-            self.fallback_frames += len(frames)
-        now = self.sim.now
-        cache = self.flow_cache
-        #: keys whose cached path was already expiry-validated this burst
-        validated: "set[tuple[int | None, ...]]" = set()
-        #: id(frame) -> decoded flow key (frames are not mutated by the
-        #: pipeline — actions transform copies — so the memo is safe for
-        #: the burst's lifetime)
-        decoded: "dict[int, tuple[int | None, ...]]" = {}
-        #: egress frames grouped per port as cleared frames land
-        per_port: "dict[int, list[EthernetFrame]]" = {}
-        forwarded = 0
-        saved_tx, saved_async = self._tx_buffer, self._async_buffer
-        decoded_get = decoded.get
-        #: id(frame) -> wire length, filled lazily by the fast replay
-        lengths: "dict[int, int]" = {}
-        lengths_get = lengths.get
-        get_for_burst = cache.get_for_burst if cache is not None else None
-        replay_steps = self._replay_steps
-        charge = self._charge
-        tables = self.tables
-        ports = self.ports
-        zero_cost = self._cost_is_zero
-        # With an all-zero cost model the stats object only feeds the
-        # (skipped) cost computation, so one instance serves the burst.
-        shared_stats = PipelineStats() if zero_cost else None
-        outputs: "list[tuple[int, EthernetFrame]]" = []
-        async_messages: "list[OpenFlowMessage]" = []
-        try:
-            for frame in frames:
-                frame_id = id(frame)
-                key = decoded_get(frame_id)
-                if key is None:
-                    view = PacketView(frame, in_port)
-                    key = view.flow_key()
-                    decoded[frame_id] = key
-                else:
-                    view = None  # built lazily: a cache hit never needs it
-                stats = shared_stats if zero_cost else PipelineStats()
-                self._tx_buffer = outputs
-                self._async_buffer = async_messages
-                hit = False
-                if get_for_burst is not None:
-                    path = get_for_burst(key, now, validated)
-                    if path is not None:
-                        cache.hits += 1
-                        hit = True
-                        fast = path.single_output
-                        if fast is not None:
-                            # Single-table, single-output walk: replay
-                            # inline with the exact counters/touch the
-                            # generic executor would produce.
-                            table_id, entry, out_port = fast
-                            table = tables[table_id]
-                            table.lookups += 1
-                            table.matches += 1
-                            stats.lookups += 1
-                            stats.actions += 1
-                            length = lengths_get(frame_id)
-                            if length is None:
-                                length = lengths[frame_id] = frame.wire_length
-                            entry.touch(now, length)
-                            if out_port in ports:
-                                outputs.append((out_port, frame))
-                            else:
-                                self.packets_dropped += 1
-                        else:
-                            replay_steps(path, frame, in_port, stats, now)
-                    else:
-                        cache.misses += 1
-                if not hit:
-                    if view is None:
-                        view = PacketView(frame, in_port, key)
-                    self._slow_path(view, frame, in_port, stats, now)
-                    if cache is not None:
-                        # The walk just stored a path whose entries the
-                        # classifier saw live at `now` — no re-check needed.
-                        validated.add(key)
-                if outputs or async_messages:
-                    finish = charge(stats)
-                    if finish <= now:
-                        if outputs:
-                            forwarded += len(outputs)
-                            for port_number, out_frame in outputs:
-                                chain = per_port.get(port_number)
-                                if chain is None:
-                                    per_port[port_number] = [out_frame]
-                                else:
-                                    chain.append(out_frame)
-                            outputs.clear()
-                        if async_messages:
-                            # Delivered at the same point the sequential
-                            # path would deliver them, so a synchronously
-                            # wired controller reacting to frame i still
-                            # reprograms the pipeline before frame i+1 —
-                            # and, because the egress accumulated so far
-                            # is flushed first, sees the same forwarding
-                            # and port statistics sequential processing
-                            # would show it.
-                            if forwarded:
-                                self.packets_forwarded += forwarded
-                                forwarded = 0
-                                for port_number, port_frames in per_port.items():
-                                    self.port(port_number).send_burst(port_frames)
-                                per_port.clear()
-                            for message in async_messages:
-                                if self.to_controller is not None:
-                                    self.to_controller(message.to_bytes())
-                            async_messages.clear()
-                    else:
-                        # Deferred emission keeps per-frame timing; the
-                        # buffers now belong to the scheduled closure.
-                        self.sim.schedule_at(
-                            finish,
-                            lambda o=outputs, a=async_messages: self._emit(o, a),
-                        )
-                        outputs = []
-                        async_messages = []
-                else:
-                    charge(stats)
-        finally:
-            self._tx_buffer, self._async_buffer = saved_tx, saved_async
-        self.batch_bursts += 1
-        self.batch_frames += len(frames)
-        self.batch_unique_keys += (
-            len(validated) if cache is not None else len(set(decoded.values()))
-        )
-        if forwarded:
-            self.packets_forwarded += forwarded
-            for port_number, port_frames in per_port.items():
-                self.port(port_number).send_burst(port_frames)
+        for frame in frames:
+            self._walk_and_emit(frame, in_port)
 
     def _walk_and_emit(self, frame: EthernetFrame, in_port: int) -> None:
         """Run the pipeline, then emit buffered outputs after the CPU cost.
@@ -573,20 +409,17 @@ class SoftSwitch(Node):
             if program is not None:
                 program.run_one(frame, in_port)
                 return
-            self._interpret_one(frame, in_port)
-            return
-        stats = PipelineStats()
-        outputs, async_messages = self._buffered(self._run_pipeline, frame, in_port, stats)
-        self._flush(outputs, async_messages, stats)
+        self._interpret_one(frame, in_port)
 
     def _interpret_one(self, frame: EthernetFrame, in_port: int) -> None:
-        """One frame through the interpreted path while specialization
-        is enabled: either no program is active, or the active program
-        selected a FALLBACK decision for this frame (packet-in, flood,
-        action-set semantics...) and handed it over.  Does all of its
-        own counting — the compiled caller only routes.
+        """One frame through the reference interpreter: specialization
+        is off, no program is active (hysteresis window), or the active
+        program selected a FALLBACK decision for this frame (packet-in,
+        flood, action-set semantics...) and handed it over.  Does all of
+        its own counting — the compiled caller only routes.
         """
-        self.fallback_frames += 1
+        if self.specialize:
+            self.fallback_frames += 1
         stats = PipelineStats()
         outputs, async_messages = self._buffered(self._run_pipeline, frame, in_port, stats)
         self._flush(outputs, async_messages, stats)
@@ -661,90 +494,17 @@ class SoftSwitch(Node):
     def _run_pipeline(
         self, frame: EthernetFrame, in_port: int, stats: PipelineStats
     ) -> None:
+        """The reference interpreter: one frame's walk through the tables."""
         now = self.sim.now
+        tables = self.tables
         view = PacketView(frame, in_port)
-        key = view.flow_key()
-        cache = self.flow_cache
-        if cache is not None:
-            cached = cache.get(key)
-            if cached is not None and self._replay(cached, key, frame, in_port, stats, now):
-                cache.hits += 1
-                return
-            cache.misses += 1
-        self._slow_path(view, frame, in_port, stats, now)
-
-    def _replay(
-        self,
-        cached: CachedPath,
-        key: "tuple[int | None, ...]",
-        frame: EthernetFrame,
-        in_port: int,
-        stats: PipelineStats,
-        now: float,
-    ) -> bool:
-        """Re-execute a memoised walk; False if it went stale (expiry).
-
-        Only the per-table classifier search is skipped: counters,
-        action execution, group selection and packet-in all run exactly
-        as on the slow path, so behaviour is bit-identical.
-        """
-        for _, entry in cached.steps:
-            if entry.is_expired(now):
-                self.flow_cache.discard(key)
-                return False
-        self._replay_steps(cached, frame, in_port, stats, now)
-        return True
-
-    def _replay_steps(
-        self,
-        cached: CachedPath,
-        frame: EthernetFrame,
-        in_port: int,
-        stats: PipelineStats,
-        now: float,
-    ) -> None:
-        """The expiry-validated half of a replay (shared with the batch
-        path, which validates once per (key, burst) up front)."""
         current = frame
         action_set: dict[str, Action] = {}
-        for table_id, entry in cached.steps:
-            table = self.tables[table_id]
-            table.lookups += 1
-            table.matches += 1
-            stats.lookups += 1
-            current = self._execute_entry(entry, current, in_port, stats, action_set, now)[0]
-        if cached.miss_table is not None:
-            self.tables[cached.miss_table].lookups += 1
-            stats.lookups += 1
-            self.packets_dropped += 1
-            return
-        if action_set:
-            ordered = self._order_action_set(action_set)
-            self._apply_actions(ordered, current, in_port, stats)
-
-    def _slow_path(
-        self,
-        view: PacketView,
-        frame: EthernetFrame,
-        in_port: int,
-        stats: PipelineStats,
-        now: float,
-    ) -> None:
-        key = view.flow_key()  # the *ingress* key — what the cache indexes
         table_id = 0
-        action_set: dict[str, Action] = {}
-        current = frame
-        steps: "list[tuple[int, FlowEntry]]" = []
-        #: (table id, flow key the lookup used there) — the dependency
-        #: record a later FlowMod ADD is tested against.
-        visits: "list[tuple[int, tuple[int | None, ...]]]" = []
-        cache = self.flow_cache
-        while table_id < len(self.tables):
+        while table_id < len(tables):
             if view.frame is not current:
                 view = PacketView(current, in_port)
-            table = self.tables[table_id]
-            if cache is not None:
-                visits.append((table_id, view.flow_key()))
+            table = tables[table_id]
             entry = (
                 table.lookup(view, now)
                 if self.fast_path
@@ -753,59 +513,19 @@ class SoftSwitch(Node):
             stats.lookups += 1
             if entry is None:
                 self.packets_dropped += 1
-                if cache is not None:
-                    cache.store(
-                        key,
-                        CachedPath(
-                            steps=tuple(steps),
-                            miss_table=table_id,
-                            visits=tuple(visits),
-                            group_ids=self._group_refs(steps),
-                        ),
-                    )
                 return
-            steps.append((table_id, entry))
             current, next_table = self._execute_entry(
                 entry, current, in_port, stats, action_set, now
             )
             if next_table is None:
                 break
-            if next_table <= table_id:
-                raise ValueError(
-                    f"{self.name}: goto-table must increase ({table_id} -> {next_table})"
-                )
+            # Strictly increasing: _handle_flow_mod rejects any other goto.
             table_id = next_table
-        if cache is not None:
-            cache.store(
-                key,
-                CachedPath(
-                    steps=tuple(steps),
-                    visits=tuple(visits),
-                    group_ids=self._group_refs(steps),
-                ),
-            )
         if action_set:
             ordered = self._order_action_set(action_set)
             self._apply_actions(ordered, current, in_port, stats)
         # No action set and no outputs along the way: packet is dropped
         # implicitly (already accounted where applicable).
-
-    @staticmethod
-    def _group_refs(steps: "list[tuple[int, FlowEntry]]") -> tuple[int, ...]:
-        """Groups referenced by the matched entries' instructions.
-
-        Direct references only: replay executes group actions against
-        the live group table, so bucket contents (including nested
-        group chains) are always read fresh — the dependency exists to
-        drop memoised walks whose behaviour a GroupMod redirects.
-        """
-        refs = []
-        for _, entry in steps:
-            for instruction in entry.instructions:
-                for action in getattr(instruction, "actions", ()):
-                    if isinstance(action, GroupAction):
-                        refs.append(action.group_id)
-        return tuple(refs)
 
     def _execute_entry(
         self,
@@ -816,7 +536,7 @@ class SoftSwitch(Node):
         action_set: "dict[str, Action]",
         now: float,
     ) -> "tuple[EthernetFrame, int | None]":
-        """Run one matched entry's instructions; shared by both paths."""
+        """Run one matched entry's instructions (counters, touch, actions)."""
         entry.touch(now, current.wire_length)
         next_table: "int | None" = None
         for instruction in entry.instructions:
@@ -1020,13 +740,17 @@ class SoftSwitch(Node):
         if message.table_id >= len(self.tables):
             return ErrorMsg(xid=message.xid, error_type=5, code=2)  # bad table
         table = self.tables[message.table_id]
-        cache = self.flow_cache
         now = self.sim.now
-        # Every state-changing FlowMod below invalidates the microflow
-        # cache *dependency-scoped*: only memoised walks the change can
-        # actually redirect are dropped, so churn against unrelated
-        # tables or masks keeps the cache warm (as do no-ops: deletes
-        # that remove nothing, rejected commands).
+        if message.command not in (c.OFPFC_DELETE, c.OFPFC_DELETE_STRICT):
+            # The interpreter walk relies on gotos strictly increasing
+            # and staying inside the pipeline; nothing is installed
+            # from a FlowMod that breaks either.
+            for instruction in message.instructions:
+                if isinstance(instruction, GotoTable) and not (
+                    message.table_id < instruction.table_id < len(self.tables)
+                ):
+                    # OFPET_BAD_INSTRUCTION / OFPBIC_BAD_TABLE_ID
+                    return ErrorMsg(xid=message.xid, error_type=3, code=2)
         if message.command == c.OFPFC_ADD:
             if message.idle_timeout or message.hard_timeout:
                 self._ensure_sweeper()
@@ -1040,10 +764,6 @@ class SoftSwitch(Node):
                 send_flow_removed=bool(message.flags & 1),
             )
             replaced = table.install(entry, now)
-            if cache is not None:
-                cache.invalidate_for_add(
-                    message.table_id, message.match, message.priority
-                )
             self._pipeline_mutated(
                 (replaced,) if replaced is not None else (),
                 lambda program: program.add_breaks_shape(table, entry),
@@ -1058,8 +778,6 @@ class SoftSwitch(Node):
                 cookie_mask=message.cookie_mask,
             )
             if removed:
-                if cache is not None:
-                    cache.invalidate_entries(removed)
                 self._pipeline_mutated(removed)
             for entry in removed:
                 if entry.send_flow_removed:
@@ -1089,8 +807,6 @@ class SoftSwitch(Node):
                         entry.cookie = message.cookie
                     modified.append(entry)
             if modified:
-                if cache is not None:
-                    cache.invalidate_entries(modified)
                 self._pipeline_mutated(modified)
             return None
         return ErrorMsg(xid=message.xid, error_type=4, code=0)  # bad command
@@ -1109,10 +825,6 @@ class SoftSwitch(Node):
                 return ErrorMsg(xid=message.xid, error_type=6, code=0)
         except (ValueError, KeyError):
             return ErrorMsg(xid=message.xid, error_type=6, code=1)
-        # Bucket changes redirect memoised walks whose matched entries
-        # reference this group; walks using other groups (or none) stay.
-        if self.flow_cache is not None:
-            self.flow_cache.invalidate_group(message.group_id)
         self._pipeline_mutated(
             breaks_shape=lambda program: program.groups_break_shape(self.groups)
         )
@@ -1182,8 +894,6 @@ class SoftSwitch(Node):
         for table in self.tables:
             expired = table.expire(now)
             if expired:
-                if self.flow_cache is not None:
-                    self.flow_cache.invalidate_entries(expired)
                 self._pipeline_mutated(expired)
             for entry in expired:
                 if entry.send_flow_removed:

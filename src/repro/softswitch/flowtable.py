@@ -167,9 +167,9 @@ class FlowTable:
     the earliest-installed entry (OpenFlow leaves this undefined;
     deterministic beats undefined for differential testing).
 
-    The table itself does no cache bookkeeping: the datapath
-    explicitly invalidates its microflow cache at every mutation site
-    (FlowMod, GroupMod, expiry sweep).
+    The table keeps no derived forwarding state of its own: the
+    datapath tells its compiled program about every mutation (FlowMod,
+    GroupMod, expiry sweep).
     """
 
     def __init__(self, table_id: int) -> None:

@@ -320,7 +320,7 @@ def cross_pod_flows(
     Each of the ``pods * (pods - 1)`` ordered pairs gets *per_pair*
     flows whose endpoints are the pods' traffic stations
     (:func:`station_mac`) and whose IPs/L4 ports make every 5-tuple
-    distinct — so a multi-hop fabric bench exercises many microflow
+    distinct — so a multi-hop fabric bench exercises many flow
     keys per hop while the learning switch only installs one rule per
     destination MAC.  Frames for a flow enter the fabric at the
     station of ``src_pod`` and must be delivered to the station of

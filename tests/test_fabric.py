@@ -261,12 +261,11 @@ def test_cross_pod_bursts_cross_migrated_chains():
     delivered = sum(station.rx_count for station in stations) - before
     assert delivered == injected
 
-    # Every hop's S4 actually ran the fast path: the SS_1 translator is
-    # specialization-eligible (compiled tier), SS_2 serves cache hits.
+    # Every hop's S4 actually ran compiled: the SS_1 translator and the
+    # SS_2 learning pipeline are both specialization-eligible.
     for deployment in fleet.deployments.values():
-        stats = deployment.s4.ss1.stats()
-        assert stats["specialization"]["specialized_frames"] > 0
-        assert deployment.s4.ss2.stats()["cache"]["hits"] > 0
+        for switch in (deployment.s4.ss1, deployment.s4.ss2):
+            assert switch.stats()["specialization"]["specialized_frames"] > 0
 
 
 def test_cross_pod_flow_population():

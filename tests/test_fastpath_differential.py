@@ -1,11 +1,10 @@
-"""Differential + invalidation tests for the two-tier datapath fast path.
+"""Differential + mutation tests for the bucketed classifier.
 
-The classifier (hash-bucketed exact tier + masked linear fallback) and
-the microflow cache are only allowed to exist because they are
-semantics-free: every test here checks them against the seed's linear
-scan, either per-lookup (randomized flow tables and packets) or
-end-to-end (two switches, one with the fast path disabled, fed the same
-traffic).
+The classifier (hash-bucketed exact tier + staged masked subtables) is
+only allowed to exist because it is semantics-free: every test here
+checks it against the seed's linear scan, either per-lookup (randomized
+flow tables and packets) or end-to-end (two switches, one with the fast
+path disabled, fed the same traffic, control-plane mutations included).
 
 Set ``DIFFERENTIAL_SCALE=<n>`` to multiply the randomized case counts
 (the nightly extended job runs at 5×).
@@ -13,8 +12,6 @@ Set ``DIFFERENTIAL_SCALE=<n>`` to multiply the randomized case counts
 
 import os
 import random
-
-import pytest
 
 from repro.net import EthernetFrame, IPv4Address, MACAddress
 from repro.net.build import tcp_frame, udp_frame
@@ -38,7 +35,6 @@ from repro.openflow import (
 from repro.openflow import consts as c
 from repro.openflow.packetview import FLOW_KEY_FIELDS, PacketView
 from repro.softswitch import DatapathCostModel, SoftSwitch
-from repro.softswitch.fastpath import CachedPath, DatapathFlowCache
 from repro.softswitch.flowtable import FlowEntry, FlowTable
 
 ZERO_COST = DatapathCostModel.zero()
@@ -202,7 +198,7 @@ class TestRandomizedDifferential:
 
 
 # --------------------------------------------------------------------------
-# End-to-end differential: cached switch vs fast-path-disabled switch
+# End-to-end differential: default switch vs fast-path-disabled switch
 # --------------------------------------------------------------------------
 
 
@@ -299,8 +295,7 @@ class TestEndToEndDifferential:
         provision(slow)
         rng = random.Random(0x5EED)
         frames = [random_frame(rng) for _ in range(40)]
-        # Steady-state mix: every frame replayed several times so the
-        # microflow cache actually serves hits.
+        # Steady-state mix: every frame replayed several times.
         schedule = [frames[rng.randrange(len(frames))] for _ in range(400 * SCALE)]
         for frame in schedule:
             in_port = 1 if rng.random() < 0.7 else 2
@@ -308,7 +303,6 @@ class TestEndToEndDifferential:
             slow.inject(frame.copy(), in_port)
         sim_a.run()
         sim_b.run()
-        assert fast.flow_cache.hits > 200  # the cache did serve the walk
         for sink_a, sink_b in zip(sinks_a, sinks_b):
             assert sink_a.received == sink_b.received
         assert fast.packets_forwarded == slow.packets_forwarded
@@ -323,6 +317,7 @@ class TestEndToEndDifferential:
         assert group_f.bucket_packet_counts == group_s.bucket_packet_counts
 
     def test_table_miss_is_cached_and_identical(self):
+        """Repeated table misses drop identically on both switches."""
         (sim_a, fast, _), (sim_b, slow, _) = build_pair()
         provision(fast)
         provision(slow)
@@ -333,7 +328,6 @@ class TestEndToEndDifferential:
         sim_a.run()
         sim_b.run()
         assert fast.packets_dropped == slow.packets_dropped == 5
-        assert fast.flow_cache.hits == 4  # misses memoised too
 
 
 # --------------------------------------------------------------------------
@@ -402,10 +396,8 @@ def random_churn_message(rng: random.Random):
 class TestChurnInterleavedDifferential:
     def test_outputs_identical_under_sustained_churn(self):
         """Packets and control-plane mutations interleaved at random:
-        the dependency-indexed cache must stay bit-identical to the
-        uncached pipeline through adds, deletes, modifies and group
-        rewrites — including mutations that *should* leave memoised
-        walks untouched (the whole point of scoped invalidation)."""
+        the default switch must stay bit-identical to the linear-scan
+        pipeline through adds, deletes, modifies and group rewrites."""
         (sim_a, fast, sinks_a), (sim_b, slow, sinks_b) = build_pair()
         provision(fast)
         provision(slow)
@@ -435,44 +427,10 @@ class TestChurnInterleavedDifferential:
         for table_f, table_s in zip(fast.tables, slow.tables):
             assert table_f.lookups == table_s.lookups
             assert table_f.matches == table_s.matches
-        # Scoped invalidation earned its keep: the cache kept serving
-        # hits between mutations instead of rebuilding from scratch.
-        stats = fast.flow_cache.stats()
-        assert stats["scoped_invalidations"] > 50
-        assert stats["full_invalidations"] == 0
-        assert fast.flow_cache.hits > 200
-
-    def test_repeated_adds_to_quiet_table_never_touch_cache(self):
-        (sim_a, fast, _), (sim_b, slow, _) = build_pair()
-        provision(fast)
-        provision(slow)
-        rng = random.Random(0xFADE)
-        frames = [random_frame(rng) for _ in range(10)]
-        for frame in frames:
-            fast.inject(frame.copy(), 1)
-            slow.inject(frame.copy(), 1)
-        warm = len(fast.flow_cache)
-        for index in range(40):
-            message = FlowMod(
-                table_id=3,  # never reached by the provisioned pipeline
-                match=Match(eth_type=0x0800, udp_dst=1000 + index),
-                priority=20,
-                instructions=[],
-            ).to_bytes()
-            fast.handle_message(message)
-            slow.handle_message(message)
-        assert len(fast.flow_cache) == warm  # not one walk dropped
-        for frame in frames:
-            fast.inject(frame.copy(), 1)
-            slow.inject(frame.copy(), 1)
-        assert fast.flow_cache.hits >= len(frames)
-        sim_a.run()
-        sim_b.run()
-        assert fast.dump_pipeline() == slow.dump_pipeline()
 
 
 # --------------------------------------------------------------------------
-# Cache invalidation: FlowMod, GroupMod, expiry
+# Mutations mid-traffic redirect the next frame: FlowMod, GroupMod, expiry
 # --------------------------------------------------------------------------
 
 
@@ -505,15 +463,13 @@ class TestCacheInvalidation:
             instructions=[ApplyActions(actions=(OutputAction(port=2),))],
         )
         switch.inject(frame_ab(), 1)
-        switch.inject(frame_ab(), 1)  # cache hit
-        assert switch.flow_cache.hits == 1
+        switch.inject(frame_ab(), 1)
         install(
             switch,
             match=Match(in_port=1),
             priority=9,
             instructions=[ApplyActions(actions=(OutputAction(port=3),))],
         )
-        assert len(switch.flow_cache) == 0
         switch.inject(frame_ab(), 1)
         sim.run()
         assert len(sinks[1].received) == 2  # before the higher-priority add
@@ -535,7 +491,6 @@ class TestCacheInvalidation:
                 instructions=[ApplyActions(actions=(OutputAction(port=3),))],
             ).to_bytes()
         )
-        assert len(switch.flow_cache) == 0
         switch.inject(frame_ab(), 1)
         sim.run()
         assert len(sinks[1].received) == 2
@@ -552,7 +507,6 @@ class TestCacheInvalidation:
         switch.handle_message(
             FlowMod(command=c.OFPFC_DELETE, match=Match()).to_bytes()
         )
-        assert len(switch.flow_cache) == 0
         switch.inject(frame_ab(), 1)
         sim.run()
         assert len(sinks[1].received) == 1
@@ -575,7 +529,6 @@ class TestCacheInvalidation:
         )
         switch.inject(frame_ab(), 1)
         switch.inject(frame_ab(), 1)
-        invalidations_before = switch.flow_cache.invalidations
         switch.handle_message(
             GroupMod(
                 command=c.OFPGC_MODIFY,
@@ -584,8 +537,6 @@ class TestCacheInvalidation:
                 buckets=[Bucket(actions=[OutputAction(port=3)])],
             ).to_bytes()
         )
-        assert switch.flow_cache.invalidations == invalidations_before + 1
-        assert len(switch.flow_cache) == 0
         switch.inject(frame_ab(), 1)
         sim.run()
         assert len(sinks[1].received) == 2
@@ -593,7 +544,7 @@ class TestCacheInvalidation:
 
     def test_replay_validates_expiry_between_sweeps(self):
         """A hard timeout landing between sweeper runs must not be served
-        from the cache — replay validation catches it lazily."""
+        — the lookup checks expiry lazily."""
         sim, switch, sinks = build_switch()
         # A decoy mortal flow pins the sweeper to fire at 1.0, 2.0, ...
         install(
@@ -614,14 +565,14 @@ class TestCacheInvalidation:
             ),
         )
         sim.schedule(0.7, lambda: switch.inject(frame_ab(), 1))
-        sim.schedule(1.2, lambda: switch.inject(frame_ab(), 1))  # cache hit
+        sim.schedule(1.2, lambda: switch.inject(frame_ab(), 1))
         sim.schedule(1.6, lambda: switch.inject(frame_ab(), 1))  # stale!
         sim.run(until=1.9)
         assert len(sinks[1].received) == 2
         assert switch.packets_dropped == 1
 
     def test_sweep_invalidates_cache(self):
-        sim, switch, _ = build_switch()
+        sim, switch, sinks = build_switch()
         install(
             switch,
             match=Match(in_port=1),
@@ -629,13 +580,68 @@ class TestCacheInvalidation:
             instructions=[ApplyActions(actions=(OutputAction(port=2),))],
         )
         switch.inject(frame_ab(), 1)
-        assert len(switch.flow_cache) == 1
         sim.run(until=3.0)  # sweeper fires, flow expires
-        assert len(switch.flow_cache) == 0
+        assert len(switch.tables[0]) == 0
+        switch.inject(frame_ab(), 1)
+        sim.run()
+        assert len(sinks[1].received) == 1
+        assert switch.packets_dropped == 1
+
+    def test_miss_then_matching_add_forwards(self):
+        sim, switch, sinks = build_switch()
+        switch.inject(frame_ab(), 1)  # table-miss drops
+        switch.inject(frame_ab(), 1)
+        assert switch.packets_dropped == 2
+        install(
+            switch,
+            match=Match(in_port=1),
+            priority=0,
+            instructions=[ApplyActions(actions=(OutputAction(port=2),))],
+        )
+        switch.inject(frame_ab(), 1)
+        sim.run()
+        assert len(sinks[1].received) == 1
+
+    def test_add_matching_rewritten_key_redirects(self):
+        """Set-field rewrites mid-walk: a later ADD that matches only
+        the *rewritten* packet in table 1 must win the next lookup."""
+        sim, switch, sinks = build_switch()
+        install(
+            switch,
+            match=Match(in_port=1),
+            priority=5,
+            instructions=[
+                ApplyActions(
+                    actions=(SetFieldAction(field="eth_dst", value=int(MACS[2])),)
+                ),
+                GotoTable(table_id=1),
+            ],
+        )
+        install(
+            switch,
+            table_id=1,
+            match=Match(),
+            priority=0,
+            instructions=[ApplyActions(actions=(OutputAction(port=2),))],
+        )
+        switch.inject(frame_ab(), 1)
+        # Misses the ingress key (eth_dst=MACS[1]), hits what table 1
+        # sees after the rewrite (eth_dst=MACS[2]).
+        install(
+            switch,
+            table_id=1,
+            match=Match(eth_dst=int(MACS[2])),
+            priority=9,
+            instructions=[ApplyActions(actions=(OutputAction(port=3),))],
+        )
+        switch.inject(frame_ab(), 1)
+        sim.run()
+        assert len(sinks[1].received) == 1
+        assert len(sinks[2].received) == 1
 
 
 # --------------------------------------------------------------------------
-# Satellites: modify-cookie, packet-out buffering, cache unit behaviour
+# Satellites: modify-cookie, packet-out buffering
 # --------------------------------------------------------------------------
 
 
@@ -702,40 +708,6 @@ class TestPacketOutBuffering:
         )
         sim.run()
         assert len(sinks[1].received) == 1
-
-
-class TestFlowCacheUnit:
-    def test_fifo_eviction_bounds_size(self):
-        cache = DatapathFlowCache(max_entries=2)
-        cache.store((1,), CachedPath(steps=()))
-        cache.store((2,), CachedPath(steps=()))
-        cache.store((3,), CachedPath(steps=()))
-        assert len(cache) == 2
-        assert cache.get((1,)) is None  # oldest evicted
-        assert cache.get((3,)) is not None
-
-    def test_restore_does_not_evict(self):
-        cache = DatapathFlowCache(max_entries=2)
-        cache.store((1,), CachedPath(steps=()))
-        cache.store((2,), CachedPath(steps=()))
-        cache.store((2,), CachedPath(steps=(), miss_table=0))  # overwrite
-        assert len(cache) == 2
-        assert cache.get((1,)) is not None
-
-    def test_stats_shape(self):
-        cache = DatapathFlowCache()
-        cache.hits, cache.misses = 3, 1
-        stats = cache.stats()
-        assert stats["hit_rate"] == pytest.approx(0.75)
-        assert stats["size"] == 0
-
-    def test_disabled_fast_path_has_no_cache(self):
-        sim = Simulator()
-        switch = SoftSwitch(
-            sim, "ss", datapath_id=1, cost_model=ZERO_COST, enable_fast_path=False
-        )
-        assert switch.flow_cache is None
-        assert switch.fast_path is False
 
 
 def test_flow_key_field_order_is_stable():

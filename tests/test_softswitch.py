@@ -9,6 +9,7 @@ from repro.netsim.link import wire
 from repro.openflow import (
     ApplyActions,
     Bucket,
+    ErrorMsg,
     FlowMod,
     FlowStatsRequest,
     GotoTable,
@@ -46,7 +47,7 @@ class Sink(Node):
         self.received.append((self.sim.now, frame))
 
 
-def build_switch(num_sinks=3, cost_model=None):
+def build_switch(num_sinks=3, cost_model=None, **tier):
     """A switch with *num_sinks* single-port neighbours on ports 1..n."""
     sim = Simulator()
     switch = SoftSwitch(
@@ -54,6 +55,7 @@ def build_switch(num_sinks=3, cost_model=None):
         "ss",
         datapath_id=0x1,
         cost_model=cost_model or DatapathCostModel.zero(),
+        **tier,
     )
     sinks = []
     for index in range(num_sinks):
@@ -588,6 +590,90 @@ class TestFlowLifecycle:
         switch.inject(frame_ab(), in_port=1)
         sim.run()
         assert len(sinks[2].received) == 1
+
+
+#: How each executor is selected: the seed linear scan, the bucketed
+#: interpreter, and (default) the compiled program.
+TIERS = {
+    "linear": {"enable_fast_path": False},
+    "interpreted": {"enable_specialization": False},
+    "compiled": {},
+}
+
+
+class TestGotoTableValidation:
+    """A goto that does not increase, or leaves the pipeline, is refused
+    on the wire — it can never reach the packet path."""
+
+    def _chain(self, switch):
+        """in_port 1 walks tables 0 -> 1 -> 2 -> 3 -> port 2."""
+        install(switch, match=Match(in_port=1), instructions=[GotoTable(table_id=1)])
+        for table_id in (1, 2):
+            install(
+                switch,
+                table_id=table_id,
+                match=Match(),
+                instructions=[GotoTable(table_id=table_id + 1)],
+            )
+        install(
+            switch,
+            table_id=3,
+            match=Match(),
+            instructions=[ApplyActions(actions=(OutputAction(port=2),))],
+        )
+
+    @pytest.mark.parametrize("tier", TIERS)
+    @pytest.mark.parametrize(
+        "command", [c.OFPFC_ADD, c.OFPFC_MODIFY], ids=["add", "modify"]
+    )
+    @pytest.mark.parametrize(
+        "table_id, target",
+        [(1, 1), (2, 1), (0, 0), (0, 4), (3, 200)],
+        ids=["self", "backwards", "self-table0", "one-past-last", "far-past-last"],
+    )
+    def test_bad_goto_is_refused_and_traffic_flows(
+        self, tier, command, table_id, target
+    ):
+        sim, switch, sinks = build_switch(**TIERS[tier])
+        self._chain(switch)
+        sim.run(until=0.1)  # past the recompile hysteresis
+        switch.inject(frame_ab(), in_port=1)
+        assert (switch.program is not None) == (tier == "compiled")
+        pipeline = switch.dump_pipeline()
+        program = switch.program
+        mutations = (switch.program_invalidations, switch.program_patches)
+
+        bad = FlowMod(
+            xid=77,
+            command=command,
+            table_id=table_id,
+            match=Match(in_port=1) if table_id == 0 else Match(),
+            instructions=[
+                ApplyActions(actions=(OutputAction(port=3),)),
+                GotoTable(table_id=target),
+            ],
+        )
+        (raw,) = switch.handle_message(bad.to_bytes())
+        error = parse_message(raw)
+        assert isinstance(error, ErrorMsg)
+        # OFPET_BAD_INSTRUCTION / OFPBIC_BAD_TABLE_ID
+        assert (error.xid, error.error_type, error.code) == (77, 3, 2)
+        assert switch.dump_pipeline() == pipeline  # nothing installed
+        assert switch.program is program
+        assert (switch.program_invalidations, switch.program_patches) == mutations
+
+        port = switch.port(1)
+        switch.inject(frame_ab(), in_port=1)
+        switch.receive(port, frame_ab())
+        switch.receive_burst(port, [(sim.now, frame_ab()), (sim.now, frame_ab())])
+        sim.run()
+        assert len(sinks[1].received) == 5
+        assert not sinks[2].received
+
+    def test_increasing_goto_inside_the_pipeline_is_accepted(self):
+        _, switch, _ = build_switch()
+        install(switch, table_id=2, match=Match(), instructions=[GotoTable(table_id=3)])
+        assert len(switch.tables[2]) == 1
 
 
 class TestCostModel:

@@ -1,11 +1,10 @@
-"""Randomized differential proof for the specialized datapath (tier 0).
+"""Randomized differential proof for the specialized datapath.
 
 The compiled program is only allowed to exist because it is
 semantics-free: a switch with specialization enabled must produce
 byte-identical emitted frames in identical order — and identical
 packet-ins, flow/table/group counters and drop totals — to an
-identically-provisioned switch running the PR 1-3 interpreted fast
-path.  Each case family drives both through ≥1000 randomly generated
+identically-provisioned switch running the reference interpreter.  Each case family drives both through ≥1000 randomly generated
 churn-interleaved bursts along one eligibility dimension the compiler
 now covers — goto-table chains, group execution (all / select /
 indirect / dead references), idle- and hard-timeout expiry — plus the
@@ -23,6 +22,8 @@ hazards patching has to survive (replacement ADDs, MODIFY into a
 fallback shape, deleting a cached winner, entry-id reuse, an emptied
 and re-created field-set, every shape break, a synchronous controller
 reprogramming mid-burst) and fails if any of them did not occur.
+One scripted case rides with it: a shape break mid-stream whose
+hysteresis window is crossed by 32-frame bursts arriving over a `Link`.
 
 Set ``DIFFERENTIAL_SCALE=<n>`` to multiply every family's case count
 (the nightly job runs at 5×).  On any divergence the failing seed is
@@ -57,6 +58,8 @@ from repro.openflow import consts as c
 from repro.openflow.messages import PacketIn, parse_message
 from repro.softswitch import DatapathCostModel, ESWITCH_COST_MODEL, SoftSwitch
 from repro.softswitch.compiler import entry_fallback_reason
+from repro.softswitch.datapath import RECOMPILE_AFTER_MODS, RECOMPILE_QUIESCENT_S
+from repro.traffic import BurstSource
 
 ZERO_COST = DatapathCostModel.zero()
 
@@ -75,6 +78,11 @@ class Sink(Node):
 
     def receive(self, port, frame):
         self.received.append((self.sim.now, frame.to_bytes()))
+
+    def receive_burst(self, port, arrivals):
+        # A coalesced burst is handed over at its drain; what is
+        # compared is each frame's own arrival time on the wire.
+        self.received.extend((when, frame.to_bytes()) for when, frame in arrivals)
 
 
 def random_frame(rng: random.Random) -> EthernetFrame:
@@ -363,7 +371,8 @@ def random_churn_message(rng: random.Random):
     )
 
 
-def build_rig(cost_model, specialize, num_ports=3, fast_path=True, base=None):
+def build_rig(cost_model, specialize, num_ports=3, fast_path=True, base=None,
+              bandwidth_bps=None, propagation_delay_s=0.0):
     sim = Simulator()
     switch = SoftSwitch(
         sim,
@@ -383,8 +392,8 @@ def build_rig(cost_model, specialize, num_ports=3, fast_path=True, base=None):
         wire(
             switch,
             sink,
-            bandwidth_bps=None,
-            propagation_delay_s=0.0,
+            bandwidth_bps=bandwidth_bps,
+            propagation_delay_s=propagation_delay_s,
             queue_frames=100_000,
         )
         sinks.append(sink)
@@ -1239,6 +1248,80 @@ class TestSpecializedDifferential:
         assert totals["patches"] > 2 * totals["invalidations"]
         assert totals["fresh_compiles"] > 3 * totals["compiles"]
         assert totals["specialized_frames"] > 1000
+
+    def test_incremental_shape_break_under_link_bursts(self):
+        """A new table-0 field-set lands mid-stream and the next
+        32-frame bursts reach the switch over a `Link`
+        (``receive_burst``) while it sits in the default hysteresis
+        window: each burst is then its frames through the interpreter,
+        and must equal the ``linear_lookup`` switch — bytes, order,
+        per-frame arrival time at the far ports, flow/table/port
+        counters, packet-ins — inside the window and after the
+        recompile."""
+        shape_break = FlowMod(
+            match=Match(eth_type=0x0800, tcp_dst=443), priority=40,
+            instructions=[ApplyActions(actions=(OutputAction(port=1),))],
+        ).to_bytes()
+        for cost_model in (ZERO_COST, ESWITCH_COST_MODEL):
+            rng = random.Random(0x5A9E)
+            pool = [random_frame(rng) for _ in range(24)]
+            # Every 10 ms from t=100 ms; the mod lands at 155 ms, so
+            # bursts 6-10 fall inside the 50 ms window, 11-15 after it.
+            bursts = [
+                (0.1 + 0.01 * index, [rng.choice(pool) for _ in range(32)])
+                for index in range(16)
+            ]
+            rigs = []
+            for linear in (False, True):
+                rig = build_rig(
+                    cost_model, specialize=not linear, fast_path=not linear,
+                    base=incremental_base(),
+                    bandwidth_bps=10e9, propagation_delay_s=1e-6,
+                )
+                sim, switch = rig[0], rig[1]
+                switch.recompile_after_mods = RECOMPILE_AFTER_MODS
+                switch.recompile_quiescent_s = RECOMPILE_QUIESCENT_S
+                source = BurstSource(sim, "gen")
+                wire(source, switch, bandwidth_bps=10e9, propagation_delay_s=1e-6,
+                     queue_frames=100_000)
+                source.start(bursts)
+                rigs.append(rig)
+            spec_rig, linear_rig = rigs
+            spec = spec_rig[1]
+
+            def checkpoint(until=None):
+                for rig in rigs:
+                    rig[0].run(until=until)
+                assert_identical(spec_rig, linear_rig)
+                assert spec.busy_until == linear_rig[1].busy_until
+                for number in sorted(spec.ports):
+                    port_a, port_b = spec.ports[number], linear_rig[1].ports[number]
+                    for counter in ("rx_frames", "rx_bytes", "tx_frames",
+                                    "tx_bytes", "tx_dropped"):
+                        assert getattr(port_a, counter) == getattr(port_b, counter), (
+                            f"port {number} {counter}"
+                        )
+
+            checkpoint(until=0.155)
+            assert spec.program is not None and spec.program_compiles == 1
+            compiled_before = spec.specialized_frames
+            assert compiled_before > 0
+            for rig in rigs:
+                assert rig[1].handle_message(shape_break) == []
+            assert spec.program is None
+            assert spec.last_regenerate_reason.startswith("new field-set")
+
+            interpreted_before = spec.fallback_frames
+            checkpoint(until=0.2045)
+            assert spec.program is None and spec.program_compiles == 1
+            assert spec.specialized_frames == compiled_before
+            assert spec.fallback_frames == interpreted_before + 5 * 32
+
+            checkpoint()
+            assert spec.program is not None and spec.program_compiles == 2
+            assert spec.specialized_frames > compiled_before
+            assert sum(len(sink.received) for sink in spec_rig[2]) > 300
+            assert spec_rig[3]  # the table-miss rule raised packet-ins throughout
 
     def test_incremental_family_deferred_emission(self):
         """The same three-way under the ESwitch cost model: every

@@ -21,11 +21,12 @@ says whether ``sim_digest`` and the exact metrics agreed on every pair:
 a change that only speeds the simulator must not move them.
 
 ``sim_digest`` hashes ``SoftSwitch.stats()`` whole, so a change to
-*which tier served a frame* (compiles, patches, cache hits) moves it
+*which executor served a frame* (compiles, patches) moves it
 although every frame went where it went before.  Each workload and
 seed therefore also gets a **masked digest** from both trees — one
-extra pass with the ``specialization`` and ``cache`` sub-dicts of
-``SoftSwitch.stats()`` left out of the hash, everything else (clock,
+extra pass with the ``specialization`` sub-dict of
+``SoftSwitch.stats()`` (and the ``cache`` one of trees that still have
+it) left out of the hash, everything else (clock,
 events, endpoints, forwarding/legacy/link counters) kept — and it is
 the masked digest, with the exact metrics, that must agree.
 
@@ -68,7 +69,8 @@ full_stats, full_digest = SoftSwitch.stats, workloads.sim_digest
 
 def masked_stats(switch):
     stats = full_stats(switch)
-    del stats["specialization"], stats["cache"]
+    for key in ("specialization", "cache"):  # trees before PR 15 have "cache"
+        stats.pop(key, None)
     return stats
 
 def masked_digest(rig):

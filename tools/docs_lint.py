@@ -16,6 +16,11 @@ down to a multiple of 50), the number of CI-gated ``*.json`` artefacts
 (the files under ``benchmarks/baselines/``), and the bench table, which
 must name every ``benchmarks/bench_*.py``.
 
+And the other direction: every ``bench_*.py`` named in a CI workflow,
+the README or ``check_regression.py``'s docstring must exist under
+``benchmarks/``, so deleting a bench cannot leave a step or a refresh recipe
+pointing at nothing.
+
 Run from the repository root (CI does)::
 
     python tools/docs_lint.py
@@ -152,6 +157,29 @@ def check_readme_counts(readme: pathlib.Path) -> "list[str]":
     return problems
 
 
+#: Files that tell people (or CI) to run a bench by path.
+BENCH_REFERENCE_GLOBS = (
+    ".github/workflows/*.yml", "README.md", "benchmarks/check_regression.py",
+)
+#: A bare ``bench_x.py`` or ``benchmarks/bench_x.py`` (not ``tools/bench_…``).
+BENCH_NAME_RE = re.compile(r"(?:(?<![\w/])|(?<=benchmarks/))bench_\w+\.py")
+
+
+def check_bench_references() -> "list[str]":
+    """Every ``bench_*.py`` a workflow, the README or the regression
+    gate's refresh recipe names must be in ``benchmarks/``."""
+    problems = []
+    for pattern in BENCH_REFERENCE_GLOBS:
+        for path in sorted(REPO_ROOT.glob(pattern)):
+            text = path.read_text(encoding="utf-8")
+            for bench in sorted(set(BENCH_NAME_RE.findall(text))):
+                if not (REPO_ROOT / "benchmarks" / bench).exists():
+                    problems.append(
+                        f"{path.relative_to(REPO_ROOT)}: names missing bench {bench}"
+                    )
+    return problems
+
+
 def main() -> int:
     files = list(iter_markdown_files())
     problems = []
@@ -161,13 +189,14 @@ def main() -> int:
     if readme.exists():
         problems.extend(check_repo_layout(readme))
         problems.extend(check_readme_counts(readme))
+    problems.extend(check_bench_references())
     print(f"docs-lint: checked {len(files)} markdown file(s)")
     if problems:
         for problem in problems:
             print(f"  {problem}", file=sys.stderr)
         print(f"FAIL: {len(problems)} problem(s)", file=sys.stderr)
         return 1
-    print("PASS: all local links resolve, README counts match the tree")
+    print("PASS: links and named benches resolve, README counts match the tree")
     return 0
 
 
