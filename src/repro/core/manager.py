@@ -135,11 +135,10 @@ class HarmlessManager:
         """
         log: list[str] = []
 
-        # 1. Discover the device.
-        facts = driver.get_facts()
+        # 1. Discover the device: one ifTable walk.
         interfaces = driver.get_interfaces()
         log.append(
-            f"discovered {facts['hostname']} ({driver.vendor}), "
+            f"discovered {legacy_switch.name} ({driver.vendor}), "
             f"{len(interfaces)} interfaces"
         )
         all_ports = sorted(info["port"] for info in interfaces.values())
@@ -173,7 +172,7 @@ class HarmlessManager:
             driver.commit_config()
         except Exception as exc:
             raise HarmlessError(f"legacy switch rejected config: {exc}") from exc
-        log.append(f"pushed {len(ops)} config ops to {facts['hostname']}")
+        log.append(f"pushed {len(ops)} config ops to {legacy_switch.name}")
 
         try:
             # 4. Instantiate HARMLESS-S4 and wire the trunk.

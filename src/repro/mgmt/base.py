@@ -15,7 +15,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.snmp.agent import SnmpAgent, SnmpError
+from repro.snmp.agent import SnmpAgent, SnmpError, SnmpErrorStatus
 from repro.snmp.bridge_mib import (
     DOT1Q_PORT_VLAN_ENTRY,
     DOT1Q_TP_FDB_ENTRY,
@@ -31,7 +31,7 @@ from repro.snmp.bridge_mib import (
     portlist_to_bytes,
 )
 from repro.snmp.client import SnmpClient, SnmpTimeout
-from repro.snmp.oid import SYS_DESCR, SYS_NAME
+from repro.snmp.oid import IF_NUMBER, SYS_DESCR, SYS_NAME
 
 
 class DriverError(Exception):
@@ -207,7 +207,7 @@ class NetworkDriver(ABC):
         return table
 
     def get_port_count(self) -> int:
-        return len(self.get_interfaces())
+        return int(self.client.get(IF_NUMBER))
 
     # --------------------------------------------------------- config ops
 
@@ -236,18 +236,18 @@ class NetworkDriver(ABC):
             else:
                 raise DriverError(f"unknown config op kind {op.kind!r}")
 
-    def _current_untagged(self, vlan_id: int) -> set[int]:
-        rows = self.client.table_rows(DOT1Q_VLAN_STATIC_ENTRY)
-        raw = rows.get((VLAN_UNTAGGED, vlan_id), b"")
-        return portlist_from_bytes(bytes(raw))
-
-    def _current_egress(self, vlan_id: int) -> set[int]:
-        rows = self.client.table_rows(DOT1Q_VLAN_STATIC_ENTRY)
-        raw = rows.get((VLAN_EGRESS, vlan_id), b"")
+    def _current_members(self, column: int, vlan_id: int) -> set[int]:
+        """One PortList cell of dot1qVlanStaticTable (no row: no ports)."""
+        try:
+            raw = self.client.get(DOT1Q_VLAN_STATIC_ENTRY.child(column, vlan_id))
+        except SnmpError as exc:
+            if exc.status is not SnmpErrorStatus.NO_SUCH_NAME:
+                raise
+            raw = b""
         return portlist_from_bytes(bytes(raw))
 
     def _apply_access(self, op: ConfigOp, width: int) -> None:
-        untagged = self._current_untagged(op.vlan_id) | {op.port}
+        untagged = self._current_members(VLAN_UNTAGGED, op.vlan_id) | {op.port}
         self.client.set(
             DOT1Q_VLAN_STATIC_ENTRY.child(VLAN_UNTAGGED, op.vlan_id),
             portlist_to_bytes(untagged, width),
@@ -255,8 +255,8 @@ class NetworkDriver(ABC):
 
     def _apply_trunk(self, op: ConfigOp, width: int) -> None:
         for vlan_id in op.allowed_vlans:
-            egress = self._current_egress(vlan_id) | {op.port}
-            untagged = self._current_untagged(vlan_id) - {op.port}
+            egress = self._current_members(VLAN_EGRESS, vlan_id) | {op.port}
+            untagged = self._current_members(VLAN_UNTAGGED, vlan_id) - {op.port}
             self.client.set(
                 DOT1Q_VLAN_STATIC_ENTRY.child(VLAN_EGRESS, vlan_id),
                 portlist_to_bytes(egress, width),
@@ -292,11 +292,20 @@ class NetworkDriver(ABC):
         return self.render_config(self._candidate)
 
     def commit_config(self) -> None:
-        """Apply the candidate; snapshots current state for rollback."""
+        """Apply the candidate atomically; snapshots state for rollback.
+
+        A commit that fails part-way restores the snapshot before
+        re-raising (the candidate stays loaded), so the device never
+        keeps half a configuration.
+        """
         if self._candidate is None:
             raise ConfigSessionError("no candidate loaded")
         self._rollback_ops = self._snapshot_ops()
-        self.apply_ops(self._candidate)
+        try:
+            self.apply_ops(self._candidate)
+        except Exception:
+            self.rollback()
+            raise
         self._candidate = None
 
     def discard_config(self) -> None:

@@ -1,8 +1,11 @@
 """The event loop: a priority queue of timestamped callbacks.
 
-A float-seconds clock over a binary heap, with FIFO tie-breaking (the
-``(time, seq)`` ordering) so same-instant events run in schedule
-order.  Two properties matter to the burst-mode pipeline built on top:
+A float-seconds clock over a binary heap.  A heap **entry** is the
+tuple ``(time, seq, event)``: ``seq`` is unique, so ``heapq`` settles
+every comparison on the first two fields, in C, and never reaches the
+:class:`Event` — same-instant events run in schedule order (FIFO ties)
+and callbacks need not be comparable.  Two properties matter to the
+burst-mode pipeline built on top:
 
 * **batch scheduling** — :meth:`Simulator.schedule_many` enqueues a
   whole ``(time, callback)`` schedule in one call, semantically
@@ -21,7 +24,7 @@ re-armed every probe, rollback paths — would otherwise grow the heap
 with garbage while ``pending_events`` correctly reads near zero.  A
 counter of cancelled-but-queued entries triggers an in-place compaction
 (filter + re-heapify) once garbage outnumbers live events, keeping the
-queue O(live) while preserving FIFO tie order (the ``seq`` field is a
+queue O(live) while preserving FIFO tie order (``(time, seq)`` is a
 total order, so re-heapifying cannot reorder ties).
 
 ``run(until=...)`` advances the clock to the horizon even when the
@@ -35,22 +38,26 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 
-@dataclass(order=True)
+@dataclass(eq=False, slots=True)
 class Event:
-    """A scheduled callback; ordering is (time, seq) so ties are FIFO."""
+    """A scheduled callback: the handle ``schedule*`` returns.
+
+    Events are never compared; the heap orders their entries.  Slotted:
+    a source may queue its whole send schedule, one event per frame.
+    """
 
     time: float
     seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    callback: Callable[[], None]
+    cancelled: bool = False
     #: The owning simulator while the event sits in the queue; cleared
     #: when the event is popped so a late ``cancel()`` cannot corrupt
     #: the live-event counter.
-    owner: Optional["Simulator"] = field(default=None, compare=False)
+    owner: Optional["Simulator"] = None
 
     def cancel(self) -> None:
         """Mark the event dead; the loop skips it when popped."""
@@ -76,7 +83,7 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._queue: list[Event] = []
+        self._queue: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._now = 0.0
         self._events_processed = 0
@@ -114,7 +121,7 @@ class Simulator:
         """
         if self._cancelled <= 64 or self._cancelled * 2 <= len(self._queue):
             return
-        self._queue = [event for event in self._queue if not event.cancelled]
+        self._queue = [entry for entry in self._queue if not entry[2].cancelled]
         heapq.heapify(self._queue)
         self._cancelled = 0
 
@@ -125,10 +132,10 @@ class Simulator:
         lazy deletion the run loop performs).
         """
         queue = self._queue
-        while queue and queue[0].cancelled:
+        while queue and queue[0][2].cancelled:
             heapq.heappop(queue)
             self._cancelled -= 1
-        return queue[0].time if queue else None
+        return queue[0][0] if queue else None
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
         """Schedule *callback* to run *delay* seconds from now."""
@@ -142,8 +149,9 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule at {time}, already at {self._now}"
             )
-        event = Event(time=time, seq=next(self._seq), callback=callback, owner=self)
-        heapq.heappush(self._queue, event)
+        seq = next(self._seq)
+        event = Event(time, seq, callback, owner=self)
+        heapq.heappush(self._queue, (time, seq, event))
         self._pending += 1
         return event
 
@@ -160,14 +168,15 @@ class Simulator:
         """
         now = self._now
         queue = self._queue
-        seq = self._seq
+        counter = self._seq
         push = heapq.heappush
         events = []
         for time, callback in items:
             if time < now:
                 raise ValueError(f"cannot schedule at {time}, already at {now}")
-            event = Event(time=time, seq=next(seq), callback=callback, owner=self)
-            push(queue, event)
+            seq = next(counter)
+            event = Event(time, seq, callback, owner=self)
+            push(queue, (time, seq, event))
             self._pending += 1
             events.append(event)
         return events
@@ -196,19 +205,19 @@ class Simulator:
             while self._queue:
                 if max_events is not None and processed >= max_events:
                     break
-                event = self._queue[0]
+                time, _, event = self._queue[0]
                 if event.cancelled:
                     heapq.heappop(self._queue)
                     self._cancelled -= 1
                     continue
                 if until is not None and (
-                    event.time > until if inclusive else event.time >= until
+                    time > until if inclusive else time >= until
                 ):
                     break
                 heapq.heappop(self._queue)
                 self._pending -= 1
                 event.owner = None
-                self._now = event.time
+                self._now = time
                 event.callback()
                 processed += 1
                 self._events_processed += 1

@@ -20,12 +20,13 @@ class SnmpErrorStatus(enum.IntEnum):
 
 
 class SnmpError(Exception):
-    """Raised client-side when a response carries an error-status."""
+    """Raised client-side when a response carries an error-status, or
+    (with *detail*) is one no conforming agent would send."""
 
-    def __init__(self, status: SnmpErrorStatus, index: int) -> None:
+    def __init__(self, status: SnmpErrorStatus, index: int, detail: str = "") -> None:
         self.status = status
         self.index = index
-        super().__init__(f"SNMP error {status.name} at varbind {index}")
+        super().__init__(detail or f"SNMP error {status.name} at varbind {index}")
 
 
 class SnmpAgent:

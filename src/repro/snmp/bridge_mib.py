@@ -3,8 +3,8 @@
 Exposes (all under the standard OIDs):
 
 * system: sysDescr, sysName (writable),
-* ifTable: ifIndex / ifDescr / ifAdminStatus (writable) / ifOperStatus /
-  ifInOctets / ifOutOctets,
+* ifNumber, and ifTable: ifIndex / ifDescr / ifAdminStatus (writable) /
+  ifOperStatus / ifInOctets / ifOutOctets,
 * dot1qTpFdbTable: the learned MAC table, indexed by (vlan, mac),
 * dot1qPortVlanTable (PVID, writable),
 * dot1qVlanStaticTable: name / egress PortList / untagged PortList /
@@ -26,6 +26,7 @@ from repro.snmp.oid import OID
 
 SYS_DESCR_OID = OID("1.3.6.1.2.1.1.1")
 SYS_NAME_OID = OID("1.3.6.1.2.1.1.5")
+IF_NUMBER_OID = OID("1.3.6.1.2.1.2.1")
 IF_TABLE_ENTRY = OID("1.3.6.1.2.1.2.2.1")
 DOT1Q_TP_FDB_ENTRY = OID("1.3.6.1.2.1.17.7.1.2.2.1")
 DOT1Q_PORT_VLAN_ENTRY = OID("1.3.6.1.2.1.17.7.1.4.5.1")
@@ -95,6 +96,7 @@ class BridgeMibAdapter:
 
     def _mount_if_table(self) -> None:
         switch = self.switch
+        self.mib.scalar(IF_NUMBER_OID, read=lambda: len(switch.ports))
 
         def rows() -> Iterable[tuple[tuple[int, ...], object]]:
             for number in sorted(switch.ports):

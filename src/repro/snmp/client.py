@@ -79,6 +79,11 @@ class SnmpClient:
                 if exc.status is SnmpErrorStatus.NO_SUCH_NAME:
                     break  # end of MIB
                 raise
+            if oid <= cursor:
+                # A broken agent would otherwise keep the walk going forever.
+                raise SnmpError(
+                    SnmpErrorStatus.GEN_ERR, 1, f"OID not increasing: {oid} after {cursor}"
+                )
             if not base.is_prefix_of(oid):
                 break
             results.append((oid, value))

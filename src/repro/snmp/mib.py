@@ -3,6 +3,15 @@
 Nodes are registered under base OIDs.  Scalars read/write a single
 value; tables enumerate dynamic rows on demand (so walking ifTable
 always reflects live switch state rather than a snapshot).
+
+Two contracts keep one PDU linear in the rows of *one* table:
+
+* a node's **region** is every OID under its base; regions never nest
+  (``mount`` refuses), so in base order they are disjoint and ascending
+  and the tree answers from the one region an OID falls in;
+* a table's ``rows()`` yields index suffixes **strictly increasing**
+  (plain tuple order, which is OID order under one base).  ``get`` and
+  ``successor`` compare suffix tuples and stop at the first hit.
 """
 
 from __future__ import annotations
@@ -13,7 +22,8 @@ from repro.snmp.oid import OID
 
 ReadFn = Callable[[], Any]
 WriteFn = Callable[[Any], None]
-#: Table enumerator: yields (index-suffix, value) pairs in index order.
+#: Table enumerator: yields (index-suffix, value) pairs, suffixes
+#: strictly increasing.
 RowsFn = Callable[[], Iterable[tuple[tuple[int, ...], Any]]]
 #: Table writer: (index-suffix, value) -> None.
 TableWriteFn = Callable[[tuple[int, ...], Any], None]
@@ -74,7 +84,8 @@ class MibTable(MibNode):
     """A table of dynamic rows under a base OID.
 
     The *rows* callable re-enumerates live state on every operation,
-    yielding (index-suffix, value) pairs already sorted by index.
+    yielding (index-suffix, value) pairs with strictly increasing
+    suffixes (the module docstring's ``rows()`` contract).
     """
 
     def __init__(
@@ -94,6 +105,8 @@ class MibTable(MibNode):
         for suffix, value in self._rows():
             if suffix == wanted:
                 return True, value
+            if suffix > wanted:
+                break  # rows ascend: it is not there
         return False, None
 
     def set(self, oid: OID, value: Any) -> bool:
@@ -103,12 +116,16 @@ class MibTable(MibNode):
         return True
 
     def successor(self, oid: OID) -> "Optional[tuple[OID, Any]]":
-        best: "Optional[tuple[OID, Any]]" = None
+        base, cursor = self.base.parts, oid.parts
+        head = cursor[: len(base)]
+        if head > base:
+            return None  # the whole region lies before the cursor: no enumeration
+        before = head < base  # cursor precedes the region: the first row answers
+        wanted = cursor[len(base):]
         for suffix, value in self._rows():
-            candidate = self.base.child(*suffix)
-            if candidate > oid and (best is None or candidate < best[0]):
-                best = (candidate, value)
-        return best
+            if before or suffix > wanted:
+                return self.base.child(*suffix), value
+        return None
 
 
 class MibTree:
@@ -142,42 +159,34 @@ class MibTree:
         self.mount(node)
         return node
 
-    def get(self, oid: OID) -> "tuple[bool, Any]":
+    def _covering(self, oid: OID) -> "Optional[MibNode]":
+        """The one node whose region *oid* falls in, if any."""
         for node in self._nodes:
-            found, value = node.get(oid)
-            if found:
-                return True, value
-        return False, None
+            if node.base.is_prefix_of(oid):
+                return node
+        return None
+
+    def get(self, oid: OID) -> "tuple[bool, Any]":
+        node = self._covering(oid)
+        return node.get(oid) if node is not None else (False, None)
 
     def locate(self, oid: OID) -> "Optional[MibNode]":
-        """The node whose region covers *oid* (used for SET validation).
+        """The node a SET of *oid* goes to (used for SET validation).
 
         For scalars this means the exact ``base.0`` instance; for tables
         any OID under the base, because SET may create new rows
         (RowStatus createAndGo).
         """
-        for node in self._nodes:
-            if isinstance(node, MibScalar):
-                if oid == node.instance:
-                    return node
-            elif node.base.is_prefix_of(oid) and len(oid) > len(node.base):
-                return node
-        return None
-
-    def set(self, oid: OID, value: Any) -> "tuple[bool, bool]":
-        """(exists, written): distinguishes noSuchName from readOnly."""
-        for node in self._nodes:
-            found, _ = node.get(oid)
-            if found:
-                if not node.writable:
-                    return True, False
-                return True, node.set(oid, value)
-        return False, False
+        node = self._covering(oid)
+        if isinstance(node, MibScalar):
+            settable = oid == node.instance
+        else:
+            settable = node is not None and len(oid) > len(node.base)
+        return node if settable else None
 
     def successor(self, oid: OID) -> "Optional[tuple[OID, Any]]":
-        best: "Optional[tuple[OID, Any]]" = None
         for node in self._nodes:
             candidate = node.successor(oid)
-            if candidate is not None and (best is None or candidate[0] < best[0]):
-                best = candidate
-        return best
+            if candidate is not None:
+                return candidate  # regions ascend: the first hit is the minimum
+        return None

@@ -84,6 +84,7 @@ class OID:
 MIB2 = OID("1.3.6.1.2.1")
 SYS_DESCR = MIB2.child(1, 1, 0)
 SYS_NAME = MIB2.child(1, 5, 0)
+IF_NUMBER = MIB2.child(2, 1, 0)
 IF_TABLE = MIB2.child(2, 2)
 DOT1D_BRIDGE = MIB2.child(17)
 DOT1D_TP_FDB = DOT1D_BRIDGE.child(4, 3)

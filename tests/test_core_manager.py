@@ -1,16 +1,20 @@
 """End-to-end tests of the HARMLESS Manager: the paper's workflow."""
 
+from collections import Counter
+
 import pytest
 
 from repro.apps import LearningSwitchApp
 from repro.controller import Controller
 from repro.core import HarmlessError, HarmlessManager
 from repro.core.verify import ZERO_COST
+from repro.fabric import leaf_spine_fabric
 from repro.legacy import LegacySwitch, PortMode
 from repro.mgmt import DeviceConnection, get_network_driver
 from repro.net import IPv4Address, MACAddress
 from repro.netsim import Capture, Host, Link, Simulator
-from repro.snmp import SnmpAgent, attach_bridge_mib
+from repro.snmp import PduType, SnmpAgent, attach_bridge_mib
+from repro.snmp.bridge_mib import IF_TABLE_ENTRY
 
 
 def build_site(vendor="sim-ios", num_ports=8, num_hosts=3):
@@ -187,3 +191,80 @@ class TestMultiSwitch:
         assert len(manager.deployments) == 2
         dpids = {d.s4.ss2.datapath_id for d in manager.deployments}
         assert len(dpids) == 2
+
+
+class TestManagementPlaneBudget:
+    """What one ``migrate`` sends the legacy switch, pinned: the SET
+    PDUs (their order fixes the order of the switch's FDB flushes) and
+    the PDU count (a rollout must not go back to walking every table
+    for every cell it needs)."""
+
+    @staticmethod
+    def migrate_recorded(legacy, driver, trunk_port, access_ports):
+        """Migrate, returning the request PDUs the agent was sent."""
+        agent = driver.connection.agent
+        requests = []
+
+        def recording(request, handle=agent.handle):
+            requests.append(request)
+            return handle(request)
+
+        agent.handle = recording
+        served = agent.requests_served
+        HarmlessManager(legacy.sim).migrate(
+            legacy, driver, trunk_port=trunk_port, access_ports=access_ports
+        )
+        assert agent.requests_served - served == len(requests)
+        return requests
+
+    @staticmethod
+    def if_table_walks(requests, num_ports):
+        """Whole-table ifTable walks among *requests* (and nothing else
+        may have read inside ifTable)."""
+        inside = [
+            request.varbinds[0].oid
+            for request in requests
+            if IF_TABLE_ENTRY.is_prefix_of(request.varbinds[0].oid)
+        ]
+        assert len(inside) == inside.count(IF_TABLE_ENTRY) * (6 * num_ports + 1)
+        return inside.count(IF_TABLE_ENTRY)
+
+    def test_fig1_site_set_sequence_and_pdu_count(self):
+        # The paper's Fig. 1 site: two hosts, trunk on port 5.
+        sim, legacy, _, driver, _, _ = build_site(num_ports=5, num_hosts=2)
+        requests = self.migrate_recorded(legacy, driver, 5, [1, 2])
+        row = "1.3.6.1.2.1.17.7.1.4.3.1"  # dot1qVlanStaticEntry
+        sets = [
+            [(str(bind.oid), bind.value) for bind in request.varbinds]
+            for request in requests
+            if request.pdu_type is PduType.SET
+        ]
+        assert sets == [
+            [(f"{row}.5.101", 4)],  # RowStatus createAndGo
+            [(f"{row}.1.101", "harmless-p1")],
+            [(f"{row}.5.102", 4)],
+            [(f"{row}.1.102", "harmless-p2")],
+            [(f"{row}.2.101", b"\x08")],  # trunk: egress, then untagged
+            [(f"{row}.4.101", b"\x00")],
+            [(f"{row}.2.102", b"\x08")],
+            [(f"{row}.4.102", b"\x00")],
+            [(f"{row}.4.101", b"\x80")],  # access ports
+            [(f"{row}.4.102", b"\x40")],
+        ]
+        kinds = Counter(request.pdu_type for request in requests)
+        # One ifTable walk (31) and two dot1qVlanStaticTable walks of
+        # the one default VLAN (5 each); ifNumber and a cell per SET
+        # that merges into a PortList.
+        assert kinds == {PduType.GETNEXT: 41, PduType.GET: 7, PduType.SET: 10}
+        assert self.if_table_walks(requests, num_ports=5) == 1
+
+    def test_spine_of_the_migration_wave_fabric_pdu_count(self):
+        fabric = leaf_spine_fabric(edges=8, spines=1, hosts_per_edge=2)
+        spine = fabric.site("spine1")
+        assert len(spine.access_ports) == 8
+        requests = self.migrate_recorded(
+            spine.switch, spine.driver, spine.trunk_port, spine.access_ports
+        )
+        kinds = Counter(request.pdu_type for request in requests)
+        assert kinds == {PduType.GETNEXT: 65, PduType.GET: 25, PduType.SET: 40}
+        assert self.if_table_walks(requests, num_ports=9) == 1

@@ -7,6 +7,7 @@ traffic across chains of migrated SoftSwitches, and the legacy
 switch's burst-path equivalence to sequential receive().
 """
 
+import itertools
 import os
 import random
 from dataclasses import asdict
@@ -20,6 +21,7 @@ from repro.net.build import udp_frame
 from repro.net.ethernet import ETHERTYPE_IPV4, Dot1QTag, EthernetFrame
 from repro.netsim import Capture, Simulator
 from repro.netsim.node import Node
+from repro.snmp import PduType, SnmpErrorStatus
 from repro.softswitch import DatapathCostModel
 from repro.traffic import (
     BurstSource,
@@ -171,6 +173,39 @@ def test_fleet_failed_wave_rolls_back_and_is_retryable():
     saboteur.commit_config = original_commit
     fleet.migrate_all(verify=True, strict=True)
     assert sorted(fleet.deployments) == sorted(fabric.sites)
+
+
+#: SETs in one edge1 commit: 3 managed ports x (RowStatus, name,
+#: untagged, trunk egress, trunk untagged).
+EDGE_COMMIT_SETS = 15
+
+
+@pytest.mark.parametrize("refused", range(1, EDGE_COMMIT_SETS + 1))
+def test_commit_refused_at_any_set_leaves_the_switch_as_it_was(refused):
+    """A commit is atomic: whichever SET the device refuses, the legacy
+    switch keeps bridging exactly as before and the wave can be retried."""
+    fabric = leaf_spine_fabric(edges=2, spines=1, hosts_per_edge=2)
+    fleet = HarmlessFleet(fabric, wave_size=1, verify_window_s=0.2)
+    edge1 = fabric.site("edge1")
+    agent = edge1.driver.connection.agent
+    before = edge1.switch.config.copy()
+    sets_seen = itertools.count(1)
+
+    def refuse_one_set(request, handle=agent.handle):
+        if request.pdu_type is PduType.SET and next(sets_seen) == refused:
+            return agent._error(request, SnmpErrorStatus.GEN_ERR, 1)
+        return handle(request)
+
+    agent.handle = refuse_one_set
+    with pytest.raises(HarmlessError, match="rejected config"):
+        fleet.migrate_next_wave()
+    assert edge1.switch.config == before
+    assert set(edge1.driver.get_vlans()) == set(before.vlans)
+    assert edge1.driver.compare_config()  # candidate still loaded
+    report = fleet.verify_reachability()
+    assert report.ok and report.pairs == 12, report.describe()
+    # The fault was transient: the same wave now goes through.
+    assert fleet.migrate_next_wave().reachability.ok
 
 
 def test_fleet_strict_raises_when_fabric_breaks():

@@ -45,6 +45,34 @@ class TestSimulator:
         sim.run()
         assert order == ["first", "second", "third"]
 
+    def test_ties_never_compare_the_payload(self):
+        """Heap entries order on (time, seq) alone: same-instant events
+        from all three entry points run in schedule order although
+        neither the callbacks nor the events can be compared."""
+
+        class Uncomparable:
+            def __init__(self, tag):
+                self.tag = tag
+
+            def __call__(self):
+                order.append(self.tag)
+
+            def __eq__(self, other):
+                raise AssertionError("callback compared")
+
+            __lt__ = __le__ = __gt__ = __ge__ = __eq__
+
+        sim = Simulator()
+        order = []
+        first = sim.schedule(1.0, Uncomparable(0))
+        second = sim.schedule_at(1.0, Uncomparable(1))
+        sim.schedule_many([(1.0, Uncomparable(2)), (1.0, Uncomparable(3))])
+        sim.schedule(1.0, Uncomparable(4))
+        with pytest.raises(TypeError):
+            first < second
+        sim.run()
+        assert order == [0, 1, 2, 3, 4]
+
     def test_now_advances_to_event_time(self):
         sim = Simulator()
         seen = []
@@ -445,18 +473,21 @@ class TestCancellationAccounting:
         assert len(sim._queue) <= 256
 
     def test_compaction_preserves_fifo_ties(self):
+        # Three instants, so re-heapifying must order by time first and
+        # by schedule order within a tie.
         sim = Simulator()
         order = []
-        keepers = []
-        for index in range(50):
-            keepers.append(
-                sim.schedule_at(1.0, lambda i=index: order.append(i))
-            )
+        for index in range(60):
+            time = float(index % 3)
+            sim.schedule_at(time, lambda key=(time, index): order.append(key))
             # Interleave garbage so a compaction definitely triggers.
             for _ in range(10):
-                sim.schedule_at(1.0, lambda: order.append("dead")).cancel()
-        sim.run()
-        assert order == list(range(50))
+                sim.schedule_at(time, lambda: order.append("dead")).cancel()
+        assert len(sim._queue) < 60 * 11  # it did
+        assert sim.pending_events == 60
+        assert sim.run() == 60
+        assert order == sorted(order) and len(order) == 60
+        assert sim.pending_events == 0
 
     def test_peek_next_time_skips_cancelled(self):
         sim = Simulator()
@@ -466,6 +497,18 @@ class TestCancellationAccounting:
         assert sim.peek_next_time() == 1.0
         early.cancel()
         assert sim.peek_next_time() == 2.0
+
+    def test_advance_to_skips_cancelled_heads_only(self):
+        sim = Simulator()
+        sim.schedule_at(1.0, lambda: None).cancel()
+        live = sim.schedule_at(2.0, lambda: None)
+        sim.advance_to(1.5)  # the only earlier entry is dead
+        assert sim.now == 1.5
+        with pytest.raises(ValueError, match="pending event at 2.0"):
+            sim.advance_to(3.0)
+        live.cancel()
+        sim.advance_to(3.0)
+        assert sim.now == 3.0 and sim.pending_events == 0
 
     def test_exclusive_horizon_leaves_edge_event_queued(self):
         sim = Simulator()

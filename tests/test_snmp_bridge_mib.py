@@ -1,11 +1,15 @@
 """Tests for the BRIDGE/Q-BRIDGE MIB adapter over the legacy switch."""
 
+from collections import Counter
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.legacy import LegacySwitch, PortMode
 from repro.net import IPv4Address, MACAddress
 from repro.netsim import Host, Link, Simulator
-from repro.snmp import SnmpAgent, SnmpClient, attach_bridge_mib
+from repro.snmp import MibTable, SnmpAgent, SnmpClient, attach_bridge_mib
 from repro.snmp.bridge_mib import (
     DOT1Q_PORT_VLAN_ENTRY,
     DOT1Q_VLAN_STATIC_ENTRY,
@@ -207,3 +211,79 @@ class TestVlanConfigViaSnmp:
         h1.ping(h2.ip)
         sim.run(until=2.0)
         assert h1.ping_loss_rate == 1.0  # isolated by SNMP-pushed VLANs
+
+
+def mounted_tables(switch):
+    """(mib, its tables in mount order) for *switch*."""
+    mib, _ = attach_bridge_mib(switch)
+    return mib, [node for node in mib._nodes if isinstance(node, MibTable)]
+
+
+class TestRowsContract:
+    """``rows()`` yields strictly increasing suffixes — what lets
+    ``MibTable.get``/``successor`` stop at the first hit."""
+
+    @given(
+        num_ports=st.integers(1, 12),
+        vlans=st.lists(st.integers(2, 4094), unique=True, max_size=5),
+        data=st.data(),
+    )
+    def test_every_table_is_strictly_increasing(self, num_ports, vlans, data):
+        switch = LegacySwitch(Simulator(), "sw1", num_ports=num_ports)
+        config = switch.config.copy()
+        for vlan in vlans:
+            config.declare_vlan(vlan, name=f"v{vlan}")
+        known = st.sampled_from([1] + vlans)
+        for port in range(1, num_ports + 1):
+            if data.draw(st.booleans()):
+                config.set_access(port, data.draw(known))
+            else:
+                config.set_trunk(
+                    port,
+                    data.draw(st.sets(known)),
+                    native_vlan=data.draw(st.none() | known),
+                )
+            config.port(port).enabled = data.draw(st.booleans())
+        switch.apply_config(config)
+        stations = data.draw(
+            st.lists(
+                st.tuples(known, st.integers(1, 2**48 - 1), st.integers(1, num_ports)),
+                max_size=12,
+            )
+        )
+        for index, (vlan, mac, port) in enumerate(stations):
+            if index % 3:
+                switch.fdb.learn(vlan, MACAddress(mac), port, now=0.0)
+            else:
+                switch.fdb.add_static(vlan, MACAddress(mac), port)
+        for table in mounted_tables(switch)[1]:
+            suffixes = [suffix for suffix, _ in table._rows()]
+            assert all(a < b for a, b in zip(suffixes, suffixes[1:])), table.base
+
+
+class TestWalkEnumerationBudget:
+    """The CI gate that needs no clock: a walk's cost, counted as table
+    enumerations.  One GETNEXT enumerates the one table its cursor is
+    in (and the next one once, to step off the end) — never the whole
+    MIB, which is what made a rollout quadratic."""
+
+    def test_walk_enumerates_only_the_walked_table(self):
+        switch = LegacySwitch(Simulator(), "sw1", num_ports=6)
+        switch.fdb.add_static(1, MACAddress(0x02AA), 3)  # no table is empty
+        mib, tables = mounted_tables(switch)
+        calls = Counter()
+        for table in tables:
+            def counted(rows=table._rows, base=table.base):
+                calls[base] += 1
+                return rows()
+            table._rows = counted
+        client = SnmpClient(SnmpAgent(mib))
+        for table, following in zip(tables, tables[1:] + [None]):
+            calls.clear()
+            cells = len(client.walk(table.base))
+            assert cells >= 2
+            assert calls.pop(table.base) <= cells + 1
+            if following is not None:
+                # Stepping off the end lands on the next table's first row.
+                assert calls.pop(following.base) == 1
+            assert not calls, f"walk of {table.base} also enumerated {calls}"

@@ -97,16 +97,33 @@ class TestMibTree:
         found, value = tree.get(OID("1.3.6.1.2.1.2.2.1.1.2"))
         assert found and value == "row-b"
 
+    # SET has one dispatch, ``SnmpAgent.handle`` (locate + node.set).
+
+    @staticmethod
+    def handle_set(tree, oid, value):
+        request = SnmpPdu(pdu_type=PduType.SET, request_id=1, community="private")
+        return SnmpAgent(tree).handle(request.bind(oid, value))
+
     def test_set_scalar(self):
         tree, state, _ = build_tree()
-        exists, written = tree.set(OID("1.3.6.1.2.1.1.5.0"), "renamed")
-        assert exists and written
+        response = self.handle_set(tree, "1.3.6.1.2.1.1.5.0", "renamed")
+        assert response.error_status == SnmpErrorStatus.NO_ERROR
         assert state["name"] == "renamed"
 
     def test_set_readonly_scalar(self):
         tree, _, _ = build_tree()
-        exists, written = tree.set(OID("1.3.6.1.2.1.1.1.0"), "nope")
-        assert exists and not written
+        response = self.handle_set(tree, "1.3.6.1.2.1.1.1.0", "nope")
+        assert response.error_status == SnmpErrorStatus.READ_ONLY
+        assert response.error_index == 1
+        assert tree.get(OID("1.3.6.1.2.1.1.1.0")) == (True, "a test device")
+
+    def test_set_creates_table_row(self):
+        # The row need not exist: that is how RowStatus createAndGo works.
+        tree, _, rows = build_tree()
+        response = self.handle_set(tree, "1.3.6.1.2.1.2.2.1.1.3", "row-c")
+        assert response.error_status == SnmpErrorStatus.NO_ERROR
+        assert rows[(1, 3)] == "row-c"
+        assert tree.get(OID("1.3.6.1.2.1.2.2.1.1.3")) == (True, "row-c")
 
     def test_successor_chain_is_sorted_walk(self):
         tree, _, _ = build_tree()
@@ -226,3 +243,115 @@ class TestAgentClient:
         response = agent.handle(request)
         assert response is not None
         assert response.request_id == 77
+
+
+class TestWalkContracts:
+    """What a walk may assume of the agent, and what it must not."""
+
+    @staticmethod
+    def scripted_agent(*oids):
+        """Answers every GETNEXT with the next OID of a fixed script."""
+        script = iter(oids)
+
+        class Agent:
+            def handle(self, request):
+                response = SnmpPdu(PduType.RESPONSE, request.request_id)
+                return response.bind(next(script), 0)
+
+        return Agent()
+
+    @pytest.mark.parametrize(
+        "script",
+        [("1.3.6.1", "1.3.6.1"), ("1.3.6.2", "1.3.6.1")],
+        ids=["repeats", "goes-backwards"],
+    )
+    def test_walk_refuses_non_increasing_oids(self, script):
+        client = SnmpClient(self.scripted_agent(*script))
+        with pytest.raises(SnmpError, match="OID not increasing"):
+            client.walk("1.3.6")
+
+    def test_walk_interleaved_with_set_observes_the_set(self):
+        # Tables enumerate live state on every PDU: no snapshot.
+        tree, _, _ = build_tree()
+        client = SnmpClient(SnmpAgent(tree, write_community="public"))
+        base = OID("1.3.6.1.2.1.2.2.1")
+        first, _ = client.get_next(base)
+        assert first == base.child(1, 1)
+        client.set(base.child(2, 2), 99)  # a cell the walk has yet to reach
+        client.set(base.child(1, 5), "row-e")  # a row that did not exist
+        seen, cursor = [], first
+        while True:
+            try:
+                cursor, value = client.get_next(cursor)
+            except SnmpError:
+                break
+            seen.append((cursor.strip_prefix(base), value))
+        assert seen == [((1, 2), "row-b"), ((1, 5), "row-e"), ((2, 1), 10), ((2, 2), 99)]
+
+
+# --- MibTree.successor against a brute-force minimum ----------------------
+
+_suffixes = st.lists(
+    st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple),
+    unique=True,
+    max_size=6,
+).map(sorted)
+
+
+@st.composite
+def mib_layouts(draw):
+    """{base: row suffixes} for non-nesting bases; a scalar's rows are [(0,)]."""
+    arcs = draw(st.lists(st.integers(0, 5), unique=True, min_size=1, max_size=5))
+    layout = {}
+    for arc in arcs:
+        base = (1, 3, arc) + tuple(draw(st.lists(st.integers(0, 2), max_size=2)))
+        layout[base] = [(0,)] if draw(st.booleans()) else draw(_suffixes)
+    return layout
+
+
+def mount_layout(layout):
+    tree = MibTree()
+    for base, suffixes in layout.items():
+        if suffixes == [(0,)]:
+            tree.scalar(OID(base), read=lambda base=base: base)
+        else:
+            tree.table(
+                OID(base),
+                rows=lambda suffixes=suffixes: [(s, s) for s in suffixes],
+            )
+    return tree
+
+
+@st.composite
+def layouts_and_cursors(draw):
+    layout = draw(mib_layouts())
+    instances = sorted(base + s for base, rows in layout.items() for s in rows)
+    # Shorter than a base, a proper prefix of one, a base, a row (the
+    # last one included), just past a row, between regions, past the end.
+    landmarks = [(1,), (1, 3), (2,), (1, 3, 6)]
+    for oid in list(layout) + instances:
+        landmarks += [oid[:cut] for cut in range(1, len(oid) + 1)]
+        landmarks += [oid + (0,), oid[:-1] + (oid[-1] + 1,)]
+    free = st.lists(st.integers(0, 6), min_size=1, max_size=7).map(tuple)
+    return layout, instances, draw(st.sampled_from(landmarks) | free)
+
+
+class TestSuccessorProperty:
+    @given(layouts_and_cursors())
+    def test_successor_is_the_brute_force_minimum(self, drawn):
+        layout, instances, cursor = drawn
+        answer = mount_layout(layout).successor(OID(cursor))
+        later = [oid for oid in instances if oid > cursor]
+        if not later:
+            assert answer is None
+        else:
+            assert answer is not None and answer[0].parts == min(later)
+
+    @given(layouts_and_cursors())
+    def test_walk_is_the_sorted_rows_under_the_base(self, drawn):
+        layout, instances, base = drawn
+        client = SnmpClient(SnmpAgent(mount_layout(layout)))
+        walked = [oid.parts for oid, _ in client.walk(OID(base))]
+        assert walked == [
+            oid for oid in instances if oid[: len(base)] == base and oid != base
+        ]
