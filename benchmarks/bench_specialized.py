@@ -10,7 +10,7 @@ the same switch twice —
 * ``interpreted`` — specialization disabled: every frame walks the
   interpreter over the staged classifier;
 * ``specialized`` — the compiled program: shrunk flow-key extraction,
-  unrolled probes, straight-line plans, persistent key/frame memos.
+  unrolled probes, straight-line plans, one persistent key cache.
 
 Two workload kinds per flow-table size:
 

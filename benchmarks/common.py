@@ -107,11 +107,14 @@ def install_exact_flows(switch, num_flows):
 
 
 def make_stream(num_flows: int, packets: int) -> list:
-    """One flat zipf-weighted frame stream (template frame per flow)
-    over ACTIVE_FLOWS flows spread across the table.
+    """One flat zipf-weighted frame stream over ACTIVE_FLOWS flows
+    spread across the table, every frame a distinct object — what a
+    deployed softswitch sees, since the hop before it derived the frame
+    (replaying one template object per flow would time a switch's
+    handling of object identity, not its datapath).
 
-    Generated once and *chunked* per burst, so every configuration
-    processes byte-for-byte the same frame sequence.
+    Generated once, outside any timed loop, and *chunked* per burst, so
+    every configuration processes byte-for-byte the same frame sequence.
     """
     active = min(num_flows, ACTIVE_FLOWS)
     stride = max(num_flows // active, 1)
@@ -134,7 +137,7 @@ def make_stream(num_flows: int, packets: int) -> list:
         specs, [(0.0, packets)], seed=num_flows, weights=weights,
         payload_len=32, train_len=TRAIN_LEN,
     )
-    return frames
+    return [frame.copy() for frame in frames]
 
 
 def chunk(stream: list, size: int) -> "list[list]":

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
 from repro.net.addresses import MACAddress
@@ -59,10 +60,28 @@ class Dot1QTag:
 
     @classmethod
     def from_tci(cls, tci: int) -> "Dot1QTag":
-        return cls(vlan_id=tci & 0x0FFF, pcp=tci >> 13 & 0x7, dei=bool(tci >> 12 & 0x1))
+        return _interned_tag(tci & 0x0FFF, tci >> 13 & 0x7, bool(tci >> 12 & 0x1))
 
     def __str__(self) -> str:
         return f"vlan {self.vlan_id} pcp {self.pcp}"
+
+
+#: (vlan_id, pcp, dei) -> the one tag the frame derivations and the
+#: decoder hand out for that value.  Derived state, at most 4096 * 8 * 2
+#: entries: only values :class:`Dot1QTag` accepted are ever stored.
+_TAGS: "dict[tuple[int, int, bool], Dot1QTag]" = {}
+
+
+def _interned_tag(vlan_id: int, pcp: int = 0, dei: bool = False) -> Dot1QTag:
+    """The shared tag of that value: validated by the dataclass the
+    first time, a dict hit afterwards; a value it rejects raises on
+    every call and is never stored.  Tags compare by value, never by
+    identity — a directly built ``Dot1QTag`` is not in the table."""
+    key = (vlan_id, pcp, dei)
+    tag = _TAGS.get(key)
+    if tag is None:
+        tag = _TAGS[key] = Dot1QTag(vlan_id, pcp, dei)
+    return tag
 
 
 class EthernetFrame:
@@ -79,9 +98,16 @@ class EthernetFrame:
     frame that shares the already-validated addresses, payload and tags
     with its source instead of validating them again.  Datapath code
     derives frames and never assigns their fields.
+
+    A frame carries its :attr:`wire_length`: measured once here, moved
+    by four by a push or a pop, copied by the other derivations.  The
+    two fields that are assigned after construction — ``payload`` (the
+    stamping idiom: copy a template, assign a payload) and ``tags`` —
+    are properties whose setters apply the constructor's rule and keep
+    the length true.
     """
 
-    __slots__ = ("dst", "src", "ethertype", "payload", "tags")
+    __slots__ = ("dst", "src", "ethertype", "_payload", "_tags", "_wire_length")
 
     def __init__(
         self,
@@ -95,26 +121,48 @@ class EthernetFrame:
         self.src = src if type(src) is MACAddress else MACAddress(src)
         if not 0 <= ethertype <= 0xFFFF:
             raise ValueError(f"ethertype out of range: {ethertype:#x}")
+        self.ethertype = ethertype
+        self._tags = ()
+        self.payload = payload
+        if tags:
+            self.tags = tags
+
+    payload = property(attrgetter("_payload"), doc="The frame's payload bytes.")
+
+    @payload.setter
+    def payload(self, payload: "bytes | bytearray") -> None:
         if not isinstance(payload, (bytes, bytearray)):
             raise TypeError("payload must be bytes")
+        self._payload = payload = bytes(payload)
+        self._wire_length = 14 + 4 * len(self._tags) + max(len(payload), MIN_PAYLOAD)
+
+    tags = property(attrgetter("_tags"), doc="The VLAN tag stack, outermost first.")
+
+    @tags.setter
+    def tags(self, tags: "tuple[Dot1QTag, ...] | list[Dot1QTag]") -> None:
         tags = tuple(tags)
         for tag in tags:
             if not isinstance(tag, Dot1QTag):
                 raise TypeError("tags must be Dot1QTag instances")
-        self.ethertype = ethertype
-        self.payload = bytes(payload)
-        self.tags = tags
+        self._wire_length += 4 * (len(tags) - len(self._tags))
+        self._tags = tags
 
-    def _derive(self, tags: "tuple[Dot1QTag, ...]") -> "EthernetFrame":
-        """A frame like this one with the tag stack *tags*: the one
-        validation-free constructor.  Every reference it copies was
-        validated when this frame was built."""
+    #: Length on the wire in bytes (without preamble/FCS, with padding).
+    #: A property object — the benchmark's tracer wraps its ``fget`` —
+    #: whose getter is a slot read.
+    wire_length = property(attrgetter("_wire_length"))
+
+    def _derive(self, tags: "tuple[Dot1QTag, ...]", wire_length: int) -> "EthernetFrame":
+        """A frame like this one with the tag stack *tags*, *wire_length*
+        bytes long: the one validation-free constructor.  Every
+        reference it copies was validated when this frame was built."""
         frame = _new_frame(EthernetFrame)
         frame.dst = self.dst
         frame.src = self.src
         frame.ethertype = self.ethertype
-        frame.payload = self.payload
-        frame.tags = tags
+        frame._payload = self._payload
+        frame._tags = tags
+        frame._wire_length = wire_length
         return frame
 
     def __eq__(self, other: object) -> bool:
@@ -124,8 +172,8 @@ class EthernetFrame:
             self.dst == other.dst
             and self.src == other.src
             and self.ethertype == other.ethertype
-            and self.payload == other.payload
-            and self.tags == other.tags
+            and self._payload == other._payload
+            and self._tags == other._tags
         )
 
     def __repr__(self) -> str:
@@ -140,37 +188,40 @@ class EthernetFrame:
     @property
     def vlan(self) -> Optional[Dot1QTag]:
         """The outermost VLAN tag, or None if untagged."""
-        return self.tags[0] if self.tags else None
+        return self._tags[0] if self._tags else None
 
     @property
     def vlan_id(self) -> Optional[int]:
         """The outermost VLAN id, or None if untagged."""
-        return self.tags[0].vlan_id if self.tags else None
+        return self._tags[0].vlan_id if self._tags else None
 
     def push_vlan(self, vlan_id: int, pcp: int = 0) -> "EthernetFrame":
         """Return a copy with a new outermost tag (OpenFlow PUSH_VLAN + SET_FIELD)."""
-        return self._derive((Dot1QTag(vlan_id, pcp), *self.tags))
+        tags = (_interned_tag(vlan_id, pcp), *self._tags)
+        return self._derive(tags, self._wire_length + 4)
 
     def pop_vlan(self) -> "EthernetFrame":
         """Return a copy with the outermost tag removed (OpenFlow POP_VLAN)."""
-        if not self.tags:
+        if not self._tags:
             raise ValueError("cannot pop VLAN tag from untagged frame")
-        return self._derive(self.tags[1:])
+        return self._derive(self._tags[1:], self._wire_length - 4)
 
     def set_vlan(self, vlan_id: int) -> "EthernetFrame":
         """Return a copy with the outermost tag's VLAN id rewritten."""
-        if not self.tags:
+        if not self._tags:
             raise ValueError("cannot set VLAN id on untagged frame")
-        head = self.tags[0]
-        return self._derive((Dot1QTag(vlan_id, head.pcp, head.dei), *self.tags[1:]))
+        head = self._tags[0]
+        tags = (_interned_tag(vlan_id, head.pcp, head.dei), *self._tags[1:])
+        return self._derive(tags, self._wire_length)
 
     def copy(self) -> "EthernetFrame":
-        return self._derive(self.tags)
+        return self._derive(self._tags, self._wire_length)
 
     def replaced(self, **fields) -> "EthernetFrame":
         """Return a copy with *fields* replaced, validated by the
         constructor (header rewrites and stamping; not the VLAN hot path)."""
-        current = {name: getattr(self, name) for name in self.__slots__}
+        names = ("dst", "src", "ethertype", "payload", "tags")
+        current = {name: getattr(self, name) for name in names}
         current.update(fields)
         return EthernetFrame(**current)
 
@@ -213,11 +264,6 @@ class EthernetFrame:
         return cls(
             dst=dst, src=src, ethertype=ethertype, payload=data[offset:], tags=tags
         )
-
-    @property
-    def wire_length(self) -> int:
-        """Length on the wire in bytes (without preamble/FCS, with padding)."""
-        return 14 + 4 * len(self.tags) + max(len(self.payload), MIN_PAYLOAD)
 
     def __str__(self) -> str:
         tag_text = "".join(f" [{tag}]" for tag in self.tags)

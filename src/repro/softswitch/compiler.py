@@ -36,11 +36,11 @@ the reference interpreter whenever a program is active:
 
 **Timeouts.**  Pipelines with idle/hard timeouts compile to a *mortal*
 program: every decision carries the mortal entries it walked through,
-and both caches (key cache and frame memo) revalidate those entries'
-expiry before replaying — the lazy check the interpreter's table
-lookup makes on every frame.  Expiry is monotonic
-(an expired entry can never revive, and installs flush the cached
-decisions), so a decision is valid exactly until one of its own
+and a key-cache hit on such a decision goes through ``_classify``,
+which revalidates those entries' expiry before replaying — the lazy
+check the interpreter's table lookup makes on every frame.  Expiry is
+monotonic (an expired entry can never revive, and installs flush the
+cached decisions), so a decision is valid exactly until one of its own
 entries expires.
 
 **Per-entry fallback.**  Rules the generated code cannot reproduce
@@ -66,15 +66,16 @@ mask-set, bound to that group's live bucket dict), each probe's
 max-priority bound, the mortal flag, the cost model and whether the
 select-hash slots are in the key.  Its *content* is which entries
 exist and what they do, and the program holds that only as derived
-state — the key cache, the per-entry plans and the frame memo — over
-the live tables and group table.  So a FlowMod ADD/DELETE/MODIFY, a
-GroupMod or an expiry sweep that leaves the shape intact does not cost
-a compile: the datapath asks :meth:`CompiledProgram.add_breaks_shape`
-/ :meth:`CompiledProgram.groups_break_shape`, and on "no" calls
-:meth:`CompiledProgram.flush` — the key cache and frame memo are
-cleared and the plans of the entries the mutation removed or rewrote
-are dropped, a cost independent of table size — and keeps running the
-same generated code (a *patch*).
+state — one key cache and the per-entry plans, both keyed on the flow,
+never on a frame object — over the live tables and group table.  So a
+FlowMod ADD/DELETE/MODIFY, a GroupMod or an expiry sweep that leaves
+the shape intact does not cost a compile: the datapath asks
+:meth:`CompiledProgram.add_breaks_shape` /
+:meth:`CompiledProgram.groups_break_shape`, and on "no" calls
+:meth:`CompiledProgram.flush` — the key cache is cleared and the plans
+of the entries the mutation removed or rewrote are dropped, a cost
+independent of table size — and keeps running the same generated code
+(a *patch*).
 Deletes, modifies and expiry can never break the shape (bounds and
 slot sets only become conservative); an add breaks it when it brings a
 new field-set or mask-set to table 0, a priority above its probe's
@@ -91,22 +92,33 @@ or a ``recompile_quiescent_s`` (50 ms) quiet interval — both knobs on
 compiles, invalidations, patches and the specialized/fallback frame
 split.
 
+**Per frame.**  Every frame a softswitch sees is a fresh object (a
+legacy push or an SS_1 pop just derived it), so nothing is keyed on
+frame identity: ``run_one`` and ``run_burst`` decode the shrunk key
+inline, ask the key cache, and enter ``_classify`` only on a miss (or
+to revalidate a mortal decision).  Decisions carry no length — the
+executor reads the frame's.  One peephole (:func:`_fold`) turns the
+translator's push + set-field ``vlan_vid`` pair into a single
+``push_vlan(v)`` step wherever actions become steps; the cost model is
+still charged for both actions.
+
 On the burst path the compiled program processes
-``process_batch``-shaped bursts directly: one shrunk-key extraction
-and one decision per distinct frame *object* per burst, with outputs
-re-coalesced per egress port.  A FALLBACK frame mid-burst first
-flushes the coalesced egress and syncs the busy clock, so a synchronous
-controller handed a packet-in observes every prior frame exactly as
-frame-by-frame processing would show it.  If the interpreted walk
-mutates the pipeline — a reactive controller answering the packet-in —
-the burst looks at what the mutation did to the program: patched
-(content only) drops the burst-local decision memo and carries on
-compiled; discarded (shape change) drains the rest of the burst
-through the interpreter, because the generated code is stale.
+``process_batch``-shaped bursts directly, with outputs re-coalesced per
+egress port.  A FALLBACK frame mid-burst first flushes the coalesced
+egress and syncs the busy clock, so a synchronous controller handed a
+packet-in observes every prior frame exactly as frame-by-frame
+processing would show it.  If the interpreted walk mutates the
+pipeline — a reactive controller answering the packet-in — the burst
+looks at what the mutation did to the program: patched (content only)
+flushed the key cache, so the next frame reclassifies and the burst
+carries on compiled; discarded (shape change) drains the rest of the
+burst through the interpreter, because the generated code is stale.
 """
 
 from __future__ import annotations
 
+import re
+from dataclasses import dataclass
 from random import Random
 from typing import TYPE_CHECKING, Iterable, Optional
 
@@ -137,9 +149,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: classify per key rebuilds it.
 KEY_CACHE_LIMIT = 8192
 
-#: Bound on the persistent frame-object memo (see `_EXECUTOR_SOURCE`).
-FRAME_MEMO_LIMIT = 4096
-
 #: Plan kinds (first element of every plan tuple).
 PLAN_OUT = 0  # single concrete-port output
 PLAN_MISS = 1  # table miss: count the lookup, drop
@@ -165,7 +174,39 @@ _RESERVED_PORT_REASON = {
     c.OFPP_IN_PORT: "in-port output",
 }
 
-_TRANSFORM_ACTIONS = (PushVlanAction, PopVlanAction, SetFieldAction)
+
+@dataclass(frozen=True)
+class _PushTagged:
+    """A folded ``PushVlanAction`` + ``SetFieldAction(vlan_vid=v)`` pair:
+    one step, one derived frame.  A value, like the actions it replaces
+    (plans compare equal across programs)."""
+
+    vlan_id: int
+
+    def apply(self, frame):
+        return frame.push_vlan(self.vlan_id)
+
+
+_TRANSFORM_ACTIONS = (PushVlanAction, PopVlanAction, SetFieldAction, _PushTagged)
+
+
+def _fold(actions) -> list:
+    """The one peephole, applied wherever actions become steps: a push
+    immediately followed by a set-field of ``vlan_vid`` is one step.
+
+    The pushed tag has VLAN id 0, pcp 0 and dei 0 and the set-field
+    rewrites only the id, so the pair's result equals ``push_vlan(v)``
+    by value and the intermediate frame is unobservable.  Callers take
+    the cost model's action and VLAN-op counts from the unfolded list.
+    """
+    steps: list = []
+    for action in actions:
+        sets_vid = type(action) is SetFieldAction and action.field == "vlan_vid"
+        if sets_vid and steps and type(steps[-1]) is PushVlanAction:
+            steps[-1] = _PushTagged(action.value & 0xFFF)
+        else:
+            steps.append(action)
+    return steps
 
 
 class CompiledProgram:
@@ -178,7 +219,7 @@ class CompiledProgram:
     __slots__ = (
         "run_one", "run_burst", "classify", "source", "used_slots",
         "key_cache", "plans", "mortal", "probe_order",
-        "_switch", "_globals", "_frame_memo", "_probes", "_select_ready",
+        "_switch", "_globals", "_probes", "_select_ready",
     )
 
     def __init__(self, switch, source, namespace, used_slots, mortal,
@@ -186,9 +227,9 @@ class CompiledProgram:
         self._switch = switch
         self.run_one = namespace["run_one"]
         self.run_burst = namespace["run_burst"]
-        #: The generated classifier (frame, in_port, now) -> (plan, key);
-        #: exposed for probe-order invariance tests.
-        self.classify = namespace["_classify"]
+        #: (frame, in_port, now) -> (decision, shrunk key), as the entry
+        #: points decide it; exposed for probe-order invariance tests.
+        self.classify = namespace["classify"]
         #: The generated module source (debugging / tests).
         self.source = source
         #: Flow-key slots the shrunk extractor decodes.
@@ -211,7 +252,6 @@ class CompiledProgram:
         self.key_cache = namespace["KC"]
         #: id(entry) -> key-independent plan, populated lazily.
         self.plans = namespace["PLANS"]
-        self._frame_memo = namespace["PMEMO"]
         #: The generated module's globals (probe bindings live here).
         self._globals = namespace
 
@@ -227,14 +267,13 @@ class CompiledProgram:
 
         What a content-only mutation costs: the next frame of each flow
         re-classifies against the live tables.  Independent of table
-        size (the caches only ever hold keys seen since the last flush).
+        size (the cache only ever holds keys seen since the last flush).
         The per-entry plans are key-independent and read nothing but
         their own entry and the cost model, so they outlive the flush —
         except those of the *dead* entries the mutation removed or
         rewrote, whose ``id()`` the allocator may hand out again.
         """
         self.key_cache.clear()
-        self._frame_memo.clear()
         plans = self.plans
         for entry in dead:
             plans.pop(id(entry), None)
@@ -365,7 +404,7 @@ def _fast_plan(entry: "FlowEntry", actions: list, model: DatapathCostModel):
     """
     steps = []
     vlan_ops = 0
-    for action in actions:
+    for action in _fold(actions):
         kind = type(action)
         if kind is OutputAction:
             steps.append((True, action.port))
@@ -391,7 +430,7 @@ def _compile_bucket(bucket) -> "tuple | None":
     """
     steps = []
     vlan_ops = 0
-    for action in bucket.actions:
+    for action in _fold(bucket.actions):
         kind = type(action)
         if kind is OutputAction:
             if action.port in _RESERVED_PORTS:
@@ -440,9 +479,9 @@ def _build_decision(entry, shrunk_key, now, tables, groups, hash_fields,
     while True:
         touches.append((tables[table_id], entry))
         mortals.extend(_mortals_of(entry))
-        for action in actions:
+        n_actions += len(actions)
+        for action in _fold(actions):
             kind = type(action)
-            n_actions += 1
             if kind is OutputAction:
                 steps.append((STEP_OUT, action.port))
             elif kind in _TRANSFORM_ACTIONS:
@@ -614,7 +653,6 @@ def compile_datapath(
     plans: dict[int, tuple] = {}
     miss_plan = (PLAN_MISS, None, None, model.cost_s(lookups=1, actions=0), ())
     key_cache: dict = {}
-    frame_memo: dict = {}
 
     def _build(entry, shrunk_key, now, _tables=tables, _groups=switch.groups,
                _hash=switch.select_hash_fields, _model=model,
@@ -639,33 +677,26 @@ def compile_datapath(
         PLANS_get=plans.get,
         BUILD=_build,
         MISS=miss_plan,
-        PMEMO=frame_memo,
-        PMEMO_get=frame_memo.get,
-        PMEMO_LIMIT=FRAME_MEMO_LIMIT,
     )
 
     # ---------------------------------------------------------- classify
-    lines = ["def _classify(frame, in_port, now):"]
-    lines.extend(partial_decode_source(used_slots, indent="    "))
+    # _classify(key, now) -> decision: the key cache, its mortal
+    # decisions revalidated (the loop is empty for an immortal one),
+    # else the probes over the key's slots.
     key_expr = _tuple_literal([f"v{slot}" for slot in used_slots])
-    lines.append(f"    key = {key_expr}")
-    lines.append("    plan = KC_get(key)")
-    if mortal:
-        lines.append("    if plan is not None:")
-        lines.append("        for dead in plan[4]:")
-        lines.append("            if dead.is_expired(now):")
-        lines.append("                del KC[key]")
-        lines.append("                plan = None")
-        lines.append("                break")
-        lines.append("        if plan is not None:")
-        lines.append("            return plan, key")
-    else:
-        lines.append("    if plan is not None:")
-        lines.append("        return plan, key")
-    lines.append("    e = None")
-    lines.append("    ek = None")
-    lines.append("    ek0 = 1")
-    lines.append("    w = 0")
+    lines = [
+        "def _classify(key, now):",
+        "    plan = KC_get(key)",
+        "    if plan is not None:",
+        "        for dead in plan[4]:",
+        "            if dead.is_expired(now):",
+        "                break",
+        "        else:",
+        "            return plan",
+    ]
+    if used_slots:
+        lines.append(f"    {key_expr} = key")
+    lines += ["    e = None", "    ek = None", "    ek0 = 1", "    w = 0"]
 
     table0 = tables[0]
     probes: list[tuple] = []
@@ -712,36 +743,23 @@ def compile_datapath(
     lines.append("    if len(KC) >= KC_LIMIT:")
     lines.append("        KC.clear()")
     lines.append("    KC[key] = plan")
-    lines.append("    return plan, key")
+    lines.append("    return plan")
     lines.append("")
 
-    # Frame-memo mutation guards: a memoised decision is only replayed
-    # while every frame attribute the shrunk key (or the wire length)
-    # depends on is unchanged.  Payload identity and tag count are
-    # always guarded (they feed L3/L4 fields and wire_length); the
-    # other guards shrink with the used-slot set, like the extractor.
-    # Mortal programs additionally revalidate the decision's entries.
-    guards = ["m[2] is frame.payload", "m[3] == len(frame.tags)"]
-    extras: list[tuple[str, str]] = []  # (store expr, guard template)
-    slot_set = set(used_slots)
-    if 0 in slot_set:
-        extras.append(("in_port", "m[{i}] == in_port"))
-    if 1 in slot_set:
-        extras.append(("frame.dst", "m[{i}] is frame.dst"))
-    if 2 in slot_set:
-        extras.append(("frame.src", "m[{i}] is frame.src"))
-    if 3 in slot_set or slot_set & set(range(6, 14)):
-        extras.append(("frame.ethertype", "m[{i}] == frame.ethertype"))
-    if slot_set & {4, 5}:
-        extras.append(("frame.vlan", "m[{i}] is frame.vlan"))
-    for index, (_, template) in enumerate(extras):
-        guards.append(template.format(i=4 + index))
-    if mortal:
-        guards.append("_live(m[0], now)")
-    store_parts = ["dec", "frame", "frame.payload", "len(frame.tags)"]
-    store_parts.extend(expr for expr, _ in extras)
-    executor = _EXECUTOR_SOURCE.replace("__GUARDS__", " and ".join(guards))
-    executor = executor.replace("__MEMO_ENTRY__", "(" + ", ".join(store_parts) + ")")
+    # The executor decodes the shrunk key inline (once per frame, at
+    # the indentation of its ``__DECODE__`` marker) and enters
+    # _classify only when the key cache cannot answer: a miss, or — in
+    # a mortal program — a decision whose entries need revalidating.
+    executor = re.sub(
+        r"^( *)__DECODE__$",
+        lambda marker: "\n".join(partial_decode_source(used_slots, indent=marker[1])),
+        _EXECUTOR_SOURCE,
+        flags=re.MULTILINE,
+    )
+    executor = executor.replace("__KEY__", key_expr)
+    executor = executor.replace(
+        "__UNANSWERED__", "dec is None or dec[4]" if mortal else "dec is None"
+    )
     lines.append(executor)
 
     source = "\n".join(lines)
@@ -761,14 +779,6 @@ def compile_datapath(
 #: emit immediately when the finish time has not moved past ``now`` and
 #: defer through the simulator otherwise.
 _EXECUTOR_SOURCE = '''
-def _live(dec, now):
-    """False once any mortal entry a decision walked through expired."""
-    for entry in dec[4]:
-        if entry.is_expired(now):
-            return False
-    return True
-
-
 def _chain_steps(steps, frame, PORTS=PORTS):
     """Execute a CHAIN plan's step list; returns (outputs, drops).
 
@@ -825,37 +835,29 @@ def _chain_steps(steps, frame, PORTS=PORTS):
     return outs, dropped
 
 
-def _lookup(frame, in_port, fid, now, PMEMO=PMEMO, PMEMO_get=PMEMO_get,
-            PMEMO_LIMIT=PMEMO_LIMIT, classify=_classify):
-    """dec for one frame object: guarded persistent memo over classify.
-
-    The memo holds a strong reference to the frame, so the id key can
-    never be reused while the entry lives; the guards re-validate every
-    frame attribute the decision depends on (and, in mortal programs,
-    the decision's entries' expiry), so even a caller mutating a frame
-    between bursts gets a fresh classification.
-    """
-    m = PMEMO_get(fid)
-    if m is not None and __GUARDS__:
-        return m[0]
-    dec = classify(frame, in_port, now)[0] + (frame.wire_length,)
-    if len(PMEMO) >= PMEMO_LIMIT:
-        PMEMO.clear()
-    PMEMO[fid] = __MEMO_ENTRY__
-    return dec
+def classify(frame, in_port, now):
+    """(decision, shrunk key) of one frame, as the entry points decide it."""
+    __DECODE__
+    key = __KEY__
+    return _classify(key, now), key
 
 
 def run_one(frame, in_port, SIM=SIM, S=S, T0=T0, PORTS=PORTS,
-            EMIT=EMIT, FALL=FALL, SCHED=SCHED, lookup=_lookup,
+            EMIT=EMIT, FALL=FALL, SCHED=SCHED, KC_get=KC_get,
             chain_steps=_chain_steps):
     now = SIM.now
-    dec = lookup(frame, in_port, id(frame), now)
+    __DECODE__
+    key = __KEY__
+    dec = KC_get(key)
+    if __UNANSWERED__:
+        dec = _classify(key, now)
+    length = frame.wire_length
     kind = dec[0]
     if kind >= 4:
         if kind == 5:
             FALL(frame, in_port)  # interpreter does all of its own counting
             return
-        _, touches, tail, cost, _mortals, length = dec
+        _, touches, tail, cost, _mortals = dec
         steps, miss_table = tail
         for table, entry in touches:
             table.lookups += 1
@@ -875,7 +877,7 @@ def run_one(frame, in_port, SIM=SIM, S=S, T0=T0, PORTS=PORTS,
         T0.lookups += 1
         outs = None
         if kind == 0:
-            _, entry, port, cost, _mortals, length = dec
+            _, entry, port, cost, _mortals = dec
             T0.matches += 1
             entry.packet_count += 1
             entry.byte_count += length
@@ -888,13 +890,13 @@ def run_one(frame, in_port, SIM=SIM, S=S, T0=T0, PORTS=PORTS,
             cost = dec[3]
             S.packets_dropped += 1
         elif kind == 2:
-            _, entry, _payload, cost, _mortals, length = dec
+            _, entry, _payload, cost, _mortals = dec
             T0.matches += 1
             entry.packet_count += 1
             entry.byte_count += length
             entry.last_used_at = now
         else:
-            _, entry, steps, cost, _mortals, length = dec
+            _, entry, steps, cost, _mortals = dec
             T0.matches += 1
             entry.packet_count += 1
             entry.byte_count += length
@@ -925,10 +927,8 @@ def run_one(frame, in_port, SIM=SIM, S=S, T0=T0, PORTS=PORTS,
 
 def run_burst(in_port, frames, SIM=SIM, S=S, T0=T0, PORTS=PORTS,
               PORT=PORT, EMIT=EMIT, FALL=FALL, SCHED=SCHED,
-              lookup=_lookup, chain_steps=_chain_steps):
+              KC_get=KC_get, chain_steps=_chain_steps):
     now = SIM.now
-    memo = {}
-    memo_get = memo.get
     per_port = {}
     per_port_get = per_port.get
     forwarded = 0
@@ -942,10 +942,12 @@ def run_burst(in_port, frames, SIM=SIM, S=S, T0=T0, PORTS=PORTS,
     while index < count:
         frame = frames[index]
         index += 1
-        fid = id(frame)
-        dec = memo_get(fid)
-        if dec is None:
-            dec = memo[fid] = lookup(frame, in_port, fid, now)
+        __DECODE__
+        key = __KEY__
+        dec = KC_get(key)
+        if __UNANSWERED__:
+            dec = _classify(key, now)
+        length = frame.wire_length
         kind = dec[0]
         if kind >= 4:
             if kind == 5:
@@ -961,7 +963,6 @@ def run_burst(in_port, frames, SIM=SIM, S=S, T0=T0, PORTS=PORTS,
                     forwarded = 0
                 S.busy_until = busy
                 running = S._program
-                epoch = S.program_patches
                 FALL(frame, in_port)
                 busy = S.busy_until
                 if S._program is not running:
@@ -974,13 +975,11 @@ def run_burst(in_port, frames, SIM=SIM, S=S, T0=T0, PORTS=PORTS,
                         FALL(frames[index], in_port)
                         index += 1
                     busy = S.busy_until
-                elif S.program_patches != epoch:
-                    # Patched under us: the code still fits the tables,
-                    # the decisions this burst memoised may not.
-                    memo.clear()
+                # A patch instead (content only) flushed the key cache:
+                # the code still fits, the next frame reclassifies.
                 continue
             specialized += 1
-            _, touches, tail, cost, _mortals, length = dec
+            _, touches, tail, cost, _mortals = dec
             steps, miss_table = tail
             for table, entry in touches:
                 table.lookups += 1
@@ -1010,7 +1009,7 @@ def run_burst(in_port, frames, SIM=SIM, S=S, T0=T0, PORTS=PORTS,
         specialized += 1
         t0_lookups += 1
         if kind == 0:
-            _, entry, port, cost, _mortals, length = dec
+            _, entry, port, cost, _mortals = dec
             t0_matches += 1
             entry.packet_count += 1
             entry.byte_count += length
@@ -1034,7 +1033,7 @@ def run_burst(in_port, frames, SIM=SIM, S=S, T0=T0, PORTS=PORTS,
             start = busy if busy > now else now
             busy = start + dec[3]
         elif kind == 2:
-            _, entry, _payload, cost, _mortals, length = dec
+            _, entry, _payload, cost, _mortals = dec
             t0_matches += 1
             entry.packet_count += 1
             entry.byte_count += length
@@ -1042,7 +1041,7 @@ def run_burst(in_port, frames, SIM=SIM, S=S, T0=T0, PORTS=PORTS,
             start = busy if busy > now else now
             busy = start + cost
         else:
-            _, entry, steps, cost, _mortals, length = dec
+            _, entry, steps, cost, _mortals = dec
             t0_matches += 1
             entry.packet_count += 1
             entry.byte_count += length

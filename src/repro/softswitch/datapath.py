@@ -160,8 +160,7 @@ class SoftSwitch(Node):
         self.program_compile_failures = 0
         self.program_invalidations = 0
         #: Mutations the active program absorbed in place (content-only:
-        #: its derived decisions were flushed, its code kept).  Doubles
-        #: as the epoch a compiled burst compares across a fallback.
+        #: its derived decisions were flushed, its code kept).
         self.program_patches = 0
         #: Why the last active program was discarded (None: never).
         self.last_regenerate_reason: "Optional[str]" = None
@@ -384,9 +383,9 @@ class SoftSwitch(Node):
         in_port)`` executed at one simulated instant — bit-identical
         emitted frames, order, packet-ins and counters (proven by the
         randomized differential suite).  An active compiled program
-        amortises the burst (``CompiledProgram.run_burst``: one decision
-        per distinct frame object, one egress burst per port); without
-        one the burst *is* that loop.
+        amortises the burst (``CompiledProgram.run_burst``: one key-cache
+        read per frame, one egress burst per port); without one the
+        burst *is* that loop.
         """
         if self.specialize and len(frames) > 1:
             program = self._active_program()

@@ -12,7 +12,10 @@ time advancing between bursts so multi-table walks, group selection,
 entry expiry (both the sweeper and the lazy per-lookup check) and both
 executors (compiled program, interpreter during hysteresis) are all
 covered, under both a zero-cost model (batched egress) and the eswitch
-cost model (deferred per-frame emission).
+cost model (deferred per-frame emission).  Each model runs twice: once
+replaying a pool of per-flow template objects, and once with every
+injected frame a *fresh object* — what a softswitch behind a legacy
+hop actually sees, since the push that tagged the frame just built it.
 
 Set ``DIFFERENTIAL_SCALE=<n>`` to multiply the randomized case counts
 (the nightly extended job runs at 5×).
@@ -273,19 +276,21 @@ def assert_identical(batch_rig, seq_rig):
     assert group_a.bucket_packet_counts == group_b.bucket_packet_counts
 
 
-def run_differential(seed, rounds, bursts_per_round, cost_model):
+def run_differential(seed, rounds, bursts_per_round, cost_model, fresh_objects=False):
     """Returns how many bursts were compared."""
     try:
-        return _run_differential(seed, rounds, bursts_per_round, cost_model)
+        return _run_differential(
+            seed, rounds, bursts_per_round, cost_model, fresh_objects
+        )
     except AssertionError:
         print(
             f"\nDIFFERENTIAL FAILURE: seed=0x{seed:X} rounds={rounds} "
-            f"bursts_per_round={bursts_per_round}"
+            f"bursts_per_round={bursts_per_round} fresh_objects={fresh_objects}"
         )
         raise
 
 
-def _run_differential(seed, rounds, bursts_per_round, cost_model):
+def _run_differential(seed, rounds, bursts_per_round, cost_model, fresh_objects):
     rng = random.Random(seed)
     bursts_done = 0
     for _ in range(rounds):
@@ -305,9 +310,15 @@ def _run_differential(seed, rounds, bursts_per_round, cost_model):
             size = rng.choice((1, 2, 3, 4, 6, 8, 8, 12))
             frames = [pool[rng.randrange(len(pool))] for _ in range(size)]
             in_port = 1 if rng.random() < 0.7 else rng.randint(2, 3)
-            batch.process_batch(in_port, list(frames))
-            for frame in frames:
-                seq.inject(frame, in_port)
+            if fresh_objects:
+                # No object is seen twice, by either switch.
+                batch.process_batch(in_port, [frame.copy() for frame in frames])
+                for frame in frames:
+                    seq.inject(frame.copy(), in_port)
+            else:
+                batch.process_batch(in_port, list(frames))
+                for frame in frames:
+                    seq.inject(frame, in_port)
             bursts_done += 1
         sim_a.run()
         sim_b.run()
@@ -332,6 +343,16 @@ class TestBatchDifferential:
         """≥400 bursts where every emission defers past the CPU charge."""
         assert run_differential(0xE5717C4, rounds=4, bursts_per_round=100 * SCALE,
                                 cost_model=ESWITCH_COST_MODEL) == 400 * SCALE
+
+    def test_fresh_objects_zero_cost(self):
+        """The same suite with no frame object injected twice."""
+        assert run_differential(0xF4E5B, rounds=6, bursts_per_round=100 * SCALE,
+                                cost_model=ZERO_COST, fresh_objects=True) == 600 * SCALE
+
+    def test_fresh_objects_eswitch_cost(self):
+        assert run_differential(0xF4E5C, rounds=4, bursts_per_round=100 * SCALE,
+                                cost_model=ESWITCH_COST_MODEL,
+                                fresh_objects=True) == 400 * SCALE
 
     def test_synchronous_reactive_controller_mid_burst(self):
         """A zero-latency controller wired straight back into

@@ -1,5 +1,7 @@
 """Unit + property tests for Ethernet frames and VLAN tag handling."""
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from repro.net import (
     MACAddress,
     PacketDecodeError,
 )
+from repro.net import ethernet
 
 MAC_A = MACAddress("00:00:00:00:00:0a")
 MAC_B = MACAddress("00:00:00:00:00:0b")
@@ -156,6 +159,40 @@ class TestEthernetFrame:
         assert stamped.wire_length == 14 + 4 + 300
         assert template.wire_length == 14 + 4 + 100
 
+    @pytest.mark.parametrize("payload", ["text", 7, None, [1, 2]])
+    def test_assigned_payload_must_be_bytes(self, payload):
+        # Assignment applies the constructor's rule instead of failing
+        # later, in to_bytes or a decode.
+        frame = make_frame(payload=b"x" * 100)
+        with pytest.raises(TypeError):
+            frame.payload = payload
+        assert frame.payload == b"x" * 100 and frame.wire_length == 114
+
+    def test_assigned_bytearray_is_copied_into_bytes(self):
+        frame = make_frame()
+        buffer = bytearray(b"y" * 80)
+        frame.payload = buffer
+        buffer[0] = 0  # the caller's buffer is not the frame's value
+        assert type(frame.payload) is bytes and frame.payload == b"y" * 80
+        assert frame.wire_length == 14 + 80
+
+    def test_assigned_tags_are_validated_and_measured(self):
+        frame = make_frame(payload=b"x" * 100)
+        frame.tags = [Dot1QTag(5), Dot1QTag(6)]
+        assert frame.tags == (Dot1QTag(5), Dot1QTag(6))
+        assert frame.wire_length == 14 + 8 + 100
+        with pytest.raises(TypeError):
+            frame.tags = (101,)
+        assert frame.wire_length == 14 + 8 + 100
+
+    def test_wire_length_is_a_property_with_a_getter(self):
+        # The benchmark's tracer wraps EthernetFrame.__dict__["wire_length"].fget.
+        descriptor = EthernetFrame.__dict__["wire_length"]
+        assert isinstance(descriptor, property) and callable(descriptor.fget)
+        assert descriptor.fget(make_frame(payload=b"x")) == 60
+        with pytest.raises(AttributeError):
+            make_frame().wire_length = 1
+
     def test_replaced_goes_through_the_validating_constructor(self):
         frame = make_frame().push_vlan(9)
         assert frame.replaced(payload=b"new") == make_frame(b"new").push_vlan(9)
@@ -259,12 +296,72 @@ class TestEthernetProperties:
         assert frame.wire_length >= 60
 
 
+class TestTagInterning:
+    """push_vlan, set_vlan and the decoder hand out one shared tag per
+    value; the table only ever holds values Dot1QTag accepted."""
+
+    def test_equal_valued_tags_are_one_object(self):
+        pushed = make_frame().push_vlan(77, 3)
+        rewritten = make_frame().push_vlan(5, 3).set_vlan(77)
+        decoded = EthernetFrame.from_bytes(pushed.to_bytes())
+        assert pushed.tags[0] is rewritten.tags[0] is decoded.tags[0]
+        assert Dot1QTag.from_tci(pushed.tags[0].tci) is pushed.tags[0]
+        # A directly built tag is equal by value — identity means nothing.
+        assert pushed.tags[0] == Dot1QTag(77, 3) == Dot1QTag(vlan_id=77, pcp=3, dei=False)
+
+    @pytest.mark.parametrize(
+        "derive",
+        [
+            lambda frame: frame.push_vlan(4096),
+            lambda frame: frame.push_vlan(-1),
+            lambda frame: frame.push_vlan(5, 8),
+            lambda frame: frame.set_vlan(-1),
+            lambda frame: frame.set_vlan(4096),
+        ],
+    )
+    def test_bad_values_raise_every_time_and_are_never_cached(self, derive):
+        frame = make_frame().push_vlan(1)
+        before = len(ethernet._TAGS)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                derive(frame)
+        assert len(ethernet._TAGS) == before
+
+    def test_every_tci_decodes_and_the_table_is_then_full(self):
+        for tci in range(1 << 16):
+            tag = Dot1QTag.from_tci(tci)
+            assert tag.tci == tci
+        assert len(ethernet._TAGS) == 1 << 16
+        # ...and stays there: every further value is a hit or a ValueError.
+        assert make_frame().push_vlan(4095, 7).tags[0] is Dot1QTag.from_tci(0xEFFF)
+        assert len(ethernet._TAGS) == 1 << 16
+
+
 #: A derivation step: (method name, arguments).
 vlan_ops = st.one_of(
     st.tuples(st.just("push_vlan"), vlan_ids, st.integers(min_value=0, max_value=7)),
     st.tuples(st.just("pop_vlan")),
     st.tuples(st.just("set_vlan"), vlan_ids),
     st.tuples(st.just("copy")),
+)
+
+
+#: The other ways a frame's contents change: the validating rebuild
+#: and the two assignable fields (applied to a copy of the source).
+value_ops = st.one_of(
+    st.tuples(st.just("payload="), st.binary(max_size=256)),
+    st.tuples(st.just("tags="), st.lists(tags, max_size=3)),
+    st.tuples(
+        st.just("replaced"),
+        st.fixed_dictionaries(
+            {},
+            optional={
+                "payload": st.binary(max_size=256),
+                "tags": st.lists(tags, max_size=3),
+                "dst": macs,
+            },
+        ),
+    ),
 )
 
 
@@ -309,6 +406,37 @@ class TestFrameValues:
             assert frame.wire_length == built.wire_length
             assert EthernetFrame.from_bytes(frame.to_bytes()) == frame
             assert source.to_bytes() == before  # the source is untouched
+
+    @given(frames, st.lists(st.one_of(vlan_ops, value_ops), max_size=10))
+    def test_wire_length_is_carried_true(self, frame, ops):
+        """However a frame came to be — derived, rebuilt, or written to
+        through the two assignable fields — the length it carries is
+        the formula's, and its source's has not moved."""
+
+        def formula(f):
+            return 14 + 4 * len(f.tags) + max(len(f.payload), 46)
+
+        assert frame.wire_length == formula(frame)
+        for op in ops:
+            source, source_length = frame, frame.wire_length
+            if op[0] in ("pop_vlan", "set_vlan") and not frame.tags:
+                continue
+            if op[0] == "payload=":
+                frame = source.copy()
+                frame.payload = op[1]
+            elif op[0] == "tags=":
+                frame = source.copy()
+                frame.tags = op[1]
+            elif op[0] == "replaced":
+                frame = source.replaced(**op[1])
+            else:
+                frame = getattr(source, op[0])(*op[1:])
+            assert frame.wire_length == formula(frame)
+            assert source.wire_length == source_length == formula(source)
+        # The shard boundary: a frame crosses it pickled.
+        clone = pickle.loads(pickle.dumps(frame))
+        assert clone == frame and clone.wire_length == frame.wire_length
+        assert type(clone.tags) is tuple and type(clone.payload) is bytes
 
     @given(frames)
     def test_equality_is_by_value_and_typed(self, frame):

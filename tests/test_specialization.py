@@ -20,13 +20,15 @@ Covers the three contracts the specialized tier 0 lives by:
   new table shape.
 """
 
+import gc
 import random
 
-from repro.net import EthernetFrame, IPv4Address, MACAddress
+from repro.core import HarmlessS4, PortVlanMap
+from repro.net import Dot1QTag, EthernetFrame, IPv4Address, MACAddress
 from repro.net.build import tcp_frame, udp_frame
 from repro.net.tcp import TcpSegment
 from repro.netsim import Simulator
-from repro.netsim.link import wire
+from repro.netsim.link import Link, wire
 from repro.netsim.node import Node
 from repro.openflow import (
     ApplyActions,
@@ -639,9 +641,9 @@ class TestPatchingInPlace:
     def test_mid_burst_patch_keeps_the_burst_compiled(self):
         """A synchronous controller answers a packet-in by revoking one
         rule and granting another, both inside the shape: the program
-        is patched under the running burst, which drops its burst-local
-        memo and serves the remaining frames compiled — under the *new*
-        rules."""
+        is patched under the running burst; the patch flushed the key
+        cache, so the next frame reclassifies and the remaining frames
+        are served compiled — under the *new* rules."""
         sim, switch, sinks = build_switch()
         switch.recompile_after_mods = 1
         switch.recompile_quiescent_s = 0.0
@@ -657,9 +659,104 @@ class TestPatchingInPlace:
         switch.inject(frame_ab(), 1)
         program = switch.program
         frame = frame_ab()
-        switch.process_batch(2, [frame] * 6)  # one object: memoised per burst
+        switch.process_batch(2, [frame] * 6)  # one flow key; the patch flushes its decision
         sim.run()
         assert switch.program is program and switch.program_patches == 2
         assert switch.fallback_frames == 1  # only the packet-in frame
         assert switch.specialized_frames == 1 + 5
         assert len(sinks[2].received) == 5
+
+
+class TestDetourWorkBudget:
+    """What one frame's trip through a migrated site's S4 costs, pinned
+    by counting work instead of timing it: trunk -> SS_1 pop -> patch ->
+    SS_2 -> patch -> SS_1 tagged push -> trunk."""
+
+    FLOWS = ((1, 2), (2, 1), (3, 4), (4, 3))  # SS_2: port -> port
+
+    def build(self):
+        sim = Simulator()
+        s4 = HarmlessS4(sim, "s4", access_ports=[1, 2, 3, 4], datapath_id=7,
+                        cost_model=ZERO_COST)
+        port_map = PortVlanMap.allocate(s4.access_ports)
+        s4.install_translator(port_map)
+        for in_port, out_port in self.FLOWS:
+            install(s4.ss2, match=Match(in_port=in_port), priority=10,
+                    instructions=output(out_port))
+        trunk = Sink(sim, "legacy-side")
+        Link(trunk.add_port(1), s4.trunk_port, bandwidth_bps=None,
+             propagation_delay_s=0.0)
+        return sim, s4, port_map, trunk
+
+    @staticmethod
+    def trunk_burst(port_map, access_ports, size=32):
+        """Fresh tagged frames, as the legacy switch's push leaves them."""
+        return [
+            udp_frame(MACS[0], MACS[1], IPS[0], IPS[1], 1000 + index, 53, b"x")
+            .push_vlan(port_map.vlan_of(access_ports[index % len(access_ports)]))
+            for index in range(size)
+        ]
+
+    @staticmethod
+    def live_frames():
+        gc.collect()
+        return sum(type(thing) is EthernetFrame for thing in gc.get_objects())
+
+    def test_second_burst_work_is_two_derivations_per_frame(self, monkeypatch):
+        sim, s4, port_map, trunk = self.build()
+        sim.run(until=0.1)  # past the recompile quiet interval
+        trunk.port(1).send_burst(self.trunk_burst(port_map, (1, 2)))
+        sim.run(until=0.2)
+        assert len(trunk.received) == 32
+        assert s4.ss1.specialized_frames == 64 and s4.ss2.specialized_frames == 32
+
+        live_before = self.live_frames()
+        burst = self.trunk_burst(port_map, (1, 2, 3, 4))  # two flows are new
+        calls = dict.fromkeys(
+            ("__init__", "push_vlan", "pop_vlan", "set_vlan", "copy", "tag"), 0
+        )
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in ("__init__", "push_vlan", "pop_vlan", "set_vlan", "copy"):
+            monkeypatch.setattr(
+                EthernetFrame, name, counted(name, getattr(EthernetFrame, name))
+            )
+        monkeypatch.setattr(
+            Dot1QTag, "__post_init__", counted("tag", Dot1QTag.__post_init__)
+        )
+        classified = {}
+        for switch in (s4.ss1, s4.ss2):
+            namespace = switch.program.run_burst.__globals__
+            known = set(switch.program.key_cache)
+            keys = classified[switch.name] = []
+
+            def classify(key, now, original=namespace["_classify"],
+                         keys=keys, known=known):
+                assert key not in known  # a cached flow never reclassifies
+                keys.append(key)
+                return original(key, now)
+
+            monkeypatch.setitem(namespace, "_classify", classify)
+
+        trunk.port(1).send_burst(burst)
+        sim.run()
+        monkeypatch.undo()
+        assert len(trunk.received) == 64
+        assert s4.ss1.specialized_frames == 128 and s4.ss1.fallback_frames == 0
+        # SS_1's pop and SS_1's tagged push: one frame each, no
+        # intermediate untagged-push frame, nothing built from scratch.
+        assert calls == {"__init__": 0, "push_vlan": 32, "pop_vlan": 32,
+                         "set_vlan": 0, "copy": 0, "tag": 0}
+        # One _classify entry per flow key first seen in this burst.
+        assert sorted(map(len, classified.values())) == [2, 4]
+        for keys in classified.values():
+            assert len(keys) == len(set(keys))
+        # Nothing the burst brought in or left behind is still alive:
+        # no program, port or link holds on to a frame it has served.
+        del burst
+        assert self.live_frames() == live_before

@@ -22,6 +22,11 @@ hazards patching has to survive (replacement ADDs, MODIFY into a
 fallback shape, deleting a cached winner, entry-id reuse, an emptied
 and re-created field-set, every shape break, a synchronous controller
 reprogramming mid-burst) and fails if any of them did not occur.
+The same ledger (PR 19) records the VLAN-rewrite shapes around the
+compiler's one peephole — push + set-field ``vlan_vid`` folded into a
+single step — as the compiled tier serves them: the folded pair in
+apply-actions, in a group bucket and in a multi-table chain, and the
+neighbours that must not fold or must fold only in part.
 One scripted case rides with it: a shape break mid-stream whose
 hysteresis window is crossed by 32-frame bursts arriving over a `Link`.
 
@@ -57,7 +62,12 @@ from repro.openflow import (
 from repro.openflow import consts as c
 from repro.openflow.messages import PacketIn, parse_message
 from repro.softswitch import DatapathCostModel, ESWITCH_COST_MODEL, SoftSwitch
-from repro.softswitch.compiler import entry_fallback_reason
+from repro.softswitch.compiler import (
+    PLAN_CHAIN,
+    STEP_GROUP_ALL,
+    STEP_GROUP_ONE,
+    entry_fallback_reason,
+)
 from repro.softswitch.datapath import RECOMPILE_AFTER_MODS, RECOMPILE_QUIESCENT_S
 from repro.traffic import BurstSource
 
@@ -132,6 +142,20 @@ def random_match(rng: random.Random) -> Match:
     return Match(**fields)
 
 
+def vlan_rewrite_actions(rng: random.Random) -> list:
+    """The neighbours of the translator's push + set-field ``vlan_vid``
+    pair (which the compiler folds into one step): shapes that must not
+    fold, fold only in part, or meet a frame with no tag to rewrite."""
+    set_vid = SetFieldAction.vlan_vid(rng.randint(100, 101))
+    set_dst = SetFieldAction(field="eth_dst", value=int(rng.choice(MACS)))
+    return rng.choice((
+        [PushVlanAction(), set_dst],  # a push whose set-field is not the VLAN's
+        [set_vid],  # a no-op on an untagged frame, a rewrite on a tagged one
+        [PushVlanAction(), PushVlanAction(), set_vid],  # only the inner pair folds
+        [PopVlanAction(), PushVlanAction(), set_vid],
+    ))
+
+
 def compilable_instructions(rng: random.Random):
     """Instruction lists the compiler supports, weighted to each plan kind."""
     roll = rng.random()
@@ -156,6 +180,8 @@ def compilable_instructions(rng: random.Random):
         actions = [PopVlanAction(), OutputAction(port=rng.randint(1, 3))]
     elif extra < 0.55:
         actions.append(OutputAction(port=rng.randint(1, 3)))  # two outputs
+    elif extra < 0.67:
+        actions = vlan_rewrite_actions(rng) + actions
     return [ApplyActions(actions=tuple(actions))]
 
 
@@ -239,10 +265,13 @@ def random_buckets(rng: random.Random) -> "list[Bucket]":
     buckets = []
     for _ in range(rng.randint(1, 3)):
         actions = [OutputAction(port=rng.randint(1, 3))]
-        if rng.random() < 0.4:  # rewrite-then-forward, as the LB use case does
+        roll = rng.random()
+        if roll < 0.4:  # rewrite-then-forward, as the LB use case does
             actions.insert(
                 0, SetFieldAction(field="eth_dst", value=int(rng.choice(MACS)))
             )
+        elif roll < 0.55:  # re-tag per bucket: the foldable pair
+            actions[:0] = [PushVlanAction(), SetFieldAction.vlan_vid(rng.randint(100, 101))]
         buckets.append(Bucket(actions=actions, weight=rng.randint(1, 3)))
     return buckets
 
@@ -532,6 +561,15 @@ INCREMENTAL_HAZARDS = (
     "slot_outside_used_slots",
     "mid_burst_patch",  # synchronous controller: patched, burst carries on compiled
     "mid_burst_discard",  # synchronous controller: shape broke, burst drains interpreted
+    # VLAN-rewrite shapes, counted when a compiled decision holds them
+    # (see rewrite_hazards): the folded push + set-field vlan_vid pair...
+    "fold_in_apply_actions",
+    "fold_in_group_bucket",
+    "fold_in_chain",  # ...in an entry of a multi-table walk
+    "push_then_other_set_field",  # push + set-field eth_dst: must not fold
+    "set_vlan_on_untagged",  # nothing to rewrite: a no-op, not a push
+    "push_push_set",  # only the inner pair folds
+    "pop_then_push_set",  # pop (a no-op when untagged), then the folded pair
 )
 
 #: Chosen so that, at SCALE=1, every shape-intact condition with the
@@ -740,7 +778,14 @@ def incremental_prologue() -> list:
     shape break and each content hazard once, on purpose, so that which
     hazards a run exercised does not hang on the seed.  The random
     churn that follows supplies the combinations."""
-    out = [ApplyActions(actions=(OutputAction(port=3),))]
+    out_3 = OutputAction(port=3)
+    out = [ApplyActions(actions=(out_3,))]
+    push, set_vid = PushVlanAction(), SetFieldAction.vlan_vid(100)
+
+    def hot(*actions) -> tuple:
+        return (FlowMod(match=Match(in_port=1), priority=30,
+                        instructions=[ApplyActions(actions=actions)]),)
+
     arp = Match(eth_type=0x0806)
     select_group = dict(
         group_type=c.OFPGT_SELECT, group_id=4,
@@ -767,7 +812,89 @@ def incremental_prologue() -> list:
                  instructions=_FLOOD),),  # the hot rule, into a fallback shape
         (FlowMod(command=c.OFPFC_DELETE, match=Match(in_port=1)),),  # the cached winner
         (FlowMod(match=Match(in_port=1), priority=30, instructions=out),),
+        # The VLAN-rewrite shapes, each on the hot port rule for a burst.
+        hot(push, set_vid, out_3),  # the translator's pair: folded
+        hot(push, SetFieldAction(field="eth_dst", value=int(MACS[3])), out_3),
+        hot(push, push, set_vid, out_3),
+        hot(PopVlanAction(), push, set_vid, out_3),
+        (GroupMod(command=c.OFPGC_MODIFY, group_type=c.OFPGT_INDIRECT, group_id=1,
+                  buckets=[Bucket(actions=[push, set_vid, OutputAction(port=2)])]),
+         *hot(GroupAction(group_id=1))),  # folded inside a bucket
+        (FlowMod(table_id=1, match=Match(), priority=0,
+                 instructions=[ApplyActions(actions=(push, set_vid, out_3))]),
+         FlowMod(match=Match(in_port=1), priority=30,
+                 instructions=[GotoTable(table_id=1)])),  # folded down a chain
+        # Untagged frames only (a new field-set): nothing to set.
+        (FlowMod(match=Match(in_port=1, vlan_vid=0), priority=35,
+                 instructions=[ApplyActions(actions=(set_vid, out_3))]),),
     ]
+
+
+def rewrite_shapes(actions) -> set:
+    """Which VLAN-rewrite shapes an action list contains."""
+    kinds = " ".join(
+        "push" if type(action) is PushVlanAction
+        else "pop" if type(action) is PopVlanAction
+        else "other" if type(action) is not SetFieldAction
+        else "set_vid" if action.field == "vlan_vid"
+        else "set_field"
+        for action in actions
+    )
+    shapes = {
+        name
+        for name, pattern in (
+            ("fold", "push set_vid"),
+            ("push_then_other_set_field", "push set_field"),
+            ("push_push_set", "push push set_vid"),
+            ("pop_then_push_set", "pop push set_vid"),
+        )
+        if pattern in kinds
+    }
+    if kinds.startswith("set_vid"):
+        shapes.add("leading_set_vid")  # rewrites the tag the frame arrived with
+    return shapes
+
+
+def rewrite_hazards(switch) -> set:
+    """The VLAN-rewrite hazards among the decisions *switch*'s program
+    holds — each built because a frame served compiled selected it."""
+    program = switch.program
+    hazards: set = set()
+    if program is None:
+        return hazards
+    vlan_slot = (
+        program.used_slots.index(4) if 4 in program.used_slots else None
+    )  # FLOW_KEY_FIELDS[4] is vlan_vid: 0 in the key means untagged
+    for key, decision in program.key_cache.items():
+        kind, walked = decision[0], decision[1]
+        if kind == PLAN_CHAIN:
+            entries = [entry for _, entry in walked]
+            for op, arg in decision[2][0]:
+                buckets = ()
+                if op == STEP_GROUP_ALL:
+                    buckets = arg[0].buckets
+                elif op == STEP_GROUP_ONE and arg[1] is not None:
+                    buckets = (arg[0].buckets[arg[1]],)
+                if any("fold" in rewrite_shapes(bucket.actions) for bucket in buckets):
+                    hazards.add("fold_in_group_bucket")
+        elif walked is not None:  # one terminal entry
+            entries = [walked]
+        else:  # table miss, fallback
+            continue
+        for entry in entries:
+            shapes = rewrite_shapes([
+                action
+                for instruction in entry.instructions
+                if isinstance(instruction, ApplyActions)
+                for action in instruction.actions
+            ])
+            if "fold" in shapes:
+                hazards.add("fold_in_chain" if len(entries) > 1 else "fold_in_apply_actions")
+            if "leading_set_vid" in shapes and entry is entries[0]:
+                if vlan_slot is not None and key[vlan_slot] == 0:
+                    hazards.add("set_vlan_on_untagged")
+            hazards.update(shapes - {"fold", "leading_set_vid"})
+    return hazards
 
 
 def reaction_script(rng: random.Random, length: int) -> list:
@@ -775,7 +902,7 @@ def reaction_script(rng: random.Random, length: int) -> list:
 
     Half the reactions aim at the very burst that raised the packet-in
     (its in_port, its destination), so the frames still queued behind
-    it are the ones whose memoised decisions the reaction outdates."""
+    it are the ones whose cached decisions the reaction outdates."""
     # Like the prologue: the first packet-ins of a round get one
     # shape-breaking and one shape-preserving answer for certain.
     script = [("learn", 3), ("repoint", 2), ("learn", 2), ("repoint", 1)]
@@ -1008,10 +1135,9 @@ def run_incremental(seed, rounds, bursts_per_round, cost_model, churn_prob=0.5):
                     replies = [rig.apply(message) for rig in rigs]
                     assert replies[0] == replies[1] == replies[2]
                 size = rng.choice((1, 2, 3, 4, 6, 8, 8, 12))
-                # Often few distinct objects per burst, like a
-                # generator's per-flow templates: the burst-local memo
-                # is what serves the repeats, also after a mid-burst
-                # reaction.
+                # Often few distinct flows per burst: the key cache is
+                # what serves the repeats, and what a mid-burst
+                # reaction has to have flushed.
                 flows = rng.sample(pool, rng.choice((2, 3, 6, len(pool), len(pool))))
                 frames = [rng.choice(flows) for _ in range(size)]
                 in_port = 1 if rng.random() < 0.7 else rng.randint(2, 3)
@@ -1021,6 +1147,7 @@ def run_incremental(seed, rounds, bursts_per_round, cost_model, churn_prob=0.5):
                 bursts_done += 1
                 assert_same_state(patched, interpreter)
                 assert_same_state(fresh, interpreter)
+                hazards.update(rewrite_hazards(patched.switch))
                 program = patched.switch.program
                 if program is not None:
                     # Plans outlive a flush; a removed or replaced
