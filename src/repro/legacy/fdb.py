@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.net.addresses import MACAddress
 
@@ -20,6 +20,10 @@ class FdbEntry:
 
     def age(self, now: float) -> float:
         return now - self.learned_at
+
+    def alive(self, now: float, aging_s: float) -> bool:
+        """Static, or no older than the aging time (the boundary lives)."""
+        return self.static or now - self.learned_at <= aging_s
 
 
 class ForwardingDatabase:
@@ -44,6 +48,13 @@ class ForwardingDatabase:
         self.capacity = capacity
         self.aging_s = aging_s
         self._entries: dict[tuple[int, MACAddress], FdbEntry] = {}
+        #: Moves whenever a binding is added, removed or re-pointed: a
+        #: new address learned (evicting or not), a move, an age-out at
+        #: lookup, :meth:`expire`, every flush, :meth:`add_static`.  A
+        #: refresh only rewrites ``learned_at`` and leaves it alone, so
+        #: whatever the switch derived from the bindings (its forwarding
+        #: cache) holds exactly while this does.
+        self.generation = 0
         self.learn_events = 0
         self.move_events = 0
         self.evictions = 0
@@ -66,6 +77,7 @@ class ForwardingDatabase:
                 return
             if existing.port != port:
                 self.move_events += 1
+                self.generation += 1
             existing.port = port
             existing.learned_at = now
             return
@@ -75,12 +87,14 @@ class ForwardingDatabase:
             vlan_id=vlan_id, mac=mac, port=port, learned_at=now
         )
         self.learn_events += 1
+        self.generation += 1
 
     def add_static(self, vlan_id: int, mac: MACAddress, port: int) -> None:
         """Pin a (VLAN, MAC) to a port; survives aging and flushes."""
         self._entries[(vlan_id, mac)] = FdbEntry(
             vlan_id=vlan_id, mac=mac, port=port, learned_at=0.0, static=True
         )
+        self.generation += 1
 
     def _evict_oldest(self) -> None:
         """Evict-oldest-dynamic: the capacity policy, in one place."""
@@ -100,8 +114,9 @@ class ForwardingDatabase:
         entry = self._entries.get((vlan_id, mac))
         if entry is None:
             return None
-        if not entry.static and entry.age(now) > self.aging_s:
+        if not entry.alive(now, self.aging_s):
             del self._entries[(vlan_id, mac)]
+            self.generation += 1
             return None
         return entry.port
 
@@ -109,67 +124,32 @@ class ForwardingDatabase:
         """The entry for (vlan, mac) as stored — no aging, no side effect."""
         return self._entries.get((vlan_id, mac))
 
-    def mutation_stamp(self) -> "tuple[int, int, int, int]":
-        """Moves whenever a binding is added, removed or re-pointed.
-
-        Every such change bumps a monotone counter (learn, move, evict)
-        or the size (aging, flush); a refresh only rewrites
-        ``learned_at`` and leaves the stamp alone.  :meth:`add_static`
-        is configuration and not covered.
-        """
-        return (
-            self.learn_events,
-            self.move_events,
-            self.evictions,
-            len(self._entries),
-        )
+    def _flush(self, doomed: "Callable[[FdbEntry], bool]") -> int:
+        """Drop the dynamic entries *doomed* picks; static ones are
+        configuration, not learned state, and survive."""
+        keys = [key for key, e in self._entries.items() if not e.static and doomed(e)]
+        for key in keys:
+            del self._entries[key]
+        self.generation += 1
+        return len(keys)
 
     def expire(self, now: float) -> int:
         """Remove all dynamic entries older than the aging time."""
-        stale = [
-            key
-            for key, entry in self._entries.items()
-            if not entry.static and entry.age(now) > self.aging_s
-        ]
-        for key in stale:
-            del self._entries[key]
-        return len(stale)
+        return self._flush(lambda entry: not entry.alive(now, self.aging_s))
 
     def flush_port(self, port: int) -> int:
         """Drop all dynamic entries pointing at *port* (link-down handling)."""
-        doomed = [
-            key
-            for key, entry in self._entries.items()
-            if entry.port == port and not entry.static
-        ]
-        for key in doomed:
-            del self._entries[key]
-        return len(doomed)
+        return self._flush(lambda entry: entry.port == port)
 
     def flush_dynamic(self) -> int:
-        """Drop every dynamic entry (topology change / switch restart).
-
-        Static entries are configuration, not learned state — they
-        survive, exactly as on a power-cycled real switch whose startup
-        config repopulates them.
-        """
-        doomed = [
-            key for key, entry in self._entries.items() if not entry.static
-        ]
-        for key in doomed:
-            del self._entries[key]
-        return len(doomed)
+        """Drop every dynamic entry (topology change / switch restart) —
+        exactly as on a power-cycled real switch, whose startup config
+        repopulates the static ones."""
+        return self._flush(lambda entry: True)
 
     def flush_vlan(self, vlan_id: int) -> int:
         """Drop all dynamic entries in *vlan_id*."""
-        doomed = [
-            key
-            for key, entry in self._entries.items()
-            if entry.vlan_id == vlan_id and not entry.static
-        ]
-        for key in doomed:
-            del self._entries[key]
-        return len(doomed)
+        return self._flush(lambda entry: entry.vlan_id == vlan_id)
 
     def stats(self) -> dict:
         """Occupancy and pressure counters (exported like SNMP gauges).
@@ -189,7 +169,14 @@ class ForwardingDatabase:
             "flood_fallbacks": self.flood_fallbacks,
         }
 
-    def entries(self) -> Iterator[FdbEntry]:
-        """All entries, sorted by (vlan, mac) — the order SNMP walks them."""
+    def entries(self, now: "float | None" = None) -> Iterator[FdbEntry]:
+        """All entries, sorted by (vlan, mac) — the order SNMP walks them.
+
+        Given *now*, dynamic entries past the aging time are left out
+        (not removed: entries die when looked up, and what is in the
+        table is simulation state a management read must not move).
+        """
         for key in sorted(self._entries):
-            yield self._entries[key]
+            entry = self._entries[key]
+            if now is None or entry.alive(now, self.aging_s):
+                yield entry

@@ -17,13 +17,15 @@ does the hairpin turn on the way back.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.net.ethernet import EthernetFrame
 from repro.netsim.node import Node, Port
 from repro.netsim.simulator import Simulator
-from repro.legacy.config import PortMode, RunningConfig
-from repro.legacy.fdb import ForwardingDatabase
+from repro.legacy.config import PortMode, PortVlanConfig, RunningConfig
+from repro.legacy.fdb import FdbEntry, ForwardingDatabase
 from repro.legacy.stp import STP_ETHERTYPE, STP_MULTICAST, PortState
 
 #: Store-and-forward lookup latency of typical GbE merchant silicon.
@@ -46,6 +48,18 @@ class SwitchCounters:
     per_port_tx: dict[int, int] = field(default_factory=dict)
 
 
+class _Hop(NamedTuple):
+    """One compiled known-unicast decision (see :meth:`LegacySwitch._compile`)."""
+
+    source: FdbEntry  #: refreshed by every hit, as ``fdb.learn`` would
+    target: FdbEntry  #: must not have aged when the frame is forwarded
+    pop: bool  #: the outer tag carried the VLAN and comes off
+    vlan_id: int
+    push_vid: "int | None"  #: the VLAN goes back on at a tagged egress
+    out_port: int
+    config_state: tuple  #: see :meth:`LegacySwitch._config_state`
+
+
 class LegacySwitch(Node):
     """A legacy managed Ethernet switch.
 
@@ -53,6 +67,11 @@ class LegacySwitch(Node):
     behaviour is controlled entirely by the :class:`RunningConfig`,
     which the management plane (SNMP/driver) edits at runtime — just
     like reconfiguring a real switch while traffic flows.
+
+    Known unicast between learned stations — what a migrated fabric
+    carries — is served from a cache of decisions (:meth:`_lookup`) on
+    a switch without a lookup delay, every other frame by
+    :meth:`_general_path`: same outcome, by design.
     """
 
     def __init__(
@@ -68,6 +87,10 @@ class LegacySwitch(Node):
         self.fdb = ForwardingDatabase(capacity=fdb_capacity, aging_s=self.config.fdb_aging_s)
         self.processing_delay_s = processing_delay_s
         self.counters = SwitchCounters()
+        #: Frames dropped, by reason — beside ``counters``, whose fields
+        #: the benchmark's digest hashes: ``filtered_ingress`` stays, as
+        #: the sum of the three ``ingress-filtered:*`` reasons.
+        self.drops: "defaultdict[str, int]" = defaultdict(int)
         #: Attached spanning-tree instance (see :mod:`repro.legacy.stp`);
         #: None means no STP — the dataplane forwards unconditionally.
         self.stp = None
@@ -82,6 +105,10 @@ class LegacySwitch(Node):
         #: output port, in forwarding order) instead of being sent one
         #: link event each; see :meth:`receive_burst`.
         self._egress_buffer: "dict[int, list[EthernetFrame]] | None" = None
+        #: (ingress port, outer vid, src, dst), by value -> :class:`_Hop`;
+        #: emptied when ``fdb.generation`` leaves ``_hops_generation``.
+        self._hops: "dict[tuple, _Hop]" = {}
+        self._hops_generation = 0
         for number in range(1, num_ports + 1):
             self.add_port(number)
             self.config.port(number)  # default access port in VLAN 1
@@ -90,207 +117,232 @@ class LegacySwitch(Node):
 
     def receive(self, port: Port, frame: EthernetFrame) -> None:
         if not self.running:
-            return  # a crashed switch is a black hole
-        self.counters.rx_frames += 1
-        self.counters.per_port_rx[port.number] = (
-            self.counters.per_port_rx.get(port.number, 0) + 1
-        )
-        port_config = self.config.port(port.number)
-        if not port_config.enabled:
-            self.counters.filtered_ingress += 1
+            self.drops["powered-off"] += 1  # a crashed switch is a black hole
             return
-
-        if self.stp is not None and self.stp.handles(port.number):
-            # BPDUs go to the control plane before any 802.1Q
-            # classification (they are untagged link-local frames).
-            if frame.dst == STP_MULTICAST and frame.ethertype == STP_ETHERTYPE:
-                self.stp.receive_bpdu(port.number, frame)
-                return
-            state = self.stp.port_state(port.number)
-            if state is not PortState.FORWARDING:
-                if state is PortState.LEARNING:
-                    learned = self._classify_ingress(port.number, frame)
-                    if learned is not None and learned[1].src.is_unicast:
-                        self.fdb.learn(
-                            learned[0], learned[1].src, port.number, self.sim.now
-                        )
-                self.counters.filtered_ingress += 1
-                return
-
-        classified = self._classify_ingress(port.number, frame)
-        if classified is None:
-            self.counters.filtered_ingress += 1
+        number = port.number
+        counters = self.counters
+        counters.rx_frames += 1
+        counters.per_port_rx[number] = counters.per_port_rx.get(number, 0) + 1
+        # A lookup delay makes every frame two simulator events and the
+        # forward a decision taken later: the cache has nothing to save
+        # there (measured: a loss on cold flows), so it is not asked.
+        hop = None if self.processing_delay_s > 0 else self._lookup(number, frame)
+        if hop is None:
+            self._general_path(number, frame)
             return
-        vlan_id, inner = classified
-
-        # Source learning happens before the forwarding decision.
-        if inner.src.is_unicast:
-            self.fdb.learn(vlan_id, inner.src, port.number, self.sim.now)
-
-        delay = self.processing_delay_s
-        if delay > 0:
-            self.sim.schedule(delay, lambda: self._forward(port.number, vlan_id, inner))
-        else:
-            self._forward(port.number, vlan_id, inner)
+        if hop.pop:
+            frame = frame.pop_vlan()
+        self._send(hop.out_port, frame if hop.push_vid is None else frame.push_vlan(hop.push_vid))
 
     def receive_burst(
         self, port: Port, arrivals: "list[tuple[float, EthernetFrame]]"
     ) -> None:
         """Bridge a coalesced burst, re-coalescing the egress per port.
 
-        Counters, FDB state and the frame sequence on every egress link
-        are identical to *len(arrivals)* sequential :meth:`receive`
-        calls.  The first frame of each ``(outer VLAN id, src, dst)``
-        goes through :meth:`receive` itself; if :meth:`_burst_plan` then
-        finds it was plain known-unicast bridging, later frames of that
-        key replay the decision — counters, tag ops, egress — without
-        classifying or touching the FDB again.  Any :meth:`receive` that
-        moves the FDB's bindings drops every plan.  Everything else
-        (floods, filtered frames, STP-managed ports) stays on
-        :meth:`receive`.
-
-        The other difference is event shape: all frames a burst sends
-        to one egress port leave as **one** :meth:`Port.send_burst` call
-        (one link event), which keeps fabric-scale burst traffic
-        coalesced across chains of legacy and migrated hops.  A non-zero
-        ``processing_delay_s`` schedules each forward individually, so
-        the burst path only engages on delay-free switches.
+        Indistinguishable from *len(arrivals)* sequential
+        :meth:`receive` calls but for two things amortised.  Frames of
+        one ``(outer vid, src, dst)`` mostly share their MAC *objects*,
+        so the first one's decision is memoised under their ids and the
+        rest skip hashing the addresses and :meth:`_lookup` (which, at
+        one instant, has nothing left to refresh or re-check); a frame
+        that moves ``fdb.generation`` drops the memo.  And all frames
+        the burst sends to one egress port leave, and are counted, as
+        **one** :meth:`Port.send_burst` call (one link event), which
+        keeps fabric-scale traffic coalesced across chains of hops.  A
+        lookup delay schedules each forward by itself: no burst path.
         """
         if self.processing_delay_s > 0 or len(arrivals) < 2:
             super().receive_burst(port, arrivals)
             return
+        if not self.running:
+            self.drops["powered-off"] += len(arrivals)
+            return
         number = port.number
         counters = self.counters
-        per_port_rx = counters.per_port_rx
-        per_port_tx = counters.per_port_tx
-        stamp_of = self.fdb.mutation_stamp
-        stamp = stamp_of()
-        #: (outer vid, id(src), id(dst)) -> plan, or False for "not the
-        #: plain case".  The MAC objects outlive the call (the frames in
-        #: *arrivals* hold them), so their ids cannot be reused.
-        plans: dict = {}
+        counters.rx_frames += len(arrivals)
+        counters.per_port_rx[number] = counters.per_port_rx.get(number, 0) + len(arrivals)
+        fdb = self.fdb
+        generation = fdb.generation
+        #: (outer vid, id(src), id(dst)) -> (pop, push_vid, egress list's
+        #: append), or False: general path.  The frames in *arrivals*
+        #: keep the MAC objects alive, so their ids cannot be reused.
+        memo: dict = {}
         buffered = self._egress_buffer = {}
         try:
-            receive = self.receive
             for _, frame in arrivals:
                 tags = frame.tags
                 key = (tags[0].vlan_id if tags else None, id(frame.src), id(frame.dst))
-                plan = plans.get(key)
-                if plan:
-                    pop, push_vid, out_port = plan
-                    counters.rx_frames += 1
-                    per_port_rx[number] += 1
-                    if pop:
-                        frame = frame.pop_vlan()
-                    if push_vid is not None:
-                        frame = frame.push_vlan(push_vid)
-                    counters.tx_frames += 1
-                    per_port_tx[out_port] += 1
-                    buffered[out_port].append(frame)
-                    continue
-                receive(port, frame)
-                moved = stamp_of()
-                if moved != stamp:
-                    stamp = moved
-                    plans.clear()
-                    plan = None
+                plan = memo.get(key)
                 if plan is None:
-                    plans[key] = self._burst_plan(number, frame) or False
+                    hop = self._lookup(number, frame)
+                    plan = memo[key] = hop is not None and (
+                        hop.pop, hop.push_vid, buffered.setdefault(hop.out_port, []).append
+                    )
+                if not plan:
+                    self._general_path(number, frame)
+                    if fdb.generation != generation:
+                        generation = fdb.generation
+                        memo.clear()
+                    continue
+                pop, push_vid, emit = plan
+                if pop:
+                    frame = frame.pop_vlan()
+                emit(frame if push_vid is None else frame.push_vlan(push_vid))
         finally:
             self._egress_buffer = None
+        per_port_tx = counters.per_port_tx
         for out_number, frames in buffered.items():
-            out = self.port(out_number)
+            counters.tx_frames += len(frames)
+            per_port_tx[out_number] = per_port_tx.get(out_number, 0) + len(frames)
             if len(frames) == 1:
-                out.send(frames[0])
+                self.port(out_number).send(frames[0])
             else:
-                out.send_burst(frames)
+                self.port(out_number).send_burst(frames)
 
-    def _burst_plan(
-        self, port_number: int, frame: EthernetFrame
-    ) -> "tuple[bool, int | None, int] | None":
-        """``(pop, push_vid, out_port)`` if a frame like *frame*, arriving
-        on *port_number* now, is plain bridging; else None.
+    # ----------------------------------------------- known unicast, cached
 
-        Plain means :meth:`receive` would change nothing but counters:
-        the ingress port is enabled and outside STP, the frame
-        classifies, its unicast source is already learned on this port
-        at this instant (so learning is a no-op) and its unicast
-        destination is a live entry on another port that emits the
-        VLAN.  A storm meter only ever sees floods, which are never
-        plain.  Reads only.
-        """
-        if not self.running:
-            return None
-        if self.stp is not None and self.stp.handles(port_number):
-            return None
-        if not self.config.port(port_number).enabled:
-            return None
-        classified = self._ingress_vlan(port_number, frame)
-        if classified is None or not (frame.src.is_unicast and frame.dst.is_unicast):
-            return None
-        vlan_id, tagged = classified
+    def _lookup(self, number: int, frame: EthernetFrame) -> "_Hop | None":
+        """The decision for *frame* arriving on port *number* now, its
+        source refreshed the way ``fdb.learn`` would (static sources
+        untouched) — or None: not plain known unicast at this instant.
+        Cached per FDB generation, and compiled anew when the running
+        config no longer reads as it did (:meth:`_config_state`)."""
         fdb = self.fdb
-        now = self.sim.now
-        source = fdb.peek(vlan_id, frame.src)
-        if (
-            source is None
-            or source.port != port_number
-            or not (source.static or source.learned_at == now)
+        hops = self._hops
+        if self._hops_generation != fdb.generation:
+            hops.clear()
+            self._hops_generation = fdb.generation
+        tags = frame.tags
+        vid = tags[0].vlan_id if tags else None
+        key = (number, vid, frame.src, frame.dst)
+        hop = hops.get(key)
+        if hop is None or hop.config_state != self._config_state(
+            number, vid, hop.out_port, hop.vlan_id
         ):
-            return None
-        target = fdb.peek(vlan_id, frame.dst)
-        if (
-            target is None
-            or target.port == port_number
-            or not (target.static or target.age(now) <= fdb.aging_s)
-        ):
-            return None
-        egress_tagged = self._egress_tagging(target.port, vlan_id)
-        if egress_tagged is None:
-            return None
-        return tagged, (vlan_id if egress_tagged else None), target.port
-
-    def _ingress_vlan(
-        self, port_number: int, frame: EthernetFrame
-    ) -> "tuple[int, bool] | None":
-        """The VLAN an arriving frame is classified into and whether its
-        outer tag carries it (and so comes off), or None to drop."""
-        port_config = self.config.port(port_number)
-        if port_config.mode is PortMode.ACCESS:
-            if frame.vlan is not None:
-                # 802.1Q access ports drop tagged frames (no VLAN leaking).
+            hop = self._compile(number, vid, frame)
+            if hop is None:
                 return None
-            return port_config.pvid, False
-        # Trunk port.
-        if frame.vlan is None:
-            if port_config.native_vlan is None:
-                return None
-            return port_config.native_vlan, False
-        vlan_id = frame.vlan_id
-        if vlan_id not in port_config.allowed_vlans:
+            hops[key] = hop
+        if not self._passable(hop, number):
             return None
-        return vlan_id, True
+        if not hop.source.static:
+            hop.source.learned_at = self.sim.now
+        return hop
 
-    def _classify_ingress(
-        self, port_number: int, frame: EthernetFrame
-    ) -> "tuple[int, EthernetFrame] | None":
-        """Map an arriving frame to (vlan, untagged-frame), or None to drop.
+    def _passable(self, hop: _Hop, number: int) -> bool:
+        """What moves without the FDB's generation or the config: the
+        target has not aged, STP is out of the way."""
+        stp = self.stp
+        return hop.target.alive(self.sim.now, self.fdb.aging_s) and (
+            stp is None or not stp.handles(number) and stp.forwarding_allowed(hop.out_port)
+        )
 
-        The returned frame always has the classification tag removed so
-        forwarding logic deals in canonical untagged frames plus a VLAN
-        id — mirroring how switch ASICs carry VLAN metadata out of band.
+    def _compile(self, number: int, vid: "int | None", frame: EthernetFrame) -> "_Hop | None":
+        """The :class:`_Hop` for frames like *frame* arriving on port
+        *number*, or None unless bridging one is known unicast with
+        nothing to learn: ingress port enabled, the frame classifies,
+        its source is bound to this port already (a static one may be a
+        group address, which nobody learns either), its unicast
+        destination to another port that emits the VLAN.  A storm meter
+        only sees floods.  Reads only — and not what :meth:`_passable` asks.
         """
-        classified = self._ingress_vlan(port_number, frame)
-        if classified is None:
+        port_config = self.config.port(number)
+        classified = self._ingress_vlan(port_config, frame)
+        if classified is None or frame.dst.is_multicast or not port_config.enabled:
             return None
+        vlan_id, pop = classified
+        source = self.fdb.peek(vlan_id, frame.src)
+        target = self.fdb.peek(vlan_id, frame.dst)
+        if source is None or source.port != number or target is None or target.port == number:
+            return None
+        tagged = self._egress_tagging(target.port, vlan_id)
+        if tagged is None:
+            return None
+        return _Hop(
+            source, target, pop, vlan_id, vlan_id if tagged else None, target.port,
+            self._config_state(number, vid, target.port, vlan_id),
+        )
+
+    def _config_state(self, number: int, vid: "int | None", out_port: int, vlan_id: int) -> tuple:
+        """Everything classifying outer tag *vid* on port *number* and
+        emitting *vlan_id* on *out_port* read of the running config; a
+        hop compares it by value, for the live config is edited in place."""
+        # Both are there: a new config lacking one flushes that port's entries.
+        ports = self.config.ports
+        ingress, egress = ports[number], ports[out_port]
+        return (
+            ingress.enabled, ingress.mode, ingress.pvid, ingress.native_vlan,
+            vid in ingress.allowed_vlans,
+            egress.enabled, egress.mode, egress.pvid, egress.native_vlan,
+            vlan_id in egress.allowed_vlans,
+        )
+
+    # ------------------------------------------------------ general path
+
+    def _general_path(self, number: int, frame: EthernetFrame) -> None:
+        """Everything :meth:`receive` does after counting the frame in,
+        for any frame: filter, classify, learn, forward or flood."""
+        port_config = self.config.port(number)
+        if not port_config.enabled:
+            self._filter_ingress("disabled")
+            return
+        if self.stp is not None and self.stp.handles(number):
+            # BPDUs go to the control plane before any 802.1Q
+            # classification (they are untagged link-local frames).
+            if frame.dst == STP_MULTICAST and frame.ethertype == STP_ETHERTYPE:
+                self.stp.receive_bpdu(number, frame)
+                return
+            state = self.stp.port_state(number)
+            if state is not PortState.FORWARDING:
+                if state is PortState.LEARNING and frame.src.is_unicast:
+                    learned = self._ingress_vlan(port_config, frame)
+                    if learned is not None:
+                        self.fdb.learn(learned[0], frame.src, number, self.sim.now)
+                self._filter_ingress("stp")
+                return
+        classified = self._ingress_vlan(port_config, frame)
+        if classified is None:
+            self._filter_ingress("vlan")
+            return
+        # Forwarding deals in canonical untagged frames plus a VLAN id,
+        # the way switch ASICs carry VLAN metadata out of band.
         vlan_id, tagged = classified
-        return vlan_id, (frame.pop_vlan() if tagged else frame)
+        inner = frame.pop_vlan() if tagged else frame
+        # Source learning happens before the forwarding decision.
+        if frame.src.is_unicast:
+            self.fdb.learn(vlan_id, frame.src, number, self.sim.now)
+        delay = self.processing_delay_s
+        if delay > 0:
+            self.sim.schedule(delay, lambda: self._forward(number, vlan_id, inner))
+        else:
+            self._forward(number, vlan_id, inner)
+
+    def _filter_ingress(self, why: str) -> None:
+        self.counters.filtered_ingress += 1
+        self.drops["ingress-filtered:" + why] += 1
+
+    @staticmethod
+    def _ingress_vlan(
+        port_config: PortVlanConfig, frame: EthernetFrame
+    ) -> "tuple[int, bool] | None":
+        """The VLAN a frame arriving on that port is classified into and
+        whether its outer tag carries it (and so comes off), or None to drop."""
+        tags = frame.tags
+        if port_config.mode is PortMode.ACCESS:
+            # 802.1Q access ports drop tagged frames (no VLAN leaking).
+            return None if tags else (port_config.pvid, False)
+        if not tags:  # untagged on a trunk: its native VLAN, if it has one
+            native = port_config.native_vlan
+            return None if native is None else (native, False)
+        vlan_id = tags[0].vlan_id
+        return (vlan_id, True) if vlan_id in port_config.allowed_vlans else None
 
     # ----------------------------------------------------------- egress
 
     def _forward(self, ingress_port: int, vlan_id: int, frame: EthernetFrame) -> None:
         if not self.running:
-            return  # crashed while the frame sat in the lookup pipeline
+            self.drops["powered-off"] += 1  # crashed while the frame sat in the lookup pipeline
+            return
         out_port = None
         if frame.dst.is_unicast:
             out_port = self.fdb.lookup(vlan_id, frame.dst, self.sim.now)
@@ -299,6 +351,8 @@ class LegacySwitch(Node):
         if out_port is not None:
             if out_port != ingress_port:
                 self._egress(out_port, vlan_id, frame)
+            else:
+                self.drops["hairpin"] += 1
             return
         # Unknown unicast / broadcast / multicast: flood the VLAN —
         # unless the ingress port's storm meter says this is a storm.
@@ -306,11 +360,13 @@ class LegacySwitch(Node):
             ingress_port, self.sim.now
         ):
             self.counters.storm_suppressed += 1
+            self.drops["storm-suppressed"] += 1
             return
         members = self.config.ports_in_vlan(vlan_id)
         flooded_to = [number for number in members if number != ingress_port]
         if not flooded_to:
             self.counters.dropped_no_ports += 1
+            self.drops["no-ports"] += 1
             return
         self.counters.flooded += 1
         for number in flooded_to:
@@ -332,16 +388,19 @@ class LegacySwitch(Node):
     def _egress(self, port_number: int, vlan_id: int, frame: EthernetFrame) -> None:
         tagged = self._egress_tagging(port_number, vlan_id)
         if tagged is None:
+            self.drops["egress-filtered"] += 1
             return
-        out_frame = frame.push_vlan(vlan_id) if tagged else frame
-        self.counters.tx_frames += 1
-        self.counters.per_port_tx[port_number] = (
-            self.counters.per_port_tx.get(port_number, 0) + 1
-        )
-        if self._egress_buffer is not None:
-            self._egress_buffer.setdefault(port_number, []).append(out_frame)
+        self._send(port_number, frame.push_vlan(vlan_id) if tagged else frame)
+
+    def _send(self, port_number: int, frame: EthernetFrame) -> None:
+        buffered = self._egress_buffer
+        if buffered is not None:  # counted when the burst leaves
+            buffered.setdefault(port_number, []).append(frame)
             return
-        self.port(port_number).send(out_frame)
+        counters = self.counters
+        counters.tx_frames += 1
+        counters.per_port_tx[port_number] = counters.per_port_tx.get(port_number, 0) + 1
+        self.port(port_number).send(frame)
 
     # ------------------------------------------------------- management
 

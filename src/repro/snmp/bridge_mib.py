@@ -137,7 +137,9 @@ class BridgeMibAdapter:
         def rows() -> Iterable[tuple[tuple[int, ...], object]]:
             port_rows = []
             status_rows = []
-            for entry in switch.fdb.entries():
+            # Entries die when looked up, not when they age: a walk
+            # reports what a lookup at this instant would still find.
+            for entry in switch.fdb.entries(now=switch.sim.now):
                 mac_parts = tuple(entry.mac.packed)
                 port_rows.append(((2, entry.vlan_id) + mac_parts, entry.port))
                 status_rows.append(

@@ -2,25 +2,21 @@
 
 Covers the three builder families, reachability before/during/after
 every migration wave, the legacy-vs-migrated differential (a 2-switch
-fabric must deliver bit-identical frames either way), cross-pod burst
-traffic across chains of migrated SoftSwitches, and the legacy
-switch's burst-path equivalence to sequential receive().
+fabric must deliver bit-identical frames either way) and cross-pod
+burst traffic across chains of migrated SoftSwitches.  (The legacy
+switch's own cache-vs-general-path differential lives in
+``test_legacy_differential.py``.)
 """
 
 import itertools
-import os
-import random
-from dataclasses import asdict
 
 import pytest
 
 from repro.core import HarmlessError, HarmlessFleet
 from repro.fabric import campus_fabric, leaf_spine_fabric, ring_fabric
-from repro.net.addresses import BROADCAST_MAC, IPv4Address, MACAddress
-from repro.net.build import udp_frame
-from repro.net.ethernet import ETHERTYPE_IPV4, Dot1QTag, EthernetFrame
-from repro.netsim import Capture, Simulator
-from repro.netsim.node import Node
+from repro.net.addresses import BROADCAST_MAC
+from repro.net.ethernet import ETHERTYPE_IPV4
+from repro.netsim import Capture
 from repro.snmp import PduType, SnmpErrorStatus
 from repro.softswitch import DatapathCostModel
 from repro.traffic import (
@@ -320,294 +316,3 @@ def test_cross_pod_flow_population():
     assert announcement.dst == BROADCAST_MAC
     with pytest.raises(ValueError):
         cross_pod_flows(pods=1)
-
-
-# ------------------------------------------ legacy burst-path equivalence
-#
-# LegacySwitch.receive_burst replays a per-burst forwarding plan for
-# plain known-unicast frames instead of re-running receive(); it must
-# be indistinguishable from sequential receive() calls.  Seeded
-# generative differential: each round draws a switch (VLAN layout, CAM
-# size, aging, static entries, STP, storm meter, a dead port) and plays
-# the same bursts into two copies of it — one fed Port.send_burst, one
-# fed Port.send frame by frame over the same ideal links.
-
-
-class _Recorder(Node):
-    """Captures whatever its single port receives."""
-
-    def __init__(self, sim, name):
-        super().__init__(sim, name)
-        self.add_port(1)
-        self.frames = []
-
-    def receive(self, port, frame):
-        self.frames.append(frame.to_bytes())
-
-
-#: Case-count multiplier; the nightly extended job sets this to 5.
-_SCALE = max(1, int(os.environ.get("DIFFERENTIAL_SCALE", "1")))
-_LEGACY_SEED = 0x1E6AC7
-_LEGACY_ROUNDS = 20
-_LEGACY_BURSTS_PER_ROUND = 50
-
-#: Stations whose MAC *objects* recur across frames, the way frames
-#: derived from one per-flow template share them.
-_STATIONS = [MACAddress(0x02_00_00_00_10_00 + n) for n in range(8)]
-_NEVER_LEARNED = MACAddress(0x02_00_00_00_99_99)
-_GROUP = MACAddress(0x01_00_5E_00_00_07)
-
-
-def _legacy_scenario(rng):
-    """One round's switch, as plain data both copies are built from."""
-    dead_port = rng.choice([None, None, 2, 6])
-    # Pinned entries: stations, and now and then the group address.
-    statics = [
-        (rng.choice([10, 20]), rng.randrange(len(_STATIONS) + 1), rng.randint(1, 6))
-        for _ in range(rng.choice([0, 0, 1, 2]))
-    ]
-    if dead_port is not None and rng.random() < 0.5:
-        # The dead port's resident, pinned to it: known, yet filtered.
-        statics.append((10, 1, 2) if dead_port == 2 else (20, 3, 6))
-    return {
-        "capacity": rng.choice([4, 8192, 8192]),  # a small CAM evicts mid-burst
-        "aging_s": rng.choice([0.02, 300.0, 300.0]),  # short aging expires at lookup
-        "trunk_native": rng.choice([None, 30]),
-        "dead_port": dead_port,
-        "dead_by_link_down": rng.random() < 0.5,
-        "stp_ports": rng.choice([(), (), (5,), (4, 5)]),
-        "storm": rng.random() < 0.15,
-        "statics": statics,
-        "gaps": [rng.choice([0.0, 0.001, 0.03]) for _ in range(_LEGACY_BURSTS_PER_ROUND)],
-    }
-
-
-def _legacy_dut(scenario):
-    """A zero-delay six-port switch with a recorder on every port:
-    1, 2 access VLAN 10; 3, 6 access VLAN 20; 4 trunk 10/20/30 with an
-    optional native 30; 5 trunk 20 with native 10."""
-    from repro.legacy import LegacySwitch, SpanningTree, StormControl
-    from repro.netsim import Link
-
-    sim = Simulator()
-    switch = LegacySwitch(
-        sim, "sw", num_ports=6, fdb_capacity=scenario["capacity"],
-        processing_delay_s=0.0,
-    )
-    config = switch.config
-    config.set_access(1, 10)
-    config.set_access(2, 10)
-    config.set_access(3, 20)
-    config.set_access(6, 20)
-    config.set_trunk(4, {10, 20, 30}, native_vlan=scenario["trunk_native"])
-    config.set_trunk(5, {20}, native_vlan=10)
-    switch.fdb.aging_s = scenario["aging_s"]
-    peers = []
-    for number in range(1, 7):
-        peer = _Recorder(sim, f"peer{number}")
-        Link(peer.port(1), switch.port(number), bandwidth_bps=None, queue_frames=10_000)
-        peers.append(peer)
-    for vlan_id, station, port in scenario["statics"]:
-        switch.fdb.add_static(vlan_id, (_STATIONS + [_GROUP])[station], port)
-    if scenario["dead_port"] is not None:
-        if scenario["dead_by_link_down"]:
-            switch.link_down(scenario["dead_port"])
-        else:
-            config.port(scenario["dead_port"]).enabled = False
-    if scenario["stp_ports"]:
-        # Alone, the bridge is root: its managed ports walk LISTENING ->
-        # LEARNING -> FORWARDING while the bursts arrive.
-        SpanningTree(switch, list(scenario["stp_ports"]), forward_delay_s=0.2)
-    if scenario["storm"]:
-        switch.storm_control = StormControl(rate_fps=100.0, burst=3, recovery_s=0.05)
-    return sim, switch, peers
-
-
-#: Where each station usually lives: (port, tag stack it sends with).
-_HOMES = [(1, ()), (2, ()), (3, ()), (6, ()), (4, (10,)), (4, (20,)), (5, (20,)), (5, ())]
-#: Stations 0, 1, 4, 7 share VLAN 10; stations 2, 3, 5, 6 VLAN 20.
-_VLAN_MATES = [(1, 4, 7), (0, 4, 7), (3, 5, 6), (2, 5, 6), (0, 1, 7), (2, 3, 6), (2, 3, 5), (0, 1, 4)]
-_HOSTILE_STACKS = [(), (10,), (20,), (30,), (40,), (0,), (20, 7)]
-
-
-def _legacy_frame(rng, ingress):
-    """A frame for *ingress*: mostly a resident station talking to
-    another station, with a visitor (a MAC move), a group source, an
-    unlearnable / group destination or a hostile tag stack mixed in."""
-    residents = [n for n, (port, _) in enumerate(_HOMES) if port == ingress]
-    station = rng.choice(residents)
-    stack = _HOMES[station][1]
-    roll = rng.random()
-    if roll < 0.75:
-        src = _STATIONS[station]
-    elif roll < 0.85:  # equal value, distinct object: plans key on identity
-        src = MACAddress(int(_STATIONS[station]))
-    elif roll < 0.95:
-        src = rng.choice(_STATIONS)  # a visitor: the FDB sees a move
-    else:
-        src = _GROUP  # a group source is never learned
-    roll = rng.random()
-    if roll < 0.60:  # a neighbour in the resident's own VLAN
-        dst = _STATIONS[rng.choice(_VLAN_MATES[station])]
-    elif roll < 0.70:
-        dst = rng.choice(_STATIONS)
-    elif roll < 0.78:
-        dst = MACAddress(int(rng.choice(_STATIONS)))
-    elif roll < 0.86:
-        dst = BROADCAST_MAC
-    elif roll < 0.91:
-        dst = _GROUP
-    else:
-        dst = _NEVER_LEARNED
-    if rng.random() < 0.15:
-        # Tagged on access, a VLAN the trunk does not carry, the native
-        # VLAN sent tagged, a priority tag, QinQ.
-        stack = rng.choice(_HOSTILE_STACKS)
-    return EthernetFrame(
-        dst=dst,
-        src=src,
-        ethertype=ETHERTYPE_IPV4,
-        payload=bytes([rng.randrange(256)]) * rng.choice([8, 46, 200]),
-        tags=[Dot1QTag(vlan_id) for vlan_id in stack],
-    )
-
-
-def _legacy_burst(rng):
-    """(ingress port, frames): trains of one frame object, interleaved."""
-    ingress = rng.randint(1, 6)
-    frames = []
-    count = rng.randint(2, 24)
-    flows = [_legacy_frame(rng, ingress) for _ in range(rng.randint(1, 5))]
-    while len(frames) < count:
-        frame = rng.choice(flows) if rng.random() < 0.8 else _legacy_frame(rng, ingress)
-        frames.extend([frame] * min(rng.randint(1, 4), count - len(frames)))
-    return ingress, frames
-
-
-def _legacy_learned(switch):
-    """Everything a plain frame must leave alone."""
-    storm = switch.storm_control
-    return (
-        [(e.vlan_id, e.mac, e.port, e.learned_at, e.static) for e in switch.fdb.entries()],
-        switch.fdb.stats(),
-        storm and storm.stats(),
-    )
-
-
-def _legacy_observed(sim, switch, peers):
-    counters = switch.counters
-    return {
-        "now": sim.now,
-        "counters": asdict(counters),
-        "per_port_rx order": list(counters.per_port_rx),
-        "per_port_tx order": list(counters.per_port_tx),
-        "fdb entries, fdb stats, storm meter": _legacy_learned(switch),
-        "egress bytes": [peer.frames for peer in peers],
-        "port counters": [
-            (p.tx_frames, p.tx_bytes, p.rx_frames, p.rx_bytes, p.tx_dropped)
-            for node in (switch, *peers)
-            for p in node.iter_ports()
-        ],
-        "link stats": [
-            (asdict(p.link.stats(p)), asdict(p.link.stats(p.peer)))
-            for p in switch.iter_ports()
-        ],
-    }
-
-
-def test_legacy_burst_matches_sequential_receive():
-    rng = random.Random(_LEGACY_SEED)
-    received = replayed = 0
-    hazards = {"moves": 0, "evictions": 0, "storm_suppressed": 0, "flooded": 0,
-               "filtered_ingress": 0}
-    position = (0, 0)
-    try:
-        for round_index in range(_LEGACY_ROUNDS * _SCALE):
-            scenario = _legacy_scenario(rng)
-            seq_sim, seq_switch, seq_peers = _legacy_dut(scenario)
-            burst_sim, burst_switch, burst_peers = _legacy_dut(scenario)
-            calls = []
-            plain_receive = burst_switch.receive
-            burst_switch.receive = lambda port, frame: (
-                calls.append(1), plain_receive(port, frame)
-            )
-            for burst_index, gap in enumerate(scenario["gaps"]):
-                position = (round_index, burst_index)
-                ingress, frames = _legacy_burst(rng)
-                for frame in frames:
-                    seq_peers[ingress - 1].port(1).send(frame)
-                burst_peers[ingress - 1].port(1).send_burst(frames)
-                seq_sim.run(until=seq_sim.now + gap)
-                burst_sim.run(until=burst_sim.now + gap)
-                seen = _legacy_observed(seq_sim, seq_switch, seq_peers)
-                got = _legacy_observed(burst_sim, burst_switch, burst_peers)
-                for key in seen:
-                    assert got[key] == seen[key], key
-            received += burst_switch.counters.rx_frames
-            replayed += burst_switch.counters.rx_frames - len(calls)
-            hazards["moves"] += burst_switch.fdb.move_events
-            hazards["evictions"] += burst_switch.fdb.evictions
-            for name in ("storm_suppressed", "flooded", "filtered_ingress"):
-                hazards[name] += getattr(burst_switch.counters, name)
-    except AssertionError:
-        print(
-            f"\nDIFFERENTIAL FAILURE: seed=0x{_LEGACY_SEED:X} "
-            f"round={position[0]} burst_index={position[1]}"
-        )
-        raise
-    # The mix reaches both sides of the plan: about a tenth of the
-    # frames is replayed (the rest are first-of-key or not plain), and
-    # every hazard that must drop or refuse a plan occurs.
-    assert replayed > 1000 * _SCALE, (replayed, received)
-    assert all(hazards.values()), hazards
-
-
-def test_legacy_burst_plan_promises_only_counters():
-    """``_burst_plan`` on its own: whenever it calls a frame plain,
-    ``receive`` of that frame moves nothing but the rx/tx counters and
-    emits exactly the planned frame on the planned port."""
-    rng = random.Random(_LEGACY_SEED + 1)
-    plans = 0
-    position = (0, 0)
-    try:
-        for round_index in range(_LEGACY_ROUNDS * _SCALE):
-            sim, switch, _ = _legacy_dut(_legacy_scenario(rng))
-            emitted = []
-            for port in switch.iter_ports():
-                port.send = lambda frame, port=port: (
-                    emitted.append((port.number, frame.to_bytes())),
-                    type(port).send(port, frame),
-                )
-            for burst_index in range(_LEGACY_BURSTS_PER_ROUND):
-                position = (round_index, burst_index)
-                ingress, frames = _legacy_burst(rng)
-                for frame in frames:  # all at one instant, as in a burst
-                    plan = switch._burst_plan(ingress, frame)
-                    learned = _legacy_learned(switch)
-                    counters = asdict(switch.counters)
-                    emitted.clear()
-                    switch.receive(switch.port(ingress), frame)
-                    if plan is None:
-                        continue
-                    plans += 1
-                    pop, push_vid, out_port = plan
-                    expected = frame.pop_vlan() if pop else frame
-                    if push_vid is not None:
-                        expected = expected.push_vlan(push_vid)
-                    assert _legacy_learned(switch) == learned
-                    counters["rx_frames"] += 1
-                    counters["tx_frames"] += 1
-                    counters["per_port_rx"][ingress] += 1
-                    sent = counters["per_port_tx"].get(out_port, 0)
-                    counters["per_port_tx"][out_port] = sent + 1
-                    assert asdict(switch.counters) == counters
-                    assert emitted == [(out_port, expected.to_bytes())]
-                sim.run(until=sim.now + rng.choice([0.0, 0.001, 0.03]))
-    except AssertionError:
-        print(
-            f"\nDIFFERENTIAL FAILURE: seed=0x{_LEGACY_SEED + 1:X} "
-            f"round={position[0]} burst_index={position[1]}"
-        )
-        raise
-    assert plans > 1000 * _SCALE, plans
-

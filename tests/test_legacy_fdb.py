@@ -1,5 +1,7 @@
 """Tests for the forwarding database."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -46,6 +48,13 @@ class TestAging:
         fdb = ForwardingDatabase(aging_s=10.0)
         fdb.learn(10, MAC1, 3, now=0.0)
         assert fdb.lookup(10, MAC1, now=11.0) is None
+
+    def test_the_boundary_lives_and_one_ulp_later_does_not(self):
+        fdb = ForwardingDatabase(aging_s=300.0)
+        fdb.learn(1, MAC1, 3, now=0.0)
+        assert fdb.peek(1, MAC1).alive(300.0, 300.0)
+        assert fdb.lookup(1, MAC1, now=300.0) == 3
+        assert fdb.lookup(1, MAC1, now=math.nextafter(300.0, math.inf)) is None
 
     def test_expire_sweep(self):
         fdb = ForwardingDatabase(aging_s=10.0)
@@ -175,3 +184,55 @@ class TestIteration:
             expected[(vlan, mac)] = port
         for (vlan, mac), port in expected.items():
             assert fdb.lookup(vlan, mac, now=len(events)) == port
+
+
+class TestGeneration:
+    """``generation`` is what the switch's forwarding cache is valid
+    against: it moves with every change of a binding and with nothing
+    else."""
+
+    def test_moves_with_every_binding_change_and_not_with_a_refresh(self):
+        fdb = ForwardingDatabase(capacity=2, aging_s=10.0)
+        seen = [fdb.generation]
+
+        def moved():
+            seen.append(fdb.generation)
+            return seen[-1] > seen[-2]
+
+        fdb.learn(1, MAC1, 3, now=0.0)
+        assert moved()  # a new address
+        fdb.learn(1, MAC1, 3, now=1.0)
+        assert not moved()  # a refresh
+        assert fdb.lookup(1, MAC1, now=2.0) == 3 and fdb.peek(1, MAC1) is not None
+        assert not moved()  # reads
+        fdb.learn(1, MAC1, 4, now=2.0)
+        assert moved()  # a move
+        fdb.learn(1, MAC2, 5, now=3.0)
+        fdb.learn(2, MAC2, 5, now=4.0)
+        assert moved() and fdb.evictions == 1  # an eviction (and the insert)
+        assert fdb.lookup(2, MAC2, now=100.0) is None
+        assert moved()  # an age-out at lookup
+        fdb.add_static(1, MAC2, 6)
+        assert moved()  # a pin, here over a dynamic entry
+        fdb.learn(1, MAC2, 7, now=5.0)
+        assert not moved()  # ... which learning leaves alone
+        for flush in (
+            lambda: fdb.expire(1000.0),
+            lambda: fdb.flush_port(6),
+            lambda: fdb.flush_vlan(1),
+            fdb.flush_dynamic,
+        ):
+            flush()
+            assert moved()
+
+    def test_entries_at_an_instant_leave_out_the_aged_without_removing_them(self):
+        fdb = ForwardingDatabase(aging_s=10.0)
+        fdb.learn(1, MAC1, 3, now=0.0)
+        fdb.learn(1, MAC2, 4, now=5.0)
+        fdb.add_static(2, MAC1, 9)
+        generation = fdb.generation
+        assert [e.port for e in fdb.entries(now=10.0)] == [3, 4, 9]  # age == aging_s lives
+        assert [e.port for e in fdb.entries(now=10.5)] == [4, 9]
+        assert [e.port for e in fdb.entries(now=1e6)] == [9]
+        assert [e.port for e in fdb.entries()] == [3, 4, 9]
+        assert len(fdb) == 3 and fdb.generation == generation

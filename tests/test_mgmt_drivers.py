@@ -126,6 +126,8 @@ class TestGetters:
             entry["interface"] for entry in table if entry["mac"] == str(h1.mac)
         }
         assert interfaces == {"GigabitEthernet0/1"}
+        sim.run(until=0.5 + switch.fdb.aging_s + 1.0)  # nobody spoke since
+        assert driver.get_mac_address_table() == []
 
 
 class TestApplyOps:

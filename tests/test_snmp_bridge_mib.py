@@ -119,6 +119,29 @@ class TestFdbTable:
         assert h1.mac.packed in learned_macs
         assert h2.mac.packed in learned_macs
 
+    def test_a_station_that_aged_out_between_two_walks_is_gone(self):
+        """Nothing sweeps the FDB — entries die when looked up — so the
+        walk itself leaves aged-out stations out, without touching them."""
+        sim, switch, client = build(num_ports=2)
+        quiet, chatty, pinned = MACAddress(0x02AA), MACAddress(0x02BB), MACAddress(0x02CC)
+        switch.fdb.learn(1, quiet, 1, now=0.0)
+        switch.fdb.learn(1, chatty, 2, now=0.0)
+        switch.fdb.add_static(1, pinned, 2)
+
+        def walked():
+            rows = client.table_rows("1.3.6.1.2.1.17.7.1.2.2.1")
+            return {bytes(suffix[2:8]): value for suffix, value in rows.items() if suffix[0] == 2}
+
+        sim.run(until=switch.fdb.aging_s)  # age == aging_s is still alive
+        assert walked() == {quiet.packed: 1, chatty.packed: 2, pinned.packed: 2}
+        switch.fdb.learn(1, chatty, 2, now=sim.now)  # heard from again
+        sim.run(until=switch.fdb.aging_s + 1.0)
+        before = [(e.mac, e.learned_at) for e in switch.fdb.entries()], switch.fdb.generation
+        assert walked() == {chatty.packed: 2, pinned.packed: 2}
+        # Read-only: the dead entry is still simulation state.
+        assert ([(e.mac, e.learned_at) for e in switch.fdb.entries()], switch.fdb.generation) == before
+        assert len(switch.fdb) == 3
+
 
 class TestVlanConfigViaSnmp:
     def test_create_vlan(self):

@@ -24,6 +24,7 @@ import gc
 import random
 
 from repro.core import HarmlessS4, PortVlanMap
+from repro.legacy import LegacySwitch
 from repro.net import Dot1QTag, EthernetFrame, IPv4Address, MACAddress
 from repro.net.build import tcp_frame, udp_frame
 from repro.net.tcp import TcpSegment
@@ -760,3 +761,98 @@ class TestDetourWorkBudget:
         # no program, port or link holds on to a frame it has served.
         del burst
         assert self.live_frames() == live_before
+
+
+class TestLegacyWorkBudget:
+    """What known unicast costs the legacy hop, pinned by counting work:
+    two legacy switches joined by a trunk, stations on their access
+    ports, the same flows replayed as bursts of fresh frames.  A frame
+    enters ``_general_path`` only to flood, to learn or to move — never
+    because it is the first of its flow in a burst."""
+
+    #: (switch, access port, VLAN) per station; every station talks to
+    #: the station of its VLAN on the other switch.
+    STATIONS = ((0, 1, 10), (0, 2, 20), (1, 1, 10), (1, 2, 20))
+
+    def build(self):
+        sim = Simulator()
+        switches, stations = [], []
+        for index in range(2):
+            switch = LegacySwitch(sim, f"legacy{index}", num_ports=3, processing_delay_s=0.0)
+            switch.config.set_access(1, 10)
+            switch.config.set_access(2, 20)
+            switch.config.set_trunk(3, {10, 20})
+            switches.append(switch)
+        Link(switches[0].port(3), switches[1].port(3), bandwidth_bps=None, queue_frames=4096)
+        for switch_index, port, _ in self.STATIONS:
+            station = Sink(sim, f"station{len(stations)}")
+            Link(station.add_port(1), switches[switch_index].port(port), bandwidth_bps=None,
+                 queue_frames=4096)
+            stations.append(station)
+        return sim, switches, stations
+
+    def play_pass(self, sim, stations, macs=None, size=32):
+        """Every station sends its peer a burst; frames and their MAC
+        objects are new each time, as they are off a real wire."""
+        macs = macs or [0x02_00_00_00_50_00 + n for n in range(len(stations))]
+        for index, station in enumerate(stations):
+            peer = (index + 2) % 4
+            station.port(1).send_burst([
+                EthernetFrame(dst=MACAddress(macs[peer]), src=MACAddress(macs[index]),
+                              ethertype=0x0800, payload=bytes([n]) * 46)
+                for n in range(size)
+            ])
+            sim.run()
+
+    @staticmethod
+    def work(switches):
+        return sum(
+            sw.counters.flooded + sw.fdb.learn_events + sw.fdb.move_events for sw in switches
+        )
+
+    def test_general_path_entries_are_floods_learns_and_moves_only(self, monkeypatch):
+        sim, switches, stations = self.build()
+        entries = []
+        general = LegacySwitch._general_path
+        monkeypatch.setattr(
+            LegacySwitch, "_general_path",
+            lambda self, number, frame: (entries.append(self.name), general(self, number, frame)),
+        )
+        #: per switch: the keys looked up since its FDB's generation moved
+        seen = {switch.name: (switch.fdb.generation, set()) for switch in switches}
+        lookup = LegacySwitch._lookup
+
+        def bounded_lookup(self, number, frame):
+            generation, keys = seen[self.name]
+            if generation != self.fdb.generation:
+                generation, keys = seen[self.name] = (self.fdb.generation, set())
+            keys.add((number, frame.vlan_id, frame.src, frame.dst))
+            hop = lookup(self, number, frame)
+            assert len(self._hops) <= len(keys)
+            return hop
+
+        monkeypatch.setattr(LegacySwitch, "_lookup", bounded_lookup)
+
+        self.play_pass(sim, stations)  # cold: floods and learns
+        assert 0 < len(entries) <= self.work(switches)
+        assert all(len(station.received) >= 32 for station in stations)
+
+        for _ in range(2):  # warm: not one frame leaves the cache
+            entries.clear()
+            work = self.work(switches)
+            self.play_pass(sim, stations)
+            assert entries == [] and self.work(switches) == work
+        assert [len(switch._hops) for switch in switches] == [4, 4]
+
+        # MAC churn: a new station per pass.  Every new address moves the
+        # generation, and the cache is emptied — not grown.
+        sizes = []
+        for churn in range(40):
+            macs = [0x02_00_00_00_60_00 + 4 * churn + n for n in range(len(stations))]
+            entries.clear()
+            work = self.work(switches)
+            self.play_pass(sim, stations, macs=macs, size=4)
+            assert len(entries) <= self.work(switches) - work
+            sizes.append(max(len(switch._hops) for switch in switches))
+        assert max(sizes) <= 4
+        assert sum(len(switch.fdb) for switch in switches) == 2 * 4 * 41
