@@ -313,7 +313,7 @@ class LegacySwitch(Node):
             self.fdb.learn(vlan_id, frame.src, number, self.sim.now)
         delay = self.processing_delay_s
         if delay > 0:
-            self.sim.schedule(delay, lambda: self._forward(number, vlan_id, inner))
+            self.sim.schedule(delay, self._forward, number, vlan_id, inner)
         else:
             self._forward(number, vlan_id, inner)
 

@@ -17,25 +17,20 @@ def internet_checksum(data: bytes) -> int:
     """
     if len(data) % 2:
         data = data + b"\x00"
-    total = 0
-    for index in range(0, len(data), 2):
-        total += (data[index] << 8) | data[index + 1]
-    # Fold carries back in until the sum fits in 16 bits.
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return ~total & 0xFFFF
+    # 2**16 = 1 (mod 0xFFFF), so adding 16-bit words with end-around
+    # carry is the whole buffer, read as one integer, mod 0xFFFF — one C
+    # pass instead of a Python loop per word.  Folding never turns a
+    # non-zero sum into 0: a non-zero multiple of 0xFFFF folds to 0xFFFF.
+    total = int.from_bytes(data, "big")
+    folded = total % 0xFFFF
+    if total and not folded:
+        folded = 0xFFFF
+    return ~folded & 0xFFFF
 
 
 def verify_checksum(data: bytes) -> bool:
     """True if *data* (which embeds its own checksum field) sums to zero."""
-    if len(data) % 2:
-        data = data + b"\x00"
-    total = 0
-    for index in range(0, len(data), 2):
-        total += (data[index] << 8) | data[index + 1]
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return total == 0xFFFF
+    return internet_checksum(data) == 0
 
 
 def pseudo_header_checksum(

@@ -144,13 +144,9 @@ class Host(Node):
         if len(queue) == 1:
             request = ArpPacket.request(self.mac, self.ip, next_hop)
             self.port0.send(arp_frame(request))
-
-            def give_up() -> None:
-                # Unanswered ARP: drop the parked frames so later attempts
-                # trigger a fresh request instead of queueing forever.
-                self._pending_arp.pop(next_hop, None)
-
-            self.sim.schedule(ARP_REQUEST_TIMEOUT_S, give_up)
+            # Unanswered ARP: drop the parked frames so later attempts
+            # trigger a fresh request instead of queueing forever.
+            self.sim.schedule(ARP_REQUEST_TIMEOUT_S, self._pending_arp.pop, next_hop, None)
 
     def _same_subnet(self, dst: IPv4Address) -> bool:
         # Hosts use a /24 assumption unless they have no gateway at all.
@@ -193,11 +189,7 @@ class Host(Node):
             payload=echo.to_bytes(),
         )
         self.send_ip(packet)
-
-        def expire() -> None:
-            self._pending_pings.pop(key, None)
-
-        self.sim.schedule(PING_TIMEOUT_S, expire)
+        self.sim.schedule(PING_TIMEOUT_S, self._pending_pings.pop, key, None)
         return result
 
     def tcp_request(

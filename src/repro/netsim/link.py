@@ -9,6 +9,7 @@ right is what makes the latency benchmark meaningful.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from repro.net.ethernet import EthernetFrame
@@ -37,17 +38,44 @@ class LinkStats:
 
 
 class _Direction:
-    """State for one direction of the link (a -> b or b -> a)."""
+    """One direction of a link, created at wiring with its *far* port.
 
-    def __init__(self) -> None:
+    A delivery event is this record's bound method plus the frame — no
+    closure, no registry of what is on the wire.  ``queued`` is exactly
+    the frames whose delivery is still in the simulator's heap
+    (:meth:`Link.set_down` counts what it cuts by it).  ``drops`` splits
+    ``stats.drops`` by why (``"queue-tail"``, ``"link-down"``), beside
+    :class:`LinkStats` because that one is hashed into run digests.
+    """
+
+    __slots__ = ("far", "busy_until", "queued", "stats", "drops")
+
+    def __init__(self, far: Port) -> None:
+        self.far = far
         self.busy_until = 0.0
         self.queued = 0
         self.stats = LinkStats()
-        #: id(event) -> (delivery event, frames it carries).  Every
-        #: scheduled delivery registers here and removes itself when it
-        #: fires, so :meth:`Link.set_down` can cancel what is on the
-        #: wire.  Keyed by id because events are orderable-not-hashable.
-        self.in_flight: "dict[int, tuple[object, int]]" = {}
+        self.drops: "defaultdict[str, int]" = defaultdict(int)
+
+    def drop(self, reason: str, frames: int) -> None:
+        self.stats.drops += frames
+        self.drops[reason] += frames
+
+    # ``far.deliver*`` is looked up when the event fires, so a wrapper
+    # installed on the Port class meanwhile (a tracer, a test) is seen.
+    def deliver(self, frame: EthernetFrame) -> None:
+        self.queued -= 1
+        self.far.deliver(frame)
+
+    def deliver_burst(
+        self, accepted: "list[tuple[float, EthernetFrame]]", wire_bytes: int
+    ) -> None:
+        self.queued -= len(accepted)
+        self.far.deliver_burst(accepted, wire_bytes)
+
+    def land(self, frames: int) -> None:
+        """Queue drain of a severed link, whose far end is another shard."""
+        self.queued -= frames
 
 
 class Link:
@@ -80,7 +108,8 @@ class Link:
         #: Physical state: a downed link refuses new frames and has
         #: dropped whatever was queued or propagating when it failed.
         self.up = True
-        self._directions = {id(port_a): _Direction(), id(port_b): _Direction()}
+        self._a_to_b = _Direction(port_b)
+        self._b_to_a = _Direction(port_a)
         self.sim = port_a.node.sim
         if port_b.node.sim is not self.sim:
             raise ValueError("ports belong to different simulators")
@@ -99,16 +128,21 @@ class Link:
         if self.port_b.link is self:
             self.port_b.link = None
 
+    def direction(self, from_port: Port) -> _Direction:
+        """The direction whose transmitter is *from_port*: its ``stats``,
+        ``drops`` by reason, ``queued`` frames and ``busy_until``."""
+        if from_port is self.port_a:
+            return self._a_to_b
+        if from_port is self.port_b:
+            return self._b_to_a
+        raise ValueError(f"{from_port!r} is not an end of {self.name}")
+
     def other_end(self, port: Port) -> Port:
-        if port is self.port_a:
-            return self.port_b
-        if port is self.port_b:
-            return self.port_a
-        raise ValueError(f"{port!r} is not an end of {self.name}")
+        return self.direction(port).far
 
     def stats(self, from_port: Port) -> LinkStats:
         """Stats for the direction whose transmitter is *from_port*."""
-        return self._directions[id(from_port)].stats
+        return self.direction(from_port).stats
 
     def serialization_delay(self, frame: EthernetFrame) -> float:
         """Time to clock *frame* onto the wire at this link's bandwidth."""
@@ -122,49 +156,39 @@ class Link:
             return 0.0
         return length * 8 / self.bandwidth_bps
 
-    def _enqueue_frame(self, from_port: Port, frame: EthernetFrame) -> "float | None":
+    def _enqueue_frame(self, direction: _Direction, frame: EthernetFrame) -> "float | None":
         """Serialise one frame onto the wire: drop-tail check, busy-time
         chaining and stats accounting.  Returns the arrival time at the
-        far end, or None on tail drop.  Shared by :meth:`transmit` and
+        far end, or None on a drop.  Shared by :meth:`transmit` and
         the sharded boundary proxies, which must reproduce this timing
         bit-for-bit — keep all float math in one place.
         """
-        direction = self._directions[id(from_port)]
-        now = self.sim.now
-
-        if not self.up or direction.queued >= self.queue_frames:
-            direction.stats.drops += 1
+        queued = direction.queued
+        if not self.up or queued >= self.queue_frames:
+            direction.drop("queue-tail" if self.up else "link-down", 1)
             return None
-
         length = frame.wire_length
         serialization = self._serialization(length)
-        start = max(now, direction.busy_until)
-        finish = start + serialization
+        now = self.sim._now
+        busy = direction.busy_until
+        finish = (busy if busy > now else now) + serialization
         direction.busy_until = finish
-        direction.queued += 1
-        direction.stats.frames += 1
-        direction.stats.bytes += length
-        direction.stats.busy_time += serialization
-        if direction.queued > direction.stats.queue_hwm:
-            direction.stats.queue_hwm = direction.queued
-
+        direction.queued = queued = queued + 1
+        stats = direction.stats
+        stats.frames += 1
+        stats.bytes += length
+        stats.busy_time += serialization
+        if queued > stats.queue_hwm:
+            stats.queue_hwm = queued
         return finish + self.propagation_delay_s
 
     def transmit(self, from_port: Port, frame: EthernetFrame) -> bool:
-        """Queue *frame* for the far end; returns False on tail drop."""
-        arrival = self._enqueue_frame(from_port, frame)
+        """Queue *frame* for the far end; returns False on a drop."""
+        direction = self.direction(from_port)
+        arrival = self._enqueue_frame(direction, frame)
         if arrival is None:
             return False
-        direction = self._directions[id(from_port)]
-        destination = self.other_end(from_port)
-
-        def deliver() -> None:
-            direction.in_flight.pop(id(event), None)
-            direction.queued -= 1
-            destination.deliver(frame)
-
-        event = self.sim.schedule_at(arrival, deliver)
-        direction.in_flight[id(event)] = (event, 1)
+        self.sim.schedule_at(arrival, direction.deliver, frame)
         return True
 
     def transmit_burst(
@@ -184,23 +208,16 @@ class Link:
         drain time (and the queue occupancy drains all at once) rather
         than one event each.
         """
-        accepted, wire_bytes = self._enqueue_burst(from_port, frames, lengths)
-        if not accepted:
-            return 0
-        direction = self._directions[id(from_port)]
-        destination = self.other_end(from_port)
-
-        def deliver() -> None:
-            direction.in_flight.pop(id(event), None)
-            direction.queued -= len(accepted)
-            destination.deliver_burst(accepted, wire_bytes)
-
-        event = self.sim.schedule_at(accepted[-1][0], deliver)
-        direction.in_flight[id(event)] = (event, len(accepted))
+        direction = self.direction(from_port)
+        accepted, wire_bytes = self._enqueue_burst(direction, frames, lengths)
+        if accepted:
+            self.sim.schedule_at(
+                accepted[-1][0], direction.deliver_burst, accepted, wire_bytes
+            )
         return len(accepted)
 
     def _enqueue_burst(
-        self, from_port: Port, frames: "list[EthernetFrame]", lengths: "list[int]"
+        self, direction: _Direction, frames: "list[EthernetFrame]", lengths: "list[int]"
     ) -> "tuple[list[tuple[float, EthernetFrame]], int]":
         """Serialise a burst onto the wire; returns the accepted
         ``(arrival, frame)`` pairs (dropped frames are absent) and their
@@ -208,21 +225,20 @@ class Link:
         the timing/stat math so the sharded boundary proxies stay
         bit-identical to local links.
         """
-        direction = self._directions[id(from_port)]
         stats = direction.stats
         if not self.up:
-            stats.drops += len(frames)
+            direction.drop("link-down", len(frames))
             return [], 0
         # Nothing drains while a burst is being queued (that takes a
         # simulator event), so the queue takes the head of the burst
         # that fits and tail-drops the rest.
         fits = min(len(frames), max(self.queue_frames - direction.queued, 0))
         if fits < len(frames):
-            stats.drops += len(frames) - fits
+            direction.drop("queue-tail", len(frames) - fits)
             if not fits:
                 return [], 0
             frames, lengths = frames[:fits], lengths[:fits]
-        now = self.sim.now
+        now = self.sim._now
         busy = direction.busy_until
         prop = self.propagation_delay_s
         if self.bandwidth_bps is None:
@@ -255,25 +271,25 @@ class Link:
     def set_down(self) -> None:
         """Fail the link: everything queued or propagating is lost.
 
-        Pending delivery events are cancelled and counted as drops in
-        the transmitting direction's stats, queue occupancy resets, and
-        while down both :meth:`transmit` and :meth:`transmit_burst`
-        refuse frames (still counted as drops).  Idempotent.  The
-        ports' administrative state is untouched — callers that model a
-        detected failure (loss of light) pair this with
-        ``LegacySwitch.link_down`` on the attached switches; see
+        Each direction's pending deliveries — the heap's events bound to
+        its record, found by one scan per fault — are cancelled (a cut
+        delivery is never a processed event) and the ``queued`` frames
+        they carried counted as ``"link-down"`` drops, as are the frames
+        :meth:`transmit` and :meth:`transmit_burst` refuse while down.
+        Idempotent.  The ports' administrative state is untouched —
+        callers that model a detected failure (loss of light) pair this
+        with ``LegacySwitch.link_down`` on the attached switches; see
         :mod:`repro.netsim.faults`.
         """
         if not self.up:
             return
         self.up = False
-        now = self.sim.now
-        for direction in self._directions.values():
-            for event, frames in direction.in_flight.values():
-                event.cancel()
-                direction.stats.drops += frames
-            direction.in_flight.clear()
-            direction.queued = 0
+        now = self.sim._now
+        for direction in (self._a_to_b, self._b_to_a):
+            if direction.queued:
+                self.sim.cancel_bound(direction)
+                direction.drop("link-down", direction.queued)
+                direction.queued = 0
             if direction.busy_until > now:
                 direction.busy_until = now
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.net.ethernet import EthernetFrame
@@ -19,6 +20,10 @@ class Port:
     (matching how switch ports and OpenFlow port numbers work).  A port
     may be wired to a :class:`Link` or left dangling (frames sent out a
     dangling port are counted and dropped).
+
+    Every frame that dies here is counted in ``drops`` under why:
+    ``"port-down"`` (sent out of, or arriving at, a port that is not
+    ``up``) or ``"unwired"``; ``tx_dropped`` is the transmit side's sum.
     """
 
     def __init__(self, node: "Node", number: int, name: "str | None" = None) -> None:
@@ -31,6 +36,7 @@ class Port:
         self.rx_frames = 0
         self.rx_bytes = 0
         self.tx_dropped = 0
+        self.drops: "defaultdict[str, int]" = defaultdict(int)
         self.captures: list["Capture"] = []
         #: Set False to emulate link-down (frames silently dropped).
         self.up = True
@@ -48,14 +54,20 @@ class Port:
 
     def send(self, frame: EthernetFrame) -> bool:
         """Transmit *frame* out this port.  Returns False if dropped."""
-        for capture in self.captures:
-            capture.record(self, "tx", frame)
-        if not self.up or self.link is None:
-            self.tx_dropped += 1
+        if self.captures:
+            for capture in self.captures:
+                capture.record(self, "tx", frame)
+        link = self.link
+        if not self.up or link is None:
+            self._tx_drop(1)
             return False
         self.tx_frames += 1
         self.tx_bytes += frame.wire_length
-        return self.link.transmit(self, frame)
+        return link.transmit(self, frame)
+
+    def _tx_drop(self, frames: int) -> None:
+        self.tx_dropped += frames
+        self.drops["unwired" if self.up else "port-down"] += frames
 
     def send_burst(self, frames: "list[EthernetFrame]") -> int:
         """Transmit *frames* back-to-back; returns how many were queued.
@@ -69,21 +81,24 @@ class Port:
             for capture in self.captures:
                 for frame in frames:
                     capture.record(self, "tx", frame)
-        if not self.up or self.link is None:
-            self.tx_dropped += len(frames)
+        link = self.link
+        if not self.up or link is None:
+            self._tx_drop(len(frames))
             return 0
         # The one length pass of this hop: the link serialises from
         # these lengths and reports the accepted bytes to the far port.
         lengths = [frame.wire_length for frame in frames]
         self.tx_frames += len(frames)
         self.tx_bytes += sum(lengths)
-        return self.link.transmit_burst(self, frames, lengths)
+        return link.transmit_burst(self, frames, lengths)
 
     def deliver(self, frame: EthernetFrame) -> None:
         """Called by the link when a frame arrives at this port."""
-        for capture in self.captures:
-            capture.record(self, "rx", frame)
+        if self.captures:
+            for capture in self.captures:
+                capture.record(self, "rx", frame)
         if not self.up:
+            self.drops["port-down"] += 1
             return
         self.rx_frames += 1
         self.rx_bytes += frame.wire_length
@@ -104,6 +119,7 @@ class Port:
                 for _, frame in arrivals:
                     capture.record(self, "rx", frame)
         if not self.up:
+            self.drops["port-down"] += len(arrivals)
             return
         self.rx_frames += len(arrivals)
         self.rx_bytes += wire_bytes

@@ -243,6 +243,36 @@ def make_pipe_mesh(nshards: int) -> "list[dict]":
 # ---------------------------------------------------------------------------
 
 
+class _Ingress:
+    """Where one boundary's records land on this shard.
+
+    Imported deliveries are scheduled on this record's bound methods —
+    mirroring a local link's direction record — so a fault finds the
+    ones still pending in the heap (``Simulator.cancel_bound``) and
+    ``pending`` says how many frames they carried.
+    """
+
+    __slots__ = ("port", "pending", "down")
+
+    def __init__(self, port: "Port") -> None:
+        self.port = port
+        self.pending = 0
+        #: The receiving end is failed: later-injected records (frames
+        #: transmitted before the failure, crossing at a subsequent
+        #: barrier) are discarded instead of delivered.
+        self.down = False
+
+    def deliver(self, frame: "EthernetFrame") -> None:
+        self.pending -= 1
+        self.port.deliver(frame)
+
+    def deliver_burst(self, arrivals: "list[tuple[float, EthernetFrame]]") -> None:
+        self.pending -= len(arrivals)
+        self.port.deliver_burst(
+            arrivals, sum(frame.wire_length for _, frame in arrivals)
+        )
+
+
 class ShardSimulator(Simulator):
     """A :class:`Simulator` whose ``run()`` is a collective operation.
 
@@ -280,14 +310,7 @@ class ShardSimulator(Simulator):
         self.transport = transport
         self._peers = tuple(peer for peer in range(nshards) if peer != shard)
         self._outbound: "dict[int, list]" = {peer: [] for peer in self._peers}
-        self._ingress: "dict[int, Port]" = {}
-        #: Boundaries whose receiving end is failed: later-injected
-        #: records (frames transmitted before the failure, crossing at
-        #: a subsequent barrier) are discarded instead of delivered.
-        self._ingress_down: "set[int]" = set()
-        #: boundary_id -> {id(event): (event, frames)} — pending
-        #: imported deliveries, so a fault can drop what is mid-crossing.
-        self._ingress_pending: "dict[int, dict[int, tuple[object, int]]]" = {}
+        self._ingress: "dict[int, _Ingress]" = {}
         #: Imported frames discarded because their boundary was down.
         self.boundary_drops = 0
         #: Same drops attributed to the cut trunk that lost them, so a
@@ -314,7 +337,7 @@ class ShardSimulator(Simulator):
     def register_ingress(self, boundary_id: int, port: "Port") -> None:
         """Declare *port* (owned by this shard) as the landing point of
         boundary *boundary_id* — where peer records are re-injected."""
-        self._ingress[boundary_id] = port
+        self._ingress[boundary_id] = _Ingress(port)
 
     def export(self, peer: int, boundary_id: int, kind: int, arrivals: list) -> None:
         """Buffer boundary records for *peer*; flushed at the next
@@ -333,55 +356,34 @@ class ShardSimulator(Simulator):
         so same-link FIFO survives the crossing.
         """
         for boundary_id, kind, arrivals in records:
-            if boundary_id in self._ingress_down:
+            ingress = self._ingress[boundary_id]
+            if ingress.down:
                 # Transmitted before the failure, crossed after it: the
                 # replica's local link would have cancelled these.
                 self._count_boundary_drops(boundary_id, len(arrivals))
                 continue
-            port = self._ingress[boundary_id]
             self.frames_imported += len(arrivals)
+            ingress.pending += len(arrivals)
             if kind == KIND_FRAME:
                 arrival, frame = arrivals[0]
-                self._schedule_import(
-                    boundary_id, arrival, 1, lambda p=port, f=frame: p.deliver(f)
-                )
+                self.schedule_at(arrival, ingress.deliver, frame)
             else:
-                self._schedule_import(
-                    boundary_id,
-                    arrivals[-1][0],
-                    len(arrivals),
-                    lambda p=port, a=arrivals: p.deliver_burst(
-                        a, sum(frame.wire_length for _, frame in a)
-                    ),
-                )
-
-    def _schedule_import(
-        self, boundary_id: int, time: float, frames: int, callback
-    ) -> None:
-        """Schedule one imported delivery, tracked per boundary so
-        :meth:`drop_ingress` can cancel what is still in flight."""
-        pending = self._ingress_pending.setdefault(boundary_id, {})
-
-        def deliver() -> None:
-            pending.pop(key, None)
-            callback()
-
-        event = self.schedule_at(time, deliver)
-        key = id(event)
-        pending[key] = (event, frames)
+                self.schedule_at(arrivals[-1][0], ingress.deliver_burst, arrivals)
 
     def drop_ingress(self, boundary_id: int) -> None:
         """Fail the receiving end of a boundary: cancel pending imported
         deliveries and discard records injected while down.  Mirrors
         :meth:`repro.netsim.link.Link.set_down` cancelling in-flight
         frames on an unsevered link (see :class:`BoundaryLink`)."""
-        self._ingress_down.add(boundary_id)
-        for event, frames in self._ingress_pending.pop(boundary_id, {}).values():
-            event.cancel()
-            self._count_boundary_drops(boundary_id, frames)
+        ingress = self._ingress[boundary_id]
+        ingress.down = True
+        if ingress.pending:
+            self.cancel_bound(ingress)
+            self._count_boundary_drops(boundary_id, ingress.pending)
+            ingress.pending = 0
 
     def restore_ingress(self, boundary_id: int) -> None:
-        self._ingress_down.discard(boundary_id)
+        self._ingress[boundary_id].down = False
 
     def _count_boundary_drops(self, boundary_id: int, frames: int) -> None:
         self.boundary_drops += frames
@@ -597,18 +599,11 @@ class BoundaryLink:
         if not self._exporting:
             self._sim.shadow_drops += 1
             return False
-        link = self._link
-        arrival = link._enqueue_frame(from_port, frame)
+        direction = self._link.direction(from_port)
+        arrival = self._link._enqueue_frame(direction, frame)
         if arrival is None:
             return False
-        direction = link._directions[id(from_port)]
-
-        def landed() -> None:
-            direction.in_flight.pop(id(event), None)
-            direction.queued -= 1
-
-        event = self._sim.schedule_at(arrival, landed)
-        direction.in_flight[id(event)] = (event, 1)
+        self._sim.schedule_at(arrival, direction.land, 1)
         self._sim.export(
             self._peer_shard, self._boundary_id, KIND_FRAME, [(arrival, frame)]
         )
@@ -620,20 +615,13 @@ class BoundaryLink:
         if not self._exporting:
             self._sim.shadow_drops += len(frames)
             return 0
-        link = self._link
+        direction = self._link.direction(from_port)
         # The byte total stays behind: the importing shard measures the
-        # records it lands (see ShardSimulator._inject).
-        accepted, _ = link._enqueue_burst(from_port, frames, lengths)
+        # records it lands (see _Ingress.deliver_burst).
+        accepted, _ = self._link._enqueue_burst(direction, frames, lengths)
         if not accepted:
             return 0
-        direction = link._directions[id(from_port)]
-
-        def landed() -> None:
-            direction.in_flight.pop(id(event), None)
-            direction.queued -= len(accepted)
-
-        event = self._sim.schedule_at(accepted[-1][0], landed)
-        direction.in_flight[id(event)] = (event, len(accepted))
+        self._sim.schedule_at(accepted[-1][0], direction.land, len(accepted))
         self._sim.export(self._peer_shard, self._boundary_id, KIND_BURST, accepted)
         return len(accepted)
 

@@ -1,31 +1,35 @@
-"""The event loop: a priority queue of timestamped callbacks.
+"""The event loop: a priority queue of timestamped calls.
 
 A float-seconds clock over a binary heap.  A heap **entry** is the
 tuple ``(time, seq, event)``: ``seq`` is unique, so ``heapq`` settles
 every comparison on the first two fields, in C, and never reaches the
 :class:`Event` — same-instant events run in schedule order (FIFO ties)
-and callbacks need not be comparable.  Two properties matter to the
-burst-mode pipeline built on top:
+and callbacks need not be comparable.
 
-* **batch scheduling** — :meth:`Simulator.schedule_many` enqueues a
-  whole ``(time, callback)`` schedule in one call, semantically
-  identical to per-pair :meth:`Simulator.schedule_at` calls; traffic
-  sources hand over entire send schedules and links ride one event
-  per coalesced burst instead of one per frame;
-* **O(1) idle detection** — ``pending_events`` is a live counter
-  maintained by schedule/cancel/pop (an :class:`Event` keeps an
-  ``owner`` back-reference while queued so a late ``cancel()`` cannot
-  corrupt it), which ``run_until_idle`` polls without scanning the
-  heap.
+**Events carry arguments**: ``schedule(delay, callback, *args)`` keeps
+both on the event and the loop runs ``event.callback(*event.args)``, so
+a per-frame scheduler (a link delivery, a switch's forward after its
+lookup delay) hands over a bound method and a frame, not a closure.
+The contract: nothing scheduled may reference its own :class:`Event` —
+that is a reference cycle per event which only the cyclic collector
+frees.  Whoever must find its events again asks the heap
+(:meth:`Simulator.cancel_bound`).  :meth:`Simulator.schedule_many`
+enqueues a whole ``(time, callback)`` send schedule in one call, the
+same as that many :meth:`Simulator.schedule_at` calls.
+
+``pending_events`` is the heap's length minus the cancelled entries
+still in it: O(1) for ``run_until_idle`` to poll, nothing maintained
+per event.  An :class:`Event` keeps an ``owner`` back-reference only
+while queued, so that a late ``cancel()`` of an event that already ran
+is not counted as garbage in the heap.
 
 Cancellation is lazy (the heap skips dead entries when they surface),
-but not unboundedly so: cancel-heavy workloads — ping timers that are
-re-armed every probe, rollback paths — would otherwise grow the heap
-with garbage while ``pending_events`` correctly reads near zero.  A
-counter of cancelled-but-queued entries triggers an in-place compaction
-(filter + re-heapify) once garbage outnumbers live events, keeping the
-queue O(live) while preserving FIFO tie order (``(time, seq)`` is a
-total order, so re-heapifying cannot reorder ties).
+but not unboundedly so: cancel-heavy workloads — ping timers re-armed
+every probe, rollback paths — would otherwise grow the heap with
+garbage.  Once cancelled entries outnumber live ones the queue is
+compacted **in place** (filter + re-heapify into the same list, which
+the run loop holds in a local), keeping it O(live); ``(time, seq)`` is
+a total order, so re-heapifying cannot reorder ties.
 
 ``run(until=...)`` advances the clock to the horizon even when the
 queue drains early, so back-to-back ``run`` calls see monotone time.
@@ -38,37 +42,36 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
+import math
+import sys
 from typing import Callable, Iterable, Optional
 
 
-@dataclass(eq=False, slots=True)
 class Event:
-    """A scheduled callback: the handle ``schedule*`` returns.
+    """A scheduled call: the handle ``schedule*`` returns.
 
     Events are never compared; the heap orders their entries.  Slotted:
     a source may queue its whole send schedule, one event per frame.
     """
 
-    time: float
-    seq: int
-    callback: Callable[[], None]
-    cancelled: bool = False
-    #: The owning simulator while the event sits in the queue; cleared
-    #: when the event is popped so a late ``cancel()`` cannot corrupt
-    #: the live-event counter.
-    owner: Optional["Simulator"] = None
+    __slots__ = ("time", "seq", "callback", "args", "cancelled", "owner")
+
+    def __init__(self, time, seq, callback, args, owner) -> None:
+        self.time = time
+        self.seq = seq
+        self.callback = callback
+        self.args = args
+        self.cancelled = False
+        #: The simulator while the event sits in its queue, else None.
+        self.owner: Optional["Simulator"] = owner
 
     def cancel(self) -> None:
         """Mark the event dead; the loop skips it when popped."""
-        if self.cancelled:
-            return
         self.cancelled = True
         owner = self.owner
         if owner is not None:
-            owner._pending -= 1
-            owner._cancelled += 1
             self.owner = None
+            owner._cancelled += 1
             owner._maybe_compact()
 
 
@@ -78,7 +81,7 @@ class Simulator:
     Typical use::
 
         sim = Simulator()
-        sim.schedule(0.5, lambda: host.ping(target))
+        sim.schedule(0.5, host.ping, target)
         sim.run(until=2.0)
     """
 
@@ -88,14 +91,7 @@ class Simulator:
         self._now = 0.0
         self._events_processed = 0
         self._running = False
-        #: Live (not-cancelled) events in the queue, maintained by
-        #: schedule/cancel/pop so ``pending_events`` is O(1) — it is
-        #: polled inside ``run_until_idle`` and must not scan the heap.
-        self._pending = 0
-        #: Cancelled events still sitting in the queue.  Cancellation is
-        #: lazy, so without compaction a schedule/cancel churn loop
-        #: (re-armed timers) grows the heap without bound while
-        #: ``pending_events`` correctly reads 0.
+        #: Cancelled events still sitting in the queue.
         self._cancelled = 0
 
     @property
@@ -109,20 +105,18 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        return self._pending
+        """Live (not cancelled) events in the queue."""
+        return len(self._queue) - self._cancelled
 
     def _maybe_compact(self) -> None:
-        """Drop cancelled entries once they outnumber live ones.
-
-        Bounds the heap at O(live events) under cancel-heavy churn.
-        Safe to trigger from inside a running callback: the run loop
-        re-reads ``self._queue`` on every iteration, and re-heapifying
-        preserves FIFO ties because ``(time, seq)`` is a total order.
-        """
-        if self._cancelled <= 64 or self._cancelled * 2 <= len(self._queue):
+        """Drop cancelled entries once they outnumber live ones, in
+        place: a callback may trigger this under the run loop, whose
+        local must keep naming the queue."""
+        queue = self._queue
+        if self._cancelled <= 64 or self._cancelled * 2 <= len(queue):
             return
-        self._queue = [entry for entry in self._queue if not entry[2].cancelled]
-        heapq.heapify(self._queue)
+        queue[:] = [entry for entry in queue if not entry[2].cancelled]
+        heapq.heapify(queue)
         self._cancelled = 0
 
     def peek_next_time(self) -> "float | None":
@@ -137,35 +131,28 @@ class Simulator:
             self._cancelled -= 1
         return queue[0][0] if queue else None
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
-        """Schedule *callback* to run *delay* seconds from now."""
+    def schedule(self, delay: float, callback: Callable[..., None], *args) -> Event:
+        """Schedule ``callback(*args)`` to run *delay* seconds from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback)
+        return self.schedule_at(self._now + delay, callback, *args)
 
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
-        """Schedule *callback* at absolute simulated *time*."""
+    def schedule_at(self, time: float, callback: Callable[..., None], *args) -> Event:
+        """Schedule ``callback(*args)`` at absolute simulated *time*."""
         if time < self._now:
-            raise ValueError(
-                f"cannot schedule at {time}, already at {self._now}"
-            )
+            raise ValueError(f"cannot schedule at {time}, already at {self._now}")
         seq = next(self._seq)
-        event = Event(time, seq, callback, owner=self)
+        event = Event(time, seq, callback, args, self)
         heapq.heappush(self._queue, (time, seq, event))
-        self._pending += 1
         return event
 
     def schedule_many(
         self, items: "Iterable[tuple[float, Callable[[], None]]]"
     ) -> list[Event]:
-        """Schedule many ``(time, callback)`` pairs in one call.
-
-        Semantically identical to calling :meth:`schedule_at` once per
-        pair in iteration order (ties keep FIFO order), but amortises
-        the per-call overhead — burst traffic sources hand a whole send
-        schedule over at once instead of paying one Python call per
-        frame.
-        """
+        """Schedule many ``(time, callback)`` pairs in one call: the same
+        as :meth:`schedule_at` once per pair in iteration order (ties
+        keep FIFO order) without one Python call per frame of a send
+        schedule."""
         now = self._now
         queue = self._queue
         counter = self._seq
@@ -175,11 +162,23 @@ class Simulator:
             if time < now:
                 raise ValueError(f"cannot schedule at {time}, already at {now}")
             seq = next(counter)
-            event = Event(time, seq, callback, owner=self)
+            event = Event(time, seq, callback, (), self)
             push(queue, (time, seq, event))
-            self._pending += 1
             events.append(event)
         return events
+
+    def cancel_bound(self, receiver: object) -> int:
+        """Cancel every live event whose callback is a method bound to
+        *receiver*; returns how many.  One heap scan, for callers that
+        want their events back rarely (a link failing) and so keep no
+        registry of them."""
+        doomed = [
+            event for _, _, event in self._queue
+            if not event.cancelled and getattr(event.callback, "__self__", None) is receiver
+        ]
+        for event in doomed:  # cancel() may compact the queue: not while scanning
+            event.cancel()
+        return len(doomed)
 
     def run(
         self,
@@ -199,26 +198,30 @@ class Simulator:
             raise ValueError("inclusive=False needs an explicit horizon")
         if self._running:
             raise RuntimeError("simulator is already running (re-entrant run())")
-        self._running = True
+        # Events later than *horizon* stay queued; the float just below
+        # *until* makes the half-open window the same compare.
+        if until is None:
+            horizon = math.inf
+        else:
+            horizon = until if inclusive else math.nextafter(until, -math.inf)
+        limit = sys.maxsize if max_events is None else max_events
+        queue = self._queue
+        pop = heapq.heappop
         processed = 0
+        self._running = True
         try:
-            while self._queue:
-                if max_events is not None and processed >= max_events:
-                    break
-                time, _, event = self._queue[0]
+            while queue and processed < limit:
+                time, _, event = queue[0]
                 if event.cancelled:
-                    heapq.heappop(self._queue)
+                    pop(queue)
                     self._cancelled -= 1
                     continue
-                if until is not None and (
-                    time > until if inclusive else time >= until
-                ):
+                if time > horizon:
                     break
-                heapq.heappop(self._queue)
-                self._pending -= 1
+                pop(queue)
                 event.owner = None
                 self._now = time
-                event.callback()
+                event.callback(*event.args)
                 processed += 1
                 self._events_processed += 1
             if until is not None and self._now < until:
@@ -226,7 +229,7 @@ class Simulator:
                 # drained — but not past work a max_events cap left
                 # behind inside the window.
                 head = self.peek_next_time()
-                if head is None or (head > until if inclusive else head >= until):
+                if head is None or head > horizon:
                     self._now = until
         finally:
             self._running = False
@@ -243,9 +246,7 @@ class Simulator:
         """
         head = self.peek_next_time()
         if head is not None and head < time:
-            raise ValueError(
-                f"cannot advance to {time}: pending event at {head}"
-            )
+            raise ValueError(f"cannot advance to {time}: pending event at {head}")
         if time > self._now:
             self._now = time
 
@@ -253,7 +254,5 @@ class Simulator:
         """Run until no events remain (bounded to catch runaway loops)."""
         processed = self.run(max_events=max_events)
         if self.pending_events:
-            raise RuntimeError(
-                f"simulation did not go idle within {max_events} events"
-            )
+            raise RuntimeError(f"simulation did not go idle within {max_events} events")
         return processed

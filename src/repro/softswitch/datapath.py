@@ -452,9 +452,7 @@ class SoftSwitch(Node):
         if finish <= self.sim.now:
             self._emit(outputs, async_messages)
         else:
-            self.sim.schedule_at(
-                finish, lambda: self._emit(outputs, async_messages)
-            )
+            self.sim.schedule_at(finish, self._emit, outputs, async_messages)
 
     def _emit(
         self,

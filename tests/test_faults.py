@@ -7,6 +7,9 @@ learned state, in-transit control messages) and nothing else, and must
 recover to a clean slate.
 """
 
+import os
+import random
+
 import pytest
 
 from repro.apps import LearningSwitchApp
@@ -15,6 +18,7 @@ from repro.legacy import LegacySwitch, StormControl
 from repro.net import EthernetFrame, IPv4Address, MACAddress
 from repro.netsim import FaultInjector, Host, Link, Node, Simulator
 from repro.netsim.link import wire
+from repro.netsim.sharded import KIND_BURST, KIND_FRAME, ShardSimulator, sever_link
 from repro.softswitch import SoftSwitch
 
 
@@ -28,6 +32,24 @@ class Sink(Node):
 
     def receive_burst(self, port, arrivals):
         self.count += len(arrivals)
+
+
+class CallCounter(Sink):
+    """Also counts delivery *calls*: one per simulator event that landed."""
+
+    calls = 0
+
+    def receive(self, port, frame):
+        self.calls += 1
+        self.count += 1
+
+    def receive_burst(self, port, arrivals):
+        self.calls += 1
+        self.count += len(arrivals)
+
+
+#: Nightly CI multiplies the randomized fault cases (see nightly.yml).
+SCALE = max(1, int(os.environ.get("DIFFERENTIAL_SCALE", "1")))
 
 
 def make_frame(tag=0):
@@ -116,6 +138,157 @@ class TestLinkSetDown:
         drops = link.stats(a.port(1)).drops
         link.set_down()
         assert link.stats(a.port(1)).drops == drops
+
+
+class TestSetDownFindsWhatIsOnTheWire:
+    """Nothing is registered per frame: a failing link finds its pending
+    deliveries in the simulator's heap.  What it finds must be exactly
+    the frames on the wire, in either direction, single or coalesced,
+    local or severed — cancelled for real, so none counts as an event."""
+
+    def test_singles_and_bursts_in_both_directions(self):
+        sim, a, b, link = slow_pair(queue_frames=100)
+        port_a, port_b = a.port(1), b.port(1)
+        for tag in range(3):
+            port_a.send(make_frame(tag))  # land at 150, 250, 350 us
+        port_a.send_burst([make_frame(t) for t in range(4)])  # drains at 750 us
+        port_b.send_burst([make_frame(t) for t in range(2)])  # drains at 250 us
+        port_b.send(make_frame())  # lands at 350 us
+        sim.run(until=160e-6)
+        assert (b.count, a.count) == (1, 0)
+        assert (link.direction(port_a).queued, link.direction(port_b).queued) == (6, 3)
+        events = sim.events_processed
+
+        link.set_down()
+        assert (link.direction(port_a).queued, link.direction(port_b).queued) == (0, 0)
+        assert link.direction(port_a).drops == {"link-down": 6}
+        assert link.direction(port_b).drops == {"link-down": 3}
+        assert sim.pending_events == 0
+        link.set_down()  # already down: counts nothing twice
+        assert (link.stats(port_a).drops, link.stats(port_b).drops) == (6, 3)
+        sim.run(until=0.01)
+        assert sim.events_processed == events  # five cancelled deliveries, none ran
+        assert (b.count, a.count) == (1, 0)
+
+        link.set_up()
+        assert port_a.send(make_frame()) and port_b.send_burst([make_frame()] * 2) == 2
+        sim.run(until=0.02)
+        assert (b.count, a.count) == (2, 2)
+        assert (link.direction(port_a).queued, link.direction(port_b).queued) == (0, 0)
+
+    def test_severed_link_loses_its_exports_and_its_pending_imports(self):
+        class Exporting(ShardSimulator):  # one shard: no mesh to flush into
+            def export(self, peer, boundary_id, kind, arrivals):
+                self.exported = getattr(self, "exported", 0) + len(arrivals)
+
+        sim = Exporting()
+        a, b = Sink(sim, "a"), Sink(sim, "b")
+        link = wire(a, b, bandwidth_bps=8_000_000, propagation_delay_s=50e-6)
+        port_a = a.port(1)
+        sever_link(link, sim, 7, peer_shard=1, owned_port=port_a)
+        boundary = port_a.link
+
+        def imports(at):
+            return [(7, KIND_FRAME, [(at, make_frame())]),
+                    (7, KIND_BURST, [(at, make_frame(1)), (at + 1e-4, make_frame(2))])]
+
+        port_a.send(make_frame())
+        port_a.send(make_frame(1))
+        port_a.send_burst([make_frame(t) for t in range(3)])
+        sim._inject(imports(at=300e-6))
+        sim.run(until=160e-6)  # the first export's queue slot has drained
+        assert (sim.exported, link.direction(port_a).queued, sim.pending_events) == (5, 4, 4)
+        events = sim.events_processed
+
+        boundary.set_down()
+        assert link.direction(port_a).queued == 0
+        assert link.direction(port_a).drops == {"link-down": 4}
+        assert (sim.boundary_drops, sim.boundary_drops_by_id) == (3, {7: 3})
+        assert sim.pending_events == 0
+        boundary.set_down()
+        sim._inject(imports(at=400e-6))  # sent before the cut, crossing after it
+        assert (sim.boundary_drops, sim.pending_events) == (6, 0)
+        sim.run(until=0.01)
+        assert sim.events_processed == events and (a.count, b.count) == (0, 0)
+
+        boundary.set_up()
+        assert port_a.send(make_frame()) is True
+        sim._inject(imports(at=sim.now + 1e-4))
+        sim.run(until=0.02)
+        assert (a.count, sim.exported, link.direction(port_a).queued) == (3, 6, 0)
+        assert sim.boundary_drops == 6
+
+    def test_in_flight_discovery_assumes_no_arrival_order(self):
+        # Nothing forbids re-tuning a live link (the sharded invariance
+        # suite does): a later frame may then land first, so what is on
+        # the wire is no FIFO suffix of what was sent.
+        class Recorder(Sink):
+            def receive(self, port, frame):
+                self.tags = getattr(self, "tags", []) + [int(frame.src) - 10]
+
+        sim = Simulator()
+        a, b = Sink(sim, "a"), Recorder(sim, "b")
+        link = wire(a, b, bandwidth_bps=None, propagation_delay_s=1e-3)
+        a.port(1).send(make_frame(0))
+        link.propagation_delay_s = 1e-6
+        a.port(1).send(make_frame(1))
+        a.port(1).send(make_frame(2))
+        link.propagation_delay_s = 1e-3
+        a.port(1).send(make_frame(3))
+        sim.run(until=10e-6)
+        assert b.tags == [1, 2] and link.direction(a.port(1)).queued == 2
+        link.set_down()
+        sim.run(until=0.01)
+        assert b.tags == [1, 2]
+        assert link.stats(a.port(1)).drops == 2 and link.direction(a.port(1)).queued == 0
+        assert sim.pending_events == 0
+
+    @pytest.mark.parametrize("seed", range(20 * SCALE))
+    def test_random_faults_conserve_frames_and_events(self, seed):
+        """Whatever was offered was delivered or is a counted drop, and
+        every processed event is one the test scheduled or a delivery
+        that reached the far node."""
+        rng = random.Random(0x23_000 + seed)
+        sim = Simulator()
+        ends = [CallCounter(sim, "a"), CallCounter(sim, "b")]
+        link = wire(
+            *ends, bandwidth_bps=rng.choice([None, 8_000_000, 1e9]),
+            propagation_delay_s=rng.choice([1e-6, 50e-6, 400e-6]),
+            queue_frames=rng.choice([4, 16, 128]),
+        )
+
+        def send(end, size):
+            port = ends[end].port(1)
+            if size == 1:
+                port.send(make_frame())
+            else:
+                port.send_burst([make_frame(t) for t in range(size)])
+
+        def retune(delay):
+            link.propagation_delay_s = delay
+
+        scheduled = 0
+        for _ in range(rng.randrange(20, 60)):
+            at = rng.uniform(0.0, 4e-3)
+            roll = rng.random()
+            if roll < 0.80:
+                sim.schedule_at(at, send, rng.randrange(2), rng.choice([1, 1, 2, 5, 9]))
+            elif roll < 0.88:
+                sim.schedule_at(at, retune, rng.choice([1e-6, 50e-6, 400e-6]))
+            elif roll < 0.95:
+                sim.schedule_at(at, link.set_down)
+            else:
+                sim.schedule_at(at, link.set_up)
+            scheduled += 1
+        sim.run()
+        for near, far in (ends, ends[::-1]):
+            port = near.port(1)
+            direction = link.direction(port)
+            assert far.port(1).rx_frames == port.tx_frames - direction.stats.drops
+            assert direction.stats.drops == sum(direction.drops.values())
+            assert direction.queued == 0
+        assert sim.events_processed == scheduled + sum(end.calls for end in ends)
+        assert sim.pending_events == 0 and not sim._queue
 
 
 class TestSwitchPowerCycle:

@@ -183,8 +183,8 @@ class TestBurstTransmit:
                 a1.port(1).send(frame)
             sim_b, a2, _, link_b = make_pair(bandwidth_bps=bandwidth)
             a2.port(1).send_burst(list(frames))
-            direction_a = link_a._directions[id(a1.port(1))]
-            direction_b = link_b._directions[id(a2.port(1))]
+            direction_a = link_a.direction(a1.port(1))
+            direction_b = link_b.direction(a2.port(1))
             assert direction_b.busy_until == direction_a.busy_until  # bit-exact
 
     def test_burst_tail_drop_at_exact_boundary(self):
@@ -270,7 +270,7 @@ class TestBurstTransmit:
         sim.run()
         return {
             "arrivals": [(stamp, frame.to_bytes()) for _, stamp, frame in b.received],
-            "busy_until": link._directions[id(a.port(1))].busy_until,
+            "busy_until": link.direction(a.port(1)).busy_until,
             "stats": link.stats(a.port(1)),
             "tx": (a.port(1).tx_frames, a.port(1).tx_bytes, a.port(1).tx_dropped),
             "rx": (b.port(1).rx_frames, b.port(1).rx_bytes),
@@ -377,7 +377,7 @@ class TestBurstTransmit:
         sim.run()
         assert b.received == []  # exported, not delivered locally
         assert link.stats(a.port(1)) == reference["stats"]
-        assert link._directions[id(a.port(1))].queued == 0  # drained on landing
+        assert link.direction(a.port(1)).queued == 0  # drained on landing
         ((_, kind, arrivals),) = sim.records
         assert kind == KIND_BURST
         assert [(t, f.to_bytes()) for t, f in arrivals] == reference["arrivals"]
@@ -390,3 +390,99 @@ class TestBurstTransmit:
         assert [(t, f.to_bytes()) for _, t, f in landing.received] == reference["arrivals"]
         assert (landing.port(1).rx_frames, landing.port(1).rx_bytes) == reference["rx"]
 
+
+
+class TestDropReasons:
+    """Every way a frame can die between two nodes, walked with a
+    crafted frame, alone and as a burst: each bumps exactly its reason,
+    and the lump counters stay the sums."""
+
+    REASONS = {"queue-tail", "link-down", "port-down", "unwired"}
+
+    @staticmethod
+    def ledger(sim, a, b, link):
+        """(where, reason) -> count over both ports and both directions."""
+        sources = {"a": a.port(1).drops, "b": b.port(1).drops}
+        if link is not None:
+            sources["a->b"] = link.direction(a.port(1)).drops
+            sources["b->a"] = link.direction(b.port(1)).drops
+        return {
+            (where, reason): count
+            for where, drops in sources.items()
+            for reason, count in drops.items()
+            if count
+        }
+
+    def walk(self, rig, act, where, reason, count):
+        sim = rig[0]
+        before = self.ledger(*rig)
+        act()
+        sim.run()
+        after = self.ledger(*rig)
+        moved = {key: after[key] - before.get(key, 0) for key in after
+                 if after[key] != before.get(key, 0)}
+        assert moved == {(where, reason): count}
+        return reason
+
+    def both(self, rig, sender, where, reason, prepare=lambda: None):
+        """The single-frame site and its burst twin."""
+        prepare()
+        self.walk(rig, lambda: sender.send(make_frame()), where, reason, 1)
+        prepare()
+        self.walk(
+            rig, lambda: sender.send_burst([make_frame(tag=t) for t in range(3)]),
+            where, reason, 3,
+        )
+        return reason
+
+    def test_every_drop_site_counts_its_reason(self):
+        reached = set()
+        sim = Simulator()
+        a, b = Sink(sim, "a"), Sink(sim, "b")
+        a.add_port(1)
+        b.add_port(1)
+        reached.add(self.both((sim, a, b, None), a.port(1), "a", "unwired"))
+        assert a.port(1).tx_dropped == 4
+
+        rig = sim, a, b, link = make_pair(bandwidth_bps=BPS_1B_PER_US, queue_frames=4)
+        tx, rx = a.port(1), b.port(1)
+        tx.up = False  # a downed port outranks its wiring
+        reached.add(self.both(rig, tx, "a", "port-down"))
+        tx.up, rx.up = True, False  # the frame crosses, the far port refuses it
+        reached.add(self.both(rig, tx, "b", "port-down"))
+        assert (rx.rx_frames, rx.tx_dropped, tx.tx_dropped) == (0, 0, 4)
+        rx.up = True
+
+        def fill():  # three of the four slots: one more fits, three do not
+            sim.run()
+            tx.send_burst([make_frame(tag=t) for t in range(3)])
+
+        fill()
+        tx.send(make_frame())
+        reached.add(self.walk(rig, lambda: tx.send(make_frame()), "a->b", "queue-tail", 1))
+        fill()
+        burst = [make_frame(tag=t) for t in range(3)]
+        self.walk(rig, lambda: tx.send_burst(burst), "a->b", "queue-tail", 2)
+
+        link.set_down()  # refused while down ...
+        reached.add(self.both(rig, tx, "a->b", "link-down"))
+        link.set_up()
+        tx.send(make_frame())  # ... and cut on the wire
+        self.walk(rig, link.set_down, "a->b", "link-down", 1)
+        link.set_up()
+        tx.send_burst([make_frame(tag=t) for t in range(3)])
+        rx.send(make_frame())
+        before = self.ledger(*rig)
+        link.set_down()
+        after = self.ledger(*rig)
+        assert after[("a->b", "link-down")] - before[("a->b", "link-down")] == 3
+        assert after[("b->a", "link-down")] == 1
+
+        assert reached == self.REASONS
+        for port in (tx, rx):
+            direction = link.direction(port)
+            assert set(direction.drops) <= {"queue-tail", "link-down"}
+            assert direction.stats.drops == sum(direction.drops.values())
+        # tx_dropped: what the port refused to send, not what it refused to take.
+        assert tx.tx_dropped == tx.drops["port-down"] == 4
+        assert rx.tx_dropped == 0 and rx.drops == {"port-down": 4}

@@ -1,5 +1,7 @@
 """Tests for the discrete-event loop, nodes and links."""
 
+import math
+
 import pytest
 
 from repro.net import EthernetFrame, MACAddress
@@ -525,3 +527,98 @@ class TestCancellationAccounting:
     def test_exclusive_needs_horizon(self):
         with pytest.raises(ValueError):
             Simulator().run(inclusive=False)
+
+
+class TestEventsCarryArguments:
+    """``schedule*(when, callback, *args)``: the event holds the call, so
+    per-frame schedulers need no closure — same order, same guards."""
+
+    def test_args_reach_the_callback(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(1.0, seen.append, "delayed")
+        sim.schedule_at(0.5, lambda *args: seen.append(args), 1, 2)
+        event = sim.schedule_at(0.75, seen.append, "never")
+        assert event.args == ("never",)
+        event.cancel()
+        assert sim.run() == 2
+        assert seen == [(1, 2), "delayed"]
+        with pytest.raises(ValueError):
+            sim.schedule(-1.0, seen.append, "past")
+        with pytest.raises(ValueError):
+            sim.schedule_at(0.5, seen.append, "past")
+
+    def test_fifo_ties_across_schedule_at_and_schedule_many(self):
+        sim = Simulator()
+        order = []
+        sim.schedule_at(1.0, order.append, 0)
+        sim.schedule_many((1.0, lambda n=n: order.append(n)) for n in (1, 2))
+        sim.schedule(1.0, order.append, 3)
+        sim.schedule_many([(1.0, lambda: order.append(4))])
+        sim.schedule_at(1.0, order.append, 5)
+        assert sim.run() == 6
+        assert order == [0, 1, 2, 3, 4, 5]
+
+    def test_compaction_from_inside_a_callback_loses_and_reorders_nothing(self):
+        # The run loop holds the queue in a local: a cancel() made by a
+        # running callback compacts that very list, mid-run.
+        sim = Simulator()
+        order = []
+        doomed = [sim.schedule_at(2.0, order.append, "dead") for _ in range(200)]
+        for index in range(50):
+            sim.schedule_at(1.0 + (index % 3), order.append, (1.0 + index % 3, index))
+
+        def massacre():
+            queue = sim._queue
+            for event in doomed:
+                event.cancel()
+            assert sim._queue is queue and len(queue) < 200  # compacted, in place
+            sim.schedule_at(2.0, order.append, (2.0, 99))
+
+        sim.schedule_at(0.5, massacre)
+        assert sim.pending_events == 251
+        assert sim.run() == 52
+        assert order == sorted(order) and len(order) == 51
+        assert sim.pending_events == 0 and not sim._queue
+
+    def test_half_open_window_ends_at_the_float_below_until(self):
+        sim = Simulator()
+        fired = []
+        just_inside = math.nextafter(2.0, -math.inf)
+        sim.schedule_at(just_inside, fired.append, "inside")
+        sim.schedule_at(2.0, fired.append, "edge")
+        assert sim.run(until=2.0, inclusive=False) == 1
+        assert fired == ["inside"] and sim.now == 2.0
+        assert sim.pending_events == 1 and sim.peek_next_time() == 2.0
+        assert sim.run(until=2.0, max_events=0) == 0  # a zero budget runs nothing
+        assert sim.run(until=2.0) == 1 and fired == ["inside", "edge"]
+
+    def test_cancel_bound_finds_a_receivers_events_only(self):
+        class Box:
+            def __init__(self):
+                self.got = []
+
+            def take(self, item):
+                self.got.append(item)
+
+        sim = Simulator()
+        mine, other = Box(), Box()
+        for index in range(3):
+            sim.schedule_at(1.0, mine.take, index)
+            sim.schedule_at(1.0, other.take, index)
+        sim.schedule_at(1.0, lambda: mine.take("closure"))  # not bound to it
+        already = sim.schedule_at(1.0, mine.take, "cancelled before")
+        already.cancel()
+        assert sim.cancel_bound(mine) == 3
+        assert sim.cancel_bound(mine) == 0
+        assert sim.pending_events == 4
+        assert sim.run() == 4
+        assert mine.got == ["closure"] and other.got == [0, 1, 2]
+
+    def test_late_cancel_of_an_event_that_ran_is_not_heap_garbage(self):
+        sim = Simulator()
+        event = sim.schedule_at(1.0, lambda: None)
+        sim.schedule_at(2.0, lambda: None)
+        sim.run(until=1.0)
+        event.cancel()
+        assert sim.pending_events == 1

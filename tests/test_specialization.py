@@ -23,8 +23,12 @@ Covers the three contracts the specialized tier 0 lives by:
 import gc
 import random
 
-from repro.core import HarmlessS4, PortVlanMap
+from repro.apps import LearningSwitchApp
+from repro.controller import Controller
+from repro.core import HarmlessFleet, HarmlessManager, HarmlessS4, PortVlanMap
+from repro.fabric import leaf_spine_fabric
 from repro.legacy import LegacySwitch
+from repro.mgmt import DeviceConnection, get_network_driver
 from repro.net import Dot1QTag, EthernetFrame, IPv4Address, MACAddress
 from repro.net.build import tcp_frame, udp_frame
 from repro.net.tcp import TcpSegment
@@ -49,7 +53,13 @@ from repro.openflow.packetview import (
     PacketView,
     compile_flow_key_extractor,
 )
-from repro.softswitch import DatapathCostModel, SoftSwitch, compile_datapath
+from repro.snmp import SnmpAgent, attach_bridge_mib
+from repro.softswitch import (
+    ESWITCH_COST_MODEL,
+    DatapathCostModel,
+    SoftSwitch,
+    compile_datapath,
+)
 
 ZERO_COST = DatapathCostModel.zero()
 
@@ -761,6 +771,106 @@ class TestDetourWorkBudget:
         # no program, port or link holds on to a frame it has served.
         del burst
         assert self.live_frames() == live_before
+
+
+class TestEventWorkBudget:
+    """What a simulator event costs, pinned without a clock: a frame's
+    trip is a fixed number of events, each one slotted handle and one
+    heap tuple, and none of them leaves a reference cycle behind — a
+    delivery that names its own event would make the cyclic collector
+    the only thing that frees it, once per event."""
+
+    @staticmethod
+    def quiet(sim, act):
+        """Run *act* and drain *sim* with the collector off; returns the
+        events that took and the unreachable objects left behind."""
+        gc.collect()
+        gc.disable()
+        try:
+            before = sim.events_processed
+            act()
+            sim.run()
+            return sim.events_processed - before, gc.collect()
+        finally:
+            gc.enable()
+
+    def test_site_detour_frame_is_twelve_events_and_no_garbage(self):
+        # The benchmark's site_detour: legacy lookup delay, 10 GbE
+        # links, a migrated site under the ESwitch cost model.
+        sim = Simulator()
+        legacy = LegacySwitch(sim, "edge", num_ports=3, processing_delay_s=4e-6)
+        source, sink = Sink(sim, "src"), Sink(sim, "dst")
+        Link(source.add_port(1), legacy.port(1), bandwidth_bps=1e10)
+        Link(legacy.port(2), sink.add_port(1), bandwidth_bps=1e10)
+        controller = Controller(sim)
+        controller.add_app(LearningSwitchApp())
+        manager = HarmlessManager(
+            sim, controller=controller, cost_model=ESWITCH_COST_MODEL,
+            trunk_bandwidth_bps=1e10,
+        )
+        mib, _ = attach_bridge_mib(legacy)
+        driver = get_network_driver("sim-ios")(
+            DeviceConnection(agent=SnmpAgent(mib), hostname="edge")
+        )
+        driver.open()
+        manager.migrate(legacy, driver, trunk_port=3, access_ports=[1, 2])
+        sim.run(until=sim.now + 0.05)
+
+        def frames(count):
+            return [udp_frame(MACS[0], MACS[1], IPS[0], IPS[1], 4000, 53, bytes([n % 251]) * 64)
+                    for n in range(count)]
+
+        sink.port(1).send(udp_frame(MACS[1], MACS[0], IPS[1], IPS[0], 53, 4000, b"hello"))
+        sim.run(until=sim.now + 0.05)
+        for frame in frames(3):  # warm: packet-in, flow-mods, compile
+            source.port(1).send(frame)
+            sim.run(until=sim.now + 0.05)
+        sim.run()
+        delivered = len(sink.received)
+
+        def play(load=frames(500)):
+            for index, frame in enumerate(load):
+                sim.schedule_at(sim.now + 1e-3 + index * 20e-6, source.port(1).send, frame)
+
+        events, garbage = self.quiet(sim, play)
+        assert len(sink.received) - delivered == 500
+        assert events == 500 * 12  # the send and the eleven events it causes
+        assert garbage == 0
+        assert sim.pending_events == 0 and not sim._queue
+
+    def test_fabric_burst_leaves_no_garbage(self):
+        fabric = leaf_spine_fabric(
+            edges=2, spines=1, hosts_per_edge=1, gen_ports_per_edge=1,
+            processing_delay_s=0.0, host_bandwidth_bps=None, trunk_bandwidth_bps=None,
+        )
+        fleet = HarmlessFleet(fabric, wave_size=3, cost_model=ZERO_COST)
+        fleet.migrate_all(verify=True, strict=True)
+        sim, stations = fabric.sim, []
+        for site in fabric.edge_sites():
+            stations.append(Sink(sim, f"gen-{site.name}"))
+            fabric.attach_station(site.name, stations[-1], bandwidth_bps=None)
+
+        here, there = MACAddress(0x02_00_00_00_50_00), MACAddress(0x02_00_00_00_50_01)
+
+        def burst():
+            return [udp_frame(here, there, IPS[0], IPS[1], 4000 + n % 4, 53, b"x" * 32)
+                    for n in range(32)]
+
+        stations[1].port(1).send(udp_frame(there, here, IPS[1], IPS[0], 53, 4000, b"hi"))
+        sim.run(until=sim.now + 0.5)
+        for _ in range(2):  # warm both directions of every hop
+            stations[0].port(1).send_burst(burst())
+            sim.run(until=sim.now + 0.5)
+        sim.run()
+        delivered = len(stations[1].received)
+        costs = [
+            self.quiet(sim, lambda load=burst(): stations[0].port(1).send_burst(load))
+            for _ in range(3)
+        ]
+        assert len(stations[1].received) - delivered == 3 * 32
+        # One event per link crossed, whatever the burst holds.
+        assert costs == [(costs[0][0], 0)] * 3 and costs[0][0] < 32
+        assert sim.pending_events == 0 and not sim._queue
 
 
 class TestLegacyWorkBudget:

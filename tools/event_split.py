@@ -1,0 +1,135 @@
+"""What one simulator event costs, split by who pays.
+
+ROADMAP item 4: the benchmark's tracer books the event loop and the
+links as one ``netsim`` layer; this splits it per event.  For one pass
+of ``site_detour`` (one frame per event) and of ``fabric_steady`` (one
+burst per event) the scheduling calls, ``heapq``'s push and pop, the run
+loop, ``Link``, ``Port`` and every node's ``receive`` are wrapped from
+outside and their self times divided by the events the region
+processed.  ``dispatch`` is the loop's own time plus whatever a
+callback does before it reaches a wrapped call (a delivery closure, a
+direction record).  The cyclic collector is timed through
+``gc.callbacks`` and taken out of whichever row it interrupted; its
+collections and the objects it reclaimed come from ``gc.get_stats()``.
+Only public names are touched, so the file runs unchanged on a copy of
+an older tree.  Wrapping costs more than the wrapped work here: read
+the rows against each other, not against the benchmark.
+Usage: ``python tools/event_split.py [--seed 1] [--frames N]``
+"""
+
+import argparse
+import gc
+import heapq
+import sys
+import time
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "e2e")]
+
+from harmless_e2e.workloads import WORKLOADS  # noqa: E402
+from repro.netsim import Link, Port, Simulator  # noqa: E402
+
+SELF_S, STACK = Counter(), []
+ROWS = ("schedule", "heap push+pop", "dispatch", "Link", "Port", "nodes", "cyclic GC")
+GC_STARTED = [0.0]
+
+
+def timed(owner, name, row):
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        STACK.append(0.0)
+        start = time.perf_counter()
+        try:
+            return original(*args, **kwargs)
+        finally:
+            elapsed = time.perf_counter() - start
+            SELF_S[row] += elapsed - STACK.pop()
+            if STACK:
+                STACK[-1] += elapsed
+
+    setattr(owner, name, wrapper)
+    return lambda: setattr(owner, name, original)
+
+
+def on_gc(phase, info):
+    if phase == "start":
+        GC_STARTED[0] = time.perf_counter()
+        return
+    elapsed = time.perf_counter() - GC_STARTED[0]
+    SELF_S["cyclic GC"] += elapsed
+    if STACK:
+        STACK[-1] += elapsed  # not the interrupted caller's own time
+
+
+def receivers(rig):
+    """(class, method) defining ``receive``/``receive_burst`` for every
+    node type in the rig, each once."""
+    found = set()
+    for node in [*rig.nodes, *rig.softswitches()]:
+        for name in ("receive", "receive_burst"):
+            found.add((next(c for c in type(node).__mro__ if name in vars(c)), name))
+    return sorted(found, key=lambda pair: (pair[0].__name__, pair[1]))
+
+
+def exhaust(steps):
+    """Run a ``drive`` generator dry; what it returned."""
+    while True:
+        try:
+            next(steps)
+        except StopIteration as stop:
+            return stop.value
+
+
+def split(workload, seed, frames):
+    rig = workload.build(seed)  # set-up runs unwrapped
+    load = workload.generate(rig, seed, frames)
+    targets = [(Simulator, "schedule_at", "schedule"), (Simulator, "schedule_many", "schedule"),
+               (Simulator, "schedule", "schedule"), (Simulator, "run", "dispatch"),
+               (heapq, "heappush", "heap push+pop"), (heapq, "heappop", "heap push+pop")]
+    targets += [(Link, name, "Link") for name in ("transmit", "transmit_burst")]
+    targets += [(Port, name, "Port")
+                for name in ("send", "send_burst", "deliver", "deliver_burst")]
+    targets += [(cls, name, "nodes") for cls, name in receivers(rig)]
+    SELF_S.clear()
+    gc.collect()
+    restore = [timed(*target) for target in targets]
+    gc.callbacks.append(on_gc)
+    before, events = gc.get_stats(), rig.sim.events_processed
+    start = time.perf_counter()
+    try:
+        outcome = exhaust(workload.drive(rig, load))
+    finally:
+        region = time.perf_counter() - start
+        gc.callbacks.remove(on_gc)
+        for undo in reversed(restore):
+            undo()
+    events, frames = rig.sim.events_processed - events, outcome["injected"]
+    after = gc.get_stats()
+    runs = [now["collections"] - was["collections"] for was, now in zip(before, after)]
+    reclaimed = sum(now["collected"] - was["collected"] for was, now in zip(before, after))
+    print(f"{workload.name} seed {seed}: {frames} frames, {events} events "
+          f"({events / frames:.2f} per frame), drive region {region:.3f} s (wrapped)")
+    print(f"{'row':<14} {'self s':>8} {'region':>7} {'us/event':>9}")
+    for row in ROWS:
+        print(f"{row:<14} {SELF_S[row]:>8.3f} {SELF_S[row] / region:>6.0%} "
+              f"{1e6 * SELF_S[row] / events:>9.2f}")
+    print(f"cyclic GC: {' + '.join(map(str, runs))} collections (gen 0 + 1 + 2), "
+          f"{reclaimed} objects reclaimed, {reclaimed / events:.2f} per event\n")
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--frames", type=int, default=None,
+                        help="frames per workload (default: the benchmark's own)")
+    args = parser.parse_args()
+    for name in ("site_detour", "fabric_steady"):
+        workload = WORKLOADS[name]
+        split(workload, args.seed, args.frames or workload.default_frames)
+
+
+if __name__ == "__main__":
+    main()
