@@ -386,14 +386,7 @@ def run_one_sharded(edges: int, packets: int, shards: int) -> dict:
         samples = []
         injected_total = 0
         for _ in range(MEASURE_REPEATS):
-            # Half a second of quiet first, as prime() ends with in the
-            # single-process suite: the learned rules bring new
-            # field-sets, so an SS_2 that saw fewer than
-            # recompile_after_mods of them recompiles only once its
-            # control plane has been quiet for recompile_quiescent_s —
-            # a run started inside that window measures the interpreter,
-            # not the steady state.
-            start_s = sharded.stats()["now"] + 0.5
+            start_s = sharded.stats()["now"] + 1e-3
             # pod_bursts only reads len() of its first argument.
             bursts_per_pod = pod_bursts(edge_names, flows, packets, start_s)
             injected = sum(

@@ -22,8 +22,8 @@ Two workload kinds per flow-table size:
   program's derived decisions are flushed, its generated code kept —
   ``patches`` counts them), so one compile serves the whole run and
   throughput stays well above the interpreted baseline.  Only a mod
-  that changes the program's shape would take the discard +
-  ``recompile_after_mods`` hysteresis path.
+  that changes the program's shape would discard it, and the next
+  burst would regenerate it.
 
 Reported pps is the median across ``MEASURE_REPEATS`` passes.  Results
 go to ``results/specialized.txt`` (human) and

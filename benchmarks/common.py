@@ -201,9 +201,6 @@ def measure_usecase_datapath(
         runs = []
         for _ in range(repeats):
             sim, switch, stream, in_port = make_rig(config == "specialized")
-            # One mod is enough to trigger a recompile: the use-case
-            # pipeline is installed up front and then left quiet.
-            switch.recompile_after_mods = 1
             frames = [stream[i % len(stream)] for i in range(packets)]
             bursts = [
                 frames[i : i + burst] for i in range(0, len(frames), burst)

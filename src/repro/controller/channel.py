@@ -84,6 +84,7 @@ class ControllerChannel:
             return True
         self._packetin_tokens = tokens
         self.packet_ins_limited += 1
+        self.switch.drops["packet-in-limited"] += 1
         return False
 
     def set_down(self) -> None:

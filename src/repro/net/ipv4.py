@@ -38,8 +38,10 @@ class IPv4Packet:
     options: bytes = field(default=b"")
 
     def __post_init__(self) -> None:
-        self.src = IPv4Address(self.src)
-        self.dst = IPv4Address(self.dst)
+        if type(self.src) is not IPv4Address:
+            self.src = IPv4Address(self.src)
+        if type(self.dst) is not IPv4Address:
+            self.dst = IPv4Address(self.dst)
         if not 0 <= self.protocol <= 255:
             raise ValueError(f"protocol out of range: {self.protocol}")
         if not 0 <= self.ttl <= 255:
@@ -86,8 +88,9 @@ class IPv4Packet:
         )
 
     def to_bytes(self) -> bytes:
-        checksum = internet_checksum(self.header_bytes(checksum=0))
-        return self.header_bytes(checksum=checksum) + self.payload
+        header = self.header_bytes()
+        checksum = internet_checksum(header).to_bytes(2, "big")
+        return b"".join((header[:10], checksum, header[12:], self.payload))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "IPv4Packet":

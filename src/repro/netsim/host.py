@@ -109,12 +109,13 @@ class Host(Node):
 
     def resolve(self, ip: IPv4Address) -> Optional[MACAddress]:
         """Fresh ARP-table lookup, or None."""
-        entry = self.arp_table.get(IPv4Address(ip))
+        key = IPv4Address(ip)
+        entry = self.arp_table.get(key)
         if entry is None:
             return None
         mac, learned_at = entry
         if self.sim.now - learned_at > ARP_TTL_S:
-            del self.arp_table[IPv4Address(ip)]
+            del self.arp_table[key]
             return None
         return mac
 

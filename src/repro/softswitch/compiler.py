@@ -81,16 +81,23 @@ slot sets only become conservative); an add breaks it when it brings a
 new field-set or mask-set to table 0, a priority above its probe's
 baked bound, the first timeout, or a slot outside the used set.
 
-**Churn hysteresis.**  Only shape changes (the above, a cost-model
-swap, ``reset_pipeline``) discard the program: the switch marks it
-stale synchronously (the next frame falls back to the interpreted
-path, which stays the oracle), records why as
-``stats()["specialization"]["last_regenerate_reason"]``, and
-recompiles only after ``recompile_after_mods`` (64) accumulated mods
-or a ``recompile_quiescent_s`` (50 ms) quiet interval — both knobs on
-``SoftSwitch``.  ``SoftSwitch.stats()["specialization"]`` reports
-compiles, invalidations, patches and the specialized/fallback frame
-split.
+**Cold start.**  The generated source reads the pipeline only through
+its shape — everything per-switch (tables, ports, key cache, probe
+bindings, the switch itself) reaches the code through the namespace it
+is ``exec``'d into — so the source text *is* the shape and its code
+object is shared: :func:`compile_datapath` looks the text up in
+``_CODE_CACHE`` and hands the builtin ``compile()`` only a text this
+process has not seen.  Every migrated site runs the same two pipelines,
+so a fleet costs two or three builtin compiles, and a regenerate of a
+seen shape costs codegen + ``exec``.  Only shape changes (the above, a
+cost-model swap, ``reset_pipeline``) discard a program: the switch
+drops it synchronously (a stale program never runs), records why as
+``stats()["specialization"]["last_regenerate_reason"]``, and the first
+frame after it regenerates — lazily, so a burst of mods with no
+traffic is one regenerate, and a pipeline the compiler rejects is
+attempted once per mutation and interpreted until the next one.
+``SoftSwitch.stats()["specialization"]`` reports compiles,
+invalidations, patches and the specialized/fallback frame split.
 
 **Per frame.**  Every frame a softswitch sees is a fresh object (a
 legacy push or an SS_1 pop just derived it), so nothing is keyed on
@@ -111,8 +118,14 @@ processing would show it.  If the interpreted walk mutates the
 pipeline — a reactive controller answering the packet-in — the burst
 looks at what the mutation did to the program: patched (content only)
 flushed the key cache, so the next frame reclassifies and the burst
-carries on compiled; discarded (shape change) drains the rest of the
-burst through the interpreter, because the generated code is stale.
+carries on compiled; discarded (shape change) hands the rest of the
+burst back to ``SoftSwitch.process_batch``, which regenerates and
+serves it compiled, exactly as frame-by-frame injection would.
+
+**Drops.**  Every frame or output the executor discards is counted in
+``SoftSwitch.drops`` under the reason the interpreter would give
+(``table-miss``, ``no-such-port``, ``no-such-group``, ``empty-group``,
+``action-drop``), per-reason locals summed once per burst.
 """
 
 from __future__ import annotations
@@ -120,7 +133,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from random import Random
+from types import CodeType
 from typing import TYPE_CHECKING, Iterable, Optional
+from zlib import crc32
 
 from repro.openflow import consts as c
 from repro.openflow.actions import (
@@ -148,6 +163,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Cleared wholesale when full: the cache is derived state, one slow
 #: classify per key rebuilds it.
 KEY_CACHE_LIMIT = 8192
+
+#: Generated source text -> its module code object, shared by every
+#: switch of that shape (see "Cold start" above; immutable code is all
+#: they share).  Cleared wholesale at the bound, like the key cache: a
+#: dropped text costs one more builtin ``compile()``.
+CODE_CACHE_LIMIT = 64
+_CODE_CACHE: "dict[str, CodeType]" = {}
 
 #: Plan kinds (first element of every plan tuple).
 PLAN_OUT = 0  # single concrete-port output
@@ -414,7 +436,8 @@ def _fast_plan(entry: "FlowEntry", actions: list, model: DatapathCostModel):
             steps.append((False, action))
     cost = model.cost_s(lookups=1, actions=len(actions), vlan_ops=vlan_ops)
     mortals = _mortals_of(entry)
-    if not steps:
+    if not any(is_out for is_out, _ in steps):
+        # Transforms nobody sees: the frame is an action-drop.
         return (PLAN_NOOP, entry, None, cost, mortals)
     if len(steps) == 1 and steps[0][0]:
         return (PLAN_OUT, entry, steps[0][1], cost, mortals)
@@ -667,6 +690,7 @@ def compile_datapath(
         T0=tables[0],
         PORTS=switch.ports,
         PORT=switch.port,
+        DROPS=switch.drops,
         EMIT=switch._emit,
         FALL=switch._interpret_one,
         SCHED=switch.sim.schedule_at,
@@ -763,7 +787,13 @@ def compile_datapath(
     lines.append(executor)
 
     source = "\n".join(lines)
-    exec(compile(source, f"<specialized datapath {switch.name}>", "exec"), namespace)
+    code = _CODE_CACHE.get(source)
+    if code is None:
+        if len(_CODE_CACHE) >= CODE_CACHE_LIMIT:
+            _CODE_CACHE.clear()
+        name = f"<specialized datapath {crc32(source.encode()):08x}>"
+        code = _CODE_CACHE[source] = compile(source, name, "exec")
+    exec(code, namespace)
     return CompiledProgram(
         switch, source, namespace, used_slots, mortal, probe_order, probes,
         select_ready=hash_slots <= used,
@@ -779,8 +809,9 @@ def compile_datapath(
 #: emit immediately when the finish time has not moved past ``now`` and
 #: defer through the simulator otherwise.
 _EXECUTOR_SOURCE = '''
-def _chain_steps(steps, frame, PORTS=PORTS):
-    """Execute a CHAIN plan's step list; returns (outputs, drops).
+def _chain_steps(steps, frame, PORTS=PORTS, DROPS=DROPS):
+    """Execute a CHAIN plan's step list; returns (outputs, drops), the
+    drops already counted by reason.
 
     Mirrors the interpreter exactly: outputs collect in action order
     (bucket outputs inline where their group action ran), transforms
@@ -797,6 +828,7 @@ def _chain_steps(steps, frame, PORTS=PORTS):
                 outs.append((arg, current))
             else:
                 dropped += 1
+                DROPS["no-such-port"] += 1
         elif op == 1:
             current = arg.apply(current)
         elif op == 3:
@@ -804,6 +836,7 @@ def _chain_steps(steps, frame, PORTS=PORTS):
             group.packet_count += 1
             if index is None:
                 dropped += 1
+                DROPS["empty-group"] += 1
                 continue
             group.bucket_packet_counts[index] += 1
             bucket_frame = current
@@ -813,6 +846,7 @@ def _chain_steps(steps, frame, PORTS=PORTS):
                         outs.append((bucket_arg, bucket_frame))
                     else:
                         dropped += 1
+                        DROPS["no-such-port"] += 1
                 else:
                     bucket_frame = bucket_arg.apply(bucket_frame)
         elif op == 2:
@@ -828,10 +862,12 @@ def _chain_steps(steps, frame, PORTS=PORTS):
                             outs.append((bucket_arg, bucket_frame))
                         else:
                             dropped += 1
+                            DROPS["no-such-port"] += 1
                     else:
                         bucket_frame = bucket_arg.apply(bucket_frame)
         else:  # op == 4: dead group reference
             dropped += 1
+            DROPS["no-such-group"] += 1
     return outs, dropped
 
 
@@ -842,7 +878,7 @@ def classify(frame, in_port, now):
     return _classify(key, now), key
 
 
-def run_one(frame, in_port, SIM=SIM, S=S, T0=T0, PORTS=PORTS,
+def run_one(frame, in_port, SIM=SIM, S=S, T0=T0, PORTS=PORTS, DROPS=DROPS,
             EMIT=EMIT, FALL=FALL, SCHED=SCHED, KC_get=KC_get,
             chain_steps=_chain_steps):
     now = SIM.now
@@ -868,9 +904,9 @@ def run_one(frame, in_port, SIM=SIM, S=S, T0=T0, PORTS=PORTS,
         outs, chain_drops = chain_steps(steps, frame)
         if miss_table is not None:
             miss_table.lookups += 1
-            chain_drops += 1
-        if chain_drops:
-            S.packets_dropped += chain_drops
+            DROPS["table-miss"] += 1
+        elif not outs and not chain_drops:
+            DROPS["action-drop"] += 1
         if not outs:
             outs = None
     else:
@@ -885,16 +921,17 @@ def run_one(frame, in_port, SIM=SIM, S=S, T0=T0, PORTS=PORTS,
             if port in PORTS:
                 outs = [(port, frame)]
             else:
-                S.packets_dropped += 1
+                DROPS["no-such-port"] += 1
         elif kind == 1:
             cost = dec[3]
-            S.packets_dropped += 1
+            DROPS["table-miss"] += 1
         elif kind == 2:
             _, entry, _payload, cost, _mortals = dec
             T0.matches += 1
             entry.packet_count += 1
             entry.byte_count += length
             entry.last_used_at = now
+            DROPS["action-drop"] += 1
         else:
             _, entry, steps, cost, _mortals = dec
             T0.matches += 1
@@ -908,7 +945,7 @@ def run_one(frame, in_port, SIM=SIM, S=S, T0=T0, PORTS=PORTS,
                     if payload in PORTS:
                         outs.append((payload, current))
                     else:
-                        S.packets_dropped += 1
+                        DROPS["no-such-port"] += 1
                 else:
                     current = payload.apply(current)
             if not outs:
@@ -922,17 +959,20 @@ def run_one(frame, in_port, SIM=SIM, S=S, T0=T0, PORTS=PORTS,
         if finish <= now:
             EMIT(outs, ())
         else:
-            SCHED(finish, lambda o=outs: EMIT(o, ()))
+            SCHED(finish, EMIT, outs, ())
 
 
-def run_burst(in_port, frames, SIM=SIM, S=S, T0=T0, PORTS=PORTS,
+def run_burst(in_port, frames, SIM=SIM, S=S, T0=T0, PORTS=PORTS, DROPS=DROPS,
               PORT=PORT, EMIT=EMIT, FALL=FALL, SCHED=SCHED,
               KC_get=KC_get, chain_steps=_chain_steps):
     now = SIM.now
     per_port = {}
     per_port_get = per_port.get
     forwarded = 0
-    dropped = 0
+    missed = 0
+    unported = 0
+    unacted = 0
+    rest = None
     t0_lookups = 0
     t0_matches = 0
     specialized = 0
@@ -970,11 +1010,9 @@ def run_burst(in_port, frames, SIM=SIM, S=S, T0=T0, PORTS=PORTS,
                     # (e.g. a reactive controller installed a flow on a
                     # new field-set): this program is stale, its baked
                     # structures may no longer describe the tables.
-                    # Drain the rest of the burst through the interpreter.
-                    while index < count:
-                        FALL(frames[index], in_port)
-                        index += 1
-                    busy = S.busy_until
+                    # The switch takes the rest of the burst back.
+                    rest = frames[index:]
+                    break
                 # A patch instead (content only) flushed the key cache:
                 # the code still fits, the next frame reclassifies.
                 continue
@@ -990,8 +1028,9 @@ def run_burst(in_port, frames, SIM=SIM, S=S, T0=T0, PORTS=PORTS,
             outs, chain_drops = chain_steps(steps, frame)
             if miss_table is not None:
                 miss_table.lookups += 1
-                chain_drops += 1
-            dropped += chain_drops
+                missed += 1
+            elif not outs and not chain_drops:
+                unacted += 1
             start = busy if busy > now else now
             busy = start + cost
             if outs:
@@ -1004,7 +1043,7 @@ def run_burst(in_port, frames, SIM=SIM, S=S, T0=T0, PORTS=PORTS,
                             chain.append(out_frame)
                     forwarded += len(outs)
                 else:
-                    SCHED(busy, lambda o=outs: EMIT(o, ()))
+                    SCHED(busy, EMIT, outs, ())
             continue
         specialized += 1
         t0_lookups += 1
@@ -1025,15 +1064,16 @@ def run_burst(in_port, frames, SIM=SIM, S=S, T0=T0, PORTS=PORTS,
                         chain.append(frame)
                     forwarded += 1
                 else:
-                    SCHED(busy, lambda o=[(port, frame)]: EMIT(o, ()))
+                    SCHED(busy, EMIT, [(port, frame)], ())
             else:
-                dropped += 1
+                unported += 1
         elif kind == 1:
-            dropped += 1
+            missed += 1
             start = busy if busy > now else now
             busy = start + dec[3]
         elif kind == 2:
             _, entry, _payload, cost, _mortals = dec
+            unacted += 1
             t0_matches += 1
             entry.packet_count += 1
             entry.byte_count += length
@@ -1053,7 +1093,7 @@ def run_burst(in_port, frames, SIM=SIM, S=S, T0=T0, PORTS=PORTS,
                     if payload in PORTS:
                         outs.append((payload, current))
                     else:
-                        dropped += 1
+                        unported += 1
                 else:
                     current = payload.apply(current)
             start = busy if busy > now else now
@@ -1068,15 +1108,21 @@ def run_burst(in_port, frames, SIM=SIM, S=S, T0=T0, PORTS=PORTS,
                             chain.append(out_frame)
                     forwarded += len(outs)
                 else:
-                    SCHED(busy, lambda o=outs: EMIT(o, ()))
+                    SCHED(busy, EMIT, outs, ())
     S.busy_until = busy
     T0.lookups += t0_lookups
     T0.matches += t0_matches
-    if dropped:
-        S.packets_dropped += dropped
+    if missed:
+        DROPS["table-miss"] += missed
+    if unported:
+        DROPS["no-such-port"] += unported
+    if unacted:
+        DROPS["action-drop"] += unacted
     S.specialized_frames += specialized
     if forwarded:
         S.packets_forwarded += forwarded
         for port_number, port_frames in per_port.items():
             PORT(port_number).send_burst(port_frames)
+    if rest:
+        S.process_batch(in_port, rest)
 '''

@@ -10,6 +10,7 @@ exactly the behaviour a controller program sees on real hardware.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -66,17 +67,11 @@ from repro.softswitch.groups import SELECT_HASH_FIELDS, GroupTable
 #: How often expired flows are swept (also checked lazily on lookup).
 EXPIRY_SWEEP_INTERVAL_S = 1.0
 
-#: Churn hysteresis for the compiled program.  A mutation the
-#: compiled program's shape does not cover (see the compiler module
-#: docstring) marks it stale and the switch falls back to the
-#: interpreter; a recompile is attempted on the next packet
-#: only once this many mods have accumulated...
-RECOMPILE_AFTER_MODS = 64
-#: ...or once the control plane has been quiet for this long (simulated
-#: seconds), whichever happens first.  Both are per-switch attributes
-#: (``recompile_after_mods`` / ``recompile_quiescent_s``) so tests and
-#: benches can tighten or disable the hysteresis.
-RECOMPILE_QUIESCENT_S = 0.05
+#: The reasons in ``SoftSwitch.drops`` that ``packets_dropped`` sums.
+#: The others are kept beside it: ``floods_suppressed`` and
+#: ``packet_ins_suppressed`` have their own counters, ``action-drop``
+#: and ``packet-in-limited`` had none.
+COUNTED_DROPS = ("table-miss", "no-such-port", "no-such-group", "empty-group")
 
 #: Bound on the miss-suppression negative cache (see
 #: ``miss_suppression_s``).  Cleared wholesale when full: the cache is
@@ -152,10 +147,10 @@ class SoftSwitch(Node):
             enable_fast_path if enable_specialization is None else enable_specialization
         )
         self._program: "Optional[CompiledProgram]" = None
-        self._pending_mods = 0
-        self._last_mod_at = 0.0
-        self.recompile_after_mods = RECOMPILE_AFTER_MODS
-        self.recompile_quiescent_s = RECOMPILE_QUIESCENT_S
+        #: The pipeline changed since the last compile attempt: the next
+        #: frame regenerates.  False on a fresh switch (nothing to
+        #: compile until a FlowMod lands) and after a rejected attempt.
+        self._compile_pending = False
         self.program_compiles = 0
         self.program_compile_failures = 0
         self.program_invalidations = 0
@@ -198,7 +193,9 @@ class SoftSwitch(Node):
         self.packet_ins_suppressed = 0
         self._miss_seen: "dict[tuple, float]" = {}
         self.packets_forwarded = 0
-        self.packets_dropped = 0
+        #: Why frames (or single outputs of a frame) died here, reason ->
+        #: count, identical on both executors.  Not in ``stats()``.
+        self.drops: "defaultdict[str, int]" = defaultdict(int)
         self.packets_to_controller = 0
         self.busy_until = 0.0
         self._xid = 0
@@ -221,16 +218,14 @@ class SoftSwitch(Node):
     # ------------------------------------------------- datapath specialization
 
     def _mark_program_stale(self, reason: "Optional[str]") -> None:
-        """A mutation the compiled program cannot absorb landed: fall
-        back to the interpreter.
+        """A mutation the compiled program cannot absorb landed.
 
-        The generated code no longer describes the pipeline, so it must
-        be discarded before the next packet.  Recompiling is deferred
-        (churn hysteresis): the mod counter and timestamp feed
-        :meth:`_active_program`'s trigger test.
+        The generated code no longer describes the pipeline, so it is
+        discarded now; the next frame regenerates it
+        (:meth:`_active_program`) — lazily, so a run of mods with no
+        traffic between them costs one regenerate.
         """
-        self._pending_mods += 1
-        self._last_mod_at = self.sim.now
+        self._compile_pending = True
         if self._program is not None:
             self._program = None
             self.program_invalidations += 1
@@ -249,7 +244,7 @@ class SoftSwitch(Node):
         deletes, modifies and expiry, which cannot outgrow generated
         code).  An intact shape is patched synchronously — the derived
         decisions are flushed, the code and its profile stay — and only
-        a broken one takes the discard + hysteresis path.
+        a broken one is discarded.
         """
         program = self._program
         reason = None
@@ -302,36 +297,32 @@ class SoftSwitch(Node):
         return self._program
 
     def _active_program(self) -> "Optional[CompiledProgram]":
-        """The current compiled program, recompiling when hysteresis allows.
+        """The current compiled program, regenerated if a mutation
+        discarded it.
 
         Stale programs are never returned — ``_mark_program_stale``
         drops them synchronously, and a patched one is current by
-        construction — so the only question here is whether the mods
-        accumulated since a shape change justify paying for a
-        recompile: either ``recompile_after_mods`` of them have piled
-        up, or the control plane has been quiet for
-        ``recompile_quiescent_s``.  A pipeline the compiler rejects
-        leaves the switch interpreted (and charges nothing further)
-        until the next mutation.
+        construction.  A regenerate costs codegen + ``exec`` (the code
+        object of a seen shape is shared, see the compiler), so nothing
+        waits for it; a pipeline the compiler rejects leaves the switch
+        interpreted, one attempt per mutation.
         """
         program = self._program
-        if program is not None:
-            return program
-        if not self._pending_mods:
-            return None
-        if (
-            self._pending_mods < self.recompile_after_mods
-            and self.sim.now - self._last_mod_at < self.recompile_quiescent_s
-        ):
-            return None
-        self._pending_mods = 0
-        program = compile_datapath(self)
-        if program is None:
-            self.program_compile_failures += 1
-        else:
-            self.program_compiles += 1
-            self._program = program
+        if program is None and self._compile_pending:
+            self._compile_pending = False
+            program = self._program = compile_datapath(self)
+            if program is None:
+                self.program_compile_failures += 1
+            else:
+                self.program_compiles += 1
         return program
+
+    @property
+    def packets_dropped(self) -> int:
+        """Frames and outputs lost to a miss, a missing port or a
+        missing/empty group: the sum of those reasons in ``drops``."""
+        drops = self.drops  # .get: reading must not add zero-valued keys
+        return sum(drops.get(reason, 0) for reason in COUNTED_DROPS)
 
     def stats(self) -> dict:
         """Datapath counters: forwarding and specialization."""
@@ -349,7 +340,7 @@ class SoftSwitch(Node):
                 "invalidations": self.program_invalidations,
                 "patches": self.program_patches,
                 "last_regenerate_reason": self.last_regenerate_reason,
-                "pending_mods": self._pending_mods,
+                "compile_pending": self._compile_pending,
                 "specialized_frames": self.specialized_frames,
                 "fallback_frames": self.fallback_frames,
                 "ineligible_reason": self.compile_ineligible_reason,
@@ -412,7 +403,7 @@ class SoftSwitch(Node):
 
     def _interpret_one(self, frame: EthernetFrame, in_port: int) -> None:
         """One frame through the reference interpreter: specialization
-        is off, no program is active (hysteresis window), or the active
+        is off, the compiler rejected the pipeline, or the active
         program selected a FALLBACK decision for this frame (packet-in,
         flood, action-set semantics...) and handed it over.  Does all of
         its own counting — the compiled caller only routes.
@@ -420,7 +411,11 @@ class SoftSwitch(Node):
         if self.specialize:
             self.fallback_frames += 1
         stats = PipelineStats()
+        drops = self.drops
+        counted = sum(drops.values())
         outputs, async_messages = self._buffered(self._run_pipeline, frame, in_port, stats)
+        if not outputs and not async_messages and sum(drops.values()) == counted:
+            drops["action-drop"] += 1  # matched, emitted nothing, lost nothing else
         self._flush(outputs, async_messages, stats)
 
     def _buffered(
@@ -509,7 +504,7 @@ class SoftSwitch(Node):
             )
             stats.lookups += 1
             if entry is None:
-                self.packets_dropped += 1
+                self.drops["table-miss"] += 1
                 return
             current, next_table = self._execute_entry(
                 entry, current, in_port, stats, action_set, now
@@ -607,6 +602,7 @@ class SoftSwitch(Node):
             guard = self.flood_guard
             if guard is not None and not guard.allow(in_port, self.sim.now):
                 self.floods_suppressed += 1
+                self.drops["flood-suppressed"] += 1
                 return
             for number in sorted(self.ports):
                 if number != in_port:
@@ -618,7 +614,7 @@ class SoftSwitch(Node):
         if port_no in self.ports:
             self._transmit(port_no, frame)
         else:
-            self.packets_dropped += 1
+            self.drops["no-such-port"] += 1
 
     def _transmit(self, port_number: int, frame: EthernetFrame) -> None:
         self._tx_buffer.append((port_number, frame))
@@ -628,7 +624,7 @@ class SoftSwitch(Node):
     ) -> None:
         entry = self.groups.get(group_id)
         if entry is None:
-            self.packets_dropped += 1
+            self.drops["no-such-group"] += 1
             return
         entry.packet_count += 1
         if entry.group_type == c.OFPGT_ALL:
@@ -643,7 +639,7 @@ class SoftSwitch(Node):
         else:  # indirect
             index = 0 if entry.buckets else None
         if index is None:
-            self.packets_dropped += 1
+            self.drops["empty-group"] += 1
             return
         entry.bucket_packet_counts[index] += 1
         self._apply_actions(list(entry.buckets[index].actions), frame, in_port, stats)
@@ -677,6 +673,7 @@ class SoftSwitch(Node):
             last = self._miss_seen.get(signature)
             if last is not None and now - last < window:
                 self.packet_ins_suppressed += 1
+                self.drops["packet-in-suppressed"] += 1
                 return
             if len(self._miss_seen) >= MISS_CACHE_LIMIT:
                 self._miss_seen.clear()

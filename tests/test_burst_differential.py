@@ -10,7 +10,7 @@ switches through ≥1000 randomly generated bursts, with control-plane
 churn (FlowMod add/delete/modify with timeouts, GroupMod) and simulated
 time advancing between bursts so multi-table walks, group selection,
 entry expiry (both the sweeper and the lazy per-lookup check) and both
-executors (compiled program, interpreter during hysteresis) are all
+executors (compiled program, interpreter for per-entry fallbacks) are all
 covered, under both a zero-cost model (batched egress) and the eswitch
 cost model (deferred per-frame emission).  Each model runs twice: once
 replaying a pool of per-flow template objects, and once with every
@@ -265,7 +265,7 @@ def assert_identical(batch_rig, seq_rig):
         assert sink_a.received == sink_b.received, f"sink {index} diverged"
     assert pins_a == pins_b
     assert batch.packets_forwarded == seq.packets_forwarded
-    assert batch.packets_dropped == seq.packets_dropped
+    assert batch.drops == seq.drops
     assert batch.packets_to_controller == seq.packets_to_controller
     assert batch.dump_pipeline() == seq.dump_pipeline()  # per-entry counters
     for table_a, table_b in zip(batch.tables, seq.tables):
@@ -323,7 +323,7 @@ def _run_differential(seed, rounds, bursts_per_round, cost_model, fresh_objects)
         sim_a.run()
         sim_b.run()
         # Both executors served bursts: the compiled program and the
-        # interpreter (hysteresis windows, per-entry fallbacks).
+        # interpreter (per-entry fallbacks).
         assert batch.specialized_frames > 0 and batch.fallback_frames > 0
         assert_identical(batch_rig, seq_rig)
     return bursts_done

@@ -51,7 +51,6 @@ def tier_rig(enable_specialization):
         cost_model=ZERO_COST,
         enable_specialization=enable_specialization,
     )
-    switch.recompile_quiescent_s = 0.0  # recompile on the next packet
     sinks = []
     for index in range(2):
         sink = Sink(sim, f"sink{index + 1}")

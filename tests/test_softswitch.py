@@ -636,7 +636,6 @@ class TestGotoTableValidation:
     ):
         sim, switch, sinks = build_switch(**TIERS[tier])
         self._chain(switch)
-        sim.run(until=0.1)  # past the recompile hysteresis
         switch.inject(frame_ab(), in_port=1)
         assert (switch.program is not None) == (tier == "compiled")
         pipeline = switch.dump_pipeline()
@@ -674,6 +673,124 @@ class TestGotoTableValidation:
         _, switch, _ = build_switch()
         install(switch, table_id=2, match=Match(), instructions=[GotoTable(table_id=3)])
         assert len(switch.tables[2]) == 1
+
+
+class _DenyAll:
+    """A flood guard that admits nothing."""
+
+    def allow(self, port, now):
+        return False
+
+
+class TestDropReasons:
+    """Every place a frame (or one output of a frame) dies in the
+    softswitch says why in ``switch.drops``, identically on the seed
+    scan, the bucketed interpreter and the compiled program, one frame
+    at a time and as a burst; ``packets_dropped`` stays the sum of the
+    reasons it always summed."""
+
+    #: in_port -> (what the rule for that port does, the reason one
+    #: frame on it is counted under).  Port 1 forwards.
+    SITES = {
+        2: ("output to a missing port", "no-such-port"),
+        3: ("push + set-field, then a missing port", "no-such-port"),
+        4: ("goto table 1, which outputs to a missing port", "no-such-port"),
+        5: ("indirect group whose bucket outputs to a missing port", "no-such-port"),
+        6: ("all group with one bucket on a missing port", "no-such-port"),
+        7: ("a group that does not exist", "no-such-group"),
+        8: ("select group without buckets", "empty-group"),
+        10: ("goto table 1, nothing there for it", "table-miss"),
+        11: ("nothing in table 0", "table-miss"),
+        12: ("matched, no instructions", "action-drop"),
+        13: ("matched, transforms only", "action-drop"),
+        14: ("goto table 1, matched there with no instructions", "action-drop"),
+        15: ("all group with no buckets", "action-drop"),
+        16: ("flood with the guard closed", "flood-suppressed"),
+    }
+
+    def provision(self, switch):
+        def group(group_id, group_type, *ports):
+            buckets = [Bucket(actions=[OutputAction(port=port)]) for port in ports]
+            message = GroupMod(command=c.OFPGC_ADD, group_type=group_type,
+                               group_id=group_id, buckets=buckets)
+            assert switch.handle_message(message.to_bytes()) == []
+
+        def apply(*actions):
+            return [ApplyActions(actions=actions)]
+
+        group(1, c.OFPGT_INDIRECT, 99)
+        group(2, c.OFPGT_ALL, 99)
+        group(3, c.OFPGT_SELECT)
+        group(5, c.OFPGT_ALL)
+        rules = {
+            1: apply(OutputAction(port=2)),
+            2: apply(OutputAction(port=99)),
+            3: apply(PushVlanAction(), SetFieldAction.vlan_vid(7), OutputAction(port=99)),
+            4: [GotoTable(table_id=1)],
+            5: apply(GroupAction(group_id=1)),
+            6: apply(GroupAction(group_id=2)),
+            7: apply(GroupAction(group_id=77)),
+            8: apply(GroupAction(group_id=3)),
+            10: [GotoTable(table_id=1)],
+            12: [],
+            13: apply(PushVlanAction(), SetFieldAction.vlan_vid(7)),
+            14: [GotoTable(table_id=1)],
+            15: apply(GroupAction(group_id=5)),
+            16: apply(OutputAction(port=OFPP_FLOOD)),
+        }
+        for in_port, instructions in rules.items():
+            install(switch, match=Match(in_port=in_port), priority=5,
+                    instructions=instructions)
+        install(switch, table_id=1, match=Match(in_port=4),
+                instructions=apply(OutputAction(port=99)))
+        install(switch, table_id=1, match=Match(in_port=14), instructions=[])
+        switch.flood_guard = _DenyAll()
+
+    @pytest.mark.parametrize("burst", [False, True], ids=["single", "burst"])
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_every_site_names_its_reason(self, tier, burst):
+        sim, switch, sinks = build_switch(**TIERS[tier])
+        self.provision(switch)
+        expected = {}
+        for in_port, (what, reason) in self.SITES.items():
+            frames = [frame_ab(payload=bytes([n]) * 32) for n in range(3 if burst else 1)]
+            if burst:
+                switch.process_batch(in_port, frames)
+                switch.process_batch(1, [frame_ab(), frame_ab()])  # forwarded
+            else:
+                switch.inject(frames[0], in_port)
+                switch.inject(frame_ab(), 1)  # forwarded
+            expected[reason] = expected.get(reason, 0) + len(frames)
+            assert dict(switch.drops) == expected, what
+        sim.run()
+        assert switch.packets_dropped == sum(
+            expected[reason]
+            for reason in ("table-miss", "no-such-port", "no-such-group", "empty-group")
+        )
+        assert switch.floods_suppressed == expected["flood-suppressed"]
+        assert switch.packets_forwarded == len(sinks[1].received) > 0
+        if tier == "compiled":  # only the flood was handed to the interpreter
+            assert switch.fallback_frames == expected["flood-suppressed"]
+            assert switch.specialized_frames > len(self.SITES)
+
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_packet_ins_the_controller_never_sees(self, tier):
+        from repro.controller.channel import ControllerChannel
+
+        sim, switch, _ = build_switch(**TIERS[tier])
+        install(switch, match=Match(), priority=0,
+                instructions=[ApplyActions(actions=(OutputAction(port=OFPP_CONTROLLER),))])
+        channel = ControllerChannel(sim, switch)
+        channel.configure_packetin_limit(rate_pps=1.0, burst=1)
+        switch.inject(frame_ab(), 1)
+        switch.inject(frame_ab(), 2)  # the meter's one token is spent
+        assert dict(switch.drops) == {"packet-in-limited": 1}
+        assert channel.packet_ins_limited == 1
+        switch.miss_suppression_s = 1.0
+        switch.inject(frame_ab(), 3)
+        switch.inject(frame_ab(), 3)  # same signature inside the window
+        assert switch.drops["packet-in-suppressed"] == switch.packet_ins_suppressed == 1
+        assert switch.packets_dropped == 0  # neither was ever part of that sum
 
 
 class TestCostModel:

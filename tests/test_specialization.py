@@ -11,13 +11,13 @@ Covers the three contracts the specialized tier 0 lives by:
   FALLBACK decisions routed through the interpreter, and only a
   subclassed cost model (or an empty pipeline) rejects the whole
   program;
-* **patching, churn hysteresis / invalidation** — a FlowMod, GroupMod
-  or expiry sweep that leaves the program's shape intact is patched in
+* **patching, invalidation, cold start** — a FlowMod, GroupMod or
+  expiry sweep that leaves the program's shape intact is patched in
   place (derived decisions flushed, generated code kept); a shape
-  change or cost-model swap marks the program stale *synchronously* (a
-  stale program is never executed) with the reason recorded, mods are
-  counted towards the recompile trigger, and recompiles pick up the
-  new table shape.
+  change or cost-model swap discards the program *synchronously* (a
+  stale program is never executed) with the reason recorded, the very
+  next frame is served by a regenerated one, and a shape this process
+  has already seen never reaches the builtin ``compile()`` again.
 """
 
 import gc
@@ -60,6 +60,7 @@ from repro.softswitch import (
     SoftSwitch,
     compile_datapath,
 )
+from repro.softswitch import compiler, datapath
 
 ZERO_COST = DatapathCostModel.zero()
 
@@ -223,8 +224,6 @@ class TestEligibility:
 
     def test_multi_table_pipeline_compiles_as_chain(self):
         sim, switch, sinks = build_switch()
-        switch.recompile_after_mods = 1
-        switch.recompile_quiescent_s = 0.0
         install(switch, match=Match(in_port=1), instructions=[GotoTable(table_id=1)])
         install(switch, table_id=1, match=Match(), instructions=output(2))
         switch.inject(frame_ab(), 1)
@@ -239,8 +238,6 @@ class TestEligibility:
 
     def test_mortal_flow_compiles_and_expiry_is_honoured(self):
         sim, switch, sinks = build_switch()
-        switch.recompile_after_mods = 1
-        switch.recompile_quiescent_s = 0.0
         install(switch, match=Match(in_port=1), hard_timeout=5, instructions=output(2))
         switch.inject(frame_ab(), 1)
         program = switch.program
@@ -253,8 +250,6 @@ class TestEligibility:
 
     def test_group_action_compiles(self):
         sim, switch, sinks = build_switch()
-        switch.recompile_after_mods = 1
-        switch.recompile_quiescent_s = 0.0
         switch.handle_message(
             GroupMod(
                 command=c.OFPGC_ADD,
@@ -278,8 +273,6 @@ class TestEligibility:
 
     def test_controller_output_compiles_to_fallback(self):
         _, switch, _ = build_switch()
-        switch.recompile_after_mods = 1
-        switch.recompile_quiescent_s = 0.0
         install(
             switch,
             match=Match(),
@@ -318,15 +311,9 @@ class TestEligibility:
         assert "& 0xffffff00" in program.source  # the baked subtable mask
 
 
-class TestHysteresisAndInvalidation:
-    def _specialized(self, after_mods=1, quiescent=0.0):
+class TestInvalidationAndRegenerate:
+    def test_flowmod_invalidates_and_next_frame_is_compiled(self):
         sim, switch, sinks = build_switch()
-        switch.recompile_after_mods = after_mods
-        switch.recompile_quiescent_s = quiescent
-        return sim, switch, sinks
-
-    def test_flowmod_invalidates_and_recompile_waits_for_threshold(self):
-        sim, switch, sinks = self._specialized(after_mods=3, quiescent=100.0)
         for index in range(3):
             install(
                 switch,
@@ -334,55 +321,64 @@ class TestHysteresisAndInvalidation:
                 priority=1,
                 instructions=output(2),
             )
-        switch.inject(frame_ab(), 1)  # 3 pending mods >= 3: compiles
-        assert switch.program is not None
+        assert switch.program is None  # lazily: three mods, no frame yet
+        switch.inject(frame_ab(), 1)
         first = switch.program
+        assert first is not None and switch.program_compiles == 1
         assert switch.specialized_frames == 1
         install(switch, match=Match(in_port=1), priority=9, instructions=output(3))
         # Stale synchronously: the program is gone before any packet.
         assert switch.program is None
         assert switch.program_invalidations == 1
-        switch.inject(frame_ab(), 1)  # 1 pending mod < 3: interpreted
-        assert switch.program is None
-        assert switch.fallback_frames == 1
-        install(switch, match=Match(in_port=2), priority=9, instructions=output(3))
-        install(switch, match=Match(in_port=3), priority=9, instructions=output(3))
-        switch.inject(frame_ab(), 1)  # threshold reached again
+        switch.inject(frame_ab(), 1)  # one mod, no wait: regenerated and served
         assert switch.program is not None
-        assert switch.program is not first  # a fresh compile, not the stale one
+        assert switch.program is not first  # a fresh program, not the stale one
         assert switch.program_compiles == 2
+        assert switch.specialized_frames == 2 and switch.fallback_frames == 0
         sim.run()
-        # Traffic went out port 2 twice (pre-mod program + fallback) and
-        # then port 3 once under the higher-priority redirect.
+        # Port 2 under the first program, port 3 under the redirect.
         assert len(sinks[1].received) == 1
-        assert len(sinks[2].received) == 2
+        assert len(sinks[2].received) == 1
 
-    def test_quiescent_interval_triggers_recompile(self):
-        sim, switch, _ = self._specialized(after_mods=1000, quiescent=0.5)
-        install(switch, match=Match(in_port=1), instructions=output(2))
-        switch.inject(frame_ab(), 1)
-        assert switch.program is None  # 1 mod, not yet quiet long enough
-        sim.run(until=1.0)
-        switch.inject(frame_ab(), 1)
-        assert switch.program is not None
-        assert switch.program_compiles == 1
+    def test_recompile_does_not_wait_for_quiet(self):
+        """Mods and frames interleaved at one simulated instant: every
+        frame is served compiled, whatever the control plane is doing."""
+        sim, switch, _ = build_switch()
+        for index in range(5):  # each add raises its probe's priority bound
+            install(switch, match=Match(in_port=1), priority=index + 1,
+                    instructions=output(2))
+            switch.inject(frame_ab(), 1)
+            assert switch.program is not None
+        assert sim.now == 0.0
+        assert switch.program_compiles == 5 and switch.program_invalidations == 4
+        assert switch.specialized_frames == 5 and switch.fallback_frames == 0
 
-    def test_mod_counting_feeds_pending_mods(self):
-        _, switch, _ = self._specialized(after_mods=100, quiescent=100.0)
+    def test_mutations_set_compile_pending(self):
+        _, switch, _ = build_switch()
+
+        def pending():
+            return switch.stats()["specialization"]["compile_pending"]
+
+        assert not pending()  # a fresh switch has nothing to compile
+        switch.inject(frame_ab(), 1)
+        assert switch.program is None and switch.program_compiles == 0
         install(switch, match=Match(in_port=1), instructions=output(2))
         install(switch, match=Match(in_port=2), instructions=output(2))
-        # A no-op delete mutates nothing and must not count as churn.
+        assert pending()
+        switch.inject(frame_ab(), 1)
+        assert not pending() and switch.program_compiles == 1
+        # A no-op delete mutates nothing; a real one inside the shape
+        # is patched.  Neither asks for a compile.
         switch.handle_message(
             FlowMod(command=c.OFPFC_DELETE, match=Match(in_port=7)).to_bytes()
         )
-        assert switch.stats()["specialization"]["pending_mods"] == 2
         switch.handle_message(
             FlowMod(command=c.OFPFC_DELETE, match=Match(in_port=2)).to_bytes()
         )
-        assert switch.stats()["specialization"]["pending_mods"] == 3
+        assert not pending() and switch.program_patches == 1
 
     def test_recompile_picks_up_table_shape_change(self):
-        _, switch, _ = self._specialized()
+        _, switch, _ = build_switch()
         install(switch, match=Match(eth_dst=int(MACS[1])), instructions=output(2))
         switch.inject(frame_ab(), 1)
         assert switch.program.used_slots == (1,)
@@ -399,7 +395,7 @@ class TestHysteresisAndInvalidation:
         """Only the *first select group* does: its bucket choice is
         baked per key, so the key must grow the hash slots.  Any other
         group mod is content and patches the program in place."""
-        _, switch, _ = self._specialized()
+        _, switch, _ = build_switch()
         install(switch, match=Match(in_port=1), instructions=output(2))
         switch.inject(frame_ab(), 1)
         program = switch.program
@@ -428,7 +424,7 @@ class TestHysteresisAndInvalidation:
         assert "select group" in switch.last_regenerate_reason
 
     def test_cost_model_swap_marks_stale(self):
-        _, switch, _ = self._specialized()
+        _, switch, _ = build_switch()
         install(switch, match=Match(in_port=1), instructions=output(2))
         switch.inject(frame_ab(), 1)
         assert switch.program is not None
@@ -441,21 +437,19 @@ class TestHysteresisAndInvalidation:
         class HookedModel(DatapathCostModel):
             pass
 
-        _, switch, _ = self._specialized()
+        _, switch, _ = build_switch()
         switch.cost_model = HookedModel.zero()
         install(switch, match=Match(in_port=1), instructions=output(2))
         switch.inject(frame_ab(), 1)
         assert switch.program is None
         assert switch.program_compile_failures == 1
         assert "subclassed" in switch.compile_ineligible_reason
-        switch.inject(frame_ab(), 1)  # no pending mods: no second attempt
+        switch.inject(frame_ab(), 1)  # nothing mutated: no second attempt
         assert switch.program_compile_failures == 1
         assert switch.fallback_frames == 2
 
     def test_specialization_disabled_never_compiles(self):
         _, switch, _ = build_switch(enable_specialization=False)
-        switch.recompile_after_mods = 1
-        switch.recompile_quiescent_s = 0.0
         install(switch, match=Match(in_port=1), instructions=output(2))
         switch.inject(frame_ab(), 1)
         assert switch.program is None
@@ -463,7 +457,7 @@ class TestHysteresisAndInvalidation:
         assert switch.fallback_frames == 0  # counter reserved for enabled switches
 
     def test_stats_surface_ineligible_reason(self):
-        _, switch, _ = self._specialized()
+        _, switch, _ = build_switch()
         install(switch, match=Match(in_port=1), instructions=output(2))
         switch.inject(frame_ab(), 1)
         assert switch.stats()["specialization"]["ineligible_reason"] is None
@@ -512,7 +506,7 @@ class TestHysteresisAndInvalidation:
                 ), (frame, in_port, order)
 
     def test_stats_shape(self):
-        _, switch, _ = self._specialized()
+        _, switch, _ = build_switch()
         install(switch, match=Match(in_port=1), instructions=output(2))
         switch.inject(frame_ab(), 1)
         stats = switch.stats()
@@ -534,8 +528,6 @@ class TestPatchingInPlace:
 
     def _live(self):
         sim, switch, sinks = build_switch()
-        switch.recompile_after_mods = 1
-        switch.recompile_quiescent_s = 0.0
         install(switch, match=Match(in_port=1), priority=9, instructions=output(2))
         install(switch, match=Match(), priority=0, instructions=[])
         switch.inject(frame_ab(), 1)
@@ -563,7 +555,7 @@ class TestPatchingInPlace:
         assert switch.program is program  # one program served all of it
         spec = switch.stats()["specialization"]
         assert spec["compiles"] == 1 and spec["invalidations"] == 0
-        assert spec["patches"] == 3 and spec["pending_mods"] == 0
+        assert spec["patches"] == 3 and not spec["compile_pending"]
         assert spec["specialized_frames"] == 4 and spec["fallback_frames"] == 0
         assert [len(sink.received) for sink in sinks] == [1, 1, 1]
         assert switch.tables[0].matches == 4  # the last one by the drop rule
@@ -573,7 +565,7 @@ class TestPatchingInPlace:
         delete(switch, match=Match(in_port=7))
         assert switch.program_patches == 0
 
-    def test_shape_breaks_take_the_hysteresis_path_and_say_why(self):
+    def test_shape_breaks_discard_the_program_and_say_why(self):
         cases = [
             (dict(match=Match(eth_type=0x0800, udp_dst=2000), instructions=output(3)),
              "new field-set (eth_type, udp_dst)"),
@@ -594,9 +586,9 @@ class TestPatchingInPlace:
             assert switch.program is None, reason
             spec = switch.stats()["specialization"]
             assert spec["last_regenerate_reason"] == reason
-            assert spec["invalidations"] == 1 and spec["pending_mods"] == 1
+            assert spec["invalidations"] == 1 and spec["compile_pending"]
             assert spec["patches"] == 0
-            switch.inject(frame_ab(), 1)  # tight hysteresis: regenerated
+            switch.inject(frame_ab(), 1)  # regenerated for the first frame
             assert switch.program is not None and switch.program_compiles == 2
         _, switch, _ = self._live()
         switch.cost_model = DatapathCostModel()
@@ -656,8 +648,6 @@ class TestPatchingInPlace:
         cache, so the next frame reclassifies and the remaining frames
         are served compiled — under the *new* rules."""
         sim, switch, sinks = build_switch()
-        switch.recompile_after_mods = 1
-        switch.recompile_quiescent_s = 0.0
         packet_in = [ApplyActions(actions=(OutputAction(port=c.OFPP_CONTROLLER),))]
         install(switch, match=Match(in_port=1), priority=9, instructions=output(2))
         install(switch, match=Match(in_port=2), priority=9, instructions=packet_in)
@@ -676,6 +666,186 @@ class TestPatchingInPlace:
         assert switch.fallback_frames == 1  # only the packet-in frame
         assert switch.specialized_frames == 1 + 5
         assert len(sinks[2].received) == 5
+
+
+class TestColdStartWorkBudget:
+    """What bringing a compiled datapath up costs, pinned by counting
+    calls of the builtin ``compile()`` instead of timing them: the
+    generated source text is the pipeline's shape, a shape compiles
+    once per process, and nothing waits to use a regenerated program."""
+
+    @staticmethod
+    def count_builtin_compiles(monkeypatch, limit=None):
+        """A private code table for the test and a counter on the
+        ``compile`` name ``compiler.py`` resolves."""
+        seen = []
+
+        def counting(source, filename, mode):
+            seen.append(filename)
+            return compile(source, filename, mode)
+
+        monkeypatch.setattr(compiler, "_CODE_CACHE", {})
+        monkeypatch.setattr(compiler, "compile", counting, raising=False)
+        if limit is not None:
+            monkeypatch.setattr(compiler, "CODE_CACHE_LIMIT", limit)
+        return seen
+
+    @staticmethod
+    def migrated_fabric():
+        fabric = leaf_spine_fabric(edges=4, spines=1, hosts_per_edge=2)
+        fleet = HarmlessFleet(fabric, wave_size=5, cost_model=ZERO_COST)
+        fleet.migrate_all(verify=True, strict=True)
+        switches = [
+            half
+            for deployment in fleet.deployments.values()
+            for half in (deployment.s4.ss1, deployment.s4.ss2)
+        ]
+        assert len(switches) == 10 and all(s.program is not None for s in switches)
+        return switches
+
+    def test_a_fabric_costs_one_compile_per_shape(self, monkeypatch):
+        seen = self.count_builtin_compiles(monkeypatch)
+        first = self.migrated_fabric()
+        # SS_1's translator, SS_2 before and after it learned a station.
+        assert len(seen) == len(set(seen)) <= 3  # no shape compiled twice
+        assert all(name.startswith("<specialized datapath ") for name in seen)
+        assert sum(switch.program_compiles for switch in first) >= 10
+        del seen[:]
+        second = self.migrated_fabric()  # same shapes, other switches
+        assert seen == []
+        assert {s.program.source for s in second} == {s.program.source for s in first}
+
+    @staticmethod
+    def reprogram(switch, shape):
+        switch.reset_pipeline()
+        if shape:
+            install(switch, match=Match(eth_dst=int(MACS[1])), instructions=output(3))
+        else:
+            install(switch, match=Match(in_port=1), instructions=output(2))
+
+    def test_flipping_between_two_shapes_compiles_each_once(self, monkeypatch):
+        seen = self.count_builtin_compiles(monkeypatch)
+        sim, switch, sinks = build_switch()
+        for flip in range(40):
+            self.reprogram(switch, flip % 2)
+            switch.inject(frame_ab(), 1)
+        sim.run()
+        assert len(seen) == 2 and switch.program_compiles == 40
+        assert switch.specialized_frames == 40 and switch.fallback_frames == 0
+        assert [len(sink.received) for sink in sinks] == [0, 20, 20]
+
+    def test_table_past_its_bound_evicts_and_still_compiles(self, monkeypatch):
+        seen = self.count_builtin_compiles(monkeypatch, limit=2)
+        sim, switch, sinks = build_switch()
+        fields = [dict(in_port=1), dict(eth_dst=int(MACS[1])), dict(eth_type=0x0800)]
+        for round_ in range(2):  # the third shape clears the table, so
+            for index, match in enumerate(fields):  # every one compiles again
+                switch.reset_pipeline()
+                install(switch, match=Match(**match), instructions=output(index + 1))
+                switch.inject(frame_ab(), 1)
+                assert switch.program is not None and len(compiler._CODE_CACHE) <= 2
+        sim.run()
+        assert len(seen) == 6 and len(set(seen)) == 3  # named by shape
+        assert switch.specialized_frames == 6
+        assert [len(sink.received) for sink in sinks] == [2, 2, 2]
+
+    def test_first_frame_after_a_shape_break_is_served_compiled(self):
+        """``fallback_frames`` moves for FALLBACK decisions only: the
+        packet-in rule on port 3, never for want of a program."""
+        packet_in = [ApplyActions(actions=(OutputAction(port=c.OFPP_CONTROLLER),))]
+        breaks = [
+            dict(match=Match(eth_type=0x0800, udp_dst=2000), instructions=output(3)),
+            dict(match=Match(ipv4_dst=("10.0.1.0", "255.255.255.0")),
+                 instructions=output(3)),
+            dict(match=Match(in_port=2), priority=300, instructions=output(3)),
+            dict(match=Match(in_port=2), priority=5, hard_timeout=3,
+                 instructions=output(3)),
+            dict(table_id=1, match=Match(eth_src=int(MACS[3])), instructions=output(3)),
+        ]
+        _, switch, _ = build_switch()
+        switch.to_controller = lambda raw: None
+        install(switch, match=Match(in_port=1), priority=9, instructions=output(2))
+        install(switch, match=Match(in_port=3), priority=9, instructions=packet_in)
+        switch.inject(frame_ab(), 1)
+        for served, flow_mod in enumerate(breaks, start=1):
+            program = switch.program
+            install(switch, **flow_mod)
+            assert switch.program is None and switch.program_invalidations == served
+            switch.inject(frame_ab(dst_port=7), 1)
+            assert switch.program is not None and switch.program is not program
+            assert switch.fallback_frames == served - 1
+            switch.inject(frame_ab(dst_port=7), 3)
+            assert switch.fallback_frames == switch.packets_to_controller == served
+        assert switch.specialized_frames == 1 + len(breaks)
+
+    def test_rejected_pipeline_is_attempted_once_per_mutation(self, monkeypatch):
+        class HookedModel(DatapathCostModel):
+            pass
+
+        attempts = []
+
+        def counted(switch):
+            attempts.append(switch.name)
+            return compile_datapath(switch)
+
+        monkeypatch.setattr(datapath, "compile_datapath", counted)
+        _, switch, _ = build_switch()
+        switch.cost_model = HookedModel.zero()
+        for mutation in range(3):
+            install(switch, match=Match(in_port=mutation + 1), instructions=output(2))
+            install(switch, match=Match(in_port=mutation + 1), priority=7,
+                    instructions=output(3))  # two mods, no frame between: one attempt
+            for _ in range(4):
+                switch.inject(frame_ab(), 1)
+            switch.process_batch(1, [frame_ab(), frame_ab()])
+            assert len(attempts) == switch.program_compile_failures == mutation + 1
+        assert switch.program is None and switch.fallback_frames == 18
+
+    def test_switches_of_one_shape_share_code_and_nothing_else(self, monkeypatch):
+        """Two switches whose pipelines generate the same source run the
+        same code object over their own tables: different entries,
+        different ports out, and a probe rebound in one (its field-set
+        emptied and re-created, ``add_breaks_shape``) leaves the other's
+        binding alone.  Each stays equal to its ``linear_lookup`` twin."""
+        seen = self.count_builtin_compiles(monkeypatch)
+        rng = random.Random(0xC01D)
+        rigs = {}
+        for name, out_port in (("a", 2), ("b", 3)):
+            for linear in (False, True):
+                sim, switch, sinks = build_switch(enable_fast_path=not linear)
+                install(switch, match=Match(in_port=1), priority=9,
+                        instructions=output(out_port))
+                install(switch, match=Match(eth_dst=int(MACS[2])), priority=4,
+                        instructions=output(1))
+                rigs[name, linear] = (sim, switch, sinks)
+        a, b = rigs["a", False][1], rigs["b", False][1]
+
+        def drive(count=40):
+            for _ in range(count):
+                frame, in_port = random_frame(rng), rng.randint(1, 3)
+                for _, switch, _ in rigs.values():
+                    switch.inject(frame, in_port)
+            for sim, _, _ in rigs.values():
+                sim.run()
+            for name in "ab":
+                (_, switch, sinks), (_, twin, twin_sinks) = rigs[name, False], rigs[name, True]
+                assert [s.received for s in sinks] == [s.received for s in twin_sinks]
+                assert switch.drops == twin.drops
+                assert switch.dump_pipeline() == twin.dump_pipeline()
+
+        drive()
+        assert len(seen) == 1 and a.program.source == b.program.source
+        assert a.program.run_one.__code__ is b.program.run_one.__code__
+        assert a.program.run_one.__globals__ is not b.program.run_one.__globals__
+        binding_b = b.program.run_one.__globals__["P0_get"]
+        for linear in (False, True):  # empty a's in_port field-set, re-create it
+            switch = rigs["a", linear][1]
+            delete(switch, strict=True, match=Match(in_port=1), priority=9)
+            install(switch, match=Match(in_port=1), priority=6, instructions=output(3))
+        drive()
+        assert (a.program_compiles, a.program_patches, len(seen)) == (1, 2, 1)
+        assert b.program.run_one.__globals__["P0_get"] is binding_b
+        assert a.fallback_frames == b.fallback_frames == 0
 
 
 class TestDetourWorkBudget:
@@ -715,7 +885,6 @@ class TestDetourWorkBudget:
 
     def test_second_burst_work_is_two_derivations_per_frame(self, monkeypatch):
         sim, s4, port_map, trunk = self.build()
-        sim.run(until=0.1)  # past the recompile quiet interval
         trunk.port(1).send_burst(self.trunk_burst(port_map, (1, 2)))
         sim.run(until=0.2)
         assert len(trunk.received) == 32
@@ -813,7 +982,7 @@ class TestEventWorkBudget:
             DeviceConnection(agent=SnmpAgent(mib), hostname="edge")
         )
         driver.open()
-        manager.migrate(legacy, driver, trunk_port=3, access_ports=[1, 2])
+        s4 = manager.migrate(legacy, driver, trunk_port=3, access_ports=[1, 2]).s4
         sim.run(until=sim.now + 0.05)
 
         def frames(count):
@@ -836,6 +1005,11 @@ class TestEventWorkBudget:
         assert len(sink.received) - delivered == 500
         assert events == 500 * 12  # the send and the eleven events it causes
         assert garbage == 0
+        # Three of the eleven are the S4's deferred emissions: scheduled
+        # as (EMIT, outs, ()), no closure allocated per frame.
+        for half in (s4.ss1, s4.ss2):
+            assert half.specialized_frames >= 500
+            assert "lambda" not in half.program.source
         assert sim.pending_events == 0 and not sim._queue
 
     def test_fabric_burst_leaves_no_garbage(self):

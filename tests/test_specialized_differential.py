@@ -27,8 +27,9 @@ compiler's one peephole — push + set-field ``vlan_vid`` folded into a
 single step — as the compiled tier serves them: the folded pair in
 apply-actions, in a group bucket and in a multi-table chain, and the
 neighbours that must not fold or must fold only in part.
-One scripted case rides with it: a shape break mid-stream whose
-hysteresis window is crossed by 32-frame bursts arriving over a `Link`.
+One scripted case rides with it: a shape break mid-stream between
+32-frame bursts arriving over a `Link`, the next of which is already
+served by the regenerated program.
 
 Set ``DIFFERENTIAL_SCALE=<n>`` to multiply every family's case count
 (the nightly job runs at 5×).  On any divergence the failing seed is
@@ -68,7 +69,6 @@ from repro.softswitch.compiler import (
     STEP_GROUP_ONE,
     entry_fallback_reason,
 )
-from repro.softswitch.datapath import RECOMPILE_AFTER_MODS, RECOMPILE_QUIESCENT_S
 from repro.traffic import BurstSource
 
 ZERO_COST = DatapathCostModel.zero()
@@ -411,10 +411,6 @@ def build_rig(cost_model, specialize, num_ports=3, fast_path=True, base=None,
         enable_fast_path=fast_path,
         enable_specialization=specialize,
     )
-    # Tight hysteresis: recompile on the first packet after any mod, so
-    # the suite flips between compiled and interpreted constantly.
-    switch.recompile_after_mods = 1
-    switch.recompile_quiescent_s = 0.0
     sinks = []
     for index in range(num_ports):
         sink = Sink(sim, f"sink{index}")
@@ -457,7 +453,7 @@ def assert_identical(spec_rig, interp_rig):
         assert sink_a.received == sink_b.received, f"sink {index} diverged"
     assert pins_a == pins_b
     assert spec.packets_forwarded == interp.packets_forwarded
-    assert spec.packets_dropped == interp.packets_dropped
+    assert spec.drops == interp.drops
     assert spec.packets_to_controller == interp.packets_to_controller
     assert spec.dump_pipeline() == interp.dump_pipeline()  # per-entry counters
     for table_a, table_b in zip(spec.tables, interp.tables):
@@ -994,8 +990,8 @@ class IncrementalRig:
         else:
             replies = self.switch.handle_message(message.to_bytes())
         if self.kind == "fresh":
-            # A model "swap" discards the program; with the rig's tight
-            # hysteresis the next frame runs a fresh compile_datapath.
+            # A model "swap" discards the program: the next frame runs
+            # a fresh compile_datapath.
             self.switch.cost_model = self.switch.cost_model
         return replies
 
@@ -1092,8 +1088,8 @@ def assert_same_state(rig_a: IncrementalRig, rig_b: IncrementalRig) -> None:
     label = f"{rig_a.kind} vs {rig_b.kind}"
     assert a.busy_until == b.busy_until, label
     assert len(rig_a.packet_ins) == len(rig_b.packet_ins), label
-    assert (a.packets_forwarded, a.packets_dropped, a.packets_to_controller) == (
-        b.packets_forwarded, b.packets_dropped, b.packets_to_controller
+    assert (a.packets_forwarded, a.drops, a.packets_to_controller) == (
+        b.packets_forwarded, b.drops, b.packets_to_controller
     ), label
     assert a.dump_pipeline() == b.dump_pipeline(), label  # per-entry counters
     for table_a, table_b in zip(a.tables, b.tables):
@@ -1252,10 +1248,11 @@ class TestSpecializedDifferential:
         """A zero-latency controller wired straight back into
         handle_message reacts to a packet-in *between frames of one
         burst*: it deletes the packet-in rule and installs a concrete
-        forwarding flow, so the pipeline becomes compilable while the
-        fallback interpreter is still serving the rest of the burst.
-        The next burst then runs compiled.  Both switches must agree on
-        every frame, packet-in and counter through the transition."""
+        forwarding flow on a new field-set, so the running program is
+        discarded under the burst.  The burst hands its remaining
+        frames back to the switch, which regenerates and serves them
+        compiled — as injecting them one by one would.  Both switches
+        must agree on every frame, packet-in and counter throughout."""
         rigs = []
         for specialize in (True, False):
             rig = build_rig(ZERO_COST, specialize=specialize)
@@ -1301,16 +1298,17 @@ class TestSpecializedDifferential:
         burst = [frame] * 6
         for rig_switch in (spec, interp):
             rig_switch.process_batch(2, list(burst))  # packet-in at frame 1
-        assert spec.program is None or spec.specialized_frames == 0
-        # After the reactive rewrite the pipeline is compilable: the
-        # follow-up burst (eth_dst now has a concrete rule) compiles.
+        # Only the packet-in frame was interpreted; the other five went
+        # through the program regenerated mid-burst.
+        assert spec.program is not None and spec.program_invalidations == 1
+        assert (spec.fallback_frames, spec.specialized_frames) == (1, 5)
         follow = [frame] * 6
         for rig_switch in (spec, interp):
             rig_switch.process_batch(2, list(follow))
         spec_rig[0].run()
         interp_rig[0].run()
         assert spec.program is not None
-        assert spec.specialized_frames == 6
+        assert (spec.fallback_frames, spec.specialized_frames) == (1, 11)
         assert_identical(spec_rig, interp_rig)
 
     def test_compiled_burst_equals_compiled_sequential(self):
@@ -1379,12 +1377,12 @@ class TestSpecializedDifferential:
     def test_incremental_shape_break_under_link_bursts(self):
         """A new table-0 field-set lands mid-stream and the next
         32-frame bursts reach the switch over a `Link`
-        (``receive_burst``) while it sits in the default hysteresis
-        window: each burst is then its frames through the interpreter,
-        and must equal the ``linear_lookup`` switch — bytes, order,
+        (``receive_burst``): there is no window — the first burst after
+        the mod is served by the regenerated program, only its
+        packet-in frames go through the interpreter — and every burst
+        must equal the ``linear_lookup`` switch: bytes, order,
         per-frame arrival time at the far ports, flow/table/port
-        counters, packet-ins — inside the window and after the
-        recompile."""
+        counters, packet-ins."""
         shape_break = FlowMod(
             match=Match(eth_type=0x0800, tcp_dst=443), priority=40,
             instructions=[ApplyActions(actions=(OutputAction(port=1),))],
@@ -1392,8 +1390,8 @@ class TestSpecializedDifferential:
         for cost_model in (ZERO_COST, ESWITCH_COST_MODEL):
             rng = random.Random(0x5A9E)
             pool = [random_frame(rng) for _ in range(24)]
-            # Every 10 ms from t=100 ms; the mod lands at 155 ms, so
-            # bursts 6-10 fall inside the 50 ms window, 11-15 after it.
+            # Every 10 ms from t=100 ms; the mod lands at 155 ms,
+            # between bursts 5 and 6.
             bursts = [
                 (0.1 + 0.01 * index, [rng.choice(pool) for _ in range(32)])
                 for index in range(16)
@@ -1406,8 +1404,6 @@ class TestSpecializedDifferential:
                     bandwidth_bps=10e9, propagation_delay_s=1e-6,
                 )
                 sim, switch = rig[0], rig[1]
-                switch.recompile_after_mods = RECOMPILE_AFTER_MODS
-                switch.recompile_quiescent_s = RECOMPILE_QUIESCENT_S
                 source = BurstSource(sim, "gen")
                 wire(source, switch, bandwidth_bps=10e9, propagation_delay_s=1e-6,
                      queue_frames=100_000)
@@ -1438,15 +1434,24 @@ class TestSpecializedDifferential:
             assert spec.program is None
             assert spec.last_regenerate_reason.startswith("new field-set")
 
-            interpreted_before = spec.fallback_frames
-            checkpoint(until=0.2045)
-            assert spec.program is None and spec.program_compiles == 1
-            assert spec.specialized_frames == compiled_before
-            assert spec.fallback_frames == interpreted_before + 5 * 32
+            handed_over_by = []  # the program active at each interpreted frame
+
+            def interpret(frame, in_port, original=spec._interpret_one):
+                handed_over_by.append(spec.program)
+                original(frame, in_port)
+
+            spec._interpret_one = interpret  # the regenerated program binds it
+            served_before = compiled_before + spec.fallback_frames
+            checkpoint(until=0.165)  # burst 6 alone
+            assert spec.program is not None and spec.program_compiles == 2
+            assert spec.specialized_frames + spec.fallback_frames == served_before + 32
+            assert spec.specialized_frames > compiled_before
 
             checkpoint()
-            assert spec.program is not None and spec.program_compiles == 2
-            assert spec.specialized_frames > compiled_before
+            assert spec.program_compiles == 2
+            # Nothing was interpreted for want of a program: every frame
+            # the interpreter saw was a FALLBACK decision of the new one.
+            assert handed_over_by and set(handed_over_by) == {spec.program}
             assert sum(len(sink.received) for sink in spec_rig[2]) > 300
             assert spec_rig[3]  # the table-miss rule raised packet-ins throughout
 
