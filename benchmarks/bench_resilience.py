@@ -20,13 +20,6 @@ tree from :mod:`repro.legacy.stp`, its closing link unblocked):
   keep migrating while the fault is live, and the fleet must still
   verify clean after recovery (the paper's "transitioning must be
   harmless" claim, under failure).
-* ``boundary_flap`` — the sharded-engine fault class: a 64-edge
-  leaf-spine split across 2 shards flaps the very trunk the partition
-  severs, and reconvergence is scored through the collective
-  :meth:`ShardedFleet.await_reconvergence` loop over a fixed 8-host
-  probe panel (one host per spine, so half the ordered pairs cross the
-  shard boundary; a full 4032-pair sweep at this scale is both
-  congestion-bound and minutes of wall-clock).
 
 Each row reports ``convergence_s`` — simulated time from the row's
 measurement anchor (see EXPERIMENTS.md: fault onset, restore instant,
@@ -252,93 +245,6 @@ def ring_midwave() -> dict:
     return row
 
 
-# ----------------------------------------------------------------- sharded
-
-SHARDED_EDGES = 64
-SHARDED_SPINES = 8
-SHARDED_SHARDS = 2
-SHARDED_TRUNK_PROP_S = 50e-6
-#: After the ~0.45 s rollout plus the 2 s panel pre-sweep.
-SHARDED_FLAP_AT = 3.0
-#: Probe panel: one host per spine (edges home round-robin onto the
-#: spines, so edges 1..8 cover spine 1..8) — half the ordered pairs
-#: cross the severed spine-chain link.
-SHARDED_PANEL = [f"edge{n}-h1" for n in range(1, SHARDED_SPINES + 1)]
-
-
-def sharded_boundary_flap() -> dict:
-    """Flap the one trunk the 2-shard partition severs, mid-traffic.
-
-    The fault plan is SPMD — every replica schedules the identical
-    flap inside its build callable — and scoring starts at the onset
-    (like the ring row): the first sweeps run against the dead
-    boundary, so the loss is the cross-shard pair set until the
-    restore lands.
-    """
-    from repro.fabric import ShardedFabric, leaf_spine_fabric
-    from repro.fabric.partition import partition_fabric
-    from repro.netsim import Simulator
-
-    def build_plain(sim):
-        fabric = leaf_spine_fabric(
-            edges=SHARDED_EDGES,
-            spines=SHARDED_SPINES,
-            hosts_per_edge=1,
-            sim=sim,
-        )
-        for link in fabric.trunk_links:
-            link.propagation_delay_s = SHARDED_TRUNK_PROP_S
-        return fabric
-
-    # The builders are deterministic, so the cut trunk's build index
-    # picks the same link in every replica.
-    boundary = (
-        partition_fabric(build_plain(Simulator()), SHARDED_SHARDS)
-        .cuts[0]
-        .index
-    )
-
-    def build_with_flap(sim):
-        fabric = build_plain(sim)
-        FaultInjector(sim).link_flap(
-            fabric.trunk_links[boundary],
-            at_s=SHARDED_FLAP_AT,
-            hold_s=FLAP_HOLD_S,
-        )
-        return fabric
-
-    with ShardedFabric(
-        build_with_flap, shards=SHARDED_SHARDS, backend="thread"
-    ) as sharded:
-        fleet = sharded.fleet(wave_size=8)
-        fleet.migrate_all(verify=False)
-        pre = fleet.verify_reachability(host_names=SHARDED_PANEL)
-        assert pre["ok"], f"panel unreachable pre-fault: {pre['lost'][:5]}"
-        assert sharded.stats()["now"] < SHARDED_FLAP_AT, "flap time too early"
-        sharded.run(until=SHARDED_FLAP_AT + 0.005)
-        report = fleet.await_reconvergence(
-            event="boundary_flap",
-            window_s=SWEEP_WINDOW_S,
-            deadline_s=DEADLINE_S,
-            host_names=SHARDED_PANEL,
-        )
-        stats = sharded.stats()
-    assert report.converged, (
-        f"sharded/boundary_flap: no reconvergence within {DEADLINE_S}s "
-        f"({report.probes_lost} probes lost)"
-    )
-    assert stats["shadow_drops"] == 0, "slimmed replica leaked traffic"
-    return {
-        "topology": f"leaf-spine-{SHARDED_EDGES}",
-        "event": "boundary_flap",
-        "shards": SHARDED_SHARDS,
-        "convergence_s": report.convergence_s,
-        "frames_lost": report.probes_lost,
-        "sweeps": report.sweeps,
-        "pairs_per_sweep": report.pairs_per_sweep,
-    }
-
-
 ROWS = [
     leaf_spine_flap,
     leaf_spine_crash,
@@ -348,7 +254,6 @@ ROWS = [
     ring_crash,
     ring_controller_loss,
     ring_midwave,
-    sharded_boundary_flap,
 ]
 
 

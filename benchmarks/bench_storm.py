@@ -29,9 +29,7 @@ first fully clean reachability sweep) and ``frames_lost`` (probe pairs
 failed on the way there).  Both are **pure simulated time**, identical
 on any machine, so ``check_regression.py`` gates them against
 ``baselines/storm.json`` with zero machine tolerance; ``--fast`` runs
-the same sizes (CLI uniformity only).  A sharded 64-edge class proves
-containment composes with the parallel engine (and that the slimmed
-replicas leak nothing: ``shadow_drops == 0``).
+the same sizes (CLI uniformity only).
 
 Run standalone: ``PYTHONPATH=src python benchmarks/bench_storm.py
 [--fast]``.
@@ -51,7 +49,6 @@ from repro.traffic.generators import (
     BurstSource,
     burst_schedule,
     mac_churn_bursts,
-    storm_frames,
 )
 
 from common import RESULTS_DIR, save_result
@@ -395,94 +392,6 @@ def packetin_flood_hybrid_armed() -> dict:
     return _run_packetin_flood("hybrid", protect=True)
 
 
-# ----------------------------------------------------------------- sharded
-
-SHARDED_EDGES = 64
-SHARDED_SPINES = 8
-SHARDED_SHARDS = 2
-SHARDED_TRUNK_PROP_S = 50e-6
-#: After the ~0.45 s rollout plus the 2 s panel pre-sweep.
-SHARDED_STORM_AT = 3.0
-SHARDED_STORM_BURSTS = 64
-SHARDED_STORM_FRAMES_PER_BURST = 16
-SHARDED_PANEL = [f"edge{n}-h1" for n in range(1, SHARDED_SPINES + 1)]
-
-
-def sharded_storm() -> dict:
-    """A broadcast storm inside a 2-shard 64-edge fabric.
-
-    Storm control is armed inside the build callable (SPMD topology
-    configuration, identical on every shard); the storm itself rides
-    the collective station API, so the owning shard transmits and the
-    replicas stay in lockstep.  Containment must be bit-deterministic:
-    the slimmed replicas may leak nothing (``shadow_drops == 0``).
-    """
-    from repro.fabric import ShardedFabric
-
-    def build(sim):
-        fabric = leaf_spine_fabric(
-            edges=SHARDED_EDGES,
-            spines=SHARDED_SPINES,
-            hosts_per_edge=1,
-            gen_ports_per_edge=1,
-            sim=sim,
-        )
-        for link in fabric.trunk_links:
-            link.propagation_delay_s = SHARDED_TRUNK_PROP_S
-        # Arm the access tier only: spine chain ports aggregate the
-        # whole fabric's legitimate flood traffic (a sweep's ARPs all
-        # cross every trunk), which is exactly the traffic storm
-        # control must never meter.  Real deployments arm edge ports.
-        for site in fabric.edge_sites():
-            site.switch.storm_control = armed_meter()
-        return fabric
-
-    with ShardedFabric(
-        build, shards=SHARDED_SHARDS, backend="thread"
-    ) as sharded:
-        fleet = sharded.fleet(wave_size=8)
-        fleet.migrate_all(verify=False)
-        pre = fleet.verify_reachability(host_names=SHARDED_PANEL)
-        assert pre["ok"], f"panel unreachable pre-storm: {pre['lost'][:5]}"
-        assert sharded.stats()["now"] < SHARDED_STORM_AT, "storm time too early"
-        storm_site = sharded.reference.edge_sites()[0].name
-        sharded.attach_station(storm_site, "storm-gen")
-        bursts = [
-            (
-                SHARDED_STORM_AT + index * 1e-4,
-                storm_frames(SHARDED_STORM_FRAMES_PER_BURST),
-            )
-            for index in range(SHARDED_STORM_BURSTS)
-        ]
-        injected = sharded.start_station(storm_site, 0, bursts)
-        sharded.run(until=SHARDED_STORM_AT + 0.005)
-        report = fleet.await_reconvergence(
-            event="storm",
-            window_s=SWEEP_WINDOW_S,
-            deadline_s=DEADLINE_S,
-            host_names=SHARDED_PANEL,
-        )
-        stats = sharded.stats()
-    assert report.converged, (
-        f"sharded/storm: no reconvergence within {DEADLINE_S}s "
-        f"({report.probes_lost} probes lost)"
-    )
-    assert stats["shadow_drops"] == 0, "slimmed replica leaked traffic"
-    return {
-        "kind": "storm",
-        "topology": f"leaf-spine-{SHARDED_EDGES}",
-        "config": "hybrid",
-        "protection": "armed",
-        "event": "storm",
-        "shards": SHARDED_SHARDS,
-        "storm_frames": injected,
-        "convergence_s": report.convergence_s,
-        "frames_lost": report.probes_lost,
-        "sweeps": report.sweeps,
-        "pairs_per_sweep": report.pairs_per_sweep,
-    }
-
-
 ROWS = [
     storm_legacy_off,
     storm_legacy_armed,
@@ -493,7 +402,6 @@ ROWS = [
     packetin_flood_legacy,
     packetin_flood_hybrid_off,
     packetin_flood_hybrid_armed,
-    sharded_storm,
 ]
 
 

@@ -22,14 +22,6 @@ Comparison rules:
   convergence regressing past ``1 + threshold`` of the baseline (plus
   one sweep window of slack) fails, and frames_lost may not exceed the
   baseline by more than ``max(2, threshold * baseline)`` probes.
-* **sync-protocol counters** (bench_fabric ``--shards`` rows:
-  ``sync_rounds``, ``rounds_skipped``, ``records_exported``) are pure
-  functions of the workload — the sharded engine is bit-deterministic,
-  so any drift at all means the sync protocol changed behaviour.  They
-  are compared for exact equality, with the row's packet count folded
-  into the label so smoke and full runs of the same fabric never cross-
-  compare.  ``bytes_exchanged`` stays informational: it tracks pickle
-  framing, which may legitimately change without a protocol change.
 
 Metrics present only on one side are reported and skipped, so full-mode
 local runs can be checked against smoke-mode baselines on their common
@@ -43,7 +35,6 @@ Refresh the baselines after an intentional perf change with::
     PYTHONPATH=src python benchmarks/bench_churn.py --fast
     PYTHONPATH=src python benchmarks/bench_specialized.py --fast
     PYTHONPATH=src python benchmarks/bench_fabric.py --fast
-    PYTHONPATH=src python benchmarks/bench_fabric.py --fast --shards 2
     PYTHONPATH=src python benchmarks/bench_resilience.py --fast
     PYTHONPATH=src python benchmarks/bench_storm.py --fast
     PYTHONPATH=src python benchmarks/bench_usecase_dmz.py --fast
@@ -68,11 +59,8 @@ RESULTS_DIR = BENCH_DIR / "results"
 #: Keys that identify a row (workload shape), not measurements.
 IDENTITY_KEYS = (
     "bench", "config", "kind", "policy", "flows", "masked_entries", "burst",
-    "edges", "shards", "topology", "event", "protection",
+    "edges", "topology", "event", "protection",
 )
-#: Sync-protocol counters from sharded-fabric rows: bit-deterministic
-#: for a given workload, gated by exact equality.
-DETERMINISTIC_KEYS = ("sync_rounds", "rounds_skipped", "records_exported")
 #: Absolute tolerance for hit-rate and share metrics (fractions in [0, 1]).
 HIT_RATE_TOLERANCE = 0.10
 #: Slack added to convergence comparisons: one reachability-sweep
@@ -111,14 +99,6 @@ def extract_metrics(node, label="", out=None):
                 or key.endswith("specialized_share")
             ):
                 out[f"{prefix}:{key}"] = float(value)
-            elif isinstance(value, (int, float)) and key in DETERMINISTIC_KEYS:
-                # Deterministic counters scale with the injected load,
-                # so the packet count joins the identity: a smoke row
-                # must never be equality-compared against a full row of
-                # the same fabric shape.
-                pkts = node.get("packets")
-                qualifier = f"/pkts={pkts}" if isinstance(pkts, int) else ""
-                out[f"{prefix}{qualifier}:{key}"] = float(value)
     elif isinstance(node, list):
         for item in node:
             extract_metrics(item, label, out)
@@ -186,19 +166,6 @@ def compare(name, baseline, current, threshold):
                 )
             lines.append(
                 f"   {verdict:>10} {label} {base[label]:.0f} -> {cur[label]:.0f}"
-            )
-        elif label.rsplit(":", 1)[-1] in DETERMINISTIC_KEYS:
-            verdict = "ok"
-            if cur[label] != base[label]:
-                verdict = "MISMATCH"
-                failures.append(
-                    f"{name}: {label} changed "
-                    f"{base[label]:.0f} -> {cur[label]:.0f} "
-                    "(deterministic sync counter; exact match required)"
-                )
-            lines.append(
-                f"   {verdict:>10} {label} "
-                f"{base[label]:.0f} -> {cur[label]:.0f}"
             )
         elif label.endswith((":hit_rate", "specialized_share")):
             delta = cur[label] - base[label]

@@ -9,60 +9,11 @@ connectivity.  At the end every frame between pods crosses three
 software datapaths and the controller sees a 5-switch OpenFlow network
 it believes is native SDN hardware.
 
-Run:  python examples/fabric_rollout.py [--shards N]
-
-With ``--shards N`` the same rollout runs on the sharded engine: the
-fabric is partitioned at pod boundaries and executed as N parallel
-per-shard event loops in forked worker processes, synchronised with
-conservative lookahead (`repro.fabric.partition`).  The wave reports
-and the reachability sweeps are identical to the single-process run —
-sharding is pure implementation.
+Run:  python examples/fabric_rollout.py
 """
-
-import argparse
 
 from repro.core import HarmlessFleet
 from repro.fabric import leaf_spine_fabric
-
-
-def main_sharded(shards: int) -> None:
-    from repro.fabric import ShardedFabric
-
-    def build(sim):
-        return leaf_spine_fabric(edges=4, spines=2, hosts_per_edge=2, sim=sim)
-
-    with ShardedFabric(build, shards=shards, backend="fork") as sharded:
-        print(sharded.reference.describe())
-        print()
-        print(sharded.partition.describe())
-
-        fleet = sharded.fleet(wave_size=2)
-        print()
-        baseline = fleet.verify_reachability()
-        print(
-            f"before any migration: reachability "
-            f"{'OK' if baseline['ok'] else 'LOST'} "
-            f"({baseline['answered']}/{baseline['pairs']} pairs)"
-        )
-
-        while not fleet.complete:
-            report = fleet.migrate_next_wave(verify=True)
-            reach = report["reachability"]
-            print(
-                f"wave {report['index']}: migrated {report['migrated']} "
-                f"-> {report['sdn_ports_after']} SDN ports; reachability "
-                f"{'OK' if reach['ok'] else 'LOST'} "
-                f"({reach['answered']}/{reach['pairs']} pairs)"
-            )
-
-        stats = sharded.stats()
-        print(
-            f"\n{stats['shards']} shards ({stats['backend']} workers): "
-            f"{stats['events_processed']} events, "
-            f"{stats['sync_rounds']} sync rounds, "
-            f"{stats['frames_exported']} boundary frames, "
-            f"{stats['shadow_drops']} shadow drops"
-        )
 
 
 def main() -> None:
@@ -115,16 +66,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run the rollout on N parallel shard workers",
-    )
-    cli = parser.parse_args()
-    if cli.shards is not None:
-        main_sharded(cli.shards)
-    else:
-        main()
+    main()

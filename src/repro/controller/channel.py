@@ -101,15 +101,14 @@ class ControllerChannel:
             self.dropped_to_switch += 1
             return
         self.messages_to_switch += 1
+        self.sim.schedule(self.latency_s, self._deliver_to_switch, raw)
 
-        def deliver() -> None:
-            if not self.up:
-                self.dropped_to_switch += 1
-                return
-            for response in self.switch.handle_message(raw):
-                self._from_switch_async(response)
-
-        self.sim.schedule(self.latency_s, deliver)
+    def _deliver_to_switch(self, raw: bytes) -> None:
+        if not self.up:
+            self.dropped_to_switch += 1
+            return
+        for response in self.switch.handle_message(raw):
+            self._from_switch_async(response)
 
     def _from_switch_async(self, raw: bytes) -> None:
         """Switch -> controller (async messages and replies)."""
@@ -124,12 +123,11 @@ class ControllerChannel:
         ):
             return
         self.messages_to_controller += 1
+        self.sim.schedule(self.latency_s, self._deliver_to_controller, raw)
 
-        def deliver() -> None:
-            if not self.up:
-                self.dropped_to_controller += 1
-                return
-            if self.to_controller_handler is not None:
-                self.to_controller_handler(raw)
-
-        self.sim.schedule(self.latency_s, deliver)
+    def _deliver_to_controller(self, raw: bytes) -> None:
+        if not self.up:
+            self.dropped_to_controller += 1
+            return
+        if self.to_controller_handler is not None:
+            self.to_controller_handler(raw)

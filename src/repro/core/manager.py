@@ -401,16 +401,8 @@ class HarmlessFleet:
         controller_latency_s: float = 50e-6,
         settle_s: float = 0.05,
         verify_window_s: float = 2.0,
-        owned_sites: "set[str] | None" = None,
     ) -> None:
         self.fabric = fabric
-        #: When the fabric is one shard of a sharded simulation
-        #: (:mod:`repro.fabric.partition`), the shard's fleet replica
-        #: executes the *same* wave plan as every other shard — the
-        #: collective settle/verify runs must stay in lockstep — but
-        #: only actually migrates (and sweeps from) the sites this
-        #: shard owns.  ``None`` (the default) owns everything.
-        self.owned_sites = owned_sites
         if controller is None:
             # Late import: apps sit above core in the layering.
             from repro.apps.learning_switch import LearningSwitchApp
@@ -469,11 +461,6 @@ class HarmlessFleet:
         deployments = []
         try:
             for planned in wave.sites:
-                if (
-                    self.owned_sites is not None
-                    and planned.name not in self.owned_sites
-                ):
-                    continue  # a peer shard's replica migrates this one
                 site = self.fabric.sites[planned.name]
                 deployment = self.manager.migrate(
                     site.switch,
@@ -535,34 +522,9 @@ class HarmlessFleet:
 
     # --------------------------------------------------------- validation
 
-    def _owned_hosts(self) -> list:
-        """Hosts on this fleet's owned sites (all hosts when unsharded).
-
-        Owned hosts must be real simulator hosts — a slimmed sharded
-        replica (:func:`repro.fabric.topology.slim_replica_build`)
-        stubs only *foreign* sites, so a stub here means the replica
-        was built with the wrong foreign set.  Foreign stubs are fine
-        as sweep *destinations* (probes cross the boundary and the
-        owning shard's real host answers); they just never source.
-        """
-        owned = [
-            host
-            for name, site in self.fabric.sites.items()
-            if self.owned_sites is None or name in self.owned_sites
-            for host in site.hosts
-        ]
-        for host in owned:
-            if getattr(host, "is_stub", False):
-                raise HarmlessError(
-                    f"owned host {host.name} is a slimmed stub — the replica "
-                    f"was built with its own sites in the foreign set"
-                )
-        return owned
-
     def verify_reachability(
         self,
         hosts: "list | None" = None,
-        sources: "list | None" = None,
         window_s: "float | None" = None,
     ) -> ReachabilityReport:
         """All-pairs ping sweep across the fabric's hosts.
@@ -573,21 +535,14 @@ class HarmlessFleet:
         before, between and after waves — because legacy bridging and
         migrated S4 hops interoperate on the same untagged frames.
 
-        *sources* restricts which hosts send probes (destinations stay
-        *hosts*); a sharded fleet replica defaults it to the hosts it
-        owns, so the ordered pairs swept across all shards partition
-        the full all-pairs set exactly once.  *window_s* overrides the
-        fleet-wide ``verify_window_s`` for this sweep — probes still
-        pending when a short window closes count as lost, which is the
-        conservative reading resilience scoring wants.
+        *window_s* overrides the fleet-wide ``verify_window_s`` for this
+        sweep — probes still pending when a short window closes count as
+        lost, which is the conservative reading resilience scoring wants.
         """
         sim = self.fabric.sim
         hosts = list(hosts if hosts is not None else self.fabric.hosts)
-        if sources is None:
-            owned = set(map(id, self._owned_hosts()))
-            sources = [host for host in hosts if id(host) in owned]
         probes = []
-        for src in sources:
+        for src in hosts:
             for dst in hosts:
                 if src is dst:
                     continue
@@ -609,7 +564,6 @@ class HarmlessFleet:
         window_s: float = 0.25,
         deadline_s: float = 10.0,
         hosts: "list | None" = None,
-        sources: "list | None" = None,
     ) -> ResilienceReport:
         """Measure time-to-reconverge after a fault, by repeated sweeps.
 
@@ -635,9 +589,7 @@ class HarmlessFleet:
         pairs = 0
         converged_at = None
         while sim.now - started_at < deadline_s - 1e-12:
-            report = self.verify_reachability(
-                hosts=hosts, sources=sources, window_s=window_s
-            )
+            report = self.verify_reachability(hosts=hosts, window_s=window_s)
             sweeps += 1
             pairs = report.pairs
             if report.ok:

@@ -9,36 +9,20 @@ a reserved HARMLESS trunk port on every switch and a management plane
 :class:`repro.core.manager.HarmlessFleet` to migrate wave by wave.
 """
 
-from repro.fabric.partition import (
-    FabricPartition,
-    ShardedFabric,
-    ShardedFleet,
-    partition_fabric,
-)
 from repro.fabric.topology import (
     Fabric,
     FabricSite,
-    StubDriver,
-    StubHost,
     campus_fabric,
     enable_fabric_stp,
     leaf_spine_fabric,
     ring_fabric,
-    slim_replica_build,
 )
 
 __all__ = [
     "Fabric",
     "FabricSite",
-    "FabricPartition",
-    "ShardedFabric",
-    "ShardedFleet",
-    "StubDriver",
-    "StubHost",
     "enable_fabric_stp",
     "leaf_spine_fabric",
     "ring_fabric",
     "campus_fabric",
-    "partition_fabric",
-    "slim_replica_build",
 ]

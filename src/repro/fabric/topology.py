@@ -27,23 +27,6 @@ fabric — trunk-link end-ports become the managed STP ports and every
 other port (hosts, generators, the HARMLESS trunk) stays an ungated
 edge port.
 
-**Replica slimming.**  A sharded worker (see
-:mod:`repro.fabric.partition`) holds an SPMD replica of the whole
-fabric but only ever *exercises* its owned region: foreign sites
-receive no traffic (the partition severs every cut and the topologies
-are trees), are never migrated, swept or digested locally, and their
-management planes are never queried.  Building the replica inside
-:func:`slim_replica_build` therefore replaces the provably inert
-foreign state with stubs — no SNMP agent / vendor driver (a
-:class:`StubDriver` placeholder) and no host stacks or host links
-(:class:`StubHost` placeholders carrying the identity fields sweeps
-read) — while keeping everything identity-bearing real: the
-:class:`~repro.legacy.switch.LegacySwitch` itself (port counts drive
-wave planning and trunk wiring), the MAC/IP allocation sequence, and
-the gen-port geometry stations attach to.  The engine's shadow-drop
-counter pins the "no traffic ever reaches a foreign region" invariant
-that makes the slimming safe.
-
 Edge switches can also reserve *generator ports*: access ports left
 unwired for traffic stations (e.g. :class:`repro.traffic.generators
 .BurstSource`) attached later via :meth:`Fabric.attach_station` — they
@@ -53,8 +36,6 @@ through the migrated S4 datapaths exactly like host traffic.
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.legacy.stp import SpanningTree
@@ -81,80 +62,6 @@ HOST_MAC_BASE = 0x02_00_00_00_00_01
 #: Hosts are numbered into 10.0.x.y (250 per /24 octet block); the cap
 #: only bounds the address plan, far above any buildable fabric.
 MAX_FABRIC_HOSTS = 62_500
-
-#: Thread-local slim-build context (see :func:`slim_replica_build`);
-#: thread-local because the thread backend builds shard replicas with
-#: different foreign sets in one process.
-_slim_context = threading.local()
-
-
-@contextmanager
-def slim_replica_build(foreign_sites):
-    """Builders called inside this context stub out *foreign_sites*.
-
-    Used by sharded workers: sites the worker does not own get a
-    :class:`StubDriver` instead of an SNMP agent + vendor driver, and
-    :class:`StubHost` placeholders instead of host stacks and host
-    links.  Everything that carries cross-shard identity — the switch
-    and its port plan, MAC/IP allocation order, gen ports — is built
-    for real.  Nesting restores the previous context on exit.
-    """
-    previous = getattr(_slim_context, "foreign", None)
-    _slim_context.foreign = frozenset(foreign_sites)
-    try:
-        yield
-    finally:
-        _slim_context.foreign = previous
-
-
-def _foreign_sites() -> "frozenset[str] | None":
-    return getattr(_slim_context, "foreign", None)
-
-
-class StubHost:
-    """Identity-only stand-in for a foreign replica host.
-
-    Carries exactly what fabric-wide consumers read off *other* shards'
-    hosts — ``name`` / ``mac`` / ``ip`` (reachability sweeps address
-    their probes by these) — and no simulator state.  ``is_stub``
-    lets owners (:meth:`repro.core.manager.HarmlessFleet._owned_hosts`)
-    assert they never sweep *from* a stub.
-    """
-
-    is_stub = True
-
-    def __init__(self, name: str, mac: MACAddress, ip: IPv4Address) -> None:
-        self.name = name
-        self.mac = mac
-        self.ip = ip
-
-    def __repr__(self) -> str:
-        return f"StubHost({self.name}, {self.ip})"
-
-
-class StubDriver:
-    """Management-plane stand-in for a foreign replica site.
-
-    A worker never opens, queries or migrates a site it does not own;
-    the stub keeps ``vendor``/``hostname`` for description output and
-    fails loudly on any real driver call.
-    """
-
-    is_stub = True
-
-    def __init__(self, vendor: str, hostname: str) -> None:
-        self.vendor = vendor
-        self.hostname = hostname
-
-    def __getattr__(self, name: str):
-        raise AttributeError(
-            f"StubDriver({self.hostname}): foreign site management plane "
-            f"was slimmed away (attempted .{name})"
-        )
-
-    def __repr__(self) -> str:
-        return f"StubDriver({self.hostname})"
-
 
 @dataclass
 class FabricSite:
@@ -208,10 +115,6 @@ class Fabric:
         #: Stations attached to gen ports, per site name.
         self.stations: dict[str, list[Node]] = {}
         self._next_host = 0
-        #: Foreign sites/hosts built as stubs under
-        #: :func:`slim_replica_build` (0 on a full build).
-        self.stub_sites = 0
-        self.stub_hosts = 0
 
     # ------------------------------------------------------------ queries
 
@@ -309,31 +212,21 @@ class _Builder:
         """One legacy switch: hosts first, uplinks next, trunk last."""
         sim = self.fabric.sim
         num_ports = num_hosts + num_uplinks + num_gen_ports + 1
-        foreign = _foreign_sites()
-        slim = foreign is not None and name in foreign
-        # The switch itself is always real: its port plan drives wave
-        # planning, trunk wiring, severing and station attachment.
         switch = LegacySwitch(
             sim, name, num_ports=num_ports,
             processing_delay_s=self.processing_delay_s,
         )
-        if slim:
-            self.fabric.stub_sites += 1
-            driver = StubDriver(self.vendor, name)
-        else:
-            mib, _ = attach_bridge_mib(switch)
-            driver = get_network_driver(self.vendor)(
-                DeviceConnection(agent=SnmpAgent(mib), hostname=name)
-            )
-            driver.open()
+        mib, _ = attach_bridge_mib(switch)
+        driver = get_network_driver(self.vendor)(
+            DeviceConnection(agent=SnmpAgent(mib), hostname=name)
+        )
+        driver.open()
         site = FabricSite(
             name=name, role=role, switch=switch, driver=driver,
             trunk_port=num_ports, pod=pod,
         )
         for offset in range(num_hosts):
             number = offset + 1
-            # Consume the allocation slot even for stubs so MAC/IP
-            # assignment is identical on every replica.
             index = self.fabric._next_host
             self.fabric._next_host += 1
             if index >= MAX_FABRIC_HOSTS:
@@ -342,18 +235,13 @@ class _Builder:
                 )
             mac = MACAddress(HOST_MAC_BASE + index)
             ip = IPv4Address(f"10.0.{index // 250}.{index % 250 + 1}")
-            host_name = f"{name}-h{offset + 1}"
-            if slim:
-                self.fabric.stub_hosts += 1
-                host = StubHost(host_name, mac, ip)
-            else:
-                host = Host(sim, host_name, mac, ip)
-                Link(
-                    host.port0,
-                    switch.port(number),
-                    bandwidth_bps=self.host_bandwidth_bps,
-                    queue_frames=self.queue_frames,
-                )
+            host = Host(sim, f"{name}-h{offset + 1}", mac, ip)
+            Link(
+                host.port0,
+                switch.port(number),
+                bandwidth_bps=self.host_bandwidth_bps,
+                queue_frames=self.queue_frames,
+            )
             site.hosts.append(host)
             site.host_ports.append(number)
         site.uplink_ports = list(

@@ -34,7 +34,7 @@ output — so a storm crossing the legacy/SDN boundary of a
 part-migrated fabric meets the identical policy on either side.
 
 Everything is pure simulated time and per-port arrival order, so
-sharded replicas metering the same traffic make identical decisions.
+identical runs make identical decisions.
 """
 
 from __future__ import annotations

@@ -31,12 +31,7 @@ fail action plus an optional timed restore:
   (:mod:`repro.legacy.stormcontrol`) if armed, meltdown if not.
 
 The injector only *schedules*; all state changes happen inside the
-simulation at the configured times, so runs remain deterministic and
-sharded replicas can apply the identical fault plan (every replica must
-schedule the same faults — they are topology mutations, SPMD like
-everything else; see ``BoundaryLink.set_down`` for the extra
-boundary-link constraint that flap holds be at least the sync
-lookahead).
+simulation at the configured times, so runs remain deterministic.
 """
 
 from __future__ import annotations
@@ -48,22 +43,6 @@ if TYPE_CHECKING:
     from repro.netsim.simulator import Simulator
 
 __all__ = ["FaultInjector"]
-
-
-def _attachments(link: "Link") -> list:
-    """The live objects wired into *link*'s ports.
-
-    Normally both ports point at *link* itself; on a severed (sharded)
-    link each port holds its own BoundaryLink proxy, and the fault must
-    be applied to both proxies so owner and shadow replicas stay in
-    lockstep.
-    """
-    seen: list = []
-    for port in (link.port_a, link.port_b):
-        attached = link if port.link is None else port.link
-        if all(attached is not other for other in seen):
-            seen.append(attached)
-    return seen
 
 
 class FaultInjector:
@@ -101,8 +80,7 @@ class FaultInjector:
         self.restore_link(link, at_s + hold_s)
 
     def _fail_link(self, link: "Link") -> None:
-        for attached in _attachments(link):
-            attached.set_down()
+        link.set_down()
         downed = self._downed_ports.setdefault(id(link), [])
         for port in (link.port_a, link.port_b):
             node = port.node
@@ -116,8 +94,7 @@ class FaultInjector:
         self._record(f"link down: {link.name}")
 
     def _restore_link(self, link: "Link") -> None:
-        for attached in _attachments(link):
-            attached.set_up()
+        link.set_up()
         for node, port_number in self._downed_ports.pop(id(link), []):
             node.link_up(port_number)
         self._record(f"link up: {link.name}")

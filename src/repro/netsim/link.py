@@ -73,10 +73,6 @@ class _Direction:
         self.queued -= len(accepted)
         self.far.deliver_burst(accepted, wire_bytes)
 
-    def land(self, frames: int) -> None:
-        """Queue drain of a severed link, whose far end is another shard."""
-        self.queued -= frames
-
 
 class Link:
     """A full-duplex link between two ports.
@@ -156,17 +152,13 @@ class Link:
             return 0.0
         return length * 8 / self.bandwidth_bps
 
-    def _enqueue_frame(self, direction: _Direction, frame: EthernetFrame) -> "float | None":
-        """Serialise one frame onto the wire: drop-tail check, busy-time
-        chaining and stats accounting.  Returns the arrival time at the
-        far end, or None on a drop.  Shared by :meth:`transmit` and
-        the sharded boundary proxies, which must reproduce this timing
-        bit-for-bit — keep all float math in one place.
-        """
+    def transmit(self, from_port: Port, frame: EthernetFrame) -> bool:
+        """Queue *frame* for the far end; returns False on a drop."""
+        direction = self.direction(from_port)
         queued = direction.queued
         if not self.up or queued >= self.queue_frames:
             direction.drop("queue-tail" if self.up else "link-down", 1)
-            return None
+            return False
         length = frame.wire_length
         serialization = self._serialization(length)
         now = self.sim._now
@@ -180,15 +172,9 @@ class Link:
         stats.busy_time += serialization
         if queued > stats.queue_hwm:
             stats.queue_hwm = queued
-        return finish + self.propagation_delay_s
-
-    def transmit(self, from_port: Port, frame: EthernetFrame) -> bool:
-        """Queue *frame* for the far end; returns False on a drop."""
-        direction = self.direction(from_port)
-        arrival = self._enqueue_frame(direction, frame)
-        if arrival is None:
-            return False
-        self.sim.schedule_at(arrival, direction.deliver, frame)
+        self.sim.schedule_at(
+            finish + self.propagation_delay_s, direction.deliver, frame
+        )
         return True
 
     def transmit_burst(
@@ -209,26 +195,10 @@ class Link:
         than one event each.
         """
         direction = self.direction(from_port)
-        accepted, wire_bytes = self._enqueue_burst(direction, frames, lengths)
-        if accepted:
-            self.sim.schedule_at(
-                accepted[-1][0], direction.deliver_burst, accepted, wire_bytes
-            )
-        return len(accepted)
-
-    def _enqueue_burst(
-        self, direction: _Direction, frames: "list[EthernetFrame]", lengths: "list[int]"
-    ) -> "tuple[list[tuple[float, EthernetFrame]], int]":
-        """Serialise a burst onto the wire; returns the accepted
-        ``(arrival, frame)`` pairs (dropped frames are absent) and their
-        total wire bytes.  Like :meth:`_enqueue_frame` this carries all
-        the timing/stat math so the sharded boundary proxies stay
-        bit-identical to local links.
-        """
         stats = direction.stats
         if not self.up:
             direction.drop("link-down", len(frames))
-            return [], 0
+            return 0
         # Nothing drains while a burst is being queued (that takes a
         # simulator event), so the queue takes the head of the burst
         # that fits and tail-drops the rest.
@@ -236,7 +206,7 @@ class Link:
         if fits < len(frames):
             direction.drop("queue-tail", len(frames) - fits)
             if not fits:
-                return [], 0
+                return 0
             frames, lengths = frames[:fits], lengths[:fits]
         now = self.sim._now
         busy = direction.busy_until
@@ -266,7 +236,11 @@ class Link:
         stats.bytes += wire_bytes
         if direction.queued > stats.queue_hwm:
             stats.queue_hwm = direction.queued
-        return accepted, wire_bytes
+        if accepted:
+            self.sim.schedule_at(
+                accepted[-1][0], direction.deliver_burst, accepted, wire_bytes
+            )
+        return fits
 
     def set_down(self) -> None:
         """Fail the link: everything queued or propagating is lost.

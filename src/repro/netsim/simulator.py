@@ -33,9 +33,8 @@ a total order, so re-heapifying cannot reorder ties.
 
 ``run(until=...)`` advances the clock to the horizon even when the
 queue drains early, so back-to-back ``run`` calls see monotone time.
-``inclusive=False`` stops *before* events at exactly ``until`` — the
-window mode the sharded engine (:mod:`repro.netsim.sharded`) uses to
-process half-open lookahead windows ``[start, horizon)``.
+``inclusive=False`` stops *before* events at exactly ``until``, running
+the half-open window ``[now, until)``.
 """
 
 from __future__ import annotations
@@ -191,8 +190,7 @@ class Simulator:
 
         With ``inclusive=False`` events at exactly *until* are left
         queued (a half-open window ``[now, until)``); the clock still
-        advances to *until*.  Used by the sharded engine's lookahead
-        windows, where the window edge belongs to the next window.
+        advances to *until*, so the next window starts at the edge.
         """
         if not inclusive and until is None:
             raise ValueError("inclusive=False needs an explicit horizon")
@@ -234,21 +232,6 @@ class Simulator:
         finally:
             self._running = False
         return processed
-
-    def advance_to(self, time: float) -> None:
-        """Jump the clock forward to *time* without processing events.
-
-        Only legal when no pending event lies before *time* — jumping
-        over live work would violate causality.  The sharded engine
-        uses this to equalise shard clocks at collective-exit points
-        (all shards park at the same global instant even when some
-        drained their queues earlier than others).
-        """
-        head = self.peek_next_time()
-        if head is not None and head < time:
-            raise ValueError(f"cannot advance to {time}: pending event at {head}")
-        if time > self._now:
-            self._now = time
 
     def run_until_idle(self, max_events: int = 1_000_000) -> int:
         """Run until no events remain (bounded to catch runaway loops)."""

@@ -312,8 +312,7 @@ class CrossPodFlow:
 
 
 def cross_pod_flows(
-    pods: int, per_pair: int = 1, seed: int = 0,
-    peers_per_pod: "int | None" = None,
+    pods: int, per_pair: int = 1, seed: int = 0
 ) -> "list[CrossPodFlow]":
     """Flows between every ordered pod pair of a fabric.
 
@@ -325,36 +324,16 @@ def cross_pod_flows(
     destination MAC.  Frames for a flow enter the fabric at the
     station of ``src_pod`` and must be delivered to the station of
     ``dst_pod``.
-
-    *peers_per_pod* caps each source pod at that many destination pods
-    (evenly strided around the pod ring) instead of all ``pods - 1`` —
-    at 64+ pods the all-pairs flow count is quadratic, far more than a
-    sharded fabric bench needs to saturate every trunk.  ``None`` keeps
-    the historical all-pairs behaviour (and its exact RNG sequence).
     """
     if pods < 2:
         raise ValueError("cross-pod traffic needs at least two pods")
     if per_pair < 1:
         raise ValueError("per_pair must be at least 1")
-    if peers_per_pod is not None and not 1 <= peers_per_pod <= pods - 1:
-        raise ValueError("peers_per_pod must be in [1, pods - 1]")
     rng = random.Random(seed)
-    allowed: "dict[int, set[int]] | None" = None
-    if peers_per_pod is not None:
-        stride = (pods - 1) / peers_per_pod
-        allowed = {
-            src: {
-                (src + 1 + int(index * stride)) % pods
-                for index in range(peers_per_pod)
-            }
-            for src in range(pods)
-        }
     flows = []
     for src_pod in range(pods):
         for dst_pod in range(pods):
             if src_pod == dst_pod:
-                continue
-            if allowed is not None and dst_pod not in allowed[src_pod]:
                 continue
             for index in range(per_pair):
                 flows.append(

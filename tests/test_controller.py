@@ -139,6 +139,98 @@ class TestRequestReply:
         sim.run(until=0.1)
         assert len(controller.errors_received) == 1
 
+    def test_channel_schedules_bound_methods_not_closures(self):
+        from repro.openflow import ApplyActions, BarrierRequest, FlowMod
+        from repro.openflow.messages import BarrierReply
+
+        sim, switch, _, controller, latency = build()
+        datapath = controller.connect(switch, latency_s=latency)
+        sim.run(until=0.01)
+        channel = datapath.channel
+        queued = []
+        schedule = sim.schedule
+
+        def recording_schedule(delay, callback, *args):
+            queued.append(callback)
+            return schedule(delay, callback, *args)
+
+        sim.schedule = recording_schedule
+        replies = []
+        datapath.send(FlowMod(
+            match=Match(in_port=1),
+            instructions=[ApplyActions([OutputAction(2)])],
+        ))
+        datapath.send_with_reply(BarrierRequest(), replies.append)
+        sim.run(until=0.02)
+        assert len(replies) == 1 and isinstance(replies[0], BarrierReply)
+        assert len(switch.tables[0]) == 1
+        assert len(queued) == 3  # FlowMod, barrier, barrier reply
+        for callback in queued:
+            assert callback.__self__ is channel
+            assert "<locals>" not in callback.__qualname__
+
+
+class TestChannelLossAtDelivery:
+    """The channel checks that it is up when a message is sent and again
+    when it would land: an outage covering the delivery instant loses
+    the message in flight, one that clears before it loses nothing."""
+
+    def connect(self):
+        from repro.openflow import BarrierRequest
+
+        sim, switch, _, controller, latency = build()
+        datapath = controller.connect(switch, latency_s=latency)
+        sim.run(until=0.01)
+        replies = []
+
+        def barrier():
+            datapath.send_with_reply(BarrierRequest(), replies.append)
+
+        return sim, switch, datapath.channel, latency, barrier, replies
+
+    def test_request_in_flight_dies_with_the_channel(self):
+        sim, switch, channel, latency, barrier, replies = self.connect()
+        sent = channel.messages_to_switch
+        barrier()
+        sim.schedule(latency / 2, channel.set_down)
+        sim.run(until=0.02)
+        assert channel.messages_to_switch == sent + 1
+        assert channel.dropped_to_switch == 1
+        assert channel.dropped_to_controller == 0
+        assert replies == []
+
+    def test_reply_in_flight_dies_with_the_channel(self):
+        sim, switch, channel, latency, barrier, replies = self.connect()
+        answered = channel.messages_to_controller
+        barrier()
+        sim.schedule(latency * 1.5, channel.set_down)
+        sim.run(until=0.02)
+        assert channel.messages_to_controller == answered + 1
+        assert channel.dropped_to_switch == 0
+        assert channel.dropped_to_controller == 1
+        assert replies == []
+
+    def test_outage_cleared_before_delivery_loses_nothing(self):
+        sim, switch, channel, latency, barrier, replies = self.connect()
+        barrier()
+        sim.schedule(latency / 4, channel.set_down)
+        sim.schedule(latency / 2, channel.set_up)
+        sim.run(until=0.02)
+        assert len(replies) == 1
+        assert (channel.dropped_to_switch, channel.dropped_to_controller) == (0, 0)
+
+    def test_send_while_down_schedules_nothing(self):
+        sim, switch, channel, latency, barrier, replies = self.connect()
+        sent = channel.messages_to_switch
+        pending = sim.pending_events
+        channel.set_down()
+        barrier()
+        assert sim.pending_events == pending
+        assert channel.messages_to_switch == sent
+        assert channel.dropped_to_switch == 1
+        sim.run(until=0.02)
+        assert replies == []
+
 
 class TestMultiSwitch:
     def test_two_switches_one_controller(self):

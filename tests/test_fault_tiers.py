@@ -1,29 +1,27 @@
-"""Faults crossed with the datapath tiers and the sharded engine.
+"""Faults crossed with the datapath tiers and the rollout.
 
 Fault primitives are only safe if every acceleration layer agrees about
 them: a crashed datapath must behave exactly like a factory-fresh one
-(the compiled program discarded), a boundary-link
-flap on a sharded run must be bit-identical to the unsharded run, and a
-fault landing mid-rollout must leave the HARMLESS fleet verifiably
-clean once it clears.
+(the compiled program discarded), a fault landing mid-rollout must
+leave the HARMLESS fleet verifiably clean once it clears, and a trunk
+flap under cross-pod traffic must replay bit-identically and heal.
 """
 
-import random
+from collections import Counter
 
 import pytest
 
 from repro.apps import LearningSwitchApp
 from repro.controller import Controller
 from repro.core import HarmlessFleet
-from repro.fabric import ShardedFabric, leaf_spine_fabric, ring_fabric
-from repro.fabric.partition import partition_fabric
+from repro.fabric import leaf_spine_fabric
 from repro.net import IPv4Address, MACAddress
 from repro.net.build import udp_frame
 from repro.netsim import FaultInjector, Node, Simulator
 from repro.netsim.link import wire
 from repro.openflow import ApplyActions, FlowMod, Match, OutputAction
 from repro.softswitch import DatapathCostModel, SoftSwitch
-from repro.traffic.generators import cross_pod_flows, synth_frame
+from test_fabric import MixRun
 
 ZERO_COST = DatapathCostModel.zero()
 
@@ -131,109 +129,6 @@ def test_reset_mid_burst_behaves_like_factory_fresh(specialized):
 
 
 # --------------------------------------------------------------------------
-# Boundary-link flap under sharding: digest == the unsharded run
-# --------------------------------------------------------------------------
-
-TRUNK_PROP_S = 50e-6
-#: Well after the 6-site rollout completes (~4.1 s simulated).
-FLAP_AT = 5.0
-#: Hold must be >= the sync lookahead (50 us here) so the restore lands
-#: in a window after the last stale cross-shard record.
-FLAP_HOLD_S = 0.004
-RING_PODS = 6
-
-
-def build_ring6(sim):
-    fabric = ring_fabric(
-        switches=RING_PODS, hosts_per_switch=1, gen_ports_per_switch=1, sim=sim
-    )
-    for link in fabric.trunk_links:
-        link.propagation_delay_s = TRUNK_PROP_S
-    return fabric
-
-
-#: A trunk that the 2-shard partition actually severs, by build index —
-#: the builders are deterministic, so this picks the same link in every
-#: replica.
-BOUNDARY_INDEX = partition_fabric(build_ring6(Simulator()), 2).cuts[0].index
-
-
-def build_ring6_with_flap(sim):
-    """SPMD fault plan: every replica schedules the identical flap."""
-    fabric = build_ring6(sim)
-    injector = FaultInjector(sim)
-    injector.link_flap(
-        fabric.trunk_links[BOUNDARY_INDEX], at_s=FLAP_AT, hold_s=FLAP_HOLD_S
-    )
-    return fabric
-
-
-def flap_mix():
-    """Deterministic cross-pod bursts straddling the flap window."""
-    rng = random.Random(0xF1A9)
-    flows = cross_pod_flows(RING_PODS, per_pair=1, seed=7)
-    per_pod = {pod: [] for pod in range(RING_PODS)}
-    for flow in rng.sample(flows, k=12):
-        frame = synth_frame(flow.spec, payload_len=128)
-        start = FLAP_AT + rng.uniform(-0.002, FLAP_HOLD_S + 0.004)
-        per_pod[flow.src_pod].append((start, [frame] * rng.randint(2, 6)))
-    for bursts in per_pod.values():
-        bursts.sort(key=lambda item: item[0])
-    return per_pod
-
-
-def run_sharded(build, shards):
-    with ShardedFabric(build, shards=shards, backend="thread") as sharded:
-        fleet = sharded.fleet(wave_size=3)
-        reports = fleet.migrate_all(verify=True, strict=True)
-        assert sharded.stats()["now"] < FLAP_AT - 0.1, "flap time too early"
-        edge_names = [site.name for site in sharded.reference.edge_sites()]
-        for pod, name in enumerate(edge_names):
-            sharded.attach_station(name, f"gen-{pod}")
-        mix = flap_mix()
-        for pod, name in enumerate(edge_names):
-            if mix[pod]:
-                sharded.start_station(name, 0, mix[pod])
-        sharded.run(until=FLAP_AT + FLAP_HOLD_S + 0.05)
-        digest = sharded.digest()
-        delivered = sharded.delivered()
-        stats = sharded.stats()
-    waves = [
-        (report["index"], report["migrated"], report["reachability"])
-        for report in reports
-    ]
-    return {
-        "waves": waves,
-        "digest": digest,
-        "delivered": delivered,
-        "shadow_drops": stats["shadow_drops"],
-        "boundary_drops": stats["boundary_drops"],
-        "boundary_drops_by_id": stats["boundary_drops_by_id"],
-    }
-
-
-def test_boundary_link_flap_is_shard_invariant():
-    reference = run_sharded(build_ring6_with_flap, shards=1)
-    candidate = run_sharded(build_ring6_with_flap, shards=2)
-    assert candidate["shadow_drops"] == 0
-    assert candidate["waves"] == reference["waves"]
-    assert candidate["digest"]["sites"] == reference["digest"]["sites"]
-    assert (
-        candidate["digest"]["packet_ins"] == reference["digest"]["packet_ins"]
-    )
-    assert candidate["delivered"] == reference["delivered"]
-    # Boundary drops are attributed per cut id: every drop belongs to
-    # the flapped trunk, none to the healthy boundary, and the per-id
-    # rows sum back to the aggregate counter.
-    drops_by_id = candidate["boundary_drops_by_id"]
-    assert set(drops_by_id) <= {BOUNDARY_INDEX}
-    assert sum(drops_by_id.values()) == candidate["boundary_drops"]
-    # The flap was actually visible: without it the run ends elsewhere.
-    clean = run_sharded(build_ring6, shards=1)
-    assert clean["digest"]["sites"] != reference["digest"]["sites"]
-
-
-# --------------------------------------------------------------------------
 # Mid-wave fault: the rollout keeps landing and verifies clean after
 # --------------------------------------------------------------------------
 
@@ -263,3 +158,57 @@ def test_midwave_flap_leaves_fleet_strictly_clean():
     assert report.converged, injector.log
     final = fleet.verify_reachability()
     assert final.ok, final.describe()
+
+
+# --------------------------------------------------------------------------
+# Trunk flap under cross-pod traffic: visible, reproducible, healed
+# --------------------------------------------------------------------------
+
+#: A trunk each migrated fabric's mixes actually cross.
+FLAPPED_TRUNK = {
+    "leaf_spine": "edge2:2<->spine2:1",
+    "ring": "ring2:3<->ring3:2",
+    "campus": "dist1:3<->core:1",
+}
+
+
+def flapped_mix_run(topology):
+    """A migrated fabric whose second mix window carries a trunk flap."""
+    run = MixRun(topology)
+    (trunk,) = [
+        link for link in run.fabric.trunk_links
+        if link.name == FLAPPED_TRUNK[topology]
+    ]
+    injector = FaultInjector(run.sim)
+    injector.link_flap(trunk, at_s=run.sim.now + 0.014, hold_s=0.001)
+    return run.play(range(3)), trunk, injector
+
+
+@pytest.mark.parametrize("topology", sorted(FLAPPED_TRUNK))
+def test_trunk_flap_loses_frames_then_heals(topology):
+    run, trunk, injector = flapped_mix_run(topology)
+    assert trunk.up and [text for _, text in injector.log] == [
+        f"link down: {trunk.name}", f"link up: {trunk.name}",
+    ]
+    lost = sum(
+        sum((expected - station.addressed).values())
+        for expected, station in zip(run.expected, run.stations)
+    )
+    duplicated = sum(
+        sum((station.addressed - expected).values())
+        for expected, station in zip(run.expected, run.stations)
+    )
+    assert lost > 0 and duplicated == 0
+
+    # The same fault plan replays to the same digests.
+    again, _, _ = flapped_mix_run(topology)
+    assert again.digests() == run.digests()
+
+    # Once the flap clears the fleet is clean and mixes land exactly.
+    assert run.fleet.verify_reachability().ok
+    for station in run.stations:
+        station.addressed.clear()
+    run.expected = [Counter() for _ in run.stations]
+    run.play(range(3, 6))
+    for pod, station in enumerate(run.stations):
+        assert station.addressed == run.expected[pod], f"pod {pod}"

@@ -18,7 +18,6 @@ from repro.legacy import LegacySwitch, StormControl
 from repro.net import EthernetFrame, IPv4Address, MACAddress
 from repro.netsim import FaultInjector, Host, Link, Node, Simulator
 from repro.netsim.link import wire
-from repro.netsim.sharded import KIND_BURST, KIND_FRAME, ShardSimulator, sever_link
 from repro.softswitch import SoftSwitch
 
 
@@ -143,8 +142,8 @@ class TestLinkSetDown:
 class TestSetDownFindsWhatIsOnTheWire:
     """Nothing is registered per frame: a failing link finds its pending
     deliveries in the simulator's heap.  What it finds must be exactly
-    the frames on the wire, in either direction, single or coalesced,
-    local or severed — cancelled for real, so none counts as an event."""
+    the frames on the wire, in either direction, single or coalesced —
+    cancelled for real, so none counts as an event."""
 
     def test_singles_and_bursts_in_both_directions(self):
         sim, a, b, link = slow_pair(queue_frames=100)
@@ -176,52 +175,35 @@ class TestSetDownFindsWhatIsOnTheWire:
         assert (b.count, a.count) == (2, 2)
         assert (link.direction(port_a).queued, link.direction(port_b).queued) == (0, 0)
 
-    def test_severed_link_loses_its_exports_and_its_pending_imports(self):
-        class Exporting(ShardSimulator):  # one shard: no mesh to flush into
-            def export(self, peer, boundary_id, kind, arrivals):
-                self.exported = getattr(self, "exported", 0) + len(arrivals)
-
-        sim = Exporting()
-        a, b = Sink(sim, "a"), Sink(sim, "b")
-        link = wire(a, b, bandwidth_bps=8_000_000, propagation_delay_s=50e-6)
-        port_a = a.port(1)
-        sever_link(link, sim, 7, peer_shard=1, owned_port=port_a)
-        boundary = port_a.link
-
-        def imports(at):
-            return [(7, KIND_FRAME, [(at, make_frame())]),
-                    (7, KIND_BURST, [(at, make_frame(1)), (at + 1e-4, make_frame(2))])]
-
-        port_a.send(make_frame())
-        port_a.send(make_frame(1))
-        port_a.send_burst([make_frame(t) for t in range(3)])
-        sim._inject(imports(at=300e-6))
-        sim.run(until=160e-6)  # the first export's queue slot has drained
-        assert (sim.exported, link.direction(port_a).queued, sim.pending_events) == (5, 4, 4)
-        events = sim.events_processed
-
-        boundary.set_down()
-        assert link.direction(port_a).queued == 0
-        assert link.direction(port_a).drops == {"link-down": 4}
-        assert (sim.boundary_drops, sim.boundary_drops_by_id) == (3, {7: 3})
-        assert sim.pending_events == 0
-        boundary.set_down()
-        sim._inject(imports(at=400e-6))  # sent before the cut, crossing after it
-        assert (sim.boundary_drops, sim.pending_events) == (6, 0)
-        sim.run(until=0.01)
-        assert sim.events_processed == events and (a.count, b.count) == (0, 0)
-
-        boundary.set_up()
-        assert port_a.send(make_frame()) is True
-        sim._inject(imports(at=sim.now + 1e-4))
+    def test_injector_flap_cancels_what_is_on_the_wire(self):
+        """The injector fails and restores the link itself: the same
+        singles and bursts die as with a direct ``set_down``."""
+        sim, a, b, link = slow_pair(queue_frames=100)
+        port_a, port_b = a.port(1), b.port(1)
+        injector = FaultInjector(sim)
+        injector.link_flap(link, at_s=160e-6, hold_s=1e-3)
+        for tag in range(3):
+            port_a.send(make_frame(tag))
+        port_a.send_burst([make_frame(t) for t in range(4)])
+        port_b.send_burst([make_frame(t) for t in range(2)])
+        port_b.send(make_frame())
+        sim.run(until=500e-6)
+        assert not link.up and sim.pending_events == 1  # the restore
+        assert link.direction(port_a).drops == {"link-down": 6}
+        assert link.direction(port_b).drops == {"link-down": 3}
+        assert (b.count, a.count) == (1, 0)
+        sim.run(until=2e-3)
+        assert link.up and [text for _, text in injector.log] == [
+            f"link down: {link.name}", f"link up: {link.name}",
+        ]
+        assert port_a.send(make_frame()) and port_b.send_burst([make_frame()] * 2) == 2
         sim.run(until=0.02)
-        assert (a.count, sim.exported, link.direction(port_a).queued) == (3, 6, 0)
-        assert sim.boundary_drops == 6
+        assert (b.count, a.count) == (2, 2)
 
     def test_in_flight_discovery_assumes_no_arrival_order(self):
-        # Nothing forbids re-tuning a live link (the sharded invariance
-        # suite does): a later frame may then land first, so what is on
-        # the wire is no FIFO suffix of what was sent.
+        # Nothing forbids re-tuning a live link: a later frame may then
+        # land first, so what is on the wire is no FIFO suffix of what
+        # was sent.
         class Recorder(Sink):
             def receive(self, port, frame):
                 self.tags = getattr(self, "tags", []) + [int(frame.src) - 10]

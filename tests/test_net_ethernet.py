@@ -433,7 +433,7 @@ class TestFrameValues:
                 frame = getattr(source, op[0])(*op[1:])
             assert frame.wire_length == formula(frame)
             assert source.wire_length == source_length == formula(source)
-        # The shard boundary: a frame crosses it pickled.
+        # A frame survives a pickle round trip, cached length included.
         clone = pickle.loads(pickle.dumps(frame))
         assert clone == frame and clone.wire_length == frame.wire_length
         assert type(clone.tags) is tuple and type(clone.payload) is bytes

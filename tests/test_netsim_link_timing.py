@@ -13,7 +13,6 @@ import pytest
 from repro.net import EthernetFrame, MACAddress
 from repro.netsim import Node, Simulator
 from repro.netsim.link import wire
-from repro.netsim.sharded import KIND_BURST, ShardSimulator, sever_link
 
 
 class Sink(Node):
@@ -354,42 +353,6 @@ class TestBurstTransmit:
         assert burst["arrivals"] == []
         assert burst["stats"].drops == 4 and burst["stats"].frames == 0
         assert burst["tx"][0] == 4 and burst["rx"] == (0, 0)
-
-    def test_boundary_link_burst_takes_the_senders_lengths(self):
-        """A severed link's exporting end serialises from the lengths
-        ``Port.send_burst`` measured: the exported records carry the
-        arrival stamps a local link would have delivered, and the
-        importing shard lands them with the same byte count."""
-        frames = [make_frame(payload=b"q" * (50 + 9 * k), tag=k) for k in range(5)]
-        sim_ref, a_ref, b_ref, link_ref = make_pair(bandwidth_bps=BPS_1B_PER_US)
-        a_ref.port(1).send_burst(list(frames))
-        reference = self._observe(sim_ref, a_ref, b_ref, link_ref)
-
-        class Exporting(ShardSimulator):  # one shard: no mesh to flush into
-            def export(self, peer, boundary_id, kind, arrivals):
-                self.records = [(boundary_id, kind, arrivals)]
-
-        sim = Exporting()
-        a, b = Sink(sim, "a"), Sink(sim, "b")
-        link = wire(a, b, bandwidth_bps=BPS_1B_PER_US)
-        sever_link(link, sim, 0, peer_shard=1, owned_port=a.port(1))
-        assert a.port(1).send_burst(list(frames)) == 5
-        sim.run()
-        assert b.received == []  # exported, not delivered locally
-        assert link.stats(a.port(1)) == reference["stats"]
-        assert link.direction(a.port(1)).queued == 0  # drained on landing
-        ((_, kind, arrivals),) = sim.records
-        assert kind == KIND_BURST
-        assert [(t, f.to_bytes()) for t, f in arrivals] == reference["arrivals"]
-
-        importer = ShardSimulator()
-        landing = Sink(importer, "b")
-        importer.register_ingress(0, landing.add_port())
-        importer._inject(sim.records)
-        importer.run()
-        assert [(t, f.to_bytes()) for _, t, f in landing.received] == reference["arrivals"]
-        assert (landing.port(1).rx_frames, landing.port(1).rx_bytes) == reference["rx"]
-
 
 
 class TestDropReasons:

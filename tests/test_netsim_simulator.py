@@ -500,18 +500,6 @@ class TestCancellationAccounting:
         early.cancel()
         assert sim.peek_next_time() == 2.0
 
-    def test_advance_to_skips_cancelled_heads_only(self):
-        sim = Simulator()
-        sim.schedule_at(1.0, lambda: None).cancel()
-        live = sim.schedule_at(2.0, lambda: None)
-        sim.advance_to(1.5)  # the only earlier entry is dead
-        assert sim.now == 1.5
-        with pytest.raises(ValueError, match="pending event at 2.0"):
-            sim.advance_to(3.0)
-        live.cancel()
-        sim.advance_to(3.0)
-        assert sim.now == 3.0 and sim.pending_events == 0
-
     def test_exclusive_horizon_leaves_edge_event_queued(self):
         sim = Simulator()
         fired = []

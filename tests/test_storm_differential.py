@@ -21,13 +21,15 @@ suppressing, batch and sequential execution still agree frame-for-frame
 (meter decisions depend only on simulated time and arrival order).
 """
 
+import hashlib
 import random
+from dataclasses import asdict
 
 from repro.apps import LearningSwitchApp
 from repro.controller import Controller
+from repro.controller.app import ControllerApp
 from repro.core.manager import HarmlessFleet
-from repro.fabric import ring_fabric
-from repro.fabric.partition import PacketInRecorder, site_digest
+from repro.fabric import Fabric, ring_fabric
 from repro.legacy import StormControl
 from repro.net import MACAddress
 from repro.netsim import Simulator
@@ -41,6 +43,101 @@ from repro.traffic.generators import (
     storm_frames,
     synth_frame,
 )
+
+
+def _payload_hash(in_port: int, data: bytes) -> str:
+    return hashlib.sha1(in_port.to_bytes(4, "big") + data).hexdigest()[:16]
+
+
+class PacketInRecorder(ControllerApp):
+    """Records every packet-in as a per-switch multiset of payload hashes.
+
+    A *multiset* (sorted hashes), not a sequence, so the comparison is
+    about which packet-ins a run raised, not the order among
+    simultaneous ones.  Register it before the forwarding app so it
+    observes without consuming.
+    """
+
+    def __init__(self) -> None:
+        self.by_switch: "dict[str, list[str]]" = {}
+
+    def on_packet_in(self, dp, msg) -> bool:  # noqa: D102 - base class doc
+        self.by_switch.setdefault(dp.name, []).append(
+            _payload_hash(msg.in_port, msg.data)
+        )
+        return False
+
+    def digest(self) -> "dict[str, list[str]]":
+        return {name: sorted(hashes) for name, hashes in self.by_switch.items()}
+
+
+def site_digest(
+    fabric: Fabric, site_name: str, fleet=None, include_rtts: bool = False
+) -> dict:
+    """Everything observable at one site, as comparable plain data.
+
+    Covers the legacy switch (aggregate + per-port counters, FDB
+    contents), its ports, its hosts (IP deliveries + per-ping
+    outcomes), its stations, and — when *fleet* has migrated the
+    site — the S4 datapath counters.  Ping RTTs are excluded by
+    default: when two probes to the *same* destination tie at a shared
+    trunk, their serialisation order (hence their RTT split) is
+    tie-dependent, while loss/delivery is not.  Pass
+    ``include_rtts=True`` for scenarios without such contention.
+    """
+    site = fabric.sites[site_name]
+    switch = site.switch
+    counters = {
+        key: sorted(value.items()) if isinstance(value, dict) else value
+        for key, value in asdict(switch.counters).items()
+    }
+    digest = {
+        "counters": counters,
+        "fdb": sorted(
+            (entry.vlan_id, str(entry.mac), entry.port, entry.static)
+            for entry in switch.fdb._entries.values()
+        ),
+        "ports": {
+            number: (
+                port.rx_frames,
+                port.rx_bytes,
+                port.tx_frames,
+                port.tx_bytes,
+                port.tx_dropped,
+            )
+            for number, port in sorted(switch.ports.items())
+        },
+        "hosts": {
+            host.name: {
+                "rx_ip_packets": host.rx_ip_packets,
+                "pings": [
+                    (result.sequence, result.lost)
+                    for result in host.ping_results
+                ],
+                **(
+                    {"rtts": host.rtts()} if include_rtts else {}
+                ),
+            }
+            for host in site.hosts
+        },
+        "stations": {
+            node.name: {"sent": node.sent, "rx": node.rx_count}
+            for node in fabric.stations.get(site_name, [])
+            if hasattr(node, "sent")
+        },
+    }
+    deployment = getattr(fleet, "deployments", {}).get(site_name) if fleet else None
+    if deployment is not None:
+        digest["s4"] = {
+            half.name: (
+                half.packets_forwarded,
+                half.packets_dropped,
+                half.packets_to_controller,
+            )
+            for half in (deployment.s4.ss1, deployment.s4.ss2)
+        }
+    return digest
+
 
 #: A meter this permissive never trips — attach-without-effect config.
 PERMISSIVE = dict(rate_fps=1e9, burst=1_000_000)
