@@ -26,9 +26,11 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.controller.core import Controller, Datapath
 from repro.legacy.switch import LegacySwitch
-from repro.mgmt.base import ConfigOp, NetworkDriver
+from repro.mgmt.base import ConfigOp, DriverError, NetworkDriver
 from repro.netsim.link import DEFAULT_QUEUE_FRAMES, Link
 from repro.netsim.simulator import Simulator
+from repro.snmp.agent import SnmpError
+from repro.snmp.client import SnmpTimeout
 from repro.softswitch.costmodel import DatapathCostModel, ESWITCH_COST_MODEL
 from repro.core.migration import (
     MigrationPlan,
@@ -51,6 +53,15 @@ DEFAULT_TRUNK_DELAY_S = 1e-6
 
 class HarmlessError(Exception):
     """Deployment failure (with rollback already attempted)."""
+
+
+#: What a bring-up expects to go wrong, and reports as a
+#: :class:`HarmlessError` once it has rolled back: the device refused a
+#: PDU or did not answer, the config session was misused, or the S4
+#: could not be wired (a port already cabled, a port map that does not
+#: fit).  Anything else is a bug: it is rolled back all the same, then
+#: re-raised as itself.
+BRING_UP_ERRORS = (SnmpError, SnmpTimeout, DriverError, ValueError, HarmlessError)
 
 
 @dataclass
@@ -169,11 +180,12 @@ class HarmlessManager:
         vendor_config = driver.render_config(ops)
         driver.load_merge_candidate(vendor_config)
         try:
-            driver.commit_config()
-        except Exception as exc:
+            driver.commit_config()  # restores the device itself on failure
+        except BRING_UP_ERRORS as exc:
             raise HarmlessError(f"legacy switch rejected config: {exc}") from exc
         log.append(f"pushed {len(ops)} config ops to {legacy_switch.name}")
 
+        trunk_link = None
         try:
             # 4. Instantiate HARMLESS-S4 and wire the trunk.
             dpid = self._next_dpid
@@ -211,7 +223,11 @@ class HarmlessManager:
                 )
                 log.append("SS_2 connected to SDN controller")
         except Exception as exc:
+            if trunk_link is not None:
+                trunk_link.disconnect()  # frees the trunk port for a retry
             driver.rollback()
+            if not isinstance(exc, BRING_UP_ERRORS):
+                raise
             raise HarmlessError(f"deployment failed, rolled back: {exc}") from exc
 
         deployment = HarmlessDeployment(
@@ -485,6 +501,8 @@ class HarmlessFleet:
                     for name, kept in self.deployments.items()
                     if kept is not deployment
                 }
+            if not isinstance(exc, BRING_UP_ERRORS):
+                raise
             raise HarmlessError(
                 f"wave {wave.index} failed and was rolled back: {exc}"
             ) from exc

@@ -304,6 +304,9 @@ class NetworkDriver(ABC):
         try:
             self.apply_ops(self._candidate)
         except Exception:
+            # Whatever failed — a refused SET, a timeout, a bug — the
+            # device must not keep half a configuration; the caller
+            # still sees the original exception, unwrapped.
             self.rollback()
             raise
         self._candidate = None

@@ -8,6 +8,7 @@ sufficient for the HTTP-level use cases.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -36,6 +37,14 @@ ARP_TTL_S = 60.0
 ARP_REQUEST_TIMEOUT_S = 1.0
 #: How long a ping waits before being recorded as lost.
 PING_TIMEOUT_S = 1.0
+
+#: The reasons in ``Host.drops`` that ``rx_unhandled`` sums: received
+#: frames the stack could not use.  ``arp-timeout`` (parked outgoing
+#: frames whose next hop never answered) is kept beside them.
+RX_DROPS = (
+    "tagged", "not-for-me:mac", "unknown-ethertype", "malformed",
+    "not-for-me:ip", "unknown-ip-protocol", "tcp-no-connection",
+)
 
 UdpHandler = Callable[["Host", IPv4Address, int, int, bytes], None]
 TcpServer = Callable[["Host", IPv4Address, int, bytes], "bytes | None"]
@@ -94,7 +103,8 @@ class Host(Node):
         self._pending_pings: dict[tuple[int, int], PingResult] = {}
         self._ping_id = 0
         self.rx_ip_packets = 0
-        self.rx_unhandled = 0
+        #: Why frames died here, reason -> count (see ``RX_DROPS``).
+        self.drops: "defaultdict[str, int]" = defaultdict(int)
         #: (src_ip, src_port, dst_port, payload) tuples seen by UDP handlers.
         self.udp_received: list[tuple[IPv4Address, int, int, bytes]] = []
 
@@ -145,9 +155,14 @@ class Host(Node):
         if len(queue) == 1:
             request = ArpPacket.request(self.mac, self.ip, next_hop)
             self.port0.send(arp_frame(request))
-            # Unanswered ARP: drop the parked frames so later attempts
-            # trigger a fresh request instead of queueing forever.
-            self.sim.schedule(ARP_REQUEST_TIMEOUT_S, self._pending_arp.pop, next_hop, None)
+            self.sim.schedule(ARP_REQUEST_TIMEOUT_S, self._arp_timeout, next_hop)
+
+    def _arp_timeout(self, next_hop: IPv4Address) -> None:
+        """Unanswered ARP: drop the parked frames so later attempts
+        trigger a fresh request instead of queueing forever."""
+        parked = self._pending_arp.pop(next_hop, None)
+        if parked:
+            self.drops["arp-timeout"] += len(parked)
 
     def _same_subnet(self, dst: IPv4Address) -> bool:
         # Hosts use a /24 assumption unless they have no gateway at all.
@@ -236,13 +251,20 @@ class Host(Node):
 
     # ----------------------------------------------------------- receiving
 
+    @property
+    def rx_unhandled(self) -> int:
+        """Received frames the stack could not use: the sum of the
+        ``RX_DROPS`` reasons in ``drops``."""
+        drops = self.drops  # .get: reading must not add zero-valued keys
+        return sum(drops.get(reason, 0) for reason in RX_DROPS)
+
     def receive(self, port: Port, frame: EthernetFrame) -> None:
         if frame.vlan is not None:
             # Hosts sit on access ports; tagged frames are not for us.
-            self.rx_unhandled += 1
+            self.drops["tagged"] += 1
             return
         if not (frame.dst == self.mac or frame.dst.is_multicast):
-            self.rx_unhandled += 1
+            self.drops["not-for-me:mac"] += 1
             return
         try:
             if frame.ethertype == ETHERTYPE_ARP:
@@ -250,10 +272,10 @@ class Host(Node):
             elif frame.ethertype == ETHERTYPE_IPV4:
                 self._receive_ip(IPv4Packet.from_bytes(frame.payload))
             else:
-                self.rx_unhandled += 1
+                self.drops["unknown-ethertype"] += 1
         except PacketDecodeError:
             # Malformed payloads are dropped, as a real stack would.
-            self.rx_unhandled += 1
+            self.drops["malformed"] += 1
 
     def _receive_arp(self, arp: ArpPacket) -> None:
         # Learn the sender either way (standard gratuitous-friendly ARP).
@@ -272,7 +294,7 @@ class Host(Node):
 
     def _receive_ip(self, packet: IPv4Packet) -> None:
         if packet.dst != self.ip and not packet.dst.is_multicast:
-            self.rx_unhandled += 1
+            self.drops["not-for-me:ip"] += 1
             return
         self.rx_ip_packets += 1
         if packet.protocol == IPPROTO_ICMP:
@@ -282,7 +304,7 @@ class Host(Node):
         elif packet.protocol == IPPROTO_TCP:
             self._receive_tcp(packet)
         else:
-            self.rx_unhandled += 1
+            self.drops["unknown-ip-protocol"] += 1
 
     def _receive_icmp(self, packet: IPv4Packet) -> None:
         icmp = IcmpPacket.from_bytes(packet.payload)
@@ -341,7 +363,7 @@ class Host(Node):
         # Client side: match an open connection.
         conn = self._tcp_conns.get((segment.dst_port, segment.src_port))
         if conn is None:
-            self.rx_unhandled += 1
+            self.drops["tcp-no-connection"] += 1
             return
         if segment.is_rst:
             conn.state = "reset"

@@ -5,9 +5,10 @@ al., SIGCOMM 2016] comes from *specializing* the datapath to the
 currently installed flow tables instead of interpreting a
 general-purpose pipeline.  This module is that idea applied to the
 Python datapath: it inspects a switch's installed tables and generates
-— via textual codegen + ``exec`` — one specialized function pair
-(single frame + burst) per switch, which the datapath runs in place of
-the reference interpreter whenever a program is active:
+— via textual codegen + ``exec`` — one specialized executor per switch,
+``run_burst``, which the datapath runs in place of the reference
+interpreter whenever a program is active (a single frame is a burst of
+one):
 
 * **miniflow shrinking** — the flow-key extractor is inlined and
   restricted to the union of slots any installed match reads across
@@ -17,13 +18,12 @@ the reference interpreter whenever a program is active:
 * **unrolled classification** — one probe per exact field-set and per
   staged subtable of table 0, emitted as straight-line code with the
   bucket dicts, masks and max-priority bounds baked in as compile-time
-  constants.  Probe order is **profile-guided**: both tiers bump a
-  shared per-probe hit counter, and each recompile orders the probe
-  blocks by observed hit frequency (ESwitch's trick), falling back to
-  descending max priority for unproven probes.  Order is a pure perf
+  constants, in descending max-priority order.  Order is a pure perf
   choice — every probe is guarded by the max-priority bound and the
   winner is the global sort-key minimum, so any order classifies
-  identically;
+  identically.  (ESwitch orders probes by observed hit counts; here
+  that bought nothing measurable and made the source depend on
+  traffic history, so it is not done);
 * **baked decisions** — the table-0 winner is expanded into a
   *decision*: multi-table ``GotoTable`` chains are walked once per
   distinct flow key (later-table lookups run against the rehydrated
@@ -101,31 +101,35 @@ invalidations, patches and the specialized/fallback frame split.
 
 **Per frame.**  Every frame a softswitch sees is a fresh object (a
 legacy push or an SS_1 pop just derived it), so nothing is keyed on
-frame identity: ``run_one`` and ``run_burst`` decode the shrunk key
-inline, ask the key cache, and enter ``_classify`` only on a miss (or
-to revalidate a mortal decision).  Decisions carry no length — the
-executor reads the frame's.  One peephole (:func:`_fold`) turns the
-translator's push + set-field ``vlan_vid`` pair into a single
-``push_vlan(v)`` step wherever actions become steps; the cost model is
-still charged for both actions.
+frame identity: ``run_burst`` decodes the shrunk key inline, asks the
+key cache, and enters ``_classify`` only on a miss (or to revalidate a
+mortal decision).  Decisions carry no length — the executor reads the
+frame's.  One peephole (:func:`_fold`) turns the translator's push +
+set-field ``vlan_vid`` pair into a single ``push_vlan(v)`` step
+wherever actions become steps; the cost model is still charged for
+both actions.
 
-On the burst path the compiled program processes
-``process_batch``-shaped bursts directly, with outputs re-coalesced per
-egress port.  A FALLBACK frame mid-burst first flushes the coalesced
-egress and syncs the busy clock, so a synchronous controller handed a
-packet-in observes every prior frame exactly as frame-by-frame
-processing would show it.  If the interpreted walk mutates the
-pipeline — a reactive controller answering the packet-in — the burst
-looks at what the mutation did to the program: patched (content only)
-flushed the key cache, so the next frame reclassifies and the burst
-carries on compiled; discarded (shape change) hands the rest of the
-burst back to ``SoftSwitch.process_batch``, which regenerates and
-serves it compiled, exactly as frame-by-frame injection would.
+``run_burst`` serves every ``process_batch`` call, a burst of one
+included, with outputs re-coalesced per egress port: a port's lone
+frame leaves through ``Port.send``, two or more through one
+``Port.send_burst``.  A FALLBACK frame mid-burst first flushes the
+coalesced egress and syncs the busy clock, so a synchronous controller
+handed a packet-in observes every prior frame exactly as
+frame-by-frame processing would show it.  If the interpreted walk
+mutates the pipeline — a reactive controller answering the packet-in
+— the burst looks at what the mutation did to the program: patched
+(content only) flushed the key cache, so the next frame reclassifies
+and the burst carries on compiled; discarded (shape change) hands the
+rest of the burst back to ``SoftSwitch.process_batch``, which
+regenerates and serves it compiled, exactly as frame-by-frame
+injection would.
 
 **Drops.**  Every frame or output the executor discards is counted in
 ``SoftSwitch.drops`` under the reason the interpreter would give
 (``table-miss``, ``no-such-port``, ``no-such-group``, ``empty-group``,
-``action-drop``), per-reason locals summed once per burst.
+``action-drop``): in per-reason locals summed once per burst, except
+a chain walk's later-table miss and the drops inside its steps, which
+are counted as they happen.
 """
 
 from __future__ import annotations
@@ -239,7 +243,7 @@ class CompiledProgram:
     """
 
     __slots__ = (
-        "run_one", "run_burst", "classify", "source", "used_slots",
+        "run_burst", "classify", "source", "used_slots",
         "key_cache", "plans", "mortal", "probe_order",
         "_switch", "_globals", "_probes", "_select_ready",
     )
@@ -247,10 +251,10 @@ class CompiledProgram:
     def __init__(self, switch, source, namespace, used_slots, mortal,
                  probe_order, probes, select_ready):
         self._switch = switch
-        self.run_one = namespace["run_one"]
+        #: (in_port, frames) -> None: the one executor.
         self.run_burst = namespace["run_burst"]
-        #: (frame, in_port, now) -> (decision, shrunk key), as the entry
-        #: points decide it; exposed for probe-order invariance tests.
+        #: (frame, in_port, now) -> (decision, shrunk key), as the
+        #: executor decides it; exposed for probe-order invariance tests.
         self.classify = namespace["classify"]
         #: The generated module source (debugging / tests).
         self.source = source
@@ -260,17 +264,18 @@ class CompiledProgram:
         #: time — decisions then revalidate their entries' expiry
         #: before every replay.
         self.mortal = mortal
-        #: The probe ordering this program was compiled with.
+        #: The probe shuffle seed this program was compiled with (None:
+        #: descending max priority).
         self.probe_order = probe_order
         #: (tier, shape) -> (index, priority bound) of the table-0
         #: probe block baked for that field-set / mask-set.
         self._probes = {
             (tier, shape): (index, max_priority)
-            for index, (_, max_priority, tier, shape, _, _) in enumerate(probes)
+            for index, (max_priority, tier, shape, _) in enumerate(probes)
         }
         #: Whether the shrunk key carries every select-hash slot.
         self._select_ready = select_ready
-        #: shrunk key -> decision; shared by both entry points.
+        #: shrunk key -> decision.
         self.key_cache = namespace["KC"]
         #: id(entry) -> key-independent plan, populated lazily.
         self.plans = namespace["PLANS"]
@@ -305,8 +310,8 @@ class CompiledProgram:
         or None when the generated code already covers it.
 
         On None the entry's table-0 probe is (re)bound to the group's
-        live bucket dict and hit cell: a group that emptied and was
-        re-created since the compile is a new dict under a known shape.
+        live bucket dict: a group that emptied and was re-created since
+        the compile is a new dict under a known shape.
         """
         if not self.mortal and (entry.idle_timeout or entry.hard_timeout):
             return "first mortal entry"
@@ -318,14 +323,13 @@ class CompiledProgram:
                 names = ", ".join(FLOW_KEY_FIELDS[slot] for slot in extra)
                 return f"table {table.table_id} reads slot outside used_slots ({names})"
             return None
-        tier, shape, buckets, hit_cell = table.probe_group(entry.match)
+        tier, shape, buckets = table.probe_group(entry.match)
         index, bound = self._probes.get((tier, shape), (None, None))
         if index is None:
             return f"new {_describe_shape(tier, shape)}"
         if entry.priority > bound:
             return f"priority {entry.priority} above baked bound {bound}"
         self._globals[f"P{index}_get"] = buckets.get
-        self._globals["HC"][index] = hit_cell
         return None
 
     def groups_break_shape(self, groups) -> Optional[str]:
@@ -604,8 +608,8 @@ def _probe_block(
     The guard only skips probes that provably cannot beat the current
     best (their max priority is below the best's priority); the winner
     is the global minimum of the arbitration sort key, a total order —
-    which is why the blocks can be emitted in any order (profile-guided
-    reordering is behaviour-preserving by construction).
+    which is why the blocks can be emitted in any order (the seeded
+    shuffle test hook is behaviour-preserving by construction).
     """
     lines.append(f"    if e is None or ek0 >= {-guard_priority}:")
     indent = "        "
@@ -629,19 +633,17 @@ def _probe_block(
     lines.append(f"{indent}        e = n")
     lines.append(f"{indent}        ek = nk")
     lines.append(f"{indent}        ek0 = nk[0]")
-    lines.append(f"{indent}        w = {probe_index}")
 
 
 def compile_datapath(
-    switch: "SoftSwitch", probe_order: "str | int" = "profile"
+    switch: "SoftSwitch", probe_order: "int | None" = None
 ) -> Optional[CompiledProgram]:
     """Specialize *switch*'s installed pipeline, or None if ineligible.
 
-    *probe_order* selects how table-0 probe blocks are ordered:
-    ``"profile"`` (default) by observed hit counts, ``"priority"`` by
-    descending max priority alone, or an int seed for a deterministic
-    shuffle (test hook — order is behaviour-preserving, see
-    :func:`_probe_block`).
+    Table-0 probe blocks are emitted in descending max-priority order,
+    so the source depends on the pipeline's shape alone.  An int
+    *probe_order* shuffles them with that seed instead (test hook —
+    order is behaviour-preserving, see :func:`_probe_block`).
     """
     model = switch.cost_model
     if type(model) is not DatapathCostModel:
@@ -720,31 +722,24 @@ def compile_datapath(
     ]
     if used_slots:
         lines.append(f"    {key_expr} = key")
-    lines += ["    e = None", "    ek = None", "    ek0 = 1", "    w = 0"]
+    lines += ["    e = None", "    ek = None", "    ek0 = 1"]
 
     table0 = tables[0]
-    probes: list[tuple] = []
-    for probe_slots, buckets, max_priority, hit_cell in table0.exact_probe_groups():
-        probes.append((hit_cell[0], max_priority, "exact", probe_slots,
-                       buckets, hit_cell))
+    probes: list[tuple] = [
+        (max_priority, "exact", probe_slots, buckets)
+        for probe_slots, buckets, max_priority in table0.exact_probe_groups()
+    ]
     for subtable in table0.subtables_in_order():
-        probes.append((subtable.hit_cell[0], subtable.max_priority, "masked",
-                       subtable.mask_set, subtable.buckets, subtable.hit_cell))
-    if probe_order == "profile":
-        # Stable sort: hottest probes first, max priority (the seed
-        # heuristic) breaking ties for unproven probes.
-        probes.sort(key=lambda item: -item[1])
-        probes.sort(key=lambda item: -item[0])
-    elif probe_order == "priority":
-        probes.sort(key=lambda item: -item[1])
+        probes.append((subtable.max_priority, "masked", subtable.mask_set,
+                       subtable.buckets))
+    if probe_order is None:
+        probes.sort(key=lambda item: -item[0])  # stable: ties keep table order
     else:
         Random(probe_order).shuffle(probes)
     # Probe bindings are module globals, not constants in the source:
     # CompiledProgram.add_breaks_shape rebinds them in place.
-    hit_cells = []
-    for index, (_, max_priority, tier, shape, buckets, hit_cell) in enumerate(probes):
+    for index, (max_priority, tier, shape, buckets) in enumerate(probes):
         namespace[f"P{index}_get"] = buckets.get
-        hit_cells.append(hit_cell)
         if tier == "exact":
             value_expr = _tuple_literal([f"v{slot}" for slot in shape])
             none_guards: list[str] = []
@@ -754,13 +749,10 @@ def compile_datapath(
             )
             none_guards = [f"v{slot} is not None" for slot, _ in shape]
         _probe_block(lines, max_priority, index, value_expr, none_guards, mortal)
-    namespace["HC"] = hit_cells
 
     lines.append("    if e is None:")
     lines.append("        plan = MISS")
     lines.append("    else:")
-    if probes:
-        lines.append("        HC[w][0] += 1")
     lines.append("        plan = PLANS_get(id(e))")
     lines.append("        if plan is None:")
     lines.append("            plan = BUILD(e, key, now)")
@@ -871,111 +863,38 @@ def _chain_steps(steps, frame, PORTS=PORTS, DROPS=DROPS):
     return outs, dropped
 
 
+def _send_chains(per_port, PORT=PORT):
+    """Each egress port's chain leaves as one call: a lone frame through
+    ``Port.send``, two or more as one ``Port.send_burst``."""
+    for port_number, chain in per_port.items():
+        if len(chain) == 1:
+            PORT(port_number).send(chain[0])
+        else:
+            PORT(port_number).send_burst(chain)
+
+
 def classify(frame, in_port, now):
-    """(decision, shrunk key) of one frame, as the entry points decide it."""
+    """(decision, shrunk key) of one frame, as ``run_burst`` decides it."""
     __DECODE__
     key = __KEY__
     return _classify(key, now), key
 
 
-def run_one(frame, in_port, SIM=SIM, S=S, T0=T0, PORTS=PORTS, DROPS=DROPS,
-            EMIT=EMIT, FALL=FALL, SCHED=SCHED, KC_get=KC_get,
-            chain_steps=_chain_steps):
-    now = SIM.now
-    __DECODE__
-    key = __KEY__
-    dec = KC_get(key)
-    if __UNANSWERED__:
-        dec = _classify(key, now)
-    length = frame.wire_length
-    kind = dec[0]
-    if kind >= 4:
-        if kind == 5:
-            FALL(frame, in_port)  # interpreter does all of its own counting
-            return
-        _, touches, tail, cost, _mortals = dec
-        steps, miss_table = tail
-        for table, entry in touches:
-            table.lookups += 1
-            table.matches += 1
-            entry.packet_count += 1
-            entry.byte_count += length
-            entry.last_used_at = now
-        outs, chain_drops = chain_steps(steps, frame)
-        if miss_table is not None:
-            miss_table.lookups += 1
-            DROPS["table-miss"] += 1
-        elif not outs and not chain_drops:
-            DROPS["action-drop"] += 1
-        if not outs:
-            outs = None
-    else:
-        T0.lookups += 1
-        outs = None
-        if kind == 0:
-            _, entry, port, cost, _mortals = dec
-            T0.matches += 1
-            entry.packet_count += 1
-            entry.byte_count += length
-            entry.last_used_at = now
-            if port in PORTS:
-                outs = [(port, frame)]
-            else:
-                DROPS["no-such-port"] += 1
-        elif kind == 1:
-            cost = dec[3]
-            DROPS["table-miss"] += 1
-        elif kind == 2:
-            _, entry, _payload, cost, _mortals = dec
-            T0.matches += 1
-            entry.packet_count += 1
-            entry.byte_count += length
-            entry.last_used_at = now
-            DROPS["action-drop"] += 1
-        else:
-            _, entry, steps, cost, _mortals = dec
-            T0.matches += 1
-            entry.packet_count += 1
-            entry.byte_count += length
-            entry.last_used_at = now
-            current = frame
-            outs = []
-            for is_out, payload in steps:
-                if is_out:
-                    if payload in PORTS:
-                        outs.append((payload, current))
-                    else:
-                        DROPS["no-such-port"] += 1
-                else:
-                    current = payload.apply(current)
-            if not outs:
-                outs = None
-    busy = S.busy_until
-    start = busy if busy > now else now
-    finish = start + cost
-    S.busy_until = finish
-    S.specialized_frames += 1
-    if outs is not None:
-        if finish <= now:
-            EMIT(outs, ())
-        else:
-            SCHED(finish, EMIT, outs, ())
-
-
 def run_burst(in_port, frames, SIM=SIM, S=S, T0=T0, PORTS=PORTS, DROPS=DROPS,
-              PORT=PORT, EMIT=EMIT, FALL=FALL, SCHED=SCHED,
-              KC_get=KC_get, chain_steps=_chain_steps):
+              EMIT=EMIT, FALL=FALL, SCHED=SCHED, KC_get=KC_get,
+              chain_steps=_chain_steps, send_chains=_send_chains):
+    """*frames*, arrived on *in_port* at one instant; a single frame is
+    a burst of one.  Outputs that leave now coalesce per egress port.
+    Counters that only add up are kept in locals and stored once."""
     now = SIM.now
     per_port = {}
-    per_port_get = per_port.get
     forwarded = 0
+    chained = 0
+    fell = 0
     missed = 0
     unported = 0
     unacted = 0
     rest = None
-    t0_lookups = 0
-    t0_matches = 0
-    specialized = 0
     busy = S.busy_until
     count = len(frames)
     index = 0
@@ -991,14 +910,14 @@ def run_burst(in_port, frames, SIM=SIM, S=S, T0=T0, PORTS=PORTS, DROPS=DROPS,
         kind = dec[0]
         if kind >= 4:
             if kind == 5:
+                fell += 1
                 # Flush coalesced egress and sync the busy clock first:
                 # the interpreted walk may hand a packet-in to a
                 # synchronous controller, which must observe every
                 # prior frame on the wire.
                 if forwarded:
                     S.packets_forwarded += forwarded
-                    for port_number, port_frames in per_port.items():
-                        PORT(port_number).send_burst(port_frames)
+                    send_chains(per_port)
                     per_port.clear()
                     forwarded = 0
                 S.busy_until = busy
@@ -1016,7 +935,7 @@ def run_burst(in_port, frames, SIM=SIM, S=S, T0=T0, PORTS=PORTS, DROPS=DROPS,
                 # A patch instead (content only) flushed the key cache:
                 # the code still fits, the next frame reclassifies.
                 continue
-            specialized += 1
+            chained += 1
             _, touches, tail, cost, _mortals = dec
             steps, miss_table = tail
             for table, entry in touches:
@@ -1028,7 +947,7 @@ def run_burst(in_port, frames, SIM=SIM, S=S, T0=T0, PORTS=PORTS, DROPS=DROPS,
             outs, chain_drops = chain_steps(steps, frame)
             if miss_table is not None:
                 miss_table.lookups += 1
-                missed += 1
+                DROPS["table-miss"] += 1
             elif not outs and not chain_drops:
                 unacted += 1
             start = busy if busy > now else now
@@ -1036,7 +955,7 @@ def run_burst(in_port, frames, SIM=SIM, S=S, T0=T0, PORTS=PORTS, DROPS=DROPS,
             if outs:
                 if busy <= now:
                     for out_port, out_frame in outs:
-                        chain = per_port_get(out_port)
+                        chain = per_port.get(out_port)
                         if chain is None:
                             per_port[out_port] = [out_frame]
                         else:
@@ -1045,11 +964,8 @@ def run_burst(in_port, frames, SIM=SIM, S=S, T0=T0, PORTS=PORTS, DROPS=DROPS,
                 else:
                     SCHED(busy, EMIT, outs, ())
             continue
-        specialized += 1
-        t0_lookups += 1
         if kind == 0:
             _, entry, port, cost, _mortals = dec
-            t0_matches += 1
             entry.packet_count += 1
             entry.byte_count += length
             entry.last_used_at = now
@@ -1057,7 +973,7 @@ def run_burst(in_port, frames, SIM=SIM, S=S, T0=T0, PORTS=PORTS, DROPS=DROPS,
             busy = start + cost
             if port in PORTS:
                 if busy <= now:
-                    chain = per_port_get(port)
+                    chain = per_port.get(port)
                     if chain is None:
                         per_port[port] = [frame]
                     else:
@@ -1074,7 +990,6 @@ def run_burst(in_port, frames, SIM=SIM, S=S, T0=T0, PORTS=PORTS, DROPS=DROPS,
         elif kind == 2:
             _, entry, _payload, cost, _mortals = dec
             unacted += 1
-            t0_matches += 1
             entry.packet_count += 1
             entry.byte_count += length
             entry.last_used_at = now
@@ -1082,7 +997,6 @@ def run_burst(in_port, frames, SIM=SIM, S=S, T0=T0, PORTS=PORTS, DROPS=DROPS,
             busy = start + cost
         else:
             _, entry, steps, cost, _mortals = dec
-            t0_matches += 1
             entry.packet_count += 1
             entry.byte_count += length
             entry.last_used_at = now
@@ -1101,7 +1015,7 @@ def run_burst(in_port, frames, SIM=SIM, S=S, T0=T0, PORTS=PORTS, DROPS=DROPS,
             if outs:
                 if busy <= now:
                     for out_port, out_frame in outs:
-                        chain = per_port_get(out_port)
+                        chain = per_port.get(out_port)
                         if chain is None:
                             per_port[out_port] = [out_frame]
                         else:
@@ -1110,8 +1024,13 @@ def run_burst(in_port, frames, SIM=SIM, S=S, T0=T0, PORTS=PORTS, DROPS=DROPS,
                 else:
                     SCHED(busy, EMIT, outs, ())
     S.busy_until = busy
+    # Every frame taken but those handed over was served compiled, and
+    # each not on a CHAIN plan was one table-0 lookup: a match unless
+    # it missed.
+    specialized = index - fell
+    t0_lookups = specialized - chained
     T0.lookups += t0_lookups
-    T0.matches += t0_matches
+    T0.matches += t0_lookups - missed
     if missed:
         DROPS["table-miss"] += missed
     if unported:
@@ -1121,8 +1040,7 @@ def run_burst(in_port, frames, SIM=SIM, S=S, T0=T0, PORTS=PORTS, DROPS=DROPS,
     S.specialized_frames += specialized
     if forwarded:
         S.packets_forwarded += forwarded
-        for port_number, port_frames in per_port.items():
-            PORT(port_number).send_burst(port_frames)
+        send_chains(per_port)
     if rest:
         S.process_batch(in_port, rest)
 '''

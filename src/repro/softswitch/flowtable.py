@@ -94,18 +94,13 @@ class Subtable:
     """
 
     __slots__ = (
-        "mask_set", "buckets", "max_priority", "_priority_counts", "seq", "hit_cell",
+        "mask_set", "buckets", "max_priority", "_priority_counts", "seq",
     )
 
     def __init__(self, mask_set: "tuple[tuple[int, int], ...]", seq: int) -> None:
         self.mask_set = mask_set
         self.buckets: "dict[tuple[int, ...], list[FlowEntry]]" = {}
         self.max_priority = -1
-        #: Single-element profile counter: how often this subtable won a
-        #: lookup.  A shared mutable cell (not a plain int) so compiled
-        #: programs can bump the same counter the interpreter does; the
-        #: datapath compiler orders its probe blocks by these counts.
-        self.hit_cell = [0]
         self._priority_counts: dict[int, int] = {}
         #: Creation sequence — tie-breaks the staged sort so equal
         #: max-priority subtables keep a deterministic probe order.
@@ -180,8 +175,6 @@ class FlowTable:
         self._exact: dict[tuple[str, ...], dict[tuple[int, ...], list[FlowEntry]]] = {}
         #: field-set -> flow-key slots probed for that bucket group
         self._exact_slots: dict[tuple[str, ...], tuple[int, ...]] = {}
-        #: field-set -> single-element profile counter (see Subtable.hit_cell)
-        self._exact_hit_cells: dict[tuple[str, ...], list[int]] = {}
         #: mask-set fingerprint -> staged subtable of masked entries
         self._subtables: "dict[tuple[tuple[int, int], ...], Subtable]" = {}
         #: subtables sorted by (-max_priority, seq); resorted lazily
@@ -262,7 +255,6 @@ class FlowTable:
         if buckets is None:
             buckets = self._exact[names] = {}
             self._exact_slots[names] = tuple(FIELD_INDEX[name] for name in names)
-            self._exact_hit_cells[names] = [0]
         chain = buckets.get(values)
         if chain is None:
             buckets[values] = [entry]
@@ -290,7 +282,6 @@ class FlowTable:
             if not buckets:
                 del self._exact[names]
                 del self._exact_slots[names]
-                del self._exact_hit_cells[names]
 
     # ------------------------------------------------------------- lookup
 
@@ -306,7 +297,6 @@ class FlowTable:
         self, key: "tuple[int | None, ...]", now: float
     ) -> Optional[FlowEntry]:
         best: "FlowEntry | None" = None
-        best_cell: "list[int] | None" = None
         for names, buckets in self._exact.items():
             slots = self._exact_slots[names]
             chain = buckets.get(tuple(key[slot] for slot in slots))
@@ -317,7 +307,6 @@ class FlowTable:
                     continue
                 if best is None or entry.sort_key < best.sort_key:
                     best = entry
-                    best_cell = self._exact_hit_cells[names]
                 break  # chain is sorted: first live one is its best
         for subtable in self._staged_in_order():
             if best is not None and -subtable.max_priority > best.sort_key[0]:
@@ -325,9 +314,6 @@ class FlowTable:
             entry = subtable.probe(key, now)
             if entry is not None and (best is None or entry.sort_key < best.sort_key):
                 best = entry
-                best_cell = subtable.hit_cell
-        if best_cell is not None:
-            best_cell[0] += 1
         return best
 
     def _staged_in_order(self) -> "list[Subtable]":
@@ -366,57 +352,35 @@ class FlowTable:
 
     def exact_probe_groups(
         self,
-    ) -> "list[tuple[tuple[int, ...], dict[tuple[int, ...], list[FlowEntry]], int, list[int]]]":
-        """(probe slots, value buckets, max priority, hit cell) per exact field-set.
+    ) -> "list[tuple[tuple[int, ...], dict[tuple[int, ...], list[FlowEntry]], int]]":
+        """(probe slots, value buckets, max priority) per exact field-set.
 
         The returned buckets are the live index structures — the
         compiler binds a specialized program's probes to them, and the
         program stays valid for as long as every install lands in a
         group it probes (a re-created group is rebound through
-        :meth:`probe_group`); the datapath discards it otherwise.  The
-        hit cell is the shared profile counter both tiers bump when the
-        field-set wins.
+        :meth:`probe_group`); the datapath discards it otherwise.
         """
         groups = []
         for names, buckets in self._exact.items():
             max_priority = max(
                 chain[0].priority for chain in buckets.values()
             )
-            groups.append(
-                (self._exact_slots[names], buckets, max_priority,
-                 self._exact_hit_cells[names])
-            )
+            groups.append((self._exact_slots[names], buckets, max_priority))
         return groups
 
     def probe_group(self, match: Match) -> tuple:
-        """(tier, shape, value buckets, hit cell) of the table-0 probe
-        group an installed entry with *match* is indexed under — the
-        same four things the compiler bakes per probe, so a kept
-        program can rebind a probe whose group emptied and was
-        re-created (new dict, new cell) since it was generated."""
+        """(tier, shape, value buckets) of the table-0 probe group an
+        installed entry with *match* is indexed under — the same three
+        things the compiler bakes per probe, so a kept program can
+        rebind a probe whose group emptied and was re-created (a new
+        dict) since it was generated."""
         exact = match.exact_key()
         if exact is None:
             subtable = self._subtables[match.mask_key()[0]]
-            return "masked", subtable.mask_set, subtable.buckets, subtable.hit_cell
+            return "masked", subtable.mask_set, subtable.buckets
         names = exact[0]
-        return (
-            "exact", self._exact_slots[names], self._exact[names],
-            self._exact_hit_cells[names],
-        )
-
-    def profile_hits(self) -> "dict[tuple, int]":
-        """Observed win counts per probe shape (test/bench introspection).
-
-        Keys are ``("exact", field names)`` and ``("masked", mask set)``;
-        values are how often a lookup was won by that shape since the
-        shape was first installed.
-        """
-        hits: "dict[tuple, int]" = {}
-        for names, cell in self._exact_hit_cells.items():
-            hits[("exact", names)] = cell[0]
-        for mask_set, subtable in self._subtables.items():
-            hits[("masked", mask_set)] = subtable.hit_cell[0]
-        return hits
+        return "exact", self._exact_slots[names], self._exact[names]
 
     def subtables_in_order(self) -> "list[Subtable]":
         """Staged subtables in probe order (live objects, read-only)."""

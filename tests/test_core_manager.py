@@ -6,7 +6,7 @@ import pytest
 
 from repro.apps import LearningSwitchApp
 from repro.controller import Controller
-from repro.core import HarmlessError, HarmlessManager
+from repro.core import HarmlessError, HarmlessManager, HarmlessS4
 from repro.core.verify import ZERO_COST
 from repro.fabric import leaf_spine_fabric
 from repro.legacy import LegacySwitch, PortMode
@@ -137,6 +137,32 @@ class TestMigrationErrors:
         sim, legacy, _, driver, _, manager = build_site(num_hosts=0)
         with pytest.raises(HarmlessError, match="no access ports"):
             manager.migrate(legacy, driver, trunk_port=8)
+
+
+class TestBringUpFailures:
+    """Every failed bring-up rolls the legacy switch back; only the
+    failures it expects (SNMP, config session, wiring) are reported as
+    a HarmlessError, a bug surfaces as itself."""
+
+    def test_bug_in_install_translator_surfaces_after_rollback(self, monkeypatch):
+        sim, legacy, (h1, h2, _), driver, _, manager = build_site()
+        before = legacy.config.copy()
+
+        def buggy(self, port_map):
+            raise TypeError("translator bug")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(HarmlessS4, "install_translator", buggy)
+            with pytest.raises(TypeError, match="translator bug"):
+                manager.migrate(legacy, driver, trunk_port=8)
+        assert legacy.config == before
+        assert legacy.port(8).link is None  # the trunk was unwired too
+        assert manager.deployments == []
+        manager.migrate(legacy, driver, trunk_port=8)  # the retry goes through
+        sim.run(until=0.05)
+        h1.ping(h2.ip)
+        sim.run(until=1.0)
+        assert len(h1.rtts()) == 1
 
 
 class TestMultiVendor:

@@ -25,6 +25,7 @@ from repro.net.addresses import BROADCAST_MAC
 from repro.net.ethernet import ETHERTYPE_IPV4
 from repro.netsim import Capture, Simulator
 from repro.snmp import PduType, SnmpErrorStatus
+from repro.snmp.client import SnmpTimeout
 from repro.softswitch import DatapathCostModel
 from repro.traffic import (
     BurstSource,
@@ -189,11 +190,11 @@ def test_fleet_plan_mirrors_fabric():
 def test_fleet_failed_wave_rolls_back_and_is_retryable():
     fabric = leaf_spine_fabric(edges=2, spines=1, hosts_per_edge=1)
     fleet = HarmlessFleet(fabric, wave_size=2)
-    # Sabotage the second site of wave 1: its config commit fails after
-    # the first site has already fully migrated.
+    # Sabotage the second site of wave 1: its config commit times out
+    # after the first site has already fully migrated.
     saboteur = fabric.site("edge2").driver
     original_commit = saboteur.commit_config
-    saboteur.commit_config = lambda: (_ for _ in ()).throw(RuntimeError("boom"))
+    saboteur.commit_config = lambda: (_ for _ in ()).throw(SnmpTimeout("boom"))
     with pytest.raises(HarmlessError, match="rolled back"):
         fleet.migrate_next_wave()
     # The partial progress was unwound: no deployments recorded, the
@@ -207,6 +208,34 @@ def test_fleet_failed_wave_rolls_back_and_is_retryable():
     assert fleet.verify_reachability().ok
     # Fixing the fault lets the same wave run to completion.
     saboteur.commit_config = original_commit
+    fleet.migrate_all(verify=True, strict=True)
+    assert sorted(fleet.deployments) == sorted(fabric.sites)
+
+
+def test_fleet_bug_mid_wave_surfaces_as_itself_after_the_unwind():
+    """Only the failures a bring-up expects become a HarmlessError; a
+    bug in one (here a TypeError from SS_2's controller hookup) unwinds
+    the wave exactly the same way and then surfaces unwrapped."""
+    fabric = leaf_spine_fabric(edges=2, spines=1, hosts_per_edge=1)
+    fleet = HarmlessFleet(fabric, wave_size=2)
+    connect = fleet.controller.connect
+    calls = []
+
+    def buggy(switch, **kwargs):
+        calls.append(switch.name)
+        if len(calls) == 2:
+            raise TypeError("bug in the second site's bring-up")
+        return connect(switch, **kwargs)
+
+    fleet.controller.connect = buggy
+    with pytest.raises(TypeError, match="bug in the second"):
+        fleet.migrate_next_wave()
+    assert fleet.deployments == {} and fleet.manager.deployments == []
+    for name in ("edge1", "edge2"):
+        site = fabric.site(name)
+        assert site.switch.port(site.trunk_port).link is None
+    assert fleet.verify_reachability().ok
+    fleet.controller.connect = connect
     fleet.migrate_all(verify=True, strict=True)
     assert sorted(fleet.deployments) == sorted(fabric.sites)
 

@@ -185,3 +185,80 @@ class TestHostFiltering:
         h1.port0.send(wrong_ip)
         sim.run(until=0.1)
         assert h2.udp_received == []
+
+
+class TestDropReasons:
+    """Every way a frame dies in the host stack, walked with a crafted
+    frame: each bumps exactly its reason, and ``rx_unhandled`` stays
+    the sum of the receive-side ones."""
+
+    @staticmethod
+    def walk(sim, hosts, act, reason, count=1):
+        def ledger():
+            return {
+                (host.name, name): value
+                for host in hosts for name, value in host.drops.items() if value
+            }
+
+        before = ledger()
+        act()
+        sim.run()
+        after = ledger()
+        moved = {key: after[key] - before.get(key, 0) for key in after
+                 if after[key] != before.get(key, 0)}
+        assert moved == {reason: count}
+
+    def test_every_drop_site_counts_its_reason(self):
+        from repro.net import EthernetFrame
+        from repro.net.build import tcp_frame, udp_frame
+        from repro.net.ethernet import ETHERTYPE_IPV4
+        from repro.net.ipv4 import IPv4Packet
+        from repro.net.tcp import TcpSegment
+
+        sim, hosts = make_hosts()
+        sender, receiver = hosts
+        Link(sender.port0, receiver.port0)
+        sender.ping(receiver.ip)  # both learn the other: the walks send no ARP
+        sim.run()
+        src, dst = sender.mac, receiver.mac
+        src_ip, dst_ip = sender.ip, receiver.ip
+        stranger = MACAddress("02:00:00:00:99:99")
+        gre = IPv4Packet(src=src_ip, dst=dst_ip, protocol=47, payload=b"gre")
+        sites = [
+            (udp_frame(src, dst, src_ip, dst_ip, 1, 2, b"x", vlan_id=101), "tagged"),
+            (udp_frame(src, stranger, src_ip, dst_ip, 1, 2, b"x"), "not-for-me:mac"),
+            (EthernetFrame(dst=dst, src=src, ethertype=0x88B5, payload=b"\x00" * 46),
+             "unknown-ethertype"),
+            (EthernetFrame(dst=dst, src=src, ethertype=ETHERTYPE_IPV4, payload=b"\x45\x00"),
+             "malformed"),
+            (udp_frame(src, dst, src_ip, IPv4Address("10.0.0.50"), 1, 2, b"x"),
+             "not-for-me:ip"),
+            (EthernetFrame(dst=dst, src=src, ethertype=ETHERTYPE_IPV4, payload=gre.to_bytes()),
+             "unknown-ip-protocol"),
+            (tcp_frame(src, dst, src_ip, dst_ip, TcpSegment(5000, 6000)), "tcp-no-connection"),
+        ]
+        for frame, reason in sites:
+            self.walk(sim, hosts, lambda: sender.port0.send(frame), (receiver.name, reason))
+        assert receiver.rx_unhandled == len(sites) and sender.rx_unhandled == 0
+
+        def park_two():
+            sender.send_udp(IPv4Address("10.0.0.99"), 9, b"a")
+            sender.send_udp(IPv4Address("10.0.0.99"), 9, b"b")
+
+        self.walk(sim, hosts, park_two, (sender.name, "arp-timeout"), count=2)
+        assert sender.rx_unhandled == 0  # not a receive-side reason
+
+    def test_arp_timeout_is_one_bound_method_event(self):
+        sim, (sender, receiver) = make_hosts()
+        Link(sender.port0, receiver.port0)
+        scheduled = []
+
+        def recording(delay, callback, *args, schedule=sim.schedule):
+            scheduled.append((callback, args))
+            return schedule(delay, callback, *args)
+
+        sim.schedule = recording
+        sender.send_udp(IPv4Address("10.0.0.99"), 9, b"a")
+        sender.send_udp(IPv4Address("10.0.0.99"), 9, b"b")  # parks behind the first
+        assert scheduled == [(sender._arp_timeout, (IPv4Address("10.0.0.99"),))]
+        assert scheduled[0][0].__self__ is sender

@@ -1,14 +1,14 @@
 """Property test: table-0 probe order never changes a lookup result.
 
-The compiler orders its generated probe blocks by profile hits (the
-default), by priority alone, or — as a test hook — by a seeded
-shuffle.  Ordering is only a performance lever: each probe block's
+The compiler orders its generated probe blocks by descending max
+priority, or — as a test hook — by a seeded shuffle.  Ordering is
+only a performance lever: each probe block's
 guard skips work solely when the running best already beats the
 probe's *maximum* priority, and the winner is the global minimum of a
 total order ``(-priority, installed_at, seq)``, so every permutation
 must select the same entry for every packet.  This suite compiles the
-same randomized rule sets under all three orderings (several shuffle
-seeds) and asserts decision-for-decision equality across ≥1000
+same randomized rule sets under the priority order and several
+shuffle seeds and asserts decision-for-decision equality across ≥1000
 randomized lookups, including mortal entries probed at times before
 and after their expiry.
 """
@@ -26,8 +26,8 @@ from test_specialized_differential import (
 from repro.openflow import FlowMod
 from repro.softswitch import DatapathCostModel, compile_datapath
 
-#: Orderings compared against the "priority" baseline.
-ORDERS = ("profile", 0, 1, 17, 0xC0FFEE)
+#: Shuffle seeds compared against the priority-ordered baseline.
+ORDERS = (0, 1, 17, 0xC0FFEE)
 
 
 def build_random_switch(rng: random.Random):
@@ -56,11 +56,11 @@ def test_probe_order_invariance():
     while cases < 1000:
         rulesets += 1
         _, switch = build_random_switch(rng)
-        # Warm the profile counters through interpreted traffic so the
-        # "profile" ordering actually differs from "priority".
+        # Traffic first: counters and expiry clocks move, the order
+        # must not care.
         for _ in range(8):
             switch.inject(random_frame(rng), rng.randint(1, 3))
-        base = compile_datapath(switch, probe_order="priority")
+        base = compile_datapath(switch)
         assert base is not None
         variants = []
         for order in ORDERS:

@@ -22,6 +22,7 @@ Covers the three contracts the specialized tier 0 lives by:
 
 import gc
 import random
+import re
 
 from repro.apps import LearningSwitchApp
 from repro.controller import Controller
@@ -472,13 +473,24 @@ class TestInvalidationAndRegenerate:
         assert "table 0 priority 7" in reason
         assert "flood" in reason
 
-    def test_interpreted_hits_feed_profile_cells(self):
+    def test_probes_run_in_descending_max_priority_order(self):
+        """The one probe order, whatever traffic the table has seen:
+        here every lookup was won by the lowest-priority probe."""
         _, switch, _ = build_switch(enable_specialization=False)
-        install(switch, match=Match(eth_dst=int(MACS[1])), instructions=output(2))
-        for port in (2000, 2001, 2002):
-            switch.inject(frame_ab(dst_port=port), 1)
-        hits = switch.tables[0].profile_hits()
-        assert hits[("exact", ("eth_dst",))] == 3
+        install(switch, match=Match(in_port=2), priority=3, instructions=output(2))
+        install(
+            switch,
+            match=Match(eth_type=0x0800, ipv4_dst=("10.0.1.0", "255.255.255.0")),
+            priority=5,
+            instructions=output(3),
+        )
+        install(switch, match=Match(eth_dst=int(MACS[1])), priority=9,
+                instructions=output(2))
+        for _ in range(5):
+            switch.inject(udp_frame(MACS[0], MACS[2], IPS[0], IPS[1], 1, 2, b"x"), 2)
+        assert switch.tables[0].matches == 5
+        source = compile_datapath(switch).source
+        assert [-int(bound) for bound in re.findall(r"ek0 >= (-?\d+)", source)] == [9, 5, 3]
 
     def test_probe_order_is_behaviour_preserving(self):
         rng = random.Random(0xBEEF)
@@ -494,8 +506,8 @@ class TestInvalidationAndRegenerate:
         )
         install(switch, match=Match(in_port=2), priority=3, instructions=output(2))
         install(switch, match=Match(), priority=0, instructions=[])
-        base = compile_datapath(switch, probe_order="priority")
-        for order in ("profile", 0, 1, 7):
+        base = compile_datapath(switch)
+        for order in (0, 1, 7):
             variant = compile_datapath(switch, probe_order=order)
             assert variant.probe_order == order
             for _ in range(50):
@@ -603,24 +615,25 @@ class TestPatchingInPlace:
         install(switch, table_id=1, match=Match(in_port=3), instructions=output(2))
         assert switch.program is program and switch.program_patches == 1
 
-    def test_emptied_field_set_recreated_rebinds_probe_and_profile(self):
+    def test_emptied_field_set_recreated_rebinds_probe(self):
         """The add/delete-strict churn `bench_specialized` runs: the
         only entry of a field-set goes, the table drops the emptied
-        group, the next add builds a new one (new bucket dict, new hit
-        cell).  The kept program must probe the new dict and credit the
-        new cell."""
+        group, the next add builds a new one (a new bucket dict).  The
+        kept program must probe the new dict."""
         sim, switch, sinks = self._live()
         program = switch.program
         table = switch.tables[0]
         delete(switch, strict=True, match=Match(in_port=1), priority=9)
-        assert ("exact", ("in_port",)) not in table.profile_hits()
+        assert table.used_slots() == frozenset()  # the in_port group is gone
         switch.inject(frame_ab(), 1)  # probes the detached, empty dict: miss
         install(switch, match=Match(in_port=1), priority=7, instructions=output(3))
         assert switch.program is program
+        _, _, buckets = table.probe_group(Match(in_port=1))
+        assert program.run_burst.__globals__["P0_get"].__self__ is buckets
         switch.inject(frame_ab(), 1)
         sim.run()
         assert len(sinks[2].received) == 1
-        assert table.profile_hits()[("exact", ("in_port",))] == 1
+        assert [entry.packet_count for entry in table if entry.priority == 7] == [1]
         assert switch.specialized_frames == 3 and switch.program_compiles == 1
 
     def test_ineligible_reason_follows_the_tables_through_patches(self):
@@ -835,17 +848,76 @@ class TestColdStartWorkBudget:
 
         drive()
         assert len(seen) == 1 and a.program.source == b.program.source
-        assert a.program.run_one.__code__ is b.program.run_one.__code__
-        assert a.program.run_one.__globals__ is not b.program.run_one.__globals__
-        binding_b = b.program.run_one.__globals__["P0_get"]
+        assert a.program.run_burst.__code__ is b.program.run_burst.__code__
+        assert a.program.run_burst.__globals__ is not b.program.run_burst.__globals__
+        binding_b = b.program.run_burst.__globals__["P0_get"]
         for linear in (False, True):  # empty a's in_port field-set, re-create it
             switch = rigs["a", linear][1]
             delete(switch, strict=True, match=Match(in_port=1), priority=9)
             install(switch, match=Match(in_port=1), priority=6, instructions=output(3))
         drive()
         assert (a.program_compiles, a.program_patches, len(seen)) == (1, 2, 1)
-        assert b.program.run_one.__globals__["P0_get"] is binding_b
+        assert b.program.run_burst.__globals__["P0_get"] is binding_b
         assert a.fallback_frames == b.fallback_frames == 0
+
+
+class TestOneFramePath:
+    """``process_batch`` is the one definition of frame handling: each
+    entry point reaches the compiled program through one ``run_burst``
+    call (a single frame is a burst of one), the generated module holds
+    one executor, and its source is a function of the pipeline's shape
+    alone — not of the traffic the switch has seen."""
+
+    @staticmethod
+    def compiled_switch():
+        sim, switch, sinks = build_switch()
+        install(switch, match=Match(in_port=2), priority=3, instructions=output(1))
+        install(switch, match=Match(eth_dst=int(MACS[1])), priority=9,
+                instructions=output(2))
+        install(switch, match=Match(), priority=0, instructions=[])
+        switch.inject(frame_ab(), 1)
+        assert switch.program is not None
+        return sim, switch, sinks
+
+    def test_every_entry_point_is_one_run_burst_call(self):
+        sim, switch, sinks = self.compiled_switch()
+        program = switch.program
+        calls = []
+
+        def counting(in_port, frames, run_burst=program.run_burst):
+            calls.append((in_port, len(frames)))
+            return run_burst(in_port, frames)
+
+        program.run_burst = counting
+        port = switch.port(1)
+        switch.receive(port, frame_ab())
+        switch.receive_burst(port, [(sim.now, frame_ab()), (sim.now, frame_ab())])
+        switch.inject(frame_ab(), 1)
+        switch.process_batch(1, [frame_ab(), frame_ab(), frame_ab()])
+        sim.run()
+        assert calls == [(1, 1), (1, 2), (1, 1), (1, 3)]
+        assert switch.specialized_frames == 8 and switch.fallback_frames == 0
+        assert len(sinks[1].received) == 8
+
+    def test_generated_module_defines_one_executor(self):
+        _, switch, _ = self.compiled_switch()
+        defs = re.findall(r"^def (\w+)", switch.program.source, re.MULTILINE)
+        assert [name for name in defs if name.startswith("run")] == ["run_burst"]
+        assert not hasattr(switch.program, "run_one")
+
+    def test_source_depends_on_the_shape_not_the_traffic(self):
+        sources = []
+        for hits in (0, 50):
+            _, switch, _ = self.compiled_switch()
+            for index in range(hits):  # 50 flows, won by the lowest-priority probe
+                dst = MACAddress(0x02000000AA00 + index)
+                switch.inject(udp_frame(MACS[0], dst, IPS[0], IPS[1], 1, 2, b"x"), 2)
+            assert switch.tables[0].matches == 1 + hits
+            switch.cost_model = ZERO_COST  # discards; the next frame regenerates
+            switch.inject(frame_ab(), 1)
+            assert switch.program_compiles == 2
+            sources.append(switch.program.source)
+        assert sources[0] == sources[1]
 
 
 class TestDetourWorkBudget:

@@ -943,6 +943,12 @@ def _entry_ids(switch) -> set:
     return {id(entry) for table in switch.tables for entry in table}
 
 
+def _probe_shape(match) -> tuple:
+    """The table-0 probe group (field-set or mask-set) *match* indexes under."""
+    exact = match.exact_key()
+    return ("exact", exact[0]) if exact is not None else ("masked", match.mask_key()[0])
+
+
 class IncrementalRig:
     """One of the three switches plus what the harness watches on it."""
 
@@ -1013,12 +1019,12 @@ class IncrementalRig:
                 and entry.instructions != list(message.instructions)
                 for entry in table
             )
-            exact = message.match.exact_key()
-            shape = (
-                ("exact", exact[0]) if exact is not None
-                else ("masked", message.match.mask_key()[0])
-            )
-            recreated = message.table_id == 0 and shape not in table.profile_hits()
+            # No installed entry of the add's field-set / mask-set: the
+            # table builds the group anew, and a kept program must
+            # rebind its probe to the new bucket dict.
+            recreated = message.table_id == 0 and _probe_shape(message.match) not in {
+                _probe_shape(entry.match) for entry in table
+            }
         replies = switch.handle_message(message.to_bytes())
         after_ids = _entry_ids(switch)
         removed, added = before_ids - after_ids, after_ids - before_ids
@@ -1312,41 +1318,46 @@ class TestSpecializedDifferential:
         assert_identical(spec_rig, interp_rig)
 
     def test_compiled_burst_equals_compiled_sequential(self):
-        """run_burst vs run_one on the *same* compiled engine: a burst
-        through the specialized tier must match the same frames pushed
-        one at a time through it, across churn-driven recompiles."""
+        """A burst through the compiled tier must match the same frames
+        pushed one at a time through it — both arms reach the one
+        executor, ``run_burst``, a frame being a burst of one — and the
+        ``linear_lookup`` interpreter fed frame by frame, the fixed
+        oracle, across churn-driven recompiles."""
         rng = random.Random(0xB0B5)
         burst_rig = build_rig(ZERO_COST, specialize=True)
         seq_rig = build_rig(ZERO_COST, specialize=True)
-        sim_a, burst_switch, _, _ = burst_rig
-        sim_b, seq_switch, _, _ = seq_rig
+        linear_rig = build_rig(ZERO_COST, specialize=False, fast_path=False)
+        rigs = (burst_rig, seq_rig, linear_rig)
+        burst_switch, seq_switch, linear_switch = (rig[1] for rig in rigs)
         pool = [random_frame(rng) for _ in range(16)]
         clock = 0.0
         for _ in range(200):
             clock += rng.random() * 0.05
-            sim_a.run(until=clock)
-            sim_b.run(until=clock)
+            for rig in rigs:
+                rig[0].run(until=clock)
             if rng.random() < 0.2:
                 message = FlowMod(
                     match=random_match(rng),
                     priority=rng.randint(0, 30),
                     instructions=compilable_instructions(rng),
                 ).to_bytes()
-                assert burst_switch.handle_message(message) == (
-                    seq_switch.handle_message(message)
-                )
+                replies = [rig[1].handle_message(message) for rig in rigs]
+                assert replies[0] == replies[1] == replies[2]
             size = rng.choice((2, 3, 4, 6, 8, 12))
             frames = [pool[rng.randrange(len(pool))] for _ in range(size)]
             in_port = rng.randint(1, 3)
             burst_switch.process_batch(in_port, list(frames))
             for frame in frames:
                 seq_switch.inject(frame, in_port)
-        sim_a.run()
-        sim_b.run()
+                linear_switch.inject(frame, in_port)
+        for rig in rigs:
+            rig[0].run()
         # Both engines actually ran compiled (pipeline stays compilable).
         assert burst_switch.specialized_frames > 500
         assert seq_switch.specialized_frames == burst_switch.specialized_frames
+        assert linear_switch.program is None
         assert_identical(burst_rig, seq_rig)
+        assert_identical(burst_rig, linear_rig)
 
     def test_incremental_family(self):
         """≥1000 bursts, three-way: the program patched in place by

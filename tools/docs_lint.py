@@ -19,12 +19,21 @@ the README or ``check_regression.py``'s docstring must exist under
 ``benchmarks/``, so deleting a bench cannot leave a step or a refresh recipe
 pointing at nothing.
 
+And names: a backticked ``Class.attr`` (or ``Class.method()``) in
+``docs/architecture.md`` or the README whose ``Class`` is a class of the
+``repro`` package must name an attribute that class has — on the class,
+as a dataclass field, or assigned as ``self.attr`` in its source or a
+``repro`` base's — so deleting a method cannot leave the prose naming it.
+
 Run from the repository root (CI does)::
 
     python tools/docs_lint.py
 """
 
+import importlib
+import inspect
 import pathlib
+import pkgutil
 import re
 import sys
 
@@ -157,6 +166,50 @@ def check_bench_references() -> "list[str]":
     return problems
 
 
+#: Docs whose ``Class.attr`` names must exist.
+ATTRIBUTE_DOCS = ("docs/architecture.md", "README.md")
+#: A backticked ``Class.attr`` or ``Class.method()``.
+CLASS_ATTR_RE = re.compile(r"`([A-Z]\w*)\.([A-Za-z_]\w*)(?:\(\))?`")
+
+
+def repro_classes() -> "dict[str, list[type]]":
+    """Every class the ``repro`` package defines, by name."""
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    import repro
+
+    classes: "dict[str, list[type]]" = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(info.name)
+        for value in vars(module).values():
+            if isinstance(value, type) and value.__module__ == info.name:
+                classes.setdefault(value.__name__, []).append(value)
+    return classes
+
+
+def has_attribute(cls: type, attr: str) -> bool:
+    if hasattr(cls, attr) or attr in getattr(cls, "__dataclass_fields__", {}):
+        return True
+    assigned = re.compile(rf"\bself\.{attr}\s*(?::[^=\n]+)?=(?!=)")
+    return any(
+        assigned.search(inspect.getsource(klass))
+        for klass in cls.__mro__
+        if klass.__module__.startswith("repro.")
+    )
+
+
+def check_class_attributes() -> "list[str]":
+    """Every backticked ``Class.attr`` of a ``repro`` class must exist."""
+    classes = repro_classes()
+    problems = []
+    for name in ATTRIBUTE_DOCS:
+        path = REPO_ROOT / name
+        for owner, attr in sorted(set(CLASS_ATTR_RE.findall(path.read_text(encoding="utf-8")))):
+            candidates = classes.get(owner)
+            if candidates and not any(has_attribute(cls, attr) for cls in candidates):
+                problems.append(f"{name}: `{owner}.{attr}` names no attribute of {owner}")
+    return problems
+
+
 def main() -> int:
     files = list(iter_markdown_files())
     problems = []
@@ -167,13 +220,15 @@ def main() -> int:
         problems.extend(check_repo_layout(readme))
         problems.extend(check_readme_counts(readme))
     problems.extend(check_bench_references())
+    problems.extend(check_class_attributes())
     print(f"docs-lint: checked {len(files)} markdown file(s)")
     if problems:
         for problem in problems:
             print(f"  {problem}", file=sys.stderr)
         print(f"FAIL: {len(problems)} problem(s)", file=sys.stderr)
         return 1
-    print("PASS: links and named benches resolve, README counts match the tree")
+    print("PASS: links, named benches and class attributes resolve, "
+          "README counts match the tree")
     return 0
 
 
