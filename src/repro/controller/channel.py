@@ -18,6 +18,7 @@ without the feature.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Callable, Optional
 
 from repro.netsim.simulator import Simulator
@@ -48,8 +49,10 @@ class ControllerChannel:
         #: directions black-hole (TCP would eventually reset; the
         #: simplification is a silently lossy pipe with counters).
         self.up = True
-        self.dropped_to_switch = 0
-        self.dropped_to_controller = 0
+        #: Why messages were lost, reason -> count: ``to-switch:`` or
+        #: ``to-controller:``, then ``channel-down`` (sent while down)
+        #: or ``lost-in-flight`` (down when it would have landed).
+        self.drops: "defaultdict[str, int]" = defaultdict(int)
         #: Packet-in policing state; rate None means the limiter is off
         #: and the packet-in path is untouched.
         self.packetin_rate_pps: "Optional[float]" = None
@@ -58,6 +61,16 @@ class ControllerChannel:
         self._packetin_tokens = 0.0
         self._packetin_refilled_at = 0.0
         switch.to_controller = self._from_switch_async
+
+    @property
+    def dropped_to_switch(self) -> int:
+        """Messages lost on the way to the switch: the ``to-switch:`` reasons."""
+        return sum(n for reason, n in self.drops.items() if reason.startswith("to-switch:"))
+
+    @property
+    def dropped_to_controller(self) -> int:
+        """Messages lost on the way to the controller: the ``to-controller:`` reasons."""
+        return sum(n for reason, n in self.drops.items() if reason.startswith("to-controller:"))
 
     def configure_packetin_limit(
         self, rate_pps: "Optional[float]", burst: int = 32
@@ -98,14 +111,14 @@ class ControllerChannel:
     def send_to_switch(self, raw: bytes) -> None:
         """Controller -> switch; switch replies return automatically."""
         if not self.up:
-            self.dropped_to_switch += 1
+            self.drops["to-switch:channel-down"] += 1
             return
         self.messages_to_switch += 1
         self.sim.schedule(self.latency_s, self._deliver_to_switch, raw)
 
     def _deliver_to_switch(self, raw: bytes) -> None:
         if not self.up:
-            self.dropped_to_switch += 1
+            self.drops["to-switch:lost-in-flight"] += 1
             return
         for response in self.switch.handle_message(raw):
             self._from_switch_async(response)
@@ -113,7 +126,7 @@ class ControllerChannel:
     def _from_switch_async(self, raw: bytes) -> None:
         """Switch -> controller (async messages and replies)."""
         if not self.up:
-            self.dropped_to_controller += 1
+            self.drops["to-controller:channel-down"] += 1
             return
         if (
             self.packetin_rate_pps is not None
@@ -127,7 +140,7 @@ class ControllerChannel:
 
     def _deliver_to_controller(self, raw: bytes) -> None:
         if not self.up:
-            self.dropped_to_controller += 1
+            self.drops["to-controller:lost-in-flight"] += 1
             return
         if self.to_controller_handler is not None:
             self.to_controller_handler(raw)

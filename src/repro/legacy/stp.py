@@ -228,7 +228,7 @@ class SpanningTree:
             return
         self.running = False
         if self._tick_event is not None:
-            self._tick_event.cancel()
+            self.sim.cancel(self._tick_event)
             self._tick_event = None
         for port in self._ports.values():
             self._cancel_transition(port)
@@ -386,10 +386,9 @@ class SpanningTree:
             if was_forwarding:
                 self._topology_changed()
 
-    @staticmethod
-    def _cancel_transition(port: _StpPort) -> None:
+    def _cancel_transition(self, port: _StpPort) -> None:
         for event in port.transition:
-            event.cancel()
+            self.sim.cancel(event)
         port.transition.clear()
 
     # ------------------------------------------------ topology changes

@@ -16,11 +16,10 @@ from repro.netsim.faults import FaultInjector
 from repro.netsim.host import Host, PingResult
 from repro.netsim.link import Link, LinkStats
 from repro.netsim.node import Node, Port
-from repro.netsim.simulator import Event, Simulator
+from repro.netsim.simulator import Simulator
 
 __all__ = [
     "Simulator",
-    "Event",
     "Node",
     "Port",
     "Link",

@@ -1,27 +1,30 @@
 """The event loop: a priority queue of timestamped calls.
 
-A float-seconds clock over a binary heap.  A heap **entry** is the
-tuple ``(time, seq, event)``: ``seq`` is unique, so ``heapq`` settles
+A float-seconds clock over a binary heap whose **entry is the event**:
+the list ``[time, seq, callback, args]`` that ``schedule*`` pushes and
+returns as an opaque handle.  ``seq`` is unique, so ``heapq`` settles
 every comparison on the first two fields, in C, and never reaches the
-:class:`Event` — same-instant events run in schedule order (FIFO ties)
-and callbacks need not be comparable.
+callback — same-instant events run in schedule order (FIFO ties) and
+callbacks need not be comparable.
 
 **Events carry arguments**: ``schedule(delay, callback, *args)`` keeps
-both on the event and the loop runs ``event.callback(*event.args)``, so
-a per-frame scheduler (a link delivery, a switch's forward after its
-lookup delay) hands over a bound method and a frame, not a closure.
-The contract: nothing scheduled may reference its own :class:`Event` —
-that is a reference cycle per event which only the cyclic collector
-frees.  Whoever must find its events again asks the heap
-(:meth:`Simulator.cancel_bound`).  :meth:`Simulator.schedule_many`
-enqueues a whole ``(time, callback)`` send schedule in one call, the
-same as that many :meth:`Simulator.schedule_at` calls.
+both in the entry and the loop runs ``callback(*args)``, so a per-frame
+scheduler (a link delivery, a switch's forward after its lookup delay)
+hands over a bound method and a frame, not a closure.  The contract:
+nothing scheduled may reference its own entry — that is a reference
+cycle per event which only the cyclic collector frees.  Whoever must
+find its events again asks the heap (:meth:`Simulator.cancel_bound`).
+:meth:`Simulator.schedule_many` enqueues a whole ``(time, callback)``
+send schedule in one call, the same as that many
+:meth:`Simulator.schedule_at` calls.
 
-``pending_events`` is the heap's length minus the cancelled entries
-still in it: O(1) for ``run_until_idle`` to poll, nothing maintained
-per event.  An :class:`Event` keeps an ``owner`` back-reference only
-while queued, so that a late ``cancel()`` of an event that already ran
-is not counted as garbage in the heap.
+An entry whose callback slot is None is dead.  :meth:`Simulator.cancel`
+clears the slot of a queued entry and counts it; the run loop clears
+the slot of the entry it pops just before calling, so a late
+``cancel()`` of an event that already ran is a no-op and never counted
+as garbage in the heap.  ``pending_events`` is the heap's length minus
+the cancelled entries still in it: O(1) for ``run_until_idle`` to poll,
+nothing maintained per event.
 
 Cancellation is lazy (the heap skips dead entries when they surface),
 but not unboundedly so: cancel-heavy workloads — ping timers re-armed
@@ -43,35 +46,7 @@ import heapq
 import itertools
 import math
 import sys
-from typing import Callable, Iterable, Optional
-
-
-class Event:
-    """A scheduled call: the handle ``schedule*`` returns.
-
-    Events are never compared; the heap orders their entries.  Slotted:
-    a source may queue its whole send schedule, one event per frame.
-    """
-
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "owner")
-
-    def __init__(self, time, seq, callback, args, owner) -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        #: The simulator while the event sits in its queue, else None.
-        self.owner: Optional["Simulator"] = owner
-
-    def cancel(self) -> None:
-        """Mark the event dead; the loop skips it when popped."""
-        self.cancelled = True
-        owner = self.owner
-        if owner is not None:
-            self.owner = None
-            owner._cancelled += 1
-            owner._maybe_compact()
+from typing import Callable, Iterable
 
 
 class Simulator:
@@ -85,12 +60,13 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._queue: list[tuple[float, int, Event]] = []
+        #: Heap of ``[time, seq, callback, args]`` entries.
+        self._queue: list[list] = []
         self._seq = itertools.count()
         self._now = 0.0
         self._events_processed = 0
         self._running = False
-        #: Cancelled events still sitting in the queue.
+        #: Cancelled entries still sitting in the queue.
         self._cancelled = 0
 
     @property
@@ -100,23 +76,15 @@ class Simulator:
 
     @property
     def events_processed(self) -> int:
+        """Events run so far.  Added up once per :meth:`run`, when it
+        returns: exact whenever ``run()`` is not on the stack, while a
+        callback reads the count as of its run's start."""
         return self._events_processed
 
     @property
     def pending_events(self) -> int:
         """Live (not cancelled) events in the queue."""
         return len(self._queue) - self._cancelled
-
-    def _maybe_compact(self) -> None:
-        """Drop cancelled entries once they outnumber live ones, in
-        place: a callback may trigger this under the run loop, whose
-        local must keep naming the queue."""
-        queue = self._queue
-        if self._cancelled <= 64 or self._cancelled * 2 <= len(queue):
-            return
-        queue[:] = [entry for entry in queue if not entry[2].cancelled]
-        heapq.heapify(queue)
-        self._cancelled = 0
 
     def peek_next_time(self) -> "float | None":
         """Timestamp of the next live event, or None when idle.
@@ -125,29 +93,30 @@ class Simulator:
         lazy deletion the run loop performs).
         """
         queue = self._queue
-        while queue and queue[0][2].cancelled:
+        while queue and queue[0][2] is None:
             heapq.heappop(queue)
             self._cancelled -= 1
         return queue[0][0] if queue else None
 
-    def schedule(self, delay: float, callback: Callable[..., None], *args) -> Event:
+    def schedule(self, delay: float, callback: Callable[..., None], *args) -> list:
         """Schedule ``callback(*args)`` to run *delay* seconds from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback, *args)
+        entry = [self._now + delay, next(self._seq), callback, args]
+        heapq.heappush(self._queue, entry)
+        return entry
 
-    def schedule_at(self, time: float, callback: Callable[..., None], *args) -> Event:
+    def schedule_at(self, time: float, callback: Callable[..., None], *args) -> list:
         """Schedule ``callback(*args)`` at absolute simulated *time*."""
         if time < self._now:
             raise ValueError(f"cannot schedule at {time}, already at {self._now}")
-        seq = next(self._seq)
-        event = Event(time, seq, callback, args, self)
-        heapq.heappush(self._queue, (time, seq, event))
-        return event
+        entry = [time, next(self._seq), callback, args]
+        heapq.heappush(self._queue, entry)
+        return entry
 
     def schedule_many(
         self, items: "Iterable[tuple[float, Callable[[], None]]]"
-    ) -> list[Event]:
+    ) -> list[list]:
         """Schedule many ``(time, callback)`` pairs in one call: the same
         as :meth:`schedule_at` once per pair in iteration order (ties
         keep FIFO order) without one Python call per frame of a send
@@ -156,15 +125,30 @@ class Simulator:
         queue = self._queue
         counter = self._seq
         push = heapq.heappush
-        events = []
+        entries = []
         for time, callback in items:
             if time < now:
                 raise ValueError(f"cannot schedule at {time}, already at {now}")
-            seq = next(counter)
-            event = Event(time, seq, callback, (), self)
-            push(queue, (time, seq, event))
-            events.append(event)
-        return events
+            entry = [time, next(counter), callback, ()]
+            push(queue, entry)
+            entries.append(entry)
+        return entries
+
+    def cancel(self, handle: list) -> None:
+        """Mark a scheduled event dead; the loop skips it when it
+        surfaces.  Cancelling twice, or after the event ran, does
+        nothing."""
+        if handle[2] is None:
+            return
+        handle[2] = None
+        self._cancelled += 1
+        queue = self._queue
+        if self._cancelled > 64 and self._cancelled * 2 > len(queue):
+            # In place: a callback may cancel under the run loop, whose
+            # local must keep naming the queue.
+            queue[:] = [entry for entry in queue if entry[2] is not None]
+            heapq.heapify(queue)
+            self._cancelled = 0
 
     def cancel_bound(self, receiver: object) -> int:
         """Cancel every live event whose callback is a method bound to
@@ -172,11 +156,11 @@ class Simulator:
         want their events back rarely (a link failing) and so keep no
         registry of them."""
         doomed = [
-            event for _, _, event in self._queue
-            if not event.cancelled and getattr(event.callback, "__self__", None) is receiver
+            entry for entry in self._queue
+            if entry[2] is not None and getattr(entry[2], "__self__", None) is receiver
         ]
-        for event in doomed:  # cancel() may compact the queue: not while scanning
-            event.cancel()
+        for entry in doomed:  # cancel() may compact the queue: not while scanning
+            self.cancel(entry)
         return len(doomed)
 
     def run(
@@ -209,19 +193,18 @@ class Simulator:
         self._running = True
         try:
             while queue and processed < limit:
-                time, _, event = queue[0]
-                if event.cancelled:
+                time, _, callback, args = entry = queue[0]
+                if callback is None:
                     pop(queue)
                     self._cancelled -= 1
                     continue
                 if time > horizon:
                     break
                 pop(queue)
-                event.owner = None
+                entry[2] = None  # ran: a late cancel() is a no-op
                 self._now = time
-                event.callback(*event.args)
+                callback(*args)
                 processed += 1
-                self._events_processed += 1
             if until is not None and self._now < until:
                 # Advance the clock to the horizon even if the queue
                 # drained — but not past work a max_events cap left
@@ -231,6 +214,7 @@ class Simulator:
                     self._now = until
         finally:
             self._running = False
+            self._events_processed += processed
         return processed
 
     def run_until_idle(self, max_events: int = 1_000_000) -> int:

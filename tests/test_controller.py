@@ -232,6 +232,53 @@ class TestChannelLossAtDelivery:
         assert replies == []
 
 
+class TestDropReasons:
+    """Every way the channel loses a message says why in
+    ``channel.drops``, one reason per site; ``dropped_to_switch`` and
+    ``dropped_to_controller`` stay the sums of their direction's."""
+
+    @staticmethod
+    def walk(sim, channel, act, reason):
+        before = dict(channel.drops)
+        act()
+        sim.run(until=sim.now + 0.01)
+        channel.set_up()
+        moved = {name: count - before.get(name, 0)
+                 for name, count in channel.drops.items() if count != before.get(name, 0)}
+        assert moved == {reason: 1}
+
+    def test_every_drop_site_counts_its_reason(self):
+        from repro.net.build import udp_frame
+        from repro.openflow import BarrierRequest
+
+        sim, switch, (h1, h2, _), controller, latency = build()
+        controller.add_app(LearningSwitchApp())  # a table miss is a packet-in
+        datapath = controller.connect(switch, latency_s=latency)
+        sim.run(until=0.01)
+        channel, replies = datapath.channel, []
+
+        def barrier(set_down_after=None):
+            def act():
+                if set_down_after is None:
+                    channel.set_down()
+                else:
+                    sim.schedule(set_down_after, channel.set_down)
+                datapath.send_with_reply(BarrierRequest(), replies.append)
+            return act
+
+        def packet_in_while_down():
+            channel.set_down()
+            h1.port0.send(udp_frame(h1.mac, h2.mac, h1.ip, h2.ip, 4000, 53, b"x"))
+
+        self.walk(sim, channel, barrier(), "to-switch:channel-down")
+        self.walk(sim, channel, barrier(latency / 2), "to-switch:lost-in-flight")
+        self.walk(sim, channel, barrier(latency * 1.5), "to-controller:lost-in-flight")
+        self.walk(sim, channel, packet_in_while_down, "to-controller:channel-down")
+        assert replies == []
+        assert len(channel.drops) == 4
+        assert (channel.dropped_to_switch, channel.dropped_to_controller) == (2, 2)
+
+
 class TestMultiSwitch:
     def test_two_switches_one_controller(self):
         sim = Simulator()

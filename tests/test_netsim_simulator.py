@@ -49,8 +49,9 @@ class TestSimulator:
 
     def test_ties_never_compare_the_payload(self):
         """Heap entries order on (time, seq) alone: same-instant events
-        from all three entry points run in schedule order although
-        neither the callbacks nor the events can be compared."""
+        from all three entry points run in schedule order although the
+        callbacks cannot be compared, and comparing two entries settles
+        on ``seq`` before it reaches one."""
 
         class Uncomparable:
             def __init__(self, tag):
@@ -70,8 +71,7 @@ class TestSimulator:
         second = sim.schedule_at(1.0, Uncomparable(1))
         sim.schedule_many([(1.0, Uncomparable(2)), (1.0, Uncomparable(3))])
         sim.schedule(1.0, Uncomparable(4))
-        with pytest.raises(TypeError):
-            first < second
+        assert first < second and not second < first
         sim.run()
         assert order == [0, 1, 2, 3, 4]
 
@@ -116,7 +116,7 @@ class TestSimulator:
         fired = []
         event = sim.schedule(1.0, lambda: fired.append("cancelled"))
         sim.schedule(2.0, lambda: fired.append("kept"))
-        event.cancel()
+        sim.cancel(event)
         sim.run()
         assert fired == ["kept"]
 
@@ -157,7 +157,7 @@ class TestSimulator:
         sim = Simulator()
         event = sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
-        event.cancel()
+        sim.cancel(event)
         assert sim.pending_events == 1
 
     def test_pending_events_is_a_live_counter(self):
@@ -165,8 +165,8 @@ class TestSimulator:
         sim = Simulator()
         events = [sim.schedule(float(i + 1), lambda: None) for i in range(5)]
         assert sim.pending_events == 5
-        events[0].cancel()
-        events[0].cancel()  # double-cancel must not double-decrement
+        sim.cancel(events[0])
+        sim.cancel(events[0])  # double-cancel must not double-decrement
         assert sim.pending_events == 4
         sim.run(until=3.0)  # runs events at t=2 and t=3 (t=1 cancelled)
         assert sim.pending_events == 2
@@ -178,7 +178,7 @@ class TestSimulator:
         event = sim.schedule(1.0, lambda: None)
         sim.run()
         assert sim.pending_events == 0
-        event.cancel()  # already executed and popped
+        sim.cancel(event)  # already executed and popped
         assert sim.pending_events == 0
 
     def test_schedule_many_matches_sequential_semantics(self):
@@ -221,7 +221,7 @@ class TestSimulator:
         events = sim.schedule_many(
             [(1.0, lambda: fired.append(1)), (2.0, lambda: fired.append(2))]
         )
-        events[0].cancel()
+        sim.cancel(events[0])
         sim.run()
         assert fired == [2]
 
@@ -433,7 +433,7 @@ class TestCancellationAccounting:
         sim = Simulator()
         fired = []
         stale = sim.schedule_at(1.0, lambda: fired.append("stale"))
-        stale.cancel()
+        sim.cancel(stale)
         assert sim.pending_events == 0
         sim.schedule_at(1.0, lambda: fired.append("fresh"))
         assert sim.pending_events == 1
@@ -448,7 +448,7 @@ class TestCancellationAccounting:
         fired = []
         event = sim.schedule_at(5.0, lambda: fired.append("boom"))
         for _ in range(1000):
-            event.cancel()
+            sim.cancel(event)
             assert sim.pending_events == 0
             event = sim.schedule_at(5.0, lambda: fired.append("boom"))
             assert sim.pending_events == 1
@@ -459,10 +459,10 @@ class TestCancellationAccounting:
         sim = Simulator()
         keeper = sim.schedule_at(1.0, lambda: None)
         victim = sim.schedule_at(1.0, lambda: None)
-        victim.cancel()
-        victim.cancel()
+        sim.cancel(victim)
+        sim.cancel(victim)
         assert sim.pending_events == 1
-        keeper.cancel()
+        sim.cancel(keeper)
         assert sim.pending_events == 0
 
     def test_compaction_bounds_heap_garbage(self):
@@ -470,7 +470,7 @@ class TestCancellationAccounting:
         # in the heap while pending_events correctly reads ~0.
         sim = Simulator()
         for _ in range(10_000):
-            sim.schedule_at(1.0, lambda: None).cancel()
+            sim.cancel(sim.schedule_at(1.0, lambda: None))
         assert sim.pending_events == 0
         assert len(sim._queue) <= 256
 
@@ -484,7 +484,7 @@ class TestCancellationAccounting:
             sim.schedule_at(time, lambda key=(time, index): order.append(key))
             # Interleave garbage so a compaction definitely triggers.
             for _ in range(10):
-                sim.schedule_at(time, lambda: order.append("dead")).cancel()
+                sim.cancel(sim.schedule_at(time, lambda: order.append("dead")))
         assert len(sim._queue) < 60 * 11  # it did
         assert sim.pending_events == 60
         assert sim.run() == 60
@@ -497,7 +497,7 @@ class TestCancellationAccounting:
         early = sim.schedule_at(1.0, lambda: None)
         sim.schedule_at(2.0, lambda: None)
         assert sim.peek_next_time() == 1.0
-        early.cancel()
+        sim.cancel(early)
         assert sim.peek_next_time() == 2.0
 
     def test_exclusive_horizon_leaves_edge_event_queued(self):
@@ -526,9 +526,7 @@ class TestEventsCarryArguments:
         seen = []
         sim.schedule(1.0, seen.append, "delayed")
         sim.schedule_at(0.5, lambda *args: seen.append(args), 1, 2)
-        event = sim.schedule_at(0.75, seen.append, "never")
-        assert event.args == ("never",)
-        event.cancel()
+        sim.cancel(sim.schedule_at(0.75, seen.append, "never"))
         assert sim.run() == 2
         assert seen == [(1, 2), "delayed"]
         with pytest.raises(ValueError):
@@ -559,7 +557,7 @@ class TestEventsCarryArguments:
         def massacre():
             queue = sim._queue
             for event in doomed:
-                event.cancel()
+                sim.cancel(event)
             assert sim._queue is queue and len(queue) < 200  # compacted, in place
             sim.schedule_at(2.0, order.append, (2.0, 99))
 
@@ -596,7 +594,7 @@ class TestEventsCarryArguments:
             sim.schedule_at(1.0, other.take, index)
         sim.schedule_at(1.0, lambda: mine.take("closure"))  # not bound to it
         already = sim.schedule_at(1.0, mine.take, "cancelled before")
-        already.cancel()
+        sim.cancel(already)
         assert sim.cancel_bound(mine) == 3
         assert sim.cancel_bound(mine) == 0
         assert sim.pending_events == 4
@@ -608,5 +606,5 @@ class TestEventsCarryArguments:
         event = sim.schedule_at(1.0, lambda: None)
         sim.schedule_at(2.0, lambda: None)
         sim.run(until=1.0)
-        event.cancel()
+        sim.cancel(event)
         assert sim.pending_events == 1

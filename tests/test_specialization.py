@@ -23,6 +23,8 @@ Covers the three contracts the specialized tier 0 lives by:
 import gc
 import random
 import re
+import sys
+from pathlib import Path
 
 from repro.apps import LearningSwitchApp
 from repro.controller import Controller
@@ -1016,10 +1018,79 @@ class TestDetourWorkBudget:
 
 class TestEventWorkBudget:
     """What a simulator event costs, pinned without a clock: a frame's
-    trip is a fixed number of events, each one slotted handle and one
-    heap tuple, and none of them leaves a reference cycle behind — a
+    trip is a fixed number of events, each one heap entry built by one
+    Python call, and none of them leaves a reference cycle behind — a
     delivery that names its own event would make the cyclic collector
     the only thing that frees it, once per event."""
+
+    @staticmethod
+    def python_frames(act):
+        """(module, function) of every Python-level frame *act* enters
+        below its own, in call order."""
+        frames = []
+
+        def profile(frame, event, arg):
+            code = frame.f_code
+            if event == "call" and code is not act.__code__:
+                frames.append((Path(code.co_filename).stem, code.co_name))
+
+        sys.setprofile(profile)
+        try:
+            act()
+        finally:
+            sys.setprofile(None)
+        return frames
+
+    def test_scheduling_is_one_python_frame(self):
+        sim = Simulator()
+        sim.run(until=1.0)
+        seen = []
+        assert self.python_frames(lambda: sim.schedule_at(2.0, seen.append, "at")) == [
+            ("simulator", "schedule_at")
+        ]
+        assert self.python_frames(lambda: sim.schedule(0.5, seen.append, "in")) == [
+            ("simulator", "schedule")
+        ]
+        sim.run()
+        assert seen == ["in", "at"]
+
+    def test_an_event_from_schedule_to_callback_is_three_python_frames(self):
+        # Dispatch runs no Python frame of its own besides run(): no
+        # handle method, no per-event bookkeeping call.
+        sim = Simulator()
+        seen = []
+
+        def deliver(item):
+            seen.append(item)
+
+        def life():
+            sim.schedule(0.5, deliver, "frame")
+            sim.run()
+
+        assert self.python_frames(life) == [
+            ("simulator", "schedule"), ("simulator", "run"), (Path(__file__).stem, "deliver")
+        ]
+        assert seen == ["frame"] and sim.events_processed == 1
+
+    def test_an_event_is_at_most_two_tracked_objects(self):
+        # The heap entry and its argument tuple: no handle object and no
+        # separate heap tuple beside them.
+        sim, count = Simulator(), 1000
+        gc.collect()
+        gc.disable()
+        try:
+            gc.get_count()  # the first reading's own tuple counts once
+            before = gc.get_count()[0]
+            for index in range(count):
+                sim.schedule_at(1.0, print, index)
+            at = gc.get_count()[0] - before
+            for index in range(count):
+                sim.schedule(1.0, print, index)
+            delay = gc.get_count()[0] - before - at
+        finally:
+            gc.enable()
+        assert sim.pending_events == 2 * count
+        assert at <= 2 * count and delay <= 2 * count
 
     @staticmethod
     def quiet(sim, act):
