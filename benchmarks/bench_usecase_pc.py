@@ -84,7 +84,7 @@ def make_datapath_rig(specialize: bool):
     """The PC pipeline as a datapath workload: once site addresses are
     learned and blocks installed, enforcement is pure L3 drop rules on
     the migrated switch — fully compilable (the DNS packet-in rules
-    stay as per-entry fallbacks the measured traffic never hits).  L4
+    compile too, and the measured traffic never hits them).  L4
     ports vary per packet, so the compiled tier's L3-only shrunk key
     coalesces what the interpreted full-key cache cannot."""
     sim, users, resolver, pc, deployment = build(return_deployment=True)

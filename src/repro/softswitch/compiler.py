@@ -43,21 +43,25 @@ monotonic (an expired entry can never revive, and installs flush the
 cached decisions), so a decision is valid exactly until one of its own
 entries expires.
 
-**Per-entry fallback.**  Rules the generated code cannot reproduce
-bit-identically — packet-ins (controller output), flood/ALL/IN_PORT
-outputs, write-actions/clear-actions, frame transforms before a goto,
-nested groups inside buckets, select-group hashing after a transform
-— no longer reject the whole pipeline.  They
-compile to a FALLBACK decision that routes just those frames through
-the interpreted path (``SoftSwitch._interpret_one``), which performs
-all of its own counting; mixed pipelines (the learning-switch
-table-miss rule under proactive policy rules) therefore still run the
-hot rules compiled.  Whole-program compilation now fails only for a
-subclassed cost model (per-packet cost hooks must stay on the
-interpreted path); the first rule that forces a fallback is reported
-as ``switch.compile_ineligible_reason`` and surfaced by
-``SoftSwitch.stats()`` — re-derived from the live tables after a
-patch, so it stays true of what is installed, not of the last compile.
+**What is not compiled.**  The executor reproduces what controllers
+install in practice and rejects the rest whole.  A reserved output
+(CONTROLLER, FLOOD, ALL, IN_PORT) is one step that hands the action to
+the interpreter's own ``SoftSwitch._output``, so the packet-in build,
+miss suppression, ``flood_guard`` and the sorted flood expansion keep
+one definition, shared by both executors.  Write- and clear-actions, a
+frame transform before a goto or before a group action (decisions are
+keyed on the frame as it arrived), an action type the executor does
+not know, and a group bucket holding a group action or an unknown
+action are named by :func:`uncompilable_reason` and the group check;
+a pipeline holding any of them is not compiled at all.
+:func:`compile_datapath` then returns None with
+``switch.compile_ineligible_reason`` set to the first reason — as it
+does for a subclassed cost model, whose per-packet cost hooks must run
+interpreted — and the switch interprets every frame until a mutation
+makes the pipeline compilable again.  No frame of a compiled program
+re-enters the interpreter: it runs only with specialization off or for
+a rejected pipeline, the oracle the differential suites compare
+against.
 
 **Shape and content.**  What a program bakes splits in two.  Its
 *shape* is everything the generated source depends on: the used-slot
@@ -71,15 +75,18 @@ never on a frame object — over the live tables and group table.  So a
 FlowMod ADD/DELETE/MODIFY, a GroupMod or an expiry sweep that leaves
 the shape intact does not cost a compile: the datapath asks
 :meth:`CompiledProgram.add_breaks_shape` /
-:meth:`CompiledProgram.groups_break_shape`, and on "no" calls
+:meth:`CompiledProgram.groups_break_shape` (for a MODIFY,
+:func:`uncompilable_reason`), and on "no" calls
 :meth:`CompiledProgram.flush` — the key cache is cleared and the plans
 of the entries the mutation removed or rewrote are dropped, a cost
 independent of table size — and keeps running the same generated code
 (a *patch*).
-Deletes, modifies and expiry can never break the shape (bounds and
-slot sets only become conservative); an add breaks it when it brings a
-new field-set or mask-set to table 0, a priority above its probe's
-baked bound, the first timeout, or a slot outside the used set.
+Deletes and expiry can never break the shape (bounds and slot sets
+only become conservative); a modify breaks it only by rewriting
+entries into a construct the compiler rejects; an add breaks it when
+its entry is one, or when it brings a new field-set or mask-set to
+table 0, a priority above its probe's baked bound, the first timeout,
+or a slot outside the used set.
 
 **Cold start.**  The generated source reads the pipeline only through
 its shape — everything per-switch (tables, ports, key cache, probe
@@ -97,7 +104,9 @@ frame after it regenerates — lazily, so a burst of mods with no
 traffic is one regenerate, and a pipeline the compiler rejects is
 attempted once per mutation and interpreted until the next one.
 ``SoftSwitch.stats()["specialization"]`` reports compiles,
-invalidations, patches and the specialized/fallback frame split.
+invalidations, patches, the frames served compiled
+(``specialized_frames``) and those interpreted with specialization on
+(``fallback_frames``: a rejected pipeline, or no rule installed yet).
 
 **Per frame.**  Every frame a softswitch sees is a fresh object (a
 legacy push or an SS_1 pop just derived it), so nothing is keyed on
@@ -112,24 +121,27 @@ both actions.
 ``run_burst`` serves every ``process_batch`` call, a burst of one
 included, with outputs re-coalesced per egress port: a port's lone
 frame leaves through ``Port.send``, two or more through one
-``Port.send_burst``.  A FALLBACK frame mid-burst first flushes the
-coalesced egress and syncs the busy clock, so a synchronous controller
-handed a packet-in observes every prior frame exactly as
-frame-by-frame processing would show it.  If the interpreted walk
-mutates the pipeline — a reactive controller answering the packet-in
-— the burst looks at what the mutation did to the program: patched
-(content only) flushed the key cache, so the next frame reclassifies
-and the burst carries on compiled; discarded (shape change) hands the
-rest of the burst back to ``SoftSwitch.process_batch``, which
-regenerates and serves it compiled, exactly as frame-by-frame
-injection would.
+``Port.send_burst``.  A frame whose decision buffered a controller
+message (a packet-in) first flushes the coalesced egress and syncs the
+busy clock; then its outputs and messages leave after the plan's cost,
+at once or through the simulator, exactly as the interpreter emits
+them — so a synchronous controller handed the packet-in observes every
+prior frame as frame-by-frame processing would show it.  If that
+controller mutates the pipeline, the burst looks at what the mutation
+did to the program: patched (content only) flushed the key cache, so
+the next frame reclassifies and the burst carries on; discarded
+(shape change) hands the rest of the burst back to
+``SoftSwitch.process_batch``, which regenerates and serves it compiled,
+exactly as frame-by-frame injection would.
 
 **Drops.**  Every frame or output the executor discards is counted in
 ``SoftSwitch.drops`` under the reason the interpreter would give
 (``table-miss``, ``no-such-port``, ``no-such-group``, ``empty-group``,
-``action-drop``): in per-reason locals summed once per burst, except
-a chain walk's later-table miss and the drops inside its steps, which
-are counted as they happen.
+``action-drop``; a reserved output's ``flood-suppressed`` and
+``packet-in-suppressed`` are counted by ``_output`` itself): in
+per-reason locals summed once per burst, except a chain walk's
+later-table miss and the drops inside its steps, which are counted as
+they happen.
 """
 
 from __future__ import annotations
@@ -180,25 +192,19 @@ PLAN_OUT = 0  # single concrete-port output
 PLAN_MISS = 1  # table miss: count the lookup, drop
 PLAN_NOOP = 2  # matched entry with no emitting instructions
 PLAN_SEQ = 3  # straight-line action sequence (vlan ops, set-field, outputs)
-PLAN_CHAIN = 4  # multi-table walk and/or group execution, baked per key
-PLAN_FALLBACK = 5  # route the frame through the interpreted path
+PLAN_CHAIN = 4  # step list: multi-table walk, groups, reserved outputs
 
 #: Step opcodes inside CHAIN plans (first element of each step).
 STEP_OUT = 0  # output to a concrete port (drop if the port is gone)
 STEP_XFORM = 1  # frame transform: push/pop VLAN, set-field
-STEP_GROUP_ALL = 2  # all-group: every bucket's steps, per-bucket counters
-STEP_GROUP_ONE = 3  # select/indirect group: one pre-resolved bucket
+STEP_GROUP = 2  # group: the buckets this key runs (all of an all-group)
+STEP_GROUP_EMPTY = 3  # select/indirect group without buckets: drop
 STEP_GROUP_DEAD = 4  # reference to a group that does not exist: drop
+STEP_RESERVED = 5  # CONTROLLER/FLOOD/ALL/IN_PORT: the interpreter's _output
 
 _RESERVED_PORTS = frozenset(
     (c.OFPP_CONTROLLER, c.OFPP_FLOOD, c.OFPP_ALL, c.OFPP_IN_PORT)
 )
-_RESERVED_PORT_REASON = {
-    c.OFPP_CONTROLLER: "controller output (packet-in)",
-    c.OFPP_FLOOD: "flood output",
-    c.OFPP_ALL: "all-ports output",
-    c.OFPP_IN_PORT: "in-port output",
-}
 
 
 @dataclass(frozen=True)
@@ -245,12 +251,11 @@ class CompiledProgram:
     __slots__ = (
         "run_burst", "classify", "source", "used_slots",
         "key_cache", "plans", "mortal", "probe_order",
-        "_switch", "_globals", "_probes", "_select_ready",
+        "_globals", "_probes", "_select_ready",
     )
 
-    def __init__(self, switch, source, namespace, used_slots, mortal,
-                 probe_order, probes, select_ready):
-        self._switch = switch
+    def __init__(self, source, namespace, used_slots, mortal, probe_order,
+                 probes, select_ready):
         #: (in_port, frames) -> None: the one executor.
         self.run_burst = namespace["run_burst"]
         #: (frame, in_port, now) -> (decision, shrunk key), as the
@@ -282,13 +287,6 @@ class CompiledProgram:
         #: The generated module's globals (probe bindings live here).
         self._globals = namespace
 
-    @property
-    def fallback_reason(self) -> Optional[str]:
-        """Why the first falling-back rule cannot be compiled (None when
-        the whole pipeline compiles clean) — of the tables as they are
-        now, patches included."""
-        return self._switch.compile_ineligible_reason
-
     def flush(self, dead: "Iterable[FlowEntry]" = ()) -> None:
         """Forget every derived decision; the generated code stays.
 
@@ -313,6 +311,9 @@ class CompiledProgram:
         live bucket dict: a group that emptied and was re-created since
         the compile is a new dict under a known shape.
         """
+        reason = uncompilable_reason(entry)
+        if reason is not None:
+            return reason
         if not self.mortal and (entry.idle_timeout or entry.hard_timeout):
             return "first mortal entry"
         if table.table_id:
@@ -334,8 +335,12 @@ class CompiledProgram:
 
     def groups_break_shape(self, groups) -> Optional[str]:
         """Why the group table, just modified, needs a regenerate, or
-        None: select-bucket choices are baked per key, so the first
-        select group needs its hash slots in the key."""
+        None: a group the executor cannot run rejects the pipeline, and
+        select-bucket choices are baked per key, so the first select
+        group needs its hash slots in the key."""
+        reason = _groups_reason(groups)
+        if reason is not None:
+            return reason
         if not self._select_ready and groups.has_select_groups():
             return "first select group (hash slots not in the key)"
         return None
@@ -349,96 +354,117 @@ def _describe_shape(tier: str, shape: tuple) -> str:
     ) + ")"
 
 
-def first_fallback_reason(tables) -> Optional[str]:
-    """The first installed rule that compiles to a FALLBACK decision,
-    and why; None when every rule compiles."""
-    for table in tables:
-        for entry in table:
-            reason = entry_fallback_reason(entry, table.table_id)
-            if reason is not None:
-                return (
-                    f"table {table.table_id} priority {entry.priority} "
-                    f"[{entry.match}]: {reason}"
-                )
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Entry analysis and decision building (plain Python, not codegen: runs
 # once per distinct flow key on a key-cache miss, never per frame)
 # ---------------------------------------------------------------------------
 
 
-def _shape_of(entry: "FlowEntry"):
-    """-> (flat apply-actions, goto target, fallback reason or None).
+def _shape_of(entry: "FlowEntry") -> tuple:
+    """-> (flat apply-actions, goto target) of an entry that compiles.
 
     Flattens the instruction list the way ``_execute_entry`` runs it:
     apply-actions execute in encounter order, the last goto wins and
-    only takes effect after the whole list.  Any instruction or action
-    the compiled executor cannot reproduce yields a reason instead.
+    only takes effect after the whole list.
     """
     actions: list = []
     next_table: "int | None" = None
     for instruction in entry.instructions:
-        kind = type(instruction)
-        if kind is ApplyActions:
-            actions.extend(instruction.actions)
-        elif kind is GotoTable:
+        if type(instruction) is GotoTable:
             next_table = instruction.table_id
-        else:
-            return None, None, f"{type(instruction).__name__} needs the action set"
+        else:  # ApplyActions: uncompilable_reason rejects anything else
+            actions.extend(instruction.actions)
+    return actions, next_table
+
+
+def uncompilable_reason(entry: "FlowEntry") -> Optional[str]:
+    """Why the compiled executor cannot reproduce *entry*, or None.
+
+    Any reason rejects the whole pipeline (see "What is not compiled").
+    A transform before a goto or a group action is one because the next
+    lookup and the select hash would read the transformed frame, and
+    decisions are keyed on the frame as it arrived.
+    """
+    for instruction in entry.instructions:
+        kind = type(instruction)
+        if kind is not ApplyActions and kind is not GotoTable:
+            return f"{kind.__name__} needs the action set"
+    actions, next_table = _shape_of(entry)
+    transformed = False
     for action in actions:
         kind = type(action)
-        if kind is OutputAction:
-            if action.port in _RESERVED_PORTS:
-                return None, None, _RESERVED_PORT_REASON[action.port]
-        elif kind is not GroupAction and kind not in _TRANSFORM_ACTIONS:
-            return None, None, f"unsupported action {type(action).__name__}"
-    return actions, next_table, None
-
-
-def entry_fallback_reason(entry: "FlowEntry", table_id: int) -> Optional[str]:
-    """Why *entry* compiles to a FALLBACK decision, or None.
-
-    Intrinsic (key-independent) reasons only — a select-group bucket
-    whose actions the executor cannot run is discovered per key during
-    the chain walk instead.
-    """
-    actions, next_table, reason = _shape_of(entry)
-    if reason is not None:
-        return reason
-    if next_table is not None and any(
-        type(a) in _TRANSFORM_ACTIONS for a in actions
-    ):
+        if kind in _TRANSFORM_ACTIONS:
+            transformed = True
+        elif kind is GroupAction:
+            if transformed:
+                return "frame transform before group action"
+        elif kind is not OutputAction:
+            return f"unsupported action {kind.__name__}"
+    if transformed and next_table is not None:
         return "frame transform before goto-table"
     return None
 
 
-_FALLBACK_PLAN = (PLAN_FALLBACK, None, None, 0.0, ())
+def _groups_reason(groups) -> Optional[str]:
+    """The first group bucket the executor cannot run — one holding a
+    group action or an action type it does not know — or None."""
+    for group in groups:
+        for index, bucket in enumerate(group.buckets):
+            for action in bucket.actions:
+                kind = type(action)
+                if kind is not OutputAction and kind not in _TRANSFORM_ACTIONS:
+                    return f"group {group.group_id} bucket {index} holds {kind.__name__}"
+    return None
+
+
+def _pipeline_reason(tables, groups) -> Optional[str]:
+    """The first installed rule or group the executor cannot reproduce,
+    and why; None when the whole pipeline compiles."""
+    for table in tables:
+        for entry in table:
+            reason = uncompilable_reason(entry)
+            if reason is not None:
+                return (
+                    f"table {table.table_id} priority {entry.priority} "
+                    f"[{entry.match}]: {reason}"
+                )
+    return _groups_reason(groups)
 
 
 def _mortals_of(entry: "FlowEntry") -> tuple:
     return (entry,) if (entry.idle_timeout or entry.hard_timeout) else ()
 
 
+def _vlan_ops(actions) -> int:
+    """The VLAN pushes and pops among *actions*, as the interpreter
+    counts them for the cost model (a folded pair is one push)."""
+    return sum(type(a) is PushVlanAction or type(a) is PopVlanAction for a in actions)
+
+
+def _step(action) -> tuple:
+    """The CHAIN step of one output or transform action."""
+    if type(action) is not OutputAction:
+        return (STEP_XFORM, action)
+    if action.port in _RESERVED_PORTS:
+        return (STEP_RESERVED, action)
+    return (STEP_OUT, action.port)
+
+
 def _fast_plan(entry: "FlowEntry", actions: list, model: DatapathCostModel):
-    """Key-independent plan for a terminal, group-free entry.
+    """Key-independent plan for a terminal, group-free entry whose
+    outputs are all concrete ports.
 
     The plan's cost constant is produced by the same ``cost_s`` call
     the interpreted path makes per packet (1 lookup, the entry's action
     and VLAN-op counts), so charging is float-identical.
     """
     steps = []
-    vlan_ops = 0
     for action in _fold(actions):
-        kind = type(action)
-        if kind is OutputAction:
+        if type(action) is OutputAction:
             steps.append((True, action.port))
         else:
-            if kind is not SetFieldAction:
-                vlan_ops += 1
             steps.append((False, action))
-    cost = model.cost_s(lookups=1, actions=len(actions), vlan_ops=vlan_ops)
+    cost = model.cost_s(lookups=1, actions=len(actions), vlan_ops=_vlan_ops(actions))
     mortals = _mortals_of(entry)
     if not any(is_out for is_out, _ in steps):
         # Transforms nobody sees: the frame is an action-drop.
@@ -448,52 +474,34 @@ def _fast_plan(entry: "FlowEntry", actions: list, model: DatapathCostModel):
     return (PLAN_SEQ, entry, tuple(steps), cost, mortals)
 
 
-def _compile_bucket(bucket) -> "tuple | None":
-    """Bucket actions -> (steps, action count, vlan ops), or None.
-
-    Bucket transforms apply to a bucket-local frame and are discarded
-    afterwards (``_run_group`` ignores ``_apply_actions``'s return), so
-    bucket steps never feed the outer step list's frame state.
-    """
-    steps = []
-    vlan_ops = 0
-    for action in _fold(bucket.actions):
-        kind = type(action)
-        if kind is OutputAction:
-            if action.port in _RESERVED_PORTS:
-                return None
-            steps.append((STEP_OUT, action.port))
-        elif kind in _TRANSFORM_ACTIONS:
-            if kind is not SetFieldAction:
-                vlan_ops += 1
-            steps.append((STEP_XFORM, action))
-        else:  # nested groups (and anything newer) stay interpreted
-            return None
-    return tuple(steps), len(bucket.actions), vlan_ops
-
-
 def _build_decision(entry, shrunk_key, now, tables, groups, hash_fields,
                     model, used_slots, plans):
     """Decision for the table-0 winner *entry* under *shrunk_key*.
 
-    Key-independent decisions (terminal group-free entries, intrinsic
-    fallbacks) are memoised per entry in *plans*; chain and group
-    decisions depend on the key (later-table lookups, select-bucket
-    hashing) and are cached only in the program's key cache.
+    A terminal group-free entry's decision is key-independent and is
+    memoised per entry in *plans*: a fast plan, or a one-entry CHAIN
+    when it outputs to a reserved port (so the learning switch's
+    table-miss rule costs one build per switch, not one per key).
+    Chain and group decisions depend on the key (later-table lookups,
+    select-bucket hashing) and are cached only in the program's key
+    cache.
     """
-    actions, next_table, reason = _shape_of(entry)
-    if reason is not None:
-        plans[id(entry)] = _FALLBACK_PLAN
-        return _FALLBACK_PLAN
-    if next_table is None and not any(type(a) is GroupAction for a in actions):
-        plan = _fast_plan(entry, actions, model)
-        plans[id(entry)] = plan
+    actions, next_table = _shape_of(entry)
+    terminal = next_table is None and not any(
+        type(action) is GroupAction for action in actions
+    )
+    if terminal and not any(
+        type(action) is OutputAction and action.port in _RESERVED_PORTS
+        for action in actions
+    ):
+        plan = plans[id(entry)] = _fast_plan(entry, actions, model)
         return plan
 
     # Chain walk: rehydrate the shrunk key once; it covers every slot
     # any match in any table reads, so later-table lookups classify
     # exactly like the interpreter's full-key lookups.
     full_key = expand_key(used_slots, shrunk_key)
+    winner = entry
     touches = []
     steps: list = []
     mortals: list = []
@@ -501,71 +509,50 @@ def _build_decision(entry, shrunk_key, now, tables, groups, hash_fields,
     n_actions = 0
     vlan_ops = 0
     group_selections = 0
-    transformed = False
     table_id = 0
     while True:
         touches.append((tables[table_id], entry))
         mortals.extend(_mortals_of(entry))
         n_actions += len(actions)
+        vlan_ops += _vlan_ops(actions)
         for action in _fold(actions):
-            kind = type(action)
-            if kind is OutputAction:
-                steps.append((STEP_OUT, action.port))
-            elif kind in _TRANSFORM_ACTIONS:
-                if kind is not SetFieldAction:
-                    vlan_ops += 1
-                steps.append((STEP_XFORM, action))
-                transformed = True
-            else:  # GroupAction
-                group = groups.get(action.group_id)
-                if group is None:
-                    steps.append((STEP_GROUP_DEAD, None))
-                    continue
-                if group.group_type == c.OFPGT_ALL:
-                    buckets = []
-                    for index, bucket in enumerate(group.buckets):
-                        compiled = _compile_bucket(bucket)
-                        if compiled is None:
-                            return _FALLBACK_PLAN
-                        bucket_steps, bucket_actions, bucket_vlans = compiled
-                        n_actions += bucket_actions
-                        vlan_ops += bucket_vlans
-                        buckets.append((index, bucket_steps))
-                    steps.append((STEP_GROUP_ALL, (group, tuple(buckets))))
-                    continue
+            if type(action) is not GroupAction:
+                steps.append(_step(action))
+                continue
+            group = groups.get(action.group_id)
+            if group is None:
+                steps.append((STEP_GROUP_DEAD, None))
+                continue
+            if group.group_type == c.OFPGT_ALL:
+                chosen = range(len(group.buckets))
+            else:
                 group_selections += 1
                 if group.group_type == c.OFPGT_SELECT:
-                    if transformed:
-                        # The interpreter hashes the transformed frame;
-                        # our key describes the original one.
-                        return _FALLBACK_PLAN
                     index = group.select_bucket_for_key(full_key, hash_fields)
                 else:  # indirect
                     index = 0 if group.buckets else None
                 if index is None:
-                    steps.append((STEP_GROUP_ONE, (group, None, ())))
+                    steps.append((STEP_GROUP_EMPTY, group))
                     continue
-                compiled = _compile_bucket(group.buckets[index])
-                if compiled is None:
-                    return _FALLBACK_PLAN
-                bucket_steps, bucket_actions, bucket_vlans = compiled
-                n_actions += bucket_actions
-                vlan_ops += bucket_vlans
-                steps.append((STEP_GROUP_ONE, (group, index, bucket_steps)))
+                chosen = (index,)
+            buckets = []
+            for index in chosen:
+                # A bucket's steps run on a bucket-local frame: the
+                # executor runs them as a step list of their own.
+                bucket_actions = group.buckets[index].actions
+                n_actions += len(bucket_actions)
+                vlan_ops += _vlan_ops(bucket_actions)
+                buckets.append((index, tuple(map(_step, _fold(bucket_actions)))))
+            steps.append((STEP_GROUP, (group, tuple(buckets))))
         if next_table is None or next_table >= len(tables):
             break  # end of pipeline: walk complete (goto past the last
             # table ends the loop without a miss, like the interpreter)
-        if transformed:
-            # A transform before a goto invalidates the baked key.
-            return _FALLBACK_PLAN
         table_id = next_table
         entry = tables[table_id]._classify(full_key, now)
         if entry is None:
             miss_table = tables[table_id]
             break
-        actions, next_table, reason = _shape_of(entry)
-        if reason is not None:
-            return _FALLBACK_PLAN
+        actions, next_table = _shape_of(entry)
     lookups = len(touches) + (1 if miss_table is not None else 0)
     cost = model.cost_s(
         lookups=lookups,
@@ -573,13 +560,16 @@ def _build_decision(entry, shrunk_key, now, tables, groups, hash_fields,
         vlan_ops=vlan_ops,
         group_selections=group_selections,
     )
-    return (
+    plan = (
         PLAN_CHAIN,
         tuple(touches),
         (tuple(steps), miss_table),
         cost,
         tuple(mortals),
     )
+    if terminal:
+        plans[id(winner)] = plan
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +628,8 @@ def _probe_block(
 def compile_datapath(
     switch: "SoftSwitch", probe_order: "int | None" = None
 ) -> Optional[CompiledProgram]:
-    """Specialize *switch*'s installed pipeline, or None if ineligible.
+    """Specialize *switch*'s installed pipeline, or None when it is
+    rejected — with ``switch.compile_ineligible_reason`` saying why.
 
     Table-0 probe blocks are emitted in descending max-priority order,
     so the source depends on the pipeline's shape alone.  An int
@@ -646,14 +637,15 @@ def compile_datapath(
     order is behaviour-preserving, see :func:`_probe_block`).
     """
     model = switch.cost_model
-    if type(model) is not DatapathCostModel:
-        switch.compile_ineligible_reason = (
-            "cost model is subclassed: per-packet cost hooks must run interpreted"
-        )
-        return None  # subclassed cost hooks must stay on the per-packet path
     tables = switch.tables
-    if not tables:
-        switch.compile_ineligible_reason = "switch has no tables"
+    if type(model) is not DatapathCostModel:
+        reason = "cost model is subclassed: per-packet cost hooks must run interpreted"
+    elif not tables:
+        reason = "switch has no tables"
+    else:
+        reason = _pipeline_reason(tables, switch.groups)
+    switch.compile_ineligible_reason = reason
+    if reason is not None:
         return None
 
     mortal = any(
@@ -661,8 +653,6 @@ def compile_datapath(
         for table in tables
         for entry in table
     )
-    switch.compile_ineligible_reason = first_fallback_reason(tables)
-
     used = set()
     for table in tables:
         used.update(table.used_slots())
@@ -694,7 +684,8 @@ def compile_datapath(
         PORT=switch.port,
         DROPS=switch.drops,
         EMIT=switch._emit,
-        FALL=switch._interpret_one,
+        OUTPUT=switch._output,
+        BUFFERED=switch._buffered,
         SCHED=switch.sim.schedule_at,
         KC=key_cache,
         KC_get=key_cache.get,
@@ -787,7 +778,7 @@ def compile_datapath(
         code = _CODE_CACHE[source] = compile(source, name, "exec")
     exec(code, namespace)
     return CompiledProgram(
-        switch, source, namespace, used_slots, mortal, probe_order, probes,
+        source, namespace, used_slots, mortal, probe_order, probes,
         select_ready=hash_slots <= used,
     )
 
@@ -801,17 +792,20 @@ def compile_datapath(
 #: emit immediately when the finish time has not moved past ``now`` and
 #: defer through the simulator otherwise.
 _EXECUTOR_SOURCE = '''
-def _chain_steps(steps, frame, PORTS=PORTS, DROPS=DROPS):
-    """Execute a CHAIN plan's step list; returns (outputs, drops), the
-    drops already counted by reason.
+def _chain_steps(steps, frame, in_port, PORTS=PORTS, DROPS=DROPS,
+                 OUTPUT=OUTPUT, BUFFERED=BUFFERED):
+    """Execute a CHAIN plan's step list; returns (outputs, drops,
+    controller messages), the drops already counted by reason.
 
     Mirrors the interpreter exactly: outputs collect in action order
     (bucket outputs inline where their group action ran), transforms
     produce fresh frames (originals are never mutated), group counters
-    bump where ``_run_group`` bumps them, and bucket transforms stay
-    bucket-local.
+    bump where ``_run_group`` bumps them, and each bucket runs as a step
+    list of its own, so its transforms stay bucket-local.  A reserved
+    output is the interpreter's own ``_output`` against fresh buffers.
     """
     outs = []
+    msgs = []
     dropped = 0
     current = frame
     for op, arg in steps:
@@ -823,44 +817,32 @@ def _chain_steps(steps, frame, PORTS=PORTS, DROPS=DROPS):
                 DROPS["no-such-port"] += 1
         elif op == 1:
             current = arg.apply(current)
-        elif op == 3:
-            group, index, bucket_steps = arg
-            group.packet_count += 1
-            if index is None:
-                dropped += 1
-                DROPS["empty-group"] += 1
-                continue
-            group.bucket_packet_counts[index] += 1
-            bucket_frame = current
-            for bucket_op, bucket_arg in bucket_steps:
-                if bucket_op == 0:
-                    if bucket_arg in PORTS:
-                        outs.append((bucket_arg, bucket_frame))
-                    else:
-                        dropped += 1
-                        DROPS["no-such-port"] += 1
-                else:
-                    bucket_frame = bucket_arg.apply(bucket_frame)
         elif op == 2:
             group, buckets = arg
             group.packet_count += 1
             counts = group.bucket_packet_counts
             for index, bucket_steps in buckets:
                 counts[index] += 1
-                bucket_frame = current
-                for bucket_op, bucket_arg in bucket_steps:
-                    if bucket_op == 0:
-                        if bucket_arg in PORTS:
-                            outs.append((bucket_arg, bucket_frame))
-                        else:
-                            dropped += 1
-                            DROPS["no-such-port"] += 1
-                    else:
-                        bucket_frame = bucket_arg.apply(bucket_frame)
+                bucket_outs, bucket_drops, bucket_msgs = _chain_steps(
+                    bucket_steps, current, in_port
+                )
+                outs += bucket_outs
+                msgs += bucket_msgs
+                dropped += bucket_drops
+        elif op == 5:
+            counted = sum(DROPS.values())
+            sent, queued = BUFFERED(OUTPUT, current, arg, in_port)
+            outs += sent
+            msgs += queued
+            dropped += sum(DROPS.values()) - counted  # a storm defence said no
+        elif op == 3:
+            arg.packet_count += 1
+            dropped += 1
+            DROPS["empty-group"] += 1
         else:  # op == 4: dead group reference
             dropped += 1
             DROPS["no-such-group"] += 1
-    return outs, dropped
+    return outs, dropped, msgs
 
 
 def _send_chains(per_port, PORT=PORT):
@@ -881,7 +863,7 @@ def classify(frame, in_port, now):
 
 
 def run_burst(in_port, frames, SIM=SIM, S=S, T0=T0, PORTS=PORTS, DROPS=DROPS,
-              EMIT=EMIT, FALL=FALL, SCHED=SCHED, KC_get=KC_get,
+              EMIT=EMIT, SCHED=SCHED, KC_get=KC_get,
               chain_steps=_chain_steps, send_chains=_send_chains):
     """*frames*, arrived on *in_port* at one instant; a single frame is
     a burst of one.  Outputs that leave now coalesce per egress port.
@@ -890,7 +872,6 @@ def run_burst(in_port, frames, SIM=SIM, S=S, T0=T0, PORTS=PORTS, DROPS=DROPS,
     per_port = {}
     forwarded = 0
     chained = 0
-    fell = 0
     missed = 0
     unported = 0
     unacted = 0
@@ -908,33 +889,7 @@ def run_burst(in_port, frames, SIM=SIM, S=S, T0=T0, PORTS=PORTS, DROPS=DROPS,
             dec = _classify(key, now)
         length = frame.wire_length
         kind = dec[0]
-        if kind >= 4:
-            if kind == 5:
-                fell += 1
-                # Flush coalesced egress and sync the busy clock first:
-                # the interpreted walk may hand a packet-in to a
-                # synchronous controller, which must observe every
-                # prior frame on the wire.
-                if forwarded:
-                    S.packets_forwarded += forwarded
-                    send_chains(per_port)
-                    per_port.clear()
-                    forwarded = 0
-                S.busy_until = busy
-                running = S._program
-                FALL(frame, in_port)
-                busy = S.busy_until
-                if S._program is not running:
-                    # The interpreted walk changed the pipeline's shape
-                    # (e.g. a reactive controller installed a flow on a
-                    # new field-set): this program is stale, its baked
-                    # structures may no longer describe the tables.
-                    # The switch takes the rest of the burst back.
-                    rest = frames[index:]
-                    break
-                # A patch instead (content only) flushed the key cache:
-                # the code still fits, the next frame reclassifies.
-                continue
+        if kind == 4:
             chained += 1
             _, touches, tail, cost, _mortals = dec
             steps, miss_table = tail
@@ -944,15 +899,44 @@ def run_burst(in_port, frames, SIM=SIM, S=S, T0=T0, PORTS=PORTS, DROPS=DROPS,
                 entry.packet_count += 1
                 entry.byte_count += length
                 entry.last_used_at = now
-            outs, chain_drops = chain_steps(steps, frame)
+            outs, chain_drops, msgs = chain_steps(steps, frame, in_port)
             if miss_table is not None:
                 miss_table.lookups += 1
                 DROPS["table-miss"] += 1
-            elif not outs and not chain_drops:
+            elif not (outs or chain_drops or msgs):
                 unacted += 1
             start = busy if busy > now else now
             busy = start + cost
-            if outs:
+            if msgs:
+                # A packet-in: flush the coalesced egress and sync the
+                # busy clock first, so a synchronous controller handed
+                # it observes every prior frame on the wire; this
+                # frame's outputs and messages then leave as the
+                # interpreter emits them.
+                if forwarded:
+                    S.packets_forwarded += forwarded
+                    send_chains(per_port)
+                    per_port.clear()
+                    forwarded = 0
+                S.busy_until = busy
+                running = S._program
+                if busy <= now:
+                    EMIT(outs, msgs)
+                else:
+                    SCHED(busy, EMIT, outs, msgs)
+                busy = S.busy_until
+                if S._program is not running:
+                    # The controller answered at once and changed the
+                    # pipeline's shape (a flow on a new field-set): this
+                    # program is stale, and the switch takes the rest of
+                    # the burst back.  Only a to_controller bound straight
+                    # to a reactive app under a zero-cost model gets here
+                    # (test_mid_burst_mutation_via_reactive_controller);
+                    # a patch instead flushed the key cache, and the next
+                    # frame reclassifies.
+                    rest = frames[index:]
+                    break
+            elif outs:
                 if busy <= now:
                     for out_port, out_frame in outs:
                         chain = per_port.get(out_port)
@@ -1024,11 +1008,9 @@ def run_burst(in_port, frames, SIM=SIM, S=S, T0=T0, PORTS=PORTS, DROPS=DROPS,
                 else:
                     SCHED(busy, EMIT, outs, ())
     S.busy_until = busy
-    # Every frame taken but those handed over was served compiled, and
-    # each not on a CHAIN plan was one table-0 lookup: a match unless
-    # it missed.
-    specialized = index - fell
-    t0_lookups = specialized - chained
+    # Every frame taken was served compiled, and each not on a CHAIN
+    # plan was one table-0 lookup: a match unless it missed.
+    t0_lookups = index - chained
     T0.lookups += t0_lookups
     T0.matches += t0_lookups - missed
     if missed:
@@ -1037,7 +1019,7 @@ def run_burst(in_port, frames, SIM=SIM, S=S, T0=T0, PORTS=PORTS, DROPS=DROPS,
         DROPS["no-such-port"] += unported
     if unacted:
         DROPS["action-drop"] += unacted
-    S.specialized_frames += specialized
+    S.specialized_frames += index
     if forwarded:
         S.packets_forwarded += forwarded
         send_chains(per_port)

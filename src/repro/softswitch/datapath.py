@@ -10,6 +10,7 @@ exactly the behaviour a controller program sees on real hardware.
 
 from __future__ import annotations
 
+import struct
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -34,6 +35,8 @@ from repro.openflow.instructions import (
 )
 from repro.openflow.match import Match
 from repro.openflow.messages import (
+    BarrierReply,
+    BarrierRequest,
     EchoReply,
     EchoRequest,
     ErrorMsg,
@@ -58,7 +61,7 @@ from repro.openflow.packetview import PacketView
 from repro.softswitch.compiler import (
     CompiledProgram,
     compile_datapath,
-    first_fallback_reason,
+    uncompilable_reason,
 )
 from repro.softswitch.costmodel import DatapathCostModel, ESWITCH_COST_MODEL
 from repro.softswitch.flowtable import FlowEntry, FlowTable
@@ -78,6 +81,11 @@ COUNTED_DROPS = ("table-miss", "no-such-port", "no-such-group", "empty-group")
 #: derived state and a cleared signature merely costs one extra
 #: packet-in — memory stays bounded even under a randomised MAC storm.
 MISS_CACHE_LIMIT = 4096
+
+
+def _bad_request(xid: int, code: int, raw: bytes) -> bytes:
+    """An OFPET_BAD_REQUEST error carrying the first 64 bytes of *raw*."""
+    return ErrorMsg(xid=xid, error_type=1, code=code, data=raw[:64]).to_bytes()
 
 
 def _is_zero_cost(model: DatapathCostModel) -> bool:
@@ -160,11 +168,14 @@ class SoftSwitch(Node):
         #: Why the last active program was discarded (None: never).
         self.last_regenerate_reason: "Optional[str]" = None
         #: Frames served by the compiled program / by the interpreter
-        #: while specialization was enabled.
+        #: while specialization was enabled (a rejected pipeline, or no
+        #: rule installed yet).
         self.specialized_frames = 0
         self.fallback_frames = 0
-        self._ineligible_reason: "Optional[str]" = None
-        self._ineligible_reason_stale = False
+        #: Why the last compile attempt rejected the pipeline (None: it
+        #: compiled, or none was made).  Written by ``compile_datapath``;
+        #: a patched program compiles clean by construction.
+        self.compile_ineligible_reason: "Optional[str]" = None
         # Not through the setter: construction is not a model swap, and
         # a fresh switch should not recompile until a FlowMod lands.
         self._cost_model = cost_model
@@ -178,10 +189,9 @@ class SoftSwitch(Node):
         #: migrated dataplane (a :class:`repro.legacy.stormcontrol
         #: .StormControl`, consulted per ingress port before an
         #: ``OFPP_FLOOD``/``OFPP_ALL`` expansion).  None — the default —
-        #: leaves every tier bit-identical to a guard-free switch.
-        #: Flood and controller outputs compile to per-entry FALLBACK
-        #: decisions that route through :meth:`_interpret_one`, so the
-        #: interpreter hook below covers the compiled tier too.
+        #: leaves every tier bit-identical to a guard-free switch.  The
+        #: compiled tier runs reserved outputs through :meth:`_output`
+        #: too, so this one hook covers both executors.
         self.flood_guard = None
         self.floods_suppressed = 0
         #: Miss-suppression window (simulated seconds): a packet-in
@@ -241,10 +251,10 @@ class SoftSwitch(Node):
         *dead* are the entries it removed or rewrote.  *breaks_shape*
         asks the active program for its verdict on the change
         (``CompiledProgram.add_breaks_shape`` and friends; omitted for
-        deletes, modifies and expiry, which cannot outgrow generated
-        code).  An intact shape is patched synchronously — the derived
-        decisions are flushed, the code stays — and only a broken one
-        is discarded.
+        deletes and expiry, which cannot outgrow generated code).  An
+        intact shape is patched synchronously — the derived decisions
+        are flushed, the code stays — and only a broken one is
+        discarded.
         """
         program = self._program
         reason = None
@@ -254,26 +264,8 @@ class SoftSwitch(Node):
             if reason is None:
                 program.flush(dead)
                 self.program_patches += 1
-                self._ineligible_reason_stale = True
                 return
         self._mark_program_stale(reason)
-
-    @property
-    def compile_ineligible_reason(self) -> "Optional[str]":
-        """Why the pipeline (first failing rule) falls back, or was
-        rejected outright; None when it compiles clean.  Written by
-        :func:`repro.softswitch.compiler.compile_datapath` and, once
-        patches have changed the tables under the program, re-derived
-        from them on read."""
-        if self._ineligible_reason_stale:
-            self._ineligible_reason_stale = False
-            self._ineligible_reason = first_fallback_reason(self.tables)
-        return self._ineligible_reason
-
-    @compile_ineligible_reason.setter
-    def compile_ineligible_reason(self, reason: "Optional[str]") -> None:
-        self._ineligible_reason = reason
-        self._ineligible_reason_stale = False
 
     def reset_pipeline(self) -> None:
         """Power-cycle the forwarding state (switch crash/restart).
@@ -391,11 +383,10 @@ class SoftSwitch(Node):
 
     def _interpret_one(self, frame: EthernetFrame, in_port: int) -> None:
         """One frame through the reference interpreter: specialization
-        is off, the compiler rejected the pipeline, or the active
-        program selected a FALLBACK decision for this frame (packet-in,
-        flood, action-set semantics...) and handed it over.  Does all of
-        its own counting — the compiled caller only routes.  Outputs
-        are buffered during the walk and leave after its CPU cost.
+        is off, or no program is active (the compiler rejected the
+        pipeline, or nothing was installed yet) — never a frame of a
+        compiled program.  Does all of its own counting.  Outputs are
+        buffered during the walk and leave after its CPU cost.
         """
         if self.specialize:
             self.fallback_frames += 1
@@ -681,8 +672,17 @@ class SoftSwitch(Node):
         )
 
     def handle_message(self, raw: bytes) -> list[bytes]:
-        """Process one controller->switch message; returns reply bytes."""
-        message = parse_message(raw)
+        """Process one controller->switch message; returns reply bytes.
+
+        Hostile bytes never raise: a message that does not parse, and a
+        packet-out whose data is no Ethernet frame (nothing is emitted
+        for it), are answered with an OFPET_BAD_REQUEST error.
+        """
+        try:
+            message = parse_message(raw)
+        except (struct.error, ValueError):
+            xid = int.from_bytes(raw[4:8], "big") if len(raw) >= 8 else 0
+            return [_bad_request(xid, 6, raw)]  # OFPBRC_BAD_LEN
         if isinstance(message, Hello):
             return [Hello(xid=message.xid).to_bytes()]
         if isinstance(message, EchoRequest):
@@ -703,21 +703,19 @@ class SoftSwitch(Node):
             error = self._handle_group_mod(message)
             return [error.to_bytes()] if error else []
         if isinstance(message, PacketOut):
-            self._handle_packet_out(message)
+            try:
+                frame = EthernetFrame.from_bytes(message.data)
+            except ValueError:  # a PacketDecodeError, or a frame no constructor takes
+                return [_bad_request(message.xid, 12, raw)]  # OFPBRC_BAD_PACKET
+            self._handle_packet_out(message, frame)
             return []
         if isinstance(message, FlowStatsRequest):
             return [self._flow_stats(message).to_bytes()]
         if isinstance(message, PortStatsRequest):
             return [self._port_stats(message).to_bytes()]
-        from repro.openflow.messages import BarrierReply, BarrierRequest
-
         if isinstance(message, BarrierRequest):
             return [BarrierReply(xid=message.xid).to_bytes()]
-        return [
-            ErrorMsg(
-                xid=message.xid, error_type=1, code=0, data=raw[:64]
-            ).to_bytes()
-        ]
+        return [_bad_request(message.xid, 0, raw)]
 
     def _handle_flow_mod(self, message: FlowMod) -> "ErrorMsg | None":
         if message.table_id >= len(self.tables):
@@ -778,19 +776,22 @@ class SoftSwitch(Node):
                     )
             return None
         if message.command in (c.OFPFC_MODIFY, c.OFPFC_MODIFY_STRICT):
-            modified = []
-            for entry in table:
-                same_priority = (
-                    entry.priority == message.priority
-                    or message.command == c.OFPFC_MODIFY
-                )
-                if same_priority and entry.match == message.match:
-                    entry.instructions = list(message.instructions)
-                    if message.cookie:
-                        entry.cookie = message.cookie
-                    modified.append(entry)
+            modified = table.select(
+                message.match,
+                priority=message.priority,
+                strict=message.command == c.OFPFC_MODIFY_STRICT,
+                cookie=message.cookie,
+                cookie_mask=message.cookie_mask,
+            )
+            for entry in modified:
+                entry.instructions = list(message.instructions)
+                if message.cookie:
+                    entry.cookie = message.cookie
             if modified:
-                self._pipeline_mutated(modified)
+                # Every modified entry now carries these instructions.
+                self._pipeline_mutated(
+                    modified, lambda program: uncompilable_reason(modified[0])
+                )
             return None
         return ErrorMsg(xid=message.xid, error_type=4, code=0)  # bad command
 
@@ -813,8 +814,7 @@ class SoftSwitch(Node):
         )
         return None
 
-    def _handle_packet_out(self, message: PacketOut) -> None:
-        frame = EthernetFrame.from_bytes(message.data)
+    def _handle_packet_out(self, message: PacketOut, frame: EthernetFrame) -> None:
         in_port = (
             message.in_port
             if message.in_port not in (c.OFPP_CONTROLLER, c.OFPP_ANY)

@@ -397,7 +397,46 @@ class FlowTable:
                 return entry
         return None
 
-    # --------------------------------------------------------- bulk removal
+    # ------------------------------------------------- FlowMod selection
+
+    def select(
+        self,
+        match: Match,
+        priority: "int | None" = None,
+        strict: bool = False,
+        cookie: "int | None" = None,
+        cookie_mask: int = 0,
+    ) -> list[FlowEntry]:
+        """The entries a MODIFY or DELETE with these fields acts on.
+
+        One rule for both commands (OpenFlow 1.3 §6.4).  Strict: exact
+        (match, priority).  Non-strict: every entry whose match is a
+        subset of *match*, whatever its priority.  A non-zero
+        *cookie_mask* keeps only the entries whose cookie equals
+        *cookie* under it.  Only the bucket groups that can hold such
+        an entry are visited, so a selection costs what it finds, not
+        the size of the table.  Returned in arbitration order, like a
+        scan of the table.
+        """
+        if strict:
+            chosen = [
+                entry
+                for entry in self._same_values_chain(match)
+                if entry.priority == priority and entry.match == match
+            ]
+        else:
+            chosen = [
+                entry
+                for entry in self._subset_candidates(match)
+                if entry.match.is_subset_of(match)
+            ]
+        if cookie_mask:
+            wanted = (cookie or 0) & cookie_mask
+            chosen = [
+                entry for entry in chosen if entry.cookie & cookie_mask == wanted
+            ]
+        chosen.sort(key=_SORT_KEY)
+        return chosen
 
     def delete(
         self,
@@ -407,32 +446,9 @@ class FlowTable:
         cookie: "int | None" = None,
         cookie_mask: int = 0,
     ) -> list[FlowEntry]:
-        """Remove matching entries, returning them (for flow-removed).
-
-        Strict: exact (match, priority).  Non-strict: every entry whose
-        match is a subset of *match* (the behaviour switches implement).
-        Only the bucket groups that can hold such an entry are visited,
-        so a delete costs what it removes, not the size of the table.
-        Returned in arbitration order, like a scan of the table.
-        """
-        if strict:
-            removed = [
-                entry
-                for entry in self._same_values_chain(match)
-                if entry.priority == priority and entry.match == match
-            ]
-        else:
-            removed = [
-                entry
-                for entry in self._subset_candidates(match)
-                if entry.match.is_subset_of(match)
-            ]
-        if cookie_mask:
-            wanted = (cookie or 0) & cookie_mask
-            removed = [
-                entry for entry in removed if entry.cookie & cookie_mask == wanted
-            ]
-        removed.sort(key=_SORT_KEY)
+        """Remove the entries :meth:`select` picks and return them (for
+        flow-removed)."""
+        removed = self.select(match, priority, strict, cookie, cookie_mask)
         for entry in reversed(removed):  # back to front: short list shifts
             self._remove(entry)
         return removed

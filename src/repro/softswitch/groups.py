@@ -98,6 +98,9 @@ class GroupTable:
     def __contains__(self, group_id: int) -> bool:
         return group_id in self._groups
 
+    def __iter__(self):
+        return iter(self._groups.values())
+
     def add(self, group_id: int, group_type: int, buckets: list[Bucket]) -> None:
         if group_id in self._groups:
             raise ValueError(f"group {group_id} already exists")

@@ -10,7 +10,8 @@ switches through ≥1000 randomly generated bursts, with control-plane
 churn (FlowMod add/delete/modify with timeouts, GroupMod) and simulated
 time advancing between bursts so multi-table walks, group selection,
 entry expiry (both the sweeper and the lazy per-lookup check) and both
-executors (compiled program, interpreter for per-entry fallbacks) are all
+executors (the compiled program; the interpreter while a write-actions
+rule makes the compiler reject the pipeline) are all
 covered, under both a zero-cost model (batched egress) and the eswitch
 cost model (deferred per-frame emission).  Each model runs twice: once
 replaying a pool of per-flow template objects, and once with every
@@ -120,7 +121,10 @@ def random_instructions(rng: random.Random, table_id: int):
     if rng.random() < 0.07:
         actions = [OutputAction(port=c.OFPP_CONTROLLER)]  # packet-in path
     instructions = [ApplyActions(actions=tuple(actions))]
-    if table_id < 2 and rng.random() < 0.3:
+    # A rewrite before a goto would leave the pipeline interpreted: the
+    # suite installs its one rejected rule on purpose (REJECTED_RULE).
+    rewrites = type(actions[0]) is SetFieldAction
+    if table_id < 2 and rng.random() < 0.3 and not rewrites:
         instructions.append(GotoTable(table_id=rng.randint(table_id + 1, 2)))
     return instructions
 
@@ -170,8 +174,8 @@ def random_churn_message(rng: random.Random):
 
 
 def provision(switch):
-    """Multi-table pipeline: goto chains, a select group, write-actions,
-    a mortal flow, a packet-in rule — every plan shape the compiler bakes."""
+    """Multi-table pipeline: goto chains, a select group, a mortal flow,
+    a packet-in rule — every plan shape the compiler bakes."""
     messages = [
         GroupMod(
             command=c.OFPGC_ADD,
@@ -208,8 +212,8 @@ def provision(switch):
             instructions=[
                 ApplyActions(
                     actions=(
-                        SetFieldAction(field="eth_dst", value=int(MACS[3])),
                         GroupAction(group_id=1),
+                        SetFieldAction(field="eth_dst", value=int(MACS[3])),
                     )
                 )
             ],
@@ -227,7 +231,7 @@ def provision(switch):
             priority=1,
             match=Match(),
             instructions=[
-                WriteActions(actions=(OutputAction(port=2),)),
+                ApplyActions(actions=(OutputAction(port=2),)),
                 GotoTable(table_id=2),
             ],
         ),
@@ -235,6 +239,29 @@ def provision(switch):
     ]
     for message in messages:
         assert switch.handle_message(message.to_bytes()) == []
+
+
+#: Replaces provision()'s table-1 fallthrough rule with its action-set
+#: twin, which the compiler does not reproduce: the whole pipeline is
+#: interpreted until the rule is put back.
+REJECTED_RULE = FlowMod(
+    table_id=1,
+    priority=1,
+    match=Match(),
+    instructions=[
+        WriteActions(actions=(OutputAction(port=2),)),
+        GotoTable(table_id=2),
+    ],
+)
+COMPILABLE_RULE = FlowMod(
+    table_id=1,
+    priority=1,
+    match=Match(),
+    instructions=[
+        ApplyActions(actions=(OutputAction(port=2),)),
+        GotoTable(table_id=2),
+    ],
+)
 
 
 def build_rig(cost_model, num_ports=3):
@@ -300,10 +327,13 @@ def _run_differential(seed, rounds, bursts_per_round, cost_model, fresh_objects)
         sim_b, seq, _, _ = seq_rig
         pool = [random_frame(rng) for _ in range(24)]
         clock = 0.0
-        for _ in range(bursts_per_round):
+        for index in range(bursts_per_round):
             clock += rng.random() * 0.12  # lets timeouts land mid-run
             sim_a.run(until=clock)
             sim_b.run(until=clock)
+            if index in (0, bursts_per_round // 2):  # rejected, then compilable
+                rule = (REJECTED_RULE if index == 0 else COMPILABLE_RULE).to_bytes()
+                assert batch.handle_message(rule) == seq.handle_message(rule) == []
             if rng.random() < 0.25:
                 message = random_churn_message(rng).to_bytes()
                 assert batch.handle_message(message) == seq.handle_message(message)
@@ -322,8 +352,8 @@ def _run_differential(seed, rounds, bursts_per_round, cost_model, fresh_objects)
             bursts_done += 1
         sim_a.run()
         sim_b.run()
-        # Both executors served bursts: the compiled program and the
-        # interpreter (per-entry fallbacks).
+        # Both executors served bursts: the interpreter while the
+        # write-actions rule was installed, the compiled program after.
         assert batch.specialized_frames > 0 and batch.fallback_frames > 0
         assert_identical(batch_rig, seq_rig)
     return bursts_done

@@ -5,12 +5,12 @@ Covers the three contracts the specialized tier 0 lives by:
 * **miniflow shrinking** — the partial flow-key extractor must agree
   with the full ``PacketView`` decode on every slot subset, including
   malformed packets whose decode errors the full path swallows;
-* **eligibility** — goto-table chains, groups and mortal flows now
-  compile; rules the executor cannot reproduce bit-identically
-  (packet-ins, floods, action-set instructions) become per-entry
-  FALLBACK decisions routed through the interpreter, and only a
-  subclassed cost model (or an empty pipeline) rejects the whole
-  program;
+* **eligibility** — goto-table chains, groups, mortal flows and
+  reserved outputs (packet-ins, floods) compile; what the executor
+  does not reproduce (action-set instructions, a transform before a
+  goto or a group action, a subclassed cost model) rejects the whole
+  pipeline, and no frame of a compiled program reaches the
+  interpreter;
 * **patching, invalidation, cold start** — a FlowMod, GroupMod or
   expiry sweep that leaves the program's shape intact is patched in
   place (derived decisions flushed, generated code kept); a shape
@@ -26,7 +26,15 @@ import re
 import sys
 from pathlib import Path
 
-from repro.apps import LearningSwitchApp
+import pytest
+
+from repro.apps import (
+    ArpResponderApp,
+    Backend,
+    LearningSwitchApp,
+    LoadBalancerApp,
+    ParentalControlApp,
+)
 from repro.controller import Controller
 from repro.core import HarmlessFleet, HarmlessManager, HarmlessS4, PortVlanMap
 from repro.fabric import leaf_spine_fabric
@@ -34,8 +42,9 @@ from repro.legacy import LegacySwitch
 from repro.mgmt import DeviceConnection, get_network_driver
 from repro.net import Dot1QTag, EthernetFrame, IPv4Address, MACAddress
 from repro.net.build import tcp_frame, udp_frame
+from repro.net.dns import DnsMessage
 from repro.net.tcp import TcpSegment
-from repro.netsim import Simulator
+from repro.netsim import Host, Simulator
 from repro.netsim.link import Link, wire
 from repro.netsim.node import Node
 from repro.openflow import (
@@ -49,6 +58,7 @@ from repro.openflow import (
     OutputAction,
     PushVlanAction,
     SetFieldAction,
+    WriteActions,
 )
 from repro.openflow import consts as c
 from repro.openflow.packetview import (
@@ -231,7 +241,7 @@ class TestEligibility:
         install(switch, table_id=1, match=Match(), instructions=output(2))
         switch.inject(frame_ab(), 1)
         assert switch.program is not None
-        assert switch.program.fallback_reason is None
+        assert switch.compile_ineligible_reason is None
         assert switch.specialized_frames == 1
         sim.run()
         assert len(sinks[1].received) == 1
@@ -274,7 +284,7 @@ class TestEligibility:
         assert group.packet_count == 1
         assert group.bucket_packet_counts == [1]
 
-    def test_controller_output_compiles_to_fallback(self):
+    def test_controller_output_compiles(self):
         _, switch, _ = build_switch()
         install(
             switch,
@@ -282,14 +292,12 @@ class TestEligibility:
             priority=0,
             instructions=[ApplyActions(actions=(OutputAction(port=c.OFPP_CONTROLLER),))],
         )
-        program = compile_datapath(switch)
-        assert program is not None
-        assert "controller" in program.fallback_reason
-        assert "controller" in switch.compile_ineligible_reason
+        assert compile_datapath(switch) is not None
+        assert switch.compile_ineligible_reason is None
         switch.inject(frame_ab(), 1)
-        # The frame routed through the interpreter and raised a packet-in.
-        assert switch.fallback_frames == 1
-        assert switch.specialized_frames == 0
+        # The packet-in is a step of the program: nothing was interpreted.
+        assert switch.fallback_frames == 0
+        assert switch.specialized_frames == 1
         assert switch.packets_to_controller == 1
 
     def test_subclassed_cost_model_rejected(self):
@@ -468,12 +476,12 @@ class TestInvalidationAndRegenerate:
             switch,
             match=Match(in_port=2),
             priority=7,
-            instructions=[ApplyActions(actions=(OutputAction(port=c.OFPP_FLOOD),))],
+            instructions=[WriteActions(actions=(OutputAction(port=3),))],
         )
         switch.inject(frame_ab(), 1)
         reason = switch.stats()["specialization"]["ineligible_reason"]
         assert "table 0 priority 7" in reason
-        assert "flood" in reason
+        assert "WriteActions needs the action set" in reason
 
     def test_probes_run_in_descending_max_priority_order(self):
         """The one probe order, whatever traffic the table has seen:
@@ -639,22 +647,31 @@ class TestPatchingInPlace:
         assert switch.specialized_frames == 3 and switch.program_compiles == 1
 
     def test_ineligible_reason_follows_the_tables_through_patches(self):
+        """A MODIFY into a reserved output is patched in; one into a
+        construct the compiler rejects discards the program, leaves the
+        pipeline interpreted and says why, until a delete takes it away."""
         _, switch, _ = self._live()
         program = switch.program
-        assert program.fallback_reason is None
-        flood = [ApplyActions(actions=(OutputAction(port=c.OFPP_FLOOD),))]
-        switch.handle_message(
-            FlowMod(
-                command=c.OFPFC_MODIFY, match=Match(in_port=1), instructions=flood
-            ).to_bytes()
-        )
-        assert switch.program is program
-        assert "flood" in program.fallback_reason
-        assert "flood" in switch.stats()["specialization"]["ineligible_reason"]
+        for instructions in (
+            [ApplyActions(actions=(OutputAction(port=c.OFPP_FLOOD),))],
+            [WriteActions(actions=(OutputAction(port=2),))],
+        ):
+            switch.handle_message(
+                FlowMod(
+                    command=c.OFPFC_MODIFY, match=Match(in_port=1),
+                    instructions=instructions,
+                ).to_bytes()
+            )
+            switch.inject(frame_ab(), 1)
+        assert switch.program_patches == 1 and switch.program_invalidations == 1
+        assert switch.last_regenerate_reason == "WriteActions needs the action set"
+        assert switch.program is None and switch.fallback_frames == 1
+        assert "WriteActions" in switch.stats()["specialization"]["ineligible_reason"]
         delete(switch, match=Match(in_port=1))
-        assert switch.program is program
-        assert program.fallback_reason is None
+        switch.inject(frame_ab(), 1)
+        assert switch.program is not None and switch.program is not program
         assert switch.compile_ineligible_reason is None
+        assert switch.fallback_frames == 1
 
     def test_mid_burst_patch_keeps_the_burst_compiled(self):
         """A synchronous controller answers a packet-in by revoking one
@@ -678,8 +695,8 @@ class TestPatchingInPlace:
         switch.process_batch(2, [frame] * 6)  # one flow key; the patch flushes its decision
         sim.run()
         assert switch.program is program and switch.program_patches == 2
-        assert switch.fallback_frames == 1  # only the packet-in frame
-        assert switch.specialized_frames == 1 + 5
+        assert switch.fallback_frames == 0  # the packet-in frame too
+        assert switch.specialized_frames == 1 + 6
         assert len(sinks[2].received) == 5
 
 
@@ -765,8 +782,8 @@ class TestColdStartWorkBudget:
         assert [len(sink.received) for sink in sinks] == [2, 2, 2]
 
     def test_first_frame_after_a_shape_break_is_served_compiled(self):
-        """``fallback_frames`` moves for FALLBACK decisions only: the
-        packet-in rule on port 3, never for want of a program."""
+        """``fallback_frames`` never moves: not for want of a program,
+        and not for the packet-in rule on port 3 either."""
         packet_in = [ApplyActions(actions=(OutputAction(port=c.OFPP_CONTROLLER),))]
         breaks = [
             dict(match=Match(eth_type=0x0800, udp_dst=2000), instructions=output(3)),
@@ -788,10 +805,10 @@ class TestColdStartWorkBudget:
             assert switch.program is None and switch.program_invalidations == served
             switch.inject(frame_ab(dst_port=7), 1)
             assert switch.program is not None and switch.program is not program
-            assert switch.fallback_frames == served - 1
             switch.inject(frame_ab(dst_port=7), 3)
-            assert switch.fallback_frames == switch.packets_to_controller == served
-        assert switch.specialized_frames == 1 + len(breaks)
+            assert switch.packets_to_controller == served
+        assert switch.fallback_frames == 0
+        assert switch.specialized_frames == 1 + 2 * len(breaks)
 
     def test_rejected_pipeline_is_attempted_once_per_mutation(self, monkeypatch):
         class HookedModel(DatapathCostModel):
@@ -861,6 +878,108 @@ class TestColdStartWorkBudget:
         assert (a.program_compiles, a.program_patches, len(seen)) == (1, 2, 1)
         assert b.program.run_burst.__globals__["P0_get"] is binding_b
         assert a.fallback_frames == b.fallback_frames == 0
+
+
+class TestInterpreterIsTheOracle:
+    """With specialization on and a program active, no frame enters
+    ``SoftSwitch._interpret_one``: packet-ins and floods are steps of
+    the compiled program.  Pinned without a clock, by counting entries
+    on three rigs whose pipelines output to reserved ports."""
+
+    RIGS = ("learning_fabric", "load_balancer", "parental_control")
+
+    @staticmethod
+    def migrated_site(sim, apps, hosts):
+        """*hosts* on a legacy switch migrated under a controller running
+        *apps*; returns its SS_2."""
+        legacy = LegacySwitch(sim, "site", num_ports=len(hosts) + 1)
+        for port, host in enumerate(hosts, start=1):
+            Link(host.port0, legacy.port(port))
+        controller = Controller(sim)
+        for app in apps:
+            controller.add_app(app)
+        mib, _ = attach_bridge_mib(legacy)
+        driver = get_network_driver("sim-ios")(
+            DeviceConnection(agent=SnmpAgent(mib), hostname="site")
+        )
+        driver.open()
+        manager = HarmlessManager(sim, controller=controller)
+        deployment = manager.migrate(legacy, driver, trunk_port=len(hosts) + 1)
+        sim.run(until=sim.now + 0.1)
+        return deployment.s4.ss2
+
+    @staticmethod
+    def hosts(sim, count):
+        return [
+            Host(sim, f"h{n}", MACAddress(0x02_00_00_00_00_01 + n),
+                 IPv4Address(f"10.0.0.{n + 1}"))
+            for n in range(count)
+        ]
+
+    def learning_fabric(self, sim):
+        """Migration waves with the learning switch: table-miss packet-ins."""
+        fabric = leaf_spine_fabric(edges=2, spines=1, hosts_per_edge=2, sim=sim)
+        fleet = HarmlessFleet(fabric, wave_size=5, cost_model=ZERO_COST)
+        fleet.migrate_all(verify=True, strict=True)
+        return [deployment.s4.ss2 for deployment in fleet.deployments.values()]
+
+    def load_balancer(self, sim):
+        """Backends answer through the LB's rewrite-then-FLOOD rule."""
+        vip, vip_mac = IPv4Address("10.0.0.100"), MACAddress(0x02_00_00_00_0F_00)
+        hosts = self.hosts(sim, 4)
+        clients, backends = hosts[:2], hosts[2:]
+        pool = [Backend(ip=h.ip, mac=h.mac, port=3 + n) for n, h in enumerate(backends)]
+        apps = [ArpResponderApp(bindings={vip: vip_mac}),
+                LoadBalancerApp(vip=vip, vip_mac=vip_mac, backends=pool),
+                LearningSwitchApp()]
+        ss2 = self.migrated_site(sim, apps, hosts)
+        for backend in backends:
+            backend.serve_udp(80, lambda host, ip, sport, dport, data:
+                              host.send_udp(ip, sport, b"200", src_port=80))
+        for n, client in enumerate(clients * 3):
+            sim.schedule(0.02 * n, client.send_udp, vip, 80, b"GET /")
+        sim.run(until=sim.now + 2.0)
+        return [ss2]
+
+    def parental_control(self, sim):
+        """DNS lookups through the app's intercept-to-controller rules."""
+        kid, resolver = self.hosts(sim, 2)
+        resolver.serve_udp(53, lambda host, ip, sport, dport, data: host.send_udp(
+            ip, sport, DnsMessage.from_bytes(data).make_response(rcode=3).to_bytes(),
+            src_port=53))
+        app = ParentalControlApp()
+        ss2 = self.migrated_site(sim, [app, LearningSwitchApp()], [kid, resolver])
+        app.block(kid.ip, "games.example")
+        for n in range(3):
+            sim.schedule(0.1 * n, kid.send_udp, resolver.ip, 53,
+                         DnsMessage.query(n + 1, "games.example").to_bytes())
+        sim.run(until=sim.now + 1.0)
+        return [ss2]
+
+    @pytest.mark.parametrize("rig", RIGS)
+    def test_no_frame_of_a_compiled_program_is_interpreted(self, rig, monkeypatch):
+        entered = []
+        interpret = SoftSwitch._interpret_one
+
+        def counting(switch, frame, in_port):
+            if switch.specialize and switch.program is not None:
+                entered.append(switch.name)
+            interpret(switch, frame, in_port)
+
+        monkeypatch.setattr(SoftSwitch, "_interpret_one", counting)
+        switches = getattr(self, rig)(Simulator())
+        reserved = [
+            entry
+            for switch in switches
+            for entry in switch.tables[0]
+            if any(getattr(action, "port", None) in (c.OFPP_CONTROLLER, c.OFPP_FLOOD)
+                   for instruction in entry.instructions
+                   for action in instruction.actions)
+        ]
+        assert sum(entry.packet_count for entry in reserved) > 0  # they served frames
+        assert all(switch.program is not None for switch in switches)
+        assert sum(switch.specialized_frames for switch in switches) > 0
+        assert entered == []
 
 
 class TestOneFramePath:

@@ -8,20 +8,27 @@ identically-provisioned switch running the reference interpreter.  Each case fam
 churn-interleaved bursts along one eligibility dimension the compiler
 now covers — goto-table chains, group execution (all / select /
 indirect / dead references), idle- and hard-timeout expiry — plus the
-mixed suite that flips between compiled execution, per-entry FALLBACK
-windows (packet-ins, floods, transform-before-goto), recompiles
-landing between bursts of live traffic, and — via a synchronous
-reactive controller — mutations landing *mid-burst* while the
-fallback interpreter is serving the remaining frames.
+mixed suite that flips between compiled execution (reserved outputs
+— packet-ins, floods — included), pipelines the compiler rejects
+whole (write-actions, a transform before a goto or a group action),
+recompiles landing between bursts of live traffic, and — via a
+synchronous reactive controller — mutations landing *mid-burst*
+while the compiled program is serving the remaining frames.
 
 The ``incremental`` family (PR 14) is three-way: a switch whose
 program is *patched in place* by every mutation that leaves its shape
 intact, a switch forced to a fresh ``compile_datapath`` after every
 mutation, and the seed ``linear_lookup`` interpreter.  It counts the
-hazards patching has to survive (replacement ADDs, MODIFY into a
-fallback shape, deleting a cached winner, entry-id reuse, an emptied
-and re-created field-set, every shape break, a synchronous controller
-reprogramming mid-burst) and fails if any of them did not occur.
+hazards patching has to survive (replacement ADDs, deleting a cached
+winner, entry-id reuse, an emptied and re-created field-set, every
+shape break, a synchronous controller reprogramming mid-burst) and
+fails if any of them did not occur.  The same ledger counts the
+reserved outputs served compiled — packet-ins (bytes and xid compared
+with the ``linear_lookup`` arm's), FLOOD, ALL, IN_PORT, inside an ALL
+and a select bucket, a ``flood_guard`` and a miss-suppression hit —
+and every construct the compiler rejects, installed by ADD and by
+MODIFY and then taken away, after which the next frame is compiled
+again; a compiled program never hands a frame to the interpreter.
 The same ledger (PR 19) records the VLAN-rewrite shapes around the
 compiler's one peephole — push + set-field ``vlan_vid`` folded into a
 single step — as the compiled tier serves them: the folded pair in
@@ -59,16 +66,13 @@ from repro.openflow import (
     PopVlanAction,
     PushVlanAction,
     SetFieldAction,
+    WriteActions,
 )
+from repro.legacy.stormcontrol import StormControl
 from repro.openflow import consts as c
 from repro.openflow.messages import PacketIn, parse_message
 from repro.softswitch import DatapathCostModel, ESWITCH_COST_MODEL, SoftSwitch
-from repro.softswitch.compiler import (
-    PLAN_CHAIN,
-    STEP_GROUP_ALL,
-    STEP_GROUP_ONE,
-    entry_fallback_reason,
-)
+from repro.softswitch.compiler import PLAN_CHAIN, STEP_GROUP, STEP_RESERVED
 from repro.traffic import BurstSource
 
 ZERO_COST = DatapathCostModel.zero()
@@ -185,38 +189,31 @@ def compilable_instructions(rng: random.Random):
     return [ApplyActions(actions=tuple(actions))]
 
 
-def fallback_flow_mod(rng: random.Random) -> FlowMod:
-    """An install the compiler must route through a FALLBACK decision.
+RESERVED_PORTS = (c.OFPP_CONTROLLER, c.OFPP_FLOOD, c.OFPP_ALL, c.OFPP_IN_PORT)
 
-    These shapes (packet-ins, floods, transforms before a goto) are the
-    only per-entry escapes left now that chains, groups and timeouts
-    compile; they keep the mixed suite flipping between tier 0 and the
-    interpreter mid-traffic.
+
+def edge_flow_mod(rng: random.Random) -> FlowMod:
+    """An install at the edge of what compiles.
+
+    Reserved outputs (packet-in, flood, all, in-port) are steps of the
+    program; write-actions and a frame transform before a goto or a
+    group action make the compiler reject the whole pipeline, which is
+    then interpreted until a delete or a modify takes the rule away —
+    so the mixed suite keeps flipping between the two executors.
     """
     roll = rng.random()
-    if roll < 0.4:  # packet-in
-        return FlowMod(
-            match=random_match(rng),
-            priority=rng.randint(0, 30),
-            instructions=[ApplyActions(actions=(OutputAction(port=c.OFPP_CONTROLLER),))],
-        )
-    if roll < 0.7:  # flood
-        return FlowMod(
-            match=random_match(rng),
-            priority=rng.randint(0, 30),
-            instructions=[ApplyActions(actions=(OutputAction(port=c.OFPP_FLOOD),))],
-        )
-    return FlowMod(  # frame transform before a table walk continues
-        table_id=0,
-        match=random_match(rng),
-        priority=rng.randint(0, 30),
-        instructions=[
-            ApplyActions(
-                actions=(SetFieldAction(field="eth_dst", value=int(rng.choice(MACS))),)
-            ),
-            GotoTable(table_id=1),
-        ],
-    )
+    match, priority = random_match(rng), rng.randint(0, 30)
+    set_dst = SetFieldAction(field="eth_dst", value=int(rng.choice(MACS)))
+    if roll < 0.7:
+        port = rng.choice(RESERVED_PORTS + (c.OFPP_CONTROLLER, c.OFPP_FLOOD))
+        instructions = [ApplyActions(actions=(OutputAction(port=port),))]
+    elif roll < 0.8:  # frame transform before a table walk continues
+        instructions = [ApplyActions(actions=(set_dst,)), GotoTable(table_id=1)]
+    elif roll < 0.9:  # frame transform before a group action
+        instructions = [ApplyActions(actions=(set_dst, GroupAction(group_id=1)))]
+    else:
+        instructions = [WriteActions(actions=(OutputAction(port=rng.randint(1, 3)),))]
+    return FlowMod(match=match, priority=priority, instructions=instructions)
 
 
 def chain_churn_message(rng: random.Random):
@@ -247,8 +244,8 @@ def chain_churn_message(rng: random.Random):
                 GotoTable(table_id=rng.randint(2, 3)),
             ],
         )
-    if roll < 0.75:  # transform-before-goto: per-entry fallback inside the family
-        return fallback_flow_mod(rng)
+    if roll < 0.75:  # reserved outputs, and constructs rejected whole
+        return edge_flow_mod(rng)
     if roll < 0.88:  # wipe a later table: live chains start missing mid-walk
         return FlowMod(
             table_id=rng.randint(1, 3), command=c.OFPFC_DELETE, match=Match()
@@ -264,7 +261,10 @@ def chain_churn_message(rng: random.Random):
 def random_buckets(rng: random.Random) -> "list[Bucket]":
     buckets = []
     for _ in range(rng.randint(1, 3)):
-        actions = [OutputAction(port=rng.randint(1, 3))]
+        port = rng.randint(1, 3)
+        if rng.random() < 0.15:  # a packet-in or a flood out of a bucket
+            port = rng.choice(RESERVED_PORTS)
+        actions = [OutputAction(port=port)]
         roll = rng.random()
         if roll < 0.4:  # rewrite-then-forward, as the LB use case does
             actions.insert(
@@ -367,7 +367,7 @@ def random_churn_message(rng: random.Random):
             instructions=compilable_instructions(rng),
         )
     if roll < 0.57:
-        return fallback_flow_mod(rng)
+        return edge_flow_mod(rng)
     if roll < 0.68:  # purge the second table: flips goto pipelines back
         return FlowMod(
             table_id=1, command=c.OFPFC_DELETE, match=Match()
@@ -539,10 +539,18 @@ def run_differential(
 # The incremental family: patched program vs fresh compile vs interpreter
 # ---------------------------------------------------------------------------
 
+#: Reason prefix -> name of each construct the compiler rejects whole
+#: (an unknown action type cannot arrive as bytes).
+_REJECTIONS = (
+    ("WriteActions needs the action set", "action_set"),
+    ("frame transform before goto-table", "transform_before_goto"),
+    ("frame transform before group action", "transform_before_group"),
+    ("group ", "group_bucket"),  # a bucket holding a group action
+)
+
 #: Every hazard the family must have exercised at least once per run.
 INCREMENTAL_HAZARDS = (
     "replacement_add",  # same match+priority, new instructions (DmzPolicyApp's ARP rule)
-    "modify_into_fallback",  # MODIFY rewrites an entry into a packet-in/flood
     "modify_cached_winner",  # MODIFY of an entry with a live plan in the program
     "delete_cached_winner",  # the removed entry had a live plan in the program
     "id_reuse",  # a new FlowEntry landed on the id() of a removed one
@@ -566,7 +574,29 @@ INCREMENTAL_HAZARDS = (
     "set_vlan_on_untagged",  # nothing to rewrite: a no-op, not a push
     "push_push_set",  # only the inner pair folds
     "pop_then_push_set",  # pop (a no-op when untagged), then the folded pair
+    # Reserved outputs, counted the same way: compiled steps, never a
+    # frame handed to the interpreter.
+    "packet_in_compiled",  # raised inside a compiled burst, bytes compared
+    "flood_compiled",
+    "all_compiled",
+    "in_port_compiled",
+    "reserved_in_all_bucket",
+    "reserved_in_select_bucket",
+    "flood_guard_compiled",  # the guard refused a flood in a compiled burst
+    "miss_suppression_compiled",  # a repeat packet-in suppressed, compiled
+) + tuple(
+    # Each rejected construct, installed by ADD and by MODIFY, then
+    # taken away: counted when the next burst is compiled again.
+    f"rejected_{name}_by_{how}" for _, name in _REJECTIONS for how in ("add", "modify")
 )
+
+#: The hazard a compiled reserved output counts, by port.
+_RESERVED_HAZARDS = {
+    c.OFPP_CONTROLLER: "packet_in_compiled",
+    c.OFPP_FLOOD: "flood_compiled",
+    c.OFPP_ALL: "all_compiled",
+    c.OFPP_IN_PORT: "in_port_compiled",
+}
 
 #: Chosen so that, at SCALE=1, every shape-intact condition with the
 #: check switched off (mutation check, PR 14) diverges from the
@@ -642,7 +672,7 @@ _STEP_WEIGHTS = {
     "add": 30,  # within-shape ADD; small value space -> replacement ADDs
     "flip": 10,  # the operator's revoke-then-grant pairs
     "delete": 11,  # deletes that hit winners and empty whole groups
-    "modify": 9,  # MODIFY, half the time into a shape only the interpreter runs
+    "modify": 9,  # MODIFY, half the time into a reserved output
     "group_flow": 5,  # flows through groups (some of which never exist)
     "group_mod": 5,  # all/indirect group churn: content only
     "select_group": 3,  # the first select group needs hash slots in the key
@@ -702,7 +732,7 @@ def incremental_churn(rng: random.Random, weights: dict) -> tuple:
     if kind == "modify":
         instructions = (
             compilable_instructions(rng) if rng.random() < 0.5
-            else rng.choice((_PACKET_IN, _FLOOD))
+            else [ApplyActions(actions=(OutputAction(port=rng.choice(RESERVED_PORTS)),))]
         )
         return (FlowMod(
             command=rng.choice((c.OFPFC_MODIFY, c.OFPFC_MODIFY, c.OFPFC_MODIFY_STRICT)),
@@ -783,6 +813,11 @@ def incremental_prologue() -> list:
                         instructions=[ApplyActions(actions=actions)]),)
 
     arp = Match(eth_type=0x0806)
+    set_dst = SetFieldAction(field="eth_dst", value=int(MACS[2]))
+    nested_group = dict(
+        group_type=c.OFPGT_ALL, group_id=5,
+        buckets=[Bucket(actions=[GroupAction(group_id=1)])],
+    )
     select_group = dict(
         group_type=c.OFPGT_SELECT, group_id=4,
         buckets=[Bucket(actions=[OutputAction(port=1)], weight=1),
@@ -805,9 +840,50 @@ def incremental_prologue() -> list:
         (FlowMod(command=c.OFPFC_DELETE, match=arp),  # empties the ARP field-set...
          FlowMod(match=arp, priority=30, instructions=out)),  # ...and re-creates it
         (FlowMod(command=c.OFPFC_MODIFY, match=Match(in_port=1),
-                 instructions=_FLOOD),),  # the hot rule, into a fallback shape
+                 instructions=_FLOOD),),  # the hot rule, into a reserved output
         (FlowMod(command=c.OFPFC_DELETE, match=Match(in_port=1)),),  # the cached winner
         (FlowMod(match=Match(in_port=1), priority=30, instructions=out),),
+        # Reserved outputs as compiled steps: in apply-actions, and in
+        # the buckets of an all-group and of a select group (no
+        # packet-in there: the controller's answer would flush the
+        # decision before decision_hazards reads it).
+        hot(OutputAction(port=c.OFPP_ALL)),
+        hot(OutputAction(port=c.OFPP_IN_PORT)),
+        (GroupMod(command=c.OFPGC_ADD, group_type=c.OFPGT_ALL, group_id=2,
+                  buckets=[Bucket(actions=[OutputAction(port=c.OFPP_FLOOD)]),
+                           Bucket(actions=[OutputAction(port=c.OFPP_ALL)])]),
+         *hot(GroupAction(group_id=2))),
+        (GroupMod(command=c.OFPGC_ADD, group_type=c.OFPGT_SELECT, group_id=4,
+                  buckets=[Bucket(actions=[OutputAction(port=port)])
+                           for port in RESERVED_PORTS[1:]]),
+         *hot(GroupAction(group_id=4))),
+        (GroupMod(command=c.OFPGC_DELETE, **select_group),),
+        # Each construct the compiler rejects, by ADD and then deleted,
+        # and by MODIFY of the hot rule and then modified back: the
+        # burst between is interpreted, the next one compiled again.
+        *[
+            step
+            for rejected in (
+                [WriteActions(actions=(out_3,))],
+                [ApplyActions(actions=(set_dst,)), GotoTable(table_id=1)],
+                [ApplyActions(actions=(set_dst, GroupAction(group_id=1)))],
+            )
+            for step in (
+                (FlowMod(match=Match(in_port=2), priority=25, instructions=rejected),),
+                (FlowMod(command=c.OFPFC_DELETE_STRICT, match=Match(in_port=2),
+                         priority=25),),
+                (FlowMod(command=c.OFPFC_MODIFY_STRICT, match=Match(in_port=1),
+                         priority=30, instructions=rejected),),
+                (FlowMod(command=c.OFPFC_MODIFY_STRICT, match=Match(in_port=1),
+                         priority=30, instructions=out),),
+            )
+        ],
+        (GroupMod(command=c.OFPGC_ADD, **nested_group),),
+        (GroupMod(command=c.OFPGC_DELETE, **nested_group),),
+        (GroupMod(command=c.OFPGC_ADD, group_type=c.OFPGT_ALL, group_id=5,
+                  buckets=[Bucket(actions=[out_3])]),),
+        (GroupMod(command=c.OFPGC_MODIFY, **nested_group),),
+        (GroupMod(command=c.OFPGC_DELETE, **nested_group),),
         # The VLAN-rewrite shapes, each on the hot port rule for a burst.
         hot(push, set_vid, out_3),  # the translator's pair: folded
         hot(push, SetFieldAction(field="eth_dst", value=int(MACS[3])), out_3),
@@ -823,6 +899,13 @@ def incremental_prologue() -> list:
         # Untagged frames only (a new field-set): nothing to set.
         (FlowMod(match=Match(in_port=1, vlan_vid=0), priority=35,
                  instructions=[ApplyActions(actions=(set_vid, out_3))]),),
+        # Last, since its reactions learn every destination: every frame
+        # to the controller for three bursts, above any rule a reaction
+        # installs, so repeats of a flow meet the miss suppression.
+        (FlowMod(match=Match(), priority=60, instructions=_PACKET_IN),),
+        (),
+        (),
+        (FlowMod(command=c.OFPFC_DELETE_STRICT, match=Match(), priority=60),),
     ]
 
 
@@ -851,9 +934,10 @@ def rewrite_shapes(actions) -> set:
     return shapes
 
 
-def rewrite_hazards(switch) -> set:
-    """The VLAN-rewrite hazards among the decisions *switch*'s program
-    holds — each built because a frame served compiled selected it."""
+def decision_hazards(switch) -> set:
+    """The VLAN-rewrite shapes and reserved outputs among the decisions
+    *switch*'s program holds — each built because a frame served
+    compiled selected it."""
     program = switch.program
     hazards: set = set()
     if program is None:
@@ -866,16 +950,22 @@ def rewrite_hazards(switch) -> set:
         if kind == PLAN_CHAIN:
             entries = [entry for _, entry in walked]
             for op, arg in decision[2][0]:
-                buckets = ()
-                if op == STEP_GROUP_ALL:
-                    buckets = arg[0].buckets
-                elif op == STEP_GROUP_ONE and arg[1] is not None:
-                    buckets = (arg[0].buckets[arg[1]],)
-                if any("fold" in rewrite_shapes(bucket.actions) for bucket in buckets):
-                    hazards.add("fold_in_group_bucket")
+                if op == STEP_RESERVED:
+                    hazards.add(_RESERVED_HAZARDS[arg.port])
+                if op != STEP_GROUP:
+                    continue
+                group, runs = arg
+                for index, bucket_steps in runs:
+                    if "fold" in rewrite_shapes(group.buckets[index].actions):
+                        hazards.add("fold_in_group_bucket")
+                    if any(step[0] == STEP_RESERVED for step in bucket_steps):
+                        if group.group_type == c.OFPGT_ALL:
+                            hazards.add("reserved_in_all_bucket")
+                        elif group.group_type == c.OFPGT_SELECT:
+                            hazards.add("reserved_in_select_bucket")
         elif walked is not None:  # one terminal entry
             entries = [walked]
-        else:  # table miss, fallback
+        else:  # table miss
             continue
         for entry in entries:
             shapes = rewrite_shapes([
@@ -952,7 +1042,8 @@ def _probe_shape(match) -> tuple:
 class IncrementalRig:
     """One of the three switches plus what the harness watches on it."""
 
-    def __init__(self, cost_model, kind: str, script: list, hazards: Counter):
+    def __init__(self, cost_model, kind: str, script: list, hazards: Counter,
+                 defences: bool = False):
         self.kind = kind  # "patched" | "fresh" | "interpreter"
         interpreted = kind == "interpreter"
         self.rig = build_rig(
@@ -969,7 +1060,23 @@ class IncrementalRig:
         #: ids of FlowEntry objects this switch removed and has not
         #: (yet) handed out again — ints only, never the objects.
         self.freed_ids: set = set()
+        #: The hazard a rejected construct will count once the switch
+        #: serves a burst compiled again.
+        self.rejected = None
+        self.interpreted = 0
         self.switch.to_controller = self._controller
+        if defences:  # the storm defences, as tight as on a storming fabric
+            self.switch.flood_guard = StormControl(rate_fps=200, burst=2, recovery_s=0.05)
+            self.switch.miss_suppression_s = 1.0
+        if not interpreted:
+            self.switch._interpret_one = self._interpret_one
+
+    def _interpret_one(self, frame, in_port):
+        # The interpreter is the oracle only: a frame reaches it when no
+        # program is active, never from a compiled one.
+        assert self.switch.program is None, "a compiled program handed a frame over"
+        self.interpreted += 1
+        SoftSwitch._interpret_one(self.switch, frame, in_port)
 
     # The controller is wired straight back into handle_message: its
     # reaction lands between two frames of the burst that raised it.
@@ -1045,13 +1152,10 @@ class IncrementalRig:
             if isinstance(message, GroupMod):
                 hazards["group_patch"] += 1
             if is_flow_mod and message.command in (c.OFPFC_MODIFY, c.OFPFC_MODIFY_STRICT):
-                modified = [
-                    entry for entry in switch.tables[message.table_id]
-                    if entry.match == message.match
-                    and entry.instructions == list(message.instructions)
-                ]
-                if any(entry_fallback_reason(entry, 0) for entry in modified):
-                    hazards["modify_into_fallback"] += 1
+                modified = switch.tables[message.table_id].select(
+                    message.match, message.priority,
+                    strict=message.command == c.OFPFC_MODIFY_STRICT,
+                )
                 if any(id(entry) in planned for entry in modified):
                     hazards["modify_cached_winner"] += 1
         else:
@@ -1062,7 +1166,12 @@ class IncrementalRig:
                     hazards[hazard] += 1
                     break
             else:
-                raise AssertionError(f"unexplained discard: {reason!r}")
+                name = next(
+                    (name for prefix, name in _REJECTIONS if reason.startswith(prefix)), None
+                )
+                assert name is not None, f"unexplained discard: {reason!r}"
+                added = message.command == (c.OFPFC_ADD if is_flow_mod else c.OFPGC_ADD)
+                self.rejected = f"rejected_{name}_by_{'add' if added else 'modify'}"
         return replies
 
     def run_until(self, clock: float) -> None:
@@ -1078,14 +1187,29 @@ class IncrementalRig:
             self.hazards["expiry_patch"] += 1
 
     def burst(self, in_port: int, frames: list, single: bool) -> None:
+        switch = self.switch
+        before = (self.interpreted, switch.floods_suppressed,
+                  switch.packet_ins_suppressed, len(self.packet_ins))
         self.in_burst = not single
         try:
             if single:
-                self.switch.inject(frames[0], in_port)
+                switch.inject(frames[0], in_port)
             else:
-                self.switch.process_batch(in_port, list(frames))
+                switch.process_batch(in_port, list(frames))
         finally:
             self.in_burst = False
+        if self.kind != "patched":
+            return
+        if self.rejected and switch.program is not None:
+            self.hazards[self.rejected] += 1
+            self.rejected = None
+        if self.interpreted == before[0]:  # every frame served compiled
+            if len(self.packet_ins) > before[3]:  # emitted at once: zero cost
+                self.hazards["packet_in_compiled"] += 1
+            if switch.floods_suppressed > before[1]:
+                self.hazards["flood_guard_compiled"] += 1
+            if switch.packet_ins_suppressed > before[2]:
+                self.hazards["miss_suppression_compiled"] += 1
 
 
 def assert_same_state(rig_a: IncrementalRig, rig_b: IncrementalRig) -> None:
@@ -1093,7 +1217,7 @@ def assert_same_state(rig_a: IncrementalRig, rig_b: IncrementalRig) -> None:
     a, b = rig_a.switch, rig_b.switch
     label = f"{rig_a.kind} vs {rig_b.kind}"
     assert a.busy_until == b.busy_until, label
-    assert len(rig_a.packet_ins) == len(rig_b.packet_ins), label
+    assert rig_a.packet_ins == rig_b.packet_ins, label  # bytes and xids
     assert (a.packets_forwarded, a.drops, a.packets_to_controller) == (
         b.packets_forwarded, b.drops, b.packets_to_controller
     ), label
@@ -1115,7 +1239,8 @@ def run_incremental(seed, rounds, bursts_per_round, cost_model, churn_prob=0.5):
             weights = step_weights(_ROUND_THEMES[round_index % len(_ROUND_THEMES)])
             script = reaction_script(rng, 6 * bursts_per_round)
             rigs = [
-                IncrementalRig(cost_model, kind, script, hazards)
+                IncrementalRig(cost_model, kind, script, hazards,
+                               defences=round_index % 2 == 1)
                 for kind in ("patched", "fresh", "interpreter")
             ]
             patched, fresh, interpreter = rigs
@@ -1142,14 +1267,18 @@ def run_incremental(seed, rounds, bursts_per_round, cost_model, churn_prob=0.5):
                 # reaction has to have flushed.
                 flows = rng.sample(pool, rng.choice((2, 3, 6, len(pool), len(pool))))
                 frames = [rng.choice(flows) for _ in range(size)]
-                in_port = 1 if rng.random() < 0.7 else rng.randint(2, 3)
+                # The prologue's bursts arrive on the hot rule's port.
+                in_port = (
+                    1 if burst_index <= len(prologue) or rng.random() < 0.7
+                    else rng.randint(2, 3)
+                )
                 single = size == 1 and rng.random() < 0.5
                 for rig in rigs:
                     rig.burst(in_port, frames, single)
                 bursts_done += 1
                 assert_same_state(patched, interpreter)
                 assert_same_state(fresh, interpreter)
-                hazards.update(rewrite_hazards(patched.switch))
+                hazards.update(decision_hazards(patched.switch))
                 program = patched.switch.program
                 if program is not None:
                     # Plans outlive a flush; a removed or replaced
@@ -1185,7 +1314,7 @@ class TestSpecializedDifferential:
         assert bursts == 600 * SCALE
         # Every phase was actually exercised (deterministic seed).
         assert totals["specialized_frames"] > 400
-        assert totals["fallback_frames"] > 100  # packet-in / flood escapes
+        assert totals["fallback_frames"] > 100  # rejected pipelines, interpreted
         assert totals["compiles"] >= 10
         assert totals["invalidations"] >= 10  # recompiles amid live traffic
 
@@ -1204,7 +1333,8 @@ class TestSpecializedDifferential:
     def test_multi_table_chain_family(self):
         """≥1000 bursts of goto-chain churn: hops up to table 3, chains
         dying mid-walk as later tables are wiped, outputs before hops,
-        and transform-before-goto entries falling back per entry."""
+        reserved outputs, and transform-before-goto entries that leave
+        the whole pipeline interpreted until they go."""
         bursts, totals = run_differential(
             0xC4A1,
             rounds=4,
@@ -1257,8 +1387,9 @@ class TestSpecializedDifferential:
         forwarding flow on a new field-set, so the running program is
         discarded under the burst.  The burst hands its remaining
         frames back to the switch, which regenerates and serves them
-        compiled — as injecting them one by one would.  Both switches
-        must agree on every frame, packet-in and counter throughout."""
+        compiled — as injecting them one by one would.  This is the one
+        case that hand-back is kept for.  Both switches must agree on
+        every frame, packet-in and counter throughout."""
         rigs = []
         for specialize in (True, False):
             rig = build_rig(ZERO_COST, specialize=specialize)
@@ -1304,17 +1435,17 @@ class TestSpecializedDifferential:
         burst = [frame] * 6
         for rig_switch in (spec, interp):
             rig_switch.process_batch(2, list(burst))  # packet-in at frame 1
-        # Only the packet-in frame was interpreted; the other five went
-        # through the program regenerated mid-burst.
+        # The packet-in frame was served by the first program, the other
+        # five by the one regenerated mid-burst; none was interpreted.
         assert spec.program is not None and spec.program_invalidations == 1
-        assert (spec.fallback_frames, spec.specialized_frames) == (1, 5)
+        assert (spec.fallback_frames, spec.specialized_frames) == (0, 6)
         follow = [frame] * 6
         for rig_switch in (spec, interp):
             rig_switch.process_batch(2, list(follow))
         spec_rig[0].run()
         interp_rig[0].run()
         assert spec.program is not None
-        assert (spec.fallback_frames, spec.specialized_frames) == (1, 11)
+        assert (spec.fallback_frames, spec.specialized_frames) == (0, 12)
         assert_identical(spec_rig, interp_rig)
 
     def test_compiled_burst_equals_compiled_sequential(self):
@@ -1389,8 +1520,8 @@ class TestSpecializedDifferential:
         """A new table-0 field-set lands mid-stream and the next
         32-frame bursts reach the switch over a `Link`
         (``receive_burst``): there is no window — the first burst after
-        the mod is served by the regenerated program, only its
-        packet-in frames go through the interpreter — and every burst
+        the mod is served by the regenerated program, its packet-ins
+        included, and no frame goes through the interpreter — and every burst
         must equal the ``linear_lookup`` switch: bytes, order,
         per-frame arrival time at the far ports, flow/table/port
         counters, packet-ins."""
@@ -1445,24 +1576,15 @@ class TestSpecializedDifferential:
             assert spec.program is None
             assert spec.last_regenerate_reason.startswith("new field-set")
 
-            handed_over_by = []  # the program active at each interpreted frame
-
-            def interpret(frame, in_port, original=spec._interpret_one):
-                handed_over_by.append(spec.program)
-                original(frame, in_port)
-
-            spec._interpret_one = interpret  # the regenerated program binds it
-            served_before = compiled_before + spec.fallback_frames
             checkpoint(until=0.165)  # burst 6 alone
             assert spec.program is not None and spec.program_compiles == 2
-            assert spec.specialized_frames + spec.fallback_frames == served_before + 32
-            assert spec.specialized_frames > compiled_before
+            assert spec.specialized_frames == compiled_before + 32
 
             checkpoint()
             assert spec.program_compiles == 2
-            # Nothing was interpreted for want of a program: every frame
-            # the interpreter saw was a FALLBACK decision of the new one.
-            assert handed_over_by and set(handed_over_by) == {spec.program}
+            # Nothing was interpreted: not for want of a program, and
+            # not the table-miss rule's packet-ins either.
+            assert spec.fallback_frames == 0
             assert sum(len(sink.received) for sink in spec_rig[2]) > 300
             assert spec_rig[3]  # the table-miss rule raised packet-ins throughout
 

@@ -8,9 +8,10 @@ separately, this counts the calls of ``compile_datapath``, how many of
 them reached the builtin ``compile()`` and over how many distinct
 source texts, the milliseconds spent inside ``compile()`` against the
 rest of ``compile_datapath`` (codegen + ``exec``), and the softswitch
-frames by who served them: the compiled program, the interpreter
-because the program handed the frame over (a per-entry FALLBACK:
-packet-in, flood), or the interpreter because no program was active.
+frames by who served them: the compiled program, the interpreter while
+a program was active (a frame the program handed over; 0 on a tree
+whose interpreter is the oracle only), or the interpreter because no
+program was active.
 Everything is wrapped from outside through public names — the
 ``compile`` and ``compile_datapath`` globals the softswitch modules
 resolve, the four datapath entry points and the two frame counters —
@@ -70,7 +71,7 @@ def served(name):
         finally:
             INSIDE[0] = False
             COUNTS["compiled"] += switch.specialized_frames - compiled
-            why = "FALLBACK" if switch.program is not None else "no program"
+            why = "with program" if switch.program is not None else "no program"
             COUNTS[why] += switch.fallback_frames - interpreted
 
     setattr(SoftSwitch, name, wrapper)
@@ -78,10 +79,10 @@ def served(name):
 
 def report(stage):
     total, inside = COUNTS["compile_datapath s"], COUNTS["compile() s"]
-    frames = COUNTS["compiled"] + COUNTS["FALLBACK"] + COUNTS["no program"]
+    frames = COUNTS["compiled"] + COUNTS["with program"] + COUNTS["no program"]
     print(f"  {stage:<7} {COUNTS['programs']:>8} {COUNTS['builtin compiles']:>9} "
           f"{len(SOURCES):>8} {1e3 * inside:>10.1f} {1e3 * (total - inside):>10.1f} "
-          f"{frames:>8} {COUNTS['compiled']:>9} {COUNTS['FALLBACK']:>9} "
+          f"{frames:>8} {COUNTS['compiled']:>9} {COUNTS['with program']:>12} "
           f"{COUNTS['no program']:>11}")
     COUNTS.clear()
     SOURCES.clear()
@@ -91,7 +92,7 @@ def split(workload, seed, frames):
     print(f"{workload.name} seed {seed}")
     print(f"  {'stage':<7} {'programs':>8} {'compile()':>9} {'distinct':>8} "
           f"{'compile ms':>10} {'gen+exec':>10} {'frames':>8} {'compiled':>9} "
-          f"{'FALLBACK':>9} {'no program':>11}")
+          f"{'with program':>12} {'no program':>11}")
     rig = workload.build(seed)
     report("build")
     load = workload.generate(rig, seed, frames)
