@@ -17,7 +17,6 @@ from repro.core import HarmlessS4, PortVlanMap
 from repro.legacy import LegacySwitch
 from repro.netsim import Simulator
 from repro.netsim.link import Link
-from repro.nfpa import measure_pipeline_rate
 from repro.nfpa.harness import make_sink, measure_forwarding
 from repro.openflow import ApplyActions, FlowMod, Match, OutputAction
 from repro.softswitch import ESWITCH_COST_MODEL, SoftSwitch
@@ -135,7 +134,7 @@ def test_throughput_comparison(benchmark):
 
 
 def analytic_capacities():
-    native = measure_pipeline_rate(ESWITCH_COST_MODEL, lookups=1, actions=1)
+    native = ESWITCH_COST_MODEL.peak_pps(lookups=1, actions=1)
     harmless = 1.0 / (
         ESWITCH_COST_MODEL.cost_s(lookups=1, actions=2, vlan_ops=1, patch_hops=1)
         + ESWITCH_COST_MODEL.cost_s(lookups=1, actions=1, patch_hops=1)
@@ -148,9 +147,7 @@ def test_capacity_scales_with_flow_table_shape(benchmark):
     """Ablation: pipeline depth costs capacity (goto-table chains)."""
 
     def rate_for_depth(depth):
-        return measure_pipeline_rate(
-            ESWITCH_COST_MODEL, lookups=depth, actions=1
-        )
+        return ESWITCH_COST_MODEL.peak_pps(lookups=depth, actions=1)
 
     rates = benchmark(lambda: [rate_for_depth(d) for d in (1, 2, 4, 8)])
     assert all(earlier > later for earlier, later in zip(rates, rates[1:]))

@@ -29,9 +29,6 @@ class ArpResponderApp(ControllerApp):
         }
         self.replies_sent = 0
 
-    def add_binding(self, ip: IPv4Address, mac: MACAddress) -> None:
-        self.bindings[IPv4Address(ip)] = MACAddress(mac)
-
     def on_packet_in(self, datapath: Datapath, message: PacketIn) -> bool:
         if message.in_port is None:
             return False

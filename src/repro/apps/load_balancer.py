@@ -94,8 +94,3 @@ class LoadBalancerApp(ControllerApp):
                 ],
                 priority=self.priority,
             )
-
-    def set_backends(self, datapath: Datapath, backends: list[Backend]) -> None:
-        """Re-weight / replace the backend pool on the fly."""
-        self.backends = list(backends)
-        datapath.group_modify(self.group_id, self._buckets(), group_type=OFPGT_SELECT)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Optional
+from typing import Callable
 
 from repro.netsim.simulator import Simulator
 from repro.openflow import consts as c
@@ -19,13 +19,11 @@ from repro.openflow.messages import (
     FeaturesRequest,
     FlowMod,
     FlowRemoved,
-    FlowStatsReply,
     GroupMod,
     Hello,
     OpenFlowMessage,
     PacketIn,
     PacketOut,
-    PortStatsReply,
     parse_message,
 )
 from repro.controller.channel import ControllerChannel, DEFAULT_CONTROL_LATENCY_S
@@ -111,18 +109,6 @@ class Datapath:
         self.send(
             GroupMod(
                 command=c.OFPGC_ADD,
-                group_type=group_type,
-                group_id=group_id,
-                buckets=buckets,
-            )
-        )
-
-    def group_modify(
-        self, group_id: int, buckets: list[Bucket], group_type: int = c.OFPGT_SELECT
-    ) -> None:
-        self.send(
-            GroupMod(
-                command=c.OFPGC_MODIFY,
                 group_type=group_type,
                 group_id=group_id,
                 buckets=buckets,

@@ -307,10 +307,6 @@ class ReachabilityReport:
     def ok(self) -> bool:
         return not self.lost
 
-    @property
-    def loss_rate(self) -> float:
-        return len(self.lost) / self.pairs if self.pairs else 0.0
-
     def describe(self) -> str:
         if self.ok:
             return f"reachability OK ({self.answered}/{self.pairs} pairs)"
@@ -350,18 +346,6 @@ class ResilienceReport:
         if self.converged_at is None:
             return float("inf")
         return self.converged_at - self.started_at
-
-    def describe(self) -> str:
-        if not self.converged:
-            return (
-                f"{self.event}: NOT converged after {self.sweeps} sweep(s), "
-                f"{self.probes_lost} probe(s) lost"
-            )
-        return (
-            f"{self.event}: reconverged in {self.convergence_s * 1e3:.1f} ms "
-            f"({self.sweeps} sweep(s), {self.probes_lost} probe(s) lost, "
-            f"{self.pairs_per_sweep} pairs/sweep)"
-        )
 
 
 @dataclass

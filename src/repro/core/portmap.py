@@ -3,14 +3,12 @@
 "The legacy switch is configured to tag each packet with a unique VLAN
 id that identifies the access port it was received from."  This module
 owns that mapping: allocation (skipping VLANs already used on the
-switch), validation, both-way lookup, and serialisation so a deployment
-can be audited or resumed.
+switch), validation and both-way lookup.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.legacy.config import MAX_VLAN
 
@@ -79,12 +77,6 @@ class PortVlanMap:
         except KeyError:
             raise KeyError(f"VLAN {vlan} is not managed by this map") from None
 
-    def get_vlan(self, port: int) -> Optional[int]:
-        return self._port_to_vlan.get(port)
-
-    def get_port(self, vlan: int) -> Optional[int]:
-        return self._vlan_to_port.get(vlan)
-
     @property
     def ports(self) -> list[int]:
         return sorted(self._port_to_vlan)
@@ -116,19 +108,6 @@ class PortVlanMap:
         for port, vlan in self._port_to_vlan.items():
             if self._vlan_to_port.get(vlan) != port:
                 raise AssertionError(f"mapping not bijective at port {port}")
-
-    # -------------------------------------------------------- persistence
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {str(port): vlan for port, vlan in self._port_to_vlan.items()},
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "PortVlanMap":
-        raw = json.loads(text)
-        return cls({int(port): int(vlan) for port, vlan in raw.items()})
 
     def describe(self) -> str:
         pairs = ", ".join(f"{port}->{vlan}" for port, vlan in self)

@@ -134,10 +134,6 @@ class Fabric:
         sites = [site for site in self.sites.values() if site.pod is not None]
         return sorted(sites, key=lambda site: site.pod)
 
-    def pods(self) -> "list[list[Host]]":
-        """Hosts grouped by pod (edge/access switch)."""
-        return [site.hosts for site in self.edge_sites()]
-
     # ------------------------------------------------------------ wiring
 
     def attach_station(self, site_name: str, node: Node, **link_kwargs) -> int:

@@ -18,9 +18,6 @@ class FdbEntry:
     learned_at: float
     static: bool = False
 
-    def age(self, now: float) -> float:
-        return now - self.learned_at
-
     def alive(self, now: float, aging_s: float) -> bool:
         """Static, or no older than the aging time (the boundary lives)."""
         return self.static or now - self.learned_at <= aging_s

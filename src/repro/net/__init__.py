@@ -3,8 +3,8 @@
 Byte-accurate implementations of the protocols HARMLESS touches:
 Ethernet II, 802.1Q VLAN tags (including QinQ stacking), ARP, IPv4
 (with header checksum), ICMP, UDP and TCP (with pseudo-header
-checksums), plus small DNS and HTTP payload helpers used by the demo
-use cases.
+checksums), plus the small DNS codec the parental-control app
+inspects.
 
 Every header type serialises to ``bytes`` and parses back; round-trip
 identity is enforced by property tests.  The rest of the repository
@@ -13,12 +13,7 @@ the forwarding code paths exercised here are the same ones a hardware
 testbed would exercise on real frames.
 """
 
-from repro.net.addresses import (
-    BROADCAST_MAC,
-    IPv4Address,
-    IPv4Network,
-    MACAddress,
-)
+from repro.net.addresses import BROADCAST_MAC, IPv4Address, MACAddress
 from repro.net.arp import (
     ARP_OP_REPLY,
     ARP_OP_REQUEST,
@@ -35,7 +30,6 @@ from repro.net.ethernet import (
     Dot1QTag,
     EthernetFrame,
 )
-from repro.net.http import HttpRequest, HttpResponse
 from repro.net.ipv4 import (
     IPPROTO_ICMP,
     IPPROTO_TCP,
@@ -54,7 +48,6 @@ __all__ = [
     "BROADCAST_MAC",
     "MACAddress",
     "IPv4Address",
-    "IPv4Network",
     "internet_checksum",
     "PacketDecodeError",
     "EthernetFrame",
@@ -82,6 +75,4 @@ __all__ = [
     "DnsMessage",
     "DnsQuestion",
     "DnsResourceRecord",
-    "HttpRequest",
-    "HttpResponse",
 ]

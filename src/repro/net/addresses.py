@@ -38,10 +38,6 @@ class MACAddress:
         else:
             raise TypeError(f"cannot build MACAddress from {type(value).__name__}")
 
-    @classmethod
-    def from_int(cls, value: int) -> "MACAddress":
-        return cls(value)
-
     @property
     def packed(self) -> bytes:
         """The 6-byte network-order representation."""
@@ -59,15 +55,6 @@ class MACAddress:
     @property
     def is_unicast(self) -> bool:
         return not self.is_multicast
-
-    @property
-    def is_locally_administered(self) -> bool:
-        return bool(self._value >> 41 & 0x01)
-
-    @property
-    def oui(self) -> int:
-        """The 24-bit organisationally unique identifier."""
-        return self._value >> 24
 
     def __int__(self) -> int:
         return self._value
@@ -142,23 +129,6 @@ class IPv4Address:
     def is_broadcast(self) -> bool:
         return self._value == 0xFFFFFFFF
 
-    @property
-    def is_unspecified(self) -> bool:
-        return self._value == 0
-
-    @property
-    def is_loopback(self) -> bool:
-        return self._value >> 24 == 127
-
-    @property
-    def is_private(self) -> bool:
-        """RFC 1918 private space."""
-        return (
-            self._value >> 24 == 10
-            or self._value >> 20 == 0xAC1  # 172.16.0.0/12
-            or self._value >> 16 == 0xC0A8  # 192.168.0.0/16
-        )
-
     def __int__(self) -> int:
         return self._value
 
@@ -189,78 +159,3 @@ class IPv4Address:
     def __repr__(self) -> str:
         return f"IPv4Address('{self}')"
 
-
-class IPv4Network:
-    """An IPv4 prefix, e.g. ``10.0.0.0/24``.
-
-    Used for subnet-scoped policies (DMZ tenants) and masked OpenFlow
-    matches.
-    """
-
-    __slots__ = ("network", "prefix_len")
-
-    def __init__(self, spec: "str | IPv4Network", prefix_len: "int | None" = None) -> None:
-        if isinstance(spec, IPv4Network):
-            self.network = spec.network
-            self.prefix_len = spec.prefix_len
-            return
-        if prefix_len is None:
-            if "/" not in spec:
-                raise ValueError(f"network spec needs a /prefix: {spec!r}")
-            addr_part, _, len_part = spec.partition("/")
-            prefix_len = int(len_part)
-        else:
-            addr_part = spec
-        if not 0 <= prefix_len <= 32:
-            raise ValueError(f"prefix length out of range: {prefix_len}")
-        base = int(IPv4Address(addr_part))
-        self.prefix_len = prefix_len
-        self.network = IPv4Address(base & self.netmask_int())
-
-    def netmask_int(self) -> int:
-        if self.prefix_len == 0:
-            return 0
-        return (0xFFFFFFFF << (32 - self.prefix_len)) & 0xFFFFFFFF
-
-    @property
-    def netmask(self) -> IPv4Address:
-        return IPv4Address(self.netmask_int())
-
-    @property
-    def broadcast(self) -> IPv4Address:
-        return IPv4Address(int(self.network) | (~self.netmask_int() & 0xFFFFFFFF))
-
-    @property
-    def num_addresses(self) -> int:
-        return 1 << (32 - self.prefix_len)
-
-    def __contains__(self, addr: "IPv4Address | str") -> bool:
-        value = int(IPv4Address(addr))
-        return value & self.netmask_int() == int(self.network)
-
-    def hosts(self):
-        """Iterate usable host addresses (excludes network/broadcast for /30 and shorter)."""
-        start = int(self.network)
-        end = int(self.broadcast)
-        if self.prefix_len >= 31:
-            for value in range(start, end + 1):
-                yield IPv4Address(value)
-        else:
-            for value in range(start + 1, end):
-                yield IPv4Address(value)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, IPv4Network):
-            return (
-                self.network == other.network and self.prefix_len == other.prefix_len
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(("IPv4Network", self.network, self.prefix_len))
-
-    def __str__(self) -> str:
-        return f"{self.network}/{self.prefix_len}"
-
-    def __repr__(self) -> str:
-        return f"IPv4Network('{self}')"

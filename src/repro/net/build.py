@@ -14,8 +14,7 @@ from repro.net.ethernet import (
     ETHERTYPE_IPV4,
     EthernetFrame,
 )
-from repro.net.icmp import IcmpPacket
-from repro.net.ipv4 import IPPROTO_ICMP, IPPROTO_TCP, IPPROTO_UDP, IPv4Packet
+from repro.net.ipv4 import IPPROTO_TCP, IPPROTO_UDP, IPv4Packet
 from repro.net.tcp import TcpSegment
 from repro.net.udp import UdpDatagram
 
@@ -78,24 +77,6 @@ def tcp_frame(
     return ethernet_ipv4(src_mac, dst_mac, packet, vlan_id=vlan_id)
 
 
-def icmp_echo_frame(
-    src_mac: MACAddress,
-    dst_mac: MACAddress,
-    src_ip: IPv4Address,
-    dst_ip: IPv4Address,
-    identifier: int,
-    sequence: int,
-    payload: bytes = b"",
-    vlan_id: "int | None" = None,
-) -> EthernetFrame:
-    """Build an Ethernet/IPv4/ICMP echo-request frame."""
-    icmp = IcmpPacket.echo_request(identifier=identifier, sequence=sequence, payload=payload)
-    packet = IPv4Packet(
-        src=src_ip, dst=dst_ip, protocol=IPPROTO_ICMP, payload=icmp.to_bytes()
-    )
-    return ethernet_ipv4(src_mac, dst_mac, packet, vlan_id=vlan_id)
-
-
 def arp_frame(arp: ArpPacket, src_mac: "MACAddress | None" = None) -> EthernetFrame:
     """Wrap an ARP packet; requests go to broadcast, replies unicast."""
     from repro.net.addresses import BROADCAST_MAC
@@ -122,14 +103,6 @@ def parse_udp(frame: EthernetFrame) -> "tuple[IPv4Packet, UdpDatagram] | None":
     if packet is None or packet.protocol != IPPROTO_UDP:
         return None
     return packet, UdpDatagram.from_bytes(packet.payload, packet.src, packet.dst)
-
-
-def parse_tcp(frame: EthernetFrame) -> "tuple[IPv4Packet, TcpSegment] | None":
-    """Parse Ethernet/IPv4/TCP, or None if the stack doesn't match."""
-    packet = parse_ipv4(frame)
-    if packet is None or packet.protocol != IPPROTO_TCP:
-        return None
-    return packet, TcpSegment.from_bytes(packet.payload, packet.src, packet.dst)
 
 
 def parse_arp(frame: EthernetFrame) -> "ArpPacket | None":

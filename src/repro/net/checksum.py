@@ -28,11 +28,6 @@ def internet_checksum(data: bytes) -> int:
     return ~folded & 0xFFFF
 
 
-def verify_checksum(data: bytes) -> bool:
-    """True if *data* (which embeds its own checksum field) sums to zero."""
-    return internet_checksum(data) == 0
-
-
 def pseudo_header_checksum(
     src_ip_packed: bytes, dst_ip_packed: bytes, protocol: int, payload: bytes
 ) -> int:

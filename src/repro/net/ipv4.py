@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.net.addresses import IPv4Address
 from repro.net.checksum import internet_checksum
@@ -60,12 +60,6 @@ class IPv4Packet:
     @property
     def total_length(self) -> int:
         return self.ihl * 4 + len(self.payload)
-
-    def decrement_ttl(self) -> "IPv4Packet":
-        """Return a copy with TTL reduced by one (raises at zero)."""
-        if self.ttl == 0:
-            raise ValueError("TTL already zero")
-        return replace(self, ttl=self.ttl - 1)
 
     def header_bytes(self, checksum: int = 0) -> bytes:
         version_ihl = (4 << 4) | self.ihl

@@ -1,9 +1,9 @@
 """TCP segments (RFC 793) — header-accurate, with a minimal option model.
 
-The simulator does not run a full TCP state machine for bulk transfer
-(the benchmarks are packet-level), but the parental-control use case
-inspects SYNs and the DMZ use case matches on ports, so segments carry
-real flags, sequence numbers and checksums.
+The simulator runs no TCP state machine (hosts count a TCP segment
+as an unknown IP protocol), but OpenFlow matches ``tcp_src`` and
+``tcp_dst``, so segments carry real flags, sequence numbers and
+checksums for the packet view to decode.
 """
 
 from __future__ import annotations
@@ -56,18 +56,6 @@ class TcpSegment:
     def data_offset(self) -> int:
         """Header length in 32-bit words."""
         return 5 + len(self.options) // 4
-
-    @property
-    def is_syn(self) -> bool:
-        return bool(self.flags & TCP_FLAG_SYN) and not self.flags & TCP_FLAG_ACK
-
-    @property
-    def is_rst(self) -> bool:
-        return bool(self.flags & TCP_FLAG_RST)
-
-    @property
-    def is_fin(self) -> bool:
-        return bool(self.flags & TCP_FLAG_FIN)
 
     def flag_names(self) -> str:
         names = []

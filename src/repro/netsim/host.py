@@ -1,32 +1,24 @@
-"""End hosts with a miniature ARP/IPv4/ICMP/UDP/TCP stack.
+"""End hosts with a miniature ARP/IPv4/ICMP/UDP stack.
 
-Hosts resolve MAC addresses via real ARP exchanges, answer pings, run
-UDP services (the DNS server in the parental-control demo is one) and
-open simplified TCP connections (SYN -> SYN/ACK -> request -> response)
-sufficient for the HTTP-level use cases.
+Hosts resolve MAC addresses via real ARP exchanges, answer pings and
+run UDP services (the DNS server in the parental-control demo is one).
+Any other IP protocol, TCP included, is counted as
+``unknown-ip-protocol``.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.net.addresses import BROADCAST_MAC, IPv4Address, MACAddress
 from repro.net.arp import ARP_OP_REPLY, ARP_OP_REQUEST, ArpPacket
-from repro.net.build import arp_frame, ethernet_ipv4
+from repro.net.build import arp_frame
 from repro.net.errors import PacketDecodeError
 from repro.net.ethernet import ETHERTYPE_ARP, ETHERTYPE_IPV4, EthernetFrame
 from repro.net.icmp import ICMP_TYPE_ECHO_REPLY, ICMP_TYPE_ECHO_REQUEST, IcmpPacket
-from repro.net.ipv4 import IPPROTO_ICMP, IPPROTO_TCP, IPPROTO_UDP, IPv4Packet
-from repro.net.tcp import (
-    TCP_FLAG_ACK,
-    TCP_FLAG_FIN,
-    TCP_FLAG_PSH,
-    TCP_FLAG_RST,
-    TCP_FLAG_SYN,
-    TcpSegment,
-)
+from repro.net.ipv4 import IPPROTO_ICMP, IPPROTO_UDP, IPv4Packet
 from repro.net.udp import UdpDatagram
 from repro.netsim.node import Node, Port
 from repro.netsim.simulator import Simulator
@@ -43,11 +35,10 @@ PING_TIMEOUT_S = 1.0
 #: frames whose next hop never answered) is kept beside them.
 RX_DROPS = (
     "tagged", "not-for-me:mac", "unknown-ethertype", "malformed",
-    "not-for-me:ip", "unknown-ip-protocol", "tcp-no-connection",
+    "not-for-me:ip", "unknown-ip-protocol",
 )
 
 UdpHandler = Callable[["Host", IPv4Address, int, int, bytes], None]
-TcpServer = Callable[["Host", IPv4Address, int, bytes], "bytes | None"]
 
 
 @dataclass
@@ -61,20 +52,6 @@ class PingResult:
     @property
     def lost(self) -> bool:
         return self.rtt is None
-
-
-@dataclass
-class _TcpConn:
-    """Client-side state of one simplified TCP exchange."""
-
-    remote_ip: IPv4Address
-    remote_port: int
-    local_port: int
-    request: bytes
-    on_response: "Optional[Callable[[bytes], None]]"
-    state: str = "syn-sent"
-    seq: int = 1000
-    response: bytes = b""
 
 
 class Host(Node):
@@ -96,8 +73,6 @@ class Host(Node):
         self.arp_table: dict[IPv4Address, tuple[MACAddress, float]] = {}
         self._pending_arp: dict[IPv4Address, list[EthernetFrame]] = {}
         self.udp_handlers: dict[int, UdpHandler] = {}
-        self.tcp_servers: dict[int, TcpServer] = {}
-        self._tcp_conns: dict[tuple[int, int], _TcpConn] = {}
         self._next_ephemeral = 49152
         self.ping_results: list[PingResult] = []
         self._pending_pings: dict[tuple[int, int], PingResult] = {}
@@ -208,46 +183,11 @@ class Host(Node):
         self.sim.schedule(PING_TIMEOUT_S, self._pending_pings.pop, key, None)
         return result
 
-    def tcp_request(
-        self,
-        dst_ip: IPv4Address,
-        dst_port: int,
-        request: bytes,
-        on_response: "Optional[Callable[[bytes], None]]" = None,
-    ) -> None:
-        """Open a simplified TCP exchange: handshake, one request, one reply."""
-        local_port = self._allocate_port()
-        conn = _TcpConn(
-            remote_ip=IPv4Address(dst_ip),
-            remote_port=dst_port,
-            local_port=local_port,
-            request=request,
-            on_response=on_response,
-        )
-        self._tcp_conns[(local_port, dst_port)] = conn
-        syn = TcpSegment(
-            src_port=local_port, dst_port=dst_port, seq=conn.seq, flags=TCP_FLAG_SYN
-        )
-        self._send_tcp(conn.remote_ip, syn)
-
-    def _send_tcp(self, dst_ip: IPv4Address, segment: TcpSegment) -> None:
-        packet = IPv4Packet(
-            src=self.ip,
-            dst=dst_ip,
-            protocol=IPPROTO_TCP,
-            payload=segment.to_bytes(self.ip, dst_ip),
-        )
-        self.send_ip(packet)
-
     # ----------------------------------------------------------- services
 
     def serve_udp(self, port: int, handler: UdpHandler) -> None:
         """Register *handler* for datagrams to *port*."""
         self.udp_handlers[port] = handler
-
-    def serve_tcp(self, port: int, server: TcpServer) -> None:
-        """Register a request->response server on *port*."""
-        self.tcp_servers[port] = server
 
     # ----------------------------------------------------------- receiving
 
@@ -301,8 +241,6 @@ class Host(Node):
             self._receive_icmp(packet)
         elif packet.protocol == IPPROTO_UDP:
             self._receive_udp(packet)
-        elif packet.protocol == IPPROTO_TCP:
-            self._receive_tcp(packet)
         else:
             self.drops["unknown-ip-protocol"] += 1
 
@@ -331,65 +269,6 @@ class Host(Node):
         )
         if handler is not None:
             handler(self, packet.src, datagram.src_port, datagram.dst_port, datagram.payload)
-
-    def _receive_tcp(self, packet: IPv4Packet) -> None:
-        segment = TcpSegment.from_bytes(packet.payload, packet.src, packet.dst)
-        # Server side: SYN to a listening port.
-        if segment.is_syn and segment.dst_port in self.tcp_servers:
-            synack = TcpSegment(
-                src_port=segment.dst_port,
-                dst_port=segment.src_port,
-                seq=5000,
-                ack=segment.seq + 1,
-                flags=TCP_FLAG_SYN | TCP_FLAG_ACK,
-            )
-            self._send_tcp(packet.src, synack)
-            return
-        # Server side: data to a listening port -> run the server.
-        if segment.dst_port in self.tcp_servers and segment.payload:
-            server = self.tcp_servers[segment.dst_port]
-            response = server(self, packet.src, segment.src_port, segment.payload)
-            if response is not None:
-                reply = TcpSegment(
-                    src_port=segment.dst_port,
-                    dst_port=segment.src_port,
-                    seq=5001,
-                    ack=segment.seq + len(segment.payload),
-                    flags=TCP_FLAG_ACK | TCP_FLAG_PSH | TCP_FLAG_FIN,
-                    payload=response,
-                )
-                self._send_tcp(packet.src, reply)
-            return
-        # Client side: match an open connection.
-        conn = self._tcp_conns.get((segment.dst_port, segment.src_port))
-        if conn is None:
-            self.drops["tcp-no-connection"] += 1
-            return
-        if segment.is_rst:
-            conn.state = "reset"
-            if conn.on_response is not None:
-                conn.on_response(b"")
-            del self._tcp_conns[(segment.dst_port, segment.src_port)]
-            return
-        if conn.state == "syn-sent" and segment.flags & TCP_FLAG_SYN:
-            conn.state = "established"
-            data = TcpSegment(
-                src_port=conn.local_port,
-                dst_port=conn.remote_port,
-                seq=conn.seq + 1,
-                ack=segment.seq + 1,
-                flags=TCP_FLAG_ACK | TCP_FLAG_PSH,
-                payload=conn.request,
-            )
-            self._send_tcp(conn.remote_ip, data)
-            return
-        if conn.state == "established" and segment.payload:
-            conn.response += segment.payload
-            if segment.is_fin:
-                conn.state = "closed"
-                if conn.on_response is not None:
-                    conn.on_response(conn.response)
-                del self._tcp_conns[(segment.dst_port, segment.src_port)]
 
     # ----------------------------------------------------------- queries
 

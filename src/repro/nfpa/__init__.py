@@ -1,12 +1,14 @@
-"""NFPA-style measurement harness.
+"""NFPA-style forwarding measurement.
 
 Named after the authors' Network Function Performance Analyzer [Csikor
-et al., NFV-SDN 2015]: build a device-under-test topology, blast a
-reproducible workload through it, and report throughput and latency
-per configuration.  Here the DUT is simulated, so "throughput" comes
-from the calibrated cost model and the simulated clock — absolute
-numbers are model outputs, but ratios between configurations (HARMLESS
-vs native software switch vs legacy) are meaningful.
+et al., NFV-SDN 2015]: wire a device-under-test topology, send a
+reproducible workload through it with :func:`measure_forwarding`, and
+read delivered rate, loss and latency at a :func:`make_sink` endpoint.
+Here the DUT is simulated, so rates come from the simulated clock that
+the calibrated cost model drives — absolute numbers are model outputs,
+but ratios between configurations (HARMLESS vs native software switch
+vs legacy) are meaningful.  The analytic single-core ceiling of a
+pipeline shape is ``DatapathCostModel.peak_pps``, not a measurement.
 """
 
 from repro.nfpa.harness import (
@@ -14,7 +16,6 @@ from repro.nfpa.harness import (
     MeasurementResult,
     make_sink,
     measure_forwarding,
-    measure_pipeline_rate,
 )
 
 __all__ = [
@@ -22,5 +23,4 @@ __all__ = [
     "LatencyStats",
     "make_sink",
     "measure_forwarding",
-    "measure_pipeline_rate",
 ]

@@ -9,8 +9,6 @@ from typing import Callable
 from repro.net.ethernet import EthernetFrame
 from repro.netsim.node import Node, Port
 from repro.netsim.simulator import Simulator
-from repro.softswitch.costmodel import DatapathCostModel
-from repro.softswitch.datapath import SoftSwitch
 from repro.traffic.generators import FlowSpec, synth_frame
 
 
@@ -153,21 +151,3 @@ def make_sink(sim: Simulator, label: str) -> "_MeasurementSink":
     )
     return _MeasurementSink(sim, f"sink-{label}", result)
 
-
-def measure_pipeline_rate(
-    cost_model: DatapathCostModel,
-    lookups: int,
-    actions: int,
-    vlan_ops: int = 0,
-    group_selections: int = 0,
-    patch_hops: int = 0,
-) -> float:
-    """Analytic single-core pps for a pipeline shape (no simulation)."""
-    per_packet = cost_model.cost_s(
-        lookups=lookups,
-        actions=actions,
-        vlan_ops=vlan_ops,
-        group_selections=group_selections,
-        patch_hops=patch_hops,
-    )
-    return 1.0 / per_packet

@@ -106,9 +106,12 @@ class SnmpAgent:
         return self._response(request, results)
 
     def _handle_set(self, request: SnmpPdu) -> SnmpPdu:
-        # Validate all bindings before applying any (SET is atomic).
-        # An OID is settable if a writable node's region covers it —
-        # rows may not exist yet (RowStatus createAndGo creates them).
+        # SET is atomic.  Every binding is located before any is
+        # applied: an OID is settable if a writable node's region covers
+        # it — rows may not exist yet (RowStatus createAndGo creates
+        # them).  A writer refuses a bad value or index with ValueError
+        # before changing anything, so only a PDU of several bindings
+        # needs the tree's checkpoint to undo the ones already applied.
         nodes = []
         for position, binding in enumerate(request.varbinds, start=1):
             node = self.mib.locate(binding.oid)
@@ -117,13 +120,21 @@ class SnmpAgent:
             if not node.writable:
                 return self._error(request, SnmpErrorStatus.READ_ONLY, position)
             nodes.append(node)
+        restore = None
+        if len(nodes) > 1 and self.mib.checkpoint is not None:
+            restore = self.mib.checkpoint()
         for position, (binding, node) in enumerate(
             zip(request.varbinds, nodes), start=1
         ):
             try:
                 written = node.set(binding.oid, binding.value)
             except ValueError:
-                return self._error(request, SnmpErrorStatus.BAD_VALUE, position)
-            if not written:
-                return self._error(request, SnmpErrorStatus.NO_SUCH_NAME, position)
+                status = SnmpErrorStatus.BAD_VALUE
+            else:
+                if written:
+                    continue
+                status = SnmpErrorStatus.NO_SUCH_NAME
+            if restore is not None:
+                restore()
+            return self._error(request, status, position)
         return self._response(request, list(request.varbinds))

@@ -13,11 +13,16 @@ Exposes (all under the standard OIDs):
 
 PortList values use the RFC 2674 bitmap encoding (port 1 = high bit of
 the first octet), so walks return exactly what a real agent would.
+
+Every writer checks the value's type and the row's index before it
+changes anything, and refuses with ValueError (the agent answers
+badValue).  A multi-varbind SET that fails part-way is undone through
+the tree's ``checkpoint``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
 from repro.legacy.config import PortMode
 from repro.legacy.switch import LegacySwitch
@@ -54,6 +59,16 @@ def portlist_to_bytes(ports: Iterable[int], width_ports: int) -> bytes:
     return bytes(bits)
 
 
+_T = TypeVar("_T")
+
+
+def _typed(value: object, kind: "type[_T]") -> _T:
+    """*value* if it is a *kind* (the column's SNMP syntax), else ValueError."""
+    if not isinstance(value, kind):
+        raise ValueError(f"expected {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def portlist_from_bytes(raw: bytes) -> set[int]:
     """Decode an RFC 2674 PortList bitmap into a port-number set."""
     ports = set()
@@ -75,6 +90,28 @@ class BridgeMibAdapter:
         self._mount_fdb_table()
         self._mount_pvid_table()
         self._mount_vlan_static_table()
+        mib.checkpoint = self._checkpoint
+
+    def _checkpoint(self) -> Callable[[], None]:
+        """Capture what a SET can change — the running config and each
+        port's admin state — and return the function that restores it."""
+        switch = self.switch
+        config = switch.config.copy()
+        up = {number: port.up for number, port in switch.ports.items()}
+
+        def restore() -> None:
+            for number, was_up in up.items():
+                if switch.ports[number].up != was_up:
+                    (switch.link_up if was_up else switch.link_down)(number)
+            switch.apply_config(config)
+
+        return restore
+
+    def _port(self, number: int) -> int:
+        """*number* if the switch has that port, else ValueError."""
+        if number not in self.switch.ports:
+            raise ValueError(f"switch has no port {number}")
+        return number
 
     # ------------------------------------------------------------ system
 
@@ -85,8 +122,8 @@ class BridgeMibAdapter:
             read=lambda: f"repro legacy ethernet switch, {len(switch.ports)} ports",
         )
 
-        def write_name(value: str) -> None:
-            switch.config.hostname = str(value)
+        def write_name(value: object) -> None:
+            switch.config.hostname = _typed(value, str)
 
         self.mib.scalar(
             SYS_NAME_OID, read=lambda: switch.config.hostname, write=write_name
@@ -121,11 +158,14 @@ class BridgeMibAdapter:
         def write(suffix: tuple[int, ...], value: object) -> None:
             if len(suffix) != 2 or suffix[0] != IF_ADMIN:
                 raise ValueError(f"ifTable column not writable: {suffix}")
-            number = suffix[1]
-            if int(value) == 1:  # type: ignore[arg-type]
+            number = self._port(suffix[1])
+            status = _typed(value, int)
+            if status == 1:
                 switch.link_up(number)
-            else:
+            elif status == 2:
                 switch.link_down(number)
+            else:
+                raise ValueError(f"unsupported ifAdminStatus {status}")
 
         self.mib.table(IF_TABLE_ENTRY, rows=all_rows, write=write)
 
@@ -169,8 +209,8 @@ class BridgeMibAdapter:
         def write(suffix: tuple[int, ...], value: object) -> None:
             if len(suffix) != 2 or suffix[0] != 1:
                 raise ValueError(f"bad dot1qPvid index: {suffix}")
-            number = suffix[1]
-            vlan_id = int(value)  # type: ignore[arg-type]
+            number = self._port(suffix[1])
+            vlan_id = _typed(value, int)
             new_config = switch.config.copy()
             port = new_config.port(number)
             if port.mode is PortMode.ACCESS:
@@ -237,14 +277,19 @@ class BridgeMibAdapter:
                 raise ValueError(f"bad dot1qVlanStatic index: {suffix}")
             column, vlan_id = suffix
             if column == VLAN_ROW_STATUS:
-                self._write_row_status(vlan_id, int(value))  # type: ignore[arg-type]
+                self._write_row_status(vlan_id, _typed(value, int))
             elif column == VLAN_NAME:
-                switch.config.declare_vlan(vlan_id).name = str(value)
+                name = _typed(value, str)
+                if vlan_id not in switch.config.vlans:
+                    raise ValueError(f"VLAN {vlan_id} does not exist")
+                switch.config.vlans[vlan_id].name = name
             elif column == VLAN_EGRESS:
-                self._write_membership(vlan_id, egress=portlist_from_bytes(bytes(value)))  # type: ignore[arg-type]
+                self._write_membership(
+                    vlan_id, egress=portlist_from_bytes(_typed(value, bytes))
+                )
             elif column == VLAN_UNTAGGED:
                 self._write_membership(
-                    vlan_id, untagged=portlist_from_bytes(bytes(value))  # type: ignore[arg-type]
+                    vlan_id, untagged=portlist_from_bytes(_typed(value, bytes))
                 )
             else:
                 raise ValueError(f"column {column} not writable")

@@ -129,10 +129,17 @@ class MibTable(MibNode):
 
 
 class MibTree:
-    """All nodes served by one agent, kept sorted by base OID."""
+    """All nodes served by one agent, kept sorted by base OID.
+
+    ``checkpoint``, when the owner of the state behind the writable
+    nodes sets it, captures that state and returns the function that
+    restores it; the agent uses it to undo a multi-varbind SET that
+    fails part-way.
+    """
 
     def __init__(self) -> None:
         self._nodes: list[MibNode] = []
+        self.checkpoint: "Callable[[], Callable[[], None]] | None" = None
 
     def mount(self, node: MibNode) -> MibNode:
         """Register *node*; bases must not nest inside each other."""

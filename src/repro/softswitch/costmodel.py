@@ -94,13 +94,3 @@ class DatapathCostModel:
 
 #: The default, ESwitch-calibrated model (~13 Mpps for 1 lookup + 1 output).
 ESWITCH_COST_MODEL = DatapathCostModel()
-
-#: A slower, OVS-megaflow-miss-like model used in ablation benchmarks.
-GENERIC_SOFTSWITCH_COST_MODEL = DatapathCostModel(
-    base_ns=90.0,
-    lookup_ns=60.0,
-    action_ns=10.0,
-    vlan_op_ns=12.0,
-    group_ns=25.0,
-    patch_ns=30.0,
-)

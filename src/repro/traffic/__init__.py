@@ -10,7 +10,6 @@ from repro.traffic.generators import (
     cross_pod_flows,
     interleave_bursts,
     make_flow_population,
-    poisson_schedule,
     station_mac,
     synth_frame,
     zipf_weights,
@@ -22,7 +21,6 @@ __all__ = [
     "zipf_weights",
     "synth_frame",
     "cbr_schedule",
-    "poisson_schedule",
     "burst_schedule",
     "interleave_bursts",
     "BurstSource",

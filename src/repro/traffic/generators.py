@@ -4,8 +4,8 @@ Everything takes an explicit ``random.Random`` or seed so a benchmark
 row is exactly reproducible — the NFPA methodology the paper's authors
 use for software-switch measurement.
 
-Besides per-frame schedules (:func:`cbr_schedule`,
-:func:`poisson_schedule`), the module generates **bursts** — real
+Besides the per-frame :func:`cbr_schedule`, the module generates
+**bursts** — real
 softswitches only reach line rate by amortising per-packet overhead
 over batches (DPDK/OVS batch receive), and the simulated pipeline
 mirrors that: :func:`burst_schedule` spaces whole bursts instead of
@@ -104,23 +104,6 @@ def cbr_schedule(rate_pps: float, duration_s: float, start_s: float = 0.0) -> li
     interval = 1.0 / rate_pps
     count = int(duration_s * rate_pps)
     return [start_s + index * interval for index in range(count)]
-
-
-def poisson_schedule(
-    rate_pps: float, duration_s: float, seed: int = 0, start_s: float = 0.0
-) -> list[float]:
-    """Poisson-arrival send times (exponential gaps)."""
-    if rate_pps <= 0:
-        raise ValueError("rate must be positive")
-    rng = random.Random(seed)
-    times = []
-    clock = start_s
-    while True:
-        clock += rng.expovariate(rate_pps)
-        if clock >= start_s + duration_s:
-            break
-        times.append(clock)
-    return times
 
 
 def burst_schedule(

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.net import BROADCAST_MAC, IPv4Address, IPv4Network, MACAddress
+from repro.net import BROADCAST_MAC, IPv4Address, MACAddress
 
 
 class TestMACAddress:
@@ -35,13 +35,6 @@ class TestMACAddress:
     def test_multicast_bit(self):
         assert MACAddress("01:00:5e:00:00:01").is_multicast
         assert MACAddress("00:00:5e:00:00:01").is_unicast
-
-    def test_locally_administered(self):
-        assert MACAddress("02:00:00:00:00:01").is_locally_administered
-        assert not MACAddress("00:00:00:00:00:01").is_locally_administered
-
-    def test_oui(self):
-        assert MACAddress("00:11:22:33:44:55").oui == 0x001122
 
     def test_rejects_bad_strings(self):
         for bad in ("", "00:11:22:33:44", "gg:11:22:33:44:55", "001122334455"):
@@ -99,16 +92,6 @@ class TestIPv4Address:
     def test_classification(self):
         assert IPv4Address("224.0.0.1").is_multicast
         assert IPv4Address("255.255.255.255").is_broadcast
-        assert IPv4Address("0.0.0.0").is_unspecified
-        assert IPv4Address("127.0.0.1").is_loopback
-
-    def test_private_ranges(self):
-        assert IPv4Address("10.1.2.3").is_private
-        assert IPv4Address("172.16.0.1").is_private
-        assert IPv4Address("172.31.255.255").is_private
-        assert not IPv4Address("172.32.0.1").is_private
-        assert IPv4Address("192.168.0.1").is_private
-        assert not IPv4Address("8.8.8.8").is_private
 
     def test_addition_wraps(self):
         assert IPv4Address("10.0.0.1") + 1 == IPv4Address("10.0.0.2")
@@ -123,51 +106,3 @@ class TestIPv4Address:
         assert int(IPv4Address(str(addr))) == value
         assert IPv4Address(addr.packed) == addr
 
-
-class TestIPv4Network:
-    def test_network_base_is_masked(self):
-        net = IPv4Network("10.0.0.77/24")
-        assert net.network == IPv4Address("10.0.0.0")
-
-    def test_contains(self):
-        net = IPv4Network("10.1.0.0/16")
-        assert IPv4Address("10.1.200.3") in net
-        assert "10.1.0.0" in net
-        assert IPv4Address("10.2.0.1") not in net
-
-    def test_netmask_and_broadcast(self):
-        net = IPv4Network("192.168.4.0/22")
-        assert net.netmask == IPv4Address("255.255.252.0")
-        assert net.broadcast == IPv4Address("192.168.7.255")
-
-    def test_num_addresses(self):
-        assert IPv4Network("10.0.0.0/30").num_addresses == 4
-        assert IPv4Network("0.0.0.0/0").num_addresses == 1 << 32
-
-    def test_hosts_excludes_network_and_broadcast(self):
-        hosts = list(IPv4Network("10.0.0.0/30").hosts())
-        assert hosts == [IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2")]
-
-    def test_hosts_slash31(self):
-        hosts = list(IPv4Network("10.0.0.0/31").hosts())
-        assert len(hosts) == 2
-
-    def test_prefix_out_of_range(self):
-        with pytest.raises(ValueError):
-            IPv4Network("10.0.0.0/33")
-
-    def test_spec_requires_prefix(self):
-        with pytest.raises(ValueError):
-            IPv4Network("10.0.0.0")
-
-    def test_separate_prefix_arg(self):
-        assert IPv4Network("10.0.0.0", 8) == IPv4Network("10.0.0.0/8")
-
-    @given(
-        st.integers(min_value=0, max_value=(1 << 32) - 1),
-        st.integers(min_value=0, max_value=32),
-    )
-    def test_network_contains_own_base(self, value, prefix_len):
-        net = IPv4Network(str(IPv4Address(value)), prefix_len)
-        assert net.network in net
-        assert net.broadcast in net

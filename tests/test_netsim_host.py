@@ -1,6 +1,4 @@
-"""Tests for the host mini-stack: ARP, ping, UDP, simplified TCP."""
-
-import pytest
+"""Tests for the host mini-stack: ARP, ping, UDP, and the drop reasons."""
 
 from repro.net import IPv4Address, MACAddress
 from repro.netsim import Host, Simulator
@@ -110,40 +108,6 @@ class TestUdp:
         assert p2 == p1 + 1
 
 
-class TestTcp:
-    def test_request_response_exchange(self):
-        sim, (h1, h2) = make_hosts()
-        Link(h1.port0, h2.port0)
-        responses = []
-
-        def server(host, src_ip, src_port, request):
-            assert request == b"GET /"
-            return b"200 OK"
-
-        h2.serve_tcp(80, server)
-        h1.tcp_request(h2.ip, 80, b"GET /", on_response=responses.append)
-        sim.run(until=0.5)
-        assert responses == [b"200 OK"]
-
-    def test_two_parallel_connections(self):
-        sim, (h1, h2) = make_hosts()
-        Link(h1.port0, h2.port0)
-        responses = []
-        h2.serve_tcp(80, lambda host, ip, port, req: b"resp:" + req)
-        h1.tcp_request(h2.ip, 80, b"a", on_response=responses.append)
-        h1.tcp_request(h2.ip, 80, b"b", on_response=responses.append)
-        sim.run(until=0.5)
-        assert sorted(responses) == [b"resp:a", b"resp:b"]
-
-    def test_no_server_means_no_response(self):
-        sim, (h1, h2) = make_hosts()
-        Link(h1.port0, h2.port0)
-        responses = []
-        h1.tcp_request(h2.ip, 8080, b"x", on_response=responses.append)
-        sim.run(until=0.5)
-        assert responses == []
-
-
 class TestHostFiltering:
     def test_foreign_unicast_ignored(self):
         sim, (h1, h2) = make_hosts()
@@ -235,7 +199,7 @@ class TestDropReasons:
              "not-for-me:ip"),
             (EthernetFrame(dst=dst, src=src, ethertype=ETHERTYPE_IPV4, payload=gre.to_bytes()),
              "unknown-ip-protocol"),
-            (tcp_frame(src, dst, src_ip, dst_ip, TcpSegment(5000, 6000)), "tcp-no-connection"),
+            (tcp_frame(src, dst, src_ip, dst_ip, TcpSegment(5000, 6000)), "unknown-ip-protocol"),
         ]
         for frame, reason in sites:
             self.walk(sim, hosts, lambda: sender.port0.send(frame), (receiver.name, reason))

@@ -9,19 +9,33 @@ from hypothesis import strategies as st
 from repro.legacy import LegacySwitch, PortMode
 from repro.net import IPv4Address, MACAddress
 from repro.netsim import Host, Link, Simulator
-from repro.snmp import MibTable, SnmpAgent, SnmpClient, attach_bridge_mib
+from repro.snmp import (
+    OID,
+    MibTable,
+    PduType,
+    SnmpAgent,
+    SnmpClient,
+    SnmpError,
+    SnmpErrorStatus,
+    SnmpPdu,
+    attach_bridge_mib,
+)
 from repro.snmp.bridge_mib import (
     DOT1Q_PORT_VLAN_ENTRY,
     DOT1Q_VLAN_STATIC_ENTRY,
+    IF_ADMIN,
     IF_TABLE_ENTRY,
     ROW_CREATE_AND_GO,
     ROW_DESTROY,
+    SYS_NAME_OID,
     VLAN_EGRESS,
+    VLAN_NAME,
     VLAN_ROW_STATUS,
     VLAN_UNTAGGED,
     portlist_from_bytes,
     portlist_to_bytes,
 )
+from repro.snmp.oid import SYS_NAME
 
 
 def build(num_ports=8):
@@ -310,3 +324,123 @@ class TestWalkEnumerationBudget:
                 # Stepping off the end lands on the next table's first row.
                 assert calls.pop(following.base) == 1
             assert not calls, f"walk of {table.base} also enumerated {calls}"
+
+
+# Every writable column: a missing index, the index of a row that exists
+# (8 ports; VLAN 10 holds port 3 untagged), a value of the column's
+# syntax, and one of the wrong syntax — a string that parses as a number
+# for an INTEGER column, an int for a string or a PortList.
+PORTS_4 = portlist_to_bytes({4}, 8)
+WRITABLE = {
+    "sysName": (SYS_NAME_OID.child(1), SYS_NAME, "x", 7),
+    "ifAdminStatus": (
+        IF_TABLE_ENTRY.child(IF_ADMIN, 99), IF_TABLE_ENTRY.child(IF_ADMIN, 2), 2, "2"
+    ),
+    "dot1qPvid": (
+        DOT1Q_PORT_VLAN_ENTRY.child(1, 99), DOT1Q_PORT_VLAN_ENTRY.child(1, 2), 5, "5"
+    ),
+    "dot1qVlanStaticName": (
+        DOT1Q_VLAN_STATIC_ENTRY.child(VLAN_NAME, 99),
+        DOT1Q_VLAN_STATIC_ENTRY.child(VLAN_NAME, 10),
+        "n",
+        7,
+    ),
+    "dot1qVlanStaticEgressPorts": (
+        DOT1Q_VLAN_STATIC_ENTRY.child(VLAN_EGRESS, 99),
+        DOT1Q_VLAN_STATIC_ENTRY.child(VLAN_EGRESS, 10),
+        PORTS_4,
+        1,
+    ),
+    "dot1qVlanStaticUntaggedPorts": (
+        DOT1Q_VLAN_STATIC_ENTRY.child(VLAN_UNTAGGED, 99),
+        DOT1Q_VLAN_STATIC_ENTRY.child(VLAN_UNTAGGED, 10),
+        PORTS_4,
+        1,
+    ),
+    "dot1qVlanStaticRowStatus": (
+        DOT1Q_VLAN_STATIC_ENTRY.child(VLAN_ROW_STATUS, 5000),
+        DOT1Q_VLAN_STATIC_ENTRY.child(VLAN_ROW_STATUS, 20),
+        ROW_CREATE_AND_GO,
+        str(ROW_CREATE_AND_GO),
+    ),
+}
+
+BAD_SETS = [
+    pytest.param(oid, value, id=f"{column}-{case}")
+    for column, (missing, existing, good, wrong) in WRITABLE.items()
+    for case, oid, value in (
+        ("missing-index", missing, good),
+        ("none", existing, None),
+        ("wrong-type", existing, wrong),
+    )
+]
+
+
+def build_with_vlan():
+    sim, switch, client = build(num_ports=8)
+    client.set(DOT1Q_VLAN_STATIC_ENTRY.child(VLAN_ROW_STATUS, 10), ROW_CREATE_AND_GO)
+    client.set(DOT1Q_VLAN_STATIC_ENTRY.child(VLAN_UNTAGGED, 10), portlist_to_bytes({3}, 8))
+    return sim, switch, client
+
+
+def device_state(switch):
+    return switch.config.copy(), {n: port.up for n, port in switch.ports.items()}
+
+
+class TestSetNeverRaises:
+    """A SET the device cannot honour is answered, never raised, and
+    leaves the running config as it was."""
+
+    def test_table_covers_every_writable_node(self):
+        _, _, client = build_with_vlan()
+        mib = client.agent.mib
+        writable, cursor = set(), OID("1.3")
+        while (step := mib.successor(cursor)) is not None:
+            cursor = step[0]
+            node = mib.locate(cursor)
+            if node is not None and node.writable:
+                writable.add(node.base)
+        assert writable == {mib.locate(row[1]).base for row in WRITABLE.values()}
+
+    @pytest.mark.parametrize("oid, value", BAD_SETS)
+    def test_bad_set_is_refused_without_effect(self, oid, value):
+        _, switch, client = build_with_vlan()
+        before = device_state(switch)
+        request = SnmpPdu(pdu_type=PduType.SET, request_id=1, community="private")
+        response = client.agent.handle(request.bind(oid, value))
+        # A scalar has one instance: any other index is no such name.
+        expected = (
+            SnmpErrorStatus.NO_SUCH_NAME if oid == SYS_NAME_OID.child(1)
+            else SnmpErrorStatus.BAD_VALUE
+        )
+        assert (response.error_status, response.error_index) == (expected, 1)
+        assert device_state(switch) == before
+
+    def test_pvid_of_a_missing_port_adds_no_port(self):
+        _, switch, client = build_with_vlan()
+        with pytest.raises(SnmpError) as excinfo:
+            client.set(DOT1Q_PORT_VLAN_ENTRY.child(1, 99), 5)
+        assert excinfo.value.status is SnmpErrorStatus.BAD_VALUE
+        assert 99 not in switch.config.ports
+
+
+class TestMultiVarbindSetIsAtomic:
+    def test_a_refused_binding_undoes_the_applied_ones(self):
+        _, switch, client = build_with_vlan()
+        before = device_state(switch)
+        with pytest.raises(SnmpError) as excinfo:
+            client.set_many([
+                (SYS_NAME, "renamed"),
+                (IF_TABLE_ENTRY.child(IF_ADMIN, 2), 2),
+                (DOT1Q_VLAN_STATIC_ENTRY.child(VLAN_UNTAGGED, 10), PORTS_4),
+                (DOT1Q_PORT_VLAN_ENTRY.child(1, 2), 5000),
+            ])
+        assert (excinfo.value.status, excinfo.value.index) == (SnmpErrorStatus.BAD_VALUE, 4)
+        assert device_state(switch) == before
+        assert client.get_many([SYS_NAME, DOT1Q_PORT_VLAN_ENTRY.child(1, 3)]) == ["sw1", 10]
+
+    def test_an_accepted_pdu_applies_every_binding(self):
+        _, switch, client = build_with_vlan()
+        client.set_many([(SYS_NAME, "renamed"), (DOT1Q_PORT_VLAN_ENTRY.child(1, 2), 10)])
+        assert client.get_many([SYS_NAME, DOT1Q_PORT_VLAN_ENTRY.child(1, 2)]) == ["renamed", 10]
+        assert switch.config.port(2).pvid == 10

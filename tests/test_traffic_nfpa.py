@@ -4,8 +4,8 @@ import pytest
 
 from repro.netsim import Simulator
 from repro.netsim.link import Link
-from repro.nfpa import LatencyStats, make_sink, measure_forwarding, measure_pipeline_rate
-from repro.softswitch import DatapathCostModel, ESWITCH_COST_MODEL, SoftSwitch
+from repro.nfpa import LatencyStats, make_sink, measure_forwarding
+from repro.softswitch import DatapathCostModel, SoftSwitch
 from repro.openflow import ApplyActions, FlowMod, Match, OutputAction
 from repro.traffic import (
     BurstSource,
@@ -13,7 +13,6 @@ from repro.traffic import (
     cbr_schedule,
     interleave_bursts,
     make_flow_population,
-    poisson_schedule,
     zipf_weights,
 )
 
@@ -73,18 +72,9 @@ class TestSchedules:
         gaps = [b - a for a, b in zip(times, times[1:])]
         assert all(g == pytest.approx(0.001) for g in gaps)
 
-    def test_poisson_mean_rate(self):
-        times = poisson_schedule(10_000.0, 1.0, seed=3)
-        assert 9_000 < len(times) < 11_000
-
-    def test_poisson_seeded(self):
-        assert poisson_schedule(100, 1.0, seed=1) == poisson_schedule(100, 1.0, seed=1)
-
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError):
             cbr_schedule(0, 1.0)
-        with pytest.raises(ValueError):
-            poisson_schedule(-1, 1.0)
 
 
 class TestBurstSchedule:
@@ -244,10 +234,6 @@ class TestHarness:
         assert result.loss_rate == 0.0
         assert result.latency.count == 100
         assert result.latency.mean >= 100e-9
-
-    def test_pipeline_rate_analytic(self):
-        rate = measure_pipeline_rate(ESWITCH_COST_MODEL, lookups=1, actions=1)
-        assert rate == pytest.approx(1.0 / 65e-9)
 
     def test_result_row_renders(self):
         sim = Simulator()

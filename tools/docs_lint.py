@@ -8,7 +8,12 @@ links (http/https/mailto) and pure in-page anchors are skipped;
 
 Also checks the README's repo-layout table: every backticked path in a
 table row (any token containing a ``/``) must exist in the repository,
-so the table cannot drift as modules are added or renamed.
+so the table cannot drift as modules are added or renamed; and every
+package ``src/repro/<package>/`` must have a row.
+
+And the module census in ``docs/architecture.md``: its table must list
+every module under ``src/repro/`` (package ``__init__.py`` files only
+re-export and are left out) and no module that does not exist.
 
 And two README claims that used to rot: the number of CI-gated
 ``*.json`` artefacts (the files under ``benchmarks/baselines/``), and
@@ -107,6 +112,62 @@ def check_repo_layout(readme: pathlib.Path) -> "list[str]":
                     f"{readme.relative_to(REPO_ROOT)}: "
                     f"layout table names missing path: {token}"
                 )
+    return problems
+
+
+def check_readme_packages(readme: pathlib.Path) -> "list[str]":
+    """Every ``src/repro/<package>/`` must be named in a README table row."""
+    named = set()
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.lstrip().startswith("|"):
+            named.update(TABLE_CODE_RE.findall(line))
+    return [
+        f"{readme.relative_to(REPO_ROOT)}: layout table does not name {package}"
+        for package in sorted(
+            f"src/repro/{init.parent.name}/"
+            for init in (REPO_ROOT / "src" / "repro").glob("*/__init__.py")
+        )
+        if package not in named
+    ]
+
+
+#: The census section of ``docs/architecture.md`` (up to the next
+#: heading); its table rows start with a backticked module path
+#: relative to ``src/repro/``.
+CENSUS_DOC = "docs/architecture.md"
+CENSUS_HEADING = "## Module census"
+CENSUS_ROW_RE = re.compile(r"^\|\s*`([\w/]+\.py)`")
+
+
+def check_module_census() -> "list[str]":
+    """The census table lists every module under ``src/repro/``, once."""
+    path = REPO_ROOT / CENSUS_DOC
+    text = path.read_text(encoding="utf-8")
+    start = text.find(f"\n{CENSUS_HEADING}\n")
+    if start < 0:
+        return [f"{CENSUS_DOC}: no '{CENSUS_HEADING}' section"]
+    section = text[start + 1:]
+    end = section.find("\n#")
+    listed: "list[str]" = []
+    for line in section[: end if end >= 0 else None].splitlines():
+        match = CENSUS_ROW_RE.match(line)
+        if match:
+            listed.append(match.group(1))
+    root = REPO_ROOT / "src" / "repro"
+    modules = {
+        module.relative_to(root).as_posix()
+        for module in root.rglob("*.py")
+        if module.name != "__init__.py"
+    }
+    problems = [f"{CENSUS_DOC}: census lacks {name}" for name in sorted(modules - set(listed))]
+    problems += [
+        f"{CENSUS_DOC}: census lists {name}, which does not exist"
+        for name in sorted(set(listed) - modules)
+    ]
+    problems += [
+        f"{CENSUS_DOC}: census lists {name} twice"
+        for name in sorted({name for name in listed if listed.count(name) > 1})
+    ]
     return problems
 
 
@@ -218,9 +279,11 @@ def main() -> int:
     readme = REPO_ROOT / "README.md"
     if readme.exists():
         problems.extend(check_repo_layout(readme))
+        problems.extend(check_readme_packages(readme))
         problems.extend(check_readme_counts(readme))
     problems.extend(check_bench_references())
     problems.extend(check_class_attributes())
+    problems.extend(check_module_census())
     print(f"docs-lint: checked {len(files)} markdown file(s)")
     if problems:
         for problem in problems:
@@ -228,7 +291,7 @@ def main() -> int:
         print(f"FAIL: {len(problems)} problem(s)", file=sys.stderr)
         return 1
     print("PASS: links, named benches and class attributes resolve, "
-          "README counts match the tree")
+          "README counts and the module census match the tree")
     return 0
 
 
