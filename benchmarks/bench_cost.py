@@ -7,8 +7,6 @@ switches are already owned; the gap narrows under line-rate CPU
 provisioning (no oversubscription) and when legacy gear must be bought.
 """
 
-import pytest
-
 from repro.costmodel import CostModel
 
 from common import save_result

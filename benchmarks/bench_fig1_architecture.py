@@ -7,8 +7,6 @@ other): tag 101 on ingress, pop at SS_1, policy at SS_2, push 102 on
 the way back, untagged delivery at Host 2.
 """
 
-import pytest
-
 from repro.apps import DmzPolicyApp, Vm
 from repro.net import IPv4Address, MACAddress
 from repro.netsim import Capture

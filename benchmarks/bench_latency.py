@@ -12,8 +12,6 @@ traversals plus the translator walks per direction — microseconds.
 
 import statistics
 
-import pytest
-
 from common import (
     build_harmless_site,
     build_ideal_site,

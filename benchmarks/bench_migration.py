@@ -6,9 +6,7 @@ worst-case downtime, and SDN-coverage progression.  No paper numbers;
 shape-only (HARMLESS must dominate on capex and downtime).
 """
 
-import pytest
-
-from repro.core import MigrationPlanner, MigrationStrategy, SwitchSite
+from repro.core import MigrationPlanner, SwitchSite
 
 from common import save_result
 

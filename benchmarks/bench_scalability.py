@@ -8,7 +8,6 @@ VLAN-aware copies of every policy rule).  No paper numbers; shape-only.
 
 import time
 
-import pytest
 
 from repro.core import PortVlanMap
 from repro.core.translator import generate_translator_rules, verify_translator_rules

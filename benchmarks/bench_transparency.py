@@ -7,8 +7,6 @@ No paper numbers exist for this row — the demo asserts the property,
 we measure it.
 """
 
-import pytest
-
 from repro.apps import LearningSwitchApp
 from repro.core import TransparencyHarness
 from repro.core.verify import random_udp_traffic

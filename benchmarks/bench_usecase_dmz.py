@@ -7,7 +7,6 @@ packet) and the rule-count footprint of the policy.
 
 import itertools
 
-import pytest
 
 from repro.apps import DmzPolicyApp, Vm
 from repro.net import IPv4Address, MACAddress

@@ -6,8 +6,6 @@ quality (Jain fairness) under uniform and Zipf-skewed client activity
 and verifies connection affinity.
 """
 
-import pytest
-
 from repro.apps import ArpResponderApp, Backend, LearningSwitchApp, LoadBalancerApp
 from repro.net import IPv4Address, MACAddress
 from repro.net.build import udp_frame

@@ -5,8 +5,6 @@ drops once addresses are learned; then mid-run block/unblock flips
 ("deny access ... on-the-fly").
 """
 
-import pytest
-
 from repro.apps import LearningSwitchApp, ParentalControlApp
 from repro.net import IPv4Address
 from repro.net.build import udp_frame

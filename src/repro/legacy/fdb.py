@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from repro.net.addresses import MACAddress
+from repro.net.addresses import GROUP_BIT, MACAddress
 
 
 @dataclass
@@ -65,7 +65,7 @@ class ForwardingDatabase:
 
     def learn(self, vlan_id: int, mac: MACAddress, port: int, now: float) -> None:
         """Learn or refresh a dynamic entry; never overrides static ones."""
-        if mac.is_multicast:
+        if mac & GROUP_BIT:
             return  # group addresses are never sources
         key = (vlan_id, mac)
         existing = self._entries.get(key)

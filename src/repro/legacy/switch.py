@@ -21,6 +21,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from repro.net.addresses import GROUP_BIT
 from repro.net.ethernet import EthernetFrame
 from repro.netsim.node import Node, Port
 from repro.netsim.simulator import Simulator
@@ -140,12 +141,11 @@ class LegacySwitch(Node):
         """Bridge a coalesced burst, re-coalescing the egress per port.
 
         Indistinguishable from *len(arrivals)* sequential
-        :meth:`receive` calls but for two things amortised.  Frames of
-        one ``(outer vid, src, dst)`` mostly share their MAC *objects*,
-        so the first one's decision is memoised under their ids and the
-        rest skip hashing the addresses and :meth:`_lookup` (which, at
-        one instant, has nothing left to refresh or re-check); a frame
-        that moves ``fdb.generation`` drops the memo.  And all frames
+        :meth:`receive` calls but for two things amortised.  The first
+        frame of each ``(outer vid, src, dst)`` has its decision
+        memoised, and the rest skip :meth:`_lookup` (which, at one
+        instant, has nothing left to refresh or re-check); a frame that
+        moves ``fdb.generation`` drops the memo.  And all frames
         the burst sends to one egress port leave, and are counted, as
         **one** :meth:`Port.send_burst` call (one link event), which
         keeps fabric-scale traffic coalesced across chains of hops.  A
@@ -163,15 +163,14 @@ class LegacySwitch(Node):
         counters.per_port_rx[number] = counters.per_port_rx.get(number, 0) + len(arrivals)
         fdb = self.fdb
         generation = fdb.generation
-        #: (outer vid, id(src), id(dst)) -> (pop, push_vid, egress list's
-        #: append), or False: general path.  The frames in *arrivals*
-        #: keep the MAC objects alive, so their ids cannot be reused.
+        #: (outer vid, src, dst) -> (pop, push_vid, egress list's
+        #: append), or False: general path.
         memo: dict = {}
         buffered = self._egress_buffer = {}
         try:
             for _, frame in arrivals:
                 tags = frame.tags
-                key = (tags[0].vlan_id if tags else None, id(frame.src), id(frame.dst))
+                key = (tags[0].vlan_id if tags else None, frame.src, frame.dst)
                 plan = memo.get(key)
                 if plan is None:
                     hop = self._lookup(number, frame)
@@ -294,7 +293,7 @@ class LegacySwitch(Node):
                 return
             state = self.stp.port_state(number)
             if state is not PortState.FORWARDING:
-                if state is PortState.LEARNING and frame.src.is_unicast:
+                if state is PortState.LEARNING and not frame.src & GROUP_BIT:
                     learned = self._ingress_vlan(port_config, frame)
                     if learned is not None:
                         self.fdb.learn(learned[0], frame.src, number, self.sim.now)
@@ -309,7 +308,7 @@ class LegacySwitch(Node):
         vlan_id, tagged = classified
         inner = frame.pop_vlan() if tagged else frame
         # Source learning happens before the forwarding decision.
-        if frame.src.is_unicast:
+        if not frame.src & GROUP_BIT:
             self.fdb.learn(vlan_id, frame.src, number, self.sim.now)
         delay = self.processing_delay_s
         if delay > 0:
@@ -344,7 +343,7 @@ class LegacySwitch(Node):
             self.drops["powered-off"] += 1  # crashed while the frame sat in the lookup pipeline
             return
         out_port = None
-        if frame.dst.is_unicast:
+        if not frame.dst & GROUP_BIT:
             out_port = self.fdb.lookup(vlan_id, frame.dst, self.sim.now)
             if out_port is None:
                 self.fdb.flood_fallbacks += 1

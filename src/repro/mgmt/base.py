@@ -17,7 +17,6 @@ from typing import Any, Optional
 
 from repro.snmp.agent import SnmpAgent, SnmpError, SnmpErrorStatus
 from repro.snmp.bridge_mib import (
-    DOT1Q_PORT_VLAN_ENTRY,
     DOT1Q_TP_FDB_ENTRY,
     DOT1Q_VLAN_STATIC_ENTRY,
     IF_TABLE_ENTRY,

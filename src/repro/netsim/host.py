@@ -12,7 +12,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.net.addresses import BROADCAST_MAC, IPv4Address, MACAddress
+from repro.net.addresses import BROADCAST_MAC, GROUP_BIT, IPv4Address, MACAddress
 from repro.net.arp import ARP_OP_REPLY, ARP_OP_REQUEST, ArpPacket
 from repro.net.build import arp_frame
 from repro.net.errors import PacketDecodeError
@@ -203,7 +203,7 @@ class Host(Node):
             # Hosts sit on access ports; tagged frames are not for us.
             self.drops["tagged"] += 1
             return
-        if not (frame.dst == self.mac or frame.dst.is_multicast):
+        if not (frame.dst == self.mac or frame.dst & GROUP_BIT):
             self.drops["not-for-me:mac"] += 1
             return
         try:

@@ -95,6 +95,13 @@ class Link:
             raise ValueError("port already wired to a link")
         if port_a is port_b:
             raise ValueError("cannot wire a port to itself")
+        # Written so that NaN fails each test as well.
+        if bandwidth_bps is not None and not bandwidth_bps > 0:
+            raise ValueError(f"bandwidth must be > 0 bit/s or None, got {bandwidth_bps}")
+        if not propagation_delay_s >= 0:
+            raise ValueError(f"propagation delay must be >= 0 s, got {propagation_delay_s}")
+        if not queue_frames >= 1:
+            raise ValueError(f"a link queue holds at least one frame, got {queue_frames}")
         self.port_a = port_a
         self.port_b = port_b
         self.bandwidth_bps = bandwidth_bps

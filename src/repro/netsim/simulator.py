@@ -1,11 +1,22 @@
 """The event loop: a priority queue of timestamped calls.
 
-A float-seconds clock over a binary heap whose **entry is the event**:
-the list ``[time, seq, callback, args]`` that ``schedule*`` pushes and
-returns as an opaque handle.  ``seq`` is unique, so ``heapq`` settles
-every comparison on the first two fields, in C, and never reaches the
-callback — same-instant events run in schedule order (FIFO ties) and
-callbacks need not be comparable.
+A float-seconds clock over two containers whose **entry is the event**:
+the list ``[time, seq, callback, args]`` that ``schedule*`` builds and
+returns as an opaque handle.  ``seq`` is unique, so ``(time, seq)`` is
+a total order settled in C that never reaches the callback — same-
+instant events run in schedule order (FIFO ties) and callbacks need not
+be comparable.
+
+**A planned schedule waits in a sorted lane.**  :meth:`Simulator.schedule`
+and :meth:`Simulator.schedule_at` push onto a binary heap; a whole
+``(time, callback)`` send schedule handed to
+:meth:`Simulator.schedule_many` goes instead into one list kept in
+descending ``(time, seq)`` order, so its next entry is ``lane[-1]`` and
+a new run merges in by ``list.sort`` (two presorted runs: linear).  The
+run loop dispatches whichever of ``heap[0]`` and ``lane[-1]`` comes
+first, so the order is exactly that of one queue — but the heap's
+pushes and pops work against the events in flight, not against every
+frame a traffic source has planned for the rest of the run.
 
 **Events carry arguments**: ``schedule(delay, callback, *args)`` keeps
 both in the entry and the loop runs ``callback(*args)``, so a per-frame
@@ -13,26 +24,26 @@ scheduler (a link delivery, a switch's forward after its lookup delay)
 hands over a bound method and a frame, not a closure.  The contract:
 nothing scheduled may reference its own entry — that is a reference
 cycle per event which only the cyclic collector frees.  Whoever must
-find its events again asks the heap (:meth:`Simulator.cancel_bound`).
-:meth:`Simulator.schedule_many` enqueues a whole ``(time, callback)``
-send schedule in one call, the same as that many
-:meth:`Simulator.schedule_at` calls.
+find its events again asks the queue (:meth:`Simulator.cancel_bound`).
 
 An entry whose callback slot is None is dead.  :meth:`Simulator.cancel`
 clears the slot of a queued entry and counts it; the run loop clears
 the slot of the entry it pops just before calling, so a late
 ``cancel()`` of an event that already ran is a no-op and never counted
-as garbage in the heap.  ``pending_events`` is the heap's length minus
-the cancelled entries still in it: O(1) for ``run_until_idle`` to poll,
-nothing maintained per event.
+as garbage in the queue.  ``pending_events`` is the two containers'
+length minus the cancelled entries still in them: O(1) for
+``run_until_idle`` to poll, nothing maintained per event.
 
-Cancellation is lazy (the heap skips dead entries when they surface),
-but not unboundedly so: cancel-heavy workloads — ping timers re-armed
-every probe, rollback paths — would otherwise grow the heap with
-garbage.  Once cancelled entries outnumber live ones the queue is
-compacted **in place** (filter + re-heapify into the same list, which
-the run loop holds in a local), keeping it O(live); ``(time, seq)`` is
-a total order, so re-heapifying cannot reorder ties.
+Cancellation is lazy (dead entries are skipped when they surface), but
+not unboundedly so: cancel-heavy workloads — ping timers re-armed every
+probe, rollback paths — would otherwise grow the queue with garbage.
+Once cancelled entries outnumber live ones both containers are
+compacted **in place** (filter, and re-heapify the heap, into the same
+lists, which the run loop holds in locals); ``(time, seq)`` is a total
+order, so compaction cannot reorder ties.
+
+A time that does not compare — NaN — is refused like one in the past:
+the guards read ``not time >= now``, so NaN fails them.
 
 ``run(until=...)`` advances the clock to the horizon even when the
 queue drains early, so back-to-back ``run`` calls see monotone time.
@@ -62,11 +73,13 @@ class Simulator:
     def __init__(self) -> None:
         #: Heap of ``[time, seq, callback, args]`` entries.
         self._queue: list[list] = []
+        #: The :meth:`schedule_many` entries, descending ``(time, seq)``.
+        self._lane: list[list] = []
         self._seq = itertools.count()
         self._now = 0.0
         self._events_processed = 0
         self._running = False
-        #: Cancelled entries still sitting in the queue.
+        #: Cancelled entries still sitting in the heap or the lane.
         self._cancelled = 0
 
     @property
@@ -84,23 +97,28 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Live (not cancelled) events in the queue."""
-        return len(self._queue) - self._cancelled
+        return len(self._queue) + len(self._lane) - self._cancelled
 
     def peek_next_time(self) -> "float | None":
         """Timestamp of the next live event, or None when idle.
 
-        Purges cancelled entries off the top as a side effect (the same
-        lazy deletion the run loop performs).
+        Purges cancelled entries off both tops as a side effect (the
+        same lazy deletion the run loop performs).
         """
-        queue = self._queue
+        queue, lane = self._queue, self._lane
         while queue and queue[0][2] is None:
             heapq.heappop(queue)
             self._cancelled -= 1
+        while lane and lane[-1][2] is None:
+            lane.pop()
+            self._cancelled -= 1
+        if lane and (not queue or lane[-1] < queue[0]):
+            return lane[-1][0]
         return queue[0][0] if queue else None
 
     def schedule(self, delay: float, callback: Callable[..., None], *args) -> list:
         """Schedule ``callback(*args)`` to run *delay* seconds from now."""
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         entry = [self._now + delay, next(self._seq), callback, args]
         heapq.heappush(self._queue, entry)
@@ -108,7 +126,7 @@ class Simulator:
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args) -> list:
         """Schedule ``callback(*args)`` at absolute simulated *time*."""
-        if time < self._now:
+        if not time >= self._now:
             raise ValueError(f"cannot schedule at {time}, already at {self._now}")
         entry = [time, next(self._seq), callback, args]
         heapq.heappush(self._queue, entry)
@@ -119,19 +137,24 @@ class Simulator:
     ) -> list[list]:
         """Schedule many ``(time, callback)`` pairs in one call: the same
         as :meth:`schedule_at` once per pair in iteration order (ties
-        keep FIFO order) without one Python call per frame of a send
-        schedule."""
+        keep FIFO order; a pair in the past raises with the pairs before
+        it queued), without one Python call per frame of a send
+        schedule.  The entries wait in the lane, off the heap."""
         now = self._now
-        queue = self._queue
         counter = self._seq
-        push = heapq.heappush
         entries = []
-        for time, callback in items:
-            if time < now:
-                raise ValueError(f"cannot schedule at {time}, already at {now}")
-            entry = [time, next(counter), callback, ()]
-            push(queue, entry)
-            entries.append(entry)
+        try:
+            for time, callback in items:
+                if not time >= now:
+                    raise ValueError(f"cannot schedule at {time}, already at {now}")
+                entries.append([time, next(counter), callback, ()])
+        finally:
+            if entries:
+                # In place, for the run loop's local; a schedule given
+                # in time order is one run the merge takes as it stands.
+                lane = self._lane
+                lane += entries
+                lane.sort(reverse=True)
         return entries
 
     def cancel(self, handle: list) -> None:
@@ -142,21 +165,22 @@ class Simulator:
             return
         handle[2] = None
         self._cancelled += 1
-        queue = self._queue
-        if self._cancelled > 64 and self._cancelled * 2 > len(queue):
+        queue, lane = self._queue, self._lane
+        if self._cancelled > 64 and self._cancelled * 2 > len(queue) + len(lane):
             # In place: a callback may cancel under the run loop, whose
-            # local must keep naming the queue.
+            # locals must keep naming both lists.
             queue[:] = [entry for entry in queue if entry[2] is not None]
             heapq.heapify(queue)
+            lane[:] = [entry for entry in lane if entry[2] is not None]
             self._cancelled = 0
 
     def cancel_bound(self, receiver: object) -> int:
         """Cancel every live event whose callback is a method bound to
-        *receiver*; returns how many.  One heap scan, for callers that
-        want their events back rarely (a link failing) and so keep no
-        registry of them."""
+        *receiver*; returns how many.  One scan of the queue, for
+        callers that want their events back rarely (a link failing)
+        and so keep no registry of them."""
         doomed = [
-            entry for entry in self._queue
+            entry for entry in itertools.chain(self._queue, self._lane)
             if entry[2] is not None and getattr(entry[2], "__self__", None) is receiver
         ]
         for entry in doomed:  # cancel() may compact the queue: not while scanning
@@ -188,19 +212,28 @@ class Simulator:
             horizon = until if inclusive else math.nextafter(until, -math.inf)
         limit = sys.maxsize if max_events is None else max_events
         queue = self._queue
+        lane = self._lane
         pop = heapq.heappop
         processed = 0
         self._running = True
         try:
-            while queue and processed < limit:
-                time, _, callback, args = entry = queue[0]
-                if callback is None:
+            while processed < limit:
+                # The next entry is the lesser of the two heads.
+                if lane and (not queue or lane[-1] < queue[0]):
+                    time, _, callback, args = entry = lane[-1]
+                    if time > horizon and callback is not None:
+                        break
+                    lane.pop()
+                elif queue:
+                    time, _, callback, args = entry = queue[0]
+                    if time > horizon and callback is not None:
+                        break
                     pop(queue)
+                else:
+                    break
+                if callback is None:
                     self._cancelled -= 1
                     continue
-                if time > horizon:
-                    break
-                pop(queue)
                 entry[2] = None  # ran: a late cancel() is a no-op
                 self._now = time
                 callback(*args)

@@ -1,7 +1,5 @@
 """Tests for the controller framework and the learning-switch app."""
 
-import pytest
-
 from repro.apps import LearningSwitchApp
 from repro.controller import Controller
 from repro.net import IPv4Address, MACAddress

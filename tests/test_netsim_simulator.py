@@ -1,11 +1,14 @@
 """Tests for the discrete-event loop, nodes and links."""
 
 import math
+import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net import EthernetFrame, MACAddress
-from repro.netsim import Capture, Link, Node, Port, Simulator
+from repro.netsim import Capture, Link, Node, Simulator
 from repro.netsim.link import wire
 
 
@@ -608,3 +611,235 @@ class TestEventsCarryArguments:
         sim.run(until=1.0)
         sim.cancel(event)
         assert sim.pending_events == 1
+
+
+NAN = float("nan")
+
+
+class TestValuesThatDoNotCompare:
+    """NaN fails every ordered compare, so a guard written ``time < now``
+    lets it through and the clock reads NaN from then on."""
+
+    def test_nan_times_are_refused(self):
+        sim = Simulator()
+        with pytest.raises(ValueError):
+            sim.schedule_at(NAN, lambda: None)
+        with pytest.raises(ValueError):
+            sim.schedule(NAN, lambda: None)
+        with pytest.raises(ValueError):
+            sim.schedule_many([(1.0, lambda: None), (NAN, lambda: None)])
+        assert sim.pending_events == 1  # the pair before the bad one
+        sim.run()
+        assert sim.now == 1.0
+
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"bandwidth_bps": 0},
+            {"bandwidth_bps": -1e9},
+            {"bandwidth_bps": NAN},
+            {"propagation_delay_s": -1e-6},
+            {"propagation_delay_s": NAN},
+            {"queue_frames": 0},
+        ],
+        ids=["zero-bandwidth", "negative-bandwidth", "nan-bandwidth", "negative-delay",
+             "nan-delay", "no-queue"],
+    )
+    def test_link_refuses_settings_that_fail_at_the_first_frame(self, settings):
+        sim = Simulator()
+        a, b = Sink(sim, "a"), Sink(sim, "b")
+        with pytest.raises(ValueError):
+            Link(a.add_port(), b.add_port(), **settings)
+        assert a.port(1).link is None and b.port(1).link is None
+
+    def test_ideal_and_zero_delay_links_stay_valid(self):
+        sim = Simulator()
+        a, b = Sink(sim, "a"), Sink(sim, "b")
+        Link(a.add_port(), b.add_port(), bandwidth_bps=None, propagation_delay_s=0.0,
+             queue_frames=1)
+        a.port(1).send(make_frame())
+        sim.run()
+        assert len(b.received) == 1 and b.received[0][0] == 0.0
+
+
+class TestScheduleWorkBudget:
+    """A planned send schedule stays out of the heap, pinned without a
+    clock: the heap holds what is in flight, the lane the plan."""
+
+    def test_a_planned_schedule_leaves_only_in_flight_events_in_the_heap(self):
+        sim = Simulator()
+        source, sink = Sink(sim, "src"), Sink(sim, "dst")
+        Link(source.add_port(1), sink.add_port(1), bandwidth_bps=1e10)
+        depths = []
+        send = source.port(1).send
+
+        def fire(frame):
+            send(frame)
+            depths.append(len(sim._queue))
+
+        frames = [make_frame(bytes([n % 251]) * 64) for n in range(6000)]
+        sim.schedule_many(
+            (1e-3 + index * 20e-6, lambda f=frame: fire(f))
+            for index, frame in enumerate(frames)
+        )
+        assert sim.pending_events == 6000 and not sim._queue
+        assert sim.peek_next_time() == 1e-3
+        assert sim.run() == 2 * 6000
+        assert len(sink.received) == 6000
+        # The delivery just scheduled is the only event in the heap.
+        assert max(depths) == 1
+
+
+#: Case-count multiplier; the nightly extended job sets this to 5.
+SCALE = max(1, int(os.environ.get("DIFFERENTIAL_SCALE", "1")))
+
+#: Delays drawn from a few values, so that ties are common.
+DELAY_VALUES = (0.0, 0.0, 0.25, 0.5, 1.0, 1.0, 2.5)
+DELAYS = st.sampled_from(DELAY_VALUES)
+#: What a running callback may do: anything but run.
+INNER_OPS = st.one_of(
+    st.tuples(st.just("schedule"), DELAYS, st.integers(0, 2)),
+    st.tuples(st.just("schedule_at"), DELAYS, st.integers(0, 2)),
+    st.tuples(st.just("schedule_many"), st.lists(st.tuples(DELAYS, st.just([])), max_size=6)),
+    st.tuples(st.just("cancel"), st.integers(0, 10_000)),
+    st.tuples(st.just("cancel_bound"), st.integers(0, 10_000)),
+)
+OPS = st.one_of(
+    st.tuples(st.just("schedule"), DELAYS, st.integers(0, 2), st.lists(INNER_OPS, max_size=2)),
+    st.tuples(st.just("schedule_at"), DELAYS, st.integers(0, 2), st.lists(INNER_OPS, max_size=2)),
+    st.tuples(st.just("schedule_many"), st.lists(st.tuples(DELAYS, st.lists(INNER_OPS, max_size=2)),
+                                                 max_size=120)),
+    # A long plan, and a long run of cancels: enough dead entries for
+    # the queue to compact.
+    st.tuples(st.just("schedule_many"), st.integers(0, 300), st.integers(0, 6)),
+    st.tuples(st.just("cancel"), st.integers(0, 10_000)),
+    st.tuples(st.just("cancel_range"), st.integers(0, 10_000), st.integers(0, 300)),
+    st.tuples(st.just("cancel_bound"), st.integers(0, 10_000)),
+    st.tuples(st.just("run"), DELAYS, st.booleans()),
+)
+
+
+class Owner:
+    """Receives the events ``schedule``/``schedule_at`` make."""
+
+    def __init__(self, harness):
+        self.harness = harness
+
+    def take(self, tag, spawn):
+        self.harness.ran(tag, spawn)
+
+
+class Planned:
+    """One ``schedule_many`` item: the call carries no arguments, so the
+    item is its own receiver."""
+
+    def __init__(self, harness, tag, spawn):
+        self.harness, self.tag, self.spawn = harness, tag, spawn
+
+    def fire(self):
+        self.harness.ran(self.tag, self.spawn)
+
+
+class LaneHarness:
+    """Drives a :class:`Simulator` and keeps, beside it, what one queue
+    ordered by ``(time, seq)`` would hold."""
+
+    def __init__(self):
+        self.sim = Simulator()
+        self.owners = [Owner(self) for _ in range(3)]
+        #: tag -> (handle, receiver); tags count up in creation order.
+        self.made = []
+        self.status = []  # "pending", "ran" or "cancelled", by tag
+        self.order = []   # tags in dispatch order
+
+    def ran(self, tag, spawn):
+        handle, _ = self.made[tag]
+        assert self.status[tag] == "pending" and self.sim.now == handle[0]
+        self.status[tag] = "ran"
+        self.order.append(tag)
+        for op in spawn:
+            self.apply(op)
+
+    def _made(self, handle, receiver):
+        self.made.append((handle, receiver))
+        self.status.append("pending")
+
+    def _cancel(self, tag):
+        self.sim.cancel(self.made[tag][0])
+        if self.status[tag] == "pending":
+            self.status[tag] = "cancelled"
+
+    def apply(self, op):
+        sim, kind = self.sim, op[0]
+        if kind in ("schedule", "schedule_at"):
+            delay, owner = op[1], self.owners[op[2]]
+            spawn = op[3] if len(op) > 3 else []
+            tag = len(self.made)
+            if kind == "schedule":
+                handle = sim.schedule(delay, owner.take, tag, spawn)
+            else:
+                handle = sim.schedule_at(sim.now + delay, owner.take, tag, spawn)
+            self._made(handle, owner)
+        elif kind == "schedule_many":
+            if len(op) == 3:  # (count, first delay): the delays cycle
+                items = [(DELAY_VALUES[(op[2] + n) % len(DELAY_VALUES)], [])
+                         for n in range(op[1])]
+            else:
+                items = op[1]
+            planned = [Planned(self, len(self.made) + n, spawn)
+                       for n, (_, spawn) in enumerate(items)]
+            handles = sim.schedule_many(
+                (sim.now + delay, each.fire) for (delay, _), each in zip(items, planned)
+            )
+            for handle, each in zip(handles, planned):
+                self._made(handle, each)
+        elif kind == "cancel" and self.made:
+            self._cancel(op[1] % len(self.made))
+        elif kind == "cancel_range" and self.made:
+            start = op[1] % len(self.made)
+            for tag in range(start, min(start + op[2], len(self.made))):
+                self._cancel(tag)
+        elif kind == "cancel_bound" and self.made:
+            receiver = self.made[op[1] % len(self.made)][1]
+            doomed = [tag for tag, (_, owner) in enumerate(self.made)
+                      if owner is receiver and self.status[tag] == "pending"]
+            assert sim.cancel_bound(receiver) == len(doomed)
+            for tag in doomed:
+                self.status[tag] = "cancelled"
+        elif kind == "run":
+            until = sim.now + op[1]
+            sim.run(until=until, inclusive=op[2])
+            assert sim.now == until
+
+    def pending(self):
+        return [tag for tag, status in enumerate(self.status) if status == "pending"]
+
+    def key(self, tag):
+        handle = self.made[tag][0]
+        return handle[0], handle[1]
+
+
+class TestLaneDifferential:
+    """The heap and the lane are one queue: whatever mix of ``schedule``,
+    ``schedule_at`` and ``schedule_many`` (also from running callbacks),
+    cancels and half-open windows made the entries, they run in the
+    ``(time, seq)`` sort of the same entries, and the counters and the
+    peek agree with that sort at every step."""
+
+    @settings(max_examples=150 * SCALE, deadline=None)
+    @given(st.lists(OPS, max_size=25))
+    def test_dispatch_order_is_the_time_seq_sort(self, ops):
+        harness = LaneHarness()
+        sim = harness.sim
+        for op in ops:
+            harness.apply(op)
+            pending = harness.pending()
+            assert sim.pending_events == len(pending)
+            assert sim.peek_next_time() == (
+                min(harness.key(tag) for tag in pending)[0] if pending else None
+            )
+        sim.run()
+        ran = [tag for tag, status in enumerate(harness.status) if status == "ran"]
+        assert harness.order == sorted(ran, key=harness.key)
+        assert not harness.pending() and sim.pending_events == 0
+        assert not sim._queue and not sim._lane

@@ -1402,3 +1402,39 @@ class TestLegacyWorkBudget:
             sizes.append(max(len(switch._hops) for switch in switches))
         assert max(sizes) <= 4
         assert sum(len(switch.fdb) for switch in switches) == 2 * 4 * 41
+
+    def test_a_warm_delayed_hop_makes_no_python_call_into_addresses(self):
+        # With a lookup delay every frame takes the general path: learn,
+        # schedule the forward, look the destination up.  The group-bit
+        # tests and the FDB's (vlan, MAC) keys are int work done in C.
+        class Keep(Node):  # unlike Sink, never serialises what it gets
+            def __init__(self, sim, name):
+                super().__init__(sim, name)
+                self.received = []
+
+            def receive(self, port, frame):
+                self.received.append(frame)
+
+        sim = Simulator()
+        switch = LegacySwitch(sim, "edge", num_ports=2, processing_delay_s=4e-6)
+        here, there = Keep(sim, "here"), Keep(sim, "there")
+        Link(here.add_port(1), switch.port(1), bandwidth_bps=1e10)
+        Link(there.add_port(1), switch.port(2), bandwidth_bps=1e10)
+
+        def frame(src, dst):
+            return EthernetFrame(dst=dst, src=src, ethertype=0x0800, payload=b"x" * 46)
+
+        there.port(1).send(frame(MACS[1], MACS[0]))
+        here.port(1).send(frame(MACS[0], MACS[1]))
+        sim.run()
+        flooded, delivered = switch.counters.flooded, len(there.received)
+        load = frame(MACS[0], MACS[1])
+
+        def hop():
+            here.port(1).send(load)
+            sim.run()
+
+        frames = TestEventWorkBudget.python_frames(hop)
+        assert len(there.received) == delivered + 1 and switch.counters.flooded == flooded
+        assert ("switch", "_general_path") in frames and ("switch", "_forward") in frames
+        assert [name for module, name in frames if module == "addresses"] == []

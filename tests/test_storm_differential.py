@@ -31,7 +31,6 @@ from repro.controller.app import ControllerApp
 from repro.core.manager import HarmlessFleet
 from repro.fabric import Fabric, ring_fabric
 from repro.legacy import StormControl
-from repro.net import MACAddress
 from repro.netsim import Simulator
 from repro.netsim.link import wire
 from repro.openflow import ApplyActions, FlowMod, Match, OutputAction

@@ -25,7 +25,7 @@ from repro.controller import Controller
 from repro.legacy import LegacySwitch, StormControl
 from repro.net import IPv4Address, MACAddress
 from repro.net.build import udp_frame
-from repro.netsim import Host, Link, Node, Simulator
+from repro.netsim import Host, Link, Simulator
 from repro.netsim.link import wire
 from repro.openflow import ApplyActions, FlowMod, Match, OutputAction
 from repro.openflow import consts as c

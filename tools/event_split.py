@@ -2,15 +2,18 @@
 
 ROADMAP item 4: the benchmark's tracer books the event loop and the
 links as one ``netsim`` layer; this splits it per event.  For one pass
-of ``site_detour`` (one frame per event) and of ``fabric_steady`` (one
-burst per event) the scheduling calls, ``heapq``'s push and pop, the run
-loop, ``Link``, ``Port`` and every node's ``receive`` are wrapped from
-outside and their self times divided by the events the region
-processed.  ``dispatch`` is the loop's own time plus whatever a
+of each benchmark workload — ``site_detour`` is one frame per event,
+``fabric_steady`` one burst per event — the scheduling calls,
+``heapq``'s push and pop, the run loop, ``Link``, ``Port`` and every
+node's ``receive`` are wrapped from outside and their self times
+divided by the events the region processed.  ``dispatch`` is the loop's own time plus whatever a
 callback does before it reaches a wrapped call (a delivery closure, a
 direction record).  The cyclic collector is timed through
 ``gc.callbacks`` and taken out of whichever row it interrupted; its
 collections and the objects it reclaimed come from ``gc.get_stats()``.
+Each ``heapq.heappush`` also records the length of the heap it was
+handed: the mean and maximum heap depth at push, per workload (that
+probe's own time falls to the calling row).
 Only public names are touched, so the file runs unchanged on a copy of
 an older tree.  Wrapping costs more than the wrapped work here: read
 the rows against each other, not against the benchmark.
@@ -34,12 +37,15 @@ from repro.netsim import Link, Port, Simulator  # noqa: E402
 SELF_S, STACK = Counter(), []
 ROWS = ("schedule", "heap push+pop", "dispatch", "Link", "Port", "nodes", "cyclic GC")
 GC_STARTED = [0.0]
+DEPTHS = []
 
 
-def timed(owner, name, row):
+def timed(owner, name, row, probe=None):
     original = getattr(owner, name)
 
     def wrapper(*args, **kwargs):
+        if probe is not None:
+            probe(*args)
         STACK.append(0.0)
         start = time.perf_counter()
         try:
@@ -88,12 +94,14 @@ def split(workload, seed, frames):
     load = workload.generate(rig, seed, frames)
     targets = [(Simulator, "schedule_at", "schedule"), (Simulator, "schedule_many", "schedule"),
                (Simulator, "schedule", "schedule"), (Simulator, "run", "dispatch"),
-               (heapq, "heappush", "heap push+pop"), (heapq, "heappop", "heap push+pop")]
+               (heapq, "heappush", "heap push+pop", lambda heap, item: DEPTHS.append(len(heap))),
+               (heapq, "heappop", "heap push+pop")]
     targets += [(Link, name, "Link") for name in ("transmit", "transmit_burst")]
     targets += [(Port, name, "Port")
                 for name in ("send", "send_burst", "deliver", "deliver_burst")]
     targets += [(cls, name, "nodes") for cls, name in receivers(rig)]
     SELF_S.clear()
+    DEPTHS.clear()
     gc.collect()
     restore = [timed(*target) for target in targets]
     gc.callbacks.append(on_gc)
@@ -117,7 +125,10 @@ def split(workload, seed, frames):
         print(f"{row:<14} {SELF_S[row]:>8.3f} {SELF_S[row] / region:>6.0%} "
               f"{1e6 * SELF_S[row] / events:>9.2f}")
     print(f"cyclic GC: {' + '.join(map(str, runs))} collections (gen 0 + 1 + 2), "
-          f"{reclaimed} objects reclaimed, {reclaimed / events:.2f} per event\n")
+          f"{reclaimed} objects reclaimed, {reclaimed / events:.2f} per event")
+    mean = sum(DEPTHS) / len(DEPTHS) if DEPTHS else 0.0
+    print(f"heap depth at push: mean {mean:.1f}, max {max(DEPTHS, default=0)} "
+          f"over {len(DEPTHS)} pushes\n")
 
 
 def main() -> None:
@@ -126,8 +137,7 @@ def main() -> None:
     parser.add_argument("--frames", type=int, default=None,
                         help="frames per workload (default: the benchmark's own)")
     args = parser.parse_args()
-    for name in ("site_detour", "fabric_steady"):
-        workload = WORKLOADS[name]
+    for workload in WORKLOADS.values():
         split(workload, args.seed, args.frames or workload.default_frames)
 
 
