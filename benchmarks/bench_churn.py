@@ -3,9 +3,11 @@
 HARMLESS keeps commodity software switches on the forwarding path
 while controllers keep growing their tables, so a lookup must not cost
 O(table).  One experiment, **masked scaling**: M masked (prefix)
-entries spread over 8 distinct mask-sets, specialization off.  The
-staged-subtable classifier costs O(#mask-sets) per lookup, so pps
-should stay ~flat in M while the seed linear scan degrades.
+entries spread over 8 distinct mask-sets, plus a match-all drop rule,
+specialization off.  The staged-subtable classifier costs
+O(#mask-sets) per lookup, so pps should stay ~flat in M while the seed
+linear scan degrades.  The ``subtables`` column counts every mask-set
+in the table, the match-all's empty one included (9, not 8).
 
 Results go to ``results/churn.txt`` (human) and ``results/churn.json``
 (machine; compared against ``baselines/churn.json`` by
@@ -35,12 +37,12 @@ from common import (
     wire_counting_sinks,
 )
 
-#: masked-tier size -> packets measured (the seed linear baseline is
+#: masked entries -> packets measured (the seed linear baseline is
 #: the wall-clock limiter at large M).
 FULL_SCALING = {250: 4_000, 1_000: 2_000, 4_000: 1_000}
 SMOKE_SCALING = {250: 2_000, 4_000: 2_000}
 
-#: Distinct prefix lengths = distinct mask-sets in the masked tier.
+#: Distinct prefix lengths = distinct mask-sets of the masked entries.
 PREFIX_LENGTHS = tuple(range(17, 25))
 
 

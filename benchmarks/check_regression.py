@@ -23,12 +23,14 @@ Comparison rules:
   one sweep window of slack) fails, and frames_lost may not exceed the
   baseline by more than ``max(2, threshold * baseline)`` probes.
 
-Metrics present only on one side are reported and skipped, so full-mode
-local runs can be checked against smoke-mode baselines on their common
-rows.  A *results file* with no committed baseline at all, however,
-fails the gate loudly: a freshly added bench artefact must land with
-its baseline (``--update`` creates it), otherwise the gate would
-silently never cover it.
+A baseline metric missing from a result of the same ``mode`` fails the
+gate: a smoke run that stopped producing a gated row must not pass.
+Across modes (a full-mode run against the smoke-mode baselines, as the
+nightly job does) metrics present only on one side are reported and
+skipped, and the common rows are compared.  A *results file* with no
+committed baseline at all fails the gate loudly: a freshly added bench
+artefact must land with its baseline (``--update`` creates it),
+otherwise the gate would silently never cover it.
 
 Refresh the baselines after an intentional perf change with::
 
@@ -111,19 +113,28 @@ def compare(name, baseline, current, threshold):
     cur = extract_metrics(current)
     shared = sorted(set(base) & set(cur))
     lines = [f"== {name}: {len(shared)} shared metrics =="]
+    failures = []
+    same_mode = baseline.get("mode") == current.get("mode")
     for missing in sorted(set(base) - set(cur)):
-        lines.append(f"   (baseline-only, skipped: {missing})")
+        if same_mode:
+            failures.append(
+                f"{name}: {missing} is baselined but missing from the "
+                f"{current.get('mode')} results (did the row vanish?)"
+            )
+            lines.append(f"   {'VANISHED':>10} {missing}")
+        else:
+            lines.append(f"   (baseline-only, skipped: {missing})")
     for fresh in sorted(set(cur) - set(base)):
         lines.append(f"   (new, unbaselined: {fresh})")
     if not shared:
-        return [f"{name}: no shared metrics between baseline and current"], lines
+        failures.append(f"{name}: no shared metrics between baseline and current")
+        return failures, lines
 
     pps_labels = [label for label in shared if label.endswith(":pps")]
     ratios = {label: cur[label] / base[label] for label in pps_labels if base[label]}
     machine_factor = statistics.median(ratios.values()) if ratios else 1.0
     lines.append(f"   machine-speed factor (median pps ratio): {machine_factor:.2f}")
 
-    failures = []
     for label in shared:
         if label.endswith(":pps"):
             if not base[label]:

@@ -34,6 +34,11 @@ OXM_FIELDS: dict[str, tuple[int, int]] = {
     "udp_dst": (16, 2),
 }
 _CODE_TO_FIELD = {code: name for name, (code, _) in OXM_FIELDS.items()}
+#: flow-key slot -> its field's all-ones mask: a constraint carrying it
+#: matches the whole field.
+FULL_MASKS: dict[int, int] = {
+    FIELD_INDEX[name]: (1 << (8 * width)) - 1 for name, (_, width) in OXM_FIELDS.items()
+}
 _OXM_CLASS_BASIC = 0x8000
 
 
@@ -70,7 +75,7 @@ class MatchField:
     def effective_mask(self) -> int:
         if self.mask is not None:
             return self.mask
-        return (1 << (8 * OXM_FIELDS[self.field][1])) - 1
+        return FULL_MASKS[FIELD_INDEX[self.field]]
 
     def covers(self, packet_value: "int | None") -> bool:
         if packet_value is None:
@@ -91,7 +96,6 @@ class Match:
     def __init__(self, **fields: object) -> None:
         self._fields: dict[str, MatchField] = {}
         self._compiled: "tuple[tuple[int, int, int], ...] | None" = None
-        self._exact_key: "tuple[tuple[str, ...], tuple[int, ...]] | None | bool" = False
         self._mask_key: (
             "tuple[tuple[tuple[int, int], ...], tuple[int, ...]] | None"
         ) = None
@@ -158,30 +162,6 @@ class Match:
         """True if *view* satisfies every constraint."""
         return self.matches_key(view.flow_key())
 
-    def exact_key(self) -> "tuple[tuple[str, ...], tuple[int, ...]] | None":
-        """The (field names, values) pair if every constraint is exact.
-
-        An exact match constrains whole fields (no partial masks), so a
-        classifier can index it in a hash bucket keyed by the field-set
-        and probe with values pulled straight from a packet's flow key.
-        Returns None when any field is masked (those entries stay on
-        the linear-scan fallback path).
-        """
-        cached = self._exact_key
-        if cached is not False:
-            return cached  # type: ignore[return-value]
-        names = tuple(sorted(self._fields, key=FIELD_INDEX.__getitem__))
-        values = []
-        for name in names:
-            constraint = self._fields[name]
-            width = OXM_FIELDS[name][1]
-            if constraint.effective_mask != (1 << (8 * width)) - 1:
-                self._exact_key = None
-                return None
-            values.append(constraint.value)
-        self._exact_key = (names, tuple(values))
-        return self._exact_key
-
     def mask_key(self) -> "tuple[tuple[tuple[int, int], ...], tuple[int, ...]]":
         """Canonical (mask-set, masked values) fingerprint of this match.
 
@@ -191,30 +171,23 @@ class Match:
         same masks shares a mask-set, so a classifier can group entries
         into one staged subtable per distinct mask-set and probe each
         with ``key[slot] & mask`` pulled straight from a packet's flow
-        key.  Defined for every match (exact matches simply carry
-        all-ones masks).
+        key.  Defined for every match: a whole-field constraint carries
+        its field's all-ones mask, and the match-all's mask-set is ``()``.
         """
         cached = self._mask_key
         if cached is not None:
             return cached
-        names = sorted(self._fields, key=FIELD_INDEX.__getitem__)
+        fields = self._fields
         mask_set = []
         values = []
-        for name in names:
-            constraint = self._fields[name]
-            mask = constraint.effective_mask
-            mask_set.append((FIELD_INDEX[name], mask))
+        for slot, constraint in sorted(
+            zip(map(FIELD_INDEX.__getitem__, fields), fields.values())
+        ):
+            mask = FULL_MASKS[slot] if constraint.mask is None else constraint.mask
+            mask_set.append((slot, mask))
             values.append(constraint.value & mask)
         self._mask_key = (tuple(mask_set), tuple(values))
         return self._mask_key
-
-    def slots(self) -> tuple[int, ...]:
-        """Flow-key slots this match reads, ascending.
-
-        The datapath compiler unions these across a table to shrink the
-        specialized flow-key extractor to the fields actually matched.
-        """
-        return tuple(sorted(FIELD_INDEX[name] for name in self._fields))
 
     def is_subset_of(self, other: "Match") -> bool:
         """True if every packet matching self also matches *other*.

@@ -15,12 +15,15 @@ one):
   *all* tables of the pipeline (plus the select-group hash fields when
   select groups are installed), so a three-field pipeline never pays a
   14-field decode;
-* **unrolled classification** — one probe per exact field-set and per
-  staged subtable of table 0, emitted as straight-line code with the
-  bucket dicts, masks and max-priority bounds baked in as compile-time
-  constants, in descending max-priority order.  Order is a pure perf
-  choice — every probe is guarded by the max-priority bound and the
-  winner is the global sort-key minimum, so any order classifies
+* **unrolled classification** — one probe per subtable (mask-set) of
+  table 0, emitted as straight-line code with the bucket dicts, masks
+  and max-priority bounds baked in as compile-time constants, in the
+  table's probe order (descending max priority, ties by mask-set).  A
+  slot matched whole is probed with its bare value and no ``None``
+  guard (an absent field's ``None`` just misses: stored values are
+  ints); a partial mask keeps its ``&`` and its guard.  Order is a pure
+  perf choice — every probe is guarded by the max-priority bound and
+  the winner is the global sort-key minimum, so any order classifies
   identically.  (ESwitch orders probes by observed hit counts; here
   that bought nothing measurable and made the source depend on
   traffic history, so it is not done);
@@ -65,10 +68,10 @@ against.
 
 **Shape and content.**  What a program bakes splits in two.  Its
 *shape* is everything the generated source depends on: the used-slot
-set, the table-0 probe list (one probe per exact field-set / masked
-mask-set, bound to that group's live bucket dict), each probe's
-max-priority bound, the mortal flag, the cost model and whether the
-select-hash slots are in the key.  Its *content* is which entries
+set, the table-0 probe list (one probe per mask-set, bound to that
+subtable's live bucket dict), each probe's max-priority bound, the
+mortal flag, the cost model and whether the select-hash slots are in
+the key.  Its *content* is which entries
 exist and what they do, and the program holds that only as derived
 state — one key cache and the per-entry plans, both keyed on the flow,
 never on a frame object — over the live tables and group table.  So a
@@ -84,9 +87,10 @@ independent of table size — and keeps running the same generated code
 Deletes and expiry can never break the shape (bounds and slot sets
 only become conservative); a modify breaks it only by rewriting
 entries into a construct the compiler rejects; an add breaks it when
-its entry is one, or when it brings a new field-set or mask-set to
-table 0, a priority above its probe's baked bound, the first timeout,
-or a slot outside the used set.
+its entry is one, or when it brings a new mask-set to table 0 (the
+reason calls it a *field-set* when every mask is whole), a priority
+above its probe's baked bound, the first timeout, or a slot outside the
+used set.
 
 **Cold start.**  The generated source reads the pipeline only through
 its shape — everything per-switch (tables, ports, key cache, probe
@@ -162,6 +166,7 @@ from repro.openflow.actions import (
     SetFieldAction,
 )
 from repro.openflow.instructions import ApplyActions, GotoTable
+from repro.openflow.match import FULL_MASKS
 from repro.openflow.packetview import (
     EXTRACTOR_GLOBALS,
     FIELD_INDEX,
@@ -272,11 +277,11 @@ class CompiledProgram:
         #: The probe shuffle seed this program was compiled with (None:
         #: descending max priority).
         self.probe_order = probe_order
-        #: (tier, shape) -> (index, priority bound) of the table-0
-        #: probe block baked for that field-set / mask-set.
+        #: mask-set -> (index, priority bound) of the table-0 probe
+        #: block baked for it.
         self._probes = {
-            (tier, shape): (index, max_priority)
-            for index, (max_priority, tier, shape, _) in enumerate(probes)
+            mask_set: (index, max_priority)
+            for index, (max_priority, mask_set, _) in enumerate(probes)
         }
         #: Whether the shrunk key carries every select-hash slot.
         self._select_ready = select_ready
@@ -319,15 +324,16 @@ class CompiledProgram:
         if table.table_id:
             # Later tables are classified live; only the key must
             # carry every slot the new match reads.
-            extra = [s for s in entry.match.slots() if s not in self.used_slots]
+            mask_set = entry.match.mask_key()[0]
+            extra = [s for s, _ in mask_set if s not in self.used_slots]
             if extra:
                 names = ", ".join(FLOW_KEY_FIELDS[slot] for slot in extra)
                 return f"table {table.table_id} reads slot outside used_slots ({names})"
             return None
-        tier, shape, buckets = table.probe_group(entry.match)
-        index, bound = self._probes.get((tier, shape), (None, None))
+        mask_set, buckets = table.probe_group(entry.match)
+        index, bound = self._probes.get(mask_set, (None, None))
         if index is None:
-            return f"new {_describe_shape(tier, shape)}"
+            return f"new {_describe_shape(mask_set)}"
         if entry.priority > bound:
             return f"priority {entry.priority} above baked bound {bound}"
         self._globals[f"P{index}_get"] = buckets.get
@@ -346,11 +352,13 @@ class CompiledProgram:
         return None
 
 
-def _describe_shape(tier: str, shape: tuple) -> str:
-    if tier == "exact":
-        return "field-set (" + ", ".join(FLOW_KEY_FIELDS[s] for s in shape) + ")"
+def _describe_shape(mask_set: tuple) -> str:
+    """A mask-set as a regenerate reason names it: a *field-set* when
+    every mask is whole, with its masks otherwise."""
+    if all(mask == FULL_MASKS[slot] for slot, mask in mask_set):
+        return "field-set (" + ", ".join(FLOW_KEY_FIELDS[s] for s, _ in mask_set) + ")"
     return "mask-set (" + ", ".join(
-        f"{FLOW_KEY_FIELDS[slot]}/{mask:#x}" for slot, mask in shape
+        f"{FLOW_KEY_FIELDS[slot]}/{mask:#x}" for slot, mask in mask_set
     ) + ")"
 
 
@@ -631,8 +639,9 @@ def compile_datapath(
     """Specialize *switch*'s installed pipeline, or None when it is
     rejected — with ``switch.compile_ineligible_reason`` saying why.
 
-    Table-0 probe blocks are emitted in descending max-priority order,
-    so the source depends on the pipeline's shape alone.  An int
+    Table-0 probe blocks are emitted in the table's probe order
+    (descending max priority, ties by mask-set), so the source depends
+    on the pipeline's shape alone.  An int
     *probe_order* shuffles them with that seed instead (test hook —
     order is behaviour-preserving, see :func:`_probe_block`).
     """
@@ -715,31 +724,26 @@ def compile_datapath(
         lines.append(f"    {key_expr} = key")
     lines += ["    e = None", "    ek = None", "    ek0 = 1"]
 
-    table0 = tables[0]
-    probes: list[tuple] = [
-        (max_priority, "exact", probe_slots, buckets)
-        for probe_slots, buckets, max_priority in table0.exact_probe_groups()
+    probes = [
+        (subtable.max_priority, subtable.mask_set, subtable.buckets)
+        for subtable in tables[0].subtables_in_order()
     ]
-    for subtable in table0.subtables_in_order():
-        probes.append((subtable.max_priority, "masked", subtable.mask_set,
-                       subtable.buckets))
-    if probe_order is None:
-        probes.sort(key=lambda item: -item[0])  # stable: ties keep table order
-    else:
+    if probe_order is not None:
         Random(probe_order).shuffle(probes)
     # Probe bindings are module globals, not constants in the source:
     # CompiledProgram.add_breaks_shape rebinds them in place.
-    for index, (max_priority, tier, shape, buckets) in enumerate(probes):
+    for index, (max_priority, mask_set, buckets) in enumerate(probes):
         namespace[f"P{index}_get"] = buckets.get
-        if tier == "exact":
-            value_expr = _tuple_literal([f"v{slot}" for slot in shape])
-            none_guards: list[str] = []
-        else:
-            value_expr = _tuple_literal(
-                [f"v{slot} & {mask:#x}" for slot, mask in shape]
-            )
-            none_guards = [f"v{slot} is not None" for slot, _ in shape]
-        _probe_block(lines, max_priority, index, value_expr, none_guards, mortal)
+        values = []
+        none_guards = []
+        for slot, mask in mask_set:
+            if mask == FULL_MASKS[slot]:
+                values.append(f"v{slot}")
+            else:
+                values.append(f"v{slot} & {mask:#x}")
+                none_guards.append(f"v{slot} is not None")
+        _probe_block(lines, max_priority, index, _tuple_literal(values),
+                     none_guards, mortal)
 
     lines.append("    if e is None:")
     lines.append("        plan = MISS")

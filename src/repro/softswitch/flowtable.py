@@ -1,24 +1,18 @@
 """Flow tables: priority-ordered masked matching with timeouts.
 
-Lookup is two-tier, the slow-path half of the OVS-style datapath:
+Lookup is one index, the slow-path half of the OVS-style datapath:
+every entry lives in the :class:`Subtable` of its mask-set (the
+canonical ``Match.mask_key()`` fingerprint; a match on whole fields
+carries all-ones masks, and the match-all entry's mask-set is ``()``).
+Each subtable is a hash table from the masked value tuple to the
+entries carrying those values, so a lookup costs one probe per
+*distinct mask-set* instead of one test per entry.  Subtables are
+searched in descending max-priority order with early termination,
+OVS's staged-lookup trick.
 
-* **exact buckets** — entries whose match constrains whole fields (no
-  partial masks) are grouped by their field-set; each group is a hash
-  table from the value tuple (pulled straight out of a packet's flow
-  key) to the entries carrying those values.  One dict probe per
-  distinct field-set replaces a scan over every exact entry.
-* **staged subtables** — entries with partial masks are grouped into
-  one :class:`Subtable` per distinct mask-set (the canonical
-  ``Match.mask_key()`` fingerprint).  Each subtable is a hash table
-  from the masked value tuple to the entries carrying those values, so
-  a masked lookup costs one probe per *distinct mask-set* instead of
-  one test per masked entry.  Subtables are searched in descending
-  max-priority order with early termination, OVS's staged-lookup
-  trick.
-
-The candidates from both tiers are arbitrated by the same total order
-the seed used, so lookup results are bit-identical to a pure linear
-scan (``linear_lookup`` keeps that reference implementation alive for
+The candidates are arbitrated by the same total order the seed used,
+so lookup results are bit-identical to a pure linear scan
+(``linear_lookup`` keeps that reference implementation alive for
 differential tests and benchmarks).
 """
 
@@ -31,7 +25,7 @@ from typing import Iterator, Optional
 
 from repro.openflow.instructions import Instruction
 from repro.openflow.match import Match
-from repro.openflow.packetview import FIELD_INDEX, PacketView
+from repro.openflow.packetview import PacketView
 
 
 @dataclass
@@ -82,7 +76,7 @@ _SORT_KEY = attrgetter("sort_key")
 
 
 class Subtable:
-    """One staged bucket group: every masked entry sharing a mask-set.
+    """One staged bucket group: every entry sharing a mask-set.
 
     ``buckets`` maps the masked value tuple to the entries carrying
     those values, sorted by the table-wide arbitration order — within a
@@ -93,21 +87,13 @@ class Subtable:
     can beat the best candidate found so far.
     """
 
-    __slots__ = (
-        "mask_set", "buckets", "max_priority", "_priority_counts", "seq",
-    )
+    __slots__ = ("mask_set", "buckets", "max_priority", "_priority_counts")
 
-    def __init__(self, mask_set: "tuple[tuple[int, int], ...]", seq: int) -> None:
+    def __init__(self, mask_set: "tuple[tuple[int, int], ...]") -> None:
         self.mask_set = mask_set
         self.buckets: "dict[tuple[int, ...], list[FlowEntry]]" = {}
         self.max_priority = -1
         self._priority_counts: dict[int, int] = {}
-        #: Creation sequence — tie-breaks the staged sort so equal
-        #: max-priority subtables keep a deterministic probe order.
-        self.seq = seq
-
-    def __len__(self) -> int:
-        return sum(len(chain) for chain in self.buckets.values())
 
     def add(self, values: "tuple[int, ...]", entry: FlowEntry) -> None:
         chain = self.buckets.get(values)
@@ -115,10 +101,11 @@ class Subtable:
             self.buckets[values] = [entry]
         else:
             bisect.insort(chain, entry, key=_SORT_KEY)
-        count = self._priority_counts.get(entry.priority, 0)
-        self._priority_counts[entry.priority] = count + 1
-        if entry.priority > self.max_priority:
-            self.max_priority = entry.priority
+        priority = entry.priority
+        counts = self._priority_counts
+        counts[priority] = counts.get(priority, 0) + 1
+        if priority > self.max_priority:
+            self.max_priority = priority
 
     def remove(self, values: "tuple[int, ...]", entry: FlowEntry) -> None:
         chain = self.buckets[values]
@@ -171,16 +158,11 @@ class FlowTable:
         self.table_id = table_id
         self._entries: list[FlowEntry] = []
         self._seq = 0
-        #: field-set -> {value tuple -> entries sorted by sort_key}
-        self._exact: dict[tuple[str, ...], dict[tuple[int, ...], list[FlowEntry]]] = {}
-        #: field-set -> flow-key slots probed for that bucket group
-        self._exact_slots: dict[tuple[str, ...], tuple[int, ...]] = {}
-        #: mask-set fingerprint -> staged subtable of masked entries
+        #: mask-set fingerprint -> the subtable of its entries
         self._subtables: "dict[tuple[tuple[int, int], ...], Subtable]" = {}
-        #: subtables sorted by (-max_priority, seq); resorted lazily
+        #: subtables sorted by (-max_priority, mask_set); resorted lazily
         self._staged: list[Subtable] = []
         self._staged_dirty = False
-        self._subtable_seq = 0
         self.lookups = 0
         self.matches = 0
 
@@ -217,18 +199,14 @@ class FlowTable:
     def _same_values_chain(self, match: Match) -> "list[FlowEntry] | tuple":
         """The one bucket chain an entry equal to *match* can sit in.
 
-        An equal Match has an equal exact_key / mask_key, so its
-        duplicate can only be in its own value bucket of its own
-        field-set (or mask-set).  Keeps bulk pushes and strict deletes
-        O(log n) per FlowMod instead of re-scanning the whole table.
+        An equal Match has an equal mask_key, so its duplicate can only
+        be in its own value bucket of its own mask-set.  Keeps bulk
+        pushes and strict deletes O(log n) per FlowMod instead of
+        re-scanning the whole table.
         """
-        exact = match.exact_key()
-        if exact is None:
-            mask_set, values = match.mask_key()
-            subtable = self._subtables.get(mask_set)
-            return subtable.buckets.get(values, ()) if subtable else ()
-        names, values = exact
-        return self._exact.get(names, {}).get(values, ())
+        mask_set, values = match.mask_key()
+        subtable = self._subtables.get(mask_set)
+        return () if subtable is None else subtable.buckets.get(values, ())
 
     def _remove(self, entry: FlowEntry) -> None:
         index = bisect.bisect_left(self._entries, entry.sort_key, key=_SORT_KEY)
@@ -238,55 +216,32 @@ class FlowTable:
         self._index_remove(entry)
 
     def _index_add(self, entry: FlowEntry) -> None:
-        exact = entry.match.exact_key()
-        if exact is None:
-            mask_set, values = entry.match.mask_key()
-            subtable = self._subtables.get(mask_set)
-            if subtable is None:
-                subtable = Subtable(mask_set, self._subtable_seq)
-                self._subtable_seq += 1
-                self._subtables[mask_set] = subtable
-                self._staged.append(subtable)
-            subtable.add(values, entry)
+        mask_set, values = entry.match.mask_key()
+        subtable = self._subtables.get(mask_set)
+        if subtable is None:
+            subtable = self._subtables[mask_set] = Subtable(mask_set)
+            self._staged.append(subtable)
+        if entry.priority > subtable.max_priority:
+            # The bound rises (a new subtable's from -1), so the probe
+            # order may change; any other add leaves it as it is.
             self._staged_dirty = True
-            return
-        names, values = exact
-        buckets = self._exact.get(names)
-        if buckets is None:
-            buckets = self._exact[names] = {}
-            self._exact_slots[names] = tuple(FIELD_INDEX[name] for name in names)
-        chain = buckets.get(values)
-        if chain is None:
-            buckets[values] = [entry]
-        else:
-            bisect.insort(chain, entry, key=_SORT_KEY)
+        subtable.add(values, entry)
 
     def _index_remove(self, entry: FlowEntry) -> None:
-        exact = entry.match.exact_key()
-        if exact is None:
-            mask_set, values = entry.match.mask_key()
-            subtable = self._subtables[mask_set]
-            subtable.remove(values, entry)
-            if not subtable.buckets:
-                del self._subtables[mask_set]
-                self._staged.remove(subtable)
-            else:
-                self._staged_dirty = True
-            return
-        names, values = exact
-        buckets = self._exact[names]
-        chain = buckets[values]
-        chain.remove(entry)
-        if not chain:
-            del buckets[values]
-            if not buckets:
-                del self._exact[names]
-                del self._exact_slots[names]
+        mask_set, values = entry.match.mask_key()
+        subtable = self._subtables[mask_set]
+        bound = subtable.max_priority
+        subtable.remove(values, entry)
+        if not subtable.buckets:
+            del self._subtables[mask_set]
+            self._staged.remove(subtable)
+        elif subtable.max_priority != bound:
+            self._staged_dirty = True
 
     # ------------------------------------------------------------- lookup
 
     def lookup(self, view: PacketView, now: float) -> Optional[FlowEntry]:
-        """Highest-priority live entry matching *view* (two-tier)."""
+        """Highest-priority live entry matching *view*."""
         self.lookups += 1
         entry = self._classify(view.flow_key(), now)
         if entry is not None:
@@ -297,17 +252,6 @@ class FlowTable:
         self, key: "tuple[int | None, ...]", now: float
     ) -> Optional[FlowEntry]:
         best: "FlowEntry | None" = None
-        for names, buckets in self._exact.items():
-            slots = self._exact_slots[names]
-            chain = buckets.get(tuple(key[slot] for slot in slots))
-            if not chain:
-                continue
-            for entry in chain:
-                if entry.is_expired(now):
-                    continue
-                if best is None or entry.sort_key < best.sort_key:
-                    best = entry
-                break  # chain is sorted: first live one is its best
         for subtable in self._staged_in_order():
             if best is not None and -subtable.max_priority > best.sort_key[0]:
                 break  # staged order: no remaining subtable can win
@@ -317,20 +261,31 @@ class FlowTable:
         return best
 
     def _staged_in_order(self) -> "list[Subtable]":
-        """Subtables sorted by (-max_priority, seq), re-sorted lazily."""
+        """The live subtables in probe order, (-max_priority, mask_set),
+        re-sorted lazily.  Ties go by mask-set, not history, so the
+        order (and the compiler's generated source) is a function of
+        the shape."""
         if self._staged_dirty:
-            self._staged.sort(key=lambda s: (-s.max_priority, s.seq))
+            self._staged.sort(key=lambda s: (-s.max_priority, s.mask_set))
             self._staged_dirty = False
         return self._staged
 
+    def subtables_in_order(self) -> "tuple[Subtable, ...]":
+        """A snapshot of the subtables in probe order.
+
+        The compiler binds a specialized program's probes to their
+        bucket dicts, and the program stays valid for as long as every
+        install lands in a subtable it probes (a re-created one is
+        rebound through :meth:`probe_group`); the datapath discards it
+        otherwise.
+        """
+        return tuple(self._staged_in_order())
+
     @property
     def subtable_count(self) -> int:
-        """How many distinct mask-sets the masked tier holds."""
+        """How many distinct mask-sets the table holds (the match-all
+        entry's is ``()``)."""
         return len(self._subtables)
-
-    def staged_order(self) -> "list[tuple[tuple[int, int], ...]]":
-        """Mask-sets in probe order (test/bench introspection)."""
-        return [subtable.mask_set for subtable in self._staged_in_order()]
 
     # ------------------------------------------------- compiler introspection
 
@@ -339,52 +294,22 @@ class FlowTable:
 
         The datapath compiler shrinks its specialized extractor to this
         set, so a table matching three fields costs three field decodes.
-        Derived from the index structures (one union per field-set /
-        mask-set, not per entry), so it stays O(#distinct shapes) even
-        for 10k-flow tables.
+        Derived from the index (one union per mask-set, not per entry),
+        so it stays O(#distinct shapes) even for 10k-flow tables.
         """
         slots: set[int] = set()
-        for slot_tuple in self._exact_slots.values():
-            slots.update(slot_tuple)
         for mask_set in self._subtables:
             slots.update(slot for slot, _ in mask_set)
         return frozenset(slots)
 
-    def exact_probe_groups(
-        self,
-    ) -> "list[tuple[tuple[int, ...], dict[tuple[int, ...], list[FlowEntry]], int]]":
-        """(probe slots, value buckets, max priority) per exact field-set.
-
-        The returned buckets are the live index structures — the
-        compiler binds a specialized program's probes to them, and the
-        program stays valid for as long as every install lands in a
-        group it probes (a re-created group is rebound through
-        :meth:`probe_group`); the datapath discards it otherwise.
-        """
-        groups = []
-        for names, buckets in self._exact.items():
-            max_priority = max(
-                chain[0].priority for chain in buckets.values()
-            )
-            groups.append((self._exact_slots[names], buckets, max_priority))
-        return groups
-
     def probe_group(self, match: Match) -> tuple:
-        """(tier, shape, value buckets) of the table-0 probe group an
-        installed entry with *match* is indexed under — the same three
-        things the compiler bakes per probe, so a kept program can
-        rebind a probe whose group emptied and was re-created (a new
-        dict) since it was generated."""
-        exact = match.exact_key()
-        if exact is None:
-            subtable = self._subtables[match.mask_key()[0]]
-            return "masked", subtable.mask_set, subtable.buckets
-        names = exact[0]
-        return "exact", self._exact_slots[names], self._exact[names]
-
-    def subtables_in_order(self) -> "list[Subtable]":
-        """Staged subtables in probe order (live objects, read-only)."""
-        return list(self._staged_in_order())
+        """(mask-set, value buckets) of the table-0 probe group an
+        installed entry with *match* is indexed under — the two things
+        the compiler bakes per probe, so a kept program can rebind a
+        probe whose group emptied and was re-created (a new dict) since
+        it was generated."""
+        subtable = self._subtables[match.mask_key()[0]]
+        return subtable.mask_set, subtable.buckets
 
     def linear_lookup(self, view: PacketView, now: float) -> Optional[FlowEntry]:
         """The seed O(n) scan, kept as the differential-test reference."""
@@ -457,21 +382,13 @@ class FlowTable:
         """Every entry whose match *could* be a subset of *pattern*.
 
         A subset constrains at least the bits the pattern constrains,
-        so only groups whose field-set (mask-set) covers the pattern's
-        qualify: the group with exactly the pattern's shape is one
-        bucket probe, a group missing a pattern field or mask bit is
-        skipped, and a strictly wider group is scanned.
+        so only subtables whose mask-set covers the pattern's qualify:
+        the one with exactly the pattern's mask-set is one bucket probe,
+        one missing a pattern field or mask bit is skipped, and a
+        strictly wider one is scanned.
         """
         pattern_masks, pattern_values = pattern.mask_key()
-        pattern_exact = pattern.exact_key()
-        pattern_slots = {slot for slot, _ in pattern_masks}
         found: list[FlowEntry] = []
-        for names, buckets in self._exact.items():
-            if pattern_exact is not None and names == pattern_exact[0]:
-                found.extend(buckets.get(pattern_exact[1], ()))
-            elif pattern_slots.issubset(self._exact_slots[names]):
-                for chain in buckets.values():
-                    found.extend(chain)
         for mask_set, subtable in self._subtables.items():
             if mask_set == pattern_masks:
                 found.extend(subtable.buckets.get(pattern_values, ()))

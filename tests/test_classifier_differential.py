@@ -1,10 +1,10 @@
 """Differential + mutation tests for the bucketed classifier.
 
-The classifier (hash-bucketed exact tier + staged masked subtables) is
-only allowed to exist because it is semantics-free: every test here
-checks it against the seed's linear scan, either per-lookup (randomized
-flow tables and packets) or end-to-end (two switches, one with the fast
-path disabled, fed the same traffic, control-plane mutations included).
+The classifier (one staged subtable per mask-set) is only allowed to
+exist because it is semantics-free: every test here checks it against
+the seed's linear scan, either per-lookup (randomized flow tables and
+packets) or end-to-end (two switches, one with the fast path disabled,
+fed the same traffic, control-plane mutations included).
 
 Set ``DIFFERENTIAL_SCALE=<n>`` to multiply the randomized case counts
 (the nightly extended job runs at 5×).
@@ -37,6 +37,8 @@ from repro.openflow.packetview import FLOW_KEY_FIELDS, PacketView
 from repro.softswitch import DatapathCostModel, SoftSwitch
 from repro.softswitch.flowtable import FlowEntry, FlowTable
 
+from match_gen import random_eth_dst, random_vlan_vid, whole
+
 ZERO_COST = DatapathCostModel.zero()
 
 MACS = [MACAddress(0x020000000001 + i) for i in range(4)]
@@ -50,28 +52,26 @@ PORTS = [53, 80, 443, 8080]
 
 
 def random_match(rng: random.Random) -> Match:
-    """A random mix of exact, masked and VLAN constraints."""
+    """A random mix of whole-field, masked and VLAN constraints."""
     fields: dict = {}
     if rng.random() < 0.5:
-        fields["in_port"] = rng.randint(1, 3)
+        fields["in_port"] = whole(rng, "in_port", rng.randint(1, 3))
     if rng.random() < 0.4:
-        fields["eth_type"] = 0x0800
+        fields["eth_type"] = whole(rng, "eth_type", 0x0800)
     if rng.random() < 0.3:
-        fields["eth_src"] = int(rng.choice(MACS))
+        fields["eth_src"] = whole(rng, "eth_src", int(rng.choice(MACS)))
     if rng.random() < 0.3:
-        fields["eth_dst"] = int(rng.choice(MACS))
+        fields["eth_dst"] = random_eth_dst(rng, MACS)
     if rng.random() < 0.3:
-        fields["vlan_vid"] = (
-            0 if rng.random() < 0.3 else c.OFPVID_PRESENT | rng.randint(100, 103)
-        )
+        fields["vlan_vid"] = random_vlan_vid(rng, (100, 103))
     if rng.random() < 0.4:
         value = int(rng.choice(IPS))
-        if rng.random() < 0.5:  # masked -> lands on the linear fallback tier
+        if rng.random() < 0.5:  # a prefix: a partial-mask subtable
             bits = rng.choice((8, 16, 24))
             mask = (0xFFFFFFFF << (32 - bits)) & 0xFFFFFFFF
             fields["ipv4_src"] = (value & mask, mask)
         else:
-            fields["ipv4_src"] = value
+            fields["ipv4_src"] = whole(rng, "ipv4_src", value)
     if rng.random() < 0.4:
         value = int(rng.choice(IPS))
         if rng.random() < 0.5:
@@ -79,10 +79,10 @@ def random_match(rng: random.Random) -> Match:
             mask = (0xFFFFFFFF << (32 - bits)) & 0xFFFFFFFF
             fields["ipv4_dst"] = (value & mask, mask)
         else:
-            fields["ipv4_dst"] = value
+            fields["ipv4_dst"] = whole(rng, "ipv4_dst", value)
     if rng.random() < 0.3:
         name = rng.choice(("udp_dst", "udp_src", "tcp_dst", "tcp_src"))
-        fields[name] = rng.choice(PORTS)
+        fields[name] = whole(rng, name, rng.choice(PORTS))
     return Match(**fields)
 
 

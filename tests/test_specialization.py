@@ -321,6 +321,23 @@ class TestEligibility:
         assert program is not None
         assert "& 0xffffff00" in program.source  # the baked subtable mask
 
+    def test_whole_field_slots_are_probed_bare(self):
+        """A slot matched whole — however its mask is spelled — is probed
+        with its bare value, with no ``&`` and no ``None`` guard (an
+        absent field's None just misses); a partial mask keeps both."""
+        _, switch, _ = build_switch()
+        whole = Match(
+            in_port=2, eth_dst=(int(MACS[1]), 0xFFFFFFFFFFFF), vlan_vid=0x1000 | 100
+        )
+        mixed = Match(eth_type=0x0800, ipv4_dst=("10.0.1.0", "255.255.255.0"))
+        install(switch, match=whole, priority=9, instructions=output(2))
+        install(switch, match=mixed, priority=5, instructions=output(2))
+        lines = [line.strip() for line in compile_datapath(switch).source.splitlines()]
+        whole_probe = lines.index("ch = P0_get((v0, v1, v4))")
+        assert lines[whole_probe - 1] == "if e is None or ek0 >= -9:"
+        mixed_probe = lines.index("ch = P1_get((v3, v9 & 0xffffff00))")
+        assert lines[mixed_probe - 1] == "if v9 is not None:"
+
 
 class TestInvalidationAndRegenerate:
     def test_flowmod_invalidates_and_next_frame_is_compiled(self):
@@ -638,7 +655,7 @@ class TestPatchingInPlace:
         switch.inject(frame_ab(), 1)  # probes the detached, empty dict: miss
         install(switch, match=Match(in_port=1), priority=7, instructions=output(3))
         assert switch.program is program
-        _, _, buckets = table.probe_group(Match(in_port=1))
+        _, buckets = table.probe_group(Match(in_port=1))
         assert program.run_burst.__globals__["P0_get"].__self__ is buckets
         switch.inject(frame_ab(), 1)
         sim.run()

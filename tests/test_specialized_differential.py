@@ -75,6 +75,8 @@ from repro.softswitch import DatapathCostModel, ESWITCH_COST_MODEL, SoftSwitch
 from repro.softswitch.compiler import PLAN_CHAIN, STEP_GROUP, STEP_RESERVED
 from repro.traffic import BurstSource
 
+from match_gen import random_eth_dst, random_vlan_vid, whole
+
 ZERO_COST = DatapathCostModel.zero()
 
 #: Case-count multiplier; the nightly extended job sets this to 5.
@@ -123,26 +125,24 @@ def random_frame(rng: random.Random) -> EthernetFrame:
 def random_match(rng: random.Random) -> Match:
     fields: dict = {}
     if rng.random() < 0.5:
-        fields["in_port"] = rng.randint(1, 3)
+        fields["in_port"] = whole(rng, "in_port", rng.randint(1, 3))
     if rng.random() < 0.4:
-        fields["eth_type"] = 0x0800
+        fields["eth_type"] = whole(rng, "eth_type", 0x0800)
     if rng.random() < 0.3:
-        fields["eth_dst"] = int(rng.choice(MACS))
+        fields["eth_dst"] = random_eth_dst(rng, MACS)
     if rng.random() < 0.3:
-        fields["vlan_vid"] = (
-            0 if rng.random() < 0.3 else c.OFPVID_PRESENT | rng.randint(100, 101)
-        )
+        fields["vlan_vid"] = random_vlan_vid(rng, (100, 101))
     if rng.random() < 0.4:
         value = int(rng.choice(IPS))
-        if rng.random() < 0.5:  # masked -> staged subtable probes
+        if rng.random() < 0.5:  # a prefix: partial masks, guarded probes
             bits = rng.choice((8, 16, 24))
             mask = (0xFFFFFFFF << (32 - bits)) & 0xFFFFFFFF
             fields["ipv4_dst"] = (value & mask, mask)
         else:
-            fields["ipv4_dst"] = value
+            fields["ipv4_dst"] = whole(rng, "ipv4_dst", value)
     if rng.random() < 0.3:
         name = rng.choice(("udp_dst", "udp_src", "tcp_dst", "tcp_src"))
-        fields[name] = rng.choice(PORTS)
+        fields[name] = whole(rng, name, rng.choice(PORTS))
     return Match(**fields)
 
 
@@ -1034,9 +1034,9 @@ def _entry_ids(switch) -> set:
 
 
 def _probe_shape(match) -> tuple:
-    """The table-0 probe group (field-set or mask-set) *match* indexes under."""
-    exact = match.exact_key()
-    return ("exact", exact[0]) if exact is not None else ("masked", match.mask_key()[0])
+    """The table-0 probe group *match* indexes under: its mask-set (a
+    field-set when every mask is whole)."""
+    return match.mask_key()[0]
 
 
 class IncrementalRig:

@@ -1,12 +1,14 @@
-"""Staged-subtable edge cases: ordering, collisions, tier migration.
+"""Staged-subtable edge cases: ordering, collisions, mask-set migration.
 
-The masked tier groups entries into one subtable per distinct mask-set
-(``Match.mask_key()``) and probes subtables in descending max-priority
-order with early termination.  These tests pin down the cases where
-that ordering machinery could silently diverge from the seed linear
-scan: equal max-priority subtables, several matches colliding on one
-mask-set (and on one masked-value bucket), max-priority recomputation
-after removals, and entries moving between the exact and masked tiers.
+The classifier groups every entry into one subtable per distinct
+mask-set (``Match.mask_key()``; a whole-field match carries all-ones
+masks) and probes subtables in descending max-priority order with early
+termination.  These tests pin down the cases where that ordering
+machinery could silently diverge from the seed linear scan: equal
+max-priority subtables, several matches colliding on one mask-set (and
+on one masked-value bucket), max-priority recomputation after removals,
+entries moving between whole-field and partial mask-sets, and the cost
+of an install into a large subtable.
 """
 
 import random
@@ -19,7 +21,7 @@ from repro.net.build import udp_frame
 from repro.openflow import ApplyActions, FlowMod, Match, OutputAction
 from repro.openflow import consts as c
 from repro.openflow.packetview import FIELD_INDEX, PacketView
-from repro.softswitch.flowtable import FlowEntry, FlowTable
+from repro.softswitch.flowtable import FlowEntry, FlowTable, Subtable
 
 MAC_A = MACAddress("02:00:00:00:00:01")
 MAC_B = MACAddress("02:00:00:00:00:02")
@@ -34,6 +36,11 @@ def frame_to(dst_ip, src_ip="10.0.0.1", dst_port=2000):
 def masked(value, bits):
     mask = (0xFFFFFFFF << (32 - bits)) & 0xFFFFFFFF
     return (int(IPv4Address(value)) & mask, mask)
+
+
+def staged_order(table):
+    """The table's mask-sets in probe order."""
+    return [subtable.mask_set for subtable in table.subtables_in_order()]
 
 
 def lookup_both(table, frame, now=1.0, in_port=1):
@@ -132,11 +139,11 @@ class TestSubtableStructure:
         other = FlowEntry(match=Match(ipv4_src=masked("10.0.0.0", 8)), priority=5)
         for entry in (high, low, other):
             table.install(entry, 0.0)
-        assert table.staged_order()[0] == high.match.mask_key()[0]
+        assert staged_order(table)[0] == high.match.mask_key()[0]
         table.delete(high.match, priority=9, strict=True)
         # The /16 subtable's max priority falls from 9 to 2; the /8
         # subtable (priority 5) must now be probed first.
-        assert table.staged_order()[0] == other.match.mask_key()[0]
+        assert staged_order(table)[0] == other.match.mask_key()[0]
         assert lookup_both(table, frame_to("10.1.2.3", src_ip="10.9.9.9")) is other
 
     def test_empty_subtable_is_garbage_collected(self):
@@ -170,12 +177,12 @@ class TestSubtableStructure:
 
 
 class TestTierMigration:
-    """Entries moving between the exact and masked tiers.
+    """Entries moving between a partial and a whole-field mask-set.
 
-    A flow's tier is a function of its match, so migration happens when
-    a controller replaces a masked rule with an exact one (or back) —
-    delete + add, or an OFPFC_ADD carrying the refined match.  The
-    indexes on both tiers must stay consistent through the transition.
+    A flow's subtable is a function of its match, so migration happens
+    when a controller replaces a prefix rule with a host route (or back)
+    — delete + add, or an OFPFC_ADD carrying the refined match.  The
+    index must drop the emptied subtable and build the new one.
     """
 
     def _switch(self):
@@ -212,7 +219,8 @@ class TestTierMigration:
                 instructions=[ApplyActions(actions=(OutputAction(port=2),))],
             ).to_bytes()
         )
-        assert table.subtable_count == 0  # masked tier emptied
+        # The /16 subtable is gone; the host route has one of its own.
+        assert staged_order(table) == [exact.mask_key()[0]]
         assert len(table) == 1
         entry = lookup_both(table, frame_to("10.1.2.3"), now=sim.now)
         assert entry.match == exact
@@ -224,7 +232,7 @@ class TestTierMigration:
         switch.handle_message(
             FlowMod(match=exact, priority=5, instructions=[]).to_bytes()
         )
-        assert table.subtable_count == 0
+        assert staged_order(table) == [exact.mask_key()[0]]
         switch.handle_message(
             FlowMod(command=c.OFPFC_DELETE_STRICT, match=exact, priority=5).to_bytes()
         )
@@ -232,7 +240,7 @@ class TestTierMigration:
         switch.handle_message(
             FlowMod(match=wide, priority=5, instructions=[]).to_bytes()
         )
-        assert table.subtable_count == 1
+        assert staged_order(table) == [wide.mask_key()[0]]
         assert len(table) == 1
         assert lookup_both(table, frame_to("10.1.9.9"), now=sim.now) is not None
 
@@ -261,6 +269,30 @@ class TestTierMigration:
         assert entry.match == match
         (instruction,) = entry.instructions
         assert instruction.actions[0].port == 2
+
+
+class TestInstallCost:
+    """A FlowMod finds an equal entry in its own value bucket: it never
+    measures a whole subtable.  (A truth test once summed every bucket
+    chain, so installs into one mask-set grew quadratically.)"""
+
+    def test_install_and_strict_delete_never_size_a_subtable(self, monkeypatch):
+        def refuse(subtable):
+            raise AssertionError(f"sized the {subtable.mask_set} subtable")
+
+        monkeypatch.setattr(Subtable, "__bool__", refuse, raising=False)
+        monkeypatch.setattr(Subtable, "__len__", refuse, raising=False)
+        table = FlowTable(table_id=0)
+        matches = [
+            Match(ipv4_dst=(0x0A000000 | (index << 8), 0xFFFFFF00))
+            for index in range(1000)
+        ]
+        for match in matches:
+            table.install(FlowEntry(match=match, priority=5), 0.0)
+        assert table.subtable_count == 1 and len(table) == 1000
+        for match in matches:
+            assert len(table.delete(match, priority=5, strict=True)) == 1
+        assert table.subtable_count == 0 and len(table) == 0
 
 
 class TestRandomizedSubtableChurn:
