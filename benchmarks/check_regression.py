@@ -38,7 +38,6 @@ Refresh the baselines after an intentional perf change with::
     PYTHONPATH=src python benchmarks/bench_specialized.py --fast
     PYTHONPATH=src python benchmarks/bench_fabric.py --fast
     PYTHONPATH=src python benchmarks/bench_resilience.py --fast
-    PYTHONPATH=src python benchmarks/bench_storm.py --fast
     PYTHONPATH=src python benchmarks/bench_usecase_dmz.py --fast
     PYTHONPATH=src python benchmarks/bench_usecase_lb.py --fast
     PYTHONPATH=src python benchmarks/bench_usecase_pc.py --fast
@@ -61,7 +60,7 @@ RESULTS_DIR = BENCH_DIR / "results"
 #: Keys that identify a row (workload shape), not measurements.
 IDENTITY_KEYS = (
     "bench", "config", "kind", "policy", "flows", "masked_entries", "burst",
-    "edges", "topology", "event", "protection",
+    "edges", "topology", "event",
 )
 #: Absolute tolerance for hit-rate and share metrics (fractions in [0, 1]).
 HIT_RATE_TOLERANCE = 0.10

@@ -5,15 +5,6 @@ latency (the management network).  Synchronous replies produced by
 ``SoftSwitch.handle_message`` ride back over the same latency, so a
 request/reply exchange costs one RTT — matching what a controller
 measures against a real switch.
-
-The channel can also police the switch->controller direction: a
-per-datapath token bucket over *packet-in* messages (armed with
-:meth:`ControllerChannel.configure_packetin_limit`) bounds the
-controller work one misbehaving datapath can generate during a miss
-storm.  Only ``OFPT_PACKET_IN`` is metered — echoes, barriers and
-stats replies are cheap and must not be starved by a data-plane storm.
-The limit is off by default, leaving the channel bit-identical to one
-without the feature.
 """
 
 from __future__ import annotations
@@ -22,7 +13,6 @@ from collections import defaultdict
 from typing import Callable, Optional
 
 from repro.netsim.simulator import Simulator
-from repro.openflow import consts as c
 from repro.softswitch.datapath import SoftSwitch
 
 #: One-way control-channel latency: the switch is typically one or two
@@ -53,13 +43,6 @@ class ControllerChannel:
         #: ``to-controller:``, then ``channel-down`` (sent while down)
         #: or ``lost-in-flight`` (down when it would have landed).
         self.drops: "defaultdict[str, int]" = defaultdict(int)
-        #: Packet-in policing state; rate None means the limiter is off
-        #: and the packet-in path is untouched.
-        self.packetin_rate_pps: "Optional[float]" = None
-        self.packetin_burst = 32
-        self.packet_ins_limited = 0
-        self._packetin_tokens = 0.0
-        self._packetin_refilled_at = 0.0
         switch.to_controller = self._from_switch_async
 
     @property
@@ -71,34 +54,6 @@ class ControllerChannel:
     def dropped_to_controller(self) -> int:
         """Messages lost on the way to the controller: the ``to-controller:`` reasons."""
         return sum(n for reason, n in self.drops.items() if reason.startswith("to-controller:"))
-
-    def configure_packetin_limit(
-        self, rate_pps: "Optional[float]", burst: int = 32
-    ) -> None:
-        """Arm (or disarm, with ``rate_pps=None``) the packet-in meter."""
-        if rate_pps is not None and rate_pps <= 0:
-            raise ValueError("packet-in rate must be positive")
-        if burst < 1:
-            raise ValueError("packet-in burst must be at least 1")
-        self.packetin_rate_pps = None if rate_pps is None else float(rate_pps)
-        self.packetin_burst = burst
-        self._packetin_tokens = float(burst)
-        self._packetin_refilled_at = self.sim.now
-
-    def _admit_packet_in(self) -> bool:
-        tokens = self._packetin_tokens + (
-            (self.sim.now - self._packetin_refilled_at) * self.packetin_rate_pps
-        )
-        if tokens > self.packetin_burst:
-            tokens = float(self.packetin_burst)
-        self._packetin_refilled_at = self.sim.now
-        if tokens >= 1.0:
-            self._packetin_tokens = tokens - 1.0
-            return True
-        self._packetin_tokens = tokens
-        self.packet_ins_limited += 1
-        self.switch.drops["packet-in-limited"] += 1
-        return False
 
     def set_down(self) -> None:
         """Fail the channel: every message in either direction is lost,
@@ -127,13 +82,6 @@ class ControllerChannel:
         """Switch -> controller (async messages and replies)."""
         if not self.up:
             self.drops["to-controller:channel-down"] += 1
-            return
-        if (
-            self.packetin_rate_pps is not None
-            and len(raw) >= 2
-            and raw[1] == c.OFPT_PACKET_IN
-            and not self._admit_packet_in()
-        ):
             return
         self.messages_to_controller += 1
         self.sim.schedule(self.latency_s, self._deliver_to_controller, raw)

@@ -14,7 +14,6 @@ from repro.legacy.config import (
     VlanDecl,
 )
 from repro.legacy.fdb import FdbEntry, ForwardingDatabase
-from repro.legacy.stormcontrol import StormControl
 from repro.legacy.stp import PortRole, PortState, SpanningTree
 from repro.legacy.switch import LegacySwitch
 
@@ -26,7 +25,6 @@ __all__ = [
     "ForwardingDatabase",
     "FdbEntry",
     "LegacySwitch",
-    "StormControl",
     "SpanningTree",
     "PortRole",
     "PortState",

@@ -42,9 +42,6 @@ class SwitchCounters:
     flooded: int = 0
     filtered_ingress: int = 0
     dropped_no_ports: int = 0
-    #: Flood-class frames dropped by storm control (see
-    #: :mod:`repro.legacy.stormcontrol`); 0 unless a meter is armed.
-    storm_suppressed: int = 0
     per_port_rx: dict[int, int] = field(default_factory=dict)
     per_port_tx: dict[int, int] = field(default_factory=dict)
 
@@ -95,10 +92,6 @@ class LegacySwitch(Node):
         #: Attached spanning-tree instance (see :mod:`repro.legacy.stp`);
         #: None means no STP — the dataplane forwards unconditionally.
         self.stp = None
-        #: Optional per-ingress-port flood meter (see
-        #: :mod:`repro.legacy.stormcontrol`); None — the default — keeps
-        #: the flood path bit-identical to a switch without the feature.
-        self.storm_control = None
         #: False while crashed (see :meth:`power_off`): the dataplane
         #: drops everything and the control plane is frozen.
         self.running = True
@@ -242,8 +235,8 @@ class LegacySwitch(Node):
         nothing to learn: ingress port enabled, the frame classifies,
         its source is bound to this port already (a static one may be a
         group address, which nobody learns either), its unicast
-        destination to another port that emits the VLAN.  A storm meter
-        only sees floods.  Reads only — and not what :meth:`_passable` asks.
+        destination to another port that emits the VLAN.  Reads only —
+        and not what :meth:`_passable` asks.
         """
         port_config = self.config.port(number)
         classified = self._ingress_vlan(port_config, frame)
@@ -353,14 +346,7 @@ class LegacySwitch(Node):
             else:
                 self.drops["hairpin"] += 1
             return
-        # Unknown unicast / broadcast / multicast: flood the VLAN —
-        # unless the ingress port's storm meter says this is a storm.
-        if self.storm_control is not None and not self.storm_control.allow(
-            ingress_port, self.sim.now
-        ):
-            self.counters.storm_suppressed += 1
-            self.drops["storm-suppressed"] += 1
-            return
+        # Unknown unicast / broadcast / multicast: flood the VLAN.
         members = self.config.ports_in_vlan(vlan_id)
         flooded_to = [number for number in members if number != ingress_port]
         if not flooded_to:

@@ -27,8 +27,8 @@ fail action plus an optional timed restore:
 * **Broadcast storm** — :meth:`storm` plays a train of identical
   broadcast frames into a port at a configured rate for a window (a
   looped cable or babbling NIC), counting what the port accepted
-  versus dropped.  Containment is the fabric's job — storm control
-  (:mod:`repro.legacy.stormcontrol`) if armed, meltdown if not.
+  versus dropped.  Nothing contains it: the fabric floods every
+  copy, as an 802.1D bridge must.
 
 The injector only *schedules*; all state changes happen inside the
 simulation at the configured times, so runs remain deterministic.

@@ -49,14 +49,14 @@ entries expires.
 **What is not compiled.**  The executor reproduces what controllers
 install in practice and rejects the rest whole.  A reserved output
 (CONTROLLER, FLOOD, ALL, IN_PORT) is one step that hands the action to
-the interpreter's own ``SoftSwitch._output``, so the packet-in build,
-miss suppression, ``flood_guard`` and the sorted flood expansion keep
-one definition, shared by both executors.  Write- and clear-actions, a
-frame transform before a goto or before a group action (decisions are
-keyed on the frame as it arrived), an action type the executor does
-not know, and a group bucket holding a group action or an unknown
-action are named by :func:`uncompilable_reason` and the group check;
-a pipeline holding any of them is not compiled at all.
+the interpreter's own ``SoftSwitch._output``, so the packet-in build
+and the sorted flood expansion keep one definition, shared by both
+executors.  Write- and clear-actions, a frame transform before a goto
+or before a group action (decisions are keyed on the frame as it
+arrived), an action type the executor does not know, and a group
+bucket holding a group action or an unknown action are named by
+:func:`uncompilable_reason` and the group check; a pipeline holding
+any of them is not compiled at all.
 :func:`compile_datapath` then returns None with
 ``switch.compile_ineligible_reason`` set to the first reason — as it
 does for a subclassed cost model, whose per-packet cost hooks must run
@@ -141,11 +141,9 @@ exactly as frame-by-frame injection would.
 **Drops.**  Every frame or output the executor discards is counted in
 ``SoftSwitch.drops`` under the reason the interpreter would give
 (``table-miss``, ``no-such-port``, ``no-such-group``, ``empty-group``,
-``action-drop``; a reserved output's ``flood-suppressed`` and
-``packet-in-suppressed`` are counted by ``_output`` itself): in
-per-reason locals summed once per burst, except a chain walk's
-later-table miss and the drops inside its steps, which are counted as
-they happen.
+``action-drop``; a reserved output drops nothing): in per-reason
+locals summed once per burst, except a chain walk's later-table miss
+and the drops inside its steps, which are counted as they happen.
 """
 
 from __future__ import annotations
@@ -834,11 +832,9 @@ def _chain_steps(steps, frame, in_port, PORTS=PORTS, DROPS=DROPS,
                 msgs += bucket_msgs
                 dropped += bucket_drops
         elif op == 5:
-            counted = sum(DROPS.values())
             sent, queued = BUFFERED(OUTPUT, current, arg, in_port)
             outs += sent
             msgs += queued
-            dropped += sum(DROPS.values()) - counted  # a storm defence said no
         elif op == 3:
             arg.packet_count += 1
             dropped += 1

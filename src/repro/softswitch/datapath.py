@@ -71,16 +71,9 @@ from repro.softswitch.groups import SELECT_HASH_FIELDS, GroupTable
 EXPIRY_SWEEP_INTERVAL_S = 1.0
 
 #: The reasons in ``SoftSwitch.drops`` that ``packets_dropped`` sums.
-#: The others are kept beside it: ``floods_suppressed`` and
-#: ``packet_ins_suppressed`` have their own counters, ``action-drop``
-#: and ``packet-in-limited`` had none.
+#: The one other reason, ``action-drop``, is left out: it never had a
+#: counter of its own.
 COUNTED_DROPS = ("table-miss", "no-such-port", "no-such-group", "empty-group")
-
-#: Bound on the miss-suppression negative cache (see
-#: ``miss_suppression_s``).  Cleared wholesale when full: the cache is
-#: derived state and a cleared signature merely costs one extra
-#: packet-in — memory stays bounded even under a randomised MAC storm.
-MISS_CACHE_LIMIT = 4096
 
 
 def _bad_request(xid: int, code: int, raw: bytes) -> bytes:
@@ -185,23 +178,6 @@ class SoftSwitch(Node):
         #: like OVS's selection_method this is switch configuration.
         self.select_hash_fields: tuple[str, ...] = SELECT_HASH_FIELDS
         self.to_controller: "Optional[Callable[[bytes], None]]" = None
-        #: Optional flood meter mirroring legacy storm control on the
-        #: migrated dataplane (a :class:`repro.legacy.stormcontrol
-        #: .StormControl`, consulted per ingress port before an
-        #: ``OFPP_FLOOD``/``OFPP_ALL`` expansion).  None — the default —
-        #: leaves every tier bit-identical to a guard-free switch.  The
-        #: compiled tier runs reserved outputs through :meth:`_output`
-        #: too, so this one hook covers both executors.
-        self.flood_guard = None
-        self.floods_suppressed = 0
-        #: Miss-suppression window (simulated seconds): a packet-in
-        #: whose (in_port, src, dst, vlan) signature was already sent
-        #: within the window is dropped at the datapath instead of
-        #: costing the controller another round trip.  0.0 — the
-        #: default — disables the negative cache entirely.
-        self.miss_suppression_s = 0.0
-        self.packet_ins_suppressed = 0
-        self._miss_seen: "dict[tuple, float]" = {}
         self.packets_forwarded = 0
         #: Why frames (or single outputs of a frame) died here, reason ->
         #: count, identical on both executors.  Not in ``stats()``.
@@ -280,7 +256,6 @@ class SoftSwitch(Node):
         """
         self.tables = [FlowTable(table_id) for table_id in range(len(self.tables))]
         self.groups = GroupTable()
-        self._miss_seen.clear()
         self._mark_program_stale("pipeline reset")
 
     @property
@@ -322,8 +297,6 @@ class SoftSwitch(Node):
             "packets_forwarded": self.packets_forwarded,
             "packets_dropped": self.packets_dropped,
             "packets_to_controller": self.packets_to_controller,
-            "floods_suppressed": self.floods_suppressed,
-            "packet_ins_suppressed": self.packet_ins_suppressed,
             "specialization": {
                 "enabled": self.specialize,
                 "active": self._program is not None,
@@ -579,11 +552,6 @@ class SoftSwitch(Node):
             )
             return
         if port_no in (c.OFPP_FLOOD, c.OFPP_ALL):
-            guard = self.flood_guard
-            if guard is not None and not guard.allow(in_port, self.sim.now):
-                self.floods_suppressed += 1
-                self.drops["flood-suppressed"] += 1
-                return
             for number in sorted(self.ports):
                 if number != in_port:
                     self._transmit(number, frame)
@@ -641,23 +609,6 @@ class SoftSwitch(Node):
         reason: int,
         max_len: int = c.OFPCML_NO_BUFFER,
     ) -> None:
-        window = self.miss_suppression_s
-        if window > 0.0:
-            # Negative cache: one packet-in per miss signature per
-            # window.  A miss *storm* (same offending flow hammering
-            # the table-miss entry) costs the controller one message
-            # per window instead of one per frame; distinct signatures
-            # — i.e. steady-state reactive behaviour — pass untouched.
-            signature = (in_port, frame.src, frame.dst, frame.vlan_id)
-            now = self.sim.now
-            last = self._miss_seen.get(signature)
-            if last is not None and now - last < window:
-                self.packet_ins_suppressed += 1
-                self.drops["packet-in-suppressed"] += 1
-                return
-            if len(self._miss_seen) >= MISS_CACHE_LIMIT:
-                self._miss_seen.clear()
-            self._miss_seen[signature] = now
         self.packets_to_controller += 1
         data = frame.to_bytes()
         if max_len != c.OFPCML_NO_BUFFER:

@@ -204,8 +204,7 @@ def storm_frames(
 
     A real broadcast storm replicates the *same* frame (a loop replays
     it, a babbling NIC repeats it), so a single template is reused for
-    the whole train; anything metering the storm sees *count* identical
-    flood-class arrivals.
+    the whole train: *count* identical broadcasts, each flooded.
     """
     if count < 1:
         raise ValueError("storm needs at least one frame")
@@ -220,51 +219,6 @@ def storm_frames(
         vlan_id=vlan_id,
     )
     return [template] * count
-
-
-def mac_churn_bursts(
-    schedule: "list[tuple[float, int]]",
-    seed: int = 0,
-    dst_mac: "MACAddress | None" = None,
-    vlan_id: "int | None" = None,
-    payload_len: int = 32,
-) -> "list[tuple[float, list[EthernetFrame]]]":
-    """Fill *schedule*'s bursts with frames from ever-changing source MACs.
-
-    Every frame carries a **distinct** randomised source MAC (collisions
-    are re-drawn), so a train of *n* frames forces *n* FDB learns — the
-    MAC-churn pressure a scanning worm or an L2 loop with diverse
-    traffic puts on the CAM.  The destination defaults to a fixed
-    never-learned unicast MAC, so every frame is also an unknown-unicast
-    flood; pass a learned *dst_mac* to exercise pure learning pressure
-    instead.
-    """
-    rng = random.Random(seed)
-    dst = dst_mac if dst_mac is not None else MACAddress(0x02_DE_AD_00_00_01)
-    seen: "set[int]" = set()
-    bursts = []
-    for start, count in schedule:
-        frames = []
-        for _ in range(count):
-            while True:
-                low = rng.randrange(1 << 32)
-                if low not in seen:
-                    seen.add(low)
-                    break
-            frames.append(
-                udp_frame(
-                    MACAddress(0x02_C4_00_00_00_00 | low),
-                    dst,
-                    IPv4Address("10.254.0.1"),
-                    IPv4Address("10.254.0.2"),
-                    1024,
-                    1024,
-                    payload=b"\x00" * payload_len,
-                    vlan_id=vlan_id,
-                )
-            )
-        bursts.append((start, frames))
-    return bursts
 
 
 def station_mac(pod: int, station: int = 0) -> MACAddress:

@@ -1,4 +1,5 @@
-"""The docs lint's drift checks: the README layout table and the module census.
+"""The docs lint's drift checks: the README layout table, the module
+census and module references in the docs and in ``src/`` roles.
 
 Each check is run on the repository itself (it must pass) and on a small
 synthetic tree whose docs have drifted (it must name the drift).
@@ -6,6 +7,7 @@ synthetic tree whose docs have drifted (it must name the drift).
 
 import importlib.util
 import pathlib
+import sys
 
 import pytest
 
@@ -85,4 +87,42 @@ class TestReadmePackages:
         )
         assert docs_lint.check_readme_packages(readme) == [
             "README.md: layout table does not name src/repro/b/"
+        ]
+
+
+class TestModulePaths:
+    def test_repository_module_paths_exist(self, docs_lint):
+        assert docs_lint.check_module_paths() == []
+
+    def test_missing_module_path_is_named(self, docs_lint, tree):
+        (tree / "README.md").write_text("Modules `src/repro/a/one.py` and `repro/a/gone.py`.\n")
+        (tree / "docs" / "guide.md").write_text("See `repro/b/two.py` and `src/repro/b/four.py`.\n")
+        (tree / "benchmarks").mkdir()
+        (tree / "benchmarks" / "EXPERIMENTS.md").write_text("Then `repro/a/old.py` was deleted.\n")
+        assert docs_lint.check_module_paths() == [
+            "README.md: names missing module repro/a/gone.py",
+            "docs/guide.md: names missing module repro/b/four.py",
+        ]
+
+
+class TestModuleRoles:
+    def test_repository_roles_resolve(self, docs_lint):
+        assert docs_lint.check_module_roles() == []
+
+    def test_unresolved_role_is_named(self, docs_lint, tree, monkeypatch):
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        (tree / "src" / "repro" / "a" / "one.py").write_text(
+            '"""Roles resolved against the importable ``repro`` package.\n\n'
+            ":mod:`repro.legacy.stp`, :class:`~repro.legacy.switch\n"
+            "    .LegacySwitch`, :attr:`repro.legacy.switch.LegacySwitch.stp`,\n"
+            ":mod:`repro.legacy.gone`, :mod:`repro.legacy.switch.LegacySwitch`,\n"
+            ':meth:`repro.netsim.link.Link.set_dwn`.\n"""\n'
+            "#: Also in comments: :class:`repro.legacy.gone\n"
+            "#: .Meter`.\n"
+        )
+        assert docs_lint.check_module_roles() == [
+            "src/repro/a/one.py: :mod:`repro.legacy.gone` does not resolve",
+            "src/repro/a/one.py: :mod:`repro.legacy.switch.LegacySwitch` does not resolve",
+            "src/repro/a/one.py: :meth:`repro.netsim.link.Link.set_dwn` does not resolve",
+            "src/repro/a/one.py: :class:`repro.legacy.gone.Meter` does not resolve",
         ]

@@ -2,25 +2,27 @@
 
 Covers the three builder families, reachability before/during/after
 every migration wave, the legacy-vs-migrated differential (a 2-switch
-fabric must deliver bit-identical frames either way) and cross-pod
-burst traffic across chains of migrated SoftSwitches, and seeded
-cross-pod mixes on every builder at every migration stage.  (The legacy
+fabric must deliver bit-identical frames either way), cross-pod
+burst traffic across chains of migrated SoftSwitches, seeded cross-pod
+mixes on every builder at every migration stage, and a broadcast storm
+played into an unprotected ring as a fault input.  (The legacy
 switch's own cache-vs-general-path differential lives in
 ``test_legacy_differential.py``.)
 """
 
+import hashlib
 import itertools
 import random
 from collections import Counter
+from dataclasses import asdict
 
 import pytest
-from test_storm_differential import PacketInRecorder, site_digest
 
 from repro.apps import LearningSwitchApp
 from repro.controller import Controller
+from repro.controller.app import ControllerApp
 from repro.core import HarmlessError, HarmlessFleet
-from repro.fabric import campus_fabric, leaf_spine_fabric, ring_fabric
-from repro.legacy import StormControl
+from repro.fabric import Fabric, campus_fabric, leaf_spine_fabric, ring_fabric
 from repro.net.addresses import BROADCAST_MAC
 from repro.net.ethernet import ETHERTYPE_IPV4
 from repro.netsim import Capture, Simulator
@@ -412,6 +414,100 @@ MIX_TOPOLOGIES = {
 MIX_STAGES = {"legacy": 0, "hybrid": 1, "migrated": None}
 
 
+def _payload_hash(in_port: int, data: bytes) -> str:
+    return hashlib.sha1(in_port.to_bytes(4, "big") + data).hexdigest()[:16]
+
+
+class PacketInRecorder(ControllerApp):
+    """Records every packet-in as a per-switch multiset of payload hashes.
+
+    A *multiset* (sorted hashes), not a sequence, so the comparison is
+    about which packet-ins a run raised, not the order among
+    simultaneous ones.  Register it before the forwarding app so it
+    observes without consuming.
+    """
+
+    def __init__(self) -> None:
+        self.by_switch: "dict[str, list[str]]" = {}
+
+    def on_packet_in(self, dp, msg) -> bool:  # noqa: D102 - base class doc
+        self.by_switch.setdefault(dp.name, []).append(
+            _payload_hash(msg.in_port, msg.data)
+        )
+        return False
+
+    def digest(self) -> "dict[str, list[str]]":
+        return {name: sorted(hashes) for name, hashes in self.by_switch.items()}
+
+
+def site_digest(
+    fabric: Fabric, site_name: str, fleet=None, include_rtts: bool = False
+) -> dict:
+    """Everything observable at one site, as comparable plain data.
+
+    Covers the legacy switch (aggregate + per-port counters, FDB
+    contents), its ports, its hosts (IP deliveries + per-ping
+    outcomes), its stations, and — when *fleet* has migrated the
+    site — the S4 datapath counters.  Ping RTTs are excluded by
+    default: when two probes to the *same* destination tie at a shared
+    trunk, their serialisation order (hence their RTT split) is
+    tie-dependent, while loss/delivery is not.  Pass
+    ``include_rtts=True`` for scenarios without such contention.
+    """
+    site = fabric.sites[site_name]
+    switch = site.switch
+    counters = {
+        key: sorted(value.items()) if isinstance(value, dict) else value
+        for key, value in asdict(switch.counters).items()
+    }
+    digest = {
+        "counters": counters,
+        "fdb": sorted(
+            (entry.vlan_id, str(entry.mac), entry.port, entry.static)
+            for entry in switch.fdb._entries.values()
+        ),
+        "ports": {
+            number: (
+                port.rx_frames,
+                port.rx_bytes,
+                port.tx_frames,
+                port.tx_bytes,
+                port.tx_dropped,
+            )
+            for number, port in sorted(switch.ports.items())
+        },
+        "hosts": {
+            host.name: {
+                "rx_ip_packets": host.rx_ip_packets,
+                "pings": [
+                    (result.sequence, result.lost)
+                    for result in host.ping_results
+                ],
+                **(
+                    {"rtts": host.rtts()} if include_rtts else {}
+                ),
+            }
+            for host in site.hosts
+        },
+        "stations": {
+            node.name: {"sent": node.sent, "rx": node.rx_count}
+            for node in fabric.stations.get(site_name, [])
+            if hasattr(node, "sent")
+        },
+    }
+    deployment = getattr(fleet, "deployments", {}).get(site_name) if fleet else None
+    if deployment is not None:
+        digest["s4"] = {
+            half.name: (
+                half.packets_forwarded,
+                half.packets_dropped,
+                half.packets_to_controller,
+            )
+            for half in (deployment.s4.ss1, deployment.s4.ss2)
+        }
+    return digest
+
+
 class AddressedStation(BurstSource):
     """A burst source that also tallies the frames addressed to it."""
 
@@ -566,13 +662,9 @@ def test_idle_tail_costs_no_events():
 
 
 def stormed_ring(stage):
-    """The ring with storm control armed everywhere and pod 0's station
-    babbling 480 broadcasts over 4 ms into the first mix window."""
+    """The ring, unprotected, with pod 0's station babbling 480
+    broadcasts over 4 ms into the first mix window."""
     run = MixRun("ring", stage)
-    for site in run.fabric.sites.values():
-        site.switch.storm_control = StormControl(
-            rate_fps=2000, burst=256, recovery_s=0.01
-        )
     base = run.sim.now
     run.stations[0].start(
         [(base + 0.0012 + index * 1e-4, storm_frames(12)) for index in range(40)]
@@ -580,20 +672,16 @@ def stormed_ring(stage):
     return run.play(range(3))
 
 
-@pytest.mark.parametrize("stage", ["legacy", "migrated"])
-def test_storm_is_metered_at_its_entry_and_replays(stage):
+@pytest.mark.parametrize("stage", ["legacy", "hybrid", "migrated"])
+def test_storm_floods_unmetered_and_replays(stage):
     run = stormed_ring(stage)
-    suppressed = {
-        name: site.switch.counters.storm_suppressed
-        for name, site in run.fabric.sites.items()
-    }
-    entry = run.fabric.edge_sites()[0].name
-    assert suppressed[entry] > sum(suppressed.values()) - suppressed[entry]
+    for station in run.stations[1:]:  # nothing meters it: every copy floods out
+        assert station.rx_count - sum(station.addressed.values()) >= 480
     for expected, station in zip(run.expected, run.stations):
         assert not station.addressed - expected  # nothing duplicated
     assert stormed_ring(stage).digests() == run.digests()
 
-    # With the storm over and the meters recovered, mixes land exactly.
+    # With the storm drained, mixes land exactly.
     for station in run.stations:
         station.addressed.clear()
     run.expected = [Counter() for _ in run.stations]

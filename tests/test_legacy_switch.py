@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.legacy import LegacySwitch, PortMode, RunningConfig, SpanningTree, StormControl
+from repro.legacy import LegacySwitch, PortMode, RunningConfig, SpanningTree
 from repro.net import EthernetFrame, IPv4Address, MACAddress
 from repro.net.addresses import BROADCAST_MAC as BROADCAST
 from repro.net.ethernet import Dot1QTag
@@ -306,11 +306,6 @@ class TestDropReasons:
         self.walk(switch, sim, send(1, frame(A, C)), "no-ports")
         for number in (2, 4):
             switch.config.port(number).enabled = True
-        switch.storm_control = StormControl(rate_fps=1.0, burst=1, recovery_s=10.0)
-        taps[0].port(1).send(frame(A, C))  # uses up the burst allowance
-        sim.run()
-        self.walk(switch, sim, send(1, frame(A, C)), "storm-suppressed")
-        switch.storm_control = None
         SpanningTree(switch, [4])  # port 4 starts LISTENING
         self.walk(switch, sim_until(sim, 0.0), send(4, frame(C, A, 10)), "ingress-filtered:stp")
         switch.power_off()
@@ -322,7 +317,6 @@ class TestDropReasons:
             count for name, count in switch.drops.items() if name.startswith("ingress-filtered:")
         )
         assert counters.dropped_no_ports == switch.drops["no-ports"]
-        assert counters.storm_suppressed == switch.drops["storm-suppressed"]
 
     def test_power_off_catches_the_frame_in_the_lookup_pipeline(self):
         sim, switch, taps = build_taps(processing_delay_s=4e-6)

@@ -758,13 +758,6 @@ class TestGotoTableValidation:
         assert len(switch.tables[2]) == 1
 
 
-class _DenyAll:
-    """A flood guard that admits nothing."""
-
-    def allow(self, port, now):
-        return False
-
-
 class TestDropReasons:
     """Every place a frame (or one output of a frame) dies in the
     softswitch says why in ``switch.drops``, identically on the seed
@@ -788,7 +781,6 @@ class TestDropReasons:
         13: ("matched, transforms only", "action-drop"),
         14: ("goto table 1, matched there with no instructions", "action-drop"),
         15: ("all group with no buckets", "action-drop"),
-        16: ("flood with the guard closed", "flood-suppressed"),
     }
 
     def provision(self, switch):
@@ -819,7 +811,6 @@ class TestDropReasons:
             13: apply(PushVlanAction(), SetFieldAction.vlan_vid(7)),
             14: [GotoTable(table_id=1)],
             15: apply(GroupAction(group_id=5)),
-            16: apply(OutputAction(port=OFPP_FLOOD)),
         }
         for in_port, instructions in rules.items():
             install(switch, match=Match(in_port=in_port), priority=5,
@@ -827,7 +818,6 @@ class TestDropReasons:
         install(switch, table_id=1, match=Match(in_port=4),
                 instructions=apply(OutputAction(port=99)))
         install(switch, table_id=1, match=Match(in_port=14), instructions=[])
-        switch.flood_guard = _DenyAll()
 
     @pytest.mark.parametrize("burst", [False, True], ids=["single", "burst"])
     @pytest.mark.parametrize("tier", TIERS)
@@ -850,30 +840,24 @@ class TestDropReasons:
             expected[reason]
             for reason in ("table-miss", "no-such-port", "no-such-group", "empty-group")
         )
-        assert switch.floods_suppressed == expected["flood-suppressed"]
         assert switch.packets_forwarded == len(sinks[1].received) > 0
-        if tier == "compiled":  # every site, the flood included, compiled
+        if tier == "compiled":  # every site compiled
             assert switch.fallback_frames == 0
             assert switch.specialized_frames > len(self.SITES)
 
     @pytest.mark.parametrize("tier", TIERS)
-    def test_packet_ins_the_controller_never_sees(self, tier):
+    def test_every_packet_in_reaches_the_channel(self, tier):
         from repro.controller.channel import ControllerChannel
 
         sim, switch, _ = build_switch(**TIERS[tier])
         install(switch, match=Match(), priority=0,
                 instructions=[ApplyActions(actions=(OutputAction(port=OFPP_CONTROLLER),))])
         channel = ControllerChannel(sim, switch)
-        channel.configure_packetin_limit(rate_pps=1.0, burst=1)
-        switch.inject(frame_ab(), 1)
-        switch.inject(frame_ab(), 2)  # the meter's one token is spent
-        assert dict(switch.drops) == {"packet-in-limited": 1}
-        assert channel.packet_ins_limited == 1
-        switch.miss_suppression_s = 1.0
-        switch.inject(frame_ab(), 3)
-        switch.inject(frame_ab(), 3)  # same signature inside the window
-        assert switch.drops["packet-in-suppressed"] == switch.packet_ins_suppressed == 1
-        assert switch.packets_dropped == 0  # neither was ever part of that sum
+        for in_port in (1, 2, 3, 3):  # a repeat on port 3 is a packet-in too
+            switch.inject(frame_ab(), in_port)
+        assert switch.packets_to_controller == channel.messages_to_controller == 4
+        assert dict(switch.drops) == {} and dict(channel.drops) == {}
+        assert switch.packets_dropped == 0
 
 
 class TestCostModel:

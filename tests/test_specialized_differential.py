@@ -25,10 +25,10 @@ shape break, a synchronous controller reprogramming mid-burst) and
 fails if any of them did not occur.  The same ledger counts the
 reserved outputs served compiled — packet-ins (bytes and xid compared
 with the ``linear_lookup`` arm's), FLOOD, ALL, IN_PORT, inside an ALL
-and a select bucket, a ``flood_guard`` and a miss-suppression hit —
-and every construct the compiler rejects, installed by ADD and by
-MODIFY and then taken away, after which the next frame is compiled
-again; a compiled program never hands a frame to the interpreter.
+and a select bucket — and every construct the compiler rejects,
+installed by ADD and by MODIFY and then taken away, after which the
+next frame is compiled again; a compiled program never hands a frame
+to the interpreter.
 The same ledger (PR 19) records the VLAN-rewrite shapes around the
 compiler's one peephole — push + set-field ``vlan_vid`` folded into a
 single step — as the compiled tier serves them: the folded pair in
@@ -68,7 +68,6 @@ from repro.openflow import (
     SetFieldAction,
     WriteActions,
 )
-from repro.legacy.stormcontrol import StormControl
 from repro.openflow import consts as c
 from repro.openflow.messages import PacketIn, parse_message
 from repro.softswitch import DatapathCostModel, ESWITCH_COST_MODEL, SoftSwitch
@@ -582,8 +581,6 @@ INCREMENTAL_HAZARDS = (
     "in_port_compiled",
     "reserved_in_all_bucket",
     "reserved_in_select_bucket",
-    "flood_guard_compiled",  # the guard refused a flood in a compiled burst
-    "miss_suppression_compiled",  # a repeat packet-in suppressed, compiled
 ) + tuple(
     # Each rejected construct, installed by ADD and by MODIFY, then
     # taken away: counted when the next burst is compiled again.
@@ -901,7 +898,7 @@ def incremental_prologue() -> list:
                  instructions=[ApplyActions(actions=(set_vid, out_3))]),),
         # Last, since its reactions learn every destination: every frame
         # to the controller for three bursts, above any rule a reaction
-        # installs, so repeats of a flow meet the miss suppression.
+        # installs.
         (FlowMod(match=Match(), priority=60, instructions=_PACKET_IN),),
         (),
         (),
@@ -1042,8 +1039,7 @@ def _probe_shape(match) -> tuple:
 class IncrementalRig:
     """One of the three switches plus what the harness watches on it."""
 
-    def __init__(self, cost_model, kind: str, script: list, hazards: Counter,
-                 defences: bool = False):
+    def __init__(self, cost_model, kind: str, script: list, hazards: Counter):
         self.kind = kind  # "patched" | "fresh" | "interpreter"
         interpreted = kind == "interpreter"
         self.rig = build_rig(
@@ -1065,9 +1061,6 @@ class IncrementalRig:
         self.rejected = None
         self.interpreted = 0
         self.switch.to_controller = self._controller
-        if defences:  # the storm defences, as tight as on a storming fabric
-            self.switch.flood_guard = StormControl(rate_fps=200, burst=2, recovery_s=0.05)
-            self.switch.miss_suppression_s = 1.0
         if not interpreted:
             self.switch._interpret_one = self._interpret_one
 
@@ -1188,8 +1181,7 @@ class IncrementalRig:
 
     def burst(self, in_port: int, frames: list, single: bool) -> None:
         switch = self.switch
-        before = (self.interpreted, switch.floods_suppressed,
-                  switch.packet_ins_suppressed, len(self.packet_ins))
+        interpreted, packet_ins = self.interpreted, len(self.packet_ins)
         self.in_burst = not single
         try:
             if single:
@@ -1203,13 +1195,9 @@ class IncrementalRig:
         if self.rejected and switch.program is not None:
             self.hazards[self.rejected] += 1
             self.rejected = None
-        if self.interpreted == before[0]:  # every frame served compiled
-            if len(self.packet_ins) > before[3]:  # emitted at once: zero cost
-                self.hazards["packet_in_compiled"] += 1
-            if switch.floods_suppressed > before[1]:
-                self.hazards["flood_guard_compiled"] += 1
-            if switch.packet_ins_suppressed > before[2]:
-                self.hazards["miss_suppression_compiled"] += 1
+        # Every frame served compiled, a packet-in emitted at once (zero cost).
+        if self.interpreted == interpreted and len(self.packet_ins) > packet_ins:
+            self.hazards["packet_in_compiled"] += 1
 
 
 def assert_same_state(rig_a: IncrementalRig, rig_b: IncrementalRig) -> None:
@@ -1239,8 +1227,7 @@ def run_incremental(seed, rounds, bursts_per_round, cost_model, churn_prob=0.5):
             weights = step_weights(_ROUND_THEMES[round_index % len(_ROUND_THEMES)])
             script = reaction_script(rng, 6 * bursts_per_round)
             rigs = [
-                IncrementalRig(cost_model, kind, script, hazards,
-                               defences=round_index % 2 == 1)
+                IncrementalRig(cost_model, kind, script, hazards)
                 for kind in ("patched", "fresh", "interpreter")
             ]
             patched, fresh, interpreter = rigs

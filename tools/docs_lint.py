@@ -30,6 +30,15 @@ And names: a backticked ``Class.attr`` (or ``Class.method()``) in
 as a dataclass field, or assigned as ``self.attr`` in its source or a
 ``repro`` base's — so deleting a method cannot leave the prose naming it.
 
+And module references: every backticked ``repro/…/x.py`` path (with or
+without a leading ``src/``) in the README and ``docs/*.md`` must be a
+module under ``src/``, and every ``:mod:``/``:class:``/``:func:``/
+``:meth:``/``:attr:`` role naming ``repro.…`` in ``src/repro/`` must
+resolve: its module imports and each name after it exists.  So deleting
+a module cannot leave prose or a docstring pointing at it.
+(``benchmarks/EXPERIMENTS.md`` is a lab notebook of past runs and
+names deleted modules on purpose; it is left out.)
+
 Run from the repository root (CI does)::
 
     python tools/docs_lint.py
@@ -271,6 +280,68 @@ def check_class_attributes() -> "list[str]":
     return problems
 
 
+#: Docs whose backticked module paths must exist.
+MODULE_PATH_GLOBS = ("README.md", "docs/*.md")
+#: A backticked ``repro/…/x.py``, optionally under ``src/``.
+MODULE_PATH_RE = re.compile(r"`(?:src/)?(repro/[\w/]+\.py)`")
+#: A Sphinx role naming something in ``repro``; the target may wrap
+#: onto a continuation line (``#:`` comments included).
+ROLE_RE = re.compile(r":(mod|class|func|meth|attr):`~?(repro\.[^`]+)`")
+ROLE_WRAP_RE = re.compile(r"\s+(?:#:\s*)?")
+
+
+def check_module_paths() -> "list[str]":
+    """Every backticked ``repro/…/x.py`` in the README and docs exists."""
+    problems = []
+    for pattern in MODULE_PATH_GLOBS:
+        for path in sorted(REPO_ROOT.glob(pattern)):
+            for module in MODULE_PATH_RE.findall(path.read_text(encoding="utf-8")):
+                if not (REPO_ROOT / "src" / module).is_file():
+                    problems.append(
+                        f"{path.relative_to(REPO_ROOT)}: names missing module {module}"
+                    )
+    return problems
+
+
+def resolve_role(role: str, target: str) -> bool:
+    """Whether *target* names a module (``mod``) or something in one."""
+    parts = target.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            value = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        break
+    else:
+        return False
+    rest = parts[split:]
+    if role == "mod":
+        return not rest
+    for index, name in enumerate(rest):
+        last = index == len(rest) - 1
+        if hasattr(value, name):
+            value = getattr(value, name)
+        elif last and role == "attr" and isinstance(value, type):
+            return has_attribute(value, name)
+        else:
+            return False
+    return bool(rest)
+
+
+def check_module_roles() -> "list[str]":
+    """Every ``repro.…`` role in a ``src/repro/`` file resolves."""
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    problems = []
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        for role, target in ROLE_RE.findall(path.read_text(encoding="utf-8")):
+            target = ROLE_WRAP_RE.sub("", target)
+            if not resolve_role(role, target):
+                problems.append(
+                    f"{path.relative_to(REPO_ROOT)}: :{role}:`{target}` does not resolve"
+                )
+    return problems
+
+
 def main() -> int:
     files = list(iter_markdown_files())
     problems = []
@@ -284,13 +355,15 @@ def main() -> int:
     problems.extend(check_bench_references())
     problems.extend(check_class_attributes())
     problems.extend(check_module_census())
+    problems.extend(check_module_paths())
+    problems.extend(check_module_roles())
     print(f"docs-lint: checked {len(files)} markdown file(s)")
     if problems:
         for problem in problems:
             print(f"  {problem}", file=sys.stderr)
         print(f"FAIL: {len(problems)} problem(s)", file=sys.stderr)
         return 1
-    print("PASS: links, named benches and class attributes resolve, "
+    print("PASS: links, named benches, modules and class attributes resolve, "
           "README counts and the module census match the tree")
     return 0
 
