@@ -42,7 +42,7 @@ class _Direction:
 
     A delivery event is this record's bound method plus the frame — no
     closure, no registry of what is on the wire.  ``queued`` is exactly
-    the frames whose delivery is still in the simulator's heap
+    the frames whose delivery is still in the simulator's queue
     (:meth:`Link.set_down` counts what it cuts by it).  ``drops`` splits
     ``stats.drops`` by why (``"queue-tail"``, ``"link-down"``), beside
     :class:`LinkStats` because that one is hashed into run digests.
@@ -252,7 +252,7 @@ class Link:
     def set_down(self) -> None:
         """Fail the link: everything queued or propagating is lost.
 
-        Each direction's pending deliveries — the heap's events bound to
+        Each direction's pending deliveries — the queue's events bound to
         its record, found by one scan per fault — are cancelled (a cut
         delivery is never a processed event) and the ``queued`` frames
         they carried counted as ``"link-down"`` drops, as are the frames

@@ -7,16 +7,19 @@ a total order settled in C that never reaches the callback — same-
 instant events run in schedule order (FIFO ties) and callbacks need not
 be comparable.
 
-**A planned schedule waits in a sorted lane.**  :meth:`Simulator.schedule`
-and :meth:`Simulator.schedule_at` push onto a binary heap; a whole
-``(time, callback)`` send schedule handed to
-:meth:`Simulator.schedule_many` goes instead into one list kept in
-descending ``(time, seq)`` order, so its next entry is ``lane[-1]`` and
-a new run merges in by ``list.sort`` (two presorted runs: linear).  The
-run loop dispatches whichever of ``heap[0]`` and ``lane[-1]`` comes
-first, so the order is exactly that of one queue — but the heap's
-pushes and pops work against the events in flight, not against every
-frame a traffic source has planned for the rest of the run.
+**An entry that sorts after the lane's tail extends the lane.**  The
+lane is one ``collections.deque`` in ascending ``(time, seq)`` order,
+so its next entry is ``lane[0]``.  :meth:`Simulator.schedule` and
+:meth:`Simulator.schedule_at` append to it when the lane is empty or
+the new entry sorts after ``lane[-1]`` — a new entry's ``seq`` is the
+largest yet, so that is ``lane[-1][0] <= time`` — and push onto a
+binary heap otherwise.  A whole ``(time, callback)`` send schedule
+handed to :meth:`Simulator.schedule_many` is merged into the lane
+by one sort (two presorted runs: linear).  The run loop dispatches whichever of ``heap[0]`` and
+``lane[0]`` comes first, so the order is exactly that of one queue —
+but a timeout armed a second ahead, or a traffic source's plan for the
+rest of the run, waits in the lane, and the heap's pushes and pops work
+against the events that arrived out of order: those in flight.
 
 **Events carry arguments**: ``schedule(delay, callback, *args)`` keeps
 both in the entry and the loop runs ``callback(*args)``, so a per-frame
@@ -39,8 +42,9 @@ not unboundedly so: cancel-heavy workloads — ping timers re-armed every
 probe, rollback paths — would otherwise grow the queue with garbage.
 Once cancelled entries outnumber live ones both containers are
 compacted **in place** (filter, and re-heapify the heap, into the same
-lists, which the run loop holds in locals); ``(time, seq)`` is a total
-order, so compaction cannot reorder ties.
+list and deque, which the run loop holds in locals); ``(time, seq)`` is
+a total order and filtering keeps the lane sorted, so compaction cannot
+reorder ties.
 
 A time that does not compare — NaN — is refused like one in the past:
 the guards read ``not time >= now``, so NaN fails them.
@@ -57,6 +61,8 @@ import heapq
 import itertools
 import math
 import sys
+from collections import deque
+from operator import attrgetter
 from typing import Callable, Iterable
 
 
@@ -73,8 +79,8 @@ class Simulator:
     def __init__(self) -> None:
         #: Heap of ``[time, seq, callback, args]`` entries.
         self._queue: list[list] = []
-        #: The :meth:`schedule_many` entries, descending ``(time, seq)``.
-        self._lane: list[list] = []
+        #: The sorted run: entries in ascending ``(time, seq)`` order.
+        self._lane: deque[list] = deque()
         self._seq = itertools.count()
         self._now = 0.0
         self._events_processed = 0
@@ -82,10 +88,8 @@ class Simulator:
         #: Cancelled entries still sitting in the heap or the lane.
         self._cancelled = 0
 
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
+    #: Read in C: a clock read enters no Python frame.
+    now = property(attrgetter("_now"), doc="Current simulated time in seconds.")
 
     @property
     def events_processed(self) -> int:
@@ -109,19 +113,24 @@ class Simulator:
         while queue and queue[0][2] is None:
             heapq.heappop(queue)
             self._cancelled -= 1
-        while lane and lane[-1][2] is None:
-            lane.pop()
+        while lane and lane[0][2] is None:
+            lane.popleft()
             self._cancelled -= 1
-        if lane and (not queue or lane[-1] < queue[0]):
-            return lane[-1][0]
+        if lane and (not queue or lane[0] < queue[0]):
+            return lane[0][0]
         return queue[0][0] if queue else None
 
     def schedule(self, delay: float, callback: Callable[..., None], *args) -> list:
         """Schedule ``callback(*args)`` to run *delay* seconds from now."""
         if not delay >= 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        entry = [self._now + delay, next(self._seq), callback, args]
-        heapq.heappush(self._queue, entry)
+        time = self._now + delay
+        entry = [time, next(self._seq), callback, args]
+        lane = self._lane
+        if not lane or lane[-1][0] <= time:
+            lane.append(entry)
+        else:
+            heapq.heappush(self._queue, entry)
         return entry
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args) -> list:
@@ -129,7 +138,11 @@ class Simulator:
         if not time >= self._now:
             raise ValueError(f"cannot schedule at {time}, already at {self._now}")
         entry = [time, next(self._seq), callback, args]
-        heapq.heappush(self._queue, entry)
+        lane = self._lane
+        if not lane or lane[-1][0] <= time:
+            lane.append(entry)
+        else:
+            heapq.heappush(self._queue, entry)
         return entry
 
     def schedule_many(
@@ -153,8 +166,9 @@ class Simulator:
                 # In place, for the run loop's local; a schedule given
                 # in time order is one run the merge takes as it stands.
                 lane = self._lane
-                lane += entries
-                lane.sort(reverse=True)
+                run = sorted([*lane, *entries])
+                lane.clear()
+                lane += run
         return entries
 
     def cancel(self, handle: list) -> None:
@@ -168,10 +182,12 @@ class Simulator:
         queue, lane = self._queue, self._lane
         if self._cancelled > 64 and self._cancelled * 2 > len(queue) + len(lane):
             # In place: a callback may cancel under the run loop, whose
-            # locals must keep naming both lists.
+            # locals must keep naming both containers.
             queue[:] = [entry for entry in queue if entry[2] is not None]
             heapq.heapify(queue)
-            lane[:] = [entry for entry in lane if entry[2] is not None]
+            live = [entry for entry in lane if entry[2] is not None]
+            lane.clear()
+            lane += live
             self._cancelled = 0
 
     def cancel_bound(self, receiver: object) -> int:
@@ -214,16 +230,17 @@ class Simulator:
         queue = self._queue
         lane = self._lane
         pop = heapq.heappop
+        popleft = lane.popleft
         processed = 0
         self._running = True
         try:
             while processed < limit:
                 # The next entry is the lesser of the two heads.
-                if lane and (not queue or lane[-1] < queue[0]):
-                    time, _, callback, args = entry = lane[-1]
+                if lane and (not queue or lane[0] < queue[0]):
+                    time, _, callback, args = entry = lane[0]
                     if time > horizon and callback is not None:
                         break
-                    lane.pop()
+                    popleft()
                 elif queue:
                     time, _, callback, args = entry = queue[0]
                     if time > horizon and callback is not None:

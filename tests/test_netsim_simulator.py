@@ -1,5 +1,6 @@
 """Tests for the discrete-event loop, nodes and links."""
 
+import heapq
 import math
 import os
 
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net import EthernetFrame, MACAddress
-from repro.netsim import Capture, Link, Node, Simulator
+from repro.legacy import LegacySwitch
+from repro.net import EthernetFrame, IPv4Address, MACAddress
+from repro.netsim import Capture, Host, Link, Node, Simulator
 from repro.netsim.link import wire
 
 
@@ -372,6 +374,27 @@ class TestLink:
         assert a.port(1).peer is b.port(1)
         assert b.port(1).peer is a.port(1)
 
+    @pytest.mark.parametrize("where", ["lane", "heap", "both"])
+    def test_set_down_cancels_deliveries_in_either_container(self, where):
+        # Deliveries that sort after the lane's tail wait in the lane;
+        # a far-off event queued first sends the rest onto the heap.
+        sim, a, b, link = self.make_pair(
+            bandwidth_bps=8_000_000, propagation_delay_s=1e-3
+        )
+        early = {"lane": 5, "heap": 0, "both": 2}[where]
+        for _ in range(early):
+            a.port(1).send(make_frame())
+        sim.schedule_at(10.0, lambda: None)
+        for _ in range(5 - early):
+            a.port(1).send(make_frame())
+        assert len(sim._lane) == early + 1 and len(sim._queue) == 5 - early
+        link.set_down()
+        direction = link.direction(a.port(1))
+        assert direction.drops["link-down"] == 5 and direction.queued == 0
+        assert sim.pending_events == 1
+        sim.run()
+        assert b.received == [] and sim.now == 10.0
+
     def test_utilization(self):
         sim, a, b, link = self.make_pair(
             bandwidth_bps=8_000_000, propagation_delay_s=0.0
@@ -470,12 +493,12 @@ class TestCancellationAccounting:
 
     def test_compaction_bounds_heap_garbage(self):
         # Without compaction 10k cancel cycles leave 10k dead entries
-        # in the heap while pending_events correctly reads ~0.
+        # in the queue while pending_events correctly reads ~0.
         sim = Simulator()
         for _ in range(10_000):
             sim.cancel(sim.schedule_at(1.0, lambda: None))
         assert sim.pending_events == 0
-        assert len(sim._queue) <= 256
+        assert len(sim._queue) + len(sim._lane) <= 256
 
     def test_compaction_preserves_fifo_ties(self):
         # Three instants, so re-heapifying must order by time first and
@@ -488,7 +511,7 @@ class TestCancellationAccounting:
             # Interleave garbage so a compaction definitely triggers.
             for _ in range(10):
                 sim.cancel(sim.schedule_at(time, lambda: order.append("dead")))
-        assert len(sim._queue) < 60 * 11  # it did
+        assert len(sim._queue) + len(sim._lane) < 60 * 11  # it did
         assert sim.pending_events == 60
         assert sim.run() == 60
         assert order == sorted(order) and len(order) == 60
@@ -549,26 +572,35 @@ class TestEventsCarryArguments:
         assert order == [0, 1, 2, 3, 4, 5]
 
     def test_compaction_from_inside_a_callback_loses_and_reorders_nothing(self):
-        # The run loop holds the queue in a local: a cancel() made by a
-        # running callback compacts that very list, mid-run.
+        # The run loop holds the heap and the lane in locals: a cancel()
+        # made by a running callback compacts those very containers,
+        # mid-run.  The doomed entries at 3.0 extend the lane; those at
+        # 2.0 sort before its tail and go onto the heap.
         sim = Simulator()
         order = []
-        doomed = [sim.schedule_at(2.0, order.append, "dead") for _ in range(200)]
+        doomed = [sim.schedule_at(3.0, order.append, "dead") for _ in range(100)]
+        doomed += [sim.schedule_at(2.0, order.append, "dead") for _ in range(100)]
         for index in range(50):
             sim.schedule_at(1.0 + (index % 3), order.append, (1.0 + index % 3, index))
+        assert len(sim._lane) == 100 + 16 and len(sim._queue) == 100 + 34
 
         def massacre():
-            queue = sim._queue
+            queue, lane = sim._queue, sim._lane
             for event in doomed:
                 sim.cancel(event)
-            assert sim._queue is queue and len(queue) < 200  # compacted, in place
+            # Compacted in place, both of them; the lane keeps its live
+            # entries in order.
+            assert sim._queue is queue and sim._lane is lane
+            assert len(queue) < 100 and sim.pending_events == 34 + 16
+            assert [entry[0] for entry in lane] == [3.0] * 16
+            assert list(lane) == sorted(lane)
             sim.schedule_at(2.0, order.append, (2.0, 99))
 
         sim.schedule_at(0.5, massacre)
         assert sim.pending_events == 251
         assert sim.run() == 52
         assert order == sorted(order) and len(order) == 51
-        assert sim.pending_events == 0 and not sim._queue
+        assert sim.pending_events == 0 and not sim._queue and not sim._lane
 
     def test_half_open_window_ends_at_the_float_below_until(self):
         sim = Simulator()
@@ -663,8 +695,9 @@ class TestValuesThatDoNotCompare:
 
 
 class TestScheduleWorkBudget:
-    """A planned send schedule stays out of the heap, pinned without a
-    clock: the heap holds what is in flight, the lane the plan."""
+    """A planned send schedule and the timeouts armed a second ahead stay
+    out of the heap, pinned without a clock: the heap holds what is in
+    flight, the lane the plan and the timeouts."""
 
     def test_a_planned_schedule_leaves_only_in_flight_events_in_the_heap(self):
         sim = Simulator()
@@ -688,6 +721,44 @@ class TestScheduleWorkBudget:
         assert len(sink.received) == 6000
         # The delivery just scheduled is the only event in the heap.
         assert max(depths) == 1
+
+    def test_timers_wait_in_the_lane(self, monkeypatch):
+        # 16 hosts on one legacy switch ping every 10 ms for 1.5 s; each
+        # ping arms a 1 s timeout that is never cancelled.  A timeout
+        # sorts after everything already queued, so it extends the lane:
+        # the heap keeps each host's next tick and the frames in flight.
+        sim = Simulator()
+        switch = LegacySwitch(sim, "sw", num_ports=16)
+        hosts = []
+        for index in range(16):
+            hosts.append(Host(sim, f"h{index + 1}", MACAddress(0x02_00_00_00_00_40 + index),
+                              IPv4Address(f"10.9.0.{index + 1}")))
+            Link(hosts[-1].port0, switch.port(index + 1))
+
+        def tick(host, peer):
+            host.ping(peer.ip)
+            if sim.now < 1.5 - 0.010:
+                sim.schedule(0.010, tick, host, peer)
+
+        for index, host in enumerate(hosts):
+            sim.schedule_at(index * 0.010 / 16, tick, host, hosts[(index + 8) % 16])
+        seen, push = [], heapq.heappush
+
+        def probe(heap, entry):
+            seen.append((sim.now, len(heap), len(sim._lane)))
+            push(heap, entry)
+
+        monkeypatch.setattr(heapq, "heappush", probe)
+        sim.run(until=1.5)
+        monkeypatch.undo()
+        results = [result for host in hosts for result in host.ping_results]
+        assert len(results) == 16 * 150 and not any(result.lost for result in results)
+        # Measured: 22 at most (ARP resolution in the first 0.1 s), 16
+        # from then on; a single heap of every event reaches 1 624.
+        assert max(depth for _, depth, _ in seen) <= 22
+        # After the first second every push finds 1 599 timeouts waiting.
+        assert min(lane for now, _, lane in seen if now >= 1.0) >= 1_599
+        assert sim.pending_events == len(sim._lane) == 1_600 and not sim._queue
 
 
 #: Case-count multiplier; the nightly extended job sets this to 5.
@@ -716,6 +787,15 @@ OPS = st.one_of(
     st.tuples(st.just("cancel_range"), st.integers(0, 10_000), st.integers(0, 300)),
     st.tuples(st.just("cancel_bound"), st.integers(0, 10_000)),
     st.tuples(st.just("run"), DELAYS, st.booleans()),
+    # A long run of one constant delay (or one constant step) through
+    # schedule or schedule_at, each entry arming a timeout when it runs,
+    # as a ping does: the entries that sort after the lane's tail.
+    st.tuples(st.just("run_of"), st.sampled_from(("schedule", "schedule_at")), DELAYS,
+              st.sampled_from((0.0, 0.0, 0.125)), st.integers(0, 60), DELAYS),
+    # A plan merged into whatever the lane holds: ascending from an
+    # offset (past the tail, or into it), or handed over descending.
+    st.tuples(st.just("plan"), st.integers(1, 40), st.sampled_from((0.0, 1.0, 3.0, 20.0)),
+              st.sampled_from((0.0, 0.125)), st.booleans()),
 )
 
 
@@ -806,6 +886,15 @@ class LaneHarness:
             assert sim.cancel_bound(receiver) == len(doomed)
             for tag in doomed:
                 self.status[tag] = "cancelled"
+        elif kind == "run_of":
+            _, inner, delay, step, count, timeout = op
+            for n in range(count):
+                self.apply((inner, delay + n * step, n % 3, [("schedule", timeout, 0)]))
+        elif kind == "plan":
+            _, count, start, step, descending = op
+            delays = [start + n * step for n in range(count)]
+            self.apply(("schedule_many", [(delay, []) for delay in
+                                          (delays[::-1] if descending else delays)]))
         elif kind == "run":
             until = sim.now + op[1]
             sim.run(until=until, inclusive=op[2])
@@ -822,9 +911,10 @@ class LaneHarness:
 class TestLaneDifferential:
     """The heap and the lane are one queue: whatever mix of ``schedule``,
     ``schedule_at`` and ``schedule_many`` (also from running callbacks),
-    cancels and half-open windows made the entries, they run in the
-    ``(time, seq)`` sort of the same entries, and the counters and the
-    peek agree with that sort at every step."""
+    long runs that extend the lane, plans merged into it, cancels and
+    half-open windows made the entries, they run in the ``(time, seq)``
+    sort of the same entries, the counters and the peek agree with that
+    sort at every step, and the lane stays sorted."""
 
     @settings(max_examples=150 * SCALE, deadline=None)
     @given(st.lists(OPS, max_size=25))
@@ -838,6 +928,7 @@ class TestLaneDifferential:
             assert sim.peek_next_time() == (
                 min(harness.key(tag) for tag in pending)[0] if pending else None
             )
+            assert list(sim._lane) == sorted(sim._lane)
         sim.run()
         ran = [tag for tag, status in enumerate(harness.status) if status == "ran"]
         assert harness.order == sorted(ran, key=harness.key)

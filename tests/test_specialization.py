@@ -1190,6 +1190,15 @@ class TestEventWorkBudget:
         sim.run()
         assert seen == ["in", "at"]
 
+    def test_reading_the_clock_enters_no_python_frame(self):
+        # Callbacks read ``sim.now`` about once per event: a property
+        # whose getter is C, not a Python function.
+        sim = Simulator()
+        sim.run(until=1.0)
+        readings = []
+        assert self.python_frames(lambda: readings.append(sim.now)) == []
+        assert readings == [1.0]
+
     def test_an_event_from_schedule_to_callback_is_three_python_frames(self):
         # Dispatch runs no Python frame of its own besides run(): no
         # handle method, no per-event bookkeeping call.

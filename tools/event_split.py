@@ -12,8 +12,13 @@ direction record).  The cyclic collector is timed through
 ``gc.callbacks`` and taken out of whichever row it interrupted; its
 collections and the objects it reclaimed come from ``gc.get_stats()``.
 Each ``heapq.heappush`` also records the length of the heap it was
-handed: the mean and maximum heap depth at push, per workload (that
-probe's own time falls to the calling row).
+handed and the lane's length beside it, read as the live entries
+outside the heap (``pending_events`` less the heap's length): the mean
+and maximum heap depth at push and the mean lane length at push, per
+workload (that probe's own time falls to the calling row).  The share
+of the region's scheduled entries that reached the heap divides the
+pushes by the events the region ran plus its growth in
+``pending_events`` (an entry cancelled inside the region is missed).
 Only public names are touched, so the file runs unchanged on a copy of
 an older tree.  Wrapping costs more than the wrapped work here: read
 the rows against each other, not against the benchmark.
@@ -37,7 +42,7 @@ from repro.netsim import Link, Port, Simulator  # noqa: E402
 SELF_S, STACK = Counter(), []
 ROWS = ("schedule", "heap push+pop", "dispatch", "Link", "Port", "nodes", "cyclic GC")
 GC_STARTED = [0.0]
-DEPTHS = []
+DEPTHS, LANES = [], []
 
 
 def timed(owner, name, row, probe=None):
@@ -58,6 +63,11 @@ def timed(owner, name, row, probe=None):
 
     setattr(owner, name, wrapper)
     return lambda: setattr(owner, name, original)
+
+
+def pushed(sim, heap):
+    DEPTHS.append(len(heap))
+    LANES.append(sim.pending_events - len(heap))
 
 
 def on_gc(phase, info):
@@ -94,7 +104,7 @@ def split(workload, seed, frames):
     load = workload.generate(rig, seed, frames)
     targets = [(Simulator, "schedule_at", "schedule"), (Simulator, "schedule_many", "schedule"),
                (Simulator, "schedule", "schedule"), (Simulator, "run", "dispatch"),
-               (heapq, "heappush", "heap push+pop", lambda heap, item: DEPTHS.append(len(heap))),
+               (heapq, "heappush", "heap push+pop", lambda heap, item: pushed(rig.sim, heap)),
                (heapq, "heappop", "heap push+pop")]
     targets += [(Link, name, "Link") for name in ("transmit", "transmit_burst")]
     targets += [(Port, name, "Port")
@@ -102,10 +112,12 @@ def split(workload, seed, frames):
     targets += [(cls, name, "nodes") for cls, name in receivers(rig)]
     SELF_S.clear()
     DEPTHS.clear()
+    LANES.clear()
     gc.collect()
     restore = [timed(*target) for target in targets]
     gc.callbacks.append(on_gc)
     before, events = gc.get_stats(), rig.sim.events_processed
+    pending = rig.sim.pending_events
     start = time.perf_counter()
     try:
         outcome = exhaust(workload.drive(rig, load))
@@ -115,6 +127,7 @@ def split(workload, seed, frames):
         for undo in reversed(restore):
             undo()
     events, frames = rig.sim.events_processed - events, outcome["injected"]
+    scheduled = events + rig.sim.pending_events - pending
     after = gc.get_stats()
     runs = [now["collections"] - was["collections"] for was, now in zip(before, after)]
     reclaimed = sum(now["collected"] - was["collected"] for was, now in zip(before, after))
@@ -127,8 +140,11 @@ def split(workload, seed, frames):
     print(f"cyclic GC: {' + '.join(map(str, runs))} collections (gen 0 + 1 + 2), "
           f"{reclaimed} objects reclaimed, {reclaimed / events:.2f} per event")
     mean = sum(DEPTHS) / len(DEPTHS) if DEPTHS else 0.0
+    lane = sum(LANES) / len(LANES) if LANES else 0.0
     print(f"heap depth at push: mean {mean:.1f}, max {max(DEPTHS, default=0)} "
-          f"over {len(DEPTHS)} pushes\n")
+          f"over {len(DEPTHS)} pushes; lane length at push: mean {lane:.1f}")
+    print(f"entries that reached the heap: {len(DEPTHS) / scheduled:.1%} "
+          f"of {scheduled} scheduled\n")
 
 
 def main() -> None:
