@@ -182,14 +182,14 @@ class LegacySwitch(Node):
                 emit(frame if push_vid is None else frame.push_vlan(push_vid))
         finally:
             self._egress_buffer = None
-        per_port_tx = counters.per_port_tx
+        per_port_tx, ports = counters.per_port_tx, self.ports
         for out_number, frames in buffered.items():
             counters.tx_frames += len(frames)
             per_port_tx[out_number] = per_port_tx.get(out_number, 0) + len(frames)
             if len(frames) == 1:
-                self.port(out_number).send(frames[0])
+                ports[out_number].send(frames[0])
             else:
-                self.port(out_number).send_burst(frames)
+                ports[out_number].send_burst(frames)
 
     # ----------------------------------------------- known unicast, cached
 
@@ -385,7 +385,7 @@ class LegacySwitch(Node):
         counters = self.counters
         counters.tx_frames += 1
         counters.per_port_tx[port_number] = counters.per_port_tx.get(port_number, 0) + 1
-        self.port(port_number).send(frame)
+        self.ports[port_number].send(frame)
 
     # ------------------------------------------------------- management
 

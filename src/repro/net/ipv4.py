@@ -62,14 +62,14 @@ class IPv4Packet:
         return self.ihl * 4 + len(self.payload)
 
     def header_bytes(self, checksum: int = 0) -> bytes:
-        version_ihl = (4 << 4) | self.ihl
+        ihl = self.ihl
         tos = (self.dscp << 2) | self.ecn
         flags_frag = (self.flags << 13) | self.fragment_offset
         return (
             _FIXED.pack(
-                version_ihl,
+                (4 << 4) | ihl,
                 tos,
-                self.total_length,
+                ihl * 4 + len(self.payload),  # total_length
                 self.identification,
                 flags_frag,
                 self.ttl,

@@ -94,7 +94,7 @@ class Host(Node):
 
     def resolve(self, ip: IPv4Address) -> Optional[MACAddress]:
         """Fresh ARP-table lookup, or None."""
-        key = IPv4Address(ip)
+        key = ip if type(ip) is IPv4Address else IPv4Address(ip)
         entry = self.arp_table.get(key)
         if entry is None:
             return None
@@ -199,7 +199,7 @@ class Host(Node):
         return sum(drops.get(reason, 0) for reason in RX_DROPS)
 
     def receive(self, port: Port, frame: EthernetFrame) -> None:
-        if frame.vlan is not None:
+        if frame.tags:
             # Hosts sit on access ports; tagged frames are not for us.
             self.drops["tagged"] += 1
             return

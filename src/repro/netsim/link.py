@@ -118,6 +118,10 @@ class Link:
             raise ValueError("ports belong to different simulators")
         port_a.link = self
         port_b.link = self
+        # Each end holds its own transmit record, so :meth:`transmit`
+        # needs no :meth:`direction` call; wired and cleared with ``link``.
+        port_a._tx_direction = self._a_to_b
+        port_b._tx_direction = self._b_to_a
 
     def disconnect(self) -> None:
         """Unwire both ports (re-cabling / failed-deployment cleanup).
@@ -126,10 +130,10 @@ class Link:
         ports just stop being attached for future sends, and may be
         wired to a new link afterwards.
         """
-        if self.port_a.link is self:
-            self.port_a.link = None
-        if self.port_b.link is self:
-            self.port_b.link = None
+        for port in (self.port_a, self.port_b):
+            if port.link is self:
+                port.link = None
+                port._tx_direction = None
 
     def direction(self, from_port: Port) -> _Direction:
         """The direction whose transmitter is *from_port*: its ``stats``,
@@ -152,22 +156,26 @@ class Link:
         return self._serialization(frame.wire_length)
 
     def _serialization(self, length: int) -> float:
-        """Time to clock *length* wire bytes out.  The only place the
-        float formula lives: burst and single-frame timing must agree to
-        the last ulp."""
+        """Time to clock *length* wire bytes out.  :meth:`transmit`
+        inlines this very expression: burst and single-frame timing must
+        agree to the last ulp."""
         if self.bandwidth_bps is None:
             return 0.0
         return length * 8 / self.bandwidth_bps
 
     def transmit(self, from_port: Port, frame: EthernetFrame) -> bool:
         """Queue *frame* for the far end; returns False on a drop."""
-        direction = self.direction(from_port)
+        if from_port.link is self:
+            direction = from_port._tx_direction
+        else:  # a former end, or no end at all: direction() raises
+            direction = self.direction(from_port)
         queued = direction.queued
         if not self.up or queued >= self.queue_frames:
             direction.drop("queue-tail" if self.up else "link-down", 1)
             return False
         length = frame.wire_length
-        serialization = self._serialization(length)
+        bandwidth = self.bandwidth_bps
+        serialization = 0.0 if bandwidth is None else length * 8 / bandwidth
         now = self.sim._now
         busy = direction.busy_until
         finish = (busy if busy > now else now) + serialization

@@ -9,7 +9,7 @@ from repro.net.ethernet import EthernetFrame
 
 if TYPE_CHECKING:
     from repro.netsim.capture import Capture
-    from repro.netsim.link import Link
+    from repro.netsim.link import Link, _Direction
     from repro.netsim.simulator import Simulator
 
 
@@ -31,6 +31,9 @@ class Port:
         self.number = number
         self.name = name or f"{node.name}:{number}"
         self.link: Optional["Link"] = None
+        #: The attached link's direction this port transmits on; set
+        #: and cleared by the link together with ``link``.
+        self._tx_direction: Optional["_Direction"] = None
         self.tx_frames = 0
         self.tx_bytes = 0
         self.rx_frames = 0

@@ -143,7 +143,7 @@ class PopVlanAction(Action):
     type_code = OFPAT_POP_VLAN
 
     def apply(self, frame: EthernetFrame) -> EthernetFrame:
-        if frame.vlan is None:
+        if not frame.tags:
             # Per spec behaviour on bad pop: leave the packet unchanged
             # (many implementations drop; unchanged keeps pipelines sane).
             return frame

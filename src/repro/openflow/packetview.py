@@ -223,15 +223,11 @@ def partial_decode_source(
     if 3 in need:
         emit(0, f"{prefix}3 = {frame_var}.ethertype")
     if need & {4, 5}:
-        emit(0, f"_vlan = {frame_var}.vlan")
+        emit(0, f"_tags = {frame_var}.tags")
         if 4 in need:
-            emit(
-                0,
-                f"{prefix}4 = OFPVID_PRESENT | _vlan.vlan_id "
-                "if _vlan is not None else 0",
-            )
+            emit(0, f"{prefix}4 = OFPVID_PRESENT | _tags[0].vlan_id if _tags else 0")
         if 5 in need:
-            emit(0, f"{prefix}5 = _vlan.pcp if _vlan is not None else None")
+            emit(0, f"{prefix}5 = _tags[0].pcp if _tags else None")
     l3 = need & _L3_SLOTS
     if not l3:
         return lines

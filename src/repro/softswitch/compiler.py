@@ -688,9 +688,9 @@ def compile_datapath(
         S=switch,
         T0=tables[0],
         PORTS=switch.ports,
-        PORT=switch.port,
         DROPS=switch.drops,
         EMIT=switch._emit,
+        EMIT_ONE=switch._emit_one,
         OUTPUT=switch._output,
         BUFFERED=switch._buffered,
         SCHED=switch.sim.schedule_at,
@@ -792,7 +792,8 @@ def compile_datapath(
 #: offers.  Charging mirrors ``SoftSwitch._charge`` exactly: start at
 #: max(now, busy_until), advance by the decision's precomputed cost,
 #: emit immediately when the finish time has not moved past ``now`` and
-#: defer through the simulator otherwise.
+#: defer through the simulator otherwise — a lone output as one
+#: ``_emit_one(port, frame)`` event, anything more through ``_emit``.
 _EXECUTOR_SOURCE = '''
 def _chain_steps(steps, frame, in_port, PORTS=PORTS, DROPS=DROPS,
                  OUTPUT=OUTPUT, BUFFERED=BUFFERED):
@@ -845,14 +846,14 @@ def _chain_steps(steps, frame, in_port, PORTS=PORTS, DROPS=DROPS,
     return outs, dropped, msgs
 
 
-def _send_chains(per_port, PORT=PORT):
+def _send_chains(per_port, PORTS=PORTS):
     """Each egress port's chain leaves as one call: a lone frame through
     ``Port.send``, two or more as one ``Port.send_burst``."""
     for port_number, chain in per_port.items():
         if len(chain) == 1:
-            PORT(port_number).send(chain[0])
+            PORTS[port_number].send(chain[0])
         else:
-            PORT(port_number).send_burst(chain)
+            PORTS[port_number].send_burst(chain)
 
 
 def classify(frame, in_port, now):
@@ -863,7 +864,7 @@ def classify(frame, in_port, now):
 
 
 def run_burst(in_port, frames, SIM=SIM, S=S, T0=T0, PORTS=PORTS, DROPS=DROPS,
-              EMIT=EMIT, SCHED=SCHED, KC_get=KC_get,
+              EMIT=EMIT, EMIT_ONE=EMIT_ONE, SCHED=SCHED, KC_get=KC_get,
               chain_steps=_chain_steps, send_chains=_send_chains):
     """*frames*, arrived on *in_port* at one instant; a single frame is
     a burst of one.  Outputs that leave now coalesce per egress port.
@@ -964,7 +965,7 @@ def run_burst(in_port, frames, SIM=SIM, S=S, T0=T0, PORTS=PORTS, DROPS=DROPS,
                         chain.append(frame)
                     forwarded += 1
                 else:
-                    SCHED(busy, EMIT, [(port, frame)], ())
+                    SCHED(busy, EMIT_ONE, port, frame)
             else:
                 unported += 1
         elif kind == 1:
@@ -1005,6 +1006,8 @@ def run_burst(in_port, frames, SIM=SIM, S=S, T0=T0, PORTS=PORTS, DROPS=DROPS,
                         else:
                             chain.append(out_frame)
                     forwarded += len(outs)
+                elif len(outs) == 1:
+                    SCHED(busy, EMIT_ONE, *outs[0])
                 else:
                     SCHED(busy, EMIT, outs, ())
     S.busy_until = busy

@@ -408,12 +408,18 @@ class SoftSwitch(Node):
         async_messages: "list[OpenFlowMessage]",
     ) -> None:
         """One frame's buffered emissions, frame-at-a-time on the wire."""
+        ports = self.ports
         for port_number, out_frame in outputs:
             self.packets_forwarded += 1
-            self.port(port_number).send(out_frame)
+            ports[port_number].send(out_frame)
         for message in async_messages:
-            if self.to_controller is not None:
-                self.to_controller(message.to_bytes())
+            self._send_async(message)
+
+    def _emit_one(self, port_number: int, frame: EthernetFrame) -> None:
+        """``_emit([(port_number, frame)], ())`` as its own event: the
+        compiled program's deferred single output."""
+        self.packets_forwarded += 1
+        self.ports[port_number].send(frame)
 
     def _charge(self, stats: PipelineStats) -> float:
         """Account CPU time for a pipeline walk (serialises the core).
@@ -601,6 +607,9 @@ class SoftSwitch(Node):
     def _send_async(self, message: OpenFlowMessage) -> None:
         if self.to_controller is not None:
             self.to_controller(message.to_bytes())
+        elif isinstance(message, PacketIn):
+            # Counted in packets_to_controller, lost here: say so.
+            self.drops["to-controller:unattached"] += 1
 
     def _send_packet_in(
         self,

@@ -37,6 +37,13 @@ SCALE = max(1, int(os.environ.get("DIFFERENTIAL_SCALE", "1")))
 SEED = 0x1E6AC7
 ROUNDS = 24
 BURSTS_PER_ROUND = 50
+#: The rounds cycle through these (lookup delay, calm) kinds, None for
+#: drawn.  A delay keeps the cache out of a round and calm rounds are
+#: where decisions outlive a burst, so the cache hits the ledger's
+#: thresholds count come from a fixed floor per scale — ``ROUNDS``
+#: delay-free rounds, at least half of them calm — not from how a
+#: draw fell.
+ROUND_CYCLE = ((False, True), (False, None), (False, True), (False, None), (True, None))
 
 #: Stations whose MAC *objects* recur across frames, the way frames
 #: derived from one per-flow template share them.
@@ -69,7 +76,7 @@ class GeneralPathOnly(LegacySwitch):
         return None
 
 
-def draw_scenario(rng):
+def draw_scenario(rng, delayed=False, calm=None):
     """One round's switch, as plain data both copies are built from."""
     dead_port = rng.choice([None, None, 2, 6])
     # Pinned entries: stations, and now and then the group address.
@@ -86,19 +93,16 @@ def draw_scenario(rng):
     return {
         "capacity": capacity,
         "aging_s": rng.choice([0.02, 300.0, 300.0]),  # short aging expires at lookup
-        "delay_s": rng.choice([0.0, 0.0, 0.0, 4e-6]),
+        "delay_s": 4e-6 if delayed else 0.0,
         "trunk_native": rng.choice([None, 30]),
         "dead_port": dead_port,
         "dead_by_link_down": rng.random() < 0.5,
         "stp_ports": rng.choice([(), (), (5,), (4, 5)]),
-        # Drawn and never read: without it every later draw shifts, and
-        # the ledger's thresholds were set on this stream.
-        "unused": rng.random(),
         "statics": statics[: capacity - 2],  # a CAM full of statics cannot learn
         # A calm round's stations mostly stay put and talk to their
         # neighbours, so decisions live long enough to be pulled from
         # under; a wild one churns the FDB in every burst.
-        "calm": rng.random() < 0.5,
+        "calm": rng.random() < 0.5 if calm is None else calm,
     }
 
 
@@ -474,8 +478,10 @@ def test_cached_switch_matches_general_path_only_switch():
     stp_states = set()
     position = (0, 0)
     try:
-        for round_index in range(ROUNDS * SCALE):
-            scenario = draw_scenario(rng)
+        delay_free = sum(not delayed for delayed, _ in ROUND_CYCLE)
+        for round_index in range(ROUNDS * SCALE * len(ROUND_CYCLE) // delay_free):
+            delayed, calm = ROUND_CYCLE[round_index % len(ROUND_CYCLE)]
+            scenario = draw_scenario(rng, delayed, calm)
             seq_sim, seq_switch, seq_peers = build(scenario, GeneralPathOnly)
             dut_sim, dut_switch, dut_peers = build(scenario, LegacySwitch)
             probe = Probe(dut_switch)
@@ -598,7 +604,7 @@ def test_a_cache_hit_moves_only_counters_and_the_sources_learned_at():
     position = (0, 0)
     try:
         for round_index in range(ROUNDS * SCALE):
-            scenario = dict(draw_scenario(rng), delay_s=0.0)
+            scenario = draw_scenario(rng)
             sim, switch, _ = build(scenario, LegacySwitch)
             probe = Probe(switch)
             emitted = []

@@ -374,6 +374,34 @@ class TestLink:
         assert a.port(1).peer is b.port(1)
         assert b.port(1).peer is a.port(1)
 
+    def test_a_rewired_port_queues_on_its_new_link_only(self):
+        sim, a, b, old = self.make_pair(bandwidth_bps=8_000_000)
+        c = Sink(sim, "c")
+        a.port(1).send(make_frame())
+        sim.run()
+        old.disconnect()
+        assert a.port(1).send(make_frame()) is False  # unwired between links
+        new = Link(a.port(1), c.add_port(), bandwidth_bps=8_000_000)
+        for _ in range(3):
+            a.port(1).send(make_frame())
+        assert new.direction(a.port(1)).queued == 3
+        assert old.direction(a.port(1)).queued == 0
+        sim.run()
+        assert (len(b.received), len(c.received)) == (1, 3)
+        assert new.stats(a.port(1)).frames == 3
+        assert old.stats(a.port(1)).frames == 1
+        assert a.port(1).drops == {"unwired": 1}
+
+    def test_transmit_from_a_port_off_the_link_raises(self):
+        sim, a, b, link = self.make_pair()
+        stranger = Sink(sim, "c").add_port()
+        with pytest.raises(ValueError, match="not an end"):
+            link.transmit(stranger, make_frame())
+        elsewhere = wire(Sink(sim, "d"), Sink(sim, "e"))
+        with pytest.raises(ValueError, match="not an end"):
+            link.transmit(elsewhere.port_a, make_frame())
+        assert link.stats(a.port(1)).frames == link.stats(b.port(1)).frames == 0
+
     @pytest.mark.parametrize("where", ["lane", "heap", "both"])
     def test_set_down_cancels_deliveries_in_either_container(self, where):
         # Deliveries that sort after the lane's tail wait in the lane;

@@ -859,6 +859,22 @@ class TestDropReasons:
         assert dict(switch.drops) == {} and dict(channel.drops) == {}
         assert switch.packets_dropped == 0
 
+    @pytest.mark.parametrize("cost", ["zero", "deferred"])
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_a_packet_in_with_no_controller_is_counted_lost(self, tier, cost):
+        model = DatapathCostModel() if cost == "deferred" else None
+        sim, switch, sinks = build_switch(cost_model=model, **TIERS[tier])
+        install(switch, match=Match(in_port=1), priority=0, instructions=[ApplyActions(
+            actions=(OutputAction(port=OFPP_CONTROLLER), OutputAction(port=2)))])
+        assert switch.to_controller is None
+        for _ in range(3):
+            switch.inject(frame_ab(), 1)
+        sim.run()
+        assert switch.packets_to_controller == 3
+        assert dict(switch.drops) == {"to-controller:unattached": 3}
+        assert len(sinks[1].received) == switch.packets_forwarded == 3
+        assert switch.packets_dropped == 0
+
 
 class TestCostModel:
     def test_processing_delay_applied(self):

@@ -1251,9 +1251,16 @@ class TestEventWorkBudget:
         finally:
             gc.enable()
 
-    def test_site_detour_frame_is_twelve_events_and_no_garbage(self):
-        # The benchmark's site_detour: legacy lookup delay, 10 GbE
-        # links, a migrated site under the ESwitch cost model.
+    @staticmethod
+    def detour_frames(count):
+        return [udp_frame(MACS[0], MACS[1], IPS[0], IPS[1], 4000, 53, bytes([n % 251]) * 64)
+                for n in range(count)]
+
+    @classmethod
+    def detour_rig(cls):
+        """The benchmark's site_detour, warmed and idle: legacy lookup
+        delay, 10 GbE links, a migrated site under the ESwitch cost
+        model.  Returns (sim, source, sink, s4)."""
         sim = Simulator()
         legacy = LegacySwitch(sim, "edge", num_ports=3, processing_delay_s=4e-6)
         source, sink = Sink(sim, "src"), Sink(sim, "dst")
@@ -1272,17 +1279,17 @@ class TestEventWorkBudget:
         driver.open()
         s4 = manager.migrate(legacy, driver, trunk_port=3, access_ports=[1, 2]).s4
         sim.run(until=sim.now + 0.05)
-
-        def frames(count):
-            return [udp_frame(MACS[0], MACS[1], IPS[0], IPS[1], 4000, 53, bytes([n % 251]) * 64)
-                    for n in range(count)]
-
         sink.port(1).send(udp_frame(MACS[1], MACS[0], IPS[1], IPS[0], 53, 4000, b"hello"))
         sim.run(until=sim.now + 0.05)
-        for frame in frames(3):  # warm: packet-in, flow-mods, compile
+        for frame in cls.detour_frames(3):  # warm: packet-in, flow-mods, compile
             source.port(1).send(frame)
             sim.run(until=sim.now + 0.05)
         sim.run()
+        return sim, source, sink, s4
+
+    def test_site_detour_frame_is_twelve_events_and_no_garbage(self):
+        sim, source, sink, s4 = self.detour_rig()
+        frames = self.detour_frames
         delivered = len(sink.received)
 
         def play(load=frames(500)):
@@ -1294,11 +1301,43 @@ class TestEventWorkBudget:
         assert events == 500 * 12  # the send and the eleven events it causes
         assert garbage == 0
         # Three of the eleven are the S4's deferred emissions: scheduled
-        # as (EMIT, outs, ()), no closure allocated per frame.
+        # as (EMIT_ONE, port, frame), no closure allocated per frame.
         for half in (s4.ss1, s4.ss2):
             assert half.specialized_frames >= 500
             assert "lambda" not in half.program.source
         assert sim.pending_events == 0 and not sim._queue
+
+    @pytest.mark.parametrize("bandwidth", [1e10, None], ids=["10GbE", "ideal"])
+    def test_a_port_send_is_three_python_frames(self, bandwidth):
+        # The port holds its transmit record and the link prices
+        # serialisation inline: no direction lookup, no helper call.
+        sim = Simulator()
+        near, far = Sink(sim, "near"), Sink(sim, "far")
+        link = wire(near, far, bandwidth_bps=bandwidth)
+        port, (frame,) = link.port_a, self.detour_frames(1)
+        assert self.python_frames(lambda: port.send(frame)) == [
+            ("node", "send"), ("link", "transmit"), ("simulator", "schedule_at")
+        ]
+        sim.run()
+        assert far.received == [frame.to_bytes()]
+
+    #: Python frames one frame's trip through the detour rig enters,
+    #: from its send to the sink's receive (110 while every transmit
+    #: looked up its direction and every egress went through Node.port).
+    DETOUR_PYTHON_FRAMES = 90
+
+    def test_a_detour_frame_stays_within_its_python_frame_budget(self):
+        sim, source, sink, _ = self.detour_rig()
+        port, (frame,) = source.port(1), self.detour_frames(1)
+        delivered = len(sink.received)
+
+        def trip():
+            port.send(frame)
+            sim.run()
+
+        entered = self.python_frames(trip)
+        assert len(sink.received) == delivered + 1
+        assert len(entered) <= self.DETOUR_PYTHON_FRAMES, entered
 
     def test_fabric_burst_leaves_no_garbage(self):
         fabric = leaf_spine_fabric(

@@ -19,15 +19,22 @@ workload (that probe's own time falls to the calling row).  The share
 of the region's scheduled entries that reached the heap divides the
 pushes by the events the region ran plus its growth in
 ``pending_events`` (an entry cancelled inside the region is missed).
-Only public names are touched, so the file runs unchanged on a copy of
-an older tree.  Wrapping costs more than the wrapped work here: read
-the rows against each other, not against the benchmark.
+A second pass of each workload, unwrapped, counts the Python frames its
+drive region enters (``sys.setprofile`` "call" events) per unit of
+work — frames delivered, sites migrated on ``migration_wave`` — and
+names the functions that enter most; that count repeats exactly from
+run to run, so it shows a call removed from or added to a hot path
+where a timing cannot.  Only public names are touched, so the file
+runs unchanged on a copy of an older tree.  Wrapping costs more than
+the wrapped work here: read the rows against each other, not against
+the benchmark.
 Usage: ``python tools/event_split.py [--seed 1] [--frames N]``
 """
 
 import argparse
 import gc
 import heapq
+import re
 import sys
 import time
 from collections import Counter
@@ -147,6 +154,35 @@ def split(workload, seed, frames):
           f"of {scheduled} scheduled\n")
 
 
+def python_frames(workload, seed, frames, top=8):
+    """Per unit of work, the Python frames one pass's drive region
+    enters, and the *top* functions by frames entered."""
+    rig = workload.build(seed)
+    load = workload.generate(rig, seed, frames)
+    entered = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            # Generated datapaths are one module per program: one row.
+            module = re.sub(r" [0-9a-f]+>$", ">", Path(code.co_filename).stem)
+            entered[f"{module}.{code.co_qualname}"] += 1
+
+    received = sum(rig.endpoints_now().values())
+    sys.setprofile(profile)
+    try:
+        outcome = exhaust(workload.drive(rig, load))
+    finally:
+        sys.setprofile(None)
+    delivered = outcome.get("delivered", sum(rig.endpoints_now().values()) - received)
+    units, total = outcome.get("units", delivered), sum(entered.values())
+    print(f"python frames entered: {total / units:.1f} per unit of work "
+          f"({total} over {units} units); top {top}:")
+    for name, count in entered.most_common(top):
+        print(f"{count / units:>12.2f}  {name}")
+    print()
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=1)
@@ -154,7 +190,9 @@ def main() -> None:
                         help="frames per workload (default: the benchmark's own)")
     args = parser.parse_args()
     for workload in WORKLOADS.values():
-        split(workload, args.seed, args.frames or workload.default_frames)
+        frames = args.frames or workload.default_frames
+        split(workload, args.seed, frames)
+        python_frames(workload, args.seed, frames)
 
 
 if __name__ == "__main__":
