@@ -2,16 +2,19 @@
 
 A user x site blocking matrix enforced at DNS resolution time, plus L3
 drops once addresses are learned; then mid-run block/unblock flips
-("deny access ... on-the-fly").
+("deny access ... on-the-fly").  ``build``, ``resolve`` and
+``run_matrix`` are the scenario the ``UC-PC`` rows of
+``tests/test_paper_claims.py`` check; ``main()`` times the enforcement
+pipeline compiled vs interpreted for the CI regression gate.
 """
 
 from repro.apps import LearningSwitchApp, ParentalControlApp
+from repro.core.verify import build_harmless_site
 from repro.net import IPv4Address
 from repro.net.build import udp_frame
 from repro.net.dns import DNS_RCODE_REFUSED, DnsMessage, DnsResourceRecord
 
 from common import (
-    build_harmless_site,
     measure_usecase_datapath,
     render_usecase_datapath,
     save_json,
@@ -23,10 +26,10 @@ SITES = ["news.example", "games.example", "video.example"]
 ZONE = {name: IPv4Address(f"10.0.0.{200 + i}") for i, name in enumerate(SITES)}
 
 
-def build(return_deployment=False):
+def build():
     pc = ParentalControlApp()
     sim, hosts, deployment, _ = build_harmless_site(
-        USERS + 1, apps_factory=lambda: [pc, LearningSwitchApp()]
+        USERS + 1, [pc, LearningSwitchApp()]
     )
     users = hosts[:USERS]
     resolver = hosts[USERS]
@@ -43,9 +46,7 @@ def build(return_deployment=False):
         host.send_udp(src_ip, src_port, response.to_bytes(), src_port=53)
 
     resolver.serve_udp(53, dns_server)
-    if return_deployment:
-        return sim, users, resolver, pc, deployment
-    return sim, users, resolver, pc
+    return sim, users, resolver, pc, deployment
 
 
 def resolve(user, resolver, name, txid, results):
@@ -57,7 +58,7 @@ def resolve(user, resolver, name, txid, results):
 
 
 def run_matrix():
-    sim, users, resolver, pc = build()
+    sim, users, resolver, pc, _ = build()
     # Block matrix: user i blocked from site i.
     for index, user in enumerate(users):
         pc.block(user.ip, SITES[index])
@@ -85,7 +86,7 @@ def make_datapath_rig(specialize: bool):
     compile too, and the measured traffic never hits them).  L4
     ports vary per packet, so the compiled tier's L3-only shrunk key
     coalesces what the interpreted full-key cache cannot."""
-    sim, users, resolver, pc, deployment = build(return_deployment=True)
+    sim, users, resolver, pc, deployment = build()
     results = []
     for txid, site in enumerate(SITES):
         resolve(users[0], resolver, site, txid + 1, results)  # learn the IPs
@@ -111,93 +112,6 @@ def make_datapath_rig(specialize: bool):
 
 def run_datapath_suite(packets: int = 12_000) -> list:
     return measure_usecase_datapath("usecase_pc", make_datapath_rig, packets)
-
-
-def test_datapath_runs_compiled():
-    """The L3 enforcement rules compile and serve the steady (blocked)
-    traffic from tier 0."""
-    rows = run_datapath_suite(packets=3_000)
-    specialized = rows[1]
-    assert specialized["compiles"] >= 1
-    assert specialized["specialized_share"] > 0.5
-    assert specialized["speedup_vs_interpreted"] > 0
-
-
-def test_blocking_matrix(benchmark):
-    results, refused, resolved = benchmark(run_matrix)
-    lines = [
-        "=" * 72,
-        f"UC-PC: parental control, {USERS} users x {len(SITES)} sites",
-        "=" * 72,
-        f"lookups answered: {len(results)} / {USERS * len(SITES)}",
-        f"refused (policy hits): {sorted(refused)}",
-        f"resolved: {len(resolved)}",
-    ]
-    save_result("usecase_pc", "\n".join(lines))
-    assert len(results) == USERS * len(SITES)
-    # Exactly the diagonal is refused.
-    assert sorted(refused) == sorted(
-        (f"h{i + 1}", SITES[i]) for i in range(USERS)
-    )
-    assert len(resolved) == USERS * len(SITES) - USERS
-
-
-def test_on_the_fly_flip(benchmark):
-    """Block mid-run, then unblock: the demo's on-the-fly story."""
-
-    def run():
-        sim, users, resolver, pc = build()
-        kid = users[0]
-        outcomes = []
-        results = []
-        resolve(kid, resolver, SITES[0], 1, results)
-        sim.run(until=2.0)
-        outcomes.append(("before-block", results[-1][2]))
-        pc.block(kid.ip, SITES[0])
-        results2 = []
-        resolve(kid, resolver, SITES[0], 2, results2)
-        sim.run(until=4.0)
-        outcomes.append(("after-block", results2[-1][2]))
-        pc.unblock(kid.ip, SITES[0])
-        results3 = []
-        resolve(kid, resolver, SITES[0], 3, results3)
-        sim.run(until=6.0)
-        outcomes.append(("after-unblock", results3[-1][2]))
-        return outcomes
-
-    outcomes = benchmark(run)
-    assert outcomes[0][1] == 0
-    assert outcomes[1][1] == DNS_RCODE_REFUSED
-    assert outcomes[2][1] == 0
-
-
-def test_l3_drop_after_learning(benchmark):
-    """Cached resolutions cannot bypass the filter once IPs are learned."""
-
-    def run():
-        sim, users, resolver, pc, deployment = build(return_deployment=True)
-        kid, other = users[0], users[1]
-        results = []
-        resolve(other, resolver, SITES[1], 9, results)  # app learns the IP
-        sim.run(until=2.0)
-        pc.block(kid.ip, SITES[1])
-        sim.run(until=2.5)
-        # A drop flow for (kid -> site IP) must now sit on SS_2, scoped
-        # to the kid alone.
-        drops = []
-        for table in deployment.s4.ss2.tables:
-            for entry in table:
-                src = entry.match.get("ipv4_src")
-                dst = entry.match.get("ipv4_dst")
-                if src and dst and not any(
-                    True for i in entry.instructions for _ in getattr(i, "actions", ())
-                ):
-                    drops.append((src.value, dst.value))
-        return drops, int(kid.ip), int(ZONE[SITES[1]]), int(other.ip)
-
-    drops, kid_ip, site_ip, other_ip = benchmark(run)
-    assert (kid_ip, site_ip) in drops
-    assert all(src != other_ip for src, _ in drops)
 
 
 def main(argv=None):

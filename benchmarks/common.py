@@ -1,8 +1,8 @@
-"""Shared builders for the benchmark suite.
+"""Shared helpers for the benchmark suite.
 
-Each bench builds its environments through these helpers so every row
-in EXPERIMENTS.md is produced by the same code paths the test suite
-exercises.  Results are printed and archived under
+Frame streams, counting sinks, the use-case datapath pass and the
+artefact writers.  Sites come from :mod:`repro.core.verify`, the one
+site builder the tests use too.  Results are printed and archived under
 ``benchmarks/results/`` so the bench run leaves an auditable artefact.
 """
 
@@ -12,18 +12,12 @@ import json
 import pathlib
 import time
 
-from repro.apps import LearningSwitchApp
-from repro.controller import Controller
-from repro.core import HarmlessManager
-from repro.legacy import LegacySwitch
-from repro.mgmt import DeviceConnection, get_network_driver
 from repro.net import IPv4Address, MACAddress
-from repro.netsim import Host, Link, Simulator
+from repro.netsim import Simulator
 from repro.netsim.link import wire
 from repro.netsim.node import Node
 from repro.openflow import ApplyActions, FlowMod, Match, OutputAction
-from repro.snmp import SnmpAgent, attach_bridge_mib
-from repro.softswitch import ESWITCH_COST_MODEL, DatapathCostModel, SoftSwitch
+from repro.softswitch import DatapathCostModel
 from repro.traffic import FlowSpec, interleave_bursts, zipf_weights
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -175,6 +169,39 @@ def save_json(name: str, rows: list, mode: str) -> pathlib.Path:
     return path
 
 
+def run_rig_pass(make_rig, specialize: bool, packets: int, burst: int) -> dict:
+    """One pass of *packets* frames, in bursts of *burst*, through the
+    use-case rig ``make_rig(specialize)``.
+
+    The rig returns ``(sim, switch, stream, in_port)``: a fully
+    provisioned HARMLESS site whose *switch* carries the use case's
+    installed rules, and a frame *stream* exercising them in steady
+    state.  Returns the compiled-tier counters — ``compiles`` since the
+    switch was built, and ``specialized_share``, the measured frames the
+    compiled program served over the measured frames (frames served
+    while the rig was set up are not counted) — plus ``seconds``, the
+    wall clock of the burst loop alone.
+    """
+    sim, switch, stream, in_port = make_rig(specialize)
+    frames = [stream[i % len(stream)] for i in range(packets)]
+    bursts = [frames[i : i + burst] for i in range(0, len(frames), burst)]
+    served_before = switch.stats()["specialization"]["specialized_frames"]
+    process_batch = switch.process_batch
+    start = time.perf_counter()
+    for chunk in bursts:
+        process_batch(in_port, list(chunk))
+    sim.run()
+    seconds = time.perf_counter() - start
+    spec = switch.stats()["specialization"]
+    served = spec["specialized_frames"] - served_before
+    return {
+        "packets": len(frames),
+        "seconds": seconds,
+        "compiles": spec["compiles"],
+        "specialized_share": served / len(frames) if spec["enabled"] else 0.0,
+    }
+
+
 def measure_usecase_datapath(
     name: str,
     make_rig,
@@ -182,53 +209,31 @@ def measure_usecase_datapath(
     burst: int = 32,
     repeats: int = MEASURE_REPEATS,
 ) -> list:
-    """Compiled-vs-interpreted wall-clock pps through a use-case pipeline.
+    """Compiled-vs-interpreted wall-clock pps through a use-case rig.
 
-    ``make_rig(specialize)`` returns ``(sim, switch, stream, in_port)``:
-    a fully provisioned HARMLESS site whose *switch* carries the use
-    case's installed rules, and a frame *stream* exercising them in
-    steady state.  Each config runs *repeats* full passes; the best
+    Each config runs *repeats* passes of :func:`run_rig_pass`; the best
     pps survives (the ``keep_best`` noise-suppression story: scheduler
     interference must depress *every* pass of a config to depress its
     published number, which matters here because the site's full
     delivery path — trunk, QinQ, host receive — dwarfs the datapath
-    delta being measured).  The specialized rows carry
-    ``speedup_vs_interpreted`` plus the compiled-tier activity
-    counters the acceptance gate checks.
+    delta being measured).  The specialized row carries
+    ``speedup_vs_interpreted`` plus the compiled-tier counters the
+    regression gate checks.
     """
     best: dict[str, dict] = {}
     for config in ("interpreted", "specialized"):
-        runs = []
-        for _ in range(repeats):
-            sim, switch, stream, in_port = make_rig(config == "specialized")
-            frames = [stream[i % len(stream)] for i in range(packets)]
-            bursts = [
-                frames[i : i + burst] for i in range(0, len(frames), burst)
-            ]
-            process_batch = switch.process_batch
-            start = time.perf_counter()
-            for chunk in bursts:
-                process_batch(in_port, list(chunk))
-            sim.run()
-            elapsed = time.perf_counter() - start
-            spec = switch.stats()["specialization"]
-            runs.append(
-                {
-                    "bench": name,
-                    "config": config,
-                    "packets": len(frames),
-                    "pps": len(frames) / elapsed,
-                    "compiles": spec["compiles"],
-                    "specialized_share": (
-                        spec["specialized_frames"] / len(frames)
-                        if spec["enabled"]
-                        else 0.0
-                    ),
-                }
-            )
-        row = dict(runs[0])
-        row["pps"] = max(run["pps"] for run in runs)
-        best[config] = row
+        runs = [
+            run_rig_pass(make_rig, config == "specialized", packets, burst)
+            for _ in range(repeats)
+        ]
+        best[config] = {
+            "bench": name,
+            "config": config,
+            "packets": runs[0]["packets"],
+            "pps": max(run["packets"] / run["seconds"] for run in runs),
+            "compiles": runs[0]["compiles"],
+            "specialized_share": runs[0]["specialized_share"],
+        }
     best["specialized"]["speedup_vs_interpreted"] = (
         best["specialized"]["pps"] / best["interpreted"]["pps"]
     )
@@ -254,89 +259,3 @@ def render_usecase_datapath(name: str, rows: list) -> str:
             f"{row['compiles']:>9} {row['specialized_share']:>10.1%}"
         )
     return "\n".join(lines)
-
-
-def make_hosts(sim: Simulator, count: int, net: str = "10.0.0") -> list[Host]:
-    return [
-        Host(
-            sim,
-            f"h{index + 1}",
-            MACAddress(0x020000000001 + index),
-            IPv4Address(f"{net}.{index + 1}"),
-        )
-        for index in range(count)
-    ]
-
-
-def build_harmless_site(
-    num_hosts: int,
-    apps_factory=None,
-    cost_model=ESWITCH_COST_MODEL,
-    legacy_delay_s: float = 4e-6,
-    controller_latency_s: float = 50e-6,
-):
-    """Hosts on a legacy switch migrated by the HARMLESS Manager.
-
-    Returns (sim, hosts, deployment, controller).
-    """
-    num_ports = num_hosts + 1
-    sim = Simulator()
-    legacy = LegacySwitch(
-        sim, "edge", num_ports=num_ports, processing_delay_s=legacy_delay_s
-    )
-    hosts = make_hosts(sim, num_hosts)
-    for index, host in enumerate(hosts):
-        Link(host.port0, legacy.port(index + 1))
-    mib, _ = attach_bridge_mib(legacy)
-    driver = get_network_driver("sim-ios")(
-        DeviceConnection(agent=SnmpAgent(mib), hostname="edge")
-    )
-    driver.open()
-    controller = Controller(sim)
-    for app in (apps_factory or (lambda: [LearningSwitchApp()]))():
-        controller.add_app(app)
-    manager = HarmlessManager(sim, controller=controller, cost_model=cost_model)
-    deployment = manager.migrate(
-        legacy, driver, trunk_port=num_ports, controller_latency_s=controller_latency_s
-    )
-    sim.run(until=0.05)
-    return sim, hosts, deployment, controller
-
-
-def build_ideal_site(
-    num_hosts: int,
-    apps_factory=None,
-    cost_model=ESWITCH_COST_MODEL,
-    controller_latency_s: float = 50e-6,
-):
-    """The reference: hosts directly on one software OpenFlow switch."""
-    sim = Simulator()
-    switch = SoftSwitch(sim, "native", datapath_id=0x42, cost_model=cost_model)
-    hosts = make_hosts(sim, num_hosts)
-    for index, host in enumerate(hosts):
-        Link(host.port0, switch.add_port(index + 1))
-    controller = Controller(sim)
-    for app in (apps_factory or (lambda: [LearningSwitchApp()]))():
-        controller.add_app(app)
-    controller.connect(switch, latency_s=controller_latency_s)
-    sim.run(until=0.05)
-    return sim, hosts, switch, controller
-
-
-def build_legacy_site(num_hosts: int, legacy_delay_s: float = 4e-6):
-    """The pre-migration baseline: hosts on the plain legacy switch."""
-    sim = Simulator()
-    legacy = LegacySwitch(
-        sim, "edge", num_ports=num_hosts + 1, processing_delay_s=legacy_delay_s
-    )
-    hosts = make_hosts(sim, num_hosts)
-    for index, host in enumerate(hosts):
-        Link(host.port0, legacy.port(index + 1))
-    return sim, hosts, legacy
-
-
-def warm_up_pings(sim, hosts, pairs, until=2.0):
-    """Prime ARP tables and reactive flows so measurements are steady-state."""
-    for a, b in pairs:
-        a.ping(b.ip)
-    sim.run(until=sim.now + until)

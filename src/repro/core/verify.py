@@ -5,6 +5,10 @@ cannot tell a HARMLESS-migrated legacy switch from an ideal OpenFlow
 switch.  The harness builds both environments with identical hosts and
 identical controller apps, drives both with the same seeded traffic,
 and diffs what the hosts observed.
+
+:func:`build_harmless_site` and :func:`build_ideal_site` are the two
+environments, and the one site builder the use-case benches and the
+tests share.
 """
 
 from __future__ import annotations
@@ -21,13 +25,8 @@ from repro.netsim.host import Host
 from repro.netsim.link import Link
 from repro.netsim.simulator import Simulator
 from repro.snmp import SnmpAgent, attach_bridge_mib
-from repro.softswitch.costmodel import DatapathCostModel
 from repro.softswitch.datapath import SoftSwitch
-from repro.core.manager import HarmlessManager
-
-#: Cost model with zero delay: differential runs compare *behaviour*,
-#: so timing differences between environments must not cause mismatches.
-ZERO_COST = DatapathCostModel.zero()
+from repro.core.manager import HarmlessDeployment, HarmlessManager
 
 AppFactory = Callable[[], list]
 TrafficScript = Callable[["Environment"], None]
@@ -67,83 +66,96 @@ class DifferentialResult:
     ideal_obs: dict = field(default_factory=dict)
 
 
+def make_hosts(sim: Simulator, count: int) -> list[Host]:
+    """Hosts h1..hN: MACs from 02:00:00:00:00:01, IPs from 10.0.0.1."""
+    return [
+        Host(
+            sim,
+            f"h{index + 1}",
+            MACAddress(0x020000000001 + index),
+            IPv4Address(f"10.0.0.{index + 1}"),
+        )
+        for index in range(count)
+    ]
+
+
+def _controller(sim: Simulator, apps: list) -> Controller:
+    controller = Controller(sim)
+    for app in apps:
+        controller.add_app(app)
+    return controller
+
+
+def build_harmless_site(
+    num_hosts: int, apps: list, controller_latency_s: float = 50e-6
+) -> "tuple[Simulator, list[Host], HarmlessDeployment, Controller]":
+    """Hosts h1..hN on ports 1..N of a legacy switch, migrated by the
+    HARMLESS Manager over trunk port N+1, with *apps* on the controller.
+
+    Returns ``(sim, hosts, deployment, controller)`` once the handshake
+    and the apps' proactive rules have settled.
+    """
+    sim = Simulator()
+    legacy = LegacySwitch(
+        sim, "edge", num_ports=num_hosts + 1, processing_delay_s=4e-6
+    )
+    hosts = make_hosts(sim, num_hosts)
+    for index, host in enumerate(hosts):
+        Link(host.port0, legacy.port(index + 1))
+    mib, _ = attach_bridge_mib(legacy)
+    driver = get_network_driver("sim-ios")(
+        DeviceConnection(agent=SnmpAgent(mib), hostname="edge")
+    )
+    driver.open()
+    controller = _controller(sim, apps)
+    deployment = HarmlessManager(sim, controller=controller).migrate(
+        legacy,
+        driver,
+        trunk_port=num_hosts + 1,
+        controller_latency_s=controller_latency_s,
+    )
+    sim.run(until=0.05)
+    return sim, hosts, deployment, controller
+
+
+def build_ideal_site(
+    num_hosts: int, apps: list
+) -> "tuple[Simulator, list[Host], SoftSwitch, Controller]":
+    """The reference: the same hosts directly on one software OpenFlow
+    switch.  Returns ``(sim, hosts, switch, controller)``, settled."""
+    sim = Simulator()
+    switch = SoftSwitch(sim, "ideal", datapath_id=0x100)
+    hosts = make_hosts(sim, num_hosts)
+    for index, host in enumerate(hosts):
+        Link(host.port0, switch.add_port(index + 1))
+    controller = _controller(sim, apps)
+    controller.connect(switch, latency_s=50e-6)
+    sim.run(until=0.05)
+    return sim, hosts, switch, controller
+
+
 class TransparencyHarness:
     """Builds paired environments and runs differential experiments."""
 
-    def __init__(
-        self,
-        num_hosts: int,
-        app_factory: AppFactory,
-        num_legacy_ports: "int | None" = None,
-    ) -> None:
+    def __init__(self, num_hosts: int, app_factory: AppFactory) -> None:
         self.num_hosts = num_hosts
         self.app_factory = app_factory
-        self.num_legacy_ports = num_legacy_ports or (num_hosts + 1)
-
-    def _make_hosts(self, sim: Simulator) -> list[Host]:
-        return [
-            Host(
-                sim,
-                f"h{index + 1}",
-                MACAddress(0x020000000001 + index),
-                IPv4Address(f"10.0.0.{index + 1}"),
-            )
-            for index in range(self.num_hosts)
-        ]
-
-    def build_harmless(self) -> Environment:
-        """Legacy switch + HARMLESS migration, hosts on ports 1..N."""
-        sim = Simulator()
-        legacy = LegacySwitch(
-            sim, "legacy", num_ports=self.num_legacy_ports, processing_delay_s=0.0
-        )
-        hosts = self._make_hosts(sim)
-        for index, host in enumerate(hosts):
-            Link(host.port0, legacy.port(index + 1))
-        mib, _ = attach_bridge_mib(legacy)
-        driver = get_network_driver("sim-ios")(
-            DeviceConnection(agent=SnmpAgent(mib), hostname="legacy")
-        )
-        driver.open()
-        controller = Controller(sim)
-        for app in self.app_factory():
-            controller.add_app(app)
-        manager = HarmlessManager(sim, controller=controller, cost_model=ZERO_COST)
-        manager.migrate(
-            legacy,
-            driver,
-            trunk_port=self.num_legacy_ports,
-            access_ports=list(range(1, self.num_hosts + 1)),
-            controller_latency_s=1e-6,
-        )
-        sim.run(until=0.01)  # let the handshake and app setup settle
-        return Environment(kind="harmless", sim=sim, hosts=hosts, controller=controller)
-
-    def build_ideal(self) -> Environment:
-        """The reference: hosts directly on an ideal OpenFlow switch."""
-        sim = Simulator()
-        switch = SoftSwitch(sim, "ideal", datapath_id=0x100, cost_model=ZERO_COST)
-        hosts = self._make_hosts(sim)
-        for index, host in enumerate(hosts):
-            Link(host.port0, switch.add_port(index + 1))
-        controller = Controller(sim)
-        for app in self.app_factory():
-            controller.add_app(app)
-        controller.connect(switch, latency_s=1e-6)
-        sim.run(until=0.01)
-        return Environment(kind="ideal", sim=sim, hosts=hosts, controller=controller)
 
     def run(
         self, traffic: TrafficScript, horizon_s: float = 5.0
     ) -> DifferentialResult:
         """Drive both environments with *traffic* and diff the outcome."""
-        harmless_env = self.build_harmless()
-        ideal_env = self.build_ideal()
-        for env in (harmless_env, ideal_env):
+        envs = []
+        for kind, build in (
+            ("harmless", build_harmless_site),
+            ("ideal", build_ideal_site),
+        ):
+            sim, hosts, _, controller = build(self.num_hosts, self.app_factory())
+            env = Environment(kind=kind, sim=sim, hosts=hosts, controller=controller)
             traffic(env)
             env.sim.run(until=env.sim.now + horizon_s)
-        harmless_obs = harmless_env.observations()
-        ideal_obs = ideal_env.observations()
+            envs.append(env)
+        harmless_obs, ideal_obs = (env.observations() for env in envs)
         mismatches = []
         for host_name in sorted(set(harmless_obs) | set(ideal_obs)):
             mine = harmless_obs.get(host_name)

@@ -3,126 +3,17 @@
 Every test here builds the full stack — hosts on a legacy switch,
 migrated by the Manager, apps on the SDN controller — because the
 paper's demo point is that these OpenFlow programs run unmodified on a
-migrated dumb switch.
+migrated dumb switch.  What the ``UC-*`` rows of ``test_paper_claims.py``
+already check (load balancing, the DMZ matrix and runtime flips, the
+parental-control matrix and flips) is not checked again here.
 """
 
 import pytest
 
-from repro.apps import (
-    ArpResponderApp,
-    Backend,
-    DmzPolicyApp,
-    LearningSwitchApp,
-    LoadBalancerApp,
-    ParentalControlApp,
-    Vm,
-)
-from repro.controller import Controller
-from repro.core import HarmlessManager
-from repro.core.verify import ZERO_COST
-from repro.legacy import LegacySwitch
-from repro.mgmt import DeviceConnection, get_network_driver
+from repro.apps import DmzPolicyApp, LearningSwitchApp, ParentalControlApp, Vm
+from repro.core.verify import build_harmless_site
 from repro.net import IPv4Address, MACAddress
 from repro.net.dns import DNS_RCODE_REFUSED, DnsMessage, DnsResourceRecord
-from repro.netsim import Host, Link, Simulator
-from repro.snmp import SnmpAgent, attach_bridge_mib
-
-
-def build_harmless_site(num_hosts, apps, num_ports=None):
-    num_ports = num_ports or num_hosts + 1
-    sim = Simulator()
-    legacy = LegacySwitch(sim, "edge", num_ports=num_ports, processing_delay_s=0.0)
-    hosts = []
-    for index in range(num_hosts):
-        host = Host(
-            sim,
-            f"h{index + 1}",
-            MACAddress(0x020000000001 + index),
-            IPv4Address(f"10.0.0.{index + 1}"),
-        )
-        Link(host.port0, legacy.port(index + 1))
-        hosts.append(host)
-    mib, _ = attach_bridge_mib(legacy)
-    driver = get_network_driver("sim-ios")(
-        DeviceConnection(agent=SnmpAgent(mib), hostname="edge")
-    )
-    driver.open()
-    controller = Controller(sim)
-    for app in apps:
-        controller.add_app(app)
-    manager = HarmlessManager(sim, controller=controller, cost_model=ZERO_COST)
-    deployment = manager.migrate(legacy, driver, trunk_port=num_ports)
-    sim.run(until=0.05)
-    return sim, hosts, deployment
-
-
-class TestLoadBalancerUseCase:
-    """Use case (a): spread web traffic across backends by source IP."""
-
-    VIP = IPv4Address("10.0.0.100")
-    VIP_MAC = MACAddress("02:00:00:00:0f:00")
-
-    def build(self, num_clients=6, num_backends=2):
-        total = num_clients + num_backends
-        apps_holder = []
-
-        # Hosts 1..num_clients are clients; the rest are backends.
-        def apps():
-            return apps_holder
-
-        sim = Simulator()
-        # Build via helper but we need backend ports known first: clients
-        # then backends in port order.
-        lb_backends = [
-            Backend(
-                ip=IPv4Address(f"10.0.0.{num_clients + 1 + i}"),
-                mac=MACAddress(0x020000000001 + num_clients + i),
-                port=num_clients + 1 + i,
-            )
-            for i in range(num_backends)
-        ]
-        arp = ArpResponderApp(bindings={self.VIP: self.VIP_MAC})
-        lb = LoadBalancerApp(
-            vip=self.VIP, vip_mac=self.VIP_MAC, backends=lb_backends
-        )
-        learning = LearningSwitchApp()
-        apps_holder.extend([arp, lb, learning])
-        sim, hosts, deployment = build_harmless_site(total, apps_holder)
-        # The paper's LB balances "based on matching of the source IP
-        # address": configure the select hash accordingly (like OVS's
-        # selection_method=hash,fields=ip_src).
-        deployment.s4.ss2.select_hash_fields = ("ipv4_src",)
-        clients = hosts[:num_clients]
-        backends = hosts[num_clients:]
-        for backend in backends:
-            backend.serve_udp(80, lambda h, ip, sp, dp, pl: None)
-        return sim, clients, backends, lb
-
-    def test_all_requests_land_on_backends(self):
-        sim, clients, backends, _ = self.build()
-        for client in clients:
-            client.send_udp(self.VIP, 80, b"GET /")
-        sim.run(until=2.0)
-        delivered = sum(len(backend.udp_received) for backend in backends)
-        assert delivered == len(clients)
-
-    def test_distribution_spreads_clients(self):
-        sim, clients, backends, _ = self.build(num_clients=12)
-        for client in clients:
-            client.send_udp(self.VIP, 80, b"GET /")
-        sim.run(until=2.0)
-        counts = [len(backend.udp_received) for backend in backends]
-        assert all(count > 0 for count in counts), counts
-
-    def test_same_client_sticks_to_one_backend(self):
-        sim, clients, backends, _ = self.build(num_clients=4)
-        client = clients[0]
-        for _ in range(5):
-            client.send_udp(self.VIP, 80, b"GET /again")
-        sim.run(until=2.0)
-        non_empty = [b for b in backends if b.udp_received]
-        assert len(non_empty) == 1
-        assert len(non_empty[0].udp_received) == 5
 
 
 class TestDmzUseCase:
@@ -139,41 +30,12 @@ class TestDmzUseCase:
             for i in range(3)
         ]
         dmz = DmzPolicyApp(vms=vms, allowed_pairs={("vm1", "vm2")})
-        sim, hosts, deployment = build_harmless_site(3, [dmz])
-        return sim, hosts, dmz, deployment
+        sim, hosts, _, _ = build_harmless_site(3, [dmz])
+        return sim, hosts
 
     def test_allowed_pair_can_talk(self):
-        sim, (h1, h2, h3), _, _ = self.build()
+        sim, (h1, h2, h3) = self.build()
         h1.ping(h2.ip)
-        sim.run(until=2.0)
-        assert len(h1.rtts()) == 1
-
-    def test_denied_pair_cannot_talk(self):
-        sim, (h1, h2, h3), _, _ = self.build()
-        h1.ping(h3.ip)
-        h3.ping(h2.ip)
-        sim.run(until=3.0)
-        assert h1.ping_loss_rate == 1.0
-        assert h3.ping_loss_rate == 1.0
-
-    def test_policy_tightened_at_runtime(self):
-        sim, (h1, h2, h3), dmz, deployment = self.build()
-        datapath = deployment.datapath
-        h1.ping(h2.ip)
-        sim.run(until=1.0)
-        assert len(h1.rtts()) == 1
-        dmz.revoke(datapath, "vm1", "vm2")
-        sim.run(until=1.2)
-        h1.ping(h2.ip)
-        sim.run(until=3.0)
-        assert len(h1.rtts()) == 1  # second ping lost
-
-    def test_policy_loosened_at_runtime(self):
-        sim, (h1, h2, h3), dmz, deployment = self.build()
-        datapath = deployment.datapath
-        dmz.allow(datapath, "vm1", "vm3")
-        sim.run(until=0.2)
-        h1.ping(h3.ip)
         sim.run(until=2.0)
         assert len(h1.rtts()) == 1
 
@@ -196,7 +58,7 @@ class TestParentalControlUseCase:
     def build(self):
         pc = ParentalControlApp()
         learning = LearningSwitchApp()
-        sim, hosts, deployment = build_harmless_site(3, [pc, learning])
+        sim, hosts, _, _ = build_harmless_site(3, [pc, learning])
         kid, parent, resolver = hosts
 
         zone = {
@@ -247,18 +109,6 @@ class TestParentalControlUseCase:
         assert len(parent_results) == 1
         assert parent_results[0].rcode == 0
         assert pc.queries_refused == 1
-
-    def test_unblock_on_the_fly(self):
-        sim, kid, parent, resolver, pc = self.build()
-        pc.block(kid.ip, "blocked.example")
-        first = self.resolve(sim, kid, resolver, "blocked.example", 4)
-        sim.run(until=2.0)
-        assert first[0].rcode == DNS_RCODE_REFUSED
-        pc.unblock(kid.ip, "blocked.example")
-        second = self.resolve(sim, kid, resolver, "blocked.example", 5)
-        sim.run(until=4.0)
-        assert len(second) == 1
-        assert second[0].rcode == 0
 
     def test_ip_drop_installed_after_dns_learning(self):
         """Once the name's IP flows past, L3 drops stop cached clients."""

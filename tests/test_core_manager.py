@@ -7,7 +7,7 @@ import pytest
 from repro.apps import LearningSwitchApp
 from repro.controller import Controller
 from repro.core import HarmlessError, HarmlessManager, HarmlessS4
-from repro.core.verify import ZERO_COST
+from repro.core.verify import make_hosts
 from repro.fabric import leaf_spine_fabric
 from repro.legacy import LegacySwitch, PortMode
 from repro.mgmt import DeviceConnection, get_network_driver
@@ -15,22 +15,18 @@ from repro.net import IPv4Address, MACAddress
 from repro.netsim import Capture, Host, Link, Simulator
 from repro.snmp import PduType, SnmpAgent, attach_bridge_mib
 from repro.snmp.bridge_mib import IF_TABLE_ENTRY
+from repro.softswitch import DatapathCostModel
+
+ZERO_COST = DatapathCostModel.zero()
 
 
 def build_site(vendor="sim-ios", num_ports=8, num_hosts=3):
     """A legacy switch with hosts on ports 1..N and a free trunk port."""
     sim = Simulator()
     legacy = LegacySwitch(sim, "edge1", num_ports=num_ports, processing_delay_s=0.0)
-    hosts = []
-    for index in range(num_hosts):
-        host = Host(
-            sim,
-            f"h{index + 1}",
-            MACAddress(0x020000000001 + index),
-            IPv4Address(f"10.0.0.{index + 1}"),
-        )
+    hosts = make_hosts(sim, num_hosts)
+    for index, host in enumerate(hosts):
         Link(host.port0, legacy.port(index + 1))
-        hosts.append(host)
     mib, _ = attach_bridge_mib(legacy)
     driver = get_network_driver(vendor)(
         DeviceConnection(agent=SnmpAgent(mib), hostname="edge1")

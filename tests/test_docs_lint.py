@@ -1,5 +1,6 @@
-"""The docs lint's drift checks: the README layout table, the module
-census and module references in the docs and in ``src/`` roles.
+"""The docs lint's drift checks: the README layout table and paper-claims
+table, the module census and module references in the docs and in
+``src/`` roles.
 
 Each check is run on the repository itself (it must pass) and on a small
 synthetic tree whose docs have drifted (it must name the drift).
@@ -87,6 +88,57 @@ class TestReadmePackages:
         )
         assert docs_lint.check_readme_packages(readme) == [
             "README.md: layout table does not name src/repro/b/"
+        ]
+
+
+def write_claims(root, readme_ids):
+    (root / "tests").mkdir()
+    (root / "tests" / "test_paper_claims.py").write_text(
+        "CLAIMS = [\n"
+        '    Claim("COST-A", "abstract", "cheap", measure, bound),\n'
+        '    Claim("UC-B", "use case", "works", lambda: 1, lambda v: v == 1),\n'
+        "]\n"
+    )
+    rows = "\n".join(f"| `{claim}` | where | what |" for claim in readme_ids)
+    readme = root / "README.md"
+    readme.write_text(
+        f"# Repo\n\n## Paper claims\n\n| Id | Paper | Checked |\n| --- | --- | --- |\n"
+        f"{rows}\n\n## Benchmarks\n\n| `UC-C` | outside the claims table |\n"
+    )
+    return readme
+
+
+class TestPaperClaims:
+    def test_repository_readme_names_every_claim(self, docs_lint):
+        assert docs_lint.check_paper_claims(docs_lint.REPO_ROOT / "README.md") == []
+
+    def test_complete_table_passes(self, docs_lint, tree):
+        assert docs_lint.check_paper_claims(write_claims(tree, ["COST-A", "UC-B"])) == []
+
+    def test_missing_id_is_named(self, docs_lint, tree):
+        assert docs_lint.check_paper_claims(write_claims(tree, ["COST-A"])) == [
+            "README.md: claims table lacks UC-B"
+        ]
+
+    def test_unknown_id_is_named(self, docs_lint, tree):
+        readme = write_claims(tree, ["COST-A", "UC-B", "UC-GONE"])
+        assert docs_lint.check_paper_claims(readme) == [
+            "README.md: claims table names UC-GONE, which "
+            "tests/test_paper_claims.py does not check"
+        ]
+
+    def test_duplicate_id_is_named(self, docs_lint, tree):
+        readme = write_claims(tree, ["COST-A", "UC-B", "COST-A"])
+        assert docs_lint.check_paper_claims(readme) == [
+            "README.md: claims table names COST-A twice"
+        ]
+
+    def test_renamed_table_is_named(self, docs_lint, tree):
+        readme = write_claims(tree, [])
+        claims = tree / "tests" / "test_paper_claims.py"
+        claims.write_text(claims.read_text().replace("CLAIMS =", "ROWS ="))
+        assert docs_lint.check_paper_claims(readme) == [
+            "tests/test_paper_claims.py: no CLAIMS table of Claim(...) rows"
         ]
 
 

@@ -12,27 +12,23 @@ from repro.apps import LearningSwitchApp
 from repro.controller import Controller
 from repro.core import HarmlessError, HarmlessManager, PortVlanMap
 from repro.core.s4 import HarmlessS4
-from repro.core.verify import ZERO_COST
+from repro.core.verify import make_hosts
 from repro.legacy import LegacySwitch
 from repro.mgmt import DeviceConnection, DriverError, get_network_driver
 from repro.net import IPv4Address, MACAddress
 from repro.netsim import Host, Link, Simulator
 from repro.snmp import SnmpAgent, attach_bridge_mib
+from repro.softswitch import DatapathCostModel
+
+ZERO_COST = DatapathCostModel.zero()
 
 
 def build_site(num_hosts=3, vendor="sim-ios"):
     sim = Simulator()
     legacy = LegacySwitch(sim, "edge", num_ports=num_hosts + 1, processing_delay_s=0.0)
-    hosts = []
-    for index in range(num_hosts):
-        host = Host(
-            sim,
-            f"h{index + 1}",
-            MACAddress(0x020000000001 + index),
-            IPv4Address(f"10.0.0.{index + 1}"),
-        )
+    hosts = make_hosts(sim, num_hosts)
+    for index, host in enumerate(hosts):
         Link(host.port0, legacy.port(index + 1))
-        hosts.append(host)
     mib, _ = attach_bridge_mib(legacy)
     driver = get_network_driver(vendor)(
         DeviceConnection(agent=SnmpAgent(mib), hostname="edge")

@@ -19,6 +19,12 @@ And two README claims that used to rot: the number of CI-gated
 ``*.json`` artefacts (the files under ``benchmarks/baselines/``), and
 the bench table, which must name every ``benchmarks/bench_*.py``.
 
+And the README's "Paper claims" table: it must name every claim id of
+``CLAIMS`` in ``tests/test_paper_claims.py`` exactly once, and no other
+id, so the published claim list cannot drift from what tier-1 checks.
+The ids are read from the test file's syntax tree; ``tests/`` is not
+imported.
+
 And the other direction: every ``bench_*.py`` named in a CI workflow,
 the README or ``check_regression.py``'s docstring must exist under
 ``benchmarks/``, so deleting a bench cannot leave a step or a refresh recipe
@@ -44,6 +50,7 @@ Run from the repository root (CI does)::
     python tools/docs_lint.py
 """
 
+import ast
 import importlib
 import inspect
 import pathlib
@@ -213,6 +220,64 @@ def check_readme_counts(readme: pathlib.Path) -> "list[str]":
     return problems
 
 
+#: The tier-1 claims table and the README section that publishes it;
+#: its rows start with a backticked claim id.
+CLAIMS_TEST = "tests/test_paper_claims.py"
+CLAIMS_HEADING = "## Paper claims"
+CLAIM_ROW_RE = re.compile(r"^\|\s*`([A-Z][\w-]*)`")
+
+
+def claim_ids() -> "list[str]":
+    """The first argument of each ``Claim(...)`` in ``CLAIMS = [...]``."""
+    tree = ast.parse((REPO_ROOT / CLAIMS_TEST).read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "CLAIMS"
+            for target in node.targets
+        ):
+            return [
+                row.args[0].value
+                for row in getattr(node.value, "elts", ())
+                if isinstance(row, ast.Call)
+                and row.args
+                and isinstance(row.args[0], ast.Constant)
+            ]
+    return []
+
+
+def check_paper_claims(readme: pathlib.Path) -> "list[str]":
+    """The README's claims table names every ``CLAIMS`` id, once."""
+    name = readme.relative_to(REPO_ROOT)
+    text = readme.read_text(encoding="utf-8")
+    start = text.find(f"\n{CLAIMS_HEADING}\n")
+    if start < 0:
+        return [f"{name}: no '{CLAIMS_HEADING}' section"]
+    section = text[start + 1:]
+    end = section.find("\n#")
+    listed = [
+        match.group(1)
+        for line in section[: end if end >= 0 else None].splitlines()
+        if (match := CLAIM_ROW_RE.match(line))
+    ]
+    checked = claim_ids()
+    if not checked:
+        return [f"{CLAIMS_TEST}: no CLAIMS table of Claim(...) rows"]
+    problems = [
+        f"{name}: claims table lacks {claim}"
+        for claim in checked
+        if claim not in listed
+    ]
+    problems += [
+        f"{name}: claims table names {claim}, which {CLAIMS_TEST} does not check"
+        for claim in sorted(set(listed) - set(checked))
+    ]
+    problems += [
+        f"{name}: claims table names {claim} twice"
+        for claim in sorted({claim for claim in listed if listed.count(claim) > 1})
+    ]
+    return problems
+
+
 #: Files that tell people (or CI) to run a bench by path.
 BENCH_REFERENCE_GLOBS = (
     ".github/workflows/*.yml", "README.md", "benchmarks/check_regression.py",
@@ -352,6 +417,7 @@ def main() -> int:
         problems.extend(check_repo_layout(readme))
         problems.extend(check_readme_packages(readme))
         problems.extend(check_readme_counts(readme))
+        problems.extend(check_paper_claims(readme))
     problems.extend(check_bench_references())
     problems.extend(check_class_attributes())
     problems.extend(check_module_census())
@@ -364,7 +430,8 @@ def main() -> int:
         print(f"FAIL: {len(problems)} problem(s)", file=sys.stderr)
         return 1
     print("PASS: links, named benches, modules and class attributes resolve, "
-          "README counts and the module census match the tree")
+          "README counts, the paper-claims table and the module census match "
+          "the tree")
     return 0
 
 
