@@ -17,11 +17,6 @@ Comparison rules:
   more than 0.10 fails.
 * **speedup metrics** (ratios of two pps numbers measured on the same
   machine) are compared directly against ``1 - threshold``.
-* **convergence_s / frames_lost metrics** (bench_resilience) are pure
-  simulated time, deterministic on every machine, and lower is better:
-  convergence regressing past ``1 + threshold`` of the baseline (plus
-  one sweep window of slack) fails, and frames_lost may not exceed the
-  baseline by more than ``max(2, threshold * baseline)`` probes.
 
 A baseline metric missing from a result of the same ``mode`` fails the
 gate: a smoke run that stopped producing a gated row must not pass.
@@ -37,7 +32,6 @@ Refresh the baselines after an intentional perf change with::
     PYTHONPATH=src python benchmarks/bench_churn.py --fast
     PYTHONPATH=src python benchmarks/bench_specialized.py --fast
     PYTHONPATH=src python benchmarks/bench_fabric.py --fast
-    PYTHONPATH=src python benchmarks/bench_resilience.py --fast
     PYTHONPATH=src python benchmarks/bench_usecase_dmz.py --fast
     PYTHONPATH=src python benchmarks/bench_usecase_lb.py --fast
     PYTHONPATH=src python benchmarks/bench_usecase_pc.py --fast
@@ -60,16 +54,10 @@ RESULTS_DIR = BENCH_DIR / "results"
 #: Keys that identify a row (workload shape), not measurements.
 IDENTITY_KEYS = (
     "bench", "config", "kind", "policy", "flows", "masked_entries", "burst",
-    "edges", "topology", "event",
+    "edges",
 )
 #: Absolute tolerance for hit-rate and share metrics (fractions in [0, 1]).
 HIT_RATE_TOLERANCE = 0.10
-#: Slack added to convergence comparisons: one reachability-sweep
-#: window, so a row that converges one sweep later than a tiny baseline
-#: does not trip the relative threshold on quantisation alone.
-CONVERGENCE_SLACK_S = 0.25
-#: Minimum absolute headroom for frames_lost (counts, often small).
-FRAMES_LOST_MIN_SLACK = 2
 
 
 def extract_metrics(node, label="", out=None):
@@ -95,7 +83,7 @@ def extract_metrics(node, label="", out=None):
             if isinstance(value, (dict, list)):
                 extract_metrics(value, f"{prefix}/{key}", out)
             elif isinstance(value, (int, float)) and (
-                key in ("pps", "hit_rate", "convergence_s", "frames_lost")
+                key in ("pps", "hit_rate")
                 or key.startswith("speedup")
                 or key.endswith("specialized_share")
             ):
@@ -149,33 +137,6 @@ def compare(name, baseline, current, threshold):
                 )
             lines.append(
                 f"   {verdict:>10} {label} x{normalised:.2f} (normalised)"
-            )
-        elif label.endswith(":convergence_s"):
-            limit = base[label] * (1.0 + threshold) + CONVERGENCE_SLACK_S
-            verdict = "ok"
-            if cur[label] > limit:
-                verdict = "REGRESSION"
-                failures.append(
-                    f"{name}: {label} slowed "
-                    f"{base[label]:.3f}s -> {cur[label]:.3f}s "
-                    f"(limit {limit:.3f}s)"
-                )
-            lines.append(
-                f"   {verdict:>10} {label} {base[label]:.3f}s -> {cur[label]:.3f}s"
-            )
-        elif label.endswith(":frames_lost"):
-            limit = base[label] + max(
-                FRAMES_LOST_MIN_SLACK, threshold * base[label]
-            )
-            verdict = "ok"
-            if cur[label] > limit:
-                verdict = "REGRESSION"
-                failures.append(
-                    f"{name}: {label} rose {base[label]:.0f} -> {cur[label]:.0f} "
-                    f"(limit {limit:.0f})"
-                )
-            lines.append(
-                f"   {verdict:>10} {label} {base[label]:.0f} -> {cur[label]:.0f}"
             )
         elif label.endswith((":hit_rate", "specialized_share")):
             delta = cur[label] - base[label]

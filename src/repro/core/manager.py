@@ -329,7 +329,6 @@ class ResilienceReport:
     and ``probes_lost`` counts every failed probe pair along the way.
     """
 
-    event: str
     started_at: float
     converged_at: "float | None"
     sweeps: int
@@ -562,7 +561,6 @@ class HarmlessFleet:
 
     def await_reconvergence(
         self,
-        event: str = "fault",
         window_s: float = 0.25,
         deadline_s: float = 10.0,
         hosts: "list | None" = None,
@@ -599,7 +597,6 @@ class HarmlessFleet:
                 break
             probes_lost += len(report.lost)
         return ResilienceReport(
-            event=event,
             started_at=started_at,
             converged_at=converged_at,
             sweeps=sweeps,

@@ -2,7 +2,7 @@
 
 The paper's artifact relies on street prices that are not archivable;
 these SKUs are constructed from the era's public list-price ballpark
-(documented in DESIGN.md as a substitution).  The cost *argument* only
+(a substitution: see "Substitutions" in docs/architecture.md).  The cost *argument* only
 needs the ratios to be right: a managed legacy GbE switch costs a few
 hundred dollars (and is already owned), a COTS OpenFlow switch costs an
 order of magnitude more, and a commodity server with 10G NICs sits in

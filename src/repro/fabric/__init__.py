@@ -13,7 +13,6 @@ from repro.fabric.topology import (
     Fabric,
     FabricSite,
     campus_fabric,
-    enable_fabric_stp,
     leaf_spine_fabric,
     ring_fabric,
 )
@@ -21,7 +20,6 @@ from repro.fabric.topology import (
 __all__ = [
     "Fabric",
     "FabricSite",
-    "enable_fabric_stp",
     "leaf_spine_fabric",
     "ring_fabric",
     "campus_fabric",

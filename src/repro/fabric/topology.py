@@ -12,20 +12,12 @@ Three families are provided:
 
 * :func:`leaf_spine_fabric` — N edge switches homed onto a spine tier
   (edges are round-robined across spines and the spines are chained,
-  so the fabric is a tree and works with or without spanning tree);
-* :func:`ring_fabric` — switches in a ring.  Pass ``stp=True`` to run
-  :class:`repro.legacy.stp.SpanningTree` on every trunk port: the
-  closing link stays live and STP blocks exactly one port, which takes
-  over when any other ring link is cut.  Without STP the closing link
-  is built but administratively blocked on both ends (a static
-  stand-in for the blocking STP would compute);
+  so the fabric is a tree);
+* :func:`ring_fabric` — switches in a ring whose closing link is built
+  but administratively blocked on both ends, so the ring bridges as a
+  chain;
 * :func:`campus_fabric` — the classic core / distribution / access
   tree with hosts on the access tier.
-
-:func:`enable_fabric_stp` retrofits spanning tree onto any built
-fabric — trunk-link end-ports become the managed STP ports and every
-other port (hosts, generators, the HARMLESS trunk) stays an ungated
-edge port.
 
 Edge switches can also reserve *generator ports*: access ports left
 unwired for traffic stations (e.g. :class:`repro.traffic.generators
@@ -38,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.legacy.stp import SpanningTree
 from repro.legacy.switch import (
     DEFAULT_PROCESSING_DELAY_S,
     LegacySwitch,
@@ -110,8 +101,6 @@ class Fabric:
         self.trunk_links: list[Link] = []
         #: Links built but administratively blocked (ring closures).
         self.blocked_links: list[Link] = []
-        #: site name -> SpanningTree, filled by :func:`enable_fabric_stp`.
-        self.stp: dict[str, SpanningTree] = {}
         #: Stations attached to gen ports, per site name.
         self.stations: dict[str, list[Node]] = {}
         self._next_host = 0
@@ -267,44 +256,12 @@ class _Builder:
         return trunk
 
     def block(self, link: Link) -> None:
-        """Administratively block both ends (the no-STP loop breaker)."""
+        """Administratively block both ends (the ring's loop breaker)."""
         for port in (link.port_a, link.port_b):
             switch = port.node
             assert isinstance(switch, LegacySwitch)
             switch.link_down(port.number)
         self.fabric.blocked_links.append(link)
-
-
-def enable_fabric_stp(fabric: Fabric, **stp_kwargs) -> "dict[str, SpanningTree]":
-    """Run spanning tree on every switch of a built fabric.
-
-    The managed port set of each site is derived from the fabric's
-    trunk links: every end-port of an inter-switch link participates in
-    the election, everything else (hosts, generator ports, the HARMLESS
-    server trunk) is an edge port — forwards immediately, never sees a
-    BPDU.  Trunk ports that are administratively down (e.g. a ring
-    closure blocked by the builder) start in the DISABLED role and
-    rejoin the election if the port comes back up.
-
-    Keyword arguments are forwarded to every :class:`SpanningTree`
-    (timers, port cost).  Per-site bridge priority can't be set this
-    way; build the trees by hand when a specific root must win.  The
-    trees are stored as ``fabric.stp`` and returned.
-    """
-    if fabric.stp:
-        raise ValueError("fabric already runs spanning tree")
-    managed: "dict[str, set[int]]" = {}
-    for link in fabric.trunk_links:
-        for port in (link.port_a, link.port_b):
-            managed.setdefault(port.node.name, set()).add(port.number)
-    for name, numbers in managed.items():
-        switch = fabric.site(name).switch
-        tree = SpanningTree(switch, ports=sorted(numbers), **stp_kwargs)
-        for number in sorted(numbers):
-            if not switch.port(number).up:
-                tree.port_down(number)
-        fabric.stp[name] = tree
-    return fabric.stp
 
 
 def leaf_spine_fabric(
@@ -323,8 +280,8 @@ def leaf_spine_fabric(
 
     Each edge is homed to exactly one spine (round-robin) and the
     spines are chained left-to-right, which keeps the fabric a tree —
-    the legacy dataplane runs no spanning tree, so the builder must not
-    create loops.  Edge sites come first in ``fabric.sites`` (pod order)
+    the legacy dataplane runs no loop protection, so the builder must
+    not create loops.  Edge sites come first in ``fabric.sites`` (pod order)
     so a wave plan migrates the access tier before the spine tier.
     """
     if edges < 1 or spines < 1:
@@ -370,8 +327,6 @@ def ring_fabric(
     switches: int = 4,
     hosts_per_switch: int = 2,
     gen_ports_per_switch: int = 0,
-    break_loop: bool = True,
-    stp: bool = False,
     sim: "Simulator | None" = None,
     vendor: str = "sim-ios",
     host_bandwidth_bps: "float | None" = DEFAULT_HOST_BANDWIDTH_BPS,
@@ -381,16 +336,9 @@ def ring_fabric(
 ) -> Fabric:
     """*switches* edge switches in a ring (each carries hosts).
 
-    With ``stp=True`` all ring links are live and every switch runs
-    :class:`repro.legacy.stp.SpanningTree` on its two trunk ports: the
-    election blocks exactly one port, and cutting any other ring link
-    re-converges traffic through it (run the sim for roughly
-    ``fabric.stp[...].settle_s()`` before sending traffic).  Without
-    STP the closing link is built but administratively blocked on both
-    ends when *break_loop* is true (default) — a static stand-in for
-    the blocking STP would compute, since an unbroken ring with no
-    spanning tree floods broadcasts forever.  ``break_loop=False``
-    without STP yields the raw loop — at your own peril.
+    The closing link is built but administratively blocked on both
+    ends (``fabric.blocked_links``): an unbroken ring floods broadcasts
+    forever, for the legacy dataplane runs no loop protection.
     """
     if switches < 2:
         raise ValueError("a ring needs at least two switches")
@@ -412,10 +360,8 @@ def ring_fabric(
         link = builder.link(
             left, left.uplink_ports[1], right, right.uplink_ports[0]
         )
-        if index == switches - 1 and break_loop and not stp:
+        if index == switches - 1:
             builder.block(link)
-    if stp:
-        enable_fabric_stp(builder.fabric)
     return builder.fabric
 
 

@@ -14,7 +14,6 @@ from repro.legacy.config import (
     VlanDecl,
 )
 from repro.legacy.fdb import FdbEntry, ForwardingDatabase
-from repro.legacy.stp import PortRole, PortState, SpanningTree
 from repro.legacy.switch import LegacySwitch
 
 __all__ = [
@@ -25,7 +24,4 @@ __all__ = [
     "ForwardingDatabase",
     "FdbEntry",
     "LegacySwitch",
-    "SpanningTree",
-    "PortRole",
-    "PortState",
 ]

@@ -27,7 +27,6 @@ from repro.netsim.node import Node, Port
 from repro.netsim.simulator import Simulator
 from repro.legacy.config import PortMode, PortVlanConfig, RunningConfig
 from repro.legacy.fdb import FdbEntry, ForwardingDatabase
-from repro.legacy.stp import STP_ETHERTYPE, STP_MULTICAST, PortState
 
 #: Store-and-forward lookup latency of typical GbE merchant silicon.
 DEFAULT_PROCESSING_DELAY_S = 4e-6
@@ -87,11 +86,8 @@ class LegacySwitch(Node):
         self.counters = SwitchCounters()
         #: Frames dropped, by reason — beside ``counters``, whose fields
         #: the benchmark's digest hashes: ``filtered_ingress`` stays, as
-        #: the sum of the three ``ingress-filtered:*`` reasons.
+        #: the sum of the two ``ingress-filtered:*`` reasons.
         self.drops: "defaultdict[str, int]" = defaultdict(int)
-        #: Attached spanning-tree instance (see :mod:`repro.legacy.stp`);
-        #: None means no STP — the dataplane forwards unconditionally.
-        self.stp = None
         #: False while crashed (see :meth:`power_off`): the dataplane
         #: drops everything and the control plane is frozen.
         self.running = True
@@ -215,19 +211,11 @@ class LegacySwitch(Node):
             if hop is None:
                 return None
             hops[key] = hop
-        if not self._passable(hop, number):
+        if not hop.target.alive(self.sim.now, fdb.aging_s):
             return None
         if not hop.source.static:
             hop.source.learned_at = self.sim.now
         return hop
-
-    def _passable(self, hop: _Hop, number: int) -> bool:
-        """What moves without the FDB's generation or the config: the
-        target has not aged, STP is out of the way."""
-        stp = self.stp
-        return hop.target.alive(self.sim.now, self.fdb.aging_s) and (
-            stp is None or not stp.handles(number) and stp.forwarding_allowed(hop.out_port)
-        )
 
     def _compile(self, number: int, vid: "int | None", frame: EthernetFrame) -> "_Hop | None":
         """The :class:`_Hop` for frames like *frame* arriving on port
@@ -236,7 +224,7 @@ class LegacySwitch(Node):
         its source is bound to this port already (a static one may be a
         group address, which nobody learns either), its unicast
         destination to another port that emits the VLAN.  Reads only —
-        and not what :meth:`_passable` asks.
+        and not the target's age, which :meth:`_lookup` checks at every hit.
         """
         port_config = self.config.port(number)
         classified = self._ingress_vlan(port_config, frame)
@@ -278,20 +266,6 @@ class LegacySwitch(Node):
         if not port_config.enabled:
             self._filter_ingress("disabled")
             return
-        if self.stp is not None and self.stp.handles(number):
-            # BPDUs go to the control plane before any 802.1Q
-            # classification (they are untagged link-local frames).
-            if frame.dst == STP_MULTICAST and frame.ethertype == STP_ETHERTYPE:
-                self.stp.receive_bpdu(number, frame)
-                return
-            state = self.stp.port_state(number)
-            if state is not PortState.FORWARDING:
-                if state is PortState.LEARNING and not frame.src & GROUP_BIT:
-                    learned = self._ingress_vlan(port_config, frame)
-                    if learned is not None:
-                        self.fdb.learn(learned[0], frame.src, number, self.sim.now)
-                self._filter_ingress("stp")
-                return
         classified = self._ingress_vlan(port_config, frame)
         if classified is None:
             self._filter_ingress("vlan")
@@ -363,8 +337,6 @@ class LegacySwitch(Node):
         port_config = self.config.port(port_number)
         if not port_config.carries(vlan_id) or not port_config.enabled:
             return None
-        if self.stp is not None and not self.stp.forwarding_allowed(port_number):
-            return None  # blocked / still listening: the loop stays broken
         # Access egress is always untagged; so is a trunk's native VLAN.
         return not (
             port_config.mode is PortMode.ACCESS or vlan_id == port_config.native_vlan
@@ -411,37 +383,26 @@ class LegacySwitch(Node):
         self.port(port_number).up = False
         self.config.port(port_number).enabled = False
         self.fdb.flush_port(port_number)
-        if self.stp is not None:
-            self.stp.port_down(port_number)
 
     def link_up(self, port_number: int) -> None:
         self.port(port_number).up = True
         self.config.port(port_number).enabled = True
-        if self.stp is not None:
-            self.stp.port_up(port_number)
 
     def power_off(self) -> None:
         """Crash the switch: every frame vanishes until :meth:`power_on`.
 
         Ports stay physically up (a hung supervisor, not pulled cables)
-        — neighbours detect the outage by silence, e.g. STP max-age.
+        — neighbours see no loss of light, only silence.
         """
-        if not self.running:
-            return
         self.running = False
-        if self.stp is not None:
-            self.stp.stop()
 
     def power_on(self) -> None:
         """Restart after a crash: dynamic state is lost, config survives.
 
         The dynamic FDB is empty (static entries are configuration and
-        come back with it) and the STP instance re-runs its election
-        from scratch, exactly like a power-cycled real bridge.
+        come back with it), exactly like a power-cycled real bridge.
         """
         if self.running:
             return
         self.running = True
         self.fdb.flush_dynamic()
-        if self.stp is not None:
-            self.stp.restart()

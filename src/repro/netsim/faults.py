@@ -10,12 +10,12 @@ fail action plus an optional timed restore:
   :meth:`repro.netsim.link.Link.set_down` (queued and in-flight frames
   are lost, new frames refused); the detected side calls
   ``link_down``/``link_up`` on any attached node that implements them
-  (legacy switches flush per-port FDB entries and notify STP).  Ports
+  (legacy switches flush per-port FDB entries).  Ports
   that were already administratively down stay down across the
   restore.
 * **Switch crash** — :meth:`switch_crash` power-cycles a legacy switch
-  (``power_off``/``power_on``: black-hole while off, dynamic FDB and
-  STP state lost on restart); :meth:`deployment_crash` crashes a
+  (``power_off``/``power_on``: black-hole while off, dynamic FDB
+  lost on restart); :meth:`deployment_crash` crashes a
   *migrated* site — the legacy half power-cycles and both S4 datapaths
   lose their flow tables (``reset_pipeline``), then the restore
   re-runs the HARMLESS bring-up: translator rules reinstalled and a

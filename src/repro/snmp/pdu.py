@@ -1,8 +1,9 @@
 """SNMP protocol data units (modelled, not BER-encoded).
 
-The transport substitution is documented in DESIGN.md: PDUs travel as
-objects over an in-memory management channel instead of UDP/BER, but
-carry the same fields and honour the same error semantics.
+The transport substitution is documented under "Substitutions" in
+docs/architecture.md: PDUs travel as objects over an in-memory
+management channel instead of UDP/BER, but carry the same fields and
+honour the same error semantics.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ controller channel that speaks serialised OpenFlow bytes.
 Forwarding performance is modelled by :class:`DatapathCostModel`, whose
 per-packet costs are calibrated to the ESwitch paper's reported
 single-core throughput — this is what makes the throughput/latency
-benchmarks meaningful (see DESIGN.md substitutions).
+benchmarks meaningful (see "Substitutions" in docs/architecture.md).
 """
 
 from repro.softswitch.compiler import CompiledProgram, compile_datapath

@@ -1,6 +1,6 @@
 """The docs lint's drift checks: the README layout table and paper-claims
-table, the module census and module references in the docs and in
-``src/`` roles.
+table, the module census, module references in the docs and in
+``src/`` roles, and the documents ``src/`` names.
 
 Each check is run on the repository itself (it must pass) and on a small
 synthetic tree whose docs have drifted (it must name the drift).
@@ -165,8 +165,8 @@ class TestModuleRoles:
         monkeypatch.setattr(sys, "path", list(sys.path))
         (tree / "src" / "repro" / "a" / "one.py").write_text(
             '"""Roles resolved against the importable ``repro`` package.\n\n'
-            ":mod:`repro.legacy.stp`, :class:`~repro.legacy.switch\n"
-            "    .LegacySwitch`, :attr:`repro.legacy.switch.LegacySwitch.stp`,\n"
+            ":mod:`repro.legacy.fdb`, :class:`~repro.legacy.switch\n"
+            "    .LegacySwitch`, :attr:`repro.legacy.switch.LegacySwitch.fdb`,\n"
             ":mod:`repro.legacy.gone`, :mod:`repro.legacy.switch.LegacySwitch`,\n"
             ':meth:`repro.netsim.link.Link.set_dwn`.\n"""\n'
             "#: Also in comments: :class:`repro.legacy.gone\n"
@@ -177,4 +177,20 @@ class TestModuleRoles:
             "src/repro/a/one.py: :mod:`repro.legacy.switch.LegacySwitch` does not resolve",
             "src/repro/a/one.py: :meth:`repro.netsim.link.Link.set_dwn` does not resolve",
             "src/repro/a/one.py: :class:`repro.legacy.gone.Meter` does not resolve",
+        ]
+
+
+class TestMarkdownNames:
+    def test_repository_names_only_existing_documents(self, docs_lint):
+        assert docs_lint.check_markdown_names() == []
+
+    def test_missing_document_is_named(self, docs_lint, tree):
+        (tree / "docs" / "guide.md").write_text("# Guide\n")
+        (tree / "src" / "repro" / "a" / "one.py").write_text(
+            '"""Substitutions are in DESIGN.md; the layers in docs/guide.md."""\n'
+            "# (see docs/gone.md)\n"
+        )
+        assert docs_lint.check_markdown_names() == [
+            "src/repro/a/one.py: names missing document DESIGN.md",
+            "src/repro/a/one.py: names missing document docs/gone.md",
         ]

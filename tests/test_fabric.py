@@ -291,7 +291,7 @@ def test_fleet_strict_raises_when_fabric_breaks():
 def _run_two_switch_scenario(migrate: bool) -> "list[bytes]":
     """Identical traffic through a 2-switch fabric; returns the exact
     bytes of every IPv4 frame the destination host received."""
-    fabric = ring_fabric(switches=2, hosts_per_switch=1, break_loop=True)
+    fabric = ring_fabric(switches=2, hosts_per_switch=1)
     src, dst = fabric.hosts
     if migrate:
         fleet = HarmlessFleet(fabric, wave_size=2, cost_model=ZERO)

@@ -152,9 +152,7 @@ def test_midwave_flap_leaves_fleet_strictly_clean():
         fleet.migrate_next_wave(verify=False)
     sim.run(until=at + 0.5)
 
-    report = fleet.await_reconvergence(
-        event="midwave-flap", window_s=0.25, deadline_s=10.0
-    )
+    report = fleet.await_reconvergence(window_s=0.25, deadline_s=10.0)
     assert report.converged, injector.log
     final = fleet.verify_reachability()
     assert final.ok, final.describe()

@@ -1,7 +1,7 @@
 """Fault-injection primitives: link loss, power cycles, channel loss.
 
-These are the building blocks the resilience suite and
-``benchmarks/bench_resilience.py`` compose: every primitive must lose
+These are the building blocks ``tests/test_resilience.py`` and the
+``XPAR-MIDWAVE`` claim compose: every primitive must lose
 exactly what a real failure loses (queued and in-flight frames, dynamic
 learned state, in-transit control messages) and nothing else, and must
 recover to a clean slate.

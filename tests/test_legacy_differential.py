@@ -5,7 +5,7 @@ that outlives the burst (``_lookup`` / ``_compile``), with a per-burst
 identity memo in front of it; it must be indistinguishable from a switch
 that sends every frame down ``_general_path``.  Seeded generative
 differential: each round draws a switch (VLAN layout, CAM size, aging,
-static entries, STP, a dead port, a lookup delay) and plays
+static entries, a dead port, a lookup delay) and plays
 the same traffic into two copies of it —
 
 * the **oracle**: ``_lookup`` always answers None, so every frame takes
@@ -26,7 +26,7 @@ import os
 import random
 from dataclasses import asdict
 
-from repro.legacy import LegacySwitch, PortState, SpanningTree
+from repro.legacy import LegacySwitch
 from repro.net.addresses import BROADCAST_MAC, MACAddress
 from repro.net.ethernet import ETHERTYPE_IPV4, Dot1QTag, EthernetFrame
 from repro.netsim import Link, Simulator
@@ -97,7 +97,6 @@ def draw_scenario(rng, delayed=False, calm=None):
         "trunk_native": rng.choice([None, 30]),
         "dead_port": dead_port,
         "dead_by_link_down": rng.random() < 0.5,
-        "stp_ports": rng.choice([(), (), (5,), (4, 5)]),
         "statics": statics[: capacity - 2],  # a CAM full of statics cannot learn
         # A calm round's stations mostly stay put and talk to their
         # neighbours, so decisions live long enough to be pulled from
@@ -138,10 +137,6 @@ def build(scenario, switch_type):
             switch.link_down(scenario["dead_port"])
         else:
             config.port(scenario["dead_port"]).enabled = False
-    if scenario["stp_ports"]:
-        # Alone, the bridge is root: its managed ports walk LISTENING ->
-        # LEARNING -> FORWARDING while the bursts arrive.
-        SpanningTree(switch, list(scenario["stp_ports"]), forward_delay_s=0.05)
     return sim, switch, peers
 
 
@@ -235,7 +230,6 @@ def observed(sim, switch, peers):
         "per_port_tx order": list(counters.per_port_tx),
         "drop reasons": dict(switch.drops),
         "fdb entries, fdb stats": learned(switch),
-        "stp": switch.stp and switch.stp.describe(),
         "egress bytes": [peer.frames for peer in peers],
         "port counters": [
             (p.tx_frames, p.tx_bytes, p.rx_frames, p.rx_bytes, p.tx_dropped)
@@ -345,7 +339,7 @@ def frame_for(key, payload):
 #: shuffled order, again and again.
 INTERVENTIONS = (
     "port enabled", "set_access", "add_static", "link", "power", "aging_s",
-    "apply_config", "stp", "age boundary",
+    "apply_config", "age boundary",
 )
 
 
@@ -400,26 +394,6 @@ def intervene(rng, kind, pair, ledger):
             config.set_trunk(4, {10, 20, 30}, native_vlan=new_native)
             switch.apply_config(config)
         ledger["apply_config while cached"] += cached
-    elif kind == "stp":
-        if dut.stp is None:
-            # A bridge that gets spanning tree while it forwards: the
-            # managed ports go LISTENING and nothing is flushed.
-            ports = rng.choice([(1,), (2, 4), (3, 5)])
-            ledger["STP attached under a cached decision"] += any(
-                touches(dut, number) for number in ports
-            )
-            for switch in pair:
-                SpanningTree(switch, list(ports), forward_delay_s=0.05)
-        elif dut.stp.running:
-            # Halted, not crashed: every managed port BLOCKING, no flush.
-            ledger["STP halted under a cached decision"] += any(
-                dut.stp.handles(hop.out_port) for hop in live_hops(dut).values()
-            )
-            for switch in pair:
-                switch.stp.stop()
-        else:
-            for switch in pair:
-                switch.stp.start()
     else:
         assert kind == "age boundary"
         candidates = [
@@ -462,12 +436,9 @@ def test_cached_switch_matches_general_path_only_switch():
             "power cycle while cached",
             "fdb.aging_s changed while cached",
             "apply_config while cached",
-            "STP attached under a cached decision",
-            "STP halted under a cached decision",
             "decisions replayed right after an intervention",
             "hit with target age == aging_s",
             "miss one ulp past aging_s",
-            "cached egress through an STP port",
             "moves",
             "evictions from a 4-entry CAM",
             "flooded",
@@ -475,7 +446,6 @@ def test_cached_switch_matches_general_path_only_switch():
         ],
         0,
     )
-    stp_states = set()
     position = (0, 0)
     try:
         delay_free = sum(not delayed for delayed, _ in ROUND_CYCLE)
@@ -555,14 +525,6 @@ def test_cached_switch_matches_general_path_only_switch():
                     ledger["frames bridged with a lookup delay"] += len(frames)
                 elif unrolled:
                     ledger["cache hits by single-frame receive"] += probe.hits - hits
-                if dut_switch.stp is not None:
-                    stp_states.update(
-                        dut_switch.stp.port_state(p) for p in scenario["stp_ports"]
-                    )
-                    ledger["cached egress through an STP port"] += any(
-                        hop.out_port in scenario["stp_ports"]
-                        for hop in live_hops(dut_switch).values()
-                    )
             ledger["frames"] += dut_switch.counters.rx_frames
             ledger["frames kept off the general path"] += (
                 dut_switch.counters.rx_frames - probe.general
@@ -591,7 +553,6 @@ def test_cached_switch_matches_general_path_only_switch():
     assert all(ledger.values()), ledger
     assert ledger["cache hits across bursts"] > 100 * SCALE, ledger
     assert ledger["frames kept off the general path"] > 1000 * SCALE, ledger
-    assert {PortState.LISTENING, PortState.LEARNING, PortState.FORWARDING} <= stp_states
 
 
 def test_a_cache_hit_moves_only_counters_and_the_sources_learned_at():

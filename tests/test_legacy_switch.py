@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.legacy import LegacySwitch, PortMode, RunningConfig, SpanningTree
+from repro.legacy import LegacySwitch, PortMode, RunningConfig
 from repro.net import EthernetFrame, IPv4Address, MACAddress
 from repro.net.addresses import BROADCAST_MAC as BROADCAST
 from repro.net.ethernet import Dot1QTag
@@ -306,12 +306,10 @@ class TestDropReasons:
         self.walk(switch, sim, send(1, frame(A, C)), "no-ports")
         for number in (2, 4):
             switch.config.port(number).enabled = True
-        SpanningTree(switch, [4])  # port 4 starts LISTENING
-        self.walk(switch, sim_until(sim, 0.0), send(4, frame(C, A, 10)), "ingress-filtered:stp")
         switch.power_off()
-        self.walk(switch, sim_until(sim, 0.0), send(1, frame(A, B)), "powered-off")
+        self.walk(switch, sim, send(1, frame(A, B)), "powered-off")
         burst = lambda: taps[0].port(1).send_burst([frame(A, B)] * 3)  # noqa: E731
-        self.walk(switch, sim_until(sim, 0.0), burst, "powered-off", count=3)
+        self.walk(switch, sim, burst, "powered-off", count=3)
         counters = switch.counters
         assert counters.filtered_ingress == sum(
             count for name, count in switch.drops.items() if name.startswith("ingress-filtered:")
@@ -327,17 +325,6 @@ class TestDropReasons:
         sim.run(until=sim.now + 1e-3)
         assert switch.drops == {"powered-off": 2}
         assert not any(tap.received for tap in taps)
-
-
-def sim_until(sim, horizon):
-    """A stand-in whose ``run()`` stops at now + *horizon*: with STP
-    attached the event queue never drains."""
-
-    class Bounded:
-        def run(self):
-            sim.run(until=sim.now + horizon)
-
-    return Bounded()
 
 
 class TestForwardingCache:
@@ -406,15 +393,16 @@ class TestForwardingCache:
             (lambda sw: sw.config.port(2).allowed_vlans.add(10)
                 or setattr(sw.config.port(2), "mode", PortMode.TRUNK), "tagged"),
             (lambda sw: sw.link_down(2), "flooded"),
+            (lambda sw: (sw.link_down(2), sw.link_up(2)), "flooded"),
             (lambda sw: sw.fdb.add_static(10, B, 4), "tagged on 4"),
             (lambda sw: sw.fdb.add_static(10, B, 1), "hairpin"),
+            # A static entry onto an access port of another VLAN.
+            (lambda sw: sw.fdb.add_static(10, B, 3), "egress-filtered"),
             (lambda sw: sw.fdb.flush_vlan(10), "flooded"),
             (lambda sw: sw.fdb.expire(1e9), "flooded"),
             (lambda sw: setattr(sw.fdb, "aging_s", -1.0), "flooded"),
+            (lambda sw: sw.power_off(), "powered-off"),
             (lambda sw: (sw.power_off(), sw.power_on()), "flooded"),
-            (lambda sw: SpanningTree(sw, [1]), "ingress-filtered:stp"),
-            (lambda sw: SpanningTree(sw, [2]), "egress-filtered"),
-            (lambda sw: SpanningTree(sw, [2]).stop(), "egress-filtered"),
             # A config without ports: they are made on first touch, alone in VLAN 1.
             (lambda sw: sw.apply_config(RunningConfig()), "no-ports"),
             (lambda sw: (sw.apply_config(sw.config.copy()),
@@ -435,7 +423,7 @@ class TestForwardingCache:
         else:
             taps[0].port(1).send(frame(A, B))
         sim.run(until=0.002)
-        new_on_2 = [f for f in taps[1].received[1:] if f.src == A]  # not STP's BPDUs
+        new_on_2 = taps[1].received[1:]
         if outcome == "flooded":
             assert switch.counters.flooded == floods + (2 if burst else 1)
         elif outcome == "tagged":
@@ -498,22 +486,6 @@ class TestForwardingCache:
         taps[3].port(1).send(frame(C, B, 10))
         sim.run(until=1.0)
         assert switch.counters.flooded == floods + 2
-
-    def test_stp_stop_without_a_flush_is_seen_at_the_hit(self):
-        sim, switch, taps = build_taps()
-        stp = SpanningTree(switch, [2], forward_delay_s=0.01)
-        sim.run(until=0.1)  # port 2 is FORWARDING; the walk flushed the FDB
-        taps[1].port(1).send(frame(B, A))
-        taps[0].port(1).send(frame(A, B))
-        taps[0].port(1).send(frame(A, B))
-        sim.run(until=0.2)
-        assert len([f for f in taps[1].received if f.src == A]) == 2
-        assert any(hop.out_port == 2 for hop in switch._hops.values())
-        stp.stop()  # every managed port BLOCKING, nothing flushed
-        taps[0].port(1).send(frame(A, B))
-        sim.run(until=0.3)
-        assert len([f for f in taps[1].received if f.src == A]) == 2
-        assert switch.drops["egress-filtered"] == 1
 
     def test_cache_is_emptied_not_grown_by_mac_churn(self):
         sim, switch, taps = build_taps()

@@ -45,6 +45,10 @@ a module cannot leave prose or a docstring pointing at it.
 (``benchmarks/EXPERIMENTS.md`` is a lab notebook of past runs and
 names deleted modules on purpose; it is left out.)
 
+And markdown names: every ``*.md`` a ``src/`` file names (in its
+docstrings or comments) must exist as a path from the repository root,
+so a docstring cannot send its reader to a document that is not there.
+
 Run from the repository root (CI does)::
 
     python tools/docs_lint.py
@@ -407,6 +411,23 @@ def check_module_roles() -> "list[str]":
     return problems
 
 
+#: A ``*.md`` name, with or without its directory.
+MARKDOWN_NAME_RE = re.compile(r"(?<![\w./-])([\w./-]*\w\.md)\b")
+
+
+def check_markdown_names() -> "list[str]":
+    """Every ``*.md`` a ``src/`` file names exists, from the repo root."""
+    problems = []
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        names = set(MARKDOWN_NAME_RE.findall(path.read_text(encoding="utf-8")))
+        problems += [
+            f"{path.relative_to(REPO_ROOT)}: names missing document {name}"
+            for name in sorted(names)
+            if not (REPO_ROOT / name).is_file()
+        ]
+    return problems
+
+
 def main() -> int:
     files = list(iter_markdown_files())
     problems = []
@@ -423,13 +444,14 @@ def main() -> int:
     problems.extend(check_module_census())
     problems.extend(check_module_paths())
     problems.extend(check_module_roles())
+    problems.extend(check_markdown_names())
     print(f"docs-lint: checked {len(files)} markdown file(s)")
     if problems:
         for problem in problems:
             print(f"  {problem}", file=sys.stderr)
         print(f"FAIL: {len(problems)} problem(s)", file=sys.stderr)
         return 1
-    print("PASS: links, named benches, modules and class attributes resolve, "
+    print("PASS: links, named benches, modules, documents and class attributes resolve, "
           "README counts, the paper-claims table and the module census match "
           "the tree")
     return 0
