@@ -1,0 +1,181 @@
+"""The mutation ledger: bugs this repository has had, and the suites that kill them.
+
+Each :class:`Mutant` replaces *anchor*, which must occur exactly once
+in ``src/repro/<path>``, with *replacement*, and names the test files
+expected to fail on the result.  ``python tools/mutants.py`` applies
+each one to a copy of ``src/`` and runs its killers with ``-x -q``;
+``tests/test_differential_kit.py`` checks in tier-1 that every anchor
+still occurs exactly once.  A refactor that moves mutated code updates
+its anchor in the same change; a deletion deletes its mutants.
+"""
+
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    path: str  # under src/repro/
+    anchor: str
+    replacement: str
+    bug: str  # what it stands for, and the PR that found or fixed it
+    killers: tuple  # test files under tests/
+    #: A test file the mutant survived at the parent of the change that
+    #: added it (the blind spot that change closed), or None.
+    survived_before: "str | None" = None
+
+
+LINK_WIRING = (
+    '        port_a._tx_direction = self._a_to_b\n'
+    '        port_b._tx_direction = self._b_to_a\n'
+    '\n'
+    '    def disconnect(self) -> None:\n'
+    '        """Unwire both ports (re-cabling / failed-deployment cleanup).\n'
+    '\n'
+    '        Frames already serialised onto the wire still deliver; the\n'
+    '        ports just stop being attached for future sends, and may be\n'
+    '        wired to a new link afterwards.\n'
+    '        """\n'
+    '        for port in (self.port_a, self.port_b):\n'
+    '            if port.link is self:\n'
+    '                port.link = None\n'
+    '                port._tx_direction = None\n'
+)
+
+
+MUTANTS = [
+    Mutant(
+        "softswitch/flowtable.py",
+        "entry.sort_key = (-entry.priority, entry.installed_at, entry.seq)",
+        "entry.sort_key = (-entry.priority, entry.seq)",
+        "arbitration between equal priorities ignores installed_at",
+        ("test_classifier_differential.py",),
+    ),
+    Mutant(
+        "legacy/fdb.py",
+        "                self.move_events += 1\n                self.generation += 1\n",
+        "                self.move_events += 1\n",
+        "an FDB move keeps the generation: a cached hop outlives a re-point (PR 22)",
+        ("test_legacy_differential.py",),
+    ),
+    Mutant(
+        "legacy/switch.py",
+        "            hops[key] = hop\n",
+        "            pass\n",
+        "the legacy forwarding cache never stores a hop (PR 38)",
+        ("test_legacy_differential.py",),
+    ),
+    Mutant(
+        "netsim/link.py",
+        # From the wiring through disconnect(): the record is set only
+        # when the port has none, and never cleared.
+        LINK_WIRING,
+        LINK_WIRING.replace(
+            "_tx_direction = self._a_to_b", "_tx_direction = port_a._tx_direction or self._a_to_b"
+        ).replace(
+            "_tx_direction = self._b_to_a", "_tx_direction = port_b._tx_direction or self._b_to_a"
+        ).replace("                port._tx_direction = None\n", ""),
+        "a re-wired port keeps its old link's transmit record (PR 38)",
+        ("test_netsim_simulator.py",),
+    ),
+    Mutant(
+        "softswitch/datapath.py",
+        "message.table_id < instruction.table_id < len(self.tables)",
+        "instruction.table_id < len(self.tables)",
+        "a GotoTable that does not increase is installed (PR 15)",
+        ("test_softswitch.py",),
+    ),
+    Mutant(
+        "softswitch/datapath.py",
+        "                reason = breaks_shape(program)\n",
+        "                breaks_shape(program)\n",
+        "a compiled program kept across a shape change (PR 24)",
+        ("test_specialized_differential.py",),
+    ),
+    Mutant(
+        "softswitch/datapath.py",
+        "                program.flush(dead)\n",
+        "                pass\n",
+        "a patch that keeps the removed entries' decisions (PR 14)",
+        ("test_specialized_differential.py",),
+    ),
+    Mutant(
+        "softswitch/compiler.py",
+        "            if mask == FULL_MASKS[slot]:",
+        "            if mask == FULL_MASKS[slot] or slot in (1, 4):",
+        "eth_dst and vlan_vid probed bare whatever their mask (PR 35)",
+        ("test_classifier_differential.py", "test_specialized_differential.py"),
+    ),
+    Mutant(
+        "softswitch/compiler.py",
+        '                none_guards.append(f"v{slot} is not None")\n',
+        "",
+        "a partial mask probed without its None guard (PR 35)",
+        ("test_specialized_differential.py",),
+    ),
+    Mutant(
+        "softswitch/flowtable.py",
+        "        elif subtable.max_priority != bound:\n            self._staged_dirty = True\n",
+        "",
+        "no re-sort of the probe order when a subtable's bound falls (PR 35)",
+        ("test_classifier_differential.py", "test_subtables.py"),
+    ),
+    Mutant(
+        "softswitch/flowtable.py",
+        "-subtable.max_priority > best.sort_key[0]:",
+        "-subtable.max_priority >= best.sort_key[0]:",
+        "the probe gate skips a subtable that can still win a tie (PR 35)",
+        ("test_classifier_differential.py",),
+    ),
+    Mutant(
+        "netsim/simulator.py",
+        "        time = self._now + delay\n        entry = [time, next(self._seq), callback, args]\n"
+        "        lane = self._lane\n        if not lane or lane[-1][0] <= time:\n",
+        "        time = self._now + delay\n        entry = [time, next(self._seq), callback, args]\n"
+        "        lane = self._lane\n        if not lane or lane[0][0] <= time:\n",
+        "schedule's tail test reads lane[0] (PR 37)",
+        ("test_netsim_simulator.py",),
+    ),
+    Mutant(
+        "netsim/simulator.py",
+        "            lane += live\n",
+        "",
+        "compaction clears the lane without refilling it (PR 37)",
+        ("test_netsim_simulator.py",),
+    ),
+    Mutant(
+        "netsim/simulator.py",
+        "run = sorted([*lane, *entries])",
+        "run = [*lane, *entries]",
+        "schedule_many extends the lane without sorting (PR 37)",
+        ("test_netsim_simulator.py",),
+    ),
+    Mutant(
+        "netsim/simulator.py",
+        "                    time, _, callback, args = entry = lane[0]\n",
+        "                    time, _, callback, args = entry = lane[-1]\n",
+        "the run loop reads lane[-1] as the lane's head (PR 37)",
+        ("test_netsim_simulator.py",),
+    ),
+    Mutant(
+        "netsim/simulator.py",
+        "        if not time >= self._now:\n",
+        "        if time < self._now:\n",
+        "schedule_at accepts NaN as a time (PR 33)",
+        ("test_netsim_simulator.py",),
+    ),
+    Mutant(
+        "net/ethernet.py",
+        "        self._wire_length = 14 + 4 * len(self._tags) + max(len(payload), MIN_PAYLOAD)\n",
+        "",
+        "an assigned payload is not re-measured (PR 19)",
+        ("test_net_ethernet.py",),
+    ),
+    Mutant(
+        "softswitch/compiler.py",
+        'DROPS["table-miss"] += missed',
+        'DROPS["no-such-port"] += missed',
+        "a compiled burst books its table misses as no-such-port: only drops by\n"
+        "reason tell, which the classifier suite once left uncompared",
+        ("test_classifier_differential.py",),
+        survived_before="test_classifier_differential.py",
+    ),
+]

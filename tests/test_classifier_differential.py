@@ -6,19 +6,16 @@ the seed's linear scan, either per-lookup (randomized flow tables and
 packets) or end-to-end (two switches, one with the fast path disabled,
 fed the same traffic, control-plane mutations included).
 
-Set ``DIFFERENTIAL_SCALE=<n>`` to multiply the randomized case counts
-(the nightly extended job runs at 5×).
+Generators, rig and comparator come from ``differential.py``; the
+classifier family draws every field a match can constrain.
 """
 
-import os
 import random
 
-from repro.net import EthernetFrame, IPv4Address, MACAddress
-from repro.net.build import tcp_frame, udp_frame
-from repro.net.tcp import TcpSegment
-from repro.netsim import Simulator
-from repro.netsim.link import wire
-from repro.netsim.node import Node
+import pytest
+
+from repro.net import EthernetFrame
+from repro.net.build import udp_frame
 from repro.openflow import (
     ApplyActions,
     Bucket,
@@ -34,71 +31,25 @@ from repro.openflow import (
 )
 from repro.openflow import consts as c
 from repro.openflow.packetview import FLOW_KEY_FIELDS, PacketView
-from repro.softswitch import DatapathCostModel, SoftSwitch
 from repro.softswitch.flowtable import FlowEntry, FlowTable
 
-from match_gen import random_eth_dst, random_vlan_vid, whole
+from differential import (
+    CHURN_FAMILIES, IPS, MACS, MATCH_FAMILIES, SCALE, SELECT_GROUP, assert_identical, build_rig,
+    install, output, random_churn_message, random_frame, random_match,
+)
 
-ZERO_COST = DatapathCostModel.zero()
+def classifier_match(rng) -> Match:
+    """Every field a match can constrain, four VLANs."""
+    return random_match(rng, **MATCH_FAMILIES["classifier"])
 
-MACS = [MACAddress(0x020000000001 + i) for i in range(4)]
-IPS = [IPv4Address(f"10.0.{i // 4}.{i % 4 + 1}") for i in range(8)]
-PORTS = [53, 80, 443, 8080]
+
+def classifier_frame(rng) -> EthernetFrame:
+    return random_frame(rng, arp=0.0, udp=0.5, vids=(100, 101, 102, 103))
 
 
 # --------------------------------------------------------------------------
 # Randomized differential: classifier lookup vs an independent linear scan
 # --------------------------------------------------------------------------
-
-
-def random_match(rng: random.Random) -> Match:
-    """A random mix of whole-field, masked and VLAN constraints."""
-    fields: dict = {}
-    if rng.random() < 0.5:
-        fields["in_port"] = whole(rng, "in_port", rng.randint(1, 3))
-    if rng.random() < 0.4:
-        fields["eth_type"] = whole(rng, "eth_type", 0x0800)
-    if rng.random() < 0.3:
-        fields["eth_src"] = whole(rng, "eth_src", int(rng.choice(MACS)))
-    if rng.random() < 0.3:
-        fields["eth_dst"] = random_eth_dst(rng, MACS)
-    if rng.random() < 0.3:
-        fields["vlan_vid"] = random_vlan_vid(rng, (100, 103))
-    if rng.random() < 0.4:
-        value = int(rng.choice(IPS))
-        if rng.random() < 0.5:  # a prefix: a partial-mask subtable
-            bits = rng.choice((8, 16, 24))
-            mask = (0xFFFFFFFF << (32 - bits)) & 0xFFFFFFFF
-            fields["ipv4_src"] = (value & mask, mask)
-        else:
-            fields["ipv4_src"] = whole(rng, "ipv4_src", value)
-    if rng.random() < 0.4:
-        value = int(rng.choice(IPS))
-        if rng.random() < 0.5:
-            bits = rng.choice((8, 16, 24))
-            mask = (0xFFFFFFFF << (32 - bits)) & 0xFFFFFFFF
-            fields["ipv4_dst"] = (value & mask, mask)
-        else:
-            fields["ipv4_dst"] = whole(rng, "ipv4_dst", value)
-    if rng.random() < 0.3:
-        name = rng.choice(("udp_dst", "udp_src", "tcp_dst", "tcp_src"))
-        fields[name] = whole(rng, name, rng.choice(PORTS))
-    return Match(**fields)
-
-
-def random_frame(rng: random.Random) -> EthernetFrame:
-    src_mac, dst_mac = rng.choice(MACS), rng.choice(MACS)
-    src_ip, dst_ip = rng.choice(IPS), rng.choice(IPS)
-    vlan_id = rng.choice((None, None, 100, 101, 102, 103))
-    if rng.random() < 0.5:
-        return udp_frame(
-            src_mac, dst_mac, src_ip, dst_ip,
-            rng.choice(PORTS), rng.choice(PORTS), b"x", vlan_id=vlan_id,
-        )
-    return tcp_frame(
-        src_mac, dst_mac, src_ip, dst_ip,
-        TcpSegment(rng.choice(PORTS), rng.choice(PORTS)), vlan_id=vlan_id,
-    )
 
 
 def reference_lookup(table: FlowTable, view: PacketView, now: float):
@@ -120,10 +71,6 @@ def reference_lookup(table: FlowTable, view: PacketView, now: float):
     return None
 
 
-#: Case-count multiplier; the nightly extended job sets this to 5.
-SCALE = max(1, int(os.environ.get("DIFFERENTIAL_SCALE", "1")))
-
-
 class TestRandomizedDifferential:
     def test_classifier_matches_linear_reference(self):
         """≥1000 random (flow table, packet) cases, zero divergence."""
@@ -133,14 +80,14 @@ class TestRandomizedDifferential:
             table = FlowTable(table_id=0)
             for i in range(rng.randint(5, 40)):
                 entry = FlowEntry(
-                    match=random_match(rng),
+                    match=classifier_match(rng),
                     priority=rng.randint(0, 4),  # deliberate collisions
                     instructions=[],
                 )
                 # Staggered install times with repeats (bulk-push shape).
                 table.install(entry, now=float(rng.randint(0, 2)))
             for _ in range(60):
-                frame = random_frame(rng)
+                frame = classifier_frame(rng)
                 in_port = rng.randint(1, 3)
                 now = 3.0
                 fast = table.lookup(PacketView(frame, in_port), now)
@@ -160,7 +107,7 @@ class TestRandomizedDifferential:
         entries = []
         for _ in range(40):
             entry = FlowEntry(
-                match=random_match(rng),
+                match=classifier_match(rng),
                 priority=rng.randint(0, 3),
                 idle_timeout=rng.choice((0.0, 0.0, 2.0)),
                 hard_timeout=rng.choice((0.0, 0.0, 1.5)),
@@ -172,7 +119,7 @@ class TestRandomizedDifferential:
             table.delete(entry.match, strict=False)
         for now in (0.5, 1.0, 1.6, 2.5):
             for _ in range(30):
-                frame = random_frame(rng)
+                frame = classifier_frame(rng)
                 view = PacketView(frame, rng.randint(1, 3))
                 assert table.lookup(view, now) is reference_lookup(table, view, now)
 
@@ -202,251 +149,116 @@ class TestRandomizedDifferential:
 # --------------------------------------------------------------------------
 
 
-class Sink(Node):
-    def __init__(self, sim, name):
-        super().__init__(sim, name)
-        self.received = []
+#: A multi-table pipeline with masked flows, write-actions, a group.
+PIPELINE = (
+    SELECT_GROUP,
+    # Table 0: exact ingress steering + masked subnet rule.
+    FlowMod(table_id=0, priority=10, match=Match(in_port=1), instructions=[GotoTable(table_id=1)]),
+    FlowMod(table_id=0, priority=5, instructions=output(3),
+            match=Match(eth_type=0x0800, ipv4_dst=("10.0.1.0", "255.255.255.0"))),
+    # Table 1: L4 classification into the select group + rewrite.
+    FlowMod(
+        table_id=1, priority=20, match=Match(eth_type=0x0800, udp_dst=53),
+        instructions=[ApplyActions(actions=(
+            SetFieldAction(field="eth_dst", value=int(MACS[3])), GroupAction(group_id=1),
+        ))],
+    ),
+    FlowMod(table_id=1, priority=1, match=Match(), instructions=[
+        WriteActions(actions=(OutputAction(port=2),)), GotoTable(table_id=2),
+    ]),
+    FlowMod(table_id=2, priority=0, match=Match(), instructions=[]),
+)
 
-    def receive(self, port, frame):
-        self.received.append((self.sim.now, frame.to_bytes()))
+
+#: The same walk with nothing the compiler rejects: the default switch
+#: serves it compiled.
+COMPILED = PIPELINE[:3] + (
+    FlowMod(table_id=1, priority=20, match=Match(eth_type=0x0800, udp_dst=53),
+            instructions=[ApplyActions(actions=(GroupAction(group_id=1),))]),
+    FlowMod(table_id=1, priority=1, match=Match(),
+            instructions=[*output(2), GotoTable(table_id=2)]),
+    PIPELINE[-1],
+)
+PIPELINES = pytest.mark.parametrize("pipeline", [PIPELINE, COMPILED],
+                                    ids=["interpreted", "compiled"])
 
 
-def build_pair(num_ports=3):
+def build_pair(pipeline):
     """Two identically-provisioned switches: fast path on vs off."""
-    rigs = []
-    for enable in (True, False):
-        sim = Simulator()
-        switch = SoftSwitch(
-            sim, "ss", datapath_id=1, cost_model=ZERO_COST, enable_fast_path=enable
-        )
-        sinks = []
-        for index in range(num_ports):
-            sink = Sink(sim, f"sink{index}")
-            wire(
-                switch,
-                sink,
-                bandwidth_bps=None,
-                propagation_delay_s=0.0,
-                queue_frames=10_000,  # burst-injected traffic must not tail-drop
-            )
-            sinks.append(sink)
-        rigs.append((sim, switch, sinks))
-    return rigs
+    return [build_rig(pipeline, controller=True, enable_fast_path=enable)
+            for enable in (True, False)]
 
 
-def provision(switch):
-    """A multi-table pipeline with masked flows, write-actions, a group."""
-    messages = [
-        GroupMod(
-            command=c.OFPGC_ADD,
-            group_type=c.OFPGT_SELECT,
-            group_id=1,
-            buckets=[
-                Bucket(actions=[OutputAction(port=2)], weight=1),
-                Bucket(actions=[OutputAction(port=3)], weight=2),
-            ],
-        ),
-        # Table 0: exact ingress steering + masked subnet rule.
-        FlowMod(
-            table_id=0,
-            priority=10,
-            match=Match(in_port=1),
-            instructions=[GotoTable(table_id=1)],
-        ),
-        FlowMod(
-            table_id=0,
-            priority=5,
-            match=Match(eth_type=0x0800, ipv4_dst=("10.0.1.0", "255.255.255.0")),
-            instructions=[ApplyActions(actions=(OutputAction(port=3),))],
-        ),
-        # Table 1: L4 classification into the select group + rewrite.
-        FlowMod(
-            table_id=1,
-            priority=20,
-            match=Match(eth_type=0x0800, udp_dst=53),
-            instructions=[
-                ApplyActions(
-                    actions=(
-                        SetFieldAction(field="eth_dst", value=int(MACS[3])),
-                        GroupAction(group_id=1),
-                    )
-                )
-            ],
-        ),
-        FlowMod(
-            table_id=1,
-            priority=1,
-            match=Match(),
-            instructions=[
-                WriteActions(actions=(OutputAction(port=2),)),
-                GotoTable(table_id=2),
-            ],
-        ),
-        FlowMod(table_id=2, priority=0, match=Match(), instructions=[]),
-    ]
-    for message in messages:
-        assert switch.handle_message(message.to_bytes()) == []
+def play(rigs, frames):
+    """Each frame a fresh copy into both switches, mostly on port 1."""
+    for frame, in_port in frames:
+        for rig in rigs:
+            rig.switch.inject(frame.copy(), in_port)
+
+
+def served_compiled(rigs, pipeline) -> bool:
+    return (rigs[0].switch.specialized_frames > 0) == (pipeline is COMPILED)
 
 
 class TestEndToEndDifferential:
-    def test_pipeline_outputs_and_counters_identical(self):
-        (sim_a, fast, sinks_a), (sim_b, slow, sinks_b) = build_pair()
-        provision(fast)
-        provision(slow)
+    @PIPELINES
+    def test_pipeline_outputs_and_counters_identical(self, pipeline):
+        rigs = build_pair(pipeline)
         rng = random.Random(0x5EED)
-        frames = [random_frame(rng) for _ in range(40)]
+        frames = [classifier_frame(rng) for _ in range(40)]
         # Steady-state mix: every frame replayed several times.
         schedule = [frames[rng.randrange(len(frames))] for _ in range(400 * SCALE)]
-        for frame in schedule:
-            in_port = 1 if rng.random() < 0.7 else 2
-            fast.inject(frame.copy(), in_port)
-            slow.inject(frame.copy(), in_port)
-        sim_a.run()
-        sim_b.run()
-        for sink_a, sink_b in zip(sinks_a, sinks_b):
-            assert sink_a.received == sink_b.received
-        assert fast.packets_forwarded == slow.packets_forwarded
-        assert fast.packets_dropped == slow.packets_dropped
-        # Per-flow counters, group/bucket counters, table stats.
-        assert fast.dump_pipeline() == slow.dump_pipeline()
-        for table_f, table_s in zip(fast.tables, slow.tables):
-            assert table_f.lookups == table_s.lookups
-            assert table_f.matches == table_s.matches
-        group_f, group_s = fast.groups.get(1), slow.groups.get(1)
-        assert group_f.packet_count == group_s.packet_count
-        assert group_f.bucket_packet_counts == group_s.bucket_packet_counts
+        play(rigs, [(frame, 1 if rng.random() < 0.7 else 2) for frame in schedule])
+        for rig in rigs:
+            rig.sim.run()
+        assert_identical(*rigs)
+        assert served_compiled(rigs, pipeline)
 
-    def test_table_miss_is_cached_and_identical(self):
+    @PIPELINES
+    def test_table_miss_is_cached_and_identical(self, pipeline):
         """Repeated table misses drop identically on both switches."""
-        (sim_a, fast, _), (sim_b, slow, _) = build_pair()
-        provision(fast)
-        provision(slow)
+        rigs = build_pair(pipeline)
         frame = udp_frame(MACS[0], MACS[1], IPS[0], IPS[1], 1000, 9999, b"x")
-        for _ in range(5):
-            fast.inject(frame.copy(), in_port=3)  # no table-0 rule matches
-            slow.inject(frame.copy(), in_port=3)
-        sim_a.run()
-        sim_b.run()
-        assert fast.packets_dropped == slow.packets_dropped == 5
+        play(rigs, [(frame, 3)] * 5)  # no table-0 rule matches
+        for rig in rigs:
+            rig.sim.run()
+        assert_identical(*rigs)
+        assert rigs[0].switch.drops == {"table-miss": 5}
+        assert served_compiled(rigs, pipeline)
 
 
 # --------------------------------------------------------------------------
 # Churn-interleaved differential: control-plane mutations mid-traffic
 # --------------------------------------------------------------------------
 
-
-def random_instructions(rng: random.Random, table_id: int):
-    """Random but well-formed instruction lists (goto only increases)."""
-    roll = rng.random()
-    if roll < 0.15:
-        return []  # explicit drop
-    actions = [OutputAction(port=rng.randint(1, 3))]
-    if rng.random() < 0.2:
-        actions.insert(
-            0, SetFieldAction(field="eth_dst", value=int(rng.choice(MACS)))
-        )
-    if rng.random() < 0.15:
-        actions = [GroupAction(group_id=1)]
-    instructions = [ApplyActions(actions=tuple(actions))]
-    if table_id < 2 and rng.random() < 0.3:
-        instructions.append(GotoTable(table_id=rng.randint(table_id + 1, 2)))
-    return instructions
-
-
-def random_churn_message(rng: random.Random):
-    """A random control-plane mutation (FlowMod add/delete/modify,
-    GroupMod) — the churn stream both switches must absorb identically."""
-    roll = rng.random()
-    if roll < 0.5:
-        table_id = rng.randint(0, 2)
-        return FlowMod(
-            table_id=table_id,
-            command=c.OFPFC_ADD,
-            match=random_match(rng),
-            priority=rng.randint(0, 30),
-            instructions=random_instructions(rng, table_id),
-        )
-    if roll < 0.7:
-        return FlowMod(
-            table_id=rng.randint(0, 2),
-            command=rng.choice((c.OFPFC_DELETE, c.OFPFC_DELETE_STRICT)),
-            match=random_match(rng),
-            priority=rng.randint(0, 30),
-        )
-    if roll < 0.9:
-        table_id = rng.randint(0, 2)
-        return FlowMod(
-            table_id=table_id,
-            command=rng.choice((c.OFPFC_MODIFY, c.OFPFC_MODIFY_STRICT)),
-            match=random_match(rng),
-            priority=rng.randint(0, 30),
-            instructions=random_instructions(rng, table_id),
-        )
-    return GroupMod(
-        command=c.OFPGC_MODIFY,
-        group_type=c.OFPGT_SELECT,
-        group_id=1,
-        buckets=[
-            Bucket(actions=[OutputAction(port=rng.randint(1, 3))], weight=1),
-            Bucket(actions=[OutputAction(port=rng.randint(1, 3))], weight=rng.randint(1, 3)),
-        ],
-    )
-
-
 class TestChurnInterleavedDifferential:
-    def test_outputs_identical_under_sustained_churn(self):
+    @PIPELINES
+    def test_outputs_identical_under_sustained_churn(self, pipeline):
         """Packets and control-plane mutations interleaved at random:
         the default switch must stay bit-identical to the linear-scan
         pipeline through adds, deletes, modifies and group rewrites."""
-        (sim_a, fast, sinks_a), (sim_b, slow, sinks_b) = build_pair()
-        provision(fast)
-        provision(slow)
+        rigs = build_pair(pipeline)
         rng = random.Random(0xC0DE)
-        frames = [random_frame(rng) for _ in range(30)]
+        frames = [classifier_frame(rng) for _ in range(30)]
         packets = 0
         for _ in range(700 * SCALE):
             if rng.random() < 0.15:
-                message = random_churn_message(rng).to_bytes()
-                replies_fast = fast.handle_message(message)
-                replies_slow = slow.handle_message(message)
-                assert replies_fast == replies_slow
+                message = random_churn_message(rng, **CHURN_FAMILIES["classifier"]).to_bytes()
+                replies = [rig.switch.handle_message(message) for rig in rigs]
+                assert replies[0] == replies[1]
             else:
                 frame = frames[rng.randrange(len(frames))]
-                in_port = 1 if rng.random() < 0.7 else 2
-                fast.inject(frame.copy(), in_port)
-                slow.inject(frame.copy(), in_port)
+                play(rigs, [(frame, 1 if rng.random() < 0.7 else 2)])
                 packets += 1
-        sim_a.run()
-        sim_b.run()
+        for rig in rigs:
+            rig.sim.run()
         assert packets > 500
-        for sink_a, sink_b in zip(sinks_a, sinks_b):
-            assert sink_a.received == sink_b.received
-        assert fast.packets_forwarded == slow.packets_forwarded
-        assert fast.packets_dropped == slow.packets_dropped
-        assert fast.dump_pipeline() == slow.dump_pipeline()
-        for table_f, table_s in zip(fast.tables, slow.tables):
-            assert table_f.lookups == table_s.lookups
-            assert table_f.matches == table_s.matches
+        assert_identical(*rigs)
 
 
 # --------------------------------------------------------------------------
 # Mutations mid-traffic redirect the next frame: FlowMod, GroupMod, expiry
 # --------------------------------------------------------------------------
-
-
-def build_switch(num_sinks=3):
-    sim = Simulator()
-    switch = SoftSwitch(sim, "ss", datapath_id=1, cost_model=ZERO_COST)
-    sinks = []
-    for index in range(num_sinks):
-        sink = Sink(sim, f"sink{index + 1}")
-        wire(switch, sink, bandwidth_bps=None, propagation_delay_s=0.0)
-        sinks.append(sink)
-    return sim, switch, sinks
-
-
-def install(switch, **kwargs):
-    assert switch.handle_message(FlowMod(**kwargs).to_bytes()) == []
 
 
 def frame_ab(dst_port=2000):
@@ -455,7 +267,7 @@ def frame_ab(dst_port=2000):
 
 class TestCacheInvalidation:
     def test_flow_mod_add_invalidates(self):
-        sim, switch, sinks = build_switch()
+        sim, switch, sinks, _ = build_rig()
         install(
             switch,
             match=Match(),
@@ -476,7 +288,7 @@ class TestCacheInvalidation:
         assert len(sinks[2].received) == 1  # after it
 
     def test_flow_mod_modify_redirects_cached_flow(self):
-        sim, switch, sinks = build_switch()
+        sim, switch, sinks, _ = build_rig()
         install(
             switch,
             match=Match(in_port=1),
@@ -497,7 +309,7 @@ class TestCacheInvalidation:
         assert len(sinks[2].received) == 1
 
     def test_flow_mod_delete_invalidates(self):
-        sim, switch, sinks = build_switch()
+        sim, switch, sinks, _ = build_rig()
         install(
             switch,
             match=Match(in_port=1),
@@ -513,7 +325,7 @@ class TestCacheInvalidation:
         assert switch.packets_dropped == 1
 
     def test_group_mod_rebinds_cached_walks(self):
-        sim, switch, sinks = build_switch()
+        sim, switch, sinks, _ = build_rig()
         switch.handle_message(
             GroupMod(
                 command=c.OFPGC_ADD,
@@ -545,7 +357,7 @@ class TestCacheInvalidation:
     def test_replay_validates_expiry_between_sweeps(self):
         """A hard timeout landing between sweeper runs must not be served
         — the lookup checks expiry lazily."""
-        sim, switch, sinks = build_switch()
+        sim, switch, sinks, _ = build_rig()
         # A decoy mortal flow pins the sweeper to fire at 1.0, 2.0, ...
         install(
             switch,
@@ -572,7 +384,7 @@ class TestCacheInvalidation:
         assert switch.packets_dropped == 1
 
     def test_sweep_invalidates_cache(self):
-        sim, switch, sinks = build_switch()
+        sim, switch, sinks, _ = build_rig()
         install(
             switch,
             match=Match(in_port=1),
@@ -588,7 +400,7 @@ class TestCacheInvalidation:
         assert switch.packets_dropped == 1
 
     def test_miss_then_matching_add_forwards(self):
-        sim, switch, sinks = build_switch()
+        sim, switch, sinks, _ = build_rig()
         switch.inject(frame_ab(), 1)  # table-miss drops
         switch.inject(frame_ab(), 1)
         assert switch.packets_dropped == 2
@@ -605,7 +417,7 @@ class TestCacheInvalidation:
     def test_add_matching_rewritten_key_redirects(self):
         """Set-field rewrites mid-walk: a later ADD that matches only
         the *rewritten* packet in table 1 must win the next lookup."""
-        sim, switch, sinks = build_switch()
+        sim, switch, sinks, _ = build_rig()
         install(
             switch,
             match=Match(in_port=1),
@@ -655,7 +467,7 @@ class TestModifyCookie:
         )
 
     def test_nonzero_cookie_updates(self):
-        _, switch, _ = build_switch()
+        _, switch, _, _ = build_rig()
         self._install_with_cookie(switch, cookie=0x11)
         switch.handle_message(
             FlowMod(
@@ -669,7 +481,7 @@ class TestModifyCookie:
         assert entry.cookie == 0x99
 
     def test_zero_cookie_preserved(self):
-        _, switch, _ = build_switch()
+        _, switch, _, _ = build_rig()
         self._install_with_cookie(switch, cookie=0x11)
         switch.handle_message(
             FlowMod(
@@ -687,7 +499,7 @@ class TestPacketOutBuffering:
     def test_packet_out_preserves_in_flight_buffers(self):
         """A packet-out handled mid-walk must not clobber the walk's
         buffered outputs (the seed reset self._tx_buffer unconditionally)."""
-        sim, switch, sinks = build_switch()
+        sim, switch, sinks, _ = build_rig()
         pending = (2, EthernetFrame.from_bytes(frame_ab().to_bytes()))
         switch._tx_buffer.append(pending)  # an in-flight walk's output
         switch.handle_message(
@@ -700,7 +512,7 @@ class TestPacketOutBuffering:
         assert len(sinks[2].received) == 1  # packet-out still delivered
 
     def test_packet_out_still_emits(self):
-        sim, switch, sinks = build_switch()
+        sim, switch, sinks, _ = build_rig()
         switch.handle_message(
             PacketOut(
                 actions=[OutputAction(port=2)], data=frame_ab().to_bytes()

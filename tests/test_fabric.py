@@ -4,8 +4,9 @@ Covers the three builder families, reachability before/during/after
 every migration wave, the legacy-vs-migrated differential (a 2-switch
 fabric must deliver bit-identical frames either way), cross-pod
 burst traffic across chains of migrated SoftSwitches, seeded cross-pod
-mixes on every builder at every migration stage, and a broadcast storm
-played into an unprotected ring as a fault input.  (The legacy
+mixes on every builder at every migration stage (a trunk flap under
+them loses frames, replays bit-identically and heals), and a broadcast
+storm played into an unprotected ring as a fault input.  (The legacy
 switch's own cache-vs-general-path differential lives in
 ``test_legacy_differential.py``.)
 """
@@ -25,7 +26,7 @@ from repro.core import HarmlessError, HarmlessFleet
 from repro.fabric import Fabric, campus_fabric, leaf_spine_fabric, ring_fabric
 from repro.net.addresses import BROADCAST_MAC
 from repro.net.ethernet import ETHERTYPE_IPV4
-from repro.netsim import Capture, Simulator
+from repro.netsim import Capture, FaultInjector, Simulator
 from repro.snmp import PduType, SnmpErrorStatus
 from repro.snmp.client import SnmpTimeout
 from repro.softswitch import DatapathCostModel
@@ -682,6 +683,60 @@ def test_storm_floods_unmetered_and_replays(stage):
     assert stormed_ring(stage).digests() == run.digests()
 
     # With the storm drained, mixes land exactly.
+    for station in run.stations:
+        station.addressed.clear()
+    run.expected = [Counter() for _ in run.stations]
+    run.play(range(3, 6))
+    for pod, station in enumerate(run.stations):
+        assert station.addressed == run.expected[pod], f"pod {pod}"
+
+
+# --------------------------------------------------------------------------
+# Trunk flap under cross-pod traffic: visible, reproducible, healed
+# --------------------------------------------------------------------------
+
+#: A trunk each migrated fabric's mixes actually cross.
+FLAPPED_TRUNK = {
+    "leaf_spine": "edge2:2<->spine2:1",
+    "ring": "ring2:3<->ring3:2",
+    "campus": "dist1:3<->core:1",
+}
+
+
+def flapped_mix_run(topology):
+    """A migrated fabric whose second mix window carries a trunk flap."""
+    run = MixRun(topology)
+    (trunk,) = [
+        link for link in run.fabric.trunk_links
+        if link.name == FLAPPED_TRUNK[topology]
+    ]
+    injector = FaultInjector(run.sim)
+    injector.link_flap(trunk, at_s=run.sim.now + 0.014, hold_s=0.001)
+    return run.play(range(3)), trunk, injector
+
+
+@pytest.mark.parametrize("topology", sorted(FLAPPED_TRUNK))
+def test_trunk_flap_loses_frames_then_heals(topology):
+    run, trunk, injector = flapped_mix_run(topology)
+    assert trunk.up and [text for _, text in injector.log] == [
+        f"link down: {trunk.name}", f"link up: {trunk.name}",
+    ]
+    lost = sum(
+        sum((expected - station.addressed).values())
+        for expected, station in zip(run.expected, run.stations)
+    )
+    duplicated = sum(
+        sum((station.addressed - expected).values())
+        for expected, station in zip(run.expected, run.stations)
+    )
+    assert lost > 0 and duplicated == 0
+
+    # The same fault plan replays to the same digests.
+    again, _, _ = flapped_mix_run(topology)
+    assert again.digests() == run.digests()
+
+    # Once the flap clears the fleet is clean and mixes land exactly.
+    assert run.fleet.verify_reachability().ok
     for station in run.stations:
         station.addressed.clear()
     run.expected = [Counter() for _ in run.stations]

@@ -7,7 +7,6 @@ learned state, in-transit control messages) and nothing else, and must
 recover to a clean slate.
 """
 
-import os
 import random
 
 import pytest
@@ -19,6 +18,8 @@ from repro.net import EthernetFrame, IPv4Address, MACAddress
 from repro.netsim import FaultInjector, Host, Link, Node, Simulator
 from repro.netsim.link import wire
 from repro.softswitch import SoftSwitch
+
+from differential import SCALE
 
 
 class Sink(Node):
@@ -47,8 +48,6 @@ class CallCounter(Sink):
         self.count += len(arrivals)
 
 
-#: Nightly CI multiplies the randomized fault cases (see nightly.yml).
-SCALE = max(1, int(os.environ.get("DIFFERENTIAL_SCALE", "1")))
 
 
 def make_frame(tag=0):

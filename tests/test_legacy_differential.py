@@ -22,7 +22,6 @@ while decisions were cached.
 """
 
 import math
-import os
 import random
 from dataclasses import asdict
 
@@ -30,10 +29,9 @@ from repro.legacy import LegacySwitch
 from repro.net.addresses import BROADCAST_MAC, MACAddress
 from repro.net.ethernet import ETHERTYPE_IPV4, Dot1QTag, EthernetFrame
 from repro.netsim import Link, Simulator
-from repro.netsim.node import Node
 
-#: Case-count multiplier; the nightly extended job sets this to 5.
-SCALE = max(1, int(os.environ.get("DIFFERENTIAL_SCALE", "1")))
+from differential import SCALE, Sink, reproducible
+
 SEED = 0x1E6AC7
 ROUNDS = 24
 BURSTS_PER_ROUND = 50
@@ -55,18 +53,6 @@ HOMES = [(1, ()), (2, ()), (3, ()), (6, ()), (4, (10,)), (4, (20,)), (5, (20,)),
 #: Stations 0, 1, 4, 7 share VLAN 10; stations 2, 3, 5, 6 VLAN 20.
 VLAN_MATES = [(1, 4, 7), (0, 4, 7), (3, 5, 6), (2, 5, 6), (0, 1, 7), (2, 3, 6), (2, 3, 5), (0, 1, 4)]
 HOSTILE_STACKS = [(), (10,), (20,), (30,), (40,), (0,), (20, 7)]
-
-
-class Recorder(Node):
-    """Captures whatever its single port receives."""
-
-    def __init__(self, sim, name):
-        super().__init__(sim, name)
-        self.add_port(1)
-        self.frames = []
-
-    def receive(self, port, frame):
-        self.frames.append(frame.to_bytes())
 
 
 class GeneralPathOnly(LegacySwitch):
@@ -124,10 +110,10 @@ def build(scenario, switch_type):
     switch.fdb.aging_s = scenario["aging_s"]
     peers = []
     for number in range(1, 7):
-        peer = Recorder(sim, f"peer{number}")
+        peer = Sink(sim, f"peer{number}")
         # Ideal, zero-length wires: a frame arrives at the instant it is
         # sent, so the ageing boundary can be hit to the ulp.
-        Link(peer.port(1), switch.port(number), bandwidth_bps=None,
+        Link(peer.add_port(1), switch.port(number), bandwidth_bps=None,
              propagation_delay_s=0.0, queue_frames=10_000)
         peers.append(peer)
     for vlan_id, station, port in scenario["statics"]:
@@ -230,7 +216,7 @@ def observed(sim, switch, peers):
         "per_port_tx order": list(counters.per_port_tx),
         "drop reasons": dict(switch.drops),
         "fdb entries, fdb stats": learned(switch),
-        "egress bytes": [peer.frames for peer in peers],
+        "egress bytes and times": [peer.received for peer in peers],
         "port counters": [
             (p.tx_frames, p.tx_bytes, p.rx_frames, p.rx_bytes, p.tx_dropped)
             for node in (switch, *peers)
@@ -446,8 +432,7 @@ def test_cached_switch_matches_general_path_only_switch():
         ],
         0,
     )
-    position = (0, 0)
-    try:
+    with reproducible(SEED) as where:
         delay_free = sum(not delayed for delayed, _ in ROUND_CYCLE)
         for round_index in range(ROUNDS * SCALE * len(ROUND_CYCLE) // delay_free):
             delayed, calm = ROUND_CYCLE[round_index % len(ROUND_CYCLE)]
@@ -466,7 +451,7 @@ def test_cached_switch_matches_general_path_only_switch():
 
             kinds = []
             for burst_index in range(BURSTS_PER_ROUND):
-                position = (round_index, burst_index)
+                where.update(round=round_index, burst_index=burst_index)
                 probe.burst = burst_index
                 extra = None
                 if live_hops(dut_switch) and rng.random() < (0.2 if scenario["calm"] else 0.4):
@@ -542,12 +527,6 @@ def test_cached_switch_matches_general_path_only_switch():
             assert all(
                 key in probe.compiled_in for key in dut_switch._hops
             )
-    except AssertionError:
-        print(
-            f"\nDIFFERENTIAL FAILURE: seed=0x{SEED:X} "
-            f"round={position[0]} burst_index={position[1]}"
-        )
-        raise
     # Every hazard occurred, and the cache was at work while it did:
     # decisions compiled in one burst served later ones.
     assert all(ledger.values()), ledger
@@ -562,8 +541,7 @@ def test_a_cache_hit_moves_only_counters_and_the_sources_learned_at():
     decision's frame left on its port."""
     rng = random.Random(SEED + 1)
     hits = refreshed = 0
-    position = (0, 0)
-    try:
+    with reproducible(SEED + 1) as where:
         for round_index in range(ROUNDS * SCALE):
             scenario = draw_scenario(rng)
             sim, switch, _ = build(scenario, LegacySwitch)
@@ -575,7 +553,7 @@ def test_a_cache_hit_moves_only_counters_and_the_sources_learned_at():
                     type(port).send(port, frame),
                 )
             for burst_index in range(BURSTS_PER_ROUND):
-                position = (round_index, burst_index)
+                where.update(round=round_index, burst_index=burst_index)
                 ingress, frames = draw_burst(rng, scenario["calm"])
                 for frame in frames:
                     entries, fdb_stats = learned(switch)
@@ -609,10 +587,4 @@ def test_a_cache_hit_moves_only_counters_and_the_sources_learned_at():
                         expected = expected.push_vlan(hop.push_vid)
                     assert emitted == [(hop.out_port, expected.to_bytes())]
                 sim.run(until=sim.now + rng.choice([0.0, 0.001, 0.03]))
-    except AssertionError:
-        print(
-            f"\nDIFFERENTIAL FAILURE: seed=0x{SEED + 1:X} "
-            f"round={position[0]} burst_index={position[1]}"
-        )
-        raise
     assert hits > 1000 * SCALE and refreshed > 100 * SCALE, (hits, refreshed)

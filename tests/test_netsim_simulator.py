@@ -2,7 +2,6 @@
 
 import heapq
 import math
-import os
 
 import pytest
 from hypothesis import given, settings
@@ -10,19 +9,10 @@ from hypothesis import strategies as st
 
 from repro.legacy import LegacySwitch
 from repro.net import EthernetFrame, IPv4Address, MACAddress
-from repro.netsim import Capture, Host, Link, Node, Simulator
+from repro.netsim import Capture, Host, Link, Simulator
 from repro.netsim.link import wire
 
-
-class Sink(Node):
-    """A node that just records what it receives."""
-
-    def __init__(self, sim, name):
-        super().__init__(sim, name)
-        self.received = []
-
-    def receive(self, port, frame):
-        self.received.append((self.sim.now, port.number, frame))
+from differential import SCALE, Sink
 
 
 def make_frame(payload=b"x" * 100):
@@ -306,7 +296,7 @@ class TestLink:
         a.port(1).send(frame)
         a.port(1).send(frame)
         sim.run()
-        times = [t for t, _, _ in b.received]
+        times = [t for t, _ in b.received]
         assert times[0] == pytest.approx(100e-6)
         assert times[1] == pytest.approx(200e-6)
 
@@ -789,8 +779,6 @@ class TestScheduleWorkBudget:
         assert sim.pending_events == len(sim._lane) == 1_600 and not sim._queue
 
 
-#: Case-count multiplier; the nightly extended job sets this to 5.
-SCALE = max(1, int(os.environ.get("DIFFERENTIAL_SCALE", "1")))
 
 #: Delays drawn from a few values, so that ties are common.
 DELAY_VALUES = (0.0, 0.0, 0.25, 0.5, 1.0, 1.0, 2.5)

@@ -9,30 +9,26 @@ total order ``(-priority, installed_at, seq)``, so every permutation
 must select the same entry for every packet.  This suite compiles the
 same randomized rule sets under the priority order and several
 shuffle seeds and asserts decision-for-decision equality across ≥1000
-randomized lookups, including mortal entries probed at times before
-and after their expiry.
+randomized lookups (×``DIFFERENTIAL_SCALE``), including mortal
+entries probed at times before and after their expiry.
 """
 
 import random
 
-from test_specialized_differential import (
-    build_rig,
-    compilable_instructions,
-    random_churn_message,
-    random_frame,
+from repro.openflow import FlowMod
+from repro.softswitch import compile_datapath
+
+from differential import (
+    BASE, SCALE, build_rig, compilable_instructions, random_churn_message, random_frame,
     random_match,
 )
-
-from repro.openflow import FlowMod
-from repro.softswitch import DatapathCostModel, compile_datapath
 
 #: Shuffle seeds compared against the priority-ordered baseline.
 ORDERS = (0, 1, 17, 0xC0FFEE)
 
 
 def build_random_switch(rng: random.Random):
-    rig = build_rig(DatapathCostModel.zero(), specialize=True)
-    _, switch, _, _ = rig
+    switch = build_rig(BASE).switch
     for _ in range(rng.randint(4, 14)):
         message = random_churn_message(rng)
         switch.handle_message(message.to_bytes())
@@ -46,16 +42,16 @@ def build_random_switch(rng: random.Random):
                 instructions=compilable_instructions(rng),
             ).to_bytes()
         )
-    return rig, switch
+    return switch
 
 
 def test_probe_order_invariance():
     rng = random.Random(0x0D0E)
     cases = 0
     rulesets = 0
-    while cases < 1000:
+    while cases < 1000 * SCALE:
         rulesets += 1
-        _, switch = build_random_switch(rng)
+        switch = build_random_switch(rng)
         # Traffic first: counters and expiry clocks move, the order
         # must not care.
         for _ in range(8):
@@ -80,4 +76,4 @@ def test_probe_order_invariance():
                     f"now={now}): {got} != {expected}"
                 )
                 cases += 1
-    assert cases >= 1000
+    assert cases >= 1000 * SCALE

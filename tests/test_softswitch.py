@@ -6,8 +6,6 @@ import pytest
 
 from repro.net import EthernetFrame, IPv4Address, MACAddress
 from repro.net.build import udp_frame
-from repro.netsim import Simulator
-from repro.netsim.link import wire
 from repro.openflow import (
     ApplyActions,
     Bucket,
@@ -31,45 +29,14 @@ from repro.openflow import (
 )
 from repro.openflow import consts as c
 from repro.openflow.messages import EchoRequest, FeaturesRequest, PacketIn
-from repro.softswitch import DatapathCostModel, SoftSwitch
-from repro.netsim.node import Node
+from repro.softswitch import DatapathCostModel
+
+from differential import build_rig, install
 
 MAC_A = MACAddress("02:00:00:00:00:01")
 MAC_B = MACAddress("02:00:00:00:00:02")
 IP_A = IPv4Address("10.0.0.1")
 IP_B = IPv4Address("10.0.0.2")
-
-
-class Sink(Node):
-    def __init__(self, sim, name):
-        super().__init__(sim, name)
-        self.received = []
-
-    def receive(self, port, frame):
-        self.received.append((self.sim.now, frame))
-
-
-def build_switch(num_sinks=3, cost_model=None, **tier):
-    """A switch with *num_sinks* single-port neighbours on ports 1..n."""
-    sim = Simulator()
-    switch = SoftSwitch(
-        sim,
-        "ss",
-        datapath_id=0x1,
-        cost_model=cost_model or DatapathCostModel.zero(),
-        **tier,
-    )
-    sinks = []
-    for index in range(num_sinks):
-        sink = Sink(sim, f"sink{index + 1}")
-        wire(switch, sink, bandwidth_bps=None, propagation_delay_s=0.0)
-        sinks.append(sink)
-    return sim, switch, sinks
-
-
-def install(switch, **kwargs):
-    responses = switch.handle_message(FlowMod(**kwargs).to_bytes())
-    assert responses == [], [parse_message(r) for r in responses]
 
 
 def frame_ab(vlan_id=None, payload=b"x" * 64):
@@ -78,7 +45,7 @@ def frame_ab(vlan_id=None, payload=b"x" * 64):
 
 class TestHandshake:
     def test_hello_and_features(self):
-        _, switch, _ = build_switch()
+        _, switch, _, _ = build_rig()
         (hello_reply,) = switch.handle_message(Hello(xid=1).to_bytes())
         assert isinstance(parse_message(hello_reply), Hello)
         (features,) = switch.handle_message(FeaturesRequest(xid=2).to_bytes())
@@ -87,14 +54,14 @@ class TestHandshake:
         assert parsed.n_tables == 4
 
     def test_echo(self):
-        _, switch, _ = build_switch()
+        _, switch, _, _ = build_rig()
         (reply,) = switch.handle_message(EchoRequest(xid=3, payload=b"hi").to_bytes())
         assert parse_message(reply).payload == b"hi"
 
 
 class TestMatching:
     def test_output_action(self):
-        sim, switch, sinks = build_switch()
+        sim, switch, sinks, _ = build_rig()
         install(
             switch,
             match=Match(in_port=1),
@@ -106,14 +73,14 @@ class TestMatching:
         assert sinks[0].received == []
 
     def test_table_miss_drops(self):
-        sim, switch, sinks = build_switch()
+        sim, switch, sinks, _ = build_rig()
         switch.inject(frame_ab(), in_port=1)
         sim.run()
         assert all(sink.received == [] for sink in sinks)
         assert switch.packets_dropped == 1
 
     def test_priority_order(self):
-        sim, switch, sinks = build_switch()
+        sim, switch, sinks, _ = build_rig()
         install(
             switch,
             match=Match(),
@@ -132,7 +99,7 @@ class TestMatching:
         assert sinks[0].received == []
 
     def test_flood(self):
-        sim, switch, sinks = build_switch()
+        sim, switch, sinks, _ = build_rig()
         install(
             switch,
             match=Match(),
@@ -145,7 +112,7 @@ class TestMatching:
         assert len(sinks[2].received) == 1
 
     def test_output_to_unknown_port_drops(self):
-        sim, switch, _ = build_switch()
+        sim, switch, _, _ = build_rig()
         install(
             switch,
             match=Match(),
@@ -159,7 +126,7 @@ class TestMatching:
 class TestVlanActions:
     def test_push_set_output(self):
         """The translator's patch->trunk rule shape."""
-        sim, switch, sinks = build_switch()
+        sim, switch, sinks, _ = build_rig()
         install(
             switch,
             match=Match(in_port=1),
@@ -175,12 +142,11 @@ class TestVlanActions:
         )
         switch.inject(frame_ab(), in_port=1)
         sim.run()
-        (_, received) = sinks[1].received[0]
-        assert received.vlan_id == 102
+        assert sinks[1].frames[0].vlan_id == 102
 
     def test_pop_output(self):
         """The translator's trunk->patch rule shape."""
-        sim, switch, sinks = build_switch()
+        sim, switch, sinks, _ = build_rig()
         install(
             switch,
             match=Match.vlan(101),
@@ -190,11 +156,10 @@ class TestVlanActions:
         )
         switch.inject(frame_ab(vlan_id=101), in_port=1)
         sim.run()
-        (_, received) = sinks[2].received[0]
-        assert received.vlan is None
+        assert sinks[2].frames[0].vlan is None
 
     def test_vlan_match_isolation(self):
-        sim, switch, sinks = build_switch()
+        sim, switch, sinks, _ = build_rig()
         install(
             switch,
             match=Match.vlan(101),
@@ -230,7 +195,7 @@ class TestSetFieldLeavesTheTemplateAlone:
         assert EthernetFrame.from_bytes(rewritten.to_bytes()) == rewritten
 
     def test_template_survives_a_burst_through_a_rewriting_pipeline(self):
-        sim, switch, sinks = build_switch()
+        sim, switch, sinks, _ = build_rig()
         install(
             switch,
             match=Match(in_port=1),
@@ -250,14 +215,14 @@ class TestSetFieldLeavesTheTemplateAlone:
         sim.run()
         assert template.to_bytes() == before
         assert len(sinks[1].received) == 4
-        for _, received in sinks[1].received:
+        for received in sinks[1].frames:
             assert received.dst == MACAddress(0x02_00_00_00_00_99)
             assert received.src == template.src
 
 
 class TestMultiTable:
     def test_goto_table(self):
-        sim, switch, sinks = build_switch()
+        sim, switch, sinks, _ = build_rig()
         install(
             switch,
             table_id=0,
@@ -275,7 +240,7 @@ class TestMultiTable:
         assert len(sinks[1].received) == 1
 
     def test_miss_in_second_table_drops(self):
-        sim, switch, sinks = build_switch()
+        sim, switch, sinks, _ = build_rig()
         install(
             switch,
             table_id=0,
@@ -289,7 +254,7 @@ class TestMultiTable:
     def test_write_actions_execute_at_end(self):
         from repro.openflow import WriteActions
 
-        sim, switch, sinks = build_switch()
+        sim, switch, sinks, _ = build_rig()
         install(
             switch,
             table_id=0,
@@ -312,7 +277,7 @@ class TestMultiTable:
     def test_clear_actions_empties_set(self):
         from repro.openflow import ClearActions, WriteActions
 
-        sim, switch, sinks = build_switch()
+        sim, switch, sinks, _ = build_rig()
         install(
             switch,
             table_id=0,
@@ -351,7 +316,7 @@ class TestGroups:
         assert responses == []
 
     def test_select_group_deterministic_per_flow(self):
-        sim, switch, sinks = build_switch()
+        sim, switch, sinks, _ = build_rig()
         self.add_select_group(switch, ports=(2, 3))
         install(
             switch,
@@ -366,7 +331,7 @@ class TestGroups:
         assert sorted(counts) == [0, 5]
 
     def test_select_group_spreads_flows(self):
-        sim, switch, sinks = build_switch()
+        sim, switch, sinks, _ = build_rig()
         self.add_select_group(switch, ports=(2, 3))
         install(
             switch,
@@ -383,7 +348,7 @@ class TestGroups:
         assert len(sinks[2].received) > 5
 
     def test_all_group_copies(self):
-        sim, switch, sinks = build_switch()
+        sim, switch, sinks, _ = build_rig()
         buckets = [
             Bucket(actions=[OutputAction(port=2)]),
             Bucket(actions=[OutputAction(port=3)]),
@@ -407,7 +372,7 @@ class TestGroups:
         assert len(sinks[2].received) == 1
 
     def test_missing_group_drops(self):
-        sim, switch, _ = build_switch()
+        sim, switch, _, _ = build_rig()
         install(
             switch,
             match=Match(),
@@ -418,7 +383,7 @@ class TestGroups:
         assert switch.packets_dropped == 1
 
     def test_duplicate_group_add_errors(self):
-        _, switch, _ = build_switch()
+        _, switch, _, _ = build_rig()
         self.add_select_group(switch, group_id=5)
         message = GroupMod(
             command=c.OFPGC_ADD, group_type=c.OFPGT_SELECT, group_id=5, buckets=[]
@@ -429,7 +394,7 @@ class TestGroups:
 
 class TestControllerInteraction:
     def test_packet_in_on_output_to_controller(self):
-        sim, switch, _ = build_switch()
+        sim, switch, _, _ = build_rig()
         inbox = []
         switch.to_controller = inbox.append
         install(
@@ -449,7 +414,7 @@ class TestControllerInteraction:
         assert EthernetFrame.from_bytes(packet_in.data) == original
 
     def test_packet_out_executes_actions(self):
-        sim, switch, sinks = build_switch()
+        sim, switch, sinks, _ = build_rig()
         message = PacketOut(
             actions=[OutputAction(port=3)], data=frame_ab().to_bytes()
         )
@@ -458,7 +423,7 @@ class TestControllerInteraction:
         assert len(sinks[2].received) == 1
 
     def test_flow_stats(self):
-        sim, switch, _ = build_switch()
+        sim, switch, _, _ = build_rig()
         install(
             switch,
             match=Match(in_port=1),
@@ -474,7 +439,7 @@ class TestControllerInteraction:
         assert reply.entries[0].priority == 7
 
     def test_port_stats(self):
-        sim, switch, sinks = build_switch()
+        sim, switch, sinks, _ = build_rig()
         install(
             switch,
             match=Match(),
@@ -490,7 +455,7 @@ class TestControllerInteraction:
 
 class TestFlowLifecycle:
     def test_delete_flows(self):
-        sim, switch, sinks = build_switch()
+        sim, switch, sinks, _ = build_rig()
         install(
             switch,
             match=Match(in_port=1),
@@ -504,7 +469,7 @@ class TestFlowLifecycle:
         assert sinks[1].received == []
 
     def test_strict_delete_needs_exact_match(self):
-        sim, switch, sinks = build_switch()
+        sim, switch, sinks, _ = build_rig()
         install(
             switch,
             match=Match(in_port=1),
@@ -521,7 +486,7 @@ class TestFlowLifecycle:
         assert len(sinks[1].received) == 1  # priority mismatch -> survived
 
     def test_modify_rewrites_instructions(self):
-        sim, switch, sinks = build_switch()
+        sim, switch, sinks, _ = build_rig()
         install(
             switch,
             match=Match(in_port=1),
@@ -540,7 +505,7 @@ class TestFlowLifecycle:
         assert len(sinks[2].received) == 1
 
     def test_idle_timeout_expires(self):
-        sim, switch, sinks = build_switch()
+        sim, switch, sinks, _ = build_rig()
         install(
             switch,
             match=Match(in_port=1),
@@ -555,7 +520,7 @@ class TestFlowLifecycle:
         assert len(sinks[1].received) == 1  # flow aged out, second inject dropped
 
     def test_flow_removed_notification(self):
-        sim, switch, _ = build_switch()
+        sim, switch, _, _ = build_rig()
         inbox = []
         switch.to_controller = inbox.append
         install(
@@ -575,12 +540,12 @@ class TestFlowLifecycle:
         assert removed[0].reason == c.OFPRR_HARD_TIMEOUT
 
     def test_add_to_bad_table_errors(self):
-        _, switch, _ = build_switch()
+        _, switch, _, _ = build_rig()
         responses = switch.handle_message(FlowMod(table_id=99).to_bytes())
         assert len(responses) == 1
 
     def test_identical_match_priority_replaces(self):
-        sim, switch, sinks = build_switch()
+        sim, switch, sinks, _ = build_rig()
         for port in (2, 3):
             install(
                 switch,
@@ -625,7 +590,7 @@ class TestFlowModSelection:
 
     @pytest.mark.parametrize("tier", TIERS)
     def test_modify_selects_like_delete(self, tier):
-        sim, switch, sinks = build_switch(**TIERS[tier])
+        sim, switch, sinks, _ = build_rig(**TIERS[tier])
         for match, priority, cookie in self.RULES:
             install(switch, match=match, priority=priority, cookie=cookie,
                     instructions=[ApplyActions(actions=(OutputAction(port=2),))])
@@ -660,7 +625,7 @@ class TestHostileControllerBytes:
     def test_truncated_and_undecodable_messages_are_refused(self, tier):
         from repro.controller.channel import ControllerChannel
 
-        sim, switch, sinks = build_switch(**TIERS[tier])
+        sim, switch, sinks, _ = build_rig(**TIERS[tier])
         channel = ControllerChannel(sim, switch)
         replies = []
         channel.to_controller_handler = replies.append
@@ -717,7 +682,7 @@ class TestGotoTableValidation:
     def test_bad_goto_is_refused_and_traffic_flows(
         self, tier, command, table_id, target
     ):
-        sim, switch, sinks = build_switch(**TIERS[tier])
+        sim, switch, sinks, _ = build_rig(**TIERS[tier])
         self._chain(switch)
         switch.inject(frame_ab(), in_port=1)
         assert (switch.program is not None) == (tier == "compiled")
@@ -753,7 +718,7 @@ class TestGotoTableValidation:
         assert not sinks[2].received
 
     def test_increasing_goto_inside_the_pipeline_is_accepted(self):
-        _, switch, _ = build_switch()
+        _, switch, _, _ = build_rig()
         install(switch, table_id=2, match=Match(), instructions=[GotoTable(table_id=3)])
         assert len(switch.tables[2]) == 1
 
@@ -822,7 +787,7 @@ class TestDropReasons:
     @pytest.mark.parametrize("burst", [False, True], ids=["single", "burst"])
     @pytest.mark.parametrize("tier", TIERS)
     def test_every_site_names_its_reason(self, tier, burst):
-        sim, switch, sinks = build_switch(**TIERS[tier])
+        sim, switch, sinks, _ = build_rig(**TIERS[tier])
         self.provision(switch)
         expected = {}
         for in_port, (what, reason) in self.SITES.items():
@@ -849,7 +814,7 @@ class TestDropReasons:
     def test_every_packet_in_reaches_the_channel(self, tier):
         from repro.controller.channel import ControllerChannel
 
-        sim, switch, _ = build_switch(**TIERS[tier])
+        sim, switch, _, _ = build_rig(**TIERS[tier])
         install(switch, match=Match(), priority=0,
                 instructions=[ApplyActions(actions=(OutputAction(port=OFPP_CONTROLLER),))])
         channel = ControllerChannel(sim, switch)
@@ -862,8 +827,8 @@ class TestDropReasons:
     @pytest.mark.parametrize("cost", ["zero", "deferred"])
     @pytest.mark.parametrize("tier", TIERS)
     def test_a_packet_in_with_no_controller_is_counted_lost(self, tier, cost):
-        model = DatapathCostModel() if cost == "deferred" else None
-        sim, switch, sinks = build_switch(cost_model=model, **TIERS[tier])
+        model = DatapathCostModel() if cost == "deferred" else DatapathCostModel.zero()
+        sim, switch, sinks, _ = build_rig(cost_model=model, **TIERS[tier])
         install(switch, match=Match(in_port=1), priority=0, instructions=[ApplyActions(
             actions=(OutputAction(port=OFPP_CONTROLLER), OutputAction(port=2)))])
         assert switch.to_controller is None
@@ -881,7 +846,7 @@ class TestCostModel:
         model = DatapathCostModel(
             base_ns=1000.0, lookup_ns=0, action_ns=0, vlan_op_ns=0, group_ns=0, patch_ns=0
         )
-        sim, switch, sinks = build_switch(cost_model=model)
+        sim, switch, sinks, _ = build_rig(cost_model=model)
         install(
             switch,
             match=Match(),
@@ -896,7 +861,7 @@ class TestCostModel:
         model = DatapathCostModel(
             base_ns=1000.0, lookup_ns=0, action_ns=0, vlan_op_ns=0, group_ns=0, patch_ns=0
         )
-        sim, switch, sinks = build_switch(cost_model=model)
+        sim, switch, sinks, _ = build_rig(cost_model=model)
         install(
             switch,
             match=Match(),

@@ -41,9 +41,8 @@ from repro.fabric import leaf_spine_fabric
 from repro.legacy import LegacySwitch
 from repro.mgmt import DeviceConnection, get_network_driver
 from repro.net import Dot1QTag, EthernetFrame, IPv4Address, MACAddress
-from repro.net.build import tcp_frame, udp_frame
+from repro.net.build import udp_frame
 from repro.net.dns import DnsMessage
-from repro.net.tcp import TcpSegment
 from repro.netsim import Host, Simulator
 from repro.netsim.link import Link, wire
 from repro.netsim.node import Node
@@ -75,47 +74,14 @@ from repro.softswitch import (
 )
 from repro.softswitch import compiler, datapath
 
-ZERO_COST = DatapathCostModel.zero()
-
-MACS = [MACAddress(0x020000000001 + i) for i in range(4)]
-IPS = [IPv4Address(f"10.0.{i // 4}.{i % 4 + 1}") for i in range(8)]
+from differential import IPS, MACS, ZERO_COST, Sink, build_rig, install, output, random_frame
 
 
-class Sink(Node):
-    def __init__(self, sim, name):
-        super().__init__(sim, name)
-        self.received = []
-
-    def receive(self, port, frame):
-        self.received.append(frame.to_bytes())
-
-
-def random_frame(rng: random.Random) -> EthernetFrame:
-    roll = rng.random()
-    if roll < 0.1:  # non-IP: every L3/L4 slot must come back None
-        return EthernetFrame(
-            dst=rng.choice(MACS), src=rng.choice(MACS), ethertype=0x0806,
-            payload=b"\x00" * 28,
-        )
-    if roll < 0.18:  # malformed L3: decode error swallowed identically
-        return EthernetFrame(
-            dst=rng.choice(MACS), src=rng.choice(MACS), ethertype=0x0800,
-            payload=b"\x45\x00",
-        )
-    src_mac, dst_mac = rng.choice(MACS), rng.choice(MACS)
-    src_ip, dst_ip = rng.choice(IPS), rng.choice(IPS)
-    vlan_id = rng.choice((None, None, 100, 101))
-    if roll < 0.55:
-        frame = udp_frame(
-            src_mac, dst_mac, src_ip, dst_ip,
-            rng.choice((53, 80)), rng.choice((53, 80)), b"x", vlan_id=vlan_id,
-        )
-    else:
-        frame = tcp_frame(
-            src_mac, dst_mac, src_ip, dst_ip,
-            TcpSegment(rng.choice((53, 80)), rng.choice((53, 80))), vlan_id=vlan_id,
-        )
-    if rng.random() < 0.3:
+def miniflow_frame(rng: random.Random) -> EthernetFrame:
+    """ARP, a truncated IPv4 header, or UDP/TCP with one header
+    invariant broken three times in ten."""
+    frame = random_frame(rng, malformed=0.08, udp=0.55, ports=(53, 80))
+    if frame.ethertype == 0x0800 and len(frame.payload) > 2 and rng.random() < 0.3:
         return corrupt(rng, frame)
     return frame
 
@@ -151,7 +117,7 @@ class TestMiniflowShrinking:
         cases = 0
         all_slots = range(len(FLOW_KEY_FIELDS))
         for _ in range(120):
-            frame = random_frame(rng)
+            frame = miniflow_frame(rng)
             in_port = rng.randint(1, 4)
             full = PacketView(frame, in_port).flow_key()
             for _ in range(6):
@@ -182,34 +148,13 @@ class TestMiniflowShrinking:
         assert "payload" not in l2_only.__source__
 
 
-def output(port):
-    return [ApplyActions(actions=(OutputAction(port=port),))]
-
-
-def build_switch(num_sinks=3, **kwargs):
-    sim = Simulator()
-    switch = SoftSwitch(
-        sim, "ss", datapath_id=1, cost_model=ZERO_COST, **kwargs
-    )
-    sinks = []
-    for index in range(num_sinks):
-        sink = Sink(sim, f"sink{index + 1}")
-        wire(switch, sink, bandwidth_bps=None, propagation_delay_s=0.0)
-        sinks.append(sink)
-    return sim, switch, sinks
-
-
-def install(switch, **kwargs):
-    assert switch.handle_message(FlowMod(**kwargs).to_bytes()) == []
-
-
 def frame_ab(dst_port=2000):
     return udp_frame(MACS[0], MACS[1], IPS[0], IPS[1], 1000, dst_port, b"x" * 32)
 
 
 class TestEligibility:
     def test_single_table_output_pipeline_compiles(self):
-        _, switch, _ = build_switch()
+        _, switch, _, _ = build_rig()
         install(switch, match=Match(in_port=1), instructions=output(2))
         install(switch, match=Match(), priority=0, instructions=[])
         program = compile_datapath(switch)
@@ -218,7 +163,7 @@ class TestEligibility:
         assert len(program.plans) == 0  # plans build lazily per selected entry
 
     def test_vlan_and_setfield_sequences_compile(self):
-        _, switch, _ = build_switch()
+        _, switch, _, _ = build_rig()
         install(
             switch,
             match=Match(in_port=1),
@@ -236,7 +181,7 @@ class TestEligibility:
         assert compile_datapath(switch) is not None
 
     def test_multi_table_pipeline_compiles_as_chain(self):
-        sim, switch, sinks = build_switch()
+        sim, switch, sinks, _ = build_rig()
         install(switch, match=Match(in_port=1), instructions=[GotoTable(table_id=1)])
         install(switch, table_id=1, match=Match(), instructions=output(2))
         switch.inject(frame_ab(), 1)
@@ -250,7 +195,7 @@ class TestEligibility:
         assert switch.tables[1].matches == 1
 
     def test_mortal_flow_compiles_and_expiry_is_honoured(self):
-        sim, switch, sinks = build_switch()
+        sim, switch, sinks, _ = build_rig()
         install(switch, match=Match(in_port=1), hard_timeout=5, instructions=output(2))
         switch.inject(frame_ab(), 1)
         program = switch.program
@@ -262,7 +207,7 @@ class TestEligibility:
         assert switch.specialized_frames == 2
 
     def test_group_action_compiles(self):
-        sim, switch, sinks = build_switch()
+        sim, switch, sinks, _ = build_rig()
         switch.handle_message(
             GroupMod(
                 command=c.OFPGC_ADD,
@@ -285,7 +230,7 @@ class TestEligibility:
         assert group.bucket_packet_counts == [1]
 
     def test_controller_output_compiles(self):
-        _, switch, _ = build_switch()
+        _, switch, _, _ = build_rig()
         install(
             switch,
             match=Match(),
@@ -304,13 +249,13 @@ class TestEligibility:
         class WeirdModel(DatapathCostModel):
             pass
 
-        _, switch, _ = build_switch()
+        _, switch, _, _ = build_rig()
         switch.cost_model = WeirdModel.zero()
         install(switch, match=Match(in_port=1), instructions=output(2))
         assert compile_datapath(switch) is None
 
     def test_masked_pipeline_compiles_with_subtable_probes(self):
-        _, switch, _ = build_switch()
+        _, switch, _, _ = build_rig()
         install(
             switch,
             match=Match(eth_type=0x0800, ipv4_dst=("10.0.1.0", "255.255.255.0")),
@@ -325,7 +270,7 @@ class TestEligibility:
         """A slot matched whole — however its mask is spelled — is probed
         with its bare value, with no ``&`` and no ``None`` guard (an
         absent field's None just misses); a partial mask keeps both."""
-        _, switch, _ = build_switch()
+        _, switch, _, _ = build_rig()
         whole = Match(
             in_port=2, eth_dst=(int(MACS[1]), 0xFFFFFFFFFFFF), vlan_vid=0x1000 | 100
         )
@@ -341,7 +286,7 @@ class TestEligibility:
 
 class TestInvalidationAndRegenerate:
     def test_flowmod_invalidates_and_next_frame_is_compiled(self):
-        sim, switch, sinks = build_switch()
+        sim, switch, sinks, _ = build_rig()
         for index in range(3):
             install(
                 switch,
@@ -371,7 +316,7 @@ class TestInvalidationAndRegenerate:
     def test_recompile_does_not_wait_for_quiet(self):
         """Mods and frames interleaved at one simulated instant: every
         frame is served compiled, whatever the control plane is doing."""
-        sim, switch, _ = build_switch()
+        sim, switch, _, _ = build_rig()
         for index in range(5):  # each add raises its probe's priority bound
             install(switch, match=Match(in_port=1), priority=index + 1,
                     instructions=output(2))
@@ -382,7 +327,7 @@ class TestInvalidationAndRegenerate:
         assert switch.specialized_frames == 5 and switch.fallback_frames == 0
 
     def test_mutations_set_compile_pending(self):
-        _, switch, _ = build_switch()
+        _, switch, _, _ = build_rig()
 
         def pending():
             return switch.stats()["specialization"]["compile_pending"]
@@ -406,7 +351,7 @@ class TestInvalidationAndRegenerate:
         assert not pending() and switch.program_patches == 1
 
     def test_recompile_picks_up_table_shape_change(self):
-        _, switch, _ = build_switch()
+        _, switch, _, _ = build_rig()
         install(switch, match=Match(eth_dst=int(MACS[1])), instructions=output(2))
         switch.inject(frame_ab(), 1)
         assert switch.program.used_slots == (1,)
@@ -423,7 +368,7 @@ class TestInvalidationAndRegenerate:
         """Only the *first select group* does: its bucket choice is
         baked per key, so the key must grow the hash slots.  Any other
         group mod is content and patches the program in place."""
-        _, switch, _ = build_switch()
+        _, switch, _, _ = build_rig()
         install(switch, match=Match(in_port=1), instructions=output(2))
         switch.inject(frame_ab(), 1)
         program = switch.program
@@ -452,7 +397,7 @@ class TestInvalidationAndRegenerate:
         assert "select group" in switch.last_regenerate_reason
 
     def test_cost_model_swap_marks_stale(self):
-        _, switch, _ = build_switch()
+        _, switch, _, _ = build_rig()
         install(switch, match=Match(in_port=1), instructions=output(2))
         switch.inject(frame_ab(), 1)
         assert switch.program is not None
@@ -465,7 +410,7 @@ class TestInvalidationAndRegenerate:
         class HookedModel(DatapathCostModel):
             pass
 
-        _, switch, _ = build_switch()
+        _, switch, _, _ = build_rig()
         switch.cost_model = HookedModel.zero()
         install(switch, match=Match(in_port=1), instructions=output(2))
         switch.inject(frame_ab(), 1)
@@ -477,7 +422,7 @@ class TestInvalidationAndRegenerate:
         assert switch.fallback_frames == 2
 
     def test_specialization_disabled_never_compiles(self):
-        _, switch, _ = build_switch(enable_specialization=False)
+        _, switch, _, _ = build_rig(enable_specialization=False)
         install(switch, match=Match(in_port=1), instructions=output(2))
         switch.inject(frame_ab(), 1)
         assert switch.program is None
@@ -485,7 +430,7 @@ class TestInvalidationAndRegenerate:
         assert switch.fallback_frames == 0  # counter reserved for enabled switches
 
     def test_stats_surface_ineligible_reason(self):
-        _, switch, _ = build_switch()
+        _, switch, _, _ = build_rig()
         install(switch, match=Match(in_port=1), instructions=output(2))
         switch.inject(frame_ab(), 1)
         assert switch.stats()["specialization"]["ineligible_reason"] is None
@@ -503,7 +448,7 @@ class TestInvalidationAndRegenerate:
     def test_probes_run_in_descending_max_priority_order(self):
         """The one probe order, whatever traffic the table has seen:
         here every lookup was won by the lowest-priority probe."""
-        _, switch, _ = build_switch(enable_specialization=False)
+        _, switch, _, _ = build_rig(enable_specialization=False)
         install(switch, match=Match(in_port=2), priority=3, instructions=output(2))
         install(
             switch,
@@ -521,7 +466,7 @@ class TestInvalidationAndRegenerate:
 
     def test_probe_order_is_behaviour_preserving(self):
         rng = random.Random(0xBEEF)
-        _, switch, _ = build_switch()
+        _, switch, _, _ = build_rig()
         install(
             switch, match=Match(eth_dst=int(MACS[1])), priority=5, instructions=output(2)
         )
@@ -538,14 +483,14 @@ class TestInvalidationAndRegenerate:
             variant = compile_datapath(switch, probe_order=order)
             assert variant.probe_order == order
             for _ in range(50):
-                frame = random_frame(rng)
+                frame = miniflow_frame(rng)
                 in_port = rng.randint(1, 4)
                 assert variant.classify(frame, in_port, 0.0) == base.classify(
                     frame, in_port, 0.0
                 ), (frame, in_port, order)
 
     def test_stats_shape(self):
-        _, switch, _ = build_switch()
+        _, switch, _, _ = build_rig()
         install(switch, match=Match(in_port=1), instructions=output(2))
         switch.inject(frame_ab(), 1)
         stats = switch.stats()
@@ -566,7 +511,7 @@ class TestPatchingInPlace:
     """Mutations inside the compiled shape keep the program (PR 14)."""
 
     def _live(self):
-        sim, switch, sinks = build_switch()
+        sim, switch, sinks, _ = build_rig()
         install(switch, match=Match(in_port=1), priority=9, instructions=output(2))
         install(switch, match=Match(), priority=0, instructions=[])
         switch.inject(frame_ab(), 1)
@@ -696,7 +641,7 @@ class TestPatchingInPlace:
         is patched under the running burst; the patch flushed the key
         cache, so the next frame reclassifies and the remaining frames
         are served compiled — under the *new* rules."""
-        sim, switch, sinks = build_switch()
+        sim, switch, sinks, _ = build_rig()
         packet_in = [ApplyActions(actions=(OutputAction(port=c.OFPP_CONTROLLER),))]
         install(switch, match=Match(in_port=1), priority=9, instructions=output(2))
         install(switch, match=Match(in_port=2), priority=9, instructions=packet_in)
@@ -774,7 +719,7 @@ class TestColdStartWorkBudget:
 
     def test_flipping_between_two_shapes_compiles_each_once(self, monkeypatch):
         seen = self.count_builtin_compiles(monkeypatch)
-        sim, switch, sinks = build_switch()
+        sim, switch, sinks, _ = build_rig()
         for flip in range(40):
             self.reprogram(switch, flip % 2)
             switch.inject(frame_ab(), 1)
@@ -785,7 +730,7 @@ class TestColdStartWorkBudget:
 
     def test_table_past_its_bound_evicts_and_still_compiles(self, monkeypatch):
         seen = self.count_builtin_compiles(monkeypatch, limit=2)
-        sim, switch, sinks = build_switch()
+        sim, switch, sinks, _ = build_rig()
         fields = [dict(in_port=1), dict(eth_dst=int(MACS[1])), dict(eth_type=0x0800)]
         for round_ in range(2):  # the third shape clears the table, so
             for index, match in enumerate(fields):  # every one compiles again
@@ -811,7 +756,7 @@ class TestColdStartWorkBudget:
                  instructions=output(3)),
             dict(table_id=1, match=Match(eth_src=int(MACS[3])), instructions=output(3)),
         ]
-        _, switch, _ = build_switch()
+        _, switch, _, _ = build_rig()
         switch.to_controller = lambda raw: None
         install(switch, match=Match(in_port=1), priority=9, instructions=output(2))
         install(switch, match=Match(in_port=3), priority=9, instructions=packet_in)
@@ -838,7 +783,7 @@ class TestColdStartWorkBudget:
             return compile_datapath(switch)
 
         monkeypatch.setattr(datapath, "compile_datapath", counted)
-        _, switch, _ = build_switch()
+        _, switch, _, _ = build_rig()
         switch.cost_model = HookedModel.zero()
         for mutation in range(3):
             install(switch, match=Match(in_port=mutation + 1), instructions=output(2))
@@ -861,7 +806,7 @@ class TestColdStartWorkBudget:
         rigs = {}
         for name, out_port in (("a", 2), ("b", 3)):
             for linear in (False, True):
-                sim, switch, sinks = build_switch(enable_fast_path=not linear)
+                sim, switch, sinks, _ = build_rig(enable_fast_path=not linear)
                 install(switch, match=Match(in_port=1), priority=9,
                         instructions=output(out_port))
                 install(switch, match=Match(eth_dst=int(MACS[2])), priority=4,
@@ -871,7 +816,7 @@ class TestColdStartWorkBudget:
 
         def drive(count=40):
             for _ in range(count):
-                frame, in_port = random_frame(rng), rng.randint(1, 3)
+                frame, in_port = miniflow_frame(rng), rng.randint(1, 3)
                 for _, switch, _ in rigs.values():
                     switch.inject(frame, in_port)
             for sim, _, _ in rigs.values():
@@ -1008,7 +953,7 @@ class TestOneFramePath:
 
     @staticmethod
     def compiled_switch():
-        sim, switch, sinks = build_switch()
+        sim, switch, sinks, _ = build_rig()
         install(switch, match=Match(in_port=2), priority=3, instructions=output(1))
         install(switch, match=Match(eth_dst=int(MACS[1])), priority=9,
                 instructions=output(2))
@@ -1319,7 +1264,7 @@ class TestEventWorkBudget:
             ("node", "send"), ("link", "transmit"), ("simulator", "schedule_at")
         ]
         sim.run()
-        assert far.received == [frame.to_bytes()]
+        assert [raw for _, raw in far.received] == [frame.to_bytes()]
 
     #: Python frames one frame's trip through the detour rig enters,
     #: from its send to the sink's receive (110 while every transmit

@@ -38,22 +38,16 @@ One scripted case rides with it: a shape break mid-stream between
 32-frame bursts arriving over a `Link`, the next of which is already
 served by the regenerated program.
 
-Set ``DIFFERENTIAL_SCALE=<n>`` to multiply every family's case count
-(the nightly job runs at 5×).  On any divergence the failing seed is
-printed so the case reproduces standalone.
+Generators, rigs, comparator and run loop come from ``differential.py``.
 """
 
-import os
 import random
 import sys
 from collections import Counter
 
-from repro.net import EthernetFrame, IPv4Address, MACAddress
-from repro.net.build import tcp_frame, udp_frame
-from repro.net.tcp import TcpSegment
-from repro.netsim import Simulator
+from repro.net import EthernetFrame
+from repro.net.build import udp_frame
 from repro.netsim.link import wire
-from repro.netsim.node import Node
 from repro.openflow import (
     ApplyActions,
     Bucket,
@@ -70,149 +64,15 @@ from repro.openflow import (
 )
 from repro.openflow import consts as c
 from repro.openflow.messages import PacketIn, parse_message
-from repro.softswitch import DatapathCostModel, ESWITCH_COST_MODEL, SoftSwitch
+from repro.softswitch import ESWITCH_COST_MODEL, SoftSwitch
 from repro.softswitch.compiler import PLAN_CHAIN, STEP_GROUP, STEP_RESERVED
 from repro.traffic import BurstSource
 
-from match_gen import random_eth_dst, random_vlan_vid, whole
-
-ZERO_COST = DatapathCostModel.zero()
-
-#: Case-count multiplier; the nightly extended job sets this to 5.
-SCALE = max(1, int(os.environ.get("DIFFERENTIAL_SCALE", "1")))
-
-MACS = [MACAddress(0x020000000001 + i) for i in range(4)]
-IPS = [IPv4Address(f"10.0.{i // 4}.{i % 4 + 1}") for i in range(8)]
-PORTS = [53, 80, 443, 8080]
-
-
-class Sink(Node):
-    def __init__(self, sim, name):
-        super().__init__(sim, name)
-        self.received = []
-
-    def receive(self, port, frame):
-        self.received.append((self.sim.now, frame.to_bytes()))
-
-    def receive_burst(self, port, arrivals):
-        # A coalesced burst is handed over at its drain; what is
-        # compared is each frame's own arrival time on the wire.
-        self.received.extend((when, frame.to_bytes()) for when, frame in arrivals)
-
-
-def random_frame(rng: random.Random) -> EthernetFrame:
-    roll = rng.random()
-    if roll < 0.1:  # non-IP: every L3/L4 flow-key slot is None
-        return EthernetFrame(
-            dst=rng.choice(MACS), src=rng.choice(MACS), ethertype=0x0806,
-            payload=b"\x00" * 28,
-        )
-    src_mac, dst_mac = rng.choice(MACS), rng.choice(MACS)
-    src_ip, dst_ip = rng.choice(IPS), rng.choice(IPS)
-    vlan_id = rng.choice((None, None, 100, 101))
-    if roll < 0.6:
-        return udp_frame(
-            src_mac, dst_mac, src_ip, dst_ip,
-            rng.choice(PORTS), rng.choice(PORTS), b"x", vlan_id=vlan_id,
-        )
-    return tcp_frame(
-        src_mac, dst_mac, src_ip, dst_ip,
-        TcpSegment(rng.choice(PORTS), rng.choice(PORTS)), vlan_id=vlan_id,
-    )
-
-
-def random_match(rng: random.Random) -> Match:
-    fields: dict = {}
-    if rng.random() < 0.5:
-        fields["in_port"] = whole(rng, "in_port", rng.randint(1, 3))
-    if rng.random() < 0.4:
-        fields["eth_type"] = whole(rng, "eth_type", 0x0800)
-    if rng.random() < 0.3:
-        fields["eth_dst"] = random_eth_dst(rng, MACS)
-    if rng.random() < 0.3:
-        fields["vlan_vid"] = random_vlan_vid(rng, (100, 101))
-    if rng.random() < 0.4:
-        value = int(rng.choice(IPS))
-        if rng.random() < 0.5:  # a prefix: partial masks, guarded probes
-            bits = rng.choice((8, 16, 24))
-            mask = (0xFFFFFFFF << (32 - bits)) & 0xFFFFFFFF
-            fields["ipv4_dst"] = (value & mask, mask)
-        else:
-            fields["ipv4_dst"] = whole(rng, "ipv4_dst", value)
-    if rng.random() < 0.3:
-        name = rng.choice(("udp_dst", "udp_src", "tcp_dst", "tcp_src"))
-        fields[name] = whole(rng, name, rng.choice(PORTS))
-    return Match(**fields)
-
-
-def vlan_rewrite_actions(rng: random.Random) -> list:
-    """The neighbours of the translator's push + set-field ``vlan_vid``
-    pair (which the compiler folds into one step): shapes that must not
-    fold, fold only in part, or meet a frame with no tag to rewrite."""
-    set_vid = SetFieldAction.vlan_vid(rng.randint(100, 101))
-    set_dst = SetFieldAction(field="eth_dst", value=int(rng.choice(MACS)))
-    return rng.choice((
-        [PushVlanAction(), set_dst],  # a push whose set-field is not the VLAN's
-        [set_vid],  # a no-op on an untagged frame, a rewrite on a tagged one
-        [PushVlanAction(), PushVlanAction(), set_vid],  # only the inner pair folds
-        [PopVlanAction(), PushVlanAction(), set_vid],
-    ))
-
-
-def compilable_instructions(rng: random.Random):
-    """Instruction lists the compiler supports, weighted to each plan kind."""
-    roll = rng.random()
-    if roll < 0.12:
-        return []  # matched-drop (no-op plan)
-    if roll < 0.2:
-        # Output to a port that does not exist: the drop-at-output path.
-        return [ApplyActions(actions=(OutputAction(port=9),))]
-    actions = [OutputAction(port=rng.randint(1, 3))]
-    extra = rng.random()
-    if extra < 0.2:
-        actions.insert(
-            0, SetFieldAction(field="eth_dst", value=int(rng.choice(MACS)))
-        )
-    elif extra < 0.35:
-        actions = [
-            PushVlanAction(),
-            SetFieldAction.vlan_vid(rng.randint(100, 101)),
-            OutputAction(port=rng.randint(1, 3)),
-        ]
-    elif extra < 0.45:
-        actions = [PopVlanAction(), OutputAction(port=rng.randint(1, 3))]
-    elif extra < 0.55:
-        actions.append(OutputAction(port=rng.randint(1, 3)))  # two outputs
-    elif extra < 0.67:
-        actions = vlan_rewrite_actions(rng) + actions
-    return [ApplyActions(actions=tuple(actions))]
-
-
-RESERVED_PORTS = (c.OFPP_CONTROLLER, c.OFPP_FLOOD, c.OFPP_ALL, c.OFPP_IN_PORT)
-
-
-def edge_flow_mod(rng: random.Random) -> FlowMod:
-    """An install at the edge of what compiles.
-
-    Reserved outputs (packet-in, flood, all, in-port) are steps of the
-    program; write-actions and a frame transform before a goto or a
-    group action make the compiler reject the whole pipeline, which is
-    then interpreted until a delete or a modify takes the rule away —
-    so the mixed suite keeps flipping between the two executors.
-    """
-    roll = rng.random()
-    match, priority = random_match(rng), rng.randint(0, 30)
-    set_dst = SetFieldAction(field="eth_dst", value=int(rng.choice(MACS)))
-    if roll < 0.7:
-        port = rng.choice(RESERVED_PORTS + (c.OFPP_CONTROLLER, c.OFPP_FLOOD))
-        instructions = [ApplyActions(actions=(OutputAction(port=port),))]
-    elif roll < 0.8:  # frame transform before a table walk continues
-        instructions = [ApplyActions(actions=(set_dst,)), GotoTable(table_id=1)]
-    elif roll < 0.9:  # frame transform before a group action
-        instructions = [ApplyActions(actions=(set_dst, GroupAction(group_id=1)))]
-    else:
-        instructions = [WriteActions(actions=(OutputAction(port=rng.randint(1, 3)),))]
-    return FlowMod(match=match, priority=priority, instructions=instructions)
+from differential import (
+    BASE, IPS, MACS, PORTS, RESERVED_PORTS, SCALE, ZERO_COST, assert_identical, build_rig,
+    compilable_instructions, edge_flow_mod, random_churn_message, random_frame, random_match,
+    reproducible, run_differential,
+)
 
 
 def chain_churn_message(rng: random.Random):
@@ -357,181 +217,25 @@ def mortal_churn_message(rng: random.Random):
     )
 
 
-def random_churn_message(rng: random.Random):
-    roll = rng.random()
-    if roll < 0.45:
-        return FlowMod(
-            match=random_match(rng),
-            priority=rng.randint(0, 30),
-            instructions=compilable_instructions(rng),
-        )
-    if roll < 0.57:
-        return edge_flow_mod(rng)
-    if roll < 0.68:  # purge the second table: flips goto pipelines back
-        return FlowMod(
-            table_id=1, command=c.OFPFC_DELETE, match=Match()
-        )
-    if roll < 0.8:  # random deletes (empty matches wipe whole tables)
-        return FlowMod(
-            table_id=rng.choice((0, 0, 0, 1)),
-            command=rng.choice((c.OFPFC_DELETE, c.OFPFC_DELETE_STRICT)),
-            match=random_match(rng),
-            priority=rng.randint(0, 30),
-        )
-    if roll < 0.93:
-        return FlowMod(
-            command=rng.choice((c.OFPFC_MODIFY, c.OFPFC_MODIFY_STRICT)),
-            match=random_match(rng),
-            priority=rng.randint(0, 30),
-            instructions=compilable_instructions(rng),
-        )
-    return GroupMod(
-        command=c.OFPGC_MODIFY,
-        group_type=c.OFPGT_SELECT,
-        group_id=1,
-        buckets=[
-            Bucket(actions=[OutputAction(port=rng.randint(1, 3))], weight=1),
-            Bucket(
-                actions=[OutputAction(port=rng.randint(1, 3))],
-                weight=rng.randint(1, 3),
-            ),
-        ],
+def run_tiers(seed, rounds, bursts_per_round, churn=random_churn_message, cost_model=ZERO_COST,
+              **loop):
+    """Specialized vs interpreted switch: returns (bursts compared,
+    summed specialization counters of the specialized one)."""
+    totals = Counter()
+
+    def add_stats(rigs):
+        stats = rigs[0].switch.stats()["specialization"]
+        totals.update({key: value for key, value in stats.items() if type(value) is int})
+
+    bursts = run_differential(
+        seed, rounds, bursts_per_round,
+        lambda: [build_rig(BASE, cost_model=cost_model, controller=True,
+                           enable_specialization=specialize)
+                 for specialize in (True, False)],
+        churn, after_round=add_stats, family=churn.__name__,
+        cost_model="zero" if cost_model is ZERO_COST else "eswitch", **loop,
     )
-
-
-def build_rig(cost_model, specialize, num_ports=3, fast_path=True, base=None,
-              bandwidth_bps=None, propagation_delay_s=0.0):
-    sim = Simulator()
-    switch = SoftSwitch(
-        sim,
-        "ss",
-        datapath_id=1,
-        cost_model=cost_model,
-        enable_fast_path=fast_path,
-        enable_specialization=specialize,
-    )
-    sinks = []
-    for index in range(num_ports):
-        sink = Sink(sim, f"sink{index}")
-        wire(
-            switch,
-            sink,
-            bandwidth_bps=bandwidth_bps,
-            propagation_delay_s=propagation_delay_s,
-            queue_frames=100_000,
-        )
-        sinks.append(sink)
-    packet_ins: list[bytes] = []
-    switch.to_controller = packet_ins.append
-    base = base or [
-        GroupMod(
-            command=c.OFPGC_ADD,
-            group_type=c.OFPGT_SELECT,
-            group_id=1,
-            buckets=[
-                Bucket(actions=[OutputAction(port=2)], weight=1),
-                Bucket(actions=[OutputAction(port=3)], weight=2),
-            ],
-        ),
-        FlowMod(
-            match=Match(in_port=1),
-            priority=3,
-            instructions=[ApplyActions(actions=(OutputAction(port=2),))],
-        ),
-        FlowMod(match=Match(), priority=0, instructions=[]),
-    ]
-    for message in base:
-        assert switch.handle_message(message.to_bytes()) == []
-    return sim, switch, sinks, packet_ins
-
-
-def assert_identical(spec_rig, interp_rig):
-    _, spec, sinks_a, pins_a = spec_rig
-    _, interp, sinks_b, pins_b = interp_rig
-    for index, (sink_a, sink_b) in enumerate(zip(sinks_a, sinks_b)):
-        assert sink_a.received == sink_b.received, f"sink {index} diverged"
-    assert pins_a == pins_b
-    assert spec.packets_forwarded == interp.packets_forwarded
-    assert spec.drops == interp.drops
-    assert spec.packets_to_controller == interp.packets_to_controller
-    assert spec.dump_pipeline() == interp.dump_pipeline()  # per-entry counters
-    for table_a, table_b in zip(spec.tables, interp.tables):
-        assert table_a.lookups == table_b.lookups
-        assert table_a.matches == table_b.matches
-    assert spec.groups.dump() == interp.groups.dump()
-    for group_id in range(10):
-        group_a, group_b = spec.groups.get(group_id), interp.groups.get(group_id)
-        assert (group_a is None) == (group_b is None), f"group {group_id} presence"
-        if group_a is not None:
-            assert group_a.packet_count == group_b.packet_count, f"group {group_id}"
-            assert group_a.bucket_packet_counts == group_b.bucket_packet_counts
-
-
-def run_differential(
-    seed,
-    rounds,
-    bursts_per_round,
-    cost_model,
-    churn=random_churn_message,
-    churn_prob=0.3,
-    clock_step=0.12,
-):
-    """Returns (bursts compared, aggregated specialization stats).
-
-    *churn* picks the case family; on any divergence the seed and the
-    family are printed so the failing case reproduces standalone.
-    """
-    rng = random.Random(seed)
-    bursts_done = 0
-    totals = {
-        "specialized_frames": 0,
-        "fallback_frames": 0,
-        "compiles": 0,
-        "compile_failures": 0,
-        "invalidations": 0,
-    }
-    try:
-        for _ in range(rounds):
-            spec_rig = build_rig(cost_model, specialize=True)
-            interp_rig = build_rig(cost_model, specialize=False)
-            sim_a, spec, _, _ = spec_rig
-            sim_b, interp, _, _ = interp_rig
-            pool = [random_frame(rng) for _ in range(24)]
-            clock = 0.0
-            for _ in range(bursts_per_round):
-                clock += rng.random() * clock_step  # lets mortal flows expire
-                sim_a.run(until=clock)
-                sim_b.run(until=clock)
-                if rng.random() < churn_prob:
-                    message = churn(rng).to_bytes()
-                    assert spec.handle_message(message) == (
-                        interp.handle_message(message)
-                    )
-                size = rng.choice((1, 2, 3, 4, 6, 8, 8, 12))
-                frames = [pool[rng.randrange(len(pool))] for _ in range(size)]
-                in_port = 1 if rng.random() < 0.7 else rng.randint(2, 3)
-                if size == 1 and rng.random() < 0.5:
-                    spec.inject(frames[0], in_port)
-                    interp.inject(frames[0], in_port)
-                else:
-                    spec.process_batch(in_port, list(frames))
-                    interp.process_batch(in_port, list(frames))
-                bursts_done += 1
-            sim_a.run()
-            sim_b.run()
-            assert_identical(spec_rig, interp_rig)
-            stats = spec.stats()["specialization"]
-            for key in totals:
-                totals[key] += stats[key]
-    except AssertionError:
-        print(
-            f"\nDIFFERENTIAL FAILURE: seed=0x{seed:X} family={churn.__name__} "
-            f"rounds={rounds} bursts_per_round={bursts_per_round} "
-            f"cost_model={'zero' if cost_model is ZERO_COST else 'eswitch'} "
-            f"burst_index={bursts_done}"
-        )
-        raise
-    return bursts_done, totals
+    return bursts, totals
 
 
 # ---------------------------------------------------------------------------
@@ -1043,10 +747,10 @@ class IncrementalRig:
         self.kind = kind  # "patched" | "fresh" | "interpreter"
         interpreted = kind == "interpreter"
         self.rig = build_rig(
-            cost_model,
-            specialize=not interpreted,
-            fast_path=not interpreted,  # the seed linear_lookup, no cache
-            base=incremental_base(),
+            incremental_base(),
+            cost_model=cost_model,
+            controller=True,
+            enable_fast_path=not interpreted,  # the seed linear_lookup, no cache
         )
         self.sim, self.switch, self.sinks, self.packet_ins = self.rig
         self.script = script
@@ -1200,29 +904,15 @@ class IncrementalRig:
             self.hazards["packet_in_compiled"] += 1
 
 
-def assert_same_state(rig_a: IncrementalRig, rig_b: IncrementalRig) -> None:
-    """The cheap per-burst comparison; `assert_identical` runs per round."""
-    a, b = rig_a.switch, rig_b.switch
-    label = f"{rig_a.kind} vs {rig_b.kind}"
-    assert a.busy_until == b.busy_until, label
-    assert rig_a.packet_ins == rig_b.packet_ins, label  # bytes and xids
-    assert (a.packets_forwarded, a.drops, a.packets_to_controller) == (
-        b.packets_forwarded, b.drops, b.packets_to_controller
-    ), label
-    assert a.dump_pipeline() == b.dump_pipeline(), label  # per-entry counters
-    for table_a, table_b in zip(a.tables, b.tables):
-        assert (table_a.lookups, table_a.matches) == (
-            table_b.lookups, table_b.matches
-        ), f"{label}: table {table_a.table_id}"
-
-
 def run_incremental(seed, rounds, bursts_per_round, cost_model, churn_prob=0.5):
     """Returns (bursts compared, hazards seen, patched-switch stat totals)."""
     rng = random.Random(seed)
     hazards: Counter = Counter()
     totals: Counter = Counter()
     bursts_done = 0
-    try:
+    where = dict(family="incremental", rounds=rounds, bursts_per_round=bursts_per_round,
+                 cost_model="zero" if cost_model is ZERO_COST else "eswitch", hazards=hazards)
+    with reproducible(seed, **where) as at:
         for round_index in range(rounds):
             weights = step_weights(_ROUND_THEMES[round_index % len(_ROUND_THEMES)])
             script = reaction_script(rng, 6 * bursts_per_round)
@@ -1235,6 +925,7 @@ def run_incremental(seed, rounds, bursts_per_round, cost_model, churn_prob=0.5):
             prologue = incremental_prologue()
             clock = 0.0
             for burst_index in range(bursts_per_round):
+                at["burst_index"] = bursts_done
                 clock += rng.random() * 0.3  # wide steps: timeouts land
                 for rig in rigs:
                     rig.run_until(clock)
@@ -1263,8 +954,8 @@ def run_incremental(seed, rounds, bursts_per_round, cost_model, churn_prob=0.5):
                 for rig in rigs:
                     rig.burst(in_port, frames, single)
                 bursts_done += 1
-                assert_same_state(patched, interpreter)
-                assert_same_state(fresh, interpreter)
+                assert_identical(patched.rig, interpreter.rig)
+                assert_identical(fresh.rig, interpreter.rig)
                 hazards.update(decision_hazards(patched.switch))
                 program = patched.switch.program
                 if program is not None:
@@ -1275,29 +966,18 @@ def run_incremental(seed, rounds, bursts_per_round, cost_model, churn_prob=0.5):
                 rig.sim.run()
             assert_identical(patched.rig, interpreter.rig)
             assert_identical(fresh.rig, interpreter.rig)
-            assert patched.switch.busy_until == interpreter.switch.busy_until
             stats = patched.switch.stats()["specialization"]
             for key in ("specialized_frames", "fallback_frames", "compiles",
                         "invalidations", "patches"):
                 totals[key] += stats[key]
             totals["fresh_compiles"] += fresh.switch.program_compiles
-    except AssertionError:
-        print(
-            f"\nDIFFERENTIAL FAILURE: seed=0x{seed:X} family=incremental "
-            f"rounds={rounds} bursts_per_round={bursts_per_round} "
-            f"cost_model={'zero' if cost_model is ZERO_COST else 'eswitch'} "
-            f"burst_index={bursts_done} hazards={dict(hazards)}"
-        )
-        raise
     return bursts_done, hazards, totals
 
 
 class TestSpecializedDifferential:
     def test_zero_cost_differential(self):
         """≥600 mixed bursts with immediate (coalesced) egress."""
-        bursts, totals = run_differential(
-            0x5BEC, rounds=4, bursts_per_round=150 * SCALE, cost_model=ZERO_COST
-        )
+        bursts, totals = run_tiers(0x5BEC, rounds=4, bursts_per_round=150 * SCALE)
         assert bursts == 600 * SCALE
         # Every phase was actually exercised (deterministic seed).
         assert totals["specialized_frames"] > 400
@@ -1307,12 +987,8 @@ class TestSpecializedDifferential:
 
     def test_eswitch_cost_deferred_emission(self):
         """≥400 bursts where every emission defers past the CPU charge."""
-        bursts, totals = run_differential(
-            0xE5C0DE,
-            rounds=4,
-            bursts_per_round=110 * SCALE,
-            cost_model=ESWITCH_COST_MODEL,
-        )
+        bursts, totals = run_tiers(0xE5C0DE, rounds=4, bursts_per_round=110 * SCALE,
+                                   cost_model=ESWITCH_COST_MODEL)
         assert bursts == 440 * SCALE
         assert totals["specialized_frames"] > 500
         assert totals["fallback_frames"] > 100
@@ -1322,14 +998,8 @@ class TestSpecializedDifferential:
         dying mid-walk as later tables are wiped, outputs before hops,
         reserved outputs, and transform-before-goto entries that leave
         the whole pipeline interpreted until they go."""
-        bursts, totals = run_differential(
-            0xC4A1,
-            rounds=4,
-            bursts_per_round=250 * SCALE,
-            cost_model=ZERO_COST,
-            churn=chain_churn_message,
-            churn_prob=0.35,
-        )
+        bursts, totals = run_tiers(0xC4A1, rounds=4, bursts_per_round=250 * SCALE,
+                                   churn=chain_churn_message, churn_prob=0.35)
         assert bursts == 1000 * SCALE
         assert totals["specialized_frames"] > 1000
         assert totals["compiles"] >= 10
@@ -1338,14 +1008,8 @@ class TestSpecializedDifferential:
         """≥1000 bursts of group churn: all/select/indirect execution,
         type flips, bucket remaps landing between bursts, and flows
         pointed at groups that never existed (dead-group drops)."""
-        bursts, totals = run_differential(
-            0x6B0B,
-            rounds=4,
-            bursts_per_round=250 * SCALE,
-            cost_model=ZERO_COST,
-            churn=group_churn_message,
-            churn_prob=0.35,
-        )
+        bursts, totals = run_tiers(0x6B0B, rounds=4, bursts_per_round=250 * SCALE,
+                                   churn=group_churn_message, churn_prob=0.35)
         assert bursts == 1000 * SCALE
         assert totals["specialized_frames"] > 1000
         assert totals["invalidations"] >= 10  # group mods mark stale
@@ -1354,15 +1018,9 @@ class TestSpecializedDifferential:
         """≥1000 bursts with idle/hard timeouts armed: expiry lands
         between bursts while compiled decisions for the dead entries
         are still cached, forcing the mortal revalidation path."""
-        bursts, totals = run_differential(
-            0x7E0D,
-            rounds=4,
-            bursts_per_round=250 * SCALE,
-            cost_model=ZERO_COST,
-            churn=mortal_churn_message,
-            churn_prob=0.35,
-            clock_step=0.3,  # wider steps: timeouts actually land
-        )
+        bursts, totals = run_tiers(0x7E0D, rounds=4, bursts_per_round=250 * SCALE,
+                                   churn=mortal_churn_message, churn_prob=0.35,
+                                   clock_step=0.3)  # wider steps: timeouts actually land
         assert bursts == 1000 * SCALE
         assert totals["specialized_frames"] > 1000
         assert totals["compiles"] >= 10
@@ -1379,7 +1037,7 @@ class TestSpecializedDifferential:
         every frame, packet-in and counter throughout."""
         rigs = []
         for specialize in (True, False):
-            rig = build_rig(ZERO_COST, specialize=specialize)
+            rig = build_rig(BASE, controller=True, enable_specialization=specialize)
             _, switch, _, packet_ins = rig
 
             def reactive(raw, switch=switch, log=packet_ins):
@@ -1442,9 +1100,8 @@ class TestSpecializedDifferential:
         ``linear_lookup`` interpreter fed frame by frame, the fixed
         oracle, across churn-driven recompiles."""
         rng = random.Random(0xB0B5)
-        burst_rig = build_rig(ZERO_COST, specialize=True)
-        seq_rig = build_rig(ZERO_COST, specialize=True)
-        linear_rig = build_rig(ZERO_COST, specialize=False, fast_path=False)
+        burst_rig, seq_rig = (build_rig(BASE, controller=True) for _ in range(2))
+        linear_rig = build_rig(BASE, controller=True, enable_fast_path=False)
         rigs = (burst_rig, seq_rig, linear_rig)
         burst_switch, seq_switch, linear_switch = (rig[1] for rig in rigs)
         pool = [random_frame(rng) for _ in range(16)]
@@ -1528,8 +1185,8 @@ class TestSpecializedDifferential:
             rigs = []
             for linear in (False, True):
                 rig = build_rig(
-                    cost_model, specialize=not linear, fast_path=not linear,
-                    base=incremental_base(),
+                    incremental_base(), cost_model=cost_model, controller=True,
+                    enable_fast_path=not linear,
                     bandwidth_bps=10e9, propagation_delay_s=1e-6,
                 )
                 sim, switch = rig[0], rig[1]
@@ -1543,16 +1200,8 @@ class TestSpecializedDifferential:
 
             def checkpoint(until=None):
                 for rig in rigs:
-                    rig[0].run(until=until)
-                assert_identical(spec_rig, linear_rig)
-                assert spec.busy_until == linear_rig[1].busy_until
-                for number in sorted(spec.ports):
-                    port_a, port_b = spec.ports[number], linear_rig[1].ports[number]
-                    for counter in ("rx_frames", "rx_bytes", "tx_frames",
-                                    "tx_bytes", "tx_dropped"):
-                        assert getattr(port_a, counter) == getattr(port_b, counter), (
-                            f"port {number} {counter}"
-                        )
+                    rig.sim.run(until=until)
+                assert_identical(spec_rig, linear_rig)  # busy_until, port counters too
 
             checkpoint(until=0.155)
             assert spec.program is not None and spec.program_compiles == 1

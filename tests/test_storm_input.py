@@ -32,11 +32,9 @@ from repro.legacy import LegacySwitch
 from repro.net import IPv4Address, MACAddress
 from repro.net.build import udp_frame
 from repro.netsim import Host, Link, Simulator
-from repro.netsim.link import wire
-from repro.netsim.node import Node
-from repro.openflow import ApplyActions, FlowMod, Match, OutputAction
+from repro.openflow import FlowMod, Match
 from repro.openflow import consts as c
-from repro.softswitch import SoftSwitch
+from repro.softswitch import ESWITCH_COST_MODEL, SoftSwitch
 from repro.traffic.generators import (
     STORM_SRC_MAC,
     BurstSource,
@@ -45,11 +43,13 @@ from repro.traffic.generators import (
     synth_frame,
 )
 
+from differential import SCALE, assert_identical, build_rig, output
+
 #: Execution tiers of the softswitch, as ``SoftSwitch`` keyword arguments.
 TIERS = {
-    "linear": {"enable_fast_path": False},
-    "interpreted": {"enable_specialization": False},
-    "compiled": {},
+    "linear": {"enable_fast_path": False, "cost_model": ESWITCH_COST_MODEL},
+    "interpreted": {"enable_specialization": False, "cost_model": ESWITCH_COST_MODEL},
+    "compiled": {"cost_model": ESWITCH_COST_MODEL},
 }
 
 
@@ -139,51 +139,10 @@ class TestLegacySwitchUnderStorm:
         assert switch.counters.flooded == 1
 
 
-class RecordingSink(Node):
-    def __init__(self, sim, name):
-        super().__init__(sim, name)
-        self.received = []
-
-    def receive(self, port, frame):
-        self.received.append((self.sim.now, frame.to_bytes()))
-
-    @property
-    def rx_count(self):
-        return len(self.received)
-
-
-def build_softswitch(tier, flood=True, unicast=True, num_ports=3):
-    """A SoftSwitch on *tier* with sinks on ports 1..n, a unicast rule
-    to port 2 and (optionally) a flood fallback; packet-ins are
-    recorded.  Returns (sim, switch, sinks, packet_ins)."""
-    sim = Simulator()
-    switch = SoftSwitch(sim, "ss", datapath_id=1, **TIERS[tier])
-    sinks = []
-    for index in range(num_ports):
-        sink = RecordingSink(sim, f"sink{index}")
-        wire(
-            switch, sink,
-            bandwidth_bps=None, propagation_delay_s=0.0,
-            queue_frames=100_000,
-        )
-        sinks.append(sink)
-    packet_ins: "list[bytes]" = []
-    switch.to_controller = packet_ins.append
-    if unicast:
-        install_output(
-            switch, port=2, match=Match(eth_dst=0x02_00_00_00_00_02), priority=10
-        )
-    if flood:
-        install_output(switch, port=c.OFPP_FLOOD)
-    return sim, switch, sinks, packet_ins
-
-
-def install_output(switch, port, match=None, priority=0):
-    responses = switch.handle_message(FlowMod(
-        match=match or Match(), priority=priority,
-        instructions=[ApplyActions(actions=(OutputAction(port=port),))],
-    ).to_bytes())
-    assert responses == []
+#: Unicast to port 2 and a flood fallback: the storm pipeline.
+UNICAST = FlowMod(match=Match(eth_dst=0x02_00_00_00_00_02), priority=10, instructions=output(2))
+FLOOD = FlowMod(match=Match(), instructions=output(c.OFPP_FLOOD))
+TO_CONTROLLER = FlowMod(match=Match(), instructions=output(c.OFPP_CONTROLLER))
 
 
 class TestSoftSwitchUnderStorm:
@@ -191,21 +150,20 @@ class TestSoftSwitchUnderStorm:
 
     @pytest.mark.parametrize("tier", TIERS)
     def test_no_guard_floods_everything(self, tier):
-        sim, switch, sinks, _ = build_softswitch(tier)
+        sim, switch, sinks, _ = build_rig((UNICAST, FLOOD), controller=True, **TIERS[tier])
         switch.process_batch(1, storm_frames(16))
         sim.run()
-        assert sinks[1].rx_count == 16 and sinks[2].rx_count == 16
-        assert sinks[0].rx_count == 0  # flood never reflects to ingress
+        assert [len(sink.received) for sink in sinks] == [0, 16, 16]  # never to ingress
         assert switch.packets_dropped == 0
         assert dict(switch.drops) == {}
 
     @pytest.mark.parametrize("in_port", [1, 2, 3])
     def test_flood_reaches_every_port_but_the_ingress(self, in_port):
-        sim, switch, sinks, _ = build_softswitch("compiled")
+        sim, switch, sinks, _ = build_rig((UNICAST, FLOOD), controller=True, **TIERS["compiled"])
         for frame in storm_frames(4):
             switch.inject(frame, in_port)
         sim.run()
-        counts = [sink.rx_count for sink in sinks]
+        counts = [len(sink.received) for sink in sinks]
         assert counts == [0 if port == in_port else 4 for port in (1, 2, 3)]
 
 
@@ -221,8 +179,7 @@ class TestEveryMissReachesTheController:
     """No negative cache: each table miss is one packet-in."""
 
     def build(self, tier):
-        sim, switch, _, pins = build_softswitch(tier, flood=False, unicast=False)
-        install_output(switch, port=c.OFPP_CONTROLLER)
+        sim, switch, _, pins = build_rig((TO_CONTROLLER,), controller=True, **TIERS[tier])
         return sim, switch, pins
 
     @pytest.mark.parametrize("tier", TIERS)
@@ -247,7 +204,7 @@ class TestEveryMissReachesTheController:
         sim, switch, pins = self.build("compiled")
         switch.inject(miss_frame(), 1)
         switch.reset_pipeline()
-        install_output(switch, port=c.OFPP_CONTROLLER)
+        assert switch.handle_message(TO_CONTROLLER.to_bytes()) == []
         switch.inject(miss_frame(), 1)
         sim.run()
         assert len(pins) == 2
@@ -366,19 +323,8 @@ def drive(rig, steps, gap_s=0.001):
     sim.run()
 
 
-def assert_rigs_identical(rig_a, rig_b):
-    _, switch_a, sinks_a, pins_a = rig_a
-    _, switch_b, sinks_b, pins_b = rig_b
-    for index, (sink_a, sink_b) in enumerate(zip(sinks_a, sinks_b)):
-        assert sink_a.received == sink_b.received, f"sink {index} diverged"
-    assert pins_a == pins_b
-    assert switch_a.packets_forwarded == switch_b.packets_forwarded
-    assert switch_a.drops == switch_b.drops
-    assert switch_a.packets_to_controller == switch_b.packets_to_controller
-    assert switch_a.dump_pipeline() == switch_b.dump_pipeline()
-
-
-STORM_SEEDS = [0x510, 0x511, 0x512]
+#: Three seeds, times ``DIFFERENTIAL_SCALE``.
+STORM_SEEDS = [0x510 + index for index in range(3 * SCALE)]
 
 
 class TestStormMixDifferentials:
@@ -386,23 +332,24 @@ class TestStormMixDifferentials:
     @pytest.mark.parametrize("tier", TIERS)
     def test_batch_equals_sequential(self, tier, seed):
         steps = seeded_mix(seed)
-        batch_rig = build_softswitch(tier)
-        seq_rig = build_softswitch(tier)
+        batch_rig, seq_rig = (
+            build_rig((UNICAST, FLOOD), controller=True, **TIERS[tier]) for _ in range(2)
+        )
         drive(batch_rig, steps)
         drive(seq_rig, [(port, frames, False) for port, frames, _ in steps])
-        assert_rigs_identical(batch_rig, seq_rig)
-        assert sum(sink.rx_count for sink in batch_rig[2]) > 0
+        assert_identical(batch_rig, seq_rig)
+        assert sum(len(sink.received) for sink in batch_rig.sinks) > 0
 
     @pytest.mark.parametrize("seed", STORM_SEEDS)
     def test_compiled_tier_equals_interpreted_tier(self, seed):
         steps = seeded_mix(seed)
-        interpreted = build_softswitch("interpreted")
-        compiled = build_softswitch("compiled")
+        interpreted = build_rig((UNICAST, FLOOD), controller=True, **TIERS["interpreted"])
+        compiled = build_rig((UNICAST, FLOOD), controller=True, **TIERS["compiled"])
         drive(interpreted, steps)
         drive(compiled, steps)
-        assert_rigs_identical(interpreted, compiled)
-        assert compiled[1].specialized_frames > 0
-        assert interpreted[1].specialized_frames == 0
+        assert_identical(interpreted, compiled)
+        assert compiled.switch.specialized_frames > 0
+        assert interpreted.switch.specialized_frames == 0
 
     def test_flood_free_pipeline_specializes(self):
         """Unicast-only bursts on a flood-free pipeline run compiled,
@@ -412,9 +359,9 @@ class TestStormMixDifferentials:
              * 4, True)
             for _ in range(10)
         ]
-        interpreted = build_softswitch("interpreted", flood=False)
-        compiled = build_softswitch("compiled", flood=False)
+        interpreted = build_rig((UNICAST,), controller=True, **TIERS["interpreted"])
+        compiled = build_rig((UNICAST,), controller=True, **TIERS["compiled"])
         drive(interpreted, steps)
         drive(compiled, steps)
-        assert_rigs_identical(interpreted, compiled)
-        assert compiled[1].specialized_frames > 0
+        assert_identical(interpreted, compiled)
+        assert compiled.switch.specialized_frames > 0
