@@ -119,7 +119,8 @@ class Link:
         port_a.link = self
         port_b.link = self
         # Each end holds its own transmit record, so :meth:`transmit`
-        # needs no :meth:`direction` call; wired and cleared with ``link``.
+        # needs no :meth:`direction` call.  It is read only while the
+        # port's ``link`` is this link, so unwiring leaves it be.
         port_a._tx_direction = self._a_to_b
         port_b._tx_direction = self._b_to_a
 
@@ -133,7 +134,6 @@ class Link:
         for port in (self.port_a, self.port_b):
             if port.link is self:
                 port.link = None
-                port._tx_direction = None
 
     def direction(self, from_port: Port) -> _Direction:
         """The direction whose transmitter is *from_port*: its ``stats``,

@@ -31,8 +31,8 @@ class Port:
         self.number = number
         self.name = name or f"{node.name}:{number}"
         self.link: Optional["Link"] = None
-        #: The attached link's direction this port transmits on; set
-        #: and cleared by the link together with ``link``.
+        #: The direction this port transmits on, set by the link that
+        #: wires it; meaningful only while that link is ``link``.
         self._tx_direction: Optional["_Direction"] = None
         self.tx_frames = 0
         self.tx_bytes = 0

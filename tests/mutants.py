@@ -23,24 +23,6 @@ class Mutant(NamedTuple):
     survived_before: "str | None" = None
 
 
-LINK_WIRING = (
-    '        port_a._tx_direction = self._a_to_b\n'
-    '        port_b._tx_direction = self._b_to_a\n'
-    '\n'
-    '    def disconnect(self) -> None:\n'
-    '        """Unwire both ports (re-cabling / failed-deployment cleanup).\n'
-    '\n'
-    '        Frames already serialised onto the wire still deliver; the\n'
-    '        ports just stop being attached for future sends, and may be\n'
-    '        wired to a new link afterwards.\n'
-    '        """\n'
-    '        for port in (self.port_a, self.port_b):\n'
-    '            if port.link is self:\n'
-    '                port.link = None\n'
-    '                port._tx_direction = None\n'
-)
-
-
 MUTANTS = [
     Mutant(
         "softswitch/flowtable.py",
@@ -65,14 +47,9 @@ MUTANTS = [
     ),
     Mutant(
         "netsim/link.py",
-        # From the wiring through disconnect(): the record is set only
-        # when the port has none, and never cleared.
-        LINK_WIRING,
-        LINK_WIRING.replace(
-            "_tx_direction = self._a_to_b", "_tx_direction = port_a._tx_direction or self._a_to_b"
-        ).replace(
-            "_tx_direction = self._b_to_a", "_tx_direction = port_b._tx_direction or self._b_to_a"
-        ).replace("                port._tx_direction = None\n", ""),
+        "        port_a._tx_direction = self._a_to_b\n        port_b._tx_direction = self._b_to_a\n",
+        "        port_a._tx_direction = port_a._tx_direction or self._a_to_b\n"
+        "        port_b._tx_direction = port_b._tx_direction or self._b_to_a\n",
         "a re-wired port keeps its old link's transmit record (PR 38)",
         ("test_netsim_simulator.py",),
     ),
@@ -177,5 +154,50 @@ MUTANTS = [
         "reason tell, which the classifier suite once left uncompared",
         ("test_classifier_differential.py",),
         survived_before="test_classifier_differential.py",
+    ),
+    # One uncounted early return per ``drops`` producer: the frame is
+    # lost and nothing says why (ROADMAP item 1a, slice iii).
+    Mutant(
+        "legacy/switch.py",
+        '            self.drops["egress-filtered"] += 1\n',
+        "",
+        "the legacy switch filters a frame at egress without counting it",
+        ("test_frame_path_drops.py",),
+    ),
+    Mutant(
+        "netsim/node.py",
+        '            self.drops["port-down"] += 1\n',
+        "",
+        "a down port discards an arriving frame without counting it",
+        ("test_frame_path_drops.py",),
+    ),
+    Mutant(
+        "softswitch/datapath.py",
+        '            self.drops["no-such-group"] += 1\n',
+        "",
+        "the interpreter drops a frame sent to a missing group without counting it",
+        ("test_frame_path_drops.py",),
+    ),
+    Mutant(
+        "netsim/host.py",
+        '            self.drops["tagged"] += 1\n',
+        "",
+        "a host discards a tagged frame without counting it",
+        ("test_frame_path_drops.py",),
+    ),
+    Mutant(
+        "controller/channel.py",
+        '            self.drops["to-switch:channel-down"] += 1\n',
+        "",
+        "a down channel loses a message to the switch without counting it",
+        ("test_frame_path_drops.py",),
+    ),
+    Mutant(
+        "core/verify.py",
+        "    served = switch.specialized_frames - served_before\n",
+        "    served = switch.specialized_frames\n",
+        "a use-case pass counts the frames served while the site was set up\n"
+        "as its own: UC-PC's share reads above 1",
+        ("test_paper_claims.py",),
     ),
 ]

@@ -347,6 +347,19 @@ def test_cross_pod_bursts_cross_migrated_chains():
     for flow in flows:
         stations[flow.dst_pod].port0.send(announcement_frame(flow.spec))
     sim.run(until=sim.now + 0.5)
+    # One frame per flow installs the reactive rules: what follows is
+    # steady state.
+    for flow in flows:
+        stations[flow.src_pod].port0.send(flow.spec.frame(payload_len=32))
+    sim.run(until=sim.now + 0.5)
+    switches = [
+        switch
+        for deployment in fleet.deployments.values()
+        for switch in (deployment.s4.ss1, deployment.s4.ss2)
+    ]
+    fallback_before = [switch.fallback_frames for switch in switches]
+    app = fleet.controller.apps[0]
+    packet_ins_before = app.packet_ins_handled
 
     injected = 0
     for pod, station in enumerate(stations):
@@ -364,11 +377,14 @@ def test_cross_pod_bursts_cross_migrated_chains():
     delivered = sum(station.rx_count for station in stations) - before
     assert delivered == injected
 
-    # Every hop's S4 actually ran compiled: the SS_1 translator and the
-    # SS_2 learning pipeline are both specialization-eligible.
-    for deployment in fleet.deployments.values():
-        for switch in (deployment.s4.ss1, deployment.s4.ss2):
-            assert switch.stats()["specialization"]["specialized_frames"] > 0
+    # Every hop's S4 ran compiled and only compiled: the SS_1 translator
+    # and the SS_2 learning pipeline are both specialization-eligible,
+    # so no frame of the window fell back to the interpreter, and none
+    # reached the controller.
+    assert [switch.fallback_frames for switch in switches] == fallback_before
+    assert app.packet_ins_handled == packet_ins_before
+    for switch in switches:
+        assert switch.specialized_frames > 0
 
 
 def test_cross_pod_flow_population():

@@ -8,16 +8,14 @@ measured value comes from the wall clock, so a row's outcome does not
 depend on the machine.  The README's "Paper claims" table lists the same ids, and
 ``tools/docs_lint.py`` keeps the two in step.
 
-The three use-case scenarios are the ones ``benchmarks/bench_usecase_*.py``
-time for the regression gate, loaded here by path so each is written
-once.  The mid-wave fault is the ``midwave`` row of
-``tests/test_resilience.py``, loaded from there by path too.
+The three use-case sites and their datapath rigs come from
+:mod:`repro.core.verify`, which ``benchmarks/bench_tiers.py`` times
+too; the scenarios that drive them live here.  The mid-wave fault comes
+from ``tests/fault_scenarios.py``, beside the other fault rows.
 """
 
-import importlib.util
-import pathlib
+import itertools
 import statistics
-import sys
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -33,10 +31,25 @@ from repro.core import (
 )
 from repro.core.translator import generate_translator_rules, verify_translator_rules
 from repro.core.verify import (
+    DMZ_TENANTS,
+    DMZ_VMS_PER_TENANT,
+    LB_CLIENTS,
+    LB_VIP,
+    PC_SITES,
+    PC_USERS,
+    PC_ZONE,
+    build_dmz_site,
     build_harmless_site,
     build_ideal_site,
+    build_lb_site,
+    build_pc_site,
+    dmz_datapath_rig,
+    lb_datapath_rig,
     make_hosts,
+    pc_datapath_rig,
     random_udp_traffic,
+    resolve,
+    run_datapath_pass,
 )
 from repro.costmodel import CostModel
 from repro.legacy import LegacySwitch
@@ -48,27 +61,7 @@ from repro.openflow import ApplyActions, FlowMod, Match, OutputAction
 from repro.softswitch import ESWITCH_COST_MODEL, SoftSwitch
 from repro.traffic import make_flow_population, zipf_weights
 
-TESTS = pathlib.Path(__file__).parent
-BENCHMARKS = TESTS.parent / "benchmarks"
-
-
-def load_module(path, name):
-    """The Python file at *path* as module *name*, registered under that
-    name because the benches import their helpers as ``common``."""
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-def load_bench(name):
-    return load_module(BENCHMARKS / f"{name}.py", name)
-
-
-common = load_bench("common")
-dmz, lb, pc = (load_bench(f"bench_usecase_{case}") for case in ("dmz", "lb", "pc"))
-resilience = load_module(TESTS / "test_resilience.py", "resilience_rows")
+from fault_scenarios import converged_as, midwave
 
 
 # ------------------------------------------------------------- CLAIM-COST
@@ -375,20 +368,14 @@ def fleet_vlans(num_switches=24, ports_each=48):
 
 # ------------------------------------------------------------------- UC-*
 
-#: One pass of the use-case datapath rigs, as the CI smoke bench runs them.
+#: One pass of the use-case datapath rigs.
 RIG_PACKETS = 3_000
-RIG_BURST = 32
 
 
-def compiled_rig(bench):
+def compiled_rig(make_rig):
     """The compiled-tier counters of one specialized pass through the
     use case's installed pipeline."""
-
-    def measure():
-        counters = common.run_rig_pass(bench.make_datapath_rig, True, RIG_PACKETS, RIG_BURST)
-        return {key: counters[key] for key in ("compiles", "specialized_share")}
-
-    return measure
+    return lambda: run_datapath_pass(make_rig(True), RIG_PACKETS)
 
 
 def served_compiled(counters):
@@ -401,8 +388,8 @@ def same_tenant_pairs():
     names rather than from the allowed pairs the app is configured with."""
     names = [
         f"t{tenant}vm{member}"
-        for tenant in range(dmz.TENANTS)
-        for member in range(dmz.VMS_PER_TENANT)
+        for tenant in range(DMZ_TENANTS)
+        for member in range(DMZ_VMS_PER_TENANT)
     ]
     return {
         (a, b)
@@ -412,9 +399,23 @@ def same_tenant_pairs():
     }
 
 
+def dmz_matrix() -> "set[tuple[str, str]]":
+    """Every ordered VM pair pings once; the ``(src, dst)`` VM names of
+    the pings that were answered."""
+    sim, hosts, _, dmz = build_dmz_site()
+    vm_of = {vm.ip: name for name, vm in dmz.vms.items()}
+    pings = []
+    delay = 0.0
+    for src, dst in itertools.permutations(hosts, 2):
+        sim.schedule(delay, lambda s=src, d=dst: pings.append((s, d, s.ping(d.ip))))
+        delay += 0.005
+    sim.run(until=delay + 3.0)
+    return {(vm_of[src.ip], vm_of[dst.ip]) for src, dst, result in pings if not result.lost}
+
+
 def dmz_runtime_flip():
     """A cross-tenant pair before an allow, after it, and after a revoke."""
-    sim, hosts, deployment, policy = dmz.build()
+    sim, hosts, deployment, policy = build_dmz_site()
     datapath = deployment.datapath
     a, b = hosts[0], hosts[2]  # different tenants
     a.ping(b.ip)
@@ -446,34 +447,56 @@ def jain_fairness(counts):
 
 def lb_balance(weights=None):
     """Requests per backend, requests offered and Jain fairness (1.0 is
-    perfect) for clients weighted by *weights* (uniform by default)."""
-    counts, offered = lb.run_workload(weights)
+    perfect) for clients weighted by *weights* (uniform by default):
+    about four requests per client, at least one each."""
+    sim, clients, backends, _ = build_lb_site()
+    weights = weights or [1.0] * len(clients)
+    offered = 0
+    for client, weight in zip(clients, weights):
+        count = max(1, round(4 * weight * len(clients)))
+        offered += count
+        for index in range(count):
+            sim.schedule(0.01 * index, lambda c=client: c.send_udp(LB_VIP, 80, b"GET /"))
+    sim.run(until=5.0)
+    counts = [len(backend.udp_received) for backend in backends]
     return {"counts": counts, "offered": offered, "fairness": jain_fairness(counts)}
 
 
 def lb_affinity():
     """Requests per backend after one client sends six."""
-    sim, clients, backends, _ = lb.build(num_clients=4)
+    sim, clients, backends, _ = build_lb_site(num_clients=4)
     for _ in range(6):
-        clients[0].send_udp(lb.VIP, 80, b"GET /same")
+        clients[0].send_udp(LB_VIP, 80, b"GET /same")
     sim.run(until=3.0)
     return [len(b.udp_received) for b in backends]
 
 
 def pc_matrix():
     """The user x site lookup matrix with user i blocked from site i."""
-    results, refused, resolved = pc.run_matrix()
-    return {"answered": len(results), "refused": sorted(refused), "resolved": len(resolved)}
+    sim, users, resolver, pc, _ = build_pc_site()
+    for user, site in zip(users, PC_SITES):
+        pc.block(user.ip, site)
+    results = []
+    delay = 0.1
+    for txid, (user, site) in enumerate(itertools.product(users, PC_SITES), 1):
+        sim.schedule(delay, lambda u=user, s=site, t=txid: resolve(u, resolver, s, t, results))
+        delay += 0.05
+    sim.run(until=delay + 3.0)
+    return {
+        "answered": len(results),
+        "refused": sorted((u, s) for u, s, rcode in results if rcode == DNS_RCODE_REFUSED),
+        "resolved": sum(1 for _, _, rcode in results if rcode == 0),
+    }
 
 
 def pc_runtime_flip():
     """One user's lookup rcode before a block, after it, after an unblock."""
-    sim, users, resolver, policy, _ = pc.build()
-    kid, site = users[0], pc.SITES[0]
+    sim, users, resolver, policy, _ = build_pc_site()
+    kid, site = users[0], PC_SITES[0]
 
     def lookup(txid, until):
         results = []
-        pc.resolve(kid, resolver, site, txid, results)
+        resolve(kid, resolver, site, txid, results)
         sim.run(until=until)
         return results[-1][2]
 
@@ -492,12 +515,12 @@ def pc_runtime_flip():
 def pc_l3_drops():
     """The (src, dst) L3 drop flows on SS_2 once a blocked site's address
     is learned from another user's lookup."""
-    sim, users, resolver, policy, deployment = pc.build()
+    sim, users, resolver, policy, deployment = build_pc_site()
     kid, other = users[0], users[1]
     results = []
-    pc.resolve(other, resolver, pc.SITES[1], 9, results)  # the app learns the IP
+    resolve(other, resolver, PC_SITES[1], 9, results)  # the app learns the IP
     sim.run(until=2.0)
-    policy.block(kid.ip, pc.SITES[1])
+    policy.block(kid.ip, PC_SITES[1])
     sim.run(until=2.5)
     drops = []
     for table in deployment.s4.ss2.tables:
@@ -511,7 +534,7 @@ def pc_l3_drops():
     return {
         "drops": drops,
         "kid": int(kid.ip),
-        "site": int(pc.ZONE[pc.SITES[1]]),
+        "site": int(PC_ZONE[PC_SITES[1]]),
         "other": int(other.ip),
     }
 
@@ -587,8 +610,8 @@ CLAIMS = [
         "Migration stays harmless under a live fault: a trunk flaps while "
         "the remaining waves migrate, and the fabric is clean in the first "
         "0.25 s sweep after the restore, with no probe lost",
-        resilience.midwave,
-        lambda row: row["verified"] and resilience.converged_as(row, 0.25, 0, 1),
+        midwave,
+        lambda row: row["verified"] and converged_as(row, 0.25, 0, 1),
     ),
     Claim(
         "XPAR-SCALE-RULES", "Fig. 1",
@@ -624,7 +647,7 @@ CLAIMS = [
         "UC-LB-ZIPF", "use case (a)",
         "Under Zipf-skewed clients nothing is lost and the spread degrades "
         "but holds",
-        lambda: lb_balance(zipf_weights(lb.NUM_CLIENTS, skew=1.2)),
+        lambda: lb_balance(zipf_weights(LB_CLIENTS, skew=1.2)),
         lambda m: sum(m["counts"]) == m["offered"] and m["fairness"] > 0.3,
     ),
     Claim(
@@ -636,13 +659,13 @@ CLAIMS = [
     Claim(
         "UC-LB-COMPILED", "use case (a)",
         "The VIP/select-group pipeline compiles and serves steady traffic",
-        compiled_rig(lb), served_compiled,
+        compiled_rig(lb_datapath_rig), served_compiled,
     ),
     Claim(
         "UC-DMZ-MATRIX", "use case (b)",
         "Every ordered VM pair pings once: exactly the same-tenant pairs "
         "answer, in both directions",
-        dmz.run_matrix,
+        dmz_matrix,
         lambda answered: answered == same_tenant_pairs(),
     ),
     Claim(
@@ -654,15 +677,15 @@ CLAIMS = [
     Claim(
         "UC-DMZ-COMPILED", "use case (b)",
         "The policy pipeline compiles and serves steady traffic",
-        compiled_rig(dmz), served_compiled,
+        compiled_rig(dmz_datapath_rig), served_compiled,
     ),
     Claim(
         "UC-PC-MATRIX", "use case (c)",
         "Each user is refused exactly the sites blocked for them",
         pc_matrix,
-        lambda m: m["answered"] == pc.USERS * len(pc.SITES)
-        and m["refused"] == sorted((f"h{i + 1}", pc.SITES[i]) for i in range(pc.USERS))
-        and m["resolved"] == pc.USERS * len(pc.SITES) - pc.USERS,
+        lambda m: m["answered"] == PC_USERS * len(PC_SITES)
+        and m["refused"] == sorted((f"h{i + 1}", PC_SITES[i]) for i in range(PC_USERS))
+        and m["resolved"] == PC_USERS * len(PC_SITES) - PC_USERS,
     ),
     Claim(
         "UC-PC-FLIP", "use case (c)",
@@ -683,7 +706,7 @@ CLAIMS = [
     Claim(
         "UC-PC-COMPILED", "use case (c)",
         "The L3 enforcement pipeline compiles and serves steady traffic",
-        compiled_rig(pc), served_compiled,
+        compiled_rig(pc_datapath_rig), served_compiled,
     ),
 ]
 

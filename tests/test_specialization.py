@@ -588,7 +588,7 @@ class TestPatchingInPlace:
         assert switch.program is program and switch.program_patches == 1
 
     def test_emptied_field_set_recreated_rebinds_probe(self):
-        """The add/delete-strict churn `bench_specialized` runs: the
+        """The add/delete-strict churn of `bench_tiers`'s churn row: the
         only entry of a field-set goes, the table drops the emptied
         group, the next add builds a new one (a new bucket dict).  The
         kept program must probe the new dict."""

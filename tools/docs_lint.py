@@ -15,9 +15,8 @@ And the module census in ``docs/architecture.md``: its table must list
 every module under ``src/repro/`` (package ``__init__.py`` files only
 re-export and are left out) and no module that does not exist.
 
-And two README claims that used to rot: the number of CI-gated
-``*.json`` artefacts (the files under ``benchmarks/baselines/``), and
-the bench table, which must name every ``benchmarks/bench_*.py``.
+And a README claim that used to rot: the bench table must name every
+``benchmarks/bench_*.py``.
 
 And the README's "Paper claims" table: it must name every claim id of
 ``CLAIMS`` in ``tests/test_paper_claims.py`` exactly once, and no other
@@ -25,10 +24,9 @@ id, so the published claim list cannot drift from what tier-1 checks.
 The ids are read from the test file's syntax tree; ``tests/`` is not
 imported.
 
-And the other direction: every ``bench_*.py`` named in a CI workflow,
-the README or ``check_regression.py``'s docstring must exist under
-``benchmarks/``, so deleting a bench cannot leave a step or a refresh recipe
-pointing at nothing.
+And the other direction: every ``bench_*.py`` named in a CI workflow
+or the README must exist under ``benchmarks/``, so deleting a bench
+cannot leave a step pointing at nothing.
 
 And names: a backticked ``Class.attr`` (or ``Class.method()``) in
 ``docs/architecture.md`` or the README whose ``Class`` is a class of the
@@ -191,22 +189,11 @@ def check_module_census() -> "list[str]":
     return problems
 
 
-def check_readme_counts(readme: pathlib.Path) -> "list[str]":
-    """The README's gated-artefact count and bench table must agree
-    with the tree."""
+def check_bench_table(readme: pathlib.Path) -> "list[str]":
+    """The README's bench table must name every bench in the tree."""
     text = readme.read_text(encoding="utf-8")
     name = readme.relative_to(REPO_ROOT)
     problems = []
-
-    baselines = len(list((REPO_ROOT / "benchmarks" / "baselines").glob("*.json")))
-    claimed = re.search(r"the (\d+) `\*\.json` artefacts", text)
-    if claimed is None or int(claimed.group(1)) != baselines:
-        problems.append(
-            f"{name}: should say 'the {baselines} `*.json` artefacts' "
-            f"(files under benchmarks/baselines/), found "
-            f"{claimed.group(0) if claimed else 'no such claim'!r}"
-        )
-
     named = set()
     table = "\n".join(
         line for line in text.splitlines() if line.lstrip().startswith("|")
@@ -283,16 +270,14 @@ def check_paper_claims(readme: pathlib.Path) -> "list[str]":
 
 
 #: Files that tell people (or CI) to run a bench by path.
-BENCH_REFERENCE_GLOBS = (
-    ".github/workflows/*.yml", "README.md", "benchmarks/check_regression.py",
-)
+BENCH_REFERENCE_GLOBS = (".github/workflows/*.yml", "README.md")
 #: A bare ``bench_x.py`` or ``benchmarks/bench_x.py`` (not ``tools/bench_…``).
 BENCH_NAME_RE = re.compile(r"(?:(?<![\w/])|(?<=benchmarks/))bench_\w+\.py")
 
 
 def check_bench_references() -> "list[str]":
-    """Every ``bench_*.py`` a workflow, the README or the regression
-    gate's refresh recipe names must be in ``benchmarks/``."""
+    """Every ``bench_*.py`` a workflow or the README names must be in
+    ``benchmarks/``."""
     problems = []
     for pattern in BENCH_REFERENCE_GLOBS:
         for path in sorted(REPO_ROOT.glob(pattern)):
@@ -437,7 +422,7 @@ def main() -> int:
     if readme.exists():
         problems.extend(check_repo_layout(readme))
         problems.extend(check_readme_packages(readme))
-        problems.extend(check_readme_counts(readme))
+        problems.extend(check_bench_table(readme))
         problems.extend(check_paper_claims(readme))
     problems.extend(check_bench_references())
     problems.extend(check_class_attributes())
@@ -452,7 +437,7 @@ def main() -> int:
         print(f"FAIL: {len(problems)} problem(s)", file=sys.stderr)
         return 1
     print("PASS: links, named benches, modules, documents and class attributes resolve, "
-          "README counts, the paper-claims table and the module census match "
+          "the README bench table, the paper-claims table and the module census match "
           "the tree")
     return 0
 
