@@ -147,10 +147,20 @@ class RunningConfig:
         config.validate()
 
     def ports_in_vlan(self, vlan_id: int) -> list[int]:
-        """Sorted port numbers that carry *vlan_id*."""
-        return sorted(
-            number for number, config in self.ports.items() if config.carries(vlan_id)
-        )
+        """Sorted port numbers that carry *vlan_id*: the flood
+        membership, :meth:`PortVlanConfig.carries` read by value inline
+        (no method call per port)."""
+        access = PortMode.ACCESS
+        return sorted([
+            number
+            for number, config in self.ports.items()
+            if config.enabled
+            and (
+                vlan_id == config.pvid
+                if config.mode is access
+                else vlan_id in config.allowed_vlans or vlan_id == config.native_vlan
+            )
+        ])
 
     def copy(self) -> "RunningConfig":
         duplicate = RunningConfig(

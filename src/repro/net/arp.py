@@ -14,6 +14,7 @@ ARP_OP_REPLY = 2
 _HEADER = struct.Struct("!HHBBH")
 _HTYPE_ETHERNET = 1
 _PTYPE_IPV4 = 0x0800
+_new_packet = object.__new__
 
 
 @dataclass
@@ -80,13 +81,18 @@ class ArpPacket:
             )
         if hlen != 6 or plen != 4:
             raise PacketDecodeError("arp", f"unsupported address sizes: {hlen}/{plen}")
-        return cls(
-            opcode=opcode,
-            sender_mac=MACAddress(data[8:14]),
-            sender_ip=IPv4Address(data[14:18]),
-            target_mac=MACAddress(data[18:24]),
-            target_ip=IPv4Address(data[24:28]),
-        )
+        if opcode != ARP_OP_REQUEST and opcode != ARP_OP_REPLY:
+            raise PacketDecodeError("arp", f"unsupported opcode: {opcode}")
+        # Every field is checked or built from its bytes here, so the
+        # packet skips the dataclass's __init__ and its re-validation: a
+        # host decodes every ARP broadcast of its VLAN.
+        packet = _new_packet(cls)
+        packet.opcode = opcode
+        packet.sender_mac = MACAddress(data[8:14])
+        packet.sender_ip = IPv4Address(data[14:18])
+        packet.target_mac = MACAddress(data[18:24])
+        packet.target_ip = IPv4Address(data[24:28])
+        return packet
 
     def __str__(self) -> str:
         if self.opcode == ARP_OP_REQUEST:

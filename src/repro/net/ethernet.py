@@ -152,19 +152,6 @@ class EthernetFrame:
     #: whose getter is a slot read.
     wire_length = property(attrgetter("_wire_length"))
 
-    def _derive(self, tags: "tuple[Dot1QTag, ...]", wire_length: int) -> "EthernetFrame":
-        """A frame like this one with the tag stack *tags*, *wire_length*
-        bytes long: the one validation-free constructor.  Every
-        reference it copies was validated when this frame was built."""
-        frame = _new_frame(EthernetFrame)
-        frame.dst = self.dst
-        frame.src = self.src
-        frame.ethertype = self.ethertype
-        frame._payload = self._payload
-        frame._tags = tags
-        frame._wire_length = wire_length
-        return frame
-
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not EthernetFrame:
             return NotImplemented
@@ -195,27 +182,67 @@ class EthernetFrame:
         """The outermost VLAN id, or None if untagged."""
         return self._tags[0].vlan_id if self._tags else None
 
+    # Each derivation builds its frame in its own body — one Python
+    # frame per tag edit, the hop's commonest call — and takes its tag
+    # from the intern table, calling out only on a miss.  Every
+    # reference it copies was validated when this frame was built.
+
     def push_vlan(self, vlan_id: int, pcp: int = 0) -> "EthernetFrame":
         """Return a copy with a new outermost tag (OpenFlow PUSH_VLAN + SET_FIELD)."""
-        tags = (_interned_tag(vlan_id, pcp), *self._tags)
-        return self._derive(tags, self._wire_length + 4)
+        tag = _TAGS.get((vlan_id, pcp, False))
+        if tag is None:
+            tag = _interned_tag(vlan_id, pcp)
+        frame = _new_frame(EthernetFrame)
+        frame.dst = self.dst
+        frame.src = self.src
+        frame.ethertype = self.ethertype
+        frame._payload = self._payload
+        frame._tags = (tag, *self._tags)
+        frame._wire_length = self._wire_length + 4
+        return frame
 
     def pop_vlan(self) -> "EthernetFrame":
         """Return a copy with the outermost tag removed (OpenFlow POP_VLAN)."""
-        if not self._tags:
+        tags = self._tags
+        if not tags:
             raise ValueError("cannot pop VLAN tag from untagged frame")
-        return self._derive(self._tags[1:], self._wire_length - 4)
+        frame = _new_frame(EthernetFrame)
+        frame.dst = self.dst
+        frame.src = self.src
+        frame.ethertype = self.ethertype
+        frame._payload = self._payload
+        frame._tags = tags[1:]
+        frame._wire_length = self._wire_length - 4
+        return frame
 
     def set_vlan(self, vlan_id: int) -> "EthernetFrame":
         """Return a copy with the outermost tag's VLAN id rewritten."""
-        if not self._tags:
+        tags = self._tags
+        if not tags:
             raise ValueError("cannot set VLAN id on untagged frame")
-        head = self._tags[0]
-        tags = (_interned_tag(vlan_id, head.pcp, head.dei), *self._tags[1:])
-        return self._derive(tags, self._wire_length)
+        head = tags[0]
+        key = (vlan_id, head.pcp, head.dei)
+        tag = _TAGS.get(key)
+        if tag is None:
+            tag = _interned_tag(*key)
+        frame = _new_frame(EthernetFrame)
+        frame.dst = self.dst
+        frame.src = self.src
+        frame.ethertype = self.ethertype
+        frame._payload = self._payload
+        frame._tags = (tag, *tags[1:])
+        frame._wire_length = self._wire_length
+        return frame
 
     def copy(self) -> "EthernetFrame":
-        return self._derive(self._tags, self._wire_length)
+        frame = _new_frame(EthernetFrame)
+        frame.dst = self.dst
+        frame.src = self.src
+        frame.ethertype = self.ethertype
+        frame._payload = self._payload
+        frame._tags = self._tags
+        frame._wire_length = self._wire_length
+        return frame
 
     def replaced(self, **fields) -> "EthernetFrame":
         """Return a copy with *fields* replaced, validated by the

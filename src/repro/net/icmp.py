@@ -14,6 +14,7 @@ ICMP_TYPE_DEST_UNREACHABLE = 3
 ICMP_TYPE_TIME_EXCEEDED = 11
 
 _HEADER = struct.Struct("!BBHHH")
+_new_message = object.__new__
 
 
 @dataclass
@@ -47,12 +48,14 @@ class IcmpPacket:
     def make_reply(self) -> "IcmpPacket":
         if self.icmp_type != ICMP_TYPE_ECHO_REQUEST:
             raise ValueError("can only reply to an echo request")
-        return IcmpPacket(
-            icmp_type=ICMP_TYPE_ECHO_REPLY,
-            identifier=self.identifier,
-            sequence=self.sequence,
-            payload=self.payload,
-        )
+        # Built from this message's already-checked fields, like a decode.
+        reply = _new_message(IcmpPacket)
+        reply.icmp_type = ICMP_TYPE_ECHO_REPLY
+        reply.code = 0
+        reply.identifier = self.identifier
+        reply.sequence = self.sequence
+        reply.payload = self.payload
+        return reply
 
     def to_bytes(self) -> bytes:
         unchecksummed = _HEADER.pack(
@@ -71,13 +74,16 @@ class IcmpPacket:
         icmp_type, code, checksum, identifier, sequence = _HEADER.unpack_from(data)
         if internet_checksum(data) != 0:
             raise PacketDecodeError("icmp", "checksum mismatch")
-        return cls(
-            icmp_type=icmp_type,
-            code=code,
-            identifier=identifier,
-            sequence=sequence,
-            payload=data[8:],
-        )
+        # Type and code are single bytes, so in range: the message skips
+        # the dataclass's __init__ and its re-validation (every ping a
+        # host answers or collects is decoded here).
+        message = _new_message(cls)
+        message.icmp_type = icmp_type
+        message.code = code
+        message.identifier = identifier
+        message.sequence = sequence
+        message.payload = bytes(data[8:])
+        return message
 
     def __str__(self) -> str:
         names = {

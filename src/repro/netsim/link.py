@@ -152,16 +152,12 @@ class Link:
         return self.direction(from_port).stats
 
     def serialization_delay(self, frame: EthernetFrame) -> float:
-        """Time to clock *frame* onto the wire at this link's bandwidth."""
-        return self._serialization(frame.wire_length)
-
-    def _serialization(self, length: int) -> float:
-        """Time to clock *length* wire bytes out.  :meth:`transmit`
-        inlines this very expression: burst and single-frame timing must
-        agree to the last ulp."""
-        if self.bandwidth_bps is None:
-            return 0.0
-        return length * 8 / self.bandwidth_bps
+        """Time to clock *frame* onto the wire at this link's bandwidth.
+        :meth:`transmit` and :meth:`transmit_burst` inline this very
+        expression: burst and single-frame timing must agree to the
+        last ulp."""
+        bandwidth = self.bandwidth_bps
+        return 0.0 if bandwidth is None else frame.wire_length * 8 / bandwidth
 
     def transmit(self, from_port: Port, frame: EthernetFrame) -> bool:
         """Queue *frame* for the far end; returns False on a drop."""
@@ -209,7 +205,10 @@ class Link:
         drain time (and the queue occupancy drains all at once) rather
         than one event each.
         """
-        direction = self.direction(from_port)
+        if from_port.link is self:
+            direction = from_port._tx_direction
+        else:  # a former end, or no end at all: direction() raises
+            direction = self.direction(from_port)
         stats = direction.stats
         if not self.up:
             direction.drop("link-down", len(frames))
@@ -226,7 +225,8 @@ class Link:
         now = self.sim._now
         busy = direction.busy_until
         prop = self.propagation_delay_s
-        if self.bandwidth_bps is None:
+        bandwidth = self.bandwidth_bps
+        if bandwidth is None:
             # Ideal link: zero serialisation, so sequential transmits
             # would start, finish and land every frame at one instant
             # and add 0.0 to busy_time each — account them in one step.
@@ -234,11 +234,10 @@ class Link:
             arrival = busy + prop
             accepted = [(arrival, frame) for frame in frames]
         else:
-            serialization_of = self._serialization
             busy_time = stats.busy_time
             accepted = []
             for frame, length in zip(frames, lengths):
-                serialization = serialization_of(length)
+                serialization = length * 8 / bandwidth
                 start = busy if busy > now else now
                 busy = start + serialization
                 busy_time += serialization

@@ -117,10 +117,20 @@ legacy push or an SS_1 pop just derived it), so nothing is keyed on
 frame identity: ``run_burst`` decodes the shrunk key inline, asks the
 key cache, and enters ``_classify`` only on a miss (or to revalidate a
 mortal decision).  Decisions carry no length — the executor reads the
-frame's.  One peephole (:func:`_fold`) turns the translator's push +
-set-field ``vlan_vid`` pair into a single ``push_vlan(v)`` step
-wherever actions become steps; the cost model is still charged for
-both actions.
+frame's.  Actions become steps in one place (:func:`_steps`): a VLAN
+pop or push is named by its opcode, so the executor calls the frame's
+own ``pop_vlan()``/``push_vlan(v)`` — one Python frame per tag edit —
+and one peephole turns the translator's push + set-field ``vlan_vid``
+pair into a single ``push_vlan(v)`` step; the cost model is still
+charged for every unfolded action.  A terminal entry's plan has one of
+five kinds: ``PLAN_OUT`` (one concrete output), ``PLAN_EDIT`` (one tag
+edit, then one concrete output: every rule the translator installs,
+served with no step loop and no output list), ``PLAN_SEQ`` (any other
+straight-line sequence), ``PLAN_NOOP`` (nothing emitted) and
+``PLAN_MISS``; ``PLAN_CHAIN`` carries everything else as a step list.
+``PLAN_EDIT`` is a kind of its own rather than an optional edit on
+``PLAN_OUT``, so the commonest branch pays no test for an edit it
+never has and every plan keeps its five-slot layout.
 
 ``run_burst`` serves every ``process_batch`` call, a burst of one
 included, with outputs re-coalesced per egress port: a port's lone
@@ -149,7 +159,6 @@ and the drops inside its steps, which are counted as they happen.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from random import Random
 from types import CodeType
 from typing import TYPE_CHECKING, Iterable, Optional
@@ -196,38 +205,49 @@ PLAN_MISS = 1  # table miss: count the lookup, drop
 PLAN_NOOP = 2  # matched entry with no emitting instructions
 PLAN_SEQ = 3  # straight-line action sequence (vlan ops, set-field, outputs)
 PLAN_CHAIN = 4  # step list: multi-table walk, groups, reserved outputs
+PLAN_EDIT = 5  # one VLAN push or pop, then one concrete-port output
 
-#: Step opcodes inside CHAIN plans (first element of each step).
+#: Step opcodes inside SEQ and CHAIN plans (first element of each step).
 STEP_OUT = 0  # output to a concrete port (drop if the port is gone)
-STEP_XFORM = 1  # frame transform: push/pop VLAN, set-field
+STEP_XFORM = 1  # set-field: the action's own apply()
 STEP_GROUP = 2  # group: the buckets this key runs (all of an all-group)
 STEP_GROUP_EMPTY = 3  # select/indirect group without buckets: drop
 STEP_GROUP_DEAD = 4  # reference to a group that does not exist: drop
 STEP_RESERVED = 5  # CONTROLLER/FLOOD/ALL/IN_PORT: the interpreter's _output
+STEP_POP = 6  # pop the outermost VLAN tag; an untagged frame stays as it is
+STEP_PUSH = 7  # push a tag of VLAN id arg (pcp 0, dei 0)
 
 _RESERVED_PORTS = frozenset(
     (c.OFPP_CONTROLLER, c.OFPP_FLOOD, c.OFPP_ALL, c.OFPP_IN_PORT)
 )
 
 
-@dataclass(frozen=True)
-class _PushTagged:
-    """A folded ``PushVlanAction`` + ``SetFieldAction(vlan_vid=v)`` pair:
-    one step, one derived frame.  A value, like the actions it replaces
-    (plans compare equal across programs)."""
-
-    vlan_id: int
-
-    def apply(self, frame):
-        return frame.push_vlan(self.vlan_id)
+_TRANSFORM_ACTIONS = (PushVlanAction, PopVlanAction, SetFieldAction)
 
 
-_TRANSFORM_ACTIONS = (PushVlanAction, PopVlanAction, SetFieldAction, _PushTagged)
+def _step(action) -> tuple:
+    """The step of one action.  A tag edit is named by its opcode, so
+    the executor calls the frame's own ``pop_vlan``/``push_vlan``; a
+    group action's step carries the action until the chain walk
+    resolves it (:func:`_build_decision`)."""
+    kind = type(action)
+    if kind is OutputAction:
+        if action.port in _RESERVED_PORTS:
+            return (STEP_RESERVED, action)
+        return (STEP_OUT, action.port)
+    if kind is PopVlanAction:
+        return (STEP_POP, None)
+    if kind is PushVlanAction:
+        return (STEP_PUSH, 0)  # what PushVlanAction.apply pushes
+    if kind is GroupAction:
+        return (STEP_GROUP, action)
+    return (STEP_XFORM, action)
 
 
-def _fold(actions) -> list:
-    """The one peephole, applied wherever actions become steps: a push
-    immediately followed by a set-field of ``vlan_vid`` is one step.
+def _steps(actions) -> list:
+    """The steps of *actions*, through the one peephole: a push
+    immediately followed by a set-field of ``vlan_vid`` is one
+    ``STEP_PUSH`` of that id.
 
     The pushed tag has VLAN id 0, pcp 0 and dei 0 and the set-field
     rewrites only the id, so the pair's result equals ``push_vlan(v)``
@@ -235,12 +255,14 @@ def _fold(actions) -> list:
     the cost model's action and VLAN-op counts from the unfolded list.
     """
     steps: list = []
+    bare_push = False
     for action in actions:
-        sets_vid = type(action) is SetFieldAction and action.field == "vlan_vid"
-        if sets_vid and steps and type(steps[-1]) is PushVlanAction:
-            steps[-1] = _PushTagged(action.value & 0xFFF)
-        else:
-            steps.append(action)
+        if bare_push and type(action) is SetFieldAction and action.field == "vlan_vid":
+            steps[-1] = (STEP_PUSH, action.value & 0xFFF)
+            bare_push = False
+            continue
+        bare_push = type(action) is PushVlanAction
+        steps.append(_step(action))
     return steps
 
 
@@ -447,36 +469,28 @@ def _vlan_ops(actions) -> int:
     return sum(type(a) is PushVlanAction or type(a) is PopVlanAction for a in actions)
 
 
-def _step(action) -> tuple:
-    """The CHAIN step of one output or transform action."""
-    if type(action) is not OutputAction:
-        return (STEP_XFORM, action)
-    if action.port in _RESERVED_PORTS:
-        return (STEP_RESERVED, action)
-    return (STEP_OUT, action.port)
-
-
 def _fast_plan(entry: "FlowEntry", actions: list, model: DatapathCostModel):
     """Key-independent plan for a terminal, group-free entry whose
     outputs are all concrete ports.
 
     The plan's cost constant is produced by the same ``cost_s`` call
     the interpreted path makes per packet (1 lookup, the entry's action
-    and VLAN-op counts), so charging is float-identical.
+    and VLAN-op counts), so charging is float-identical.  A lone output
+    is a ``PLAN_OUT``; one tag edit and then one output — every rule
+    ``install_translator`` writes — is a ``PLAN_EDIT`` whose payload is
+    ``(vlan id to push, or None to pop; port)``.
     """
-    steps = []
-    for action in _fold(actions):
-        if type(action) is OutputAction:
-            steps.append((True, action.port))
-        else:
-            steps.append((False, action))
+    steps = _steps(actions)
     cost = model.cost_s(lookups=1, actions=len(actions), vlan_ops=_vlan_ops(actions))
     mortals = _mortals_of(entry)
-    if not any(is_out for is_out, _ in steps):
+    ops = [op for op, _ in steps]
+    if STEP_OUT not in ops:
         # Transforms nobody sees: the frame is an action-drop.
         return (PLAN_NOOP, entry, None, cost, mortals)
-    if len(steps) == 1 and steps[0][0]:
+    if ops == [STEP_OUT]:
         return (PLAN_OUT, entry, steps[0][1], cost, mortals)
+    if ops == [STEP_POP, STEP_OUT] or ops == [STEP_PUSH, STEP_OUT]:
+        return (PLAN_EDIT, entry, (steps[0][1], steps[1][1]), cost, mortals)
     return (PLAN_SEQ, entry, tuple(steps), cost, mortals)
 
 
@@ -521,11 +535,11 @@ def _build_decision(entry, shrunk_key, now, tables, groups, hash_fields,
         mortals.extend(_mortals_of(entry))
         n_actions += len(actions)
         vlan_ops += _vlan_ops(actions)
-        for action in _fold(actions):
-            if type(action) is not GroupAction:
-                steps.append(_step(action))
+        for step in _steps(actions):
+            if step[0] != STEP_GROUP:
+                steps.append(step)
                 continue
-            group = groups.get(action.group_id)
+            group = groups.get(step[1].group_id)
             if group is None:
                 steps.append((STEP_GROUP_DEAD, None))
                 continue
@@ -548,7 +562,7 @@ def _build_decision(entry, shrunk_key, now, tables, groups, hash_fields,
                 bucket_actions = group.buckets[index].actions
                 n_actions += len(bucket_actions)
                 vlan_ops += _vlan_ops(bucket_actions)
-                buckets.append((index, tuple(map(_step, _fold(bucket_actions)))))
+                buckets.append((index, tuple(_steps(bucket_actions))))
             steps.append((STEP_GROUP, (group, tuple(buckets))))
         if next_table is None or next_table >= len(tables):
             break  # end of pipeline: walk complete (goto past the last
@@ -818,6 +832,11 @@ def _chain_steps(steps, frame, in_port, PORTS=PORTS, DROPS=DROPS,
             else:
                 dropped += 1
                 DROPS["no-such-port"] += 1
+        elif op == 7:
+            current = current.push_vlan(arg)
+        elif op == 6:
+            if current.tags:
+                current = current.pop_vlan()
         elif op == 1:
             current = arg.apply(current)
         elif op == 2:
@@ -890,7 +909,51 @@ def run_burst(in_port, frames, SIM=SIM, S=S, T0=T0, PORTS=PORTS, DROPS=DROPS,
             dec = _classify(key, now)
         length = frame.wire_length
         kind = dec[0]
-        if kind == 4:
+        if kind == 0:
+            _, entry, port, cost, _mortals = dec
+            entry.packet_count += 1
+            entry.byte_count += length
+            entry.last_used_at = now
+            start = busy if busy > now else now
+            busy = start + cost
+            if port in PORTS:
+                if busy <= now:
+                    chain = per_port.get(port)
+                    if chain is None:
+                        per_port[port] = [frame]
+                    else:
+                        chain.append(frame)
+                    forwarded += 1
+                else:
+                    SCHED(busy, EMIT_ONE, port, frame)
+            else:
+                unported += 1
+        elif kind == 5:
+            _, entry, edit, cost, _mortals = dec
+            vlan_id, port = edit
+            entry.packet_count += 1
+            entry.byte_count += length
+            entry.last_used_at = now
+            if vlan_id is None:
+                if frame.tags:
+                    frame = frame.pop_vlan()
+            else:
+                frame = frame.push_vlan(vlan_id)
+            start = busy if busy > now else now
+            busy = start + cost
+            if port in PORTS:
+                if busy <= now:
+                    chain = per_port.get(port)
+                    if chain is None:
+                        per_port[port] = [frame]
+                    else:
+                        chain.append(frame)
+                    forwarded += 1
+                else:
+                    SCHED(busy, EMIT_ONE, port, frame)
+            else:
+                unported += 1
+        elif kind == 4:
             chained += 1
             _, touches, tail, cost, _mortals = dec
             steps, miss_table = tail
@@ -948,26 +1011,6 @@ def run_burst(in_port, frames, SIM=SIM, S=S, T0=T0, PORTS=PORTS, DROPS=DROPS,
                     forwarded += len(outs)
                 else:
                     SCHED(busy, EMIT, outs, ())
-            continue
-        if kind == 0:
-            _, entry, port, cost, _mortals = dec
-            entry.packet_count += 1
-            entry.byte_count += length
-            entry.last_used_at = now
-            start = busy if busy > now else now
-            busy = start + cost
-            if port in PORTS:
-                if busy <= now:
-                    chain = per_port.get(port)
-                    if chain is None:
-                        per_port[port] = [frame]
-                    else:
-                        chain.append(frame)
-                    forwarded += 1
-                else:
-                    SCHED(busy, EMIT_ONE, port, frame)
-            else:
-                unported += 1
         elif kind == 1:
             missed += 1
             start = busy if busy > now else now
@@ -987,14 +1030,19 @@ def run_burst(in_port, frames, SIM=SIM, S=S, T0=T0, PORTS=PORTS, DROPS=DROPS,
             entry.last_used_at = now
             current = frame
             outs = []
-            for is_out, payload in steps:
-                if is_out:
-                    if payload in PORTS:
-                        outs.append((payload, current))
+            for op, arg in steps:
+                if op == 0:
+                    if arg in PORTS:
+                        outs.append((arg, current))
                     else:
                         unported += 1
+                elif op == 7:
+                    current = current.push_vlan(arg)
+                elif op == 6:
+                    if current.tags:
+                        current = current.pop_vlan()
                 else:
-                    current = payload.apply(current)
+                    current = arg.apply(current)
             start = busy if busy > now else now
             busy = start + cost
             if outs:

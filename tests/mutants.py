@@ -192,6 +192,33 @@ MUTANTS = [
         "a down channel loses a message to the switch without counting it",
         ("test_frame_path_drops.py",),
     ),
+    # A VLAN tag edit is one Python frame and a translator rule one
+    # compiled branch: the inlined derivations and the one-edit plan.
+    Mutant(
+        "net/ethernet.py",
+        "        frame._wire_length = self._wire_length + 4\n",
+        "        frame._wire_length = self._wire_length\n",
+        "the inlined push_vlan keeps its source's wire length",
+        ("test_net_ethernet.py",),
+    ),
+    Mutant(
+        "softswitch/compiler.py",
+        "            if vlan_id is None:\n                if frame.tags:\n"
+        "                    frame = frame.pop_vlan()\n",
+        "            if vlan_id is None:\n                frame = frame.pop_vlan()\n",
+        "the one-edit plan pops an untagged frame (the interpreter leaves it as it is)",
+        ("test_specialization.py",),
+    ),
+    Mutant(
+        "core/translator.py",
+        "                        actions=(\n                            PushVlanAction(),\n",
+        "                        actions=(\n                            PopVlanAction(),\n"
+        "                            PushVlanAction(),\n",
+        "the patch -> trunk rule strips any tag before tagging: a frame SS_2 tagged\n"
+        "reaches its host untagged, and the rule check does not count pops there",
+        ("test_transparency_scope.py",),
+        survived_before="test_core_verify.py",
+    ),
     Mutant(
         "core/verify.py",
         "    served = switch.specialized_frames - served_before\n",

@@ -3,7 +3,7 @@
 import pickle
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net import (
@@ -15,6 +15,8 @@ from repro.net import (
     PacketDecodeError,
 )
 from repro.net import ethernet
+
+from differential import SCALE
 
 MAC_A = MACAddress("00:00:00:00:00:0a")
 MAC_B = MACAddress("00:00:00:00:00:0b")
@@ -377,10 +379,21 @@ def apply_to_fields(fields, op):
     return {**fields, "tags": stack}
 
 
+def assert_round_trips(frame):
+    """*frame* is what its own encoding decodes to, length included."""
+    decoded = EthernetFrame.from_bytes(frame.to_bytes())
+    assert decoded == frame and frame == decoded
+    assert decoded.wire_length == frame.wire_length
+
+
 class TestFrameValues:
     """Derived frames skip validation; they must still be the frame the
-    validating constructor would have built."""
+    validating constructor would have built.  Each derivation builds its
+    frame in its own body (one Python frame per tag edit), so this is
+    the check that the four copies agree with the constructor and the
+    decoder."""
 
+    @settings(max_examples=200 * SCALE, deadline=None)
     @given(frames, st.lists(vlan_ops, max_size=8))
     def test_derivations_equal_constructor_built_frames(self, frame, ops):
         fields = {
@@ -404,7 +417,7 @@ class TestFrameValues:
             assert frame is not source
             assert type(frame.tags) is tuple and type(frame.payload) is bytes
             assert frame.wire_length == built.wire_length
-            assert EthernetFrame.from_bytes(frame.to_bytes()) == frame
+            assert_round_trips(frame)
             assert source.to_bytes() == before  # the source is untouched
 
     @given(frames, st.lists(st.one_of(vlan_ops, value_ops), max_size=10))
@@ -444,3 +457,43 @@ class TestFrameValues:
         assert frame != frame.push_vlan(1)
         assert frame != frame.replaced(payload=frame.payload + b"x")
         assert frame != object()
+
+
+class TestDecoderBoundaries:
+    """``EthernetFrame.from_bytes`` on hostile bytes (ROADMAP item 2b):
+    every truncation and every single-bit flip of a valid encoding
+    either raises :class:`PacketDecodeError` or decodes to a frame that
+    round-trips — never another exception, never a frame whose own
+    encoding reads back differently."""
+
+    @staticmethod
+    def decode_or_refuse(data):
+        try:
+            frame = EthernetFrame.from_bytes(data)
+        except PacketDecodeError:
+            return None
+        assert_round_trips(frame)
+        built = EthernetFrame(dst=frame.dst, src=frame.src, ethertype=frame.ethertype,
+                              payload=frame.payload, tags=frame.tags)
+        assert frame.wire_length == built.wire_length
+        return frame
+
+    @settings(max_examples=50 * SCALE, deadline=None)
+    @given(frames.map(lambda frame: frame.replaced(payload=frame.payload[:16])))
+    def test_every_truncation_and_bit_flip_decodes_or_is_refused(self, frame):
+        data = frame.to_bytes()
+        header = len(data) - len(frame.payload)
+        for end in range(len(data) + 1):
+            decoded = self.decode_or_refuse(data[:end])
+            # Cut inside the header: refused; cut inside the payload: the
+            # same headers over a shorter payload.
+            assert (decoded is None) == (end < header)
+            if decoded is not None:
+                assert decoded.tags == frame.tags
+                assert decoded.payload == frame.payload[:end - header]
+        flipped = bytearray(data)
+        for bit in range(8 * len(data)):
+            flipped[bit >> 3] ^= 0x80 >> (bit & 7)
+            self.decode_or_refuse(bytes(flipped))
+            flipped[bit >> 3] ^= 0x80 >> (bit & 7)
+

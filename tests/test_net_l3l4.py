@@ -54,6 +54,29 @@ class TestArp:
         assert parsed == request
         assert parsed.opcode == ARP_OP_REQUEST
 
+    @given(
+        st.sampled_from([ARP_OP_REQUEST, ARP_OP_REPLY]),
+        st.integers(min_value=0, max_value=(1 << 48) - 1),
+        st.integers(min_value=0, max_value=(1 << 32) - 1),
+        st.integers(min_value=0, max_value=(1 << 48) - 1),
+        st.integers(min_value=0, max_value=(1 << 32) - 1),
+    )
+    def test_round_trip_property(self, opcode, sender_mac, sender_ip, target_mac, target_ip):
+        # The decode builds its packet without the dataclass's checks:
+        # it must equal one built through them, field types included.
+        packet = ArpPacket(opcode, sender_mac, sender_ip, target_mac, target_ip)
+        parsed = ArpPacket.from_bytes(packet.to_bytes())
+        assert parsed == packet
+        assert [type(parsed.sender_mac), type(parsed.sender_ip)] == [MACAddress, IPv4Address]
+        assert [type(parsed.target_mac), type(parsed.target_ip)] == [MACAddress, IPv4Address]
+
+    @pytest.mark.parametrize("opcode", [0, 3, 0xFFFF])
+    def test_unknown_opcode_is_a_decode_error(self, opcode):
+        raw = bytearray(ArpPacket.request(MAC_A, IP_A, IP_B).to_bytes())
+        raw[6:8] = opcode.to_bytes(2, "big")
+        with pytest.raises(PacketDecodeError):
+            ArpPacket.from_bytes(bytes(raw))
+
     def test_reply_swaps_direction(self):
         request = ArpPacket.request(MAC_A, IP_A, IP_B)
         reply = request.make_reply(MAC_B)
@@ -180,8 +203,14 @@ class TestIcmp:
         st.binary(max_size=64),
     )
     def test_round_trip_property(self, identifier, sequence, payload):
+        # The decode and the reply build their message without the
+        # dataclass's checks: both must equal one built through them.
         echo = IcmpPacket.echo_request(identifier, sequence, payload)
         assert IcmpPacket.from_bytes(echo.to_bytes()) == echo
+        reply = echo.make_reply()
+        assert reply == IcmpPacket(0, 0, identifier, sequence, payload)
+        assert IcmpPacket.from_bytes(reply.to_bytes()) == reply
+        assert type(reply.payload) is bytes
 
 
 class TestUdp:

@@ -174,8 +174,9 @@ class TestDropReasons:
 
     def test_every_drop_site_counts_its_reason(self):
         from repro.net import EthernetFrame
+        from repro.net.arp import ArpPacket
         from repro.net.build import tcp_frame, udp_frame
-        from repro.net.ethernet import ETHERTYPE_IPV4
+        from repro.net.ethernet import ETHERTYPE_ARP, ETHERTYPE_IPV4
         from repro.net.ipv4 import IPv4Packet
         from repro.net.tcp import TcpSegment
 
@@ -188,12 +189,16 @@ class TestDropReasons:
         src_ip, dst_ip = sender.ip, receiver.ip
         stranger = MACAddress("02:00:00:00:99:99")
         gre = IPv4Packet(src=src_ip, dst=dst_ip, protocol=47, payload=b"gre")
+        rarp = bytearray(ArpPacket.request(src, src_ip, dst_ip).to_bytes())
+        rarp[7] = 3  # an opcode the stack does not speak: a decode error, not a crash
         sites = [
             (udp_frame(src, dst, src_ip, dst_ip, 1, 2, b"x", vlan_id=101), "tagged"),
             (udp_frame(src, stranger, src_ip, dst_ip, 1, 2, b"x"), "not-for-me:mac"),
             (EthernetFrame(dst=dst, src=src, ethertype=0x88B5, payload=b"\x00" * 46),
              "unknown-ethertype"),
             (EthernetFrame(dst=dst, src=src, ethertype=ETHERTYPE_IPV4, payload=b"\x45\x00"),
+             "malformed"),
+            (EthernetFrame(dst=dst, src=src, ethertype=ETHERTYPE_ARP, payload=bytes(rarp)),
              "malformed"),
             (udp_frame(src, dst, src_ip, IPv4Address("10.0.0.50"), 1, 2, b"x"),
              "not-for-me:ip"),

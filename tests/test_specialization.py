@@ -24,6 +24,7 @@ import gc
 import random
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -37,10 +38,12 @@ from repro.apps import (
 )
 from repro.controller import Controller
 from repro.core import HarmlessFleet, HarmlessManager, HarmlessS4, PortVlanMap
+from repro.core.s4 import SS1_TRUNK_PORT
 from repro.fabric import leaf_spine_fabric
 from repro.legacy import LegacySwitch
 from repro.mgmt import DeviceConnection, get_network_driver
 from repro.net import Dot1QTag, EthernetFrame, IPv4Address, MACAddress
+from repro.net import ethernet as ethernet_module
 from repro.net.build import udp_frame
 from repro.net.dns import DnsMessage
 from repro.netsim import Host, Simulator
@@ -55,6 +58,7 @@ from repro.openflow import (
     GroupMod,
     Match,
     OutputAction,
+    PopVlanAction,
     PushVlanAction,
     SetFieldAction,
     WriteActions,
@@ -1097,6 +1101,118 @@ class TestDetourWorkBudget:
         assert self.live_frames() == live_before
 
 
+class TestTagWorkBudget:
+    """What a VLAN tag edit costs, pinned by counting Python frames:
+    each derivation builds its frame in its own body and finds its tag
+    in the intern table, and a translator rule's compiled plan (one
+    edit, one output) calls nothing per frame but the edit."""
+
+    @staticmethod
+    def entered(act):
+        """Function names of the Python frames *act* enters, below its own."""
+        return [name for _, name in TestEventWorkBudget.python_frames(act)]
+
+    @staticmethod
+    def tagged():
+        return udp_frame(MACS[0], MACS[1], IPS[0], IPS[1], 1, 2, b"x").push_vlan(10)
+
+    def test_a_tag_edit_on_a_tag_table_hit_is_one_python_frame(self):
+        frame = self.tagged().push_vlan(20).set_vlan(30)  # every tag below is interned
+        results = {}
+        for name, act in (
+            ("push_vlan", lambda: results.setdefault("push_vlan", frame.push_vlan(20))),
+            ("pop_vlan", lambda: results.setdefault("pop_vlan", frame.pop_vlan())),
+            ("set_vlan", lambda: results.setdefault("set_vlan", frame.set_vlan(10))),
+            ("copy", lambda: results.setdefault("copy", frame.copy())),
+        ):
+            assert self.entered(act) == [name]
+        assert [tag.vlan_id for tag in frame.tags] == [30, 10]
+        assert [tag.vlan_id for tag in results["push_vlan"].tags] == [20, 30, 10]
+        assert [tag.vlan_id for tag in results["pop_vlan"].tags] == [10]
+        assert [tag.vlan_id for tag in results["set_vlan"].tags] == [10, 10]
+        assert results["copy"] == frame and results["copy"] is not frame
+        for derived in results.values():
+            decoded = EthernetFrame.from_bytes(derived.to_bytes())
+            assert derived == decoded and derived.wire_length == decoded.wire_length
+
+    def test_only_a_tag_table_miss_calls_out(self, monkeypatch):
+        frame = self.tagged()
+        # A value the table does not hold (another test may have filled it).
+        monkeypatch.delitem(ethernet_module._TAGS, (4094, 7, False), raising=False)
+        assert self.entered(lambda: frame.push_vlan(4094, 7))[:2] == [
+            "push_vlan", "_interned_tag"
+        ]
+        assert self.entered(lambda: frame.push_vlan(4094, 7)) == ["push_vlan"]
+
+    def translator_rig(self):
+        sim, s4, port_map, trunk = TestDetourWorkBudget().build()
+        trunk.port(1).send_burst(TestDetourWorkBudget.trunk_burst(port_map, (1, 2, 3, 4)))
+        sim.run()  # warm: every translator rule's plan is in the key cache
+        assert len(trunk.received) == 32
+        return sim, s4, port_map, trunk
+
+    def run_burst_callees(self, switch, in_port, frames):
+        """What ``run_burst`` itself calls while *switch* serves *frames*."""
+        run_burst = switch.program.run_burst.__code__
+        callees = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_back is not None \
+                    and frame.f_back.f_code is run_burst:
+                callees.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            switch.process_batch(in_port, frames)
+        finally:
+            sys.setprofile(None)
+        return Counter(callees)
+
+    def test_a_translator_rule_runs_no_step_loop(self):
+        sim, s4, port_map, trunk = self.translator_rig()
+        ss1 = s4.ss1
+        kinds = {plan[0] for plan in ss1.program.key_cache.values()}
+        assert kinds == {compiler.PLAN_EDIT}
+
+        # Trunk -> patch: 32 pops, and one flush of the coalesced egress.
+        burst = TestDetourWorkBudget.trunk_burst(port_map, (1, 2, 3, 4))
+        assert self.run_burst_callees(ss1, SS1_TRUNK_PORT, burst) == Counter(
+            {"pop_vlan": 32, "_send_chains": 1}
+        )
+        sim.run()  # SS_2 hairpins them: trunk -> patch -> SS_2 -> patch -> trunk
+        before = len(trunk.received)
+        # Patch -> trunk: 32 pushes of the port's VLAN.
+        untagged = [frame.pop_vlan() for frame in burst]
+        assert self.run_burst_callees(ss1, 3, untagged) == Counter(
+            {"push_vlan": 32, "_send_chains": 1}
+        )
+        sim.run()
+        assert {plan[0] for plan in ss1.program.key_cache.values()} == {compiler.PLAN_EDIT}
+        pushed = [EthernetFrame.from_bytes(raw) for _, raw in trunk.received[before:]]
+        assert [frame.vlan_id for frame in pushed] == [port_map.vlan_of(3)] * 32
+        assert [frame.pop_vlan() for frame in pushed] == untagged
+        assert ss1.fallback_frames == 0
+
+    def test_a_one_edit_pop_leaves_an_untagged_frame_as_it_is(self):
+        # A pop on an untagged frame is a no-op in the interpreter
+        # (PopVlanAction.apply); the one-edit plan keeps that guard.
+        for specialize in (True, False):
+            sim, switch, sinks, _ = build_rig(enable_specialization=specialize)
+            install(switch, match=Match(), priority=1,
+                    instructions=[ApplyActions(actions=(PopVlanAction(), OutputAction(port=2)))])
+            frames = [self.tagged(), udp_frame(MACS[0], MACS[1], IPS[0], IPS[1], 1, 2, b"y")]
+            switch.process_batch(1, frames)
+            sim.run()
+            assert [raw for _, raw in sinks[1].received] == [
+                frames[0].pop_vlan().to_bytes(), frames[1].to_bytes()
+            ]
+            if specialize:
+                assert switch.specialized_frames == 2
+                assert {plan[0] for plan in switch.program.plans.values()} == {
+                    compiler.PLAN_EDIT
+                }
+
+
 class TestEventWorkBudget:
     """What a simulator event costs, pinned without a clock: a frame's
     trip is a fixed number of events, each one heap entry built by one
@@ -1268,8 +1384,10 @@ class TestEventWorkBudget:
 
     #: Python frames one frame's trip through the detour rig enters,
     #: from its send to the sink's receive (110 while every transmit
-    #: looked up its direction and every egress went through Node.port).
-    DETOUR_PYTHON_FRAMES = 90
+    #: looked up its direction and every egress went through Node.port;
+    #: 90 while a tag edit was three frames: the plan step's ``apply``,
+    #: the edit and its shared ``_derive``).
+    DETOUR_PYTHON_FRAMES = 82
 
     def test_a_detour_frame_stays_within_its_python_frame_budget(self):
         sim, source, sink, _ = self.detour_rig()

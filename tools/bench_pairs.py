@@ -1,14 +1,19 @@
 """Alternating parent/change pairs of the end-to-end benchmark.
 
-Unpacks the parent revision into a temporary directory, then runs
-``--pairs`` pairs of
+Both sides are unpacked the same way, with ``git archive``, into
+sibling temporary directories whose paths have the same length
+(``…/parent`` and ``…/change``): the parent revision, and the working
+tree as ``git stash create`` records it (``HEAD`` when the tree is
+clean; untracked files are not part of it).  Then it runs ``--pairs``
+pairs of
 
     python3 benchmarks/e2e/run.py --workload W --seed S --seconds 20 --trace 0
 
-per workload — one run on the parent, one on this working tree, the
-side that goes first alternating from pair to pair, both sides of a
-pair on the same seed.  Workloads, metrics, their direction and their
-regression bound are read from ``BENCHMARK.json``.
+per workload — one run on each side, the side that goes first
+alternating from pair to pair, both sides of a pair on the same seed.
+Workloads, metrics, their direction and their regression bound are
+read from ``BENCHMARK.json``.  ``--parent HEAD`` on an unmodified tree
+is an A/A test: every verdict must read ``same``.
 
 Printed per workload and metric: each side's median and quartiles, the
 ratio of medians, pairs won (ties count for neither side) and a verdict
@@ -30,13 +35,20 @@ it) left out of the hash, everything else (clock,
 events, endpoints, forwarding/legacy/link counters) kept — and it is
 the masked digest, with the exact metrics, that must agree.
 
+``--traced N`` adds, per workload, N alternating pairs of the same
+command with ``--trace 1``, and prints per side how many of them failed
+the harness's own self-checks (``CHECK FAILED`` lines, among them
+``traffic.share < 0.10``) and the quartiles of ``traffic.share``.
+``--pairs 0`` runs the traced pairs alone.
+
 ``--record LABEL`` appends the rows to the repository's perf trajectory,
 ``BENCH_e2e.json``.  Exit code 1 on a regression, a failed output
-check, a larger share of failed operations, or a masked-digest or
-exact-metric mismatch.
+check or traced self-check on the change side, a larger share of
+failed operations, or a masked-digest or exact-metric mismatch.
 
     python tools/bench_pairs.py --parent HEAD~1 --record "PR 13"
     python tools/bench_pairs.py --workloads fabric_steady --pairs 4 --seeds 19850601
+    python tools/bench_pairs.py --workloads migration_wave --pairs 0 --traced 6
 """
 
 import argparse
@@ -87,33 +99,46 @@ print("masked_digest", result.digest, "ok" if not result.problems else result.pr
 """
 
 
-def unpack(revision: str, target: pathlib.Path) -> str:
-    """Extract *revision* into *target*; returns its commit id."""
-    commit = subprocess.run(
-        ["git", "rev-parse", "--short", revision], cwd=REPO_ROOT,
-        check=True, capture_output=True, text=True,
+def git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=REPO_ROOT, check=True, capture_output=True, text=True
     ).stdout.strip()
-    archive = target / "parent.tar"
-    subprocess.run(
-        ["git", "archive", "-o", str(archive), revision], cwd=REPO_ROOT, check=True
-    )
+
+
+def working_tree_revision() -> str:
+    """The working tree's tracked files as a commit id: ``git stash
+    create`` (which touches neither the tree nor the stash list), or
+    ``HEAD`` when there is nothing to record."""
+    return git("stash", "create") or "HEAD"
+
+
+def unpack(revision: str, target: pathlib.Path) -> str:
+    """Extract *revision* into the new directory *target*; returns its
+    short commit id."""
+    commit = git("rev-parse", "--short", revision)
+    target.mkdir()
+    archive = target.with_suffix(".tar")
+    git("archive", "-o", str(archive), revision)
     with tarfile.open(archive) as tar:
         tar.extractall(target, filter="data")
     archive.unlink()
     return commit
 
 
-def run_once(tree: pathlib.Path, command: list, workload: str, seed: int, seconds: float):
-    """One benchmark run in *tree*: (driver line, exact line), both parsed."""
+def run_once(tree: pathlib.Path, command: list, workload: str, seed: int, seconds: float,
+             traced: bool = False):
+    """One benchmark run in *tree*: (driver line, exact line), both
+    parsed, and the self-check failures it printed."""
     done = subprocess.run(
         [*command, "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(int(traced))],
         cwd=tree, stdout=subprocess.PIPE, text=True,
     )
     lines = [line for line in done.stdout.splitlines() if line.startswith("{")]
     if len(lines) < 2:
         sys.exit(f"{tree}: {workload} printed no result (exit {done.returncode})\n{done.stdout}")
-    return json.loads(lines[-1]), json.loads(lines[-2])
+    checks = [line for line in done.stdout.splitlines() if line.startswith("CHECK FAILED")]
+    return json.loads(lines[-1]), json.loads(lines[-2]), checks
 
 
 def masked_digest(tree: pathlib.Path, workload: str, seed: int) -> str:
@@ -201,6 +226,35 @@ def cell(row: dict, side: str) -> str:
     return f"{fmt(median)} ({fmt(q1)}-{fmt(q3)})"
 
 
+def traced_pairs(trees: dict, command: list, workload: str, seeds: list, pairs: int,
+                 seconds: float) -> bool:
+    """*pairs* alternating ``--trace 1`` pairs of *workload*; prints each
+    side's failed self-checks and ``traffic.share`` quartiles, and
+    returns whether the change side failed one."""
+    shares = {side: [] for side in trees}
+    failures = {side: [] for side in trees}
+    for pair in range(pairs):
+        seed = seeds[pair % len(seeds)]
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for side in order:
+            driver, _, checks = run_once(trees[side], command, workload, seed, seconds,
+                                         traced=True)
+            shares[side].append(driver["metrics"]["traffic.share"]["value"])
+            if checks or not driver["correct"]:
+                failures[side].append((pair + 1, seed, checks))
+        print(f"  {workload} traced pair {pair + 1}/{pairs} seed {seed} done",
+              file=sys.stderr, flush=True)
+    print(f"== {workload}: {pairs} traced pairs (--trace 1)")
+    for side in trees:
+        q1, median, q3 = quartiles(shares[side])
+        print(f"{side:<8} self-checks failed {len(failures[side])}/{pairs}; traffic.share "
+              f"{median:.5f} ({q1:.5f}-{q3:.5f}); runs "
+              + " ".join(f"{share:.4f}" for share in shares[side]))
+        for pair, seed, checks in failures[side]:
+            print(f"  {side} pair {pair} seed {seed}: " + ("; ".join(checks) or "not correct"))
+    return bool(failures["change"])
+
+
 def main(argv=None) -> int:
     spec = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
     names = [workload["name"] for workload in spec["workloads"]]
@@ -211,18 +265,29 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", nargs="+", type=int,
                         help="cycled over the pairs (default: 1..pairs)")
     parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
+    parser.add_argument("--traced", type=int, default=0, metavar="N",
+                        help="also run N alternating --trace 1 pairs per workload")
     parser.add_argument("--record", metavar="LABEL",
                         help=f"append the rows to {TRAJECTORY.name} under this label")
     args = parser.parse_args(argv)
-    seeds = args.seeds or list(range(1, args.pairs + 1))
+    if args.record and not args.pairs:
+        parser.error("--record needs untraced pairs to record")
+    seeds = args.seeds or list(range(1, max(args.pairs, args.traced, 1) + 1))
 
     failed = False
     rows = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
-        parent_tree = pathlib.Path(scratch)
-        parent_commit = unpack(args.parent, parent_tree)
-        trees = {"parent": parent_tree, "change": REPO_ROOT}
+        trees = {side: pathlib.Path(scratch) / side for side in ("parent", "change")}
+        parent_commit = unpack(args.parent, trees["parent"])
+        change_commit = unpack(working_tree_revision(), trees["change"])
+        print(f"parent {parent_commit} in {trees['parent']}, "
+              f"change {change_commit} in {trees['change']}")
         for workload in args.workloads:
+            if args.traced:
+                failed |= traced_pairs(trees, spec["command"], workload, seeds,
+                                       args.traced, args.seconds)
+            if not args.pairs:
+                continue
             samples = {side: {m["name"]: [] for m in spec["end_to_end"]} for side in trees}
             same_simulation = same_exact = True
             failed_share = dict.fromkeys(trees, 0.0)
@@ -231,7 +296,7 @@ def main(argv=None) -> int:
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 exact = {}
                 for side in order:
-                    driver, exact[side] = run_once(
+                    driver, exact[side], _ = run_once(
                         trees[side], spec["command"], workload, seed, args.seconds
                     )
                     if not driver["correct"]:
