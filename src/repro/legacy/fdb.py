@@ -19,7 +19,8 @@ class FdbEntry:
     static: bool = False
 
     def alive(self, now: float, aging_s: float) -> bool:
-        """Static, or no older than the aging time (the boundary lives)."""
+        """Static, or no older than the aging time (the boundary lives).
+        :meth:`ForwardingDatabase.lookup` reads the same rule inline."""
         return self.static or now - self.learned_at <= aging_s
 
 
@@ -111,11 +112,12 @@ class ForwardingDatabase:
         entry = self._entries.get((vlan_id, mac))
         if entry is None:
             return None
-        if not entry.alive(now, self.aging_s):
-            del self._entries[(vlan_id, mac)]
-            self.generation += 1
-            return None
-        return entry.port
+        # FdbEntry.alive, read inline: once per forwarded frame.
+        if entry.static or now - entry.learned_at <= self.aging_s:
+            return entry.port
+        del self._entries[(vlan_id, mac)]
+        self.generation += 1
+        return None
 
     def peek(self, vlan_id: int, mac: MACAddress) -> Optional[FdbEntry]:
         """The entry for (vlan, mac) as stored — no aging, no side effect."""

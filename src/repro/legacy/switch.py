@@ -31,6 +31,9 @@ from repro.legacy.fdb import FdbEntry, ForwardingDatabase
 #: Store-and-forward lookup latency of typical GbE merchant silicon.
 DEFAULT_PROCESSING_DELAY_S = 4e-6
 
+#: The access mode as one global load, for the per-hop code.
+ACCESS = PortMode.ACCESS
+
 
 @dataclass
 class SwitchCounters:
@@ -261,22 +264,37 @@ class LegacySwitch(Node):
 
     def _general_path(self, number: int, frame: EthernetFrame) -> None:
         """Everything :meth:`receive` does after counting the frame in,
-        for any frame: filter, classify, learn, forward or flood."""
-        port_config = self.config.port(number)
+        for any frame: filter, classify, learn, forward or flood.
+
+        The classification is :meth:`_ingress_vlan`'s rule read by value
+        inline (no helper frame per hop); the port's config is created
+        on first touch, as ``RunningConfig.port`` does."""
+        port_config = self.config.ports.get(number) or self.config.port(number)
         if not port_config.enabled:
             self._filter_ingress("disabled")
             return
-        classified = self._ingress_vlan(port_config, frame)
-        if classified is None:
-            self._filter_ingress("vlan")
-            return
         # Forwarding deals in canonical untagged frames plus a VLAN id,
         # the way switch ASICs carry VLAN metadata out of band.
-        vlan_id, tagged = classified
-        inner = frame.pop_vlan() if tagged else frame
+        tags = frame.tags
+        inner = frame
+        if port_config.mode is ACCESS:
+            # 802.1Q access ports drop tagged frames (no VLAN leaking).
+            vlan_id = None if tags else port_config.pvid
+        elif not tags:  # untagged on a trunk: its native VLAN, if it has one
+            vlan_id = port_config.native_vlan
+        else:
+            vlan_id = tags[0].vlan_id
+            if vlan_id in port_config.allowed_vlans:
+                inner = frame.pop_vlan()
+            else:
+                vlan_id = None
+        if vlan_id is None:
+            self._filter_ingress("vlan")
+            return
         # Source learning happens before the forwarding decision.
-        if not frame.src & GROUP_BIT:
-            self.fdb.learn(vlan_id, frame.src, number, self.sim.now)
+        src = frame.src
+        if not src & GROUP_BIT:
+            self.fdb.learn(vlan_id, src, number, self.sim.now)
         delay = self.processing_delay_s
         if delay > 0:
             self.sim.schedule(delay, self._forward, number, vlan_id, inner)
@@ -292,9 +310,10 @@ class LegacySwitch(Node):
         port_config: PortVlanConfig, frame: EthernetFrame
     ) -> "tuple[int, bool] | None":
         """The VLAN a frame arriving on that port is classified into and
-        whether its outer tag carries it (and so comes off), or None to drop."""
+        whether its outer tag carries it (and so comes off), or None to drop.
+        :meth:`_general_path` reads the same rule inline."""
         tags = frame.tags
-        if port_config.mode is PortMode.ACCESS:
+        if port_config.mode is ACCESS:
             # 802.1Q access ports drop tagged frames (no VLAN leaking).
             return None if tags else (port_config.pvid, False)
         if not tags:  # untagged on a trunk: its native VLAN, if it has one
@@ -306,48 +325,80 @@ class LegacySwitch(Node):
     # ----------------------------------------------------------- egress
 
     def _forward(self, ingress_port: int, vlan_id: int, frame: EthernetFrame) -> None:
+        """Forward a classified frame: known unicast leaves its port
+        here, everything else floods the VLAN through :meth:`_egress`.
+
+        The known-unicast egress is :meth:`_egress` → :meth:`_egress_tagging`
+        (``PortVlanConfig.carries``) → :meth:`_send` read by value inline,
+        the port's config created on first touch as ``RunningConfig.port``
+        does, so a delayed hop enters no helper frame on its way out."""
         if not self.running:
             self.drops["powered-off"] += 1  # crashed while the frame sat in the lookup pipeline
             return
         out_port = None
-        if not frame.dst & GROUP_BIT:
-            out_port = self.fdb.lookup(vlan_id, frame.dst, self.sim.now)
+        dst = frame.dst
+        if not dst & GROUP_BIT:
+            out_port = self.fdb.lookup(vlan_id, dst, self.sim.now)
             if out_port is None:
                 self.fdb.flood_fallbacks += 1
-        if out_port is not None:
-            if out_port != ingress_port:
-                self._egress(out_port, vlan_id, frame)
+        if out_port is None:
+            # Unknown unicast / broadcast / multicast: flood the VLAN.
+            members = self.config.ports_in_vlan(vlan_id)
+            flooded_to = [number for number in members if number != ingress_port]
+            if not flooded_to:
+                self.counters.dropped_no_ports += 1
+                self.drops["no-ports"] += 1
+                return
+            self.counters.flooded += 1
+            for number in flooded_to:
+                self._egress(number, vlan_id, frame)
+        elif out_port == ingress_port:
+            self.drops["hairpin"] += 1
+        else:
+            egress = self.config.ports.get(out_port) or self.config.port(out_port)
+            access = egress.mode is ACCESS
+            if not egress.enabled or not (
+                vlan_id == egress.pvid
+                if access
+                else vlan_id in egress.allowed_vlans or vlan_id == egress.native_vlan
+            ):
+                self._filter_egress()
             else:
-                self.drops["hairpin"] += 1
-            return
-        # Unknown unicast / broadcast / multicast: flood the VLAN.
-        members = self.config.ports_in_vlan(vlan_id)
-        flooded_to = [number for number in members if number != ingress_port]
-        if not flooded_to:
-            self.counters.dropped_no_ports += 1
-            self.drops["no-ports"] += 1
-            return
-        self.counters.flooded += 1
-        for number in flooded_to:
-            self._egress(number, vlan_id, frame)
+                # Access egress is always untagged; so is a trunk's native VLAN.
+                if not access and vlan_id != egress.native_vlan:
+                    frame = frame.push_vlan(vlan_id)
+                buffered = self._egress_buffer
+                if buffered is None:
+                    counters = self.counters
+                    counters.tx_frames += 1
+                    per_port_tx = counters.per_port_tx
+                    per_port_tx[out_port] = per_port_tx.get(out_port, 0) + 1
+                    self.ports[out_port].send(frame)
+                else:  # counted when the burst leaves
+                    buffered.setdefault(out_port, []).append(frame)
 
     def _egress_tagging(self, port_number: int, vlan_id: int) -> "bool | None":
         """Whether *vlan_id* leaves *port_number* tagged, or None if the
-        port does not emit that VLAN at the moment."""
+        port does not emit that VLAN at the moment.  :meth:`_forward`
+        reads the same rule inline for known unicast."""
         port_config = self.config.port(port_number)
         if not port_config.carries(vlan_id) or not port_config.enabled:
             return None
         # Access egress is always untagged; so is a trunk's native VLAN.
         return not (
-            port_config.mode is PortMode.ACCESS or vlan_id == port_config.native_vlan
+            port_config.mode is ACCESS or vlan_id == port_config.native_vlan
         )
 
     def _egress(self, port_number: int, vlan_id: int, frame: EthernetFrame) -> None:
         tagged = self._egress_tagging(port_number, vlan_id)
         if tagged is None:
-            self.drops["egress-filtered"] += 1
+            self._filter_egress()
             return
         self._send(port_number, frame.push_vlan(vlan_id) if tagged else frame)
+
+    def _filter_egress(self) -> None:
+        """Count a frame the egress port does not emit in its VLAN."""
+        self.drops["egress-filtered"] += 1
 
     def _send(self, port_number: int, frame: EthernetFrame) -> None:
         buffered = self._egress_buffer

@@ -38,12 +38,15 @@ class IcmpPacket:
     def echo_request(
         cls, identifier: int, sequence: int, payload: bytes = b""
     ) -> "IcmpPacket":
-        return cls(
-            icmp_type=ICMP_TYPE_ECHO_REQUEST,
-            identifier=identifier,
-            sequence=sequence,
-            payload=payload,
-        )
+        # Type and code are constants in range: built as make_reply
+        # builds, without the dataclass's __init__ (a host's every ping).
+        request = _new_message(cls)
+        request.icmp_type = ICMP_TYPE_ECHO_REQUEST
+        request.code = 0
+        request.identifier = identifier
+        request.sequence = sequence
+        request.payload = bytes(payload)
+        return request
 
     def make_reply(self) -> "IcmpPacket":
         if self.icmp_type != ICMP_TYPE_ECHO_REQUEST:

@@ -14,6 +14,8 @@ IPPROTO_TCP = 6
 IPPROTO_UDP = 17
 
 _FIXED = struct.Struct("!BBHHHBBH4s4s")
+#: The same header with the addresses as ints: what :meth:`IPv4Packet.to_bytes` packs.
+_FIXED_INTS = struct.Struct("!BBHHHBBHII")
 
 
 @dataclass
@@ -61,30 +63,25 @@ class IPv4Packet:
     def total_length(self) -> int:
         return self.ihl * 4 + len(self.payload)
 
-    def header_bytes(self, checksum: int = 0) -> bytes:
-        ihl = self.ihl
-        tos = (self.dscp << 2) | self.ecn
-        flags_frag = (self.flags << 13) | self.fragment_offset
-        return (
-            _FIXED.pack(
-                (4 << 4) | ihl,
-                tos,
-                ihl * 4 + len(self.payload),  # total_length
-                self.identification,
-                flags_frag,
-                self.ttl,
-                self.protocol,
-                checksum,
-                self.src.packed,
-                self.dst.packed,
-            )
-            + self.options
-        )
-
     def to_bytes(self) -> bytes:
-        header = self.header_bytes()
+        # The header is packed over the address ints in this one frame
+        # (no ihl/.packed property calls): every host's send serialises.
+        options, payload = self.options, self.payload
+        ihl = 5 + len(options) // 4
+        header = _FIXED_INTS.pack(
+            0x40 | ihl,
+            (self.dscp << 2) | self.ecn,
+            ihl * 4 + len(payload),
+            self.identification,
+            (self.flags << 13) | self.fragment_offset,
+            self.ttl,
+            self.protocol,
+            0,
+            self.src,
+            self.dst,
+        ) + options
         checksum = internet_checksum(header).to_bytes(2, "big")
-        return b"".join((header[:10], checksum, header[12:], self.payload))
+        return b"".join((header[:10], checksum, header[12:], payload))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "IPv4Packet":

@@ -16,10 +16,8 @@ from repro.traffic.generators import FlowSpec, synth_frame
 class LatencyStats:
     """Summary of per-packet one-way latencies (seconds)."""
 
+    #: One entry per measured packet; the sink appends to it.
     samples: list[float] = field(default_factory=list)
-
-    def record(self, value: float) -> None:
-        self.samples.append(value)
 
     @property
     def count(self) -> int:
@@ -96,7 +94,7 @@ class _MeasurementSink(Node):
         sent_at = self._send_times.pop(frame.payload[-8:], None)
         self.stats.delivered_packets += 1
         if sent_at is not None:
-            self.stats.latency.record(self.sim.now - sent_at)
+            self.stats.latency.samples.append(self.sim.now - sent_at)
 
 
 InjectFn = Callable[[EthernetFrame], None]

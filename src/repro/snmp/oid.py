@@ -24,16 +24,16 @@ class OID:
             if not text:
                 raise ValueError("empty OID")
             try:
-                self._parts = tuple(int(part) for part in text.split("."))
+                self._parts = tuple(map(int, text.split(".")))
             except ValueError as exc:
                 raise ValueError(f"malformed OID: {spec!r}") from exc
         elif isinstance(spec, (tuple, list)):
-            self._parts = tuple(int(part) for part in spec)
+            self._parts = tuple(map(int, spec))
         else:
             raise TypeError(f"cannot build OID from {type(spec).__name__}")
         if not self._parts:
             raise ValueError("empty OID")
-        if any(part < 0 for part in self._parts):
+        if min(self._parts) < 0:  # no generator frame: OIDs are built per varbind
             raise ValueError(f"negative OID component: {self}")
 
     @property

@@ -159,7 +159,7 @@ MUTANTS = [
     # lost and nothing says why (ROADMAP item 1a, slice iii).
     Mutant(
         "legacy/switch.py",
-        '            self.drops["egress-filtered"] += 1\n',
+        '        self.drops["egress-filtered"] += 1\n',
         "",
         "the legacy switch filters a frame at egress without counting it",
         ("test_frame_path_drops.py",),
@@ -218,6 +218,45 @@ MUTANTS = [
         "reaches its host untagged, and the rule check does not count pops there",
         ("test_transparency_scope.py",),
         survived_before="test_core_verify.py",
+    ),
+    # A delayed legacy hop reads its 802.1Q rules inline; the readable
+    # general path in the differential's oracle holds each copy.
+    Mutant(
+        "legacy/switch.py",
+        "                if not access and vlan_id != egress.native_vlan:\n",
+        "                if not access:\n",
+        "the flat known-unicast egress sends a trunk's native VLAN tagged",
+        ("test_legacy_differential.py",),
+    ),
+    Mutant(
+        "legacy/switch.py",
+        "            vlan_id = None if tags else port_config.pvid\n",
+        "            vlan_id = port_config.pvid\n",
+        "the flat general path accepts a tagged frame on an access port",
+        ("test_legacy_differential.py",),
+    ),
+    Mutant(
+        "legacy/switch.py",
+        "            if vlan_id in port_config.allowed_vlans:\n",
+        "            if vlan_id is not None:\n",
+        "the flat general path forwards a VLAN its trunk port does not allow",
+        ("test_legacy_differential.py",),
+    ),
+    Mutant(
+        "legacy/switch.py",
+        "                else vlan_id in egress.allowed_vlans or vlan_id == egress.native_vlan\n",
+        "                else True\n",
+        "the flat known-unicast egress sends a VLAN its trunk port does not carry\n"
+        "(the differential draws no known target on a trunk outside its VLAN)",
+        ("test_legacy_switch.py",),
+    ),
+    Mutant(
+        "legacy/fdb.py",
+        "        if entry.static or now - entry.learned_at <= self.aging_s:\n",
+        "        if entry.static or now - entry.learned_at < self.aging_s:\n",
+        "the FDB lookup ages an entry out at exactly its aging time\n"
+        "(the differential meets that boundary only through the cache)",
+        ("test_legacy_fdb.py",),
     ),
     Mutant(
         "core/verify.py",

@@ -61,8 +61,6 @@ NOT_LOST = {
         "unrolled into receive() calls, which are checked",
     ("legacy/switch.py", "LegacySwitch.receive_burst", "if fdb.generation != generation:"):
         "handed to the general path, which is checked",
-    ("legacy/switch.py", "LegacySwitch._forward", "if out_port != ingress_port:"):
-        "sent to _egress or counted as hairpin",
     ("legacy/switch.py", "LegacySwitch._send", "buffered.setdefault(port_number, []).append(frame)"):
         "buffered: the burst sends and counts it when it leaves",
     ("softswitch/datapath.py", "SoftSwitch.process_batch",

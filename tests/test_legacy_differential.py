@@ -1,15 +1,19 @@
-"""The legacy hop's forwarding cache against its own general path.
+"""The legacy hop's forwarding cache and flat general path against the
+readable general path.
 
 ``LegacySwitch`` serves known unicast from a cache of compiled decisions
 that outlives the burst (``_lookup`` / ``_compile``), with a per-burst
-identity memo in front of it; it must be indistinguishable from a switch
-that sends every frame down ``_general_path``.  Seeded generative
+identity memo in front of it, and every other frame from a general path
+that reads its 802.1Q rules inline; it must be indistinguishable from a
+switch that sends every frame down a general path composed of those
+rules' helpers.  Seeded generative
 differential: each round draws a switch (VLAN layout, CAM size, aging,
 static entries, a dead port, a lookup delay) and plays
 the same traffic into two copies of it —
 
 * the **oracle**: ``_lookup`` always answers None, so every frame takes
-  the general path; fed ``Port.send`` frame by frame;
+  the readable general path (:class:`GeneralPathOnly`); fed
+  ``Port.send`` frame by frame;
 * the **DUT**: the switch as shipped; fed ``Port.send_burst``, with
   some bursts unrolled into single ``Port.send`` calls so ``receive``
   and ``receive_burst`` work the same cache.
@@ -26,7 +30,7 @@ import random
 from dataclasses import asdict
 
 from repro.legacy import LegacySwitch
-from repro.net.addresses import BROADCAST_MAC, MACAddress
+from repro.net.addresses import BROADCAST_MAC, GROUP_BIT, MACAddress
 from repro.net.ethernet import ETHERTYPE_IPV4, Dot1QTag, EthernetFrame
 from repro.netsim import Link, Simulator
 
@@ -56,10 +60,70 @@ HOSTILE_STACKS = [(), (10,), (20,), (30,), (40,), (0,), (20, 7)]
 
 
 class GeneralPathOnly(LegacySwitch):
-    """The oracle: a switch whose cache never answers."""
+    """The oracle: a switch whose cache never answers, and whose general
+    path is the readable one, composed of the switch's rule helpers
+    (``_ingress_vlan``, ``_egress_tagging``, ``_send``, ``FdbEntry.alive``).
+    The shipped ``_general_path``, ``_forward`` and ``fdb.lookup`` read
+    those rules inline, so every round — the lookup-delay ones included —
+    holds the flat hop against this one."""
 
     def _lookup(self, number, frame):
         return None
+
+    def _general_path(self, number, frame):
+        port_config = self.config.port(number)
+        if not port_config.enabled:
+            self._filter_ingress("disabled")
+            return
+        classified = self._ingress_vlan(port_config, frame)
+        if classified is None:
+            self._filter_ingress("vlan")
+            return
+        vlan_id, tagged = classified
+        inner = frame.pop_vlan() if tagged else frame
+        if not frame.src & GROUP_BIT:
+            self.fdb.learn(vlan_id, frame.src, number, self.sim.now)
+        if self.processing_delay_s > 0:
+            self.sim.schedule(self.processing_delay_s, self._forward, number, vlan_id, inner)
+        else:
+            self._forward(number, vlan_id, inner)
+
+    def _forward(self, ingress_port, vlan_id, frame):
+        if not self.running:
+            self.drops["powered-off"] += 1
+            return
+        out_port = None
+        if not frame.dst & GROUP_BIT:
+            # The FDB's age rule as FdbEntry.alive states it; the lookup
+            # reads it inline, and only removes what has aged.
+            entry = self.fdb.peek(vlan_id, frame.dst)
+            if entry is not None and entry.alive(self.sim.now, self.fdb.aging_s):
+                out_port = entry.port
+            elif entry is not None:
+                assert self.fdb.lookup(vlan_id, frame.dst, self.sim.now) is None
+            if out_port is None:
+                self.fdb.flood_fallbacks += 1
+        if out_port is not None:
+            if out_port != ingress_port:
+                self._egress(out_port, vlan_id, frame)
+            else:
+                self.drops["hairpin"] += 1
+            return
+        flooded_to = [n for n in self.config.ports_in_vlan(vlan_id) if n != ingress_port]
+        if not flooded_to:
+            self.counters.dropped_no_ports += 1
+            self.drops["no-ports"] += 1
+            return
+        self.counters.flooded += 1
+        for number in flooded_to:
+            self._egress(number, vlan_id, frame)
+
+    def _egress(self, port_number, vlan_id, frame):
+        tagged = self._egress_tagging(port_number, vlan_id)
+        if tagged is None:
+            self.drops["egress-filtered"] += 1
+            return
+        self._send(port_number, frame.push_vlan(vlan_id) if tagged else frame)
 
 
 def draw_scenario(rng, delayed=False, calm=None):

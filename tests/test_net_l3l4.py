@@ -161,14 +161,27 @@ class TestIPv4Packet:
         st.integers(min_value=0, max_value=255),
         st.integers(min_value=1, max_value=255),
         st.binary(max_size=64),
+        st.tuples(
+            st.integers(0, 63), st.integers(0, 3), st.integers(0, 0xFFFF),
+            st.integers(0, 7), st.integers(0, 0x1FFF),
+        ),
+        st.integers(0, 10).flatmap(lambda words: st.binary(min_size=4 * words, max_size=4 * words)),
     )
-    def test_round_trip_property(self, src, dst, protocol, ttl, payload):
+    def test_round_trip_property(self, src, dst, protocol, ttl, payload, header, options):
+        # Every header field, so the encoder's packing is checked whole.
+        dscp, ecn, identification, flags, fragment_offset = header
         packet = IPv4Packet(
             src=IPv4Address(src),
             dst=IPv4Address(dst),
             protocol=protocol,
             ttl=ttl,
             payload=payload,
+            dscp=dscp,
+            ecn=ecn,
+            identification=identification,
+            flags=flags,
+            fragment_offset=fragment_offset,
+            options=options,
         )
         assert IPv4Packet.from_bytes(packet.to_bytes()) == packet
 
@@ -203,9 +216,12 @@ class TestIcmp:
         st.binary(max_size=64),
     )
     def test_round_trip_property(self, identifier, sequence, payload):
-        # The decode and the reply build their message without the
-        # dataclass's checks: both must equal one built through them.
-        echo = IcmpPacket.echo_request(identifier, sequence, payload)
+        # The request, the decode and the reply build their message
+        # without the dataclass's checks: each must equal one built
+        # through them.
+        echo = IcmpPacket.echo_request(identifier, sequence, bytearray(payload))
+        assert echo == IcmpPacket(8, 0, identifier, sequence, payload)
+        assert type(echo.payload) is bytes
         assert IcmpPacket.from_bytes(echo.to_bytes()) == echo
         reply = echo.make_reply()
         assert reply == IcmpPacket(0, 0, identifier, sequence, payload)

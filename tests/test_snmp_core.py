@@ -50,7 +50,7 @@ class TestOID:
         assert OID("1.3") < OID("2")
 
     def test_malformed_rejected(self):
-        for bad in ("", "1..3", "1.a.3"):
+        for bad in ("", "1..3", "1.a.3", "1.-3", (), [], (1, -3), [0, 3, -1]):
             with pytest.raises(ValueError):
                 OID(bad)
 

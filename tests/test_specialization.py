@@ -1386,8 +1386,9 @@ class TestEventWorkBudget:
     #: from its send to the sink's receive (110 while every transmit
     #: looked up its direction and every egress went through Node.port;
     #: 90 while a tag edit was three frames: the plan step's ``apply``,
-    #: the edit and its shared ``_derive``).
-    DETOUR_PYTHON_FRAMES = 82
+    #: the edit and its shared ``_derive``; 82 while each of the trip's
+    #: two delayed legacy hops was thirteen frames, not five).
+    DETOUR_PYTHON_FRAMES = 66
 
     def test_a_detour_frame_stays_within_its_python_frame_budget(self):
         sim, source, sink, _ = self.detour_rig()
@@ -1566,3 +1567,47 @@ class TestLegacyWorkBudget:
         assert len(there.received) == delivered + 1 and switch.counters.flooded == flooded
         assert ("switch", "_general_path") in frames and ("switch", "_forward") in frames
         assert [name for module, name in frames if module == "addresses"] == []
+
+    def test_a_warm_delayed_known_unicast_hop_is_five_legacy_python_frames(self):
+        # Classification, the FDB's age test and the known-unicast
+        # egress (filter, tag, count, send) are read inline: no helper
+        # frame per hop, access -> trunk (tag pushed) and trunk ->
+        # access (popped) alike.
+        sim = Simulator()
+        switch = LegacySwitch(sim, "edge", num_ports=2, processing_delay_s=4e-6)
+        switch.config.set_access(1, 10)
+        switch.config.set_trunk(2, {10})
+        here, there = Sink(sim, "here"), Sink(sim, "there")
+        Link(here.add_port(1), switch.port(1), bandwidth_bps=1e10)
+        Link(there.add_port(1), switch.port(2), bandwidth_bps=1e10)
+
+        def frame(src, dst, *vlans):
+            return EthernetFrame(dst=dst, src=src, ethertype=0x0800, payload=b"x" * 46,
+                                 tags=[Dot1QTag(vlan_id) for vlan_id in vlans])
+
+        there.port(1).send(frame(MACS[1], MACS[0], 10))
+        here.port(1).send(frame(MACS[0], MACS[1]))
+        sim.run()
+        flooded = switch.counters.flooded
+        legacy = Path(sys.modules[LegacySwitch.__module__].__file__).parent
+        for sender, load in ((here, frame(MACS[0], MACS[1])), (there, frame(MACS[1], MACS[0], 10))):
+            entered = []
+
+            def profile(py_frame, event, arg):
+                code = py_frame.f_code
+                if event == "call" and Path(code.co_filename).parent == legacy:
+                    entered.append(code.co_qualname)
+
+            sys.setprofile(profile)
+            try:
+                sender.port(1).send(load)
+                sim.run()
+            finally:
+                sys.setprofile(None)
+            assert entered == [
+                "LegacySwitch.receive", "LegacySwitch._general_path",
+                "ForwardingDatabase.learn", "LegacySwitch._forward",
+                "ForwardingDatabase.lookup",
+            ]
+        assert switch.counters.flooded == flooded and not switch.drops
+        assert there.frames[-1].vlan_id == 10 and here.frames[-1].vlan_id is None

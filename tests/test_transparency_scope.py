@@ -1,4 +1,4 @@
-"""Transparency in a small scope, checked exhaustively (ROADMAP item 19, slice i).
+"""Transparency in a small scope, checked exhaustively (ROADMAP item 19, slices i and ii).
 
 The HARMLESS claim is that a controller cannot tell a migrated legacy
 switch from a native OpenFlow switch.  Within a small scope this test
@@ -6,9 +6,11 @@ checks it for *every* case instead of a random sample: every
 single-entry pipeline the scope's matches and actions make, installed
 on a HARMLESS site (:func:`build_harmless_site`, where SS_2 is the
 controller's switch) and on a native one (:func:`build_ideal_site`),
-each fed every frame of the scope's alphabet.  Both sides run the
-compiled executor.  One site per side is reused: between pipelines the
-controller deletes every entry and installs the next one.
+each fed every frame of the scope's alphabet.  It runs once per
+executor: every software switch of both sides compiled, then every one
+interpreted (specialization off).  One site per side and executor is
+reused: between pipelines the controller deletes every entry and
+installs the next one.
 
 Compared per pipeline, frame by frame:
 
@@ -24,15 +26,18 @@ The scope:
 * actions: drop, ``output p``, ``IN_PORT``, ``FLOOD``, ``ALL``,
   ``CONTROLLER``, push VLAN (with its id set) then ``output p``, and
   pop VLAN then ``output p``;
-* frames: every source host to every host and to broadcast, as an ARP
-  request and as IPv4/UDP, untagged.  Tagged and link-local frames and
-  the interpreter are slice (ii).
+* frames: every source host to every other host, to broadcast and to
+  the link-local ``01:80:c2:00:00:0e`` (LLDP's nearest-bridge address),
+  as an ARP request and as IPv4/UDP, untagged and tagged with VLAN 7
+  (the host tagging its own frames on its access port).
 
 The frames go in one at a time, each run to quiescence, so a reply a
 host sends (an ARP answer) is part of the frame's outcome on both
 sides.  Before each frame the legacy switch's forwarding database is
 flushed and the hosts forget their ARP caches, so each frame is judged
-alone.  ``OUT_OF_SCOPE`` is the claim's documented boundary here.
+alone.  The tagged frames go last, to the HARMLESS side only
+(``tagged-at-access``).  ``OUT_OF_SCOPE`` is the claim's documented
+boundary here.
 """
 
 import itertools
@@ -41,7 +46,7 @@ import pytest
 
 from repro.controller.app import ControllerApp
 from repro.core.verify import build_harmless_site, build_ideal_site
-from repro.net.addresses import BROADCAST_MAC, IPv4Address
+from repro.net.addresses import BROADCAST_MAC, IPv4Address, MACAddress
 from repro.net.arp import ArpPacket
 from repro.net.build import udp_frame
 from repro.net.ethernet import ETHERTYPE_ARP, ETHERTYPE_IPV4, EthernetFrame
@@ -61,17 +66,22 @@ HOSTS = 3
 PORTS = tuple(range(1, HOSTS + 1))
 #: The VLAN id a push-then-output pipeline sets.
 PUSHED_VLAN = 7
+#: The VLAN id a host tags its own frames with.
+HOST_VLAN = 7
+#: IEEE 802.1Q's nearest-bridge group address (LLDP's).
+LINK_LOCAL = MACAddress(0x0180C200000E)
 #: Simulated time one frame is given to settle: the HARMLESS detour and
 #: an ARP answer's own trip take tens of microseconds.
 SETTLE_S = 0.005
 
 #: Where the two sides are known to differ, by name, with the reason.
-#: Both come from the legacy bridge that HARMLESS keeps in the path: it
-#: learns MACs in each access port's VLAN, whose only other member is
-#: the trunk, and filters a frame whose destination it learned on the
-#: port the frame arrived on (counted as a ``hairpin`` drop).  Making
-#: those VLANs non-learning would close both, but it changes every
-#: migrated workload's ``sim_digest``; ROADMAP item 22 owns that.
+#: All come from the legacy bridge that HARMLESS keeps in the path.  The
+#: first two: it learns MACs in each access port's VLAN, whose only
+#: other member is the trunk, and filters a frame whose destination it
+#: learned on the port the frame arrived on (counted as a ``hairpin``
+#: drop).  Making those VLANs non-learning would close both, but it
+#: changes every migrated workload's ``sim_digest``; ROADMAP item 22
+#: owns that.  The third is ROADMAP item 23.
 OUT_OF_SCOPE = [
     ("self-addressed",
      "a unicast frame to its sender's own MAC: the bridge filters it at the "
@@ -84,9 +94,18 @@ OUT_OF_SCOPE = [
      "sub-list (HARMLESS delivers and escalates a subset of the native switch's "
      "frames, in the same order, and nothing else), and FILTERED pins how many "
      "such frames the scope holds."),
+    ("tagged-at-access",
+     "a frame the host tagged itself: the bridge's access port drops it "
+     "(``ingress-filtered:vlan``, as 802.1Q has an access port do), so SS_2 never "
+     "sees it, while a native switch hands it to the pipeline.  Carrying it would "
+     "take a tunnelling (QinQ) access port, which changes the manager's config "
+     "and so every migrated workload's ``sim_digest``.  Played on the HARMLESS "
+     "side only, after the packet counter is read: it must deliver nothing, raise "
+     "no packet-in and count exactly that drop."),
 ]
-#: Frames of the scope whose HARMLESS play the bridge filtered in part.
-FILTERED = 72
+#: Frames of the scope whose HARMLESS play the bridge filtered in part,
+#: per executor (72 of them untagged unicast and broadcast, 24 link-local).
+FILTERED = 96
 
 
 def macs_and_ips():
@@ -99,14 +118,16 @@ def macs_and_ips():
 
 def frame_alphabet() -> "list[tuple[int, EthernetFrame]]":
     """(source port, frame) for every source host × {each other host,
-    broadcast} × {ARP request, IPv4/UDP} ("self-addressed" is out of
+    broadcast, link-local} × {ARP request, IPv4/UDP} × {untagged, tagged
+    VLAN 7}, the untagged ones first ("self-addressed" is out of
     scope)."""
     macs, ips = macs_and_ips()
     frames = []
     for source in range(HOSTS):
-        for target in [*(t for t in range(HOSTS) if t != source), None]:
-            dst = BROADCAST_MAC if target is None else macs[target]
-            asked = ips[(source + 1) % HOSTS if target is None else target]
+        # (destination MAC, IP asked for): the group ones ask the next host.
+        targets = [(macs[target], ips[target]) for target in range(HOSTS) if target != source]
+        targets += [(group, ips[(source + 1) % HOSTS]) for group in (BROADCAST_MAC, LINK_LOCAL)]
+        for dst, asked in targets:
             arp = ArpPacket.request(macs[source], ips[source], asked)
             frames.append((source + 1, EthernetFrame(
                 dst=dst, src=macs[source], ethertype=ETHERTYPE_ARP, payload=arp.to_bytes()
@@ -114,7 +135,7 @@ def frame_alphabet() -> "list[tuple[int, EthernetFrame]]":
             frames.append((source + 1, udp_frame(
                 macs[source], dst, ips[source], asked, 4000 + source, 5000, b"scope"
             )))
-    return frames
+    return frames + [(port, frame.push_vlan(HOST_VLAN)) for port, frame in frames]
 
 
 def matches() -> "list[Match]":
@@ -159,18 +180,23 @@ class Recorder(ControllerApp):
 
 
 class Side:
-    """One site, reused for every pipeline."""
+    """One site, reused for every pipeline, its software switches all on
+    one executor."""
 
-    def __init__(self, kind: str) -> None:
+    def __init__(self, kind: str, executor: str) -> None:
         self.kind = kind
         self.app = Recorder()
         if kind == "harmless":
             sim, hosts, deployment, controller = build_harmless_site(HOSTS, [self.app])
             self.switch = deployment.s4.ss2
             self.legacy = deployment.legacy_switch
+            softswitches = (deployment.s4.ss1, deployment.s4.ss2)
         else:
             sim, hosts, self.switch, controller = build_ideal_site(HOSTS, [self.app])
             self.legacy = None
+            softswitches = (self.switch,)
+        for switch in softswitches:
+            switch.specialize = executor == "compiled"
         self.sim, self.hosts = sim, hosts
         (self.datapath,) = controller.datapaths.values()
         self.capture = Capture(f"{kind}-hosts").attach(*(host.port0 for host in hosts))
@@ -187,11 +213,11 @@ class Side:
 
     def play(self, port: int, frame: EthernetFrame) -> tuple:
         """What *frame*, sent by the host on *port*, leads to:
-        (deliveries, packet-ins, hairpin drops on the way)."""
-        hairpins = 0
+        (deliveries, packet-ins, the bridge's drops on the way by reason)."""
+        drops = {}
         if self.legacy is not None:
             self.legacy.fdb.flush_dynamic()
-            hairpins = self.legacy.drops["hairpin"]
+            drops = dict(self.legacy.drops)
         for host in self.hosts:
             host.arp_table.clear()
         self.capture.clear()
@@ -204,8 +230,12 @@ class Side:
             if entry.direction == "rx"
         ]
         if self.legacy is not None:
-            hairpins = self.legacy.drops["hairpin"] - hairpins
-        return deliveries, list(self.app.packet_ins), hairpins
+            drops = {
+                reason: count - drops.get(reason, 0)
+                for reason, count in self.legacy.drops.items()
+                if count != drops.get(reason, 0)
+            }
+        return deliveries, list(self.app.packet_ins), drops
 
     def packet_count(self) -> int:
         replies = []
@@ -216,9 +246,12 @@ class Side:
         return entry.packet_count
 
 
-@pytest.fixture(scope="module")
-def sides():
-    return [Side("harmless"), Side("ideal")]
+EXECUTORS = ("compiled", "interpreted")
+
+
+@pytest.fixture(scope="module", params=EXECUTORS)
+def sides(request):
+    return [Side("harmless", request.param), Side("ideal", request.param)]
 
 
 def is_sublist(short: list, long: list) -> bool:
@@ -229,47 +262,68 @@ def is_sublist(short: list, long: list) -> bool:
 
 def test_the_scope_is_what_the_docstring_says():
     assert len(matches()) == 10 and len(action_lists()) == 14
-    assert len(pipelines()) == 140 and len(frame_alphabet()) == 18
-    assert [name for name, _ in OUT_OF_SCOPE] == ["self-addressed", "learned-on-trunk"]
-    assert all(frame.dst != frame.src for _, frame in frame_alphabet())
+    alphabet = frame_alphabet()
+    assert len(pipelines()) == 140 and len(alphabet) == 48
+    assert [name for name, _ in OUT_OF_SCOPE] == [
+        "self-addressed", "learned-on-trunk", "tagged-at-access"
+    ]
+    assert all(frame.dst != frame.src for _, frame in alphabet)
+    # Untagged first, then the same 24 frames tagged by their host.
+    assert [frame.tags for _, frame in alphabet[:24]] == [()] * 24
+    assert [frame.pop_vlan() for _, frame in alphabet[24:]] == [f for _, f in alphabet[:24]]
+    assert {frame.vlan_id for _, frame in alphabet[24:]} == {HOST_VLAN}
+    assert sum(frame.dst == LINK_LOCAL for _, frame in alphabet) == 12
     assert is_sublist([1, 3], [1, 2, 3]) and not is_sublist([3, 1], [1, 2, 3])
 
 
 def test_every_single_entry_pipeline_looks_alike(sides):
     harmless, ideal = sides
+    executor = "compiled" if ideal.switch.specialize else "interpreted"
     alphabet = frame_alphabet()
+    untagged = [(port, frame) for port, frame in alphabet if not frame.tags]
+    tagged = [(port, frame) for port, frame in alphabet if frame.tags]
     mismatches, edit_pipelines, filtered = [], 0, 0
     for match, actions in pipelines():
+        where = f"{executor} [{match}] {[str(a) for a in actions]}"
         for side in sides:
             side.install(match, actions)
-        for port, frame in alphabet:
-            deliveries, packet_ins, hairpins = harmless.play(port, frame)
+        for port, frame in untagged:
+            deliveries, packet_ins, drops = harmless.play(port, frame)
             seen = ideal.play(port, frame)
-            if hairpins:  # "learned-on-trunk"
+            if drops.get("hairpin"):  # "learned-on-trunk"
                 filtered += 1
                 alike = is_sublist(deliveries, seen[0]) and is_sublist(packet_ins, seen[1])
             else:
                 alike = (deliveries, packet_ins) == seen[:2]
-            if not alike:
+            if not alike or set(drops) - {"hairpin"}:
                 mismatches.append(
-                    f"[{match}] {[str(a) for a in actions]} h{port} sends {frame}:\n"
-                    f"  harmless {(deliveries, packet_ins, hairpins)}\n  ideal    {seen}"
+                    f"{where} h{port} sends {frame}:\n"
+                    f"  harmless {(deliveries, packet_ins, drops)}\n  ideal    {seen}"
                 )
         counts = [side.packet_count() for side in sides]
         if counts[0] != counts[1]:
-            mismatches.append(f"[{match}] {[str(a) for a in actions]}: packet counts {counts}")
-        if len(actions) > 1 and counts[1]:
+            mismatches.append(f"{where}: packet counts {counts}")
+        if executor == "compiled" and len(actions) > 1 and counts[1]:
             # A push or pop then an output is a one-edit plan on both sides.
             for side in sides:
                 plans = side.switch.program.plans.values()
                 assert [plan[0] for plan in plans] == [PLAN_EDIT], side.kind
             edit_pipelines += 1
+        for port, frame in tagged:  # "tagged-at-access"
+            outcome = harmless.play(port, frame)
+            if outcome != ([], [], {"ingress-filtered:vlan": 1}):
+                mismatches.append(f"{where} h{port} sends {frame}: harmless {outcome}")
     assert not mismatches, f"{len(mismatches)} mismatches:\n" + "\n".join(mismatches[:5])
     assert filtered == FILTERED
-    # Every frame was served compiled on both sides, and every pipeline of
-    # an edit and an output (6 action lists x 10 matches) ran the one-edit
-    # plan on both.
-    for side in sides:
-        assert side.switch.specialized_frames > 0
-        assert side.switch.fallback_frames == 0
-    assert edit_pipelines == 6 * 10
+    if executor == "compiled":
+        # Every frame was served compiled on both sides, and every
+        # pipeline of an edit and an output (6 action lists x 10
+        # matches) ran the one-edit plan on both.
+        for side in sides:
+            assert side.switch.specialized_frames > 0
+            assert side.switch.fallback_frames == 0
+        assert edit_pipelines == 6 * 10
+    else:
+        # Not one frame reached a compiled program on either side.
+        for side in sides:
+            assert side.switch.specialized_frames == 0 and side.switch.program is None

@@ -21,11 +21,17 @@ pushes by the events the region ran plus its growth in
 ``pending_events`` (an entry cancelled inside the region is missed).
 A second pass of each workload, unwrapped, counts the Python frames its
 drive region enters (``sys.setprofile`` "call" events) per unit of
-work — frames delivered, sites migrated on ``migration_wave`` — and
-names the functions that enter most; that count repeats exactly from
-run to run, so it shows a call removed from or added to a hot path
-where a timing cannot.  Only public names are touched, so the file
-runs unchanged on a copy of an older tree.  Wrapping costs more than
+work — frames delivered, sites migrated on ``migration_wave`` — split
+by ``repro`` package (``netsim``, ``legacy``, ``net``, ``softswitch``
+with the generated datapaths, ``snmp``, …; ``harness`` is the
+benchmark's own code) and per frame a legacy switch received (one
+legacy hop each), and names the functions that enter most.  That count
+repeats exactly from one invocation to the next, so it shows a call
+removed from or added to a hot path where a timing cannot.  It is not
+a function of the tree alone: what ran earlier in the process moves it
+(state outlives a pass, compiled programs among it), so compare counts
+taken in one invocation order.  Only public names are touched, so the
+file runs unchanged on a copy of an older tree.  Wrapping costs more than
 the wrapped work here: read the rows against each other, not against
 the benchmark.
 Usage: ``python tools/event_split.py [--seed 1] [--frames N]``
@@ -154,12 +160,27 @@ def split(workload, seed, frames):
           f"of {scheduled} scheduled\n")
 
 
+def package(filename):
+    """The ``repro`` package a code object's file belongs to: ``net``,
+    ``legacy``, …; ``softswitch`` for a generated datapath, ``harness``
+    for the benchmark's own code, ``other`` for the rest (the standard
+    library, and the ``__init__`` a dataclass generates, whose file
+    is ``<string>``)."""
+    if filename.startswith("<specialized datapath"):
+        return "softswitch"
+    parts = Path(filename).parts
+    if "repro" in parts[:-1]:
+        below = parts[parts.index("repro") + 1:]
+        return below[0] if len(below) > 1 else "repro"
+    return "harness" if "harmless_e2e" in parts else "other"
+
+
 def python_frames(workload, seed, frames, top=8):
     """Per unit of work, the Python frames one pass's drive region
-    enters, and the *top* functions by frames entered."""
+    enters, split by package, and the *top* functions by frames entered."""
     rig = workload.build(seed)
     load = workload.generate(rig, seed, frames)
-    entered = Counter()
+    entered, packages = Counter(), Counter()
 
     def profile(frame, event, arg):
         if event == "call":
@@ -167,8 +188,11 @@ def python_frames(workload, seed, frames, top=8):
             # Generated datapaths are one module per program: one row.
             module = re.sub(r" [0-9a-f]+>$", ">", Path(code.co_filename).stem)
             entered[f"{module}.{code.co_qualname}"] += 1
+            packages[package(code.co_filename)] += 1
 
     received = sum(rig.endpoints_now().values())
+    legacy = rig.legacy_switches()
+    legacy_rx = sum(switch.counters.rx_frames for switch in legacy)
     sys.setprofile(profile)
     try:
         outcome = exhaust(workload.drive(rig, load))
@@ -176,8 +200,15 @@ def python_frames(workload, seed, frames, top=8):
         sys.setprofile(None)
     delivered = outcome.get("delivered", sum(rig.endpoints_now().values()) - received)
     units, total = outcome.get("units", delivered), sum(entered.values())
+    legacy_rx = sum(switch.counters.rx_frames for switch in legacy) - legacy_rx
     print(f"python frames entered: {total / units:.1f} per unit of work "
-          f"({total} over {units} units); top {top}:")
+          f"({total} over {units} units); by package:")
+    print("  " + ", ".join(f"{name} {count / units:.1f}"
+                           for name, count in packages.most_common()))
+    if legacy_rx:
+        print(f"  legacy: {packages['legacy'] / legacy_rx:.2f} per frame into a legacy "
+              f"switch ({legacy_rx} frames; one hop each)")
+    print(f"top {top}:")
     for name, count in entered.most_common(top):
         print(f"{count / units:>12.2f}  {name}")
     print()
