@@ -120,8 +120,8 @@ class CountingSink(Node):
     def receive(self, port, frame) -> None:
         self.count += 1
 
-    def receive_burst(self, port, arrivals) -> None:
-        self.count += len(arrivals)
+    def receive_burst(self, port, frames, arrivals) -> None:
+        self.count += len(frames)
 
 
 def bench_switch(fast_path: bool, specialize: bool):

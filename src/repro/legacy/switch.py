@@ -128,11 +128,11 @@ class LegacySwitch(Node):
         self._send(hop.out_port, frame if hop.push_vid is None else frame.push_vlan(hop.push_vid))
 
     def receive_burst(
-        self, port: Port, arrivals: "list[tuple[float, EthernetFrame]]"
+        self, port: Port, frames: "list[EthernetFrame]", arrivals: "list[float]"
     ) -> None:
         """Bridge a coalesced burst, re-coalescing the egress per port.
 
-        Indistinguishable from *len(arrivals)* sequential
+        Indistinguishable from *len(frames)* sequential
         :meth:`receive` calls but for two things amortised.  The first
         frame of each ``(outer vid, src, dst)`` has its decision
         memoised, and the rest skip :meth:`_lookup` (which, at one
@@ -143,16 +143,16 @@ class LegacySwitch(Node):
         keeps fabric-scale traffic coalesced across chains of hops.  A
         lookup delay schedules each forward by itself: no burst path.
         """
-        if self.processing_delay_s > 0 or len(arrivals) < 2:
-            super().receive_burst(port, arrivals)
+        if self.processing_delay_s > 0 or len(frames) < 2:
+            super().receive_burst(port, frames, arrivals)
             return
         if not self.running:
-            self.drops["powered-off"] += len(arrivals)
+            self.drops["powered-off"] += len(frames)
             return
         number = port.number
         counters = self.counters
-        counters.rx_frames += len(arrivals)
-        counters.per_port_rx[number] = counters.per_port_rx.get(number, 0) + len(arrivals)
+        counters.rx_frames += len(frames)
+        counters.per_port_rx[number] = counters.per_port_rx.get(number, 0) + len(frames)
         fdb = self.fdb
         generation = fdb.generation
         #: (outer vid, src, dst) -> (pop, push_vid, egress list's
@@ -160,7 +160,7 @@ class LegacySwitch(Node):
         memo: dict = {}
         buffered = self._egress_buffer = {}
         try:
-            for _, frame in arrivals:
+            for frame in frames:
                 tags = frame.tags
                 key = (tags[0].vlan_id if tags else None, frame.src, frame.dst)
                 plan = memo.get(key)
@@ -182,13 +182,13 @@ class LegacySwitch(Node):
         finally:
             self._egress_buffer = None
         per_port_tx, ports = counters.per_port_tx, self.ports
-        for out_number, frames in buffered.items():
-            counters.tx_frames += len(frames)
-            per_port_tx[out_number] = per_port_tx.get(out_number, 0) + len(frames)
-            if len(frames) == 1:
-                ports[out_number].send(frames[0])
+        for out_number, egress in buffered.items():
+            counters.tx_frames += len(egress)
+            per_port_tx[out_number] = per_port_tx.get(out_number, 0) + len(egress)
+            if len(egress) == 1:
+                ports[out_number].send(egress[0])
             else:
-                ports[out_number].send_burst(frames)
+                ports[out_number].send_burst(egress)
 
     # ----------------------------------------------- known unicast, cached
 

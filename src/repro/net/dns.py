@@ -55,7 +55,12 @@ def decode_name(data: bytes, offset: int) -> tuple[str, int]:
             break
         if offset + length > len(data):
             raise PacketDecodeError("dns", "truncated label")
-        labels.append(data[offset : offset + length].decode("ascii"))
+        label = data[offset : offset + length]
+        # A label :func:`encode_name` could not give back: not ASCII, or
+        # holding the dot that separates labels.
+        if not label.isascii() or b"." in label:
+            raise PacketDecodeError("dns", f"unencodable label {label!r}")
+        labels.append(label.decode("ascii"))
         offset += length
     return ".".join(labels), offset
 

@@ -40,7 +40,8 @@ class LinkStats:
 class _Direction:
     """One direction of a link, created at wiring with its *far* port.
 
-    A delivery event is this record's bound method plus the frame — no
+    A delivery event is this record's bound method plus the frame (a
+    burst's: the frames, their wire bytes and their arrival times) — no
     closure, no registry of what is on the wire.  ``queued`` is exactly
     the frames whose delivery is still in the simulator's queue
     (:meth:`Link.set_down` counts what it cuts by it).  ``drops`` splits
@@ -68,10 +69,10 @@ class _Direction:
         self.far.deliver(frame)
 
     def deliver_burst(
-        self, accepted: "list[tuple[float, EthernetFrame]]", wire_bytes: int
+        self, frames: "list[EthernetFrame]", wire_bytes: int, arrivals: "list[float]"
     ) -> None:
-        self.queued -= len(accepted)
-        self.far.deliver_burst(accepted, wire_bytes)
+        self.queued -= len(frames)
+        self.far.deliver_burst(frames, wire_bytes, arrivals)
 
 
 class Link:
@@ -198,10 +199,11 @@ class Link:
         start/finish times, byte accounting and tail-drop behave exactly
         like *len(frames)* sequential :meth:`transmit` calls — but the
         whole accepted burst rides **one** simulator event, scheduled at
-        the burst drain (the last frame's arrival).  The per-frame
-        arrival times are preserved in the delivered payload, so
-        receivers that care about wire timing still see it; the
-        coalescing trade is that earlier frames are *handed over* at
+        the burst drain (the last frame's arrival).  The delivery hands
+        the far end the sender's own *frames* list (sliced only by a
+        tail drop) and beside it ``arrivals``, each frame's arrival
+        time, so receivers that care about wire timing still see it;
+        the coalescing trade is that earlier frames are *handed over* at
         drain time (and the queue occupancy drains all at once) rather
         than one event each.
         """
@@ -231,17 +233,16 @@ class Link:
             # would start, finish and land every frame at one instant
             # and add 0.0 to busy_time each — account them in one step.
             busy = busy if busy > now else now
-            arrival = busy + prop
-            accepted = [(arrival, frame) for frame in frames]
+            arrivals = [busy + prop] * fits
         else:
             busy_time = stats.busy_time
-            accepted = []
-            for frame, length in zip(frames, lengths):
+            arrivals = []
+            for length in lengths:
                 serialization = length * 8 / bandwidth
                 start = busy if busy > now else now
                 busy = start + serialization
                 busy_time += serialization
-                accepted.append((busy + prop, frame))
+                arrivals.append(busy + prop)
             stats.busy_time = busy_time
         wire_bytes = sum(lengths)
         direction.busy_until = busy
@@ -250,9 +251,9 @@ class Link:
         stats.bytes += wire_bytes
         if direction.queued > stats.queue_hwm:
             stats.queue_hwm = direction.queued
-        if accepted:
+        if fits:
             self.sim.schedule_at(
-                accepted[-1][0], direction.deliver_burst, accepted, wire_bytes
+                arrivals[-1], direction.deliver_burst, frames, wire_bytes, arrivals
             )
         return fits
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import defaultdict
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.net.ethernet import EthernetFrame
@@ -11,6 +12,9 @@ if TYPE_CHECKING:
     from repro.netsim.capture import Capture
     from repro.netsim.link import Link, _Direction
     from repro.netsim.simulator import Simulator
+
+#: A frame's wire length through the property (C-level, one call per burst).
+_wire_length = attrgetter("wire_length")
 
 
 class Port:
@@ -78,7 +82,9 @@ class Port:
         Per-frame semantics (captures, counters, drop-tail) match
         *len(frames)* sequential :meth:`send` calls, but the link
         coalesces the whole burst into one delivery event at the far
-        end — the per-event overhead is paid once per burst.
+        end — the per-event overhead is paid once per burst.  The far
+        end receives *frames* itself (unless a tail drop slices it), so
+        the caller leaves the list alone once it is sent.
         """
         if self.captures:
             for capture in self.captures:
@@ -90,7 +96,7 @@ class Port:
             return 0
         # The one length pass of this hop: the link serialises from
         # these lengths and reports the accepted bytes to the far port.
-        lengths = [frame.wire_length for frame in frames]
+        lengths = list(map(_wire_length, frames))
         self.tx_frames += len(frames)
         self.tx_bytes += sum(lengths)
         return link.transmit_burst(self, frames, lengths)
@@ -108,25 +114,26 @@ class Port:
         self.node.receive(self, frame)
 
     def deliver_burst(
-        self, arrivals: "list[tuple[float, EthernetFrame]]", wire_bytes: int
+        self, frames: "list[EthernetFrame]", wire_bytes: int, arrivals: "list[float]"
     ) -> None:
         """Called by the link when a coalesced burst drains at this port.
 
-        *arrivals* holds ``(arrival_time, frame)`` pairs in wire order —
-        the per-frame serialisation timestamps are preserved even though
-        the burst rides one simulator event — and *wire_bytes* their
-        total wire length, measured once when the burst was sent.
+        *frames* is the sender's list in wire order, *wire_bytes* their
+        total wire length, measured once when the burst was sent, and
+        *arrivals* each frame's arrival time — the per-frame
+        serialisation timestamps are preserved even though the burst
+        rides one simulator event.
         """
         if self.captures:
             for capture in self.captures:
-                for _, frame in arrivals:
+                for frame in frames:
                     capture.record(self, "rx", frame)
         if not self.up:
-            self.drops["port-down"] += len(arrivals)
+            self.drops["port-down"] += len(frames)
             return
-        self.rx_frames += len(arrivals)
+        self.rx_frames += len(frames)
         self.rx_bytes += wire_bytes
-        self.node.receive_burst(self, arrivals)
+        self.node.receive_burst(self, frames, arrivals)
 
     def attach_capture(self, capture: "Capture") -> None:
         self.captures.append(capture)
@@ -170,16 +177,23 @@ class Node:
         raise NotImplementedError
 
     def receive_burst(
-        self, port: Port, arrivals: "list[tuple[float, EthernetFrame]]"
+        self, port: Port, frames: "list[EthernetFrame]", arrivals: "list[float]"
     ) -> None:
         """Handle a coalesced burst arriving on *port*.
+
+        A burst is ``(frames, arrivals)``: the sender's frame list and,
+        beside it, each frame's arrival time on the wire.  *frames* may
+        be the very list the sender (or another receiver) holds, so a
+        receiver never mutates it.  *arrivals* stays the last
+        positional argument: the benchmark's tracer weighs a burst call
+        by ``len(args[-1])``.
 
         The default unrolls to per-frame :meth:`receive` calls so every
         existing node works unchanged; batch-aware nodes (the software
         switch) override this to amortise per-frame work.
         """
         receive = self.receive
-        for _, frame in arrivals:
+        for frame in frames:
             receive(port, frame)
 
     def __repr__(self) -> str:

@@ -323,9 +323,9 @@ class SoftSwitch(Node):
         self.process_batch(port.number, [frame])
 
     def receive_burst(
-        self, port: Port, arrivals: "list[tuple[float, EthernetFrame]]"
+        self, port: Port, frames: "list[EthernetFrame]", arrivals: "list[float]"
     ) -> None:
-        self.process_batch(port.number, [frame for _, frame in arrivals])
+        self.process_batch(port.number, frames)
 
     def inject(self, frame: EthernetFrame, in_port: int) -> None:
         """Run a frame through the pipeline as if it arrived on *in_port*."""

@@ -310,8 +310,8 @@ class Sink(Node):
     def receive(self, port, frame):
         self.received.append((self.sim.now, frame.to_bytes()))
 
-    def receive_burst(self, port, arrivals):
-        self.received.extend((when, frame.to_bytes()) for when, frame in arrivals)
+    def receive_burst(self, port, frames, arrivals):
+        self.received.extend((when, frame.to_bytes()) for when, frame in zip(arrivals, frames))
 
     @property
     def frames(self):

@@ -266,4 +266,27 @@ MUTANTS = [
         "as its own: UC-PC's share reads above 1",
         ("test_paper_claims.py",),
     ),
+    # The two rows left over from the ledger's first pass.
+    Mutant(
+        "snmp/agent.py",
+        "            if restore is not None:\n                restore()\n",
+        "",
+        "a multi-varbind SET refused part-way keeps the bindings it applied (PR 32)",
+        ("test_snmp_bridge_mib.py",),
+    ),
+    Mutant(
+        "core/manager.py",
+        "                trunk_link.disconnect()  # frees the trunk port for a retry\n",
+        "                pass\n",
+        "a failed bring-up rolls back but leaves the S4 trunk wired (PR 27)",
+        ("test_core_manager.py",),
+    ),
+    # A burst is the sender's frame list plus its arrival times.
+    Mutant(
+        "netsim/link.py",
+        "            arrivals = [busy + prop] * fits\n",
+        "            arrivals = [busy] * fits\n",
+        "an ideal link's burst lands without its propagation delay",
+        ("test_netsim_link_timing.py",),
+    ),
 ]

@@ -30,8 +30,8 @@ class Sink(Node):
     def receive(self, port, frame):
         self.count += 1
 
-    def receive_burst(self, port, arrivals):
-        self.count += len(arrivals)
+    def receive_burst(self, port, frames, arrivals):
+        self.count += len(frames)
 
 
 class CallCounter(Sink):
@@ -43,9 +43,9 @@ class CallCounter(Sink):
         self.calls += 1
         self.count += 1
 
-    def receive_burst(self, port, arrivals):
+    def receive_burst(self, port, frames, arrivals):
         self.calls += 1
-        self.count += len(arrivals)
+        self.count += len(frames)
 
 
 

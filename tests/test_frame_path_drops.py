@@ -57,7 +57,7 @@ FRAME_PATHS = {
 NOT_LOST = {
     ("legacy/switch.py", "LegacySwitch.receive", "self._general_path(number, frame)"):
         "handed to the general path, which is checked",
-    ("legacy/switch.py", "LegacySwitch.receive_burst", "super().receive_burst(port, arrivals)"):
+    ("legacy/switch.py", "LegacySwitch.receive_burst", "super().receive_burst(port, frames, arrivals)"):
         "unrolled into receive() calls, which are checked",
     ("legacy/switch.py", "LegacySwitch.receive_burst", "if fdb.generation != generation:"):
         "handed to the general path, which is checked",

@@ -1,7 +1,8 @@
-"""Tests for ARP / IPv4 / ICMP / UDP / TCP wire formats."""
+"""Tests for ARP / IPv4 / ICMP / UDP / TCP wire formats, and every
+decoder's boundary on hostile bytes (DNS's included)."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net import (
@@ -19,6 +20,9 @@ from repro.net import (
     UdpDatagram,
 )
 from repro.net.checksum import internet_checksum
+from repro.net.dns import DnsMessage, DnsResourceRecord
+
+from differential import SCALE
 
 IP_A = IPv4Address("10.0.0.1")
 IP_B = IPv4Address("10.0.0.2")
@@ -316,3 +320,96 @@ class TestTcp:
         )
         raw = segment.to_bytes(IP_A, IP_B)
         assert TcpSegment.from_bytes(raw, IP_A, IP_B) == segment
+
+
+# -- decoder boundaries: hostile bytes are refused, never raised through --
+
+_u16 = st.integers(0, 0xFFFF)
+_u32 = st.integers(0, (1 << 32) - 1)
+_dns_label = st.text("abcdefghijklmnopqrstuvwxyz0123456789-", min_size=1, max_size=8)
+
+
+@st.composite
+def _dns_message(draw):
+    name = ".".join(draw(st.lists(_dns_label, min_size=1, max_size=3)))
+    query = DnsMessage.query(draw(_u16), name)
+    if not draw(st.booleans()):
+        return query
+    answers = [DnsResourceRecord.a_record(name, IPv4Address(draw(_u32)), ttl=draw(_u32))]
+    return query.make_response(answers, rcode=draw(st.integers(0, 15)))
+
+
+#: codec -> (decode, encode, a strategy of valid values).  UDP and TCP
+#: decode against the pseudo-header's addresses, so their checksums count.
+CODECS = {
+    "arp": (ArpPacket.from_bytes, ArpPacket.to_bytes, st.builds(
+        ArpPacket,
+        opcode=st.sampled_from([ARP_OP_REQUEST, ARP_OP_REPLY]),
+        sender_mac=st.builds(MACAddress, st.integers(0, (1 << 48) - 1)),
+        sender_ip=st.builds(IPv4Address, _u32),
+        target_mac=st.builds(MACAddress, st.integers(0, (1 << 48) - 1)),
+        target_ip=st.builds(IPv4Address, _u32),
+    )),
+    "ipv4": (IPv4Packet.from_bytes, IPv4Packet.to_bytes, st.builds(
+        IPv4Packet,
+        src=st.builds(IPv4Address, _u32),
+        dst=st.builds(IPv4Address, _u32),
+        protocol=st.integers(0, 255),
+        ttl=st.integers(1, 255),
+        payload=st.binary(max_size=12),
+        identification=_u16,
+        flags=st.integers(0, 7),
+        fragment_offset=st.integers(0, 0x1FFF),
+        options=st.integers(0, 2).flatmap(lambda words: st.binary(min_size=4 * words,
+                                                                  max_size=4 * words)),
+    )),
+    "icmp": (IcmpPacket.from_bytes, IcmpPacket.to_bytes, st.builds(
+        IcmpPacket, st.integers(0, 255), st.integers(0, 255), _u16, _u16,
+        st.binary(max_size=12),
+    )),
+    "udp": (
+        lambda data: UdpDatagram.from_bytes(data, IP_A, IP_B),
+        lambda datagram: datagram.to_bytes(IP_A, IP_B),
+        st.builds(UdpDatagram, _u16, _u16, st.binary(max_size=12)),
+    ),
+    "tcp": (
+        lambda data: TcpSegment.from_bytes(data, IP_A, IP_B),
+        lambda segment: segment.to_bytes(IP_A, IP_B),
+        st.builds(
+            TcpSegment, _u16, _u16, seq=_u32, ack=_u32, flags=st.integers(0, 0x3F),
+            window=_u16, options=st.sampled_from([b"", b"\x02\x04\x05\xb4"]),
+            payload=st.binary(max_size=12),
+        ),
+    ),
+    "dns": (DnsMessage.from_bytes, DnsMessage.to_bytes, _dns_message()),
+}
+
+
+class TestDecoderBoundaries:
+    """Every layer's ``from_bytes`` on hostile bytes (ROADMAP item 2b),
+    as ``test_net_ethernet.TestDecoderBoundaries`` has it for frames:
+    every truncation and every single-bit flip of a valid encoding
+    either raises :class:`PacketDecodeError` — which a host counts as a
+    ``malformed`` frame and an app skips — or decodes to a value whose
+    own encoding decodes back to it.  No other exception escapes."""
+
+    @pytest.mark.parametrize("codec", list(CODECS))
+    @settings(max_examples=50 * SCALE, deadline=None)
+    @given(data=st.data())
+    def test_every_truncation_and_bit_flip_decodes_or_is_refused(self, codec, data):
+        decode, encode, values = CODECS[codec]
+        value = data.draw(values)
+        raw = encode(value)
+        assert decode(raw) == value
+        inputs = [raw[:end] for end in range(len(raw))]
+        flipped = bytearray(raw)
+        for bit in range(8 * len(raw)):
+            flipped[bit >> 3] ^= 0x80 >> (bit & 7)
+            inputs.append(bytes(flipped))
+            flipped[bit >> 3] ^= 0x80 >> (bit & 7)
+        for hostile in inputs:
+            try:
+                decoded = decode(hostile)
+            except PacketDecodeError:
+                continue
+            assert decode(encode(decoded)) == decoded, (codec, hostile.hex())

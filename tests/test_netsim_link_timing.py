@@ -5,8 +5,10 @@
 propagation), and the burst path must reproduce it exactly: a
 `transmit_burst` serialises every frame at the same instants as N
 sequential `transmit` calls — only the delivery *event* is coalesced,
-with per-frame arrival times preserved in the payload.
+with per-frame arrival times delivered beside the frames.
 """
+
+import gc
 
 import pytest
 
@@ -26,9 +28,9 @@ class Sink(Node):
     def receive(self, port, frame):
         self.received.append((self.sim.now, self.sim.now, frame))
 
-    def receive_burst(self, port, arrivals):
+    def receive_burst(self, port, frames, arrivals):
         self.bursts += 1
-        for stamp, frame in arrivals:
+        for stamp, frame in zip(arrivals, frames):
             self.received.append((self.sim.now, stamp, frame))
 
 
@@ -261,6 +263,40 @@ class TestBurstTransmit:
         assert len(b.received) == 32
         assert b.bursts == 1
         assert sim.events_processed - before == 1
+
+    def test_ideal_link_burst_holds_no_per_frame_object(self):
+        """A burst in flight over an ideal link is the sender's own list
+        plus a constant number of tracked objects, whatever its size:
+        no per-frame tuple, and the sink gets that very list back."""
+
+        class ListSink(Node):
+            def receive_burst(self, port, frames, arrivals):
+                self.got = frames, list(frames), arrivals
+
+        def in_flight(size):
+            sim = Simulator()
+            a, b = Sink(sim, "a"), ListSink(sim, "b")
+            wire(a, b, bandwidth_bps=None, propagation_delay_s=3e-6)
+            frames = [make_frame(tag=t) for t in range(size)]
+            gc.collect()
+            gc.disable()
+            try:
+                gc.get_count()  # the first reading's own tuple counts once
+                before = gc.get_count()[0]
+                assert a.port(1).send_burst(frames) == size
+                held = gc.get_count()[0] - before
+            finally:
+                gc.enable()
+            return held, sim, b, frames
+
+        bursts = [in_flight(size) for size in (2, 32)]
+        assert bursts[0][0] == bursts[1][0]
+        for _, sim, sink, frames in bursts:
+            sent = list(frames)
+            sim.run()
+            got, seen, arrivals = sink.got
+            assert got is frames and seen == sent  # the sender's list, untouched
+            assert arrivals == [3e-6] * len(sent)
 
     # -- one length pass per hop: the burst path against N transmits --
 

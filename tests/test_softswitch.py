@@ -712,7 +712,7 @@ class TestGotoTableValidation:
         port = switch.port(1)
         switch.inject(frame_ab(), in_port=1)
         switch.receive(port, frame_ab())
-        switch.receive_burst(port, [(sim.now, frame_ab()), (sim.now, frame_ab())])
+        switch.receive_burst(port, [frame_ab(), frame_ab()], [sim.now, sim.now])
         sim.run()
         assert len(sinks[1].received) == 5
         assert not sinks[2].received

@@ -978,7 +978,7 @@ class TestOneFramePath:
         program.run_burst = counting
         port = switch.port(1)
         switch.receive(port, frame_ab())
-        switch.receive_burst(port, [(sim.now, frame_ab()), (sim.now, frame_ab())])
+        switch.receive_burst(port, [frame_ab(), frame_ab()], [sim.now, sim.now])
         switch.inject(frame_ab(), 1)
         switch.process_batch(1, [frame_ab(), frame_ab(), frame_ab()])
         sim.run()

@@ -170,9 +170,9 @@ class TestBurstSource:
             def receive(self, port, frame):
                 self.frames += 1
 
-            def receive_burst(self, port, arrivals):
+            def receive_burst(self, port, frames, arrivals):
                 self.bursts += 1
-                self.frames += len(arrivals)
+                self.frames += len(frames)
 
         sim = Simulator()
         source = BurstSource(sim, "gen")

@@ -1,4 +1,4 @@
-"""Transparency in a small scope, checked exhaustively (ROADMAP item 19, slices i and ii).
+"""Transparency in a small scope, checked exhaustively (ROADMAP item 19, slices i to iii).
 
 The HARMLESS claim is that a controller cannot tell a migrated legacy
 switch from a native OpenFlow switch.  Within a small scope this test
@@ -6,17 +6,22 @@ checks it for *every* case instead of a random sample: every
 single-entry pipeline the scope's matches and actions make, installed
 on a HARMLESS site (:func:`build_harmless_site`, where SS_2 is the
 controller's switch) and on a native one (:func:`build_ideal_site`),
-each fed every frame of the scope's alphabet.  It runs once per
-executor: every software switch of both sides compiled, then every one
-interpreted (specialization off).  One site per side and executor is
-reused: between pipelines the controller deletes every entry and
-installs the next one.
+each fed every frame of the scope's alphabet.  Then the same for every
+two-entry pipeline: two of those entries, one at priority 2 above one at
+priority 1 (:func:`two_entry_pipelines`).  That scope is 19 460
+pipelines, so the nightly job runs it whole (``DIFFERENTIAL_SCALE`` of
+5 or more) and tier-1 a seeded sample of ``TWO_ENTRY_SAMPLE`` ×
+``DIFFERENTIAL_SCALE``.  Each runs once per executor: every software
+switch of both sides compiled, then every one interpreted
+(specialization off).  One site per side and executor is reused:
+between pipelines the controller deletes every entry and installs the
+next ones.
 
 Compared per pipeline, frame by frame:
 
 * host deliveries — which host's port received which bytes, in order;
 * packet-ins — in_port, reason and bytes;
-* the entry's packet counter, read back through flow-stats.
+* each entry's packet counter, read back through flow-stats.
 
 The scope:
 
@@ -41,6 +46,7 @@ boundary here.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -61,6 +67,8 @@ from repro.openflow import (
 )
 from repro.openflow import consts as c
 from repro.softswitch.compiler import PLAN_EDIT
+
+from differential import SCALE
 
 HOSTS = 3
 PORTS = tuple(range(1, HOSTS + 1))
@@ -106,6 +114,10 @@ OUT_OF_SCOPE = [
 #: Frames of the scope whose HARMLESS play the bridge filtered in part,
 #: per executor (72 of them untagged unicast and broadcast, 24 link-local).
 FILTERED = 96
+#: Two-entry pipelines per executor in tier-1, times DIFFERENTIAL_SCALE;
+#: a scale of WHOLE_SCALE or more runs every one of them.
+TWO_ENTRY_SAMPLE = 100
+WHOLE_SCALE = 5
 
 
 def macs_and_ips():
@@ -167,6 +179,23 @@ def pipelines() -> "list[tuple[Match, tuple]]":
     return list(itertools.product(matches(), action_lists()))
 
 
+def two_entry_pipelines() -> "list[tuple[tuple, tuple]]":
+    """Every ordered pair of two different single-entry pipelines: the
+    first installed at priority 2, the second at priority 1.  Two
+    entries at one priority are left out: OpenFlow leaves the order of
+    overlapping equal-priority entries undefined."""
+    return list(itertools.permutations(pipelines(), 2))
+
+
+def two_entry_scope() -> "list[tuple[tuple, tuple]]":
+    """What this run plays: all of :func:`two_entry_pipelines` at a
+    scale of ``WHOLE_SCALE`` or more, else a seeded sample."""
+    every = two_entry_pipelines()
+    if SCALE >= WHOLE_SCALE:
+        return every
+    return random.Random(0x2E17).sample(every, TWO_ENTRY_SAMPLE * SCALE)
+
+
 class Recorder(ControllerApp):
     """Installs nothing; records every packet-in and consumes it."""
 
@@ -205,11 +234,13 @@ class Side:
     def settle(self) -> None:
         self.sim.run(until=self.sim.now + SETTLE_S)
 
-    def install(self, match: Match, actions: tuple) -> None:
+    def install(self, *entries: "tuple[Match, tuple, int]") -> None:
+        """Replace the pipeline by *entries*: (match, actions, priority)."""
         self.datapath.flow_delete(Match())
-        self.datapath.flow_add(match, actions=list(actions), priority=10)
+        for match, actions, priority in entries:
+            self.datapath.flow_add(match, actions=list(actions), priority=priority)
         self.settle()
-        assert len(self.switch.tables[0]) == 1, self.kind
+        assert len(self.switch.tables[0]) == len(entries), self.kind
 
     def play(self, port: int, frame: EthernetFrame) -> tuple:
         """What *frame*, sent by the host on *port*, leads to:
@@ -237,13 +268,13 @@ class Side:
             }
         return deliveries, list(self.app.packet_ins), drops
 
-    def packet_count(self) -> int:
+    def packet_counts(self) -> "list[tuple[int, int]]":
+        """(priority, packet count) of every entry, by priority."""
         replies = []
         self.datapath.send_with_reply(FlowStatsRequest(), replies.append)
         self.settle()
         (reply,) = replies
-        (entry,) = reply.entries
-        return entry.packet_count
+        return sorted((entry.priority, entry.packet_count) for entry in reply.entries)
 
 
 EXECUTORS = ("compiled", "interpreted")
@@ -276,54 +307,93 @@ def test_the_scope_is_what_the_docstring_says():
     assert is_sublist([1, 3], [1, 2, 3]) and not is_sublist([3, 1], [1, 2, 3])
 
 
-def test_every_single_entry_pipeline_looks_alike(sides):
+def describe(entries) -> str:
+    return " over ".join(f"[{match}] {[str(a) for a in actions]}" for match, actions in entries)
+
+
+def look_alike(sides, where: str) -> "tuple[list[str], int, list]":
+    """Play the alphabet on both sides under the pipeline they hold:
+    the mismatches, how many plays were ``learned-on-trunk`` and the
+    ideal side's (priority, packet count) per entry."""
     harmless, ideal = sides
-    executor = "compiled" if ideal.switch.specialize else "interpreted"
+    mismatches, filtered = [], 0
     alphabet = frame_alphabet()
     untagged = [(port, frame) for port, frame in alphabet if not frame.tags]
     tagged = [(port, frame) for port, frame in alphabet if frame.tags]
+    for port, frame in untagged:
+        deliveries, packet_ins, drops = harmless.play(port, frame)
+        seen = ideal.play(port, frame)
+        if drops.get("hairpin"):  # "learned-on-trunk"
+            filtered += 1
+            alike = is_sublist(deliveries, seen[0]) and is_sublist(packet_ins, seen[1])
+        else:
+            alike = (deliveries, packet_ins) == seen[:2]
+        if not alike or set(drops) - {"hairpin"}:
+            mismatches.append(
+                f"{where} h{port} sends {frame}:\n"
+                f"  harmless {(deliveries, packet_ins, drops)}\n  ideal    {seen}"
+            )
+    counts = [side.packet_counts() for side in sides]
+    if counts[0] != counts[1]:
+        mismatches.append(f"{where}: packet counts {counts}")
+    for port, frame in tagged:  # "tagged-at-access"
+        outcome = harmless.play(port, frame)
+        if outcome != ([], [], {"ingress-filtered:vlan": 1}):
+            mismatches.append(f"{where} h{port} sends {frame}: harmless {outcome}")
+    return mismatches, filtered, counts[1]
+
+
+def executor_of(sides) -> str:
+    return "compiled" if sides[1].switch.specialize else "interpreted"
+
+
+def check_executor(sides, executor: str) -> None:
+    if executor == "compiled":
+        # Every frame was served compiled on both sides.
+        for side in sides:
+            assert side.switch.specialized_frames > 0
+            assert side.switch.fallback_frames == 0
+    else:
+        # Not one frame reached a compiled program on either side.
+        for side in sides:
+            assert side.switch.specialized_frames == 0 and side.switch.program is None
+
+
+def test_every_single_entry_pipeline_looks_alike(sides):
+    executor = executor_of(sides)
     mismatches, edit_pipelines, filtered = [], 0, 0
     for match, actions in pipelines():
-        where = f"{executor} [{match}] {[str(a) for a in actions]}"
         for side in sides:
-            side.install(match, actions)
-        for port, frame in untagged:
-            deliveries, packet_ins, drops = harmless.play(port, frame)
-            seen = ideal.play(port, frame)
-            if drops.get("hairpin"):  # "learned-on-trunk"
-                filtered += 1
-                alike = is_sublist(deliveries, seen[0]) and is_sublist(packet_ins, seen[1])
-            else:
-                alike = (deliveries, packet_ins) == seen[:2]
-            if not alike or set(drops) - {"hairpin"}:
-                mismatches.append(
-                    f"{where} h{port} sends {frame}:\n"
-                    f"  harmless {(deliveries, packet_ins, drops)}\n  ideal    {seen}"
-                )
-        counts = [side.packet_count() for side in sides]
-        if counts[0] != counts[1]:
-            mismatches.append(f"{where}: packet counts {counts}")
-        if executor == "compiled" and len(actions) > 1 and counts[1]:
+            side.install((match, actions, 10))
+        found, played_filtered, counts = look_alike(
+            sides, f"{executor} {describe([(match, actions)])}"
+        )
+        mismatches += found
+        filtered += played_filtered
+        if executor == "compiled" and len(actions) > 1 and counts[0][1]:
             # A push or pop then an output is a one-edit plan on both sides.
             for side in sides:
                 plans = side.switch.program.plans.values()
                 assert [plan[0] for plan in plans] == [PLAN_EDIT], side.kind
             edit_pipelines += 1
-        for port, frame in tagged:  # "tagged-at-access"
-            outcome = harmless.play(port, frame)
-            if outcome != ([], [], {"ingress-filtered:vlan": 1}):
-                mismatches.append(f"{where} h{port} sends {frame}: harmless {outcome}")
     assert not mismatches, f"{len(mismatches)} mismatches:\n" + "\n".join(mismatches[:5])
     assert filtered == FILTERED
+    check_executor(sides, executor)
     if executor == "compiled":
-        # Every frame was served compiled on both sides, and every
-        # pipeline of an edit and an output (6 action lists x 10
-        # matches) ran the one-edit plan on both.
-        for side in sides:
-            assert side.switch.specialized_frames > 0
-            assert side.switch.fallback_frames == 0
+        # Every pipeline of an edit and an output (6 action lists x 10
+        # matches) ran the one-edit plan on both sides.
         assert edit_pipelines == 6 * 10
-    else:
-        # Not one frame reached a compiled program on either side.
+
+
+def test_every_two_entry_pipeline_looks_alike(sides):
+    executor = executor_of(sides)
+    scope = two_entry_scope()
+    assert len(two_entry_pipelines()) == 140 * 139
+    assert len(scope) == (140 * 139 if SCALE >= WHOLE_SCALE else TWO_ENTRY_SAMPLE * SCALE)
+    mismatches = []
+    for high, low in scope:
         for side in sides:
-            assert side.switch.specialized_frames == 0 and side.switch.program is None
+            side.install((*high, 2), (*low, 1))
+        mismatches += look_alike(sides, f"{executor} {describe([high, low])}")[0]
+    assert not mismatches, f"{len(mismatches)} mismatches:\n" + "\n".join(mismatches[:5])
+    check_executor(sides, executor)

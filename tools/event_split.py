@@ -19,21 +19,22 @@ workload (that probe's own time falls to the calling row).  The share
 of the region's scheduled entries that reached the heap divides the
 pushes by the events the region ran plus its growth in
 ``pending_events`` (an entry cancelled inside the region is missed).
-A second pass of each workload, unwrapped, counts the Python frames its
-drive region enters (``sys.setprofile`` "call" events) per unit of
-work — frames delivered, sites migrated on ``migration_wave`` — split
-by ``repro`` package (``netsim``, ``legacy``, ``net``, ``softswitch``
-with the generated datapaths, ``snmp``, …; ``harness`` is the
-benchmark's own code) and per frame a legacy switch received (one
-legacy hop each), and names the functions that enter most.  That count
-repeats exactly from one invocation to the next, so it shows a call
-removed from or added to a hot path where a timing cannot.  It is not
-a function of the tree alone: what ran earlier in the process moves it
-(state outlives a pass, compiled programs among it), so compare counts
-taken in one invocation order.  Only public names are touched, so the
-file runs unchanged on a copy of an older tree.  Wrapping costs more than
-the wrapped work here: read the rows against each other, not against
-the benchmark.
+A second pass of each workload, unwrapped and in a fresh child
+process, counts the Python frames its drive region enters
+(``sys.setprofile`` "call" events) per unit of work — frames
+delivered, sites migrated on ``migration_wave`` — split by ``repro``
+package (``netsim``, ``legacy``, ``net``, ``softswitch`` with the
+generated datapaths, ``snmp``, …; ``harness`` is the benchmark's own
+code) and per frame a legacy switch received (one legacy hop each),
+and names the functions that enter most.  What ran earlier in a
+process would move that count (compiled programs and interned VLAN
+tags outlive a pass), so each workload is counted in a process of its
+own: the count is then a function of the tree, ``--seed`` and
+``--frames``, and it shows a call removed from or added to a hot path
+where a timing cannot.  Only public names are touched, so the file runs
+unchanged on a copy of an older tree.  Wrapping costs more than the
+wrapped work here: read the rows against each other, not against the
+benchmark.
 Usage: ``python tools/event_split.py [--seed 1] [--frames N]``
 """
 
@@ -41,6 +42,7 @@ import argparse
 import gc
 import heapq
 import re
+import subprocess
 import sys
 import time
 from collections import Counter
@@ -219,11 +221,17 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--frames", type=int, default=None,
                         help="frames per workload (default: the benchmark's own)")
+    parser.add_argument("--count", choices=sorted(WORKLOADS),
+                        help="only count this workload's Python frames, in this process")
     args = parser.parse_args()
-    for workload in WORKLOADS.values():
-        frames = args.frames or workload.default_frames
-        split(workload, args.seed, frames)
-        python_frames(workload, args.seed, frames)
+    if args.count is not None:
+        workload = WORKLOADS[args.count]
+        python_frames(workload, args.seed, args.frames or workload.default_frames)
+        return
+    for name, workload in WORKLOADS.items():
+        split(workload, args.seed, args.frames or workload.default_frames)
+        sys.stdout.flush()
+        subprocess.run([sys.executable, __file__, *sys.argv[1:], "--count", name], check=True)
 
 
 if __name__ == "__main__":
