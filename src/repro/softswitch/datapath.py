@@ -81,21 +81,6 @@ def _bad_request(xid: int, code: int, raw: bytes) -> bytes:
     return ErrorMsg(xid=xid, error_type=1, code=code, data=raw[:64]).to_bytes()
 
 
-def _is_zero_cost(model: DatapathCostModel) -> bool:
-    """True when every cost coefficient is zero (wall-clock benches):
-    lets the charge path skip the per-packet cost_s() call while
-    keeping busy_until bookkeeping bit-identical.  The exact-type check
-    keeps subclasses with overridden cost_s() off the shortcut."""
-    return type(model) is DatapathCostModel and not (
-        model.base_ns
-        or model.lookup_ns
-        or model.action_ns
-        or model.vlan_op_ns
-        or model.group_ns
-        or model.patch_ns
-    )
-
-
 @dataclass
 class PipelineStats:
     """What one packet's pipeline walk cost (for the cost model)."""
@@ -129,24 +114,17 @@ class SoftSwitch(Node):
         datapath_id: int,
         num_tables: int = 4,
         cost_model: DatapathCostModel = ESWITCH_COST_MODEL,
-        enable_fast_path: bool = True,
-        enable_specialization: "bool | None" = None,
+        enable_specialization: bool = True,
     ) -> None:
         super().__init__(sim, name)
         self.datapath_id = datapath_id
         self.tables = [FlowTable(table_id) for table_id in range(num_tables)]
         self.groups = GroupTable()
-        #: Table lookups go through the bucketed classifier; False
-        #: selects the seed ``FlowTable.linear_lookup`` scan, the
-        #: reference the differential suites compare against.
-        self.fast_path = enable_fast_path
-        #: The ESwitch-style specialized program compiled from the
-        #: installed pipeline (see repro.softswitch.compiler).
-        #: Defaults to following the fast-path switch so "interpreted
-        #: seed" configurations stay fully interpreted.
-        self.specialize = (
-            enable_fast_path if enable_specialization is None else enable_specialization
-        )
+        #: Serve frames from the ESwitch-style program compiled from
+        #: the installed pipeline (see repro.softswitch.compiler); False
+        #: runs every frame through the reference interpreter, the
+        #: oracle the differential suites compare against.
+        self.specialize = enable_specialization
         self._program: "Optional[CompiledProgram]" = None
         #: The pipeline changed since the last compile attempt: the next
         #: frame regenerates.  False on a fresh switch (nothing to
@@ -172,7 +150,6 @@ class SoftSwitch(Node):
         # Not through the setter: construction is not a model swap, and
         # a fresh switch should not recompile until a FlowMod lands.
         self._cost_model = cost_model
-        self._cost_is_zero = _is_zero_cost(cost_model)
         #: Fields hashed for select-group bucket choice.  The OpenFlow
         #: spec leaves the selection algorithm to the implementation;
         #: like OVS's selection_method this is switch configuration.
@@ -196,7 +173,6 @@ class SoftSwitch(Node):
     @cost_model.setter
     def cost_model(self, model: DatapathCostModel) -> None:
         self._cost_model = model
-        self._cost_is_zero = _is_zero_cost(model)
         # Compiled programs bake per-plan cost constants; swapping the
         # model on a live switch must force a recompile.
         self._mark_program_stale("cost model swapped")
@@ -424,14 +400,10 @@ class SoftSwitch(Node):
     def _charge(self, stats: PipelineStats) -> float:
         """Account CPU time for a pipeline walk (serialises the core).
 
-        Returns the simulated time at which processing completes.
+        Returns the simulated time at which processing completes.  Only
+        the interpreter and packet-outs come here: the compiled program
+        charges its frames itself.
         """
-        if self._cost_is_zero:
-            start = self.sim.now
-            if self.busy_until > start:
-                start = self.busy_until
-            self.busy_until = start
-            return start
         cost = self.cost_model.cost_s(
             lookups=stats.lookups,
             actions=stats.actions,
@@ -456,11 +428,7 @@ class SoftSwitch(Node):
             if view.frame is not current:
                 view = PacketView(current, in_port)
             table = tables[table_id]
-            entry = (
-                table.lookup(view, now)
-                if self.fast_path
-                else table.linear_lookup(view, now)
-            )
+            entry = table.linear_lookup(view, now)
             stats.lookups += 1
             if entry is None:
                 self.drops["table-miss"] += 1

@@ -11,9 +11,11 @@ searched in descending max-priority order with early termination,
 OVS's staged-lookup trick.
 
 The candidates are arbitrated by the same total order the seed used,
-so lookup results are bit-identical to a pure linear scan
-(``linear_lookup`` keeps that reference implementation alive for
-differential tests and benchmarks).
+so lookup results are bit-identical to a pure linear scan.  The index
+serves the compiled program (``_classify`` and the probe groups it
+binds); the reference interpreter scans the table with
+``linear_lookup``, which the differential suites hold the compiled
+program to.
 """
 
 from __future__ import annotations
@@ -240,17 +242,12 @@ class FlowTable:
 
     # ------------------------------------------------------------- lookup
 
-    def lookup(self, view: PacketView, now: float) -> Optional[FlowEntry]:
-        """Highest-priority live entry matching *view*."""
-        self.lookups += 1
-        entry = self._classify(view.flow_key(), now)
-        if entry is not None:
-            self.matches += 1
-        return entry
-
     def _classify(
         self, key: "tuple[int | None, ...]", now: float
     ) -> Optional[FlowEntry]:
+        """Highest-priority live entry matching the flow key *key*: the
+        compiled program's lookup in the tables after table 0, when a
+        key-cache miss builds a decision.  Counts nothing."""
         best: "FlowEntry | None" = None
         for subtable in self._staged_in_order():
             if best is not None and -subtable.max_priority > best.sort_key[0]:
@@ -312,7 +309,7 @@ class FlowTable:
         return subtable.mask_set, subtable.buckets
 
     def linear_lookup(self, view: PacketView, now: float) -> Optional[FlowEntry]:
-        """The seed O(n) scan, kept as the differential-test reference."""
+        """The seed O(n) scan: the reference interpreter's one lookup."""
         self.lookups += 1
         for entry in self._entries:
             if entry.is_expired(now):

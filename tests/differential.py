@@ -50,6 +50,14 @@ from repro.softswitch import DatapathCostModel, SoftSwitch
 SCALE = max(1, int(os.environ.get("DIFFERENTIAL_SCALE", "1")))
 
 ZERO_COST = DatapathCostModel.zero()
+
+
+class HookedCostModel(DatapathCostModel):
+    """A subclassed cost model, as a per-packet cost hook would be.  The
+    compiler rejects it, so a switch with specialization on serves every
+    frame through the interpreter on its fallback route."""
+
+
 MACS = [MACAddress(0x020000000001 + i) for i in range(4)]
 IPS = [IPv4Address(f"10.0.{i // 4}.{i % 4 + 1}") for i in range(8)]
 PORTS = [53, 80, 443, 8080]
@@ -349,8 +357,7 @@ BASE = (
 
 def build_rig(base=(), *, sinks=3, cost_model=ZERO_COST, controller=False, ingress=None,
               bandwidth_bps=None, propagation_delay_s=0.0, **tier) -> Rig:
-    """A ``SoftSwitch`` (*tier*: ``enable_fast_path`` /
-    ``enable_specialization``) with a :class:`Sink` on each of the next
+    """A ``SoftSwitch`` (*tier*: ``enable_specialization``) with a :class:`Sink` on each of the next
     *sinks* ports, packet-ins recorded when *controller*, and *base*
     installed.  ``ingress(sim)``, when given, builds a node wired to
     port 1 ahead of the sinks."""

@@ -281,6 +281,26 @@ MUTANTS = [
         "a failed bring-up rolls back but leaves the S4 trunk wired (PR 27)",
         ("test_core_manager.py",),
     ),
+    # The reference interpreter's only matching code: a linear scan of
+    # Match.matches_key over PacketView's flow key.  The compiled program
+    # reads neither, so the linear-versus-compiled differentials watch them.
+    Mutant(
+        "openflow/match.py",
+        "if packet_value is None or packet_value & mask != value:",
+        "if packet_value is None or packet_value != value:",
+        "a masked match compares the packet's whole field: the interpreter misses\n"
+        "every prefix and partial-mask entry the compiled probes hit",
+        ("test_specialized_differential.py",),
+    ),
+    Mutant(
+        "openflow/packetview.py",
+        "            OFPVID_PRESENT | vlan.vlan_id if vlan is not None else 0,\n",
+        "            vlan.vlan_id if vlan is not None else 0,\n",
+        "the decoded flow key reports a tagged frame's bare VID, without\n"
+        "OFPVID_PRESENT (the seed's PacketView.get set it; a Match.vlan entry\n"
+        "never meets the key)",
+        ("test_specialized_differential.py",),
+    ),
     # A burst is the sender's frame list plus its arrival times.
     Mutant(
         "netsim/link.py",

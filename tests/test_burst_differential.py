@@ -230,9 +230,9 @@ class TestBatchDifferential:
         assert switch.packets_forwarded == 0
 
     def test_linear_config_batches_identically(self):
-        """fast path fully disabled: batch loop must still match."""
+        """The linear interpreter: its batch loop must still match."""
         rng = random.Random(0x11E4)
-        rigs = [build_rig(PIPELINE, controller=True, enable_fast_path=False) for _ in range(2)]
+        rigs = [build_rig(PIPELINE, controller=True, enable_specialization=False) for _ in range(2)]
         pool = [random_frame(rng) for _ in range(12)]
         for _ in range(60):
             frames = [pool[rng.randrange(len(pool))] for _ in range(rng.randint(2, 8))]
@@ -244,9 +244,9 @@ class TestBatchDifferential:
         assert_identical(*rigs)
 
 
-def test_cost_model_swap_updates_charge_shortcut():
-    """Reassigning cost_model on a live switch must drop/adopt the
-    zero-cost charge shortcut (the flag is setter-maintained)."""
+def test_cost_model_swap_charges_the_next_frame():
+    """Reassigning cost_model on a live switch charges the next frame
+    by the new model, a zero one included."""
     sim, switch, _, _ = build_rig(PIPELINE, controller=True)
     frame = udp_frame(MACS[0], MACS[1], IPS[0], IPS[1], 1000, 80, b"x")
     switch.inject(frame, 1)

@@ -3,7 +3,7 @@
 The classifier (one staged subtable per mask-set) is only allowed to
 exist because it is semantics-free: every test here checks it against
 the seed's linear scan, either per-lookup (randomized flow tables and
-packets) or end-to-end (two switches, one with the fast path disabled,
+packets) or end-to-end (a compiled switch and the linear interpreter,
 fed the same traffic, control-plane mutations included).
 
 Generators, rig and comparator come from ``differential.py``; the
@@ -11,8 +11,6 @@ classifier family draws every field a match can constrain.
 """
 
 import random
-
-import pytest
 
 from repro.net import EthernetFrame
 from repro.net.build import udp_frame
@@ -27,7 +25,6 @@ from repro.openflow import (
     OutputAction,
     PacketOut,
     SetFieldAction,
-    WriteActions,
 )
 from repro.openflow import consts as c
 from repro.openflow.packetview import FLOW_KEY_FIELDS, PacketView
@@ -90,7 +87,7 @@ class TestRandomizedDifferential:
                 frame = classifier_frame(rng)
                 in_port = rng.randint(1, 3)
                 now = 3.0
-                fast = table.lookup(PacketView(frame, in_port), now)
+                fast = table._classify(PacketView(frame, in_port).flow_key(), now)
                 linear = table.linear_lookup(PacketView(frame, in_port), now)
                 reference = reference_lookup(table, PacketView(frame, in_port), now)
                 assert fast is reference, (
@@ -121,7 +118,7 @@ class TestRandomizedDifferential:
             for _ in range(30):
                 frame = classifier_frame(rng)
                 view = PacketView(frame, rng.randint(1, 3))
-                assert table.lookup(view, now) is reference_lookup(table, view, now)
+                assert table._classify(view.flow_key(), now) is reference_lookup(table, view, now)
 
     def test_install_order_is_seed_identical(self):
         """bisect.insort keeps the (-priority, installed_at, seq) order."""
@@ -145,47 +142,31 @@ class TestRandomizedDifferential:
 
 
 # --------------------------------------------------------------------------
-# End-to-end differential: default switch vs fast-path-disabled switch
+# End-to-end differential: default switch vs the linear interpreter
 # --------------------------------------------------------------------------
 
 
-#: A multi-table pipeline with masked flows, write-actions, a group.
+#: A multi-table pipeline with masked flows and a group, nothing the
+#: compiler rejects: the default switch serves it compiled.
 PIPELINE = (
     SELECT_GROUP,
     # Table 0: exact ingress steering + masked subnet rule.
     FlowMod(table_id=0, priority=10, match=Match(in_port=1), instructions=[GotoTable(table_id=1)]),
     FlowMod(table_id=0, priority=5, instructions=output(3),
             match=Match(eth_type=0x0800, ipv4_dst=("10.0.1.0", "255.255.255.0"))),
-    # Table 1: L4 classification into the select group + rewrite.
-    FlowMod(
-        table_id=1, priority=20, match=Match(eth_type=0x0800, udp_dst=53),
-        instructions=[ApplyActions(actions=(
-            SetFieldAction(field="eth_dst", value=int(MACS[3])), GroupAction(group_id=1),
-        ))],
-    ),
-    FlowMod(table_id=1, priority=1, match=Match(), instructions=[
-        WriteActions(actions=(OutputAction(port=2),)), GotoTable(table_id=2),
-    ]),
-    FlowMod(table_id=2, priority=0, match=Match(), instructions=[]),
-)
-
-
-#: The same walk with nothing the compiler rejects: the default switch
-#: serves it compiled.
-COMPILED = PIPELINE[:3] + (
+    # Table 1: L4 classification into the select group.
     FlowMod(table_id=1, priority=20, match=Match(eth_type=0x0800, udp_dst=53),
             instructions=[ApplyActions(actions=(GroupAction(group_id=1),))]),
     FlowMod(table_id=1, priority=1, match=Match(),
             instructions=[*output(2), GotoTable(table_id=2)]),
-    PIPELINE[-1],
+    FlowMod(table_id=2, priority=0, match=Match(), instructions=[]),
 )
-PIPELINES = pytest.mark.parametrize("pipeline", [PIPELINE, COMPILED],
-                                    ids=["interpreted", "compiled"])
 
 
-def build_pair(pipeline):
-    """Two identically-provisioned switches: fast path on vs off."""
-    return [build_rig(pipeline, controller=True, enable_fast_path=enable)
+def build_pair():
+    """Two identically-provisioned switches: compiled vs the linear
+    interpreter."""
+    return [build_rig(PIPELINE, controller=True, enable_specialization=enable)
             for enable in (True, False)]
 
 
@@ -196,14 +177,9 @@ def play(rigs, frames):
             rig.switch.inject(frame.copy(), in_port)
 
 
-def served_compiled(rigs, pipeline) -> bool:
-    return (rigs[0].switch.specialized_frames > 0) == (pipeline is COMPILED)
-
-
 class TestEndToEndDifferential:
-    @PIPELINES
-    def test_pipeline_outputs_and_counters_identical(self, pipeline):
-        rigs = build_pair(pipeline)
+    def test_pipeline_outputs_and_counters_identical(self):
+        rigs = build_pair()
         rng = random.Random(0x5EED)
         frames = [classifier_frame(rng) for _ in range(40)]
         # Steady-state mix: every frame replayed several times.
@@ -212,19 +188,18 @@ class TestEndToEndDifferential:
         for rig in rigs:
             rig.sim.run()
         assert_identical(*rigs)
-        assert served_compiled(rigs, pipeline)
+        assert rigs[0].switch.specialized_frames > 0
 
-    @PIPELINES
-    def test_table_miss_is_cached_and_identical(self, pipeline):
+    def test_table_miss_is_cached_and_identical(self):
         """Repeated table misses drop identically on both switches."""
-        rigs = build_pair(pipeline)
+        rigs = build_pair()
         frame = udp_frame(MACS[0], MACS[1], IPS[0], IPS[1], 1000, 9999, b"x")
         play(rigs, [(frame, 3)] * 5)  # no table-0 rule matches
         for rig in rigs:
             rig.sim.run()
         assert_identical(*rigs)
         assert rigs[0].switch.drops == {"table-miss": 5}
-        assert served_compiled(rigs, pipeline)
+        assert rigs[0].switch.specialized_frames == 5
 
 
 # --------------------------------------------------------------------------
@@ -232,12 +207,11 @@ class TestEndToEndDifferential:
 # --------------------------------------------------------------------------
 
 class TestChurnInterleavedDifferential:
-    @PIPELINES
-    def test_outputs_identical_under_sustained_churn(self, pipeline):
+    def test_outputs_identical_under_sustained_churn(self):
         """Packets and control-plane mutations interleaved at random:
         the default switch must stay bit-identical to the linear-scan
         pipeline through adds, deletes, modifies and group rewrites."""
-        rigs = build_pair(pipeline)
+        rigs = build_pair()
         rng = random.Random(0xC0DE)
         frames = [classifier_frame(rng) for _ in range(30)]
         packets = 0

@@ -11,7 +11,9 @@ depend on the machine.  The README's "Paper claims" table lists the same ids, an
 The three use-case sites and their datapath rigs come from
 :mod:`repro.core.verify`, which ``benchmarks/bench_tiers.py`` times
 too; the scenarios that drive them live here.  The mid-wave fault comes
-from ``tests/fault_scenarios.py``, beside the other fault rows.
+from ``tests/fault_scenarios.py``, beside the other fault rows, and
+``XPAR-TRANSP`` reads the small transparency scope's single-entry
+verdict from ``tests/transparency_scope.py``.
 """
 
 import itertools
@@ -62,6 +64,7 @@ from repro.softswitch import ESWITCH_COST_MODEL, SoftSwitch
 from repro.traffic import make_flow_population, zipf_weights
 
 from fault_scenarios import converged_as, midwave
+from transparency_scope import EXECUTORS, FILTERED, single_entry_verdict
 
 
 # ------------------------------------------------------------- CLAIM-COST
@@ -311,15 +314,23 @@ TRANSLATOR_PORT_COUNTS = [4, 8, 16, 48, 128, 512]
 POLICY_RULES = 50
 
 
-def transparent_seeds():
+def transparency():
     """Seeds whose host observations are identical on HARMLESS and on an
-    ideal OpenFlow switch, same learning-switch program and traffic."""
-    return sum(
-        TransparencyHarness(num_hosts=4, app_factory=lambda: [LearningSwitchApp()])
-        .run(random_udp_traffic(seed=seed, num_messages=30))
-        .equivalent
-        for seed in TRANSPARENCY_SEEDS
-    )
+    ideal OpenFlow switch, same learning-switch program and traffic; and
+    per executor, the single-entry scope's mismatches and the plays the
+    bridge filtered in part (``tests/transparency_scope.py``)."""
+    measured = {
+        "seeds": sum(
+            TransparencyHarness(num_hosts=4, app_factory=lambda: [LearningSwitchApp()])
+            .run(random_udp_traffic(seed=seed, num_messages=30))
+            .equivalent
+            for seed in TRANSPARENCY_SEEDS
+        )
+    }
+    for executor in EXECUTORS:
+        verdict = single_entry_verdict(executor)
+        measured[executor] = (len(verdict.mismatches), verdict.filtered)
+    return measured
 
 
 def harmless_waves_dominate(plans):
@@ -594,9 +605,12 @@ CLAIMS = [
     Claim(
         "XPAR-TRANSP", "Fig. 1",
         "A controller program cannot tell the migrated switch from an ideal "
-        "OpenFlow switch: host observations are identical on every seed",
-        transparent_seeds,
-        lambda passed: passed == len(TRANSPARENCY_SEEDS),
+        "OpenFlow switch: host observations are identical on every seed, and "
+        "for every single-entry pipeline of the small scope on both executors, "
+        "outside its documented OUT_OF_SCOPE boundary",
+        transparency,
+        lambda m: m["seeds"] == len(TRANSPARENCY_SEEDS)
+        and all(m[executor] == (0, FILTERED) for executor in EXECUTORS),
     ),
     Claim(
         "XPAR-MIGR", "§1",

@@ -31,7 +31,7 @@ from repro.openflow import consts as c
 from repro.openflow.messages import EchoRequest, FeaturesRequest, PacketIn
 from repro.softswitch import DatapathCostModel
 
-from differential import build_rig, install
+from differential import HookedCostModel, build_rig, install
 
 MAC_A = MACAddress("02:00:00:00:00:01")
 MAC_B = MACAddress("02:00:00:00:00:02")
@@ -559,11 +559,13 @@ class TestFlowLifecycle:
         assert len(sinks[2].received) == 1
 
 
-#: How each executor is selected: the seed linear scan, the bucketed
-#: interpreter, and (default) the compiled program.
+#: How each executor is selected: the reference interpreter (a linear
+#: scan of each table), the same interpreter on the fallback route of a
+#: switch whose pipeline the compiler rejects, and, by default, the
+#: compiled program.
 TIERS = {
-    "linear": {"enable_fast_path": False},
-    "interpreted": {"enable_specialization": False},
+    "linear": {"enable_specialization": False},
+    "fallback": {"cost_model": HookedCostModel.zero()},
     "compiled": {},
 }
 
@@ -689,6 +691,7 @@ class TestGotoTableValidation:
         pipeline = switch.dump_pipeline()
         program = switch.program
         mutations = (switch.program_invalidations, switch.program_patches)
+        attempts = (switch.program_compiles, switch.program_compile_failures)
 
         bad = FlowMod(
             xid=77,
@@ -716,6 +719,8 @@ class TestGotoTableValidation:
         sim.run()
         assert len(sinks[1].received) == 5
         assert not sinks[2].received
+        # The refused FlowMod left nothing to recompile (or to reject).
+        assert (switch.program_compiles, switch.program_compile_failures) == attempts
 
     def test_increasing_goto_inside_the_pipeline_is_accepted(self):
         _, switch, _, _ = build_rig()
@@ -725,9 +730,9 @@ class TestGotoTableValidation:
 
 class TestDropReasons:
     """Every place a frame (or one output of a frame) dies in the
-    softswitch says why in ``switch.drops``, identically on the seed
-    scan, the bucketed interpreter and the compiled program, one frame
-    at a time and as a burst; ``packets_dropped`` stays the sum of the
+    softswitch says why in ``switch.drops``, identically on the linear
+    interpreter, on its fallback route and on the compiled program, one
+    frame at a time and as a burst; ``packets_dropped`` stays the sum of the
     reasons it always summed."""
 
     #: in_port -> (what the rule for that port does, the reason one
@@ -809,6 +814,9 @@ class TestDropReasons:
         if tier == "compiled":  # every site compiled
             assert switch.fallback_frames == 0
             assert switch.specialized_frames > len(self.SITES)
+        if tier == "fallback":  # every frame interpreted, each one counted
+            assert switch.specialized_frames == 0
+            assert switch.fallback_frames == len(self.SITES) * (5 if burst else 2)
 
     @pytest.mark.parametrize("tier", TIERS)
     def test_every_packet_in_reaches_the_channel(self, tier):
@@ -827,8 +835,10 @@ class TestDropReasons:
     @pytest.mark.parametrize("cost", ["zero", "deferred"])
     @pytest.mark.parametrize("tier", TIERS)
     def test_a_packet_in_with_no_controller_is_counted_lost(self, tier, cost):
-        model = DatapathCostModel() if cost == "deferred" else DatapathCostModel.zero()
-        sim, switch, sinks, _ = build_rig(cost_model=model, **TIERS[tier])
+        tier_kwargs = dict(TIERS[tier])
+        kind = type(tier_kwargs.pop("cost_model", DatapathCostModel()))
+        model = kind() if cost == "deferred" else kind.zero()
+        sim, switch, sinks, _ = build_rig(cost_model=model, **tier_kwargs)
         install(switch, match=Match(in_port=1), priority=0, instructions=[ApplyActions(
             actions=(OutputAction(port=OFPP_CONTROLLER), OutputAction(port=2)))])
         assert switch.to_controller is None
@@ -873,6 +883,32 @@ class TestCostModel:
         arrivals = [t for t, _ in sinks[1].received]
         assert arrivals[0] == pytest.approx(1e-6)
         assert arrivals[1] == pytest.approx(2e-6)
+
+    @pytest.mark.parametrize("burst", [False, True], ids=["single", "burst"])
+    def test_a_cost_hook_charges_every_frame(self, burst):
+        """A subclassed model's ``cost_s`` is a per-packet hook: the
+        compiler leaves such a switch interpreted, and every frame is
+        charged by the hook, serialised on the one core."""
+        calls = []
+
+        class CountingModel(HookedCostModel):
+            def cost_s(self, *args, **kwargs):
+                calls.append(kwargs)
+                return 1e-6 * len(calls)
+
+        sim, switch, sinks, _ = build_rig(cost_model=CountingModel())
+        install(switch, match=Match(), instructions=[ApplyActions(actions=(OutputAction(port=2),))])
+        frames = [frame_ab(payload=bytes([n]) * 32) for n in range(3)]
+        if burst:
+            switch.process_batch(1, frames)
+        else:
+            for frame in frames:
+                switch.inject(frame, in_port=1)
+        sim.run()
+        assert switch.program is None and switch.fallback_frames == 3
+        assert [call["lookups"] for call in calls] == [1, 1, 1]
+        arrivals = [t for t, _ in sinks[1].received]
+        assert arrivals == pytest.approx([1e-6, 3e-6, 6e-6])
 
     def test_peak_pps(self):
         from repro.softswitch import ESWITCH_COST_MODEL

@@ -77,6 +77,7 @@ from repro.softswitch import (
     compile_datapath,
 )
 from repro.softswitch import compiler, datapath
+from repro.softswitch.flowtable import FlowTable
 
 from differential import IPS, MACS, ZERO_COST, Sink, build_rig, install, output, random_frame
 
@@ -810,7 +811,7 @@ class TestColdStartWorkBudget:
         rigs = {}
         for name, out_port in (("a", 2), ("b", 3)):
             for linear in (False, True):
-                sim, switch, sinks, _ = build_rig(enable_fast_path=not linear)
+                sim, switch, sinks, _ = build_rig(enable_specialization=not linear)
                 install(switch, match=Match(in_port=1), priority=9,
                         instructions=output(out_port))
                 install(switch, match=Match(eth_dst=int(MACS[2])), priority=4,
@@ -946,6 +947,24 @@ class TestInterpreterIsTheOracle:
         assert all(switch.program is not None for switch in switches)
         assert sum(switch.specialized_frames for switch in switches) > 0
         assert entered == []
+
+    def test_the_interpreter_looks_up_by_linear_scan_alone(self, monkeypatch):
+        """The oracle has one lookup, ``FlowTable.linear_lookup``: it
+        never reads the subtable index the compiled program probes, so
+        a fault there cannot hide in both executors at once."""
+
+        def indexed(table, key, now):
+            raise AssertionError(f"the interpreter read table {table.table_id}'s index")
+
+        monkeypatch.setattr(FlowTable, "_classify", indexed)
+        sim, switch, sinks, _ = build_rig(enable_specialization=False)
+        install(switch, match=Match(in_port=1), priority=9, instructions=[GotoTable(table_id=1)])
+        install(switch, table_id=1, match=Match(), priority=0, instructions=output(2))
+        for _ in range(3):
+            switch.inject(frame_ab(), 1)
+        sim.run()
+        assert len(sinks[1].received) == 3
+        assert [(table.lookups, table.matches) for table in switch.tables[:2]] == [(3, 3)] * 2
 
 
 class TestOneFramePath:

@@ -750,7 +750,7 @@ class IncrementalRig:
             incremental_base(),
             cost_model=cost_model,
             controller=True,
-            enable_fast_path=not interpreted,  # the seed linear_lookup, no cache
+            enable_specialization=not interpreted,  # the linear_lookup interpreter
         )
         self.sim, self.switch, self.sinks, self.packet_ins = self.rig
         self.script = script
@@ -1101,7 +1101,7 @@ class TestSpecializedDifferential:
         oracle, across churn-driven recompiles."""
         rng = random.Random(0xB0B5)
         burst_rig, seq_rig = (build_rig(BASE, controller=True) for _ in range(2))
-        linear_rig = build_rig(BASE, controller=True, enable_fast_path=False)
+        linear_rig = build_rig(BASE, controller=True, enable_specialization=False)
         rigs = (burst_rig, seq_rig, linear_rig)
         burst_switch, seq_switch, linear_switch = (rig[1] for rig in rigs)
         pool = [random_frame(rng) for _ in range(16)]
@@ -1186,7 +1186,7 @@ class TestSpecializedDifferential:
             for linear in (False, True):
                 rig = build_rig(
                     incremental_base(), cost_model=cost_model, controller=True,
-                    enable_fast_path=not linear,
+                    enable_specialization=not linear,
                     bandwidth_bps=10e9, propagation_delay_s=1e-6,
                 )
                 sim, switch = rig[0], rig[1]

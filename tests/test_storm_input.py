@@ -43,12 +43,14 @@ from repro.traffic.generators import (
     synth_frame,
 )
 
-from differential import SCALE, assert_identical, build_rig, output
+from differential import SCALE, HookedCostModel, assert_identical, build_rig, output
 
 #: Execution tiers of the softswitch, as ``SoftSwitch`` keyword arguments.
 TIERS = {
-    "linear": {"enable_fast_path": False, "cost_model": ESWITCH_COST_MODEL},
-    "interpreted": {"enable_specialization": False, "cost_model": ESWITCH_COST_MODEL},
+    "linear": {"enable_specialization": False, "cost_model": ESWITCH_COST_MODEL},
+    # Specialization on, the pipeline rejected: the interpreter serves
+    # every frame on its fallback route.
+    "fallback": {"cost_model": HookedCostModel()},
     "compiled": {"cost_model": ESWITCH_COST_MODEL},
 }
 
@@ -339,11 +341,14 @@ class TestStormMixDifferentials:
         drive(seq_rig, [(port, frames, False) for port, frames, _ in steps])
         assert_identical(batch_rig, seq_rig)
         assert sum(len(sink.received) for sink in batch_rig.sinks) > 0
+        if tier == "fallback":
+            assert batch_rig.switch.specialized_frames == 0
+            assert batch_rig.switch.fallback_frames == seq_rig.switch.fallback_frames > 0
 
     @pytest.mark.parametrize("seed", STORM_SEEDS)
     def test_compiled_tier_equals_interpreted_tier(self, seed):
         steps = seeded_mix(seed)
-        interpreted = build_rig((UNICAST, FLOOD), controller=True, **TIERS["interpreted"])
+        interpreted = build_rig((UNICAST, FLOOD), controller=True, **TIERS["linear"])
         compiled = build_rig((UNICAST, FLOOD), controller=True, **TIERS["compiled"])
         drive(interpreted, steps)
         drive(compiled, steps)
@@ -359,7 +364,7 @@ class TestStormMixDifferentials:
              * 4, True)
             for _ in range(10)
         ]
-        interpreted = build_rig((UNICAST,), controller=True, **TIERS["interpreted"])
+        interpreted = build_rig((UNICAST,), controller=True, **TIERS["linear"])
         compiled = build_rig((UNICAST,), controller=True, **TIERS["compiled"])
         drive(interpreted, steps)
         drive(compiled, steps)

@@ -2,16 +2,24 @@
 
 ROADMAP item 4: the benchmark's tracer reports the software datapath
 as one layer; this splits it.  ``receive_burst`` of both switch classes
-and ``Port.send_burst`` / ``deliver_burst`` are wrapped from outside for
-one pass and their self times summed by who owns the call: SS_1 (the
-translator), SS_2, patch links, trunk links, legacy, other links.  The
-legacy switch's ``_general_path`` is wrapped too and gets its own row —
-the frames (and their self time) that fell through the forwarding cache
-to the slow path, taken out of the ``legacy`` row.
+and ``Port.send_burst`` / ``deliver_burst`` are wrapped from outside and
+their self times summed by who owns the call: SS_1 (the translator),
+SS_2, patch links, trunk links, legacy, other links.  The legacy
+switch's ``_general_path`` is wrapped too and gets its own row — the
+frames (and their self time) that fell through the forwarding cache to
+the slow path, taken out of the ``legacy`` row.
+
+One run makes ``PASSES`` passes, each on a freshly built fabric (set-up
+runs unwrapped), and prints each role's median µs per frame with its
+min–max over the passes: a single pass's region moves by a third from
+run to run, and every role with it.  To compare two trees, copy this
+file into the other checkout and run it once on each.
+
 Usage: ``python tools/s4_split.py [--seed 1] [--frames 4096]``
 """
 
 import argparse
+import statistics
 import sys
 import time
 from collections import Counter
@@ -24,6 +32,9 @@ from harmless_e2e.workloads import WORKLOADS  # noqa: E402
 from repro.legacy import LegacySwitch  # noqa: E402
 from repro.netsim.node import Port  # noqa: E402
 from repro.softswitch import SoftSwitch  # noqa: E402
+
+#: Passes a run makes; every row is the median over them.
+PASSES = 5
 
 SELF_S, FRAMES, STACK = Counter(), Counter(), []
 GENERAL = "legacy (general path)"
@@ -63,27 +74,55 @@ def timed(cls, name):
     setattr(cls, name, wrapper)
 
 
+WRAPPED = ((SoftSwitch, "receive_burst"), (LegacySwitch, "receive_burst"),
+           (LegacySwitch, GENERAL_METHOD), (Port, "send_burst"), (Port, "deliver_burst"))
+
+
+def one_pass(workload, seed: int, frames: int) -> "tuple[float, Counter, Counter]":
+    """Drive region seconds, and self seconds and frames by role."""
+    originals = [(cls, name, getattr(cls, name)) for cls, name in WRAPPED]
+    rig = workload.build(seed)  # set-up runs unwrapped
+    load = workload.generate(rig, seed, frames)
+    SELF_S.clear()
+    FRAMES.clear()
+    for cls, name in WRAPPED:
+        timed(cls, name)
+    try:
+        start = time.perf_counter()
+        list(workload.drive(rig, load))
+        region = time.perf_counter() - start
+    finally:
+        for cls, name, original in originals:
+            setattr(cls, name, original)
+    SELF_S[GENERAL] += 0.0  # the row is printed even when nothing fell through
+    return region, Counter(SELF_S), Counter(FRAMES)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--frames", type=int, default=4096)
     args, workload = parser.parse_args(), WORKLOADS["fabric_steady"]
-    rig = workload.build(args.seed)  # set-up runs unwrapped
-    load = workload.generate(rig, args.seed, args.frames)
-    for cls, name in ((SoftSwitch, "receive_burst"), (LegacySwitch, "receive_burst"),
-                      (LegacySwitch, GENERAL_METHOD),
-                      (Port, "send_burst"), (Port, "deliver_burst")):
-        timed(cls, name)
-    start = time.perf_counter()
-    list(workload.drive(rig, load))
-    region = time.perf_counter() - start
-    print(f"fabric_steady seed {args.seed}: drive region {region:.3f} s (wrapped)")
-    print(f"{'role':<21} {'frames':>7} {'self s':>8} {'region':>7} {'us/frame':>9}")
-    SELF_S[GENERAL] += 0.0  # the row is printed even when nothing fell through
-    for role, self_s in SELF_S.most_common():
-        print(f"{role:<21} {FRAMES[role]:>7} {self_s:>8.3f} {self_s / region:>6.0%} "
-              f"{1e6 * self_s / max(FRAMES[role], 1):>9.2f}")
-    print(f"SS_1 is {SELF_S['SS_1'] / (SELF_S['SS_1'] + SELF_S['SS_2']):.0%} of softswitch self time")
+    passes = [one_pass(workload, args.seed, args.frames) for _ in range(PASSES)]
+    regions = [region for region, _, _ in passes]
+    print(f"fabric_steady seed {args.seed}: drive region median {statistics.median(regions):.3f} s "
+          f"({min(regions):.3f}-{max(regions):.3f}) over {PASSES} passes (wrapped)")
+    print(f"{'role':<21} {'frames':>7} {'self s':>8} {'region':>7} {'us/frame':>9} "
+          f"{'min-max':>13}")
+    def median_self_s(role: str) -> float:
+        return statistics.median(seconds[role] for _, seconds, _ in passes)
+
+    for role in sorted(passes[0][1], key=median_self_s, reverse=True):
+        frames = statistics.median(counts[role] for _, _, counts in passes)
+        self_s = median_self_s(role)
+        share = statistics.median(seconds[role] / region for region, seconds, _ in passes)
+        per_frame = [1e6 * seconds[role] / max(counts[role], 1) for _, seconds, counts in passes]
+        print(f"{role:<21} {frames:>7.0f} {self_s:>8.3f} {share:>6.0%} "
+              f"{statistics.median(per_frame):>9.2f} "
+              f"{min(per_frame):>6.2f}-{max(per_frame):.2f}")
+    ss1 = statistics.median(
+        seconds["SS_1"] / (seconds["SS_1"] + seconds["SS_2"]) for _, seconds, _ in passes)
+    print(f"SS_1 is {ss1:.0%} of softswitch self time (median)")
 
 
 if __name__ == "__main__":
