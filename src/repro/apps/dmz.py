@@ -4,7 +4,8 @@ A default-deny policy with an explicit allow matrix: only VM pairs that
 appear in ``allowed_pairs`` may exchange traffic (the paper's example:
 Host 1 and Host 2 "permitted to exchange traffic only with each
 other").  Policy is installed proactively: allow flows at high
-priority, ARP restricted to the same pairs, and a priority-0 drop.
+priority, ARP restricted to the same pairs (one rule per VM, rewritten
+whenever one of its pairs is allowed or revoked), and a priority-0 drop.
 """
 
 from __future__ import annotations
@@ -62,11 +63,21 @@ class DmzPolicyApp(ControllerApp):
         # Explicit default deny (also documents intent in the flow dump).
         datapath.flow_add(match=Match(), actions=[], priority=0)
         for a, b in sorted(self.allowed_pairs):
-            self._install_pair(datapath, self.vms[a], self.vms[b])
+            self._install_ipv4(datapath, self.vms[a], self.vms[b])
+        for vm in self.vms.values():
+            if self._peers(vm):
+                self._install_arp(datapath, vm)
 
-    def _install_pair(self, datapath: Datapath, vm_a: Vm, vm_b: Vm) -> None:
+    def _peers(self, vm: Vm) -> "list[Vm]":
+        """The VMs *vm* may currently talk to, in port order."""
+        return sorted(
+            (self.vms[b if a == vm.name else a] for a, b in self.allowed_pairs
+             if vm.name in (a, b)),
+            key=lambda peer: peer.port,
+        )
+
+    def _install_ipv4(self, datapath: Datapath, vm_a: Vm, vm_b: Vm) -> None:
         for src, dst in ((vm_a, vm_b), (vm_b, vm_a)):
-            # IPv4 both ways.
             datapath.flow_add(
                 match=Match(
                     eth_type=0x0800,
@@ -76,16 +87,24 @@ class DmzPolicyApp(ControllerApp):
                 actions=[OutputAction(port=dst.port)],
                 priority=self.priority,
             )
-            # ARP between the pair (request broadcast + unicast reply).
-            datapath.flow_add(
-                match=Match(
-                    eth_type=0x0806,
-                    in_port=src.port,
-                    eth_src=int(src.mac),
-                ),
-                actions=[OutputAction(port=dst.port)],
-                priority=self.priority,
-            )
+
+    def _install_arp(self, datapath: Datapath, vm: Vm) -> None:
+        """(Re)write *vm*'s one ARP rule: its requests (broadcast) and its
+        replies (unicast) go to every peer it may currently reach, and a
+        VM with no peer left has no ARP rule.  An ADD of the same match
+        and priority replaces the rule, so one rule per VM holds all its
+        pairs; a rule per pair on ``(in_port, eth_src)`` would overwrite
+        the VM's other pairs."""
+        match = Match(eth_type=0x0806, in_port=vm.port, eth_src=int(vm.mac))
+        peers = self._peers(vm)
+        if not peers:
+            datapath.flow_delete(match)
+            return
+        datapath.flow_add(
+            match=match,
+            actions=[OutputAction(port=peer.port) for peer in peers],
+            priority=self.priority,
+        )
 
     def allow(self, datapath: Datapath, name_a: str, name_b: str) -> None:
         """Grant a pair connectivity at runtime (fine-tuning the policy)."""
@@ -93,7 +112,10 @@ class DmzPolicyApp(ControllerApp):
         if pair in self.allowed_pairs:
             return
         self.allowed_pairs.add(pair)
-        self._install_pair(datapath, self.vms[pair[0]], self.vms[pair[1]])
+        vm_a, vm_b = self.vms[pair[0]], self.vms[pair[1]]
+        self._install_ipv4(datapath, vm_a, vm_b)
+        self._install_arp(datapath, vm_a)
+        self._install_arp(datapath, vm_b)
 
     def revoke(self, datapath: Datapath, name_a: str, name_b: str) -> None:
         """Remove a pair's connectivity at runtime."""
@@ -110,6 +132,5 @@ class DmzPolicyApp(ControllerApp):
                     ipv4_dst=int(dst.ip),
                 )
             )
-            datapath.flow_delete(
-                Match(eth_type=0x0806, in_port=src.port, eth_src=int(src.mac))
-            )
+        self._install_arp(datapath, vm_a)
+        self._install_arp(datapath, vm_b)

@@ -216,10 +216,10 @@ DMZ_TENANTS = 3
 DMZ_VMS_PER_TENANT = 2
 
 
-def build_dmz_site():
-    """Use case (b): tenants of VMs on a migrated switch, intra-tenant
-    traffic allowed, cross-tenant denied.  Returns ``(sim, hosts,
-    deployment, dmz)``; host *i* is VM ``t<tenant>vm<member>``."""
+def dmz_policy() -> DmzPolicyApp:
+    """Use case (b)'s policy: ``DMZ_TENANTS`` tenants of
+    ``DMZ_VMS_PER_TENANT`` VMs, VM *i* on port *i* + 1 with host *i*'s
+    addresses (:func:`make_hosts`), intra-tenant pairs allowed."""
     vms = []
     for tenant in range(DMZ_TENANTS):
         for member in range(DMZ_VMS_PER_TENANT):
@@ -239,8 +239,15 @@ def build_dmz_site():
             [f"t{tenant}vm{m}" for m in range(DMZ_VMS_PER_TENANT)], 2
         )
     }
-    dmz = DmzPolicyApp(vms=vms, allowed_pairs=allowed)
-    sim, hosts, deployment, _ = build_harmless_site(len(vms), [dmz])
+    return DmzPolicyApp(vms=vms, allowed_pairs=allowed)
+
+
+def build_dmz_site():
+    """Use case (b): tenants of VMs on a migrated switch, intra-tenant
+    traffic allowed, cross-tenant denied.  Returns ``(sim, hosts,
+    deployment, dmz)``; host *i* is VM ``t<tenant>vm<member>``."""
+    dmz = dmz_policy()
+    sim, hosts, deployment, _ = build_harmless_site(len(dmz.vms), [dmz])
     return sim, hosts, deployment, dmz
 
 
@@ -322,10 +329,13 @@ def resolve(user: Host, resolver: Host, name: str, txid: int, results: list) -> 
 # A use case as a datapath rig: ``(sim, switch, stream, in_port)``,
 # SS_2 of the settled site with the use case's rules installed and a
 # stream of steady-state frames that arrive on *in_port*.  The stream's
-# L4 ports vary per frame while the use case's rules match L3 only, so
-# the compiled program's shrunk flow key folds every port combination
-# of a pair onto one cached decision, where the interpreter classifies
-# each frame.
+# L4 ports vary per frame.  The DMZ and LB rules match L3 only, so the
+# compiled program's shrunk flow key folds every port combination of a
+# pair onto one cached decision, where the interpreter classifies each
+# frame.  The PC site's DNS intercept rules match UDP port 53, so its
+# compiled key holds ``udp_src`` and ``udp_dst`` and every PC frame is a
+# new key: a pass longer than ``KEY_CACHE_LIMIT`` (8 192) frames
+# overflows the key cache.
 
 #: Frames in a rig's stream: longer than any pass.
 RIG_STREAM = 16_384

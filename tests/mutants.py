@@ -309,4 +309,86 @@ MUTANTS = [
         "an ideal link's burst lands without its propagation delay",
         ("test_netsim_link_timing.py",),
     ),
+    # The DMZ policy's ARP: one rule per VM, rewritten on allow/revoke
+    # (ROADMAP item 15(a)).
+    Mutant(
+        "apps/dmz.py",
+        "            actions=[OutputAction(port=peer.port) for peer in peers],\n",
+        "            actions=[OutputAction(port=peers[-1].port)],\n",
+        "a VM's ARP rule reaches only its latest peer: allowing a second pair\n"
+        "overwrites the first pair's ARP, and the tenant peer stops answering",
+        ("test_dmz_machine.py", "test_paper_claims.py"),
+        survived_before="test_paper_claims.py",
+    ),
+    # One mutant per module over 200 lines that had none (ROADMAP item
+    # 20(a)): the bug the module's history fixed where it records one
+    # (the untagged pop, a VLAN membership left behind), else a
+    # one-line slip on the line that carries the module's rule.
+    Mutant(
+        "openflow/messages.py",
+        "            idle_timeout=idle_timeout,\n            hard_timeout=hard_timeout,\n",
+        "            idle_timeout=hard_timeout,\n            hard_timeout=idle_timeout,\n",
+        "a FlowMod off the wire swaps its idle and hard timeouts",
+        ("test_openflow_messages.py",),
+    ),
+    Mutant(
+        "openflow/actions.py",
+        "        if not frame.tags:\n            # Per spec",
+        "        if frame is None:\n            # Per spec",
+        "the interpreter's pop_vlan pops an untagged frame (the compiled\n"
+        "plan's twin of this bug is a row above)",
+        ("test_specialized_differential.py",),
+    ),
+    Mutant(
+        "controller/core.py",
+        "                if app.on_packet_in(datapath, message):\n"
+        "                    break  # app consumed the packet\n",
+        "                app.on_packet_in(datapath, message)\n",
+        "a packet-in one app consumed still reaches the apps after it",
+        ("test_apps_usecases.py",),
+    ),
+    Mutant(
+        "fabric/topology.py",
+        "        homed[index % spines].append(edge)\n",
+        "        homed[0].append(edge)\n",
+        "leaf_spine_fabric homes every edge on the first spine, not round-robin\n"
+        "over the chained spines",
+        ("test_fabric.py",),
+    ),
+    Mutant(
+        "netsim/faults.py",
+        "            s4.install_translator(deployment.port_map)\n",
+        "",
+        "a crashed site restarts without SS_1's translator rules",
+        ("test_resilience.py",),
+    ),
+    Mutant(
+        "snmp/bridge_mib.py",
+        "                current_egress[other_vid] -= moved\n",
+        "",
+        "granting a port untagged membership leaves it an egress member of\n"
+        "its old VLAN, so the access port turns into a trunk",
+        ("test_snmp_bridge_mib.py",),
+    ),
+    Mutant(
+        "mgmt/base.py",
+        "        for vlan_id in sorted(current_vlans - snapshot_vlans - {1}):\n",
+        "        for vlan_id in ():\n",
+        "a rollback keeps the VLANs the failed commit created",
+        ("test_mgmt_drivers.py",),
+    ),
+    Mutant(
+        "mgmt/drivers.py",
+        "            ports.extend(range(int(low), int(high) + 1))\n",
+        "            ports.extend(range(int(low), int(high)))\n",
+        "a ProCurve port range 5-7 leaves out its last port",
+        ("test_mgmt_drivers.py",),
+    ),
+    Mutant(
+        "traffic/generators.py",
+        "        count = min(burst_size, total)\n",
+        "        count = burst_size\n",
+        "burst_schedule's last burst is full size: more frames than cbr_schedule",
+        ("test_traffic_nfpa.py",),
+    ),
 ]

@@ -13,17 +13,19 @@ S4, every ``Host`` and every ``ControllerChannel``.
 Each example builds one of the three fabric builders, unmigrated or
 after ``HarmlessFleet.migrate_all``, teaches it every host with an
 all-pairs ping (the FDBs, the hosts' ARP caches, the learning switch's
-flows), then plays random unicast UDP bursts between random host pairs,
-with no faults.  A warm fabric neither floods nor copies a unicast
-frame, so each datagram is received once or dies once; a burst longer
-than a link's queue makes the drops real.
+flows), then plays random unicast UDP bursts between random host pairs.
+With no faults (the ``NO_FAULTS`` example, played on every fabric) a
+warm fabric neither floods nor copies a unicast frame, so each datagram
+is received once or dies once, and the law above holds over every
+node's own ``drops``; a burst longer than a link's queue makes the drops
+real.
 
-Under faults (``test_every_frame_is_accounted_under_faults``) the same
-examples also draw a :class:`~repro.netsim.FaultInjector` plan — link
-flaps, cut-and-restore, legacy switch crashes, and, once migrated, site
-crashes and controller-channel loss — plus a broadcast storm from a
-host.  A flushed FDB floods, and a flood makes copies, so the law
-checked there, over the measured window once the simulator drains, is::
+The random examples also draw a :class:`~repro.netsim.FaultInjector`
+plan — link flaps, cut-and-restore, legacy switch crashes, and, once
+migrated, site crashes and controller-channel loss — plus a broadcast
+storm from a host.  A flushed FDB floods, and a flood makes copies, so
+the law checked there, over the measured window once the simulator
+drains, is::
 
     sent + storm frames + Σ_switching nodes (emitted − taken in)
         == received + Σ drops[reason] over every Port, Link direction and Host
@@ -42,7 +44,7 @@ Set ``DIFFERENTIAL_SCALE=<n>`` to multiply the example count.
 
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import HarmlessFleet
@@ -51,8 +53,10 @@ from repro.fabric import campus_fabric, leaf_spine_fabric, ring_fabric
 
 from differential import SCALE
 
-EXAMPLES = 8
 FAULT_EXAMPLES = 6
+#: The plan with no fault, played on every fabric: two bursts, the first
+#: longer than a link's queue, so its drops are real.
+NO_FAULTS = {"bursts": [(0, 0, 300, 0.0), (1, 2, 150, 1e-5)], "faults": []}
 
 FABRICS = {
     "leaf-spine": lambda: leaf_spine_fabric(edges=3, spines=1, hosts_per_edge=2),
@@ -104,33 +108,6 @@ def drops(fabric, fleet) -> int:
     return sum(
         sum(producer.drops.values()) for producer in (*nodes, *ports, *directions, *channels)
     )
-
-
-@pytest.mark.parametrize("migrated", [False, True], ids=["legacy", "migrated"])
-@pytest.mark.parametrize("fabric_name", list(FABRICS))
-@settings(max_examples=EXAMPLES * SCALE, deadline=None)
-@given(bursts=BURSTS)
-def test_every_datagram_is_received_or_counted_dropped(fabric_name, migrated, bursts):
-    fabric = FABRICS[fabric_name]()
-    fleet = None
-    if migrated:
-        fleet = HarmlessFleet(fabric, wave_size=2)
-        fleet.migrate_all(verify=False)
-        assert fleet.complete
-    warm(fabric)
-    hosts, sim = fabric.hosts, fabric.sim
-    received_before = sum(len(host.udp_received) for host in hosts)
-    dropped_before = drops(fabric, fleet)
-
-    for src, offset, count, start in bursts:
-        src_host = hosts[src % len(hosts)]
-        dst_host = hosts[(src + 1 + offset % (len(hosts) - 1)) % len(hosts)]
-        sim.schedule(start, send, src_host, dst_host, count)
-    sim.run_until_idle()
-
-    sent = sum(count for _, _, count, _ in bursts)
-    received = sum(len(host.udp_received) for host in hosts) - received_before
-    assert sent == received + drops(fabric, fleet) - dropped_before, (sent, received)
 
 
 #: One fault: (kind, target index, start offset in s, hold in s).
@@ -208,6 +185,7 @@ def ledger(fabric, fleet) -> "tuple[int, int, int]":
 @pytest.mark.parametrize("fabric_name", list(FABRICS))
 @settings(max_examples=FAULT_EXAMPLES * SCALE, deadline=None)
 @given(bursts=BURSTS, faults=FAULTS)
+@example(**NO_FAULTS)
 def test_every_frame_is_accounted_under_faults(fabric_name, migrated, bursts, faults):
     fabric = FABRICS[fabric_name]()
     fleet = None
@@ -217,6 +195,7 @@ def test_every_frame_is_accounted_under_faults(fabric_name, migrated, bursts, fa
     warm(fabric)
     hosts, sim = fabric.hosts, fabric.sim
     before = ledger(fabric, fleet)
+    dropped_before = drops(fabric, fleet)
     injector = FaultInjector(sim)
     plan_faults(injector, fabric, fleet, faults)
     for src, offset, count, start in bursts:
@@ -230,3 +209,7 @@ def test_every_frame_is_accounted_under_faults(fabric_name, migrated, bursts, fa
     # A storm frame the port or link refused is counted dropped there.
     injected = sent + injector.storm_frames_sent + injector.storm_frames_lost
     assert injected + net == received + dropped, (injected, net, received, dropped, injector.log)
+    if not faults:
+        # With no fault, no frame is copied: every node's own drops
+        # balance the datagrams, the switches' and channels' included.
+        assert sent == received + drops(fabric, fleet) - dropped_before, (sent, received)

@@ -1,5 +1,5 @@
 """The docs lint's drift checks: the README layout table and paper-claims
-table, the module census, module references in the docs and in
+table, the module and test censuses, module references in the docs and in
 ``src/`` roles, and the documents ``src/`` names.
 
 Each check is run on the repository itself (it must pass) and on a small
@@ -73,6 +73,44 @@ class TestModuleCensus:
         write_census(tree, ["a/one.py", "b/two.py", "b/three.py"], heading="## Modules")
         assert docs_lint.check_module_census() == [
             "docs/architecture.md: no '## Module census' section"
+        ]
+
+
+def write_test_census(root, rows):
+    table = "\n".join(f"| `{row}` | 1 | 0.1 | 0 | 0 |" for row in rows)
+    (root / "docs" / "architecture.md").write_text(
+        "# Architecture\n\n## Test census\n\n| Test file | lines | tier-1 s | only | only |\n"
+        f"| --- | ---: | ---: | ---: | ---: |\n{table}\n"
+    )
+
+
+class TestTestCensus:
+    @pytest.fixture
+    def tests_tree(self, tree):
+        for name in ("tests/test_a.py", "tests/helper.py", "benchmarks/e2e/test_smoke.py"):
+            (tree / name).parent.mkdir(parents=True, exist_ok=True)
+            (tree / name).write_text("")
+        return tree
+
+    def test_repository_census_matches_the_tree(self, docs_lint):
+        assert docs_lint.check_test_census() == []
+
+    def test_complete_census_passes(self, docs_lint, tests_tree):
+        write_test_census(tests_tree, ["tests/test_a.py", "benchmarks/e2e/test_smoke.py"])
+        assert docs_lint.check_test_census() == []
+
+    def test_missing_row_is_named(self, docs_lint, tests_tree):
+        write_test_census(tests_tree, ["tests/test_a.py"])
+        assert docs_lint.check_test_census() == [
+            "docs/architecture.md: test census lacks benchmarks/e2e/test_smoke.py"
+        ]
+
+    def test_row_for_a_deleted_file_is_named(self, docs_lint, tests_tree):
+        write_test_census(
+            tests_tree, ["tests/test_a.py", "tests/test_gone.py", "benchmarks/e2e/test_smoke.py"]
+        )
+        assert docs_lint.check_test_census() == [
+            "docs/architecture.md: test census lists tests/test_gone.py, which does not exist"
         ]
 
 

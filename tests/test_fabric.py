@@ -621,24 +621,20 @@ def test_mix_delivers_every_addressed_frame_exactly_once(topology, stage):
 
 
 @pytest.mark.parametrize("topology", sorted(MIX_TOPOLOGIES))
-def test_mix_rerun_reproduces_every_digest(topology):
-    first_sites, first_pins = MixRun(topology).play(range(4)).digests()
-    second_sites, second_pins = MixRun(topology).play(range(4)).digests()
-    assert first_sites == second_sites
-    assert first_pins == second_pins
-    assert any(first_pins.values()), "the mixes raised no packet-in"
-    # A different mix is visible in the digest.
-    other_sites, _ = MixRun(topology).play(range(4, 8)).digests()
-    assert other_sites != first_sites
-
-
-@pytest.mark.parametrize("topology", sorted(MIX_TOPOLOGIES))
 def test_mix_in_event_slices_equals_one_run(topology):
+    """A run in event slices is the run in one go, digest for digest;
+    a rerun of a mix with a fault reproduces its digests too
+    (``test_trunk_flap_loses_frames_then_heals``)."""
     whole = MixRun(topology).play(range(3))
     sliced = MixRun(topology).play(range(3), max_events=97)
     assert sliced.digests() == whole.digests()
     assert sliced.sim.events_processed == whole.sim.events_processed
     assert sliced.sim.now == whole.sim.now
+    sites, pins = whole.digests()
+    assert any(pins.values()), "the mixes raised no packet-in"
+    # A different mix is visible in the digest.
+    other_sites, _ = MixRun(topology).play(range(3, 6)).digests()
+    assert other_sites != sites
 
 
 @pytest.mark.parametrize("topology", sorted(MIX_TOPOLOGIES))

@@ -279,25 +279,6 @@ frames = st.builds(
 )
 
 
-class TestEthernetProperties:
-    @given(frames)
-    def test_serialise_parse_round_trip(self, frame):
-        assert EthernetFrame.from_bytes(frame.to_bytes()) == frame
-
-    @given(frames, vlan_ids)
-    def test_push_pop_identity(self, frame, vlan_id):
-        assert frame.push_vlan(vlan_id).pop_vlan() == frame
-
-    @given(frames, vlan_ids)
-    def test_push_sets_outer_vlan(self, frame, vlan_id):
-        assert frame.push_vlan(vlan_id).vlan_id == vlan_id
-
-    @given(frames)
-    def test_wire_length_lower_bound(self, frame):
-        assert frame.wire_length >= len(frame.to_bytes())
-        assert frame.wire_length >= 60
-
-
 class TestTagInterning:
     """push_vlan, set_vlan and the decoder hand out one shared tag per
     value; the table only ever holds values Dot1QTag accepted."""

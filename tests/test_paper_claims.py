@@ -425,10 +425,21 @@ def dmz_matrix() -> "set[tuple[str, str]]":
 
 
 def dmz_runtime_flip():
-    """A cross-tenant pair before an allow, after it, and after a revoke."""
+    """A cross-tenant pair before an allow, after it, and after a revoke;
+    and after each flip, whether the flipped VM's tenant peer still
+    answers a ping (both ARP caches cleared, so the ping resolves too)."""
     sim, hosts, deployment, policy = build_dmz_site()
     datapath = deployment.datapath
     a, b = hosts[0], hosts[2]  # different tenants
+    peer = hosts[1]  # a's tenant peer
+
+    def bystander_answered(until: float) -> int:
+        for host in (a, peer):
+            host.arp_table.clear()
+        result = peer.ping(a.ip)
+        sim.run(until=until)
+        return int(not result.lost)
+
     a.ping(b.ip)
     sim.run(until=2.0)
     denied_before = a.ping_loss_rate == 1.0
@@ -437,15 +448,18 @@ def dmz_runtime_flip():
     a.ping(b.ip)
     sim.run(until=4.0)
     allowed_after = len(a.rtts()) == 1
+    peer_after_allow = bystander_answered(until=6.0)
     policy.revoke(datapath, "t0vm0", "t1vm0")
-    sim.run(until=4.4)
+    sim.run(until=6.4)
     a.ping(b.ip)
-    sim.run(until=7.0)
+    sim.run(until=9.0)
     denied_again = len(a.rtts()) == 1
     return {
         "denied_before": denied_before,
         "allowed_after": allowed_after,
         "denied_again": denied_again,
+        "peer_answered_after_allow": peer_after_allow,
+        "peer_answered_after_revoke": bystander_answered(until=11.0),
     }
 
 
@@ -684,9 +698,11 @@ CLAIMS = [
     ),
     Claim(
         "UC-DMZ-FLIP", "use case (b)",
-        "VM-level policy is fine-tuned at runtime: allow, then revoke",
+        "VM-level policy is fine-tuned at runtime: allow, then revoke, and "
+        "the flipped VM's tenant peer answers throughout",
         dmz_runtime_flip,
-        lambda m: m["denied_before"] and m["allowed_after"] and m["denied_again"],
+        lambda m: m["denied_before"] and m["allowed_after"] and m["denied_again"]
+        and m["peer_answered_after_allow"] == 1 and m["peer_answered_after_revoke"] == 1,
     ),
     Claim(
         "UC-DMZ-COMPILED", "use case (b)",

@@ -346,12 +346,3 @@ class TestSuccessorProperty:
             assert answer is None
         else:
             assert answer is not None and answer[0].parts == min(later)
-
-    @given(layouts_and_cursors())
-    def test_walk_is_the_sorted_rows_under_the_base(self, drawn):
-        layout, instances, base = drawn
-        client = SnmpClient(SnmpAgent(mount_layout(layout)))
-        walked = [oid.parts for oid, _ in client.walk(OID(base))]
-        assert walked == [
-            oid for oid in instances if oid[: len(base)] == base and oid != base
-        ]

@@ -13,7 +13,9 @@ package ``src/repro/<package>/`` must have a row.
 
 And the module census in ``docs/architecture.md``: its table must list
 every module under ``src/repro/`` (package ``__init__.py`` files only
-re-export and are left out) and no module that does not exist.
+re-export and are left out) and no module that does not exist.  Its
+test census (``tools/test_census.py``) must list every test file that
+tier-1 collects, once, and no file that does not exist.
 
 And a README claim that used to rot: the bench table must name every
 ``benchmarks/bench_*.py``.
@@ -157,13 +159,14 @@ CENSUS_HEADING = "## Module census"
 CENSUS_ROW_RE = re.compile(r"^\|\s*`([\w/]+\.py)`")
 
 
-def check_module_census() -> "list[str]":
-    """The census table lists every module under ``src/repro/``, once."""
+def check_census(heading: str, label: str, expected: "set[str]") -> "list[str]":
+    """The table under *heading* in the census doc lists every name of
+    *expected* once, and nothing else."""
     path = REPO_ROOT / CENSUS_DOC
     text = path.read_text(encoding="utf-8")
-    start = text.find(f"\n{CENSUS_HEADING}\n")
+    start = text.find(f"\n{heading}\n")
     if start < 0:
-        return [f"{CENSUS_DOC}: no '{CENSUS_HEADING}' section"]
+        return [f"{CENSUS_DOC}: no '{heading}' section"]
     section = text[start + 1:]
     end = section.find("\n#")
     listed: "list[str]" = []
@@ -171,22 +174,43 @@ def check_module_census() -> "list[str]":
         match = CENSUS_ROW_RE.match(line)
         if match:
             listed.append(match.group(1))
+    problems = [f"{CENSUS_DOC}: {label} lacks {name}" for name in sorted(expected - set(listed))]
+    problems += [
+        f"{CENSUS_DOC}: {label} lists {name}, which does not exist"
+        for name in sorted(set(listed) - expected)
+    ]
+    problems += [
+        f"{CENSUS_DOC}: {label} lists {name} twice"
+        for name in sorted({name for name in listed if listed.count(name) > 1})
+    ]
+    return problems
+
+
+def check_module_census() -> "list[str]":
+    """The census table lists every module under ``src/repro/``, once."""
     root = REPO_ROOT / "src" / "repro"
     modules = {
         module.relative_to(root).as_posix()
         for module in root.rglob("*.py")
         if module.name != "__init__.py"
     }
-    problems = [f"{CENSUS_DOC}: census lacks {name}" for name in sorted(modules - set(listed))]
-    problems += [
-        f"{CENSUS_DOC}: census lists {name}, which does not exist"
-        for name in sorted(set(listed) - modules)
-    ]
-    problems += [
-        f"{CENSUS_DOC}: census lists {name} twice"
-        for name in sorted({name for name in listed if listed.count(name) > 1})
-    ]
-    return problems
+    return check_census(CENSUS_HEADING, "census", modules)
+
+
+#: The test census (``tools/test_census.py --write-doc``) has one row per
+#: test file that tier-1 collects.
+TEST_CENSUS_HEADING = "## Test census"
+TEST_FILE_GLOBS = ("tests/test_*.py", "benchmarks/e2e/test_*.py")
+
+
+def check_test_census() -> "list[str]":
+    """The test census table lists every tier-1 test file, once."""
+    files = {
+        path.relative_to(REPO_ROOT).as_posix()
+        for pattern in TEST_FILE_GLOBS
+        for path in REPO_ROOT.glob(pattern)
+    }
+    return check_census(TEST_CENSUS_HEADING, "test census", files)
 
 
 def check_bench_table(readme: pathlib.Path) -> "list[str]":
@@ -427,6 +451,7 @@ def main() -> int:
     problems.extend(check_bench_references())
     problems.extend(check_class_attributes())
     problems.extend(check_module_census())
+    problems.extend(check_test_census())
     problems.extend(check_module_paths())
     problems.extend(check_module_roles())
     problems.extend(check_markdown_names())
@@ -437,8 +462,8 @@ def main() -> int:
         print(f"FAIL: {len(problems)} problem(s)", file=sys.stderr)
         return 1
     print("PASS: links, named benches, modules, documents and class attributes resolve, "
-          "the README bench table, the paper-claims table and the module census match "
-          "the tree")
+          "the README bench table, the paper-claims table, the module census and the "
+          "test census match the tree")
     return 0
 
 

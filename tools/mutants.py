@@ -15,6 +15,7 @@ change that added it; the tool does not run that, but its report says
 so, so a run on an older checkout can be read against it.
 """
 
+import contextlib
 import importlib.util
 import os
 import shutil
@@ -40,13 +41,21 @@ def anchor_count(repo: Path, mutant) -> int:
     return (repo / "src" / "repro" / mutant.path).read_text().count(mutant.anchor)
 
 
-def run_mutant(repo: Path, mutant) -> str:
-    """``killed``, ``killed (timeout)`` or ``survived``."""
+@contextlib.contextmanager
+def mutated_src(repo: Path, mutant):
+    """A temporary copy of *repo*'s ``src/`` with *mutant* applied; yields
+    the copy's path, which goes first on ``PYTHONPATH``."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as scratch:
         src = Path(scratch) / "src"
         shutil.copytree(repo / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
         target = src / "repro" / mutant.path
         target.write_text(target.read_text().replace(mutant.anchor, mutant.replacement))
+        yield src
+
+
+def run_mutant(repo: Path, mutant) -> str:
+    """``killed``, ``killed (timeout)`` or ``survived``."""
+    with mutated_src(repo, mutant) as src:
         env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
         command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
                    *(f"tests/{name}" for name in mutant.killers)]
